@@ -118,19 +118,6 @@ def sample_points(m: ManifoldModel, count: int, rng: np.random.Generator) -> np.
     return normalize(m, raw)
 
 
-def align_to(m: ManifoldModel, ref: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Representative of [y] nearest to the representative ref."""
-    if m.kind == "real_projective":
-        return y if float(ref @ y) >= 0.0 else -y
-    if m.kind == "complex_projective":
-        inner = complex(np.vdot(to_complex(y), to_complex(ref)))
-        mag = abs(inner)
-        if mag < 1e-12:
-            return y.copy()
-        return from_complex(to_complex(y) * (inner / mag))
-    return y.copy()
-
-
 def distance(m: ManifoldModel, x: np.ndarray, y: np.ndarray) -> float:
     if m.kind == "real_projective":
         g = min(abs(float(x @ y)), 1.0)
@@ -147,10 +134,6 @@ def pairwise_distances(m: ManifoldModel, pts: np.ndarray) -> np.ndarray:
     if m.kind == "complex_projective":
         return kernels.pairwise_phase_aligned(pts)
     return kernels.pairwise_euclidean(pts)
-
-
-def is_same_point(m: ManifoldModel, x, y, tol: Tolerance = DEFAULT_TOL) -> bool:
-    return distance(m, np.asarray(x, float), np.asarray(y, float)) <= tol.match_eps
 
 
 def _householder_frame(x: np.ndarray) -> np.ndarray:

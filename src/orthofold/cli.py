@@ -365,9 +365,12 @@ def _pinned_checks(r, results, seed: int, tol: Tolerance):
                f"got {len(r.klein.blocks)}")
         _check(results, "klein-dims-1-2", sorted(r.klein.dims) == [1, 2],
                f"got {sorted(r.klein.dims)}")
-        pts = _point_strata_values(r.interval)
-        _check(results, "interval-endpoints-singular", pts == {-1.0, 1.0},
-               f"point strata at {sorted(pts)}")
+        if r.interval is None:
+            _check(results, "interval-endpoints-singular", False, r.interval_note)
+        else:
+            pts = _point_strata_values(r.interval)
+            _check(results, "interval-endpoints-singular", pts == {-1.0, 1.0},
+                   f"point strata at {sorted(pts)}")
 
     elif name == "rp2-so2":
         _check(results, "klein-block-count-3", len(r.klein.blocks) == 3,
@@ -581,18 +584,22 @@ def cmd_catalog(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _default_seed() -> int:
+def _resolve_seed(args) -> None:
+    """Fill an omitted --seed from ORTHOFOLD_SEED (default 0)."""
+    if getattr(args, "seed", 0) is not None:
+        return
+    text = os.environ.get("ORTHOFOLD_SEED", "0")
     try:
-        return int(os.environ.get("ORTHOFOLD_SEED", "0"))
+        args.seed = int(text)
     except ValueError:
-        return 0
+        raise InputError(f"ORTHOFOLD_SEED must be an integer, got {text!r}") from None
 
 
 def _add_common(p: argparse.ArgumentParser, with_samples: bool = True):
     if with_samples:
         p.add_argument("--samples", type=int, default=2000,
                        help="points sampled per action (default 2000)")
-    p.add_argument("--seed", type=int, default=_default_seed(),
+    p.add_argument("--seed", type=int, default=None,
                    help="seed for all sampling (default 0, or ORTHOFOLD_SEED)")
     p.add_argument("--rank-eps", type=float, default=Tolerance().rank_eps)
     p.add_argument("--match-eps", type=float, default=Tolerance().match_eps)
@@ -633,6 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _resolve_seed(args)
         return args.func(args)
     except (UnknownActionError, PointSpecError) as e:
         print(f"error: {e}", file=sys.stderr)

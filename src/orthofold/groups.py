@@ -12,10 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import ClassificationError, InputError
 from .numerics import Tolerance, DEFAULT_TOL, orthonormalize
+
+# identity-component membership cut: for so3 on |q zeta - zeta|, for the
+# torus kinds on the wrapped angle residual off the kernel span, and for a
+# finite stabilizer on max |q - 1|. Catalog component classes sit O(1) apart.
+COMPONENT_EPS = 1e-5
+# bytes of the (B, 3^r, r) shifted-angle block built per chunk of candidates
+_SHIFT_CHUNK_BYTES = 4 << 20
 
 
 def _rot2(theta: float) -> np.ndarray:
@@ -30,9 +36,7 @@ _J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 class GroupDescriptor:
     """A compact matrix group in its canonical representation.
 
-    kind: one of "so3", "so2", "u1", "o2", "torus", "finite", "product",
-    "linear" (the last for groups handed over as explicit generators, e.g.
-    stabilizers acting on a slice).
+    kind: one of "so3", "so2", "u1", "o2", "torus", "finite", "product".
     """
 
     kind: str
@@ -58,8 +62,6 @@ class GroupDescriptor:
             for p in self.parts:
                 n *= p.n_components
             return n
-        if self.kind == "linear":
-            return len(self.elements) if self.elements is not None else 1
         return 1
 
     def identity(self) -> np.ndarray:
@@ -133,28 +135,6 @@ def product(parts) -> GroupDescriptor:
     )
 
 
-def linear_group(
-    lie_gens: np.ndarray, discrete: np.ndarray, circle_label: str, name: str = "linear"
-) -> GroupDescriptor:
-    """Group handed over as explicit generators acting on R^size.
-
-    discrete must contain component representatives, identity first.
-    """
-    lie_gens = np.asarray(lie_gens, dtype=np.float64)
-    discrete = np.asarray(discrete, dtype=np.float64)
-    size = discrete.shape[1] if discrete.size else lie_gens.shape[1]
-    if lie_gens.size == 0:
-        lie_gens = np.zeros((0, size, size))
-    return GroupDescriptor(
-        kind="linear",
-        size=size,
-        lie=lie_gens,
-        elements=discrete,
-        circle_label=circle_label,
-        name=name,
-    )
-
-
 # ---------------------------------------------------------------------------
 # exponential and sampling
 # ---------------------------------------------------------------------------
@@ -182,11 +162,7 @@ def exp_coeffs(g: GroupDescriptor, c: np.ndarray) -> np.ndarray:
             blocks.append(exp_coeffs(p, c[off : off + p.lie_dim]))
             off += p.lie_dim
         return _blockdiag(blocks)
-    if g.kind == "finite":
-        return g.identity()
-    # generic generators: honest matrix exponential
-    xi = np.tensordot(c, g.lie, axes=(0, 0))
-    return expm(xi)
+    return g.identity()  # finite: the Lie algebra is zero
 
 
 def exp_coeffs_batch(g: GroupDescriptor, C: np.ndarray) -> np.ndarray:
@@ -255,18 +231,6 @@ def sample_elements(g: GroupDescriptor, count: int, rng: np.random.Generator) ->
             out[:, off : off + p.size, off : off + p.size] = block
             off += p.size
         return out
-    if g.kind == "linear":
-        k = g.lie_dim
-        if k == 0:
-            reps = g.elements
-            idx = rng.integers(0, len(reps), size=count)
-            return reps[idx]
-        angles = rng.uniform(0.0, 2.0 * np.pi, size=(count, k))
-        mats = exp_coeffs_batch(g, angles)
-        if g.elements is not None and len(g.elements) > 1:
-            idx = rng.integers(0, len(g.elements), size=count)
-            mats = mats @ g.elements[idx]
-        return mats
     raise InputError(f"cannot sample elements of kind {g.kind!r}")
 
 
@@ -290,24 +254,18 @@ def _quat_to_mat(q: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def so3_axis_angle(q: np.ndarray) -> tuple[np.ndarray | None, float]:
-    """Axis (unit vector or None for the identity) and angle in [0, pi]."""
-    tr = np.trace(q)
-    angle = float(np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0)))
-    if angle < 1e-9:
-        return None, 0.0
-    if np.pi - angle < 1e-6:
-        m = q + np.eye(3)
-        col = m[:, int(np.argmax(np.linalg.norm(m, axis=0)))]
-        return col / np.linalg.norm(col), angle
-    w = np.array([q[2, 1] - q[1, 2], q[0, 2] - q[2, 0], q[1, 0] - q[0, 1]])
-    return w / (2.0 * np.sin(angle)), angle
-
-
 def torus_angles(g: GroupDescriptor, q: np.ndarray) -> np.ndarray:
-    """Block rotation angles of a torus-kind element, each in (-pi, pi]."""
+    """Block rotation angles of torus-kind elements, each in (-pi, pi].
+
+    q is one (size, size) element or a (..., size, size) stack; the angles
+    sit on the last axis.
+    """
+    q = np.asarray(q, dtype=np.float64)
     r = g.lie_dim
-    return np.array([np.arctan2(q[2 * j + 1, 2 * j], q[2 * j, 2 * j]) for j in range(r)])
+    return np.stack(
+        [np.arctan2(q[..., 2 * j + 1, 2 * j], q[..., 2 * j, 2 * j]) for j in range(r)],
+        axis=-1,
+    )
 
 
 def adjoint_coeffs(g: GroupDescriptor, elem: np.ndarray) -> np.ndarray:
@@ -321,41 +279,42 @@ def adjoint_coeffs(g: GroupDescriptor, elem: np.ndarray) -> np.ndarray:
     return np.linalg.solve(gram, mixed)
 
 
-def in_identity_component(
-    g: GroupDescriptor,
-    q: np.ndarray,
-    kernel_coeffs: np.ndarray,
-    tol: Tolerance = DEFAULT_TOL,
-) -> bool:
-    """Whether q lies on exp(span of the given coefficient vectors).
+def identity_component_mask(
+    g: GroupDescriptor, Q: np.ndarray, kernel_coeffs: np.ndarray
+) -> np.ndarray:
+    """Which of the elements Q (B, size, size) lie on exp(span kernel_coeffs).
 
     kernel_coeffs has shape (lie_dim, k); k = 0 reduces to an identity test.
+    For so3 with a one-dimensional kernel spanned by zeta, exp(span zeta) is
+    the set of rotations fixing zeta, so membership is |q zeta - zeta| small,
+    which stays well conditioned for every rotation angle, pi included. The
+    torus kinds project the block angles onto the kernel span, trying every
+    2 pi wrap of each angle.
     """
+    Q = np.asarray(Q, dtype=np.float64)
     k = kernel_coeffs.shape[1] if kernel_coeffs.ndim == 2 else 0
-    eps = max(tol.match_eps, 1e-7)
     if k == 0:
-        return bool(np.max(np.abs(q - g.identity())) <= eps)
+        return np.abs(Q - g.identity()).max(axis=(1, 2)) <= COMPONENT_EPS
     if g.kind == "so3":
         if k >= 3:
-            return True
-        axis, angle = so3_axis_angle(q)
-        if axis is None:
-            return True
+            return np.ones(Q.shape[0], dtype=bool)
         zeta = kernel_coeffs[:, 0] / np.linalg.norm(kernel_coeffs[:, 0])
-        return bool(min(np.linalg.norm(axis - zeta), np.linalg.norm(axis + zeta)) <= 1e-5)
+        return np.linalg.norm(Q @ zeta - zeta, axis=1) <= COMPONENT_EPS
     if g.kind in ("so2", "u1", "torus", "o2"):
-        if g.kind == "o2" and np.linalg.det(q) < 0:
-            return False
-        phi = torus_angles(g, q)
+        phi = torus_angles(g, Q)
         basis = orthonormalize(kernel_coeffs)
-        r = phi.size
-        # account for angle wrapping before projecting onto the span
-        best = np.inf
-        for shift in np.ndindex(*(3,) * r):
-            v = phi + 2.0 * np.pi * (np.array(shift) - 1)
-            resid = v - basis @ (basis.T @ v)
-            best = min(best, float(np.linalg.norm(resid)))
-        return best <= 1e-5
+        r = phi.shape[1]
+        shifts = 2.0 * np.pi * (np.array(list(np.ndindex(*(3,) * r)), dtype=np.float64) - 1.0)
+        step = max(1, _SHIFT_CHUNK_BYTES // (shifts.size * 8))
+        best = np.empty(phi.shape[0])
+        for lo in range(0, phi.shape[0], step):
+            v = phi[lo : lo + step, None, :] + shifts
+            resid = v - (v @ basis) @ basis.T
+            best[lo : lo + step] = np.linalg.norm(resid, axis=2).min(axis=1)
+        inside = best <= COMPONENT_EPS
+        if g.kind == "o2":
+            inside &= np.linalg.det(Q) >= 0.0
+        return inside
     raise InputError(f"identity-component membership unsupported for kind {g.kind!r}")
 
 

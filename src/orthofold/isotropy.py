@@ -29,9 +29,6 @@ COARSE_POOL = 16384
 POOL_SIZE = 512
 # squared chordal distance below which a refined candidate counts as a fixer
 ACCEPT_D2 = 1e-12
-# two orthogonal group elements closer than this are the same element; catalog
-# witness classes are separated by O(1), converged duplicates agree to ~1e-10
-ELEMENT_EPS = 1e-5
 
 
 @dataclass(frozen=True)
@@ -79,15 +76,6 @@ class SliceRep:
 # ---------------------------------------------------------------------------
 # stabilizer search
 # ---------------------------------------------------------------------------
-
-
-def _matrix_angles(g: groups.GroupDescriptor, mats: np.ndarray) -> np.ndarray:
-    """Block rotation angles of canonical torus-kind elements."""
-    r = g.lie_dim
-    out = np.empty((mats.shape[0], r))
-    for j in range(r):
-        out[:, j] = np.arctan2(mats[:, 2 * j + 1, 2 * j], mats[:, 2 * j, 2 * j])
-    return out
 
 
 def _apply_angles(a: ActionModel, x: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -177,19 +165,15 @@ def _coarse_top(d2: np.ndarray, k: int) -> np.ndarray:
     return part[np.argsort(d2[part], kind="stable")]
 
 
-def _same_component(g, q, lie_kernel, tol):
-    if lie_kernel.shape[1] == 0:
-        return float(np.abs(q - np.eye(g.size)).max()) <= ELEMENT_EPS
-    return groups.in_identity_component(g, q, lie_kernel, tol)
-
-
-def _dedup_witnesses(g, accepted, d2, lie_kernel, tol):
+def _dedup_witnesses(g, accepted, d2, lie_kernel):
     """One representative per component, identity first, deterministic order.
 
     Candidates are visited best-converged first so each class is represented
-    by its sharpest fixer. Membership of q in the class of rep is tested on
-    rep.T @ q; witnesses of the searched group kinds are orthogonal so the
-    transpose is the inverse.
+    by its sharpest fixer. A candidate q belongs to the class of rep when
+    rep.T @ q lies in the identity component; witnesses of the searched group
+    kinds are orthogonal so the transpose is the inverse. Each class tests
+    all later candidates in one batch, so a candidate is kept exactly when no
+    earlier class covers it.
     """
     classes = [np.eye(g.size)]
     if lie_kernel.shape[1] == g.lie_dim and g.kind in ("so3", "so2", "u1", "torus"):
@@ -203,18 +187,25 @@ def _dedup_witnesses(g, accepted, d2, lie_kernel, tol):
         )
         # collapse converged duplicates first: candidates on the same fixer
         # agree to ~1e-6 while distinct components sit O(1) apart, so a 1e-5
-        # grid never merges classes and the quadratic pass stays tiny
+        # grid never merges classes and the batched pass stays tiny
         coarse = np.round(accepted, 5)
         seen = set()
+        visit = []
         for i in order:
             key = coarse[i].tobytes()
-            if key in seen:
+            if key not in seen:
+                seen.add(key)
+                visit.append(i)
+        cands = accepted[visit]
+        covered = groups.identity_component_mask(g, cands, lie_kernel)
+        for j in range(cands.shape[0]):
+            if covered[j]:
                 continue
-            seen.add(key)
-            cand = accepted[i]
-            if any(_same_component(g, rep.T @ cand, lie_kernel, tol) for rep in classes):
-                continue
-            classes.append(cand)
+            rep = cands[j]
+            classes.append(rep)
+            covered[j + 1 :] |= groups.identity_component_mask(
+                g, rep.T @ cands[j + 1 :], lie_kernel
+            )
     return np.stack(classes)
 
 
@@ -261,7 +252,7 @@ def stabilizer(
         elif g.kind in ("so2", "u1", "torus"):
             if a.ambient_pairs is None:
                 raise InputError(f"action {a.name!r} lacks angle data for torus search")
-            phi_pool = _matrix_angles(g, pool)
+            phi_pool = groups.torus_angles(g, pool)
             coarse = kernels._batch_align(_apply_angles(a, x, phi_pool), x, m.align_mode)
             best = _coarse_top(np.einsum("bi,bi->b", coarse, coarse), POOL_SIZE)
             phi0 = np.concatenate([np.zeros((1, g.lie_dim)), phi_pool[best]])
@@ -270,7 +261,7 @@ def stabilizer(
         else:
             raise InputError(f"no stabilizer search scheme for group kind {g.kind!r}")
         mask = d2 <= ACCEPT_D2
-        wits = _dedup_witnesses(g, refined[mask], d2[mask], lie_kernel, tol)
+        wits = _dedup_witnesses(g, refined[mask], d2[mask], lie_kernel)
         if wits.shape[0] > 1:
             # polish the non-identity representatives to machine precision
             if g.kind == "so3":
@@ -279,7 +270,7 @@ def stabilizer(
                 )
             else:
                 pphi, pd2 = _refine_angles(
-                    a, x, _matrix_angles(g, wits[1:]), m.align_mode, max_iter=60
+                    a, x, groups.torus_angles(g, wits[1:]), m.align_mode, max_iter=60
                 )
                 polished = groups.exp_coeffs_batch(g, pphi)
             wits = np.concatenate([wits[:1], polished])
@@ -337,7 +328,7 @@ def transport_element(
         best = _coarse_top(np.einsum("bi,bi->b", coarse, coarse), TRANSPORT_POOL)
         refined, d2 = kernels.so3_refine(tx, y, pool[best], m.align_mode, max_iter=60)
     elif g.kind in ("so2", "u1", "torus"):
-        phi_pool = _matrix_angles(g, pool)
+        phi_pool = groups.torus_angles(g, pool)
         coarse = kernels._batch_align(_apply_angles(a, x, phi_pool), y, m.align_mode)
         best = _coarse_top(np.einsum("bi,bi->b", coarse, coarse), TRANSPORT_POOL)
         phi, d2 = _refine_angles(

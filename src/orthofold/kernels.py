@@ -76,10 +76,27 @@ ALIGN_PHASE = 2  # complex projective representatives (interleaved reals)
 # ---------------------------------------------------------------------------
 
 
-def _pairwise_euclidean_np(pts: np.ndarray) -> np.ndarray:
-    from scipy.spatial.distance import cdist
+# bytes of the (rows, n) coordinate-difference block in the numpy kernel
+_ROW_CHUNK_BYTES = 1 << 20
 
-    return cdist(pts, pts)
+
+def _pairwise_euclidean_np(pts: np.ndarray) -> np.ndarray:
+    # coordinates accumulate one at a time, in order, as in a scalar loop,
+    # so each entry is rounded the same way as by scipy's cdist
+    n, d = pts.shape
+    out = np.zeros((n, n))
+    cols = np.ascontiguousarray(pts.T)
+    step = max(1, _ROW_CHUNK_BYTES // (8 * max(n, 1)))
+    diff = np.empty((min(step, n), n))
+    for lo in range(0, n, step):
+        acc = out[lo : lo + step]
+        t = diff[: acc.shape[0]]
+        for k in range(d):
+            np.subtract(pts[lo : lo + step, k, None], cols[k], out=t)
+            np.multiply(t, t, out=t)
+            acc += t
+        np.sqrt(acc, out=acc)
+    return out
 
 
 @njit(cache=True, parallel=True)
@@ -195,12 +212,22 @@ def pairwise_phase_aligned(pts: np.ndarray) -> np.ndarray:
 
 
 def _graph_components_np(dist: np.ndarray, threshold: float) -> np.ndarray:
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    adj = csr_matrix(dist <= threshold)
-    _, labels = connected_components(adj, directed=False)
-    return labels.astype(np.int64)
+    # breadth-first search over the undirected adjacency, one frontier per step
+    adj = dist <= threshold
+    adj |= adj.T
+    n = adj.shape[0]
+    labels = np.full(n, -1, dtype=np.int64)
+    comp = 0
+    for start in range(n):
+        if labels[start] >= 0:
+            continue
+        labels[start] = comp
+        frontier = np.array([start])
+        while frontier.size:
+            frontier = np.flatnonzero(adj[frontier].any(axis=0) & (labels < 0))
+            labels[frontier] = comp
+        comp += 1
+    return labels
 
 
 @njit(cache=True)

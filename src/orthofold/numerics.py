@@ -7,7 +7,7 @@ returned orthonormal, as columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,6 +30,12 @@ class Tolerance:
     rank_eps: float = 1e-9
     match_eps: float = 1e-8
     cluster_eps_factor: float = 2.0
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (np.isfinite(value) and value > 0.0):
+                raise InputError(f"tolerance {f.name} must be finite and positive, got {value!r}")
 
 
 DEFAULT_TOL = Tolerance()

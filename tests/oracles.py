@@ -1,10 +1,11 @@
 """Independent reference implementations used to pin test expectations.
 
 Everything here is deliberately slow and exact: rational Gaussian
-elimination for rank and nullspace, and a synthetic torus action with a
+elimination for rank and nullspace, a synthetic torus action with a
 hidden orthogonal change of frame whose planted weight rows the pipeline
-must recover. None of it imports the numeric routines under test beyond
-the public model types.
+must recover, and a one-element-at-a-time identity-component test. None
+of it imports the numeric routines under test beyond the public model
+types.
 """
 
 from __future__ import annotations
@@ -72,6 +73,35 @@ def refines(p_blocks, q_blocks) -> bool:
         for i in blk:
             owner[i] = b
     return all(len({owner[i] for i in blk}) == 1 for blk in p_blocks)
+
+
+def identity_component_reference(g, q: np.ndarray, kernel_coeffs: np.ndarray) -> bool:
+    """Whether the single element q lies on exp(span kernel_coeffs).
+
+    so3 compares the rotation axis, taken as the null vector of q - 1, with
+    the kernel direction; the torus kinds try each 2 pi wrap of each block
+    angle in a plain loop and project onto the kernel span.
+    """
+    k = kernel_coeffs.shape[1]
+    if k == 0:
+        return bool(np.abs(q - np.eye(g.size)).max() <= 1e-5)
+    if g.kind == "so3":
+        if k == 3:
+            return True
+        _, sv, vt = np.linalg.svd(q - np.eye(3))
+        if sv[0] < 1e-9:
+            return True
+        axis = vt[2]
+        zeta = kernel_coeffs[:, 0] / np.linalg.norm(kernel_coeffs[:, 0])
+        return bool(min(np.linalg.norm(axis - zeta), np.linalg.norm(axis + zeta)) <= 1e-5)
+    r = g.lie_dim
+    phi = np.array([np.arctan2(q[2 * j + 1, 2 * j], q[2 * j, 2 * j]) for j in range(r)])
+    basis, _ = np.linalg.qr(kernel_coeffs)
+    best = np.inf
+    for shift in np.ndindex(*(3,) * r):
+        v = phi + 2.0 * np.pi * (np.array(shift) - 1)
+        best = min(best, float(np.linalg.norm(v - basis @ (basis.T @ v))))
+    return best <= 1e-5
 
 
 def _rot2(t: float) -> np.ndarray:

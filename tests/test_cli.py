@@ -1,10 +1,15 @@
 """Command line surface: subcommands, exit codes, report shape."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from orthofold import cli
+from orthofold.errors import InputError
 
 
 def _run(capsys, *argv):
@@ -121,3 +126,67 @@ def test_env_seed_is_the_default(capsys, monkeypatch):
     # an explicit flag still wins
     _, out = _run(capsys, "classify", "s2-zn(5)", "north", "--seed", "2")
     assert _parse_report(out)[0]["payload"]["seed"] == 2
+
+
+def test_degenerate_interval_model_is_a_failed_check(capsys, monkeypatch):
+    # a cloud whose blocks all project to points leaves no interval model;
+    # the endpoint check must report that instead of crashing
+    def degenerate(*args, **kwargs):
+        raise InputError("every block projects to a point")
+
+    monkeypatch.setattr(cli.quotient, "quotient_interval_model", degenerate)
+    code, out = _run(capsys, "verify", "s2xs2-so3", "--samples", "30", "--seed", "0")
+    assert code == 1
+    assert (
+        "[FAIL] s2xs2-so3 :: interval-endpoints-singular (every block projects to a point)"
+        in out
+    )
+    assert out.rstrip().splitlines()[-1].startswith("report-sha256:")
+
+
+def test_near_half_turn_witness_seed_passes(capsys):
+    # at seed 2 one t = 0 point (stabilizer SO2) has a refined fixer that is
+    # a rotation by pi - 4.3e-6 about the stabilizer axis; it lies in the
+    # identity component and must not be counted as a second component
+    code, out = _run(capsys, "verify", "cp2-so3", "--samples", "100", "--seed", "2")
+    assert "[FAIL]" not in out
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--match-eps", "nan"), ("--rank-eps", "0"), ("--cluster-eps-factor", "-1"),
+     ("--match-eps", "inf")],
+)
+def test_bad_tolerance_exit_code(capsys, flag, value):
+    code = cli.main(["analyze", "rp2-so2", "--samples", "20", flag, value])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert flag[2:].replace("-", "_") in err
+
+
+def test_bad_env_seed_exit_code(capsys, monkeypatch):
+    monkeypatch.setenv("ORTHOFOLD_SEED", "abc")
+    code = cli.main(["classify", "s2-zn(5)", "north"])
+    assert code == 2
+    assert "ORTHOFOLD_SEED" in capsys.readouterr().err
+    # an explicit flag does not consult the variable
+    code, _ = _run(capsys, "classify", "s2-zn(5)", "north", "--seed", "2")
+    assert code == 0
+
+
+def test_cli_runs_without_scipy():
+    probe = (
+        "import sys\n"
+        "from orthofold import cli\n"
+        "assert cli.main(['catalog']) == 0\n"
+        "assert cli.main(['classify', 's2-zn(5)', 'north']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "[]"

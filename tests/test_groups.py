@@ -6,6 +6,8 @@ import pytest
 from orthofold import groups
 from orthofold.errors import ClassificationError, InputError
 
+from oracles import identity_component_reference
+
 
 def test_descriptor_shapes():
     assert groups.so3().lie.shape == (3, 3, 3)
@@ -111,9 +113,59 @@ def test_in_identity_component():
     g = groups.so3()
     kz = np.array([[0.0], [0.0], [1.0]])
     inside = groups.exp_coeffs(g, np.array([0.0, 0.0, 1.3]))
-    assert groups.in_identity_component(g, inside, kz)
     flip = np.diag([1.0, -1.0, -1.0])
-    assert not groups.in_identity_component(g, flip, kz)
+    mask = groups.identity_component_mask(g, np.stack([inside, flip, np.eye(3)]), kz)
+    assert mask.tolist() == [True, False, True]
+
+
+def test_mask_near_half_turn():
+    # the axis of a rotation by nearly pi is ill conditioned from its skew
+    # part; the membership test must not depend on recovering it
+    g = groups.so3()
+    zeta = np.array([0.48, -0.6, 0.64])
+    perp = np.cross(zeta, [1.0, 0.0, 0.0])
+    perp /= np.linalg.norm(perp)
+    almost = groups.exp_coeffs(g, (np.pi - 4.3e-6) * zeta)
+    half = groups.exp_coeffs(g, np.pi * perp)
+    mask = groups.identity_component_mask(g, np.stack([almost, half]), zeta[:, None])
+    assert mask.tolist() == [True, False]
+
+
+def _mask_cases(g, kernel, rng):
+    """Elements on the kernel circle or torus, off it by a finite twist, and Haar."""
+    on = groups.exp_coeffs_batch(g, rng.uniform(-7.0, 7.0, size=(12, kernel.shape[1])) @ kernel.T)
+    twist = groups.exp_coeffs(g, np.full(g.lie_dim, np.pi / 3) * (np.arange(g.lie_dim) + 1))
+    return np.concatenate([on, on @ twist, groups.sample_elements(g, 12, rng), np.eye(g.size)[None]])
+
+
+@pytest.mark.parametrize(
+    "g, kernel",
+    [
+        (groups.torus(1), np.zeros((1, 0))),
+        (groups.torus(1), np.eye(1)),
+        (groups.torus(2), np.array([[1.0], [1.0]])),
+        (groups.torus(2), np.array([[1.0], [-2.0]])),
+        (groups.torus(3), np.array([[1.0], [2.0], [0.0]])),
+        (groups.torus(3), np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]])),
+        (groups.so3(), np.zeros((3, 0))),
+        (groups.so3(), np.array([[0.48], [-0.6], [0.64]])),
+        (groups.so3(), np.eye(3)),
+    ],
+    ids=["t1-k0", "t1-k1", "t2-diag", "t2-skew", "t3-k1", "t3-k2", "so3-k0", "so3-k1", "so3-k3"],
+)
+def test_mask_matches_per_element_reference(g, kernel, monkeypatch):
+    rng = np.random.default_rng(7)
+    Q = _mask_cases(g, kernel, rng)
+    got = groups.identity_component_mask(g, Q, kernel)
+    want = [identity_component_reference(g, q, kernel) for q in Q]
+    assert got.tolist() == want
+    # candidates split into chunks of a few rows decide the same way
+    monkeypatch.setattr(groups, "_SHIFT_CHUNK_BYTES", 1)
+    assert groups.identity_component_mask(g, Q, kernel).tolist() == want
+    # every case family is present, so the comparison is not vacuous
+    assert any(want)
+    if kernel.shape[1] < g.lie_dim:
+        assert not all(want)
 
 
 def test_product_group_blocks():

@@ -81,6 +81,38 @@ def test_graph_components(backend):
     assert len(set(one.tolist())) == 1
 
 
+def test_pairwise_euclidean_matches_scipy_bitwise():
+    cdist = pytest.importorskip("scipy.spatial.distance").cdist
+    rng = np.random.default_rng(5)
+    for d in range(2, 13):
+        pts = rng.normal(size=(60, d))
+        assert np.array_equal(kernels._pairwise_euclidean_np(pts), cdist(pts, pts))
+
+
+def test_pairwise_euclidean_chunks_rows(monkeypatch):
+    pts = np.random.default_rng(6).normal(size=(37, 4))
+    whole = kernels._pairwise_euclidean_np(pts)
+    monkeypatch.setattr(kernels, "_ROW_CHUNK_BYTES", 5 * 8 * 37)
+    assert np.array_equal(kernels._pairwise_euclidean_np(pts), whole)
+
+
+def _partition(labels):
+    blocks = {}
+    for i, lab in enumerate(labels):
+        blocks.setdefault(int(lab), []).append(i)
+    return sorted(blocks.values())
+
+
+def test_graph_components_match_scipy():
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    rng = np.random.default_rng(8)
+    for n, scale in ((1, 1.0), (40, 0.15), (120, 0.07), (120, 0.1), (120, 0.3)):
+        pts = rng.uniform(size=(n, 2))
+        dist = kernels._pairwise_euclidean_np(pts)
+        _, ref = csgraph.connected_components(dist <= scale, directed=False)
+        assert _partition(kernels._graph_components_np(dist, scale)) == _partition(ref)
+
+
 def test_rodrigues_batch_matches_exp(backend):
     g = groups.so3()
     rng = np.random.default_rng(3)
