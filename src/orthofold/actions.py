@@ -381,7 +381,11 @@ def _make_cp2_so3() -> ActionModel:
     g = groups.so3()
 
     def amb(q):
-        return np.kron(q, np.eye(2))
+        # q acts on real and imaginary parts alike: kron(q, I2), filled directly
+        out = np.zeros((6, 6))
+        out[0::2, 0::2] = q
+        out[1::2, 1::2] = q
+        return out
 
     def tx(x):
         t = np.zeros((6, 3, 3))

@@ -518,14 +518,22 @@ def _so3_refine_nb(TX, x, G0, mode, max_iter, gens):  # pragma: no cover - jitte
 
 
 def _batch_apply_tx(TX: np.ndarray, G: np.ndarray) -> np.ndarray:
-    return np.einsum("pjk,bjk->bp", TX, G, optimize=True)
+    return G.reshape(G.shape[0], 9) @ TX.reshape(TX.shape[0], 9).T
+
+
+def _as_complex(U: np.ndarray) -> np.ndarray:
+    """Complex view of rows holding interleaved (real, imaginary) pairs.
+
+    The last axis must be contiguous, as it is for every array the search
+    builds; numpy raises otherwise.
+    """
+    return U.view(np.complex128)
 
 
 def _phase_inner(Y: np.ndarray, x: np.ndarray):
     """Real and imaginary parts of <y, x> per row, interleaved layout."""
-    xr, xi = x[0::2], x[1::2]
-    yr, yi = Y[:, 0::2], Y[:, 1::2]
-    return yr @ xr + yi @ xi, yr @ xi - yi @ xr
+    inner = _as_complex(Y) @ _as_complex(x).conj()  # conj(<y, x>)
+    return inner.real, -inner.imag
 
 
 def _batch_factors_mag(Y: np.ndarray, x: np.ndarray, mode: int):
@@ -551,38 +559,29 @@ def _batch_factors(Y: np.ndarray, x: np.ndarray, mode: int):
     return a, b
 
 
-def _rot90_pairs(U: np.ndarray) -> np.ndarray:
-    """Multiply each interleaved complex row by i."""
-    out = np.empty_like(U)
-    out[:, 0::2] = -U[:, 1::2]
-    out[:, 1::2] = U[:, 0::2]
-    return out
-
-
 def _batch_jacobian_columns(dY, Y_aligned, x, fa, fb, mag, mode):
     """Column of the aligned-residual Jacobian for one parameter direction.
 
     The aligned residual is lambda(g) y(g) - x; for phase alignment the
     factor moves with g and contributes i lambda y Im(conj(lambda) <dy, x>)
     divided by |<y, x>|. Sign alignment is locally constant, so only the
-    frozen factor applies there.
+    frozen factor applies there. The factors broadcast against the leading
+    axes of dY, so one call can fill several directions.
     """
     col = _batch_apply_factors(dY, fa, fb, mode)
     if mode == ALIGN_PHASE:
         re, im = _phase_inner(dY, x)
         coef = (fa * im - fb * re) / mag
-        col = col + coef[:, None] * _rot90_pairs(Y_aligned)
+        colc = _as_complex(col)
+        colc += (1j * coef)[..., None] * _as_complex(Y_aligned)
     return col
 
 
 def _batch_apply_factors(Y: np.ndarray, a: np.ndarray, b: np.ndarray, mode: int):
     if mode == ALIGN_PHASE:
-        yr, yi = Y[:, 0::2], Y[:, 1::2]
-        out = np.empty_like(Y)
-        out[:, 0::2] = a[:, None] * yr - b[:, None] * yi
-        out[:, 1::2] = b[:, None] * yr + a[:, None] * yi
-        return out
-    return a[:, None] * Y
+        out = (a + 1j * b)[..., None] * _as_complex(Y)
+        return out.view(np.float64)
+    return a[..., None] * Y
 
 
 def _batch_align(Y: np.ndarray, x: np.ndarray, mode: int):
@@ -609,6 +608,11 @@ def rodrigues_batch(W: np.ndarray) -> np.ndarray:
 
 
 def _so3_refine_np(TX, x, G0, mode, max_iter, gens):
+    n = x.size
+    # image and the three Jacobian directions in one GEMM per iteration:
+    # A(L_i g) x = sum_jk (L_i^T TX[p])[j, k] g[j, k]
+    stacked = np.concatenate([TX[None], gens.transpose(0, 2, 1)[:, None] @ TX[None]])
+    ops = stacked.reshape(4 * n, 9).T
     G = G0.copy()
     B = G.shape[0]
     Y = _batch_apply_tx(TX, G)
@@ -622,18 +626,16 @@ def _so3_refine_np(TX, x, G0, mode, max_iter, gens):
         if not active.any():
             break
         idx = np.nonzero(active)[0]
-        Ga = G[idx]
-        Ya = _batch_apply_tx(TX, Ga)
+        Z = (G[idx].reshape(idx.size, 9) @ ops).reshape(idx.size, 4, n)
+        Ya = Z[:, 0]
         fa, fb, mag = _batch_factors_mag(Ya, x, mode)
         Yal = _batch_apply_factors(Ya, fa, fb, mode)
-        J = np.empty((idx.size, x.size, 3))
-        for i in range(3):
-            LG = np.einsum("al,blc->bac", gens[i], Ga)
-            Yi = _batch_apply_tx(TX, LG)
-            J[:, :, i] = _batch_jacobian_columns(Yi, Yal, x, fa, fb, mag, mode)
+        J = _batch_jacobian_columns(
+            Z[:, 1:], Yal[:, None], x, fa[:, None], fb[:, None], mag[:, None], mode
+        )
         Ra = R[idx]
-        JtJ = np.einsum("bpi,bpj->bij", J, J)
-        Jtr = np.einsum("bpi,bp->bi", J, Ra)
+        JtJ = J @ J.transpose(0, 2, 1)
+        Jtr = (J @ Ra[:, :, None])[..., 0]
         improved = np.zeros(idx.size, dtype=bool)
         mua = mu[idx].copy()
         for _trial in range(6):

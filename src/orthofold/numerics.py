@@ -148,9 +148,7 @@ def epsilon_components(
     if absolute_eps is not None:
         threshold = float(absolute_eps)
     else:
-        off = dist + np.diag(np.full(n, np.inf))
-        nearest = off.min(axis=1)
-        threshold = float(eps_factor) * float(np.median(nearest))
+        threshold = float(eps_factor) * float(np.median(_nearest_other(dist)))
     labels = kernels.graph_components(dist, threshold)
     comps: dict[int, list[int]] = {}
     for i, lab in enumerate(labels):
@@ -163,5 +161,26 @@ def median_nn_distance(dist: np.ndarray) -> float:
     n = dist.shape[0]
     if n < 2:
         return 0.0
-    off = dist + np.diag(np.full(n, np.inf))
-    return float(np.median(off.min(axis=1)))
+    return float(np.median(_nearest_other(dist)))
+
+
+# bytes of the row block copied per step of the nearest-neighbour scan
+_NN_CHUNK_BYTES = 1 << 20
+
+
+def _nearest_other(dist: np.ndarray) -> np.ndarray:
+    """Per row, the smallest entry off the diagonal.
+
+    Rows are copied a block at a time with their diagonal entries set to
+    infinity, so no second n x n array is built; min is exact, so chunking
+    does not change the result.
+    """
+    n = dist.shape[0]
+    out = np.empty(n)
+    step = max(1, _NN_CHUNK_BYTES // (8 * n))
+    for lo in range(0, n, step):
+        block = dist[lo : lo + step].copy()
+        rows = np.arange(block.shape[0])
+        block[rows, lo + rows] = np.inf
+        block.min(axis=1, out=out[lo : lo + step])
+    return out

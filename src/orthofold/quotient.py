@@ -744,7 +744,9 @@ def quotient_interval_model(
 
     Strata are the images of the Klein blocks: blocks whose values collapse
     to isolated spots become point strata; the rest fill the open cells
-    between those spots.
+    between those spots. The block holding the principal orbit type is open
+    and dense in the quotient, so it always fills open cells, however
+    sparsely the sample spreads its values.
     """
     if a.interval is None:
         raise InputError(f"action {a.name!r} has no interval quotient model")
@@ -759,6 +761,7 @@ def quotient_interval_model(
                     "projection values differ along an identified orbit"
                 )
     lo, hi = a.interval.endpoints
+    principal = principal_dimension(cloud).subgroup
     point_strata = {}
     continuum = []
     breakpoints = {lo, hi}
@@ -766,7 +769,11 @@ def quotient_interval_model(
         v = np.sort(vals[list(block)])
         gaps = np.where(np.diff(v) > 1e-3)[0]
         clusters = np.split(v, gaps + 1)
-        if all(c[-1] - c[0] <= 1e-6 for c in clusters):
+        has_principal = any(
+            groups.classes_conjugate(cloud.stabs[i].subgroup, principal, cloud.tol)
+            for i in block
+        )
+        if not has_principal and all(c[-1] - c[0] <= 1e-6 for c in clusters):
             # + 0.0 turns a negative zero from rounding into plain zero
             spots = tuple(float(np.round(np.mean(c), 6)) + 0.0 for c in clusters)
             point_strata[bid] = spots

@@ -153,6 +153,19 @@ def test_near_half_turn_witness_seed_passes(capsys):
     assert code == 0
 
 
+def test_sparse_principal_block_stays_open(capsys):
+    # at seed 28 no two of the 100 generic projection values lie within
+    # 1e-3, so every cluster of the principal block is a single value; the
+    # block is still open and dense, not a union of point strata
+    code, out = _run(capsys, "verify", "s2xs2-so3", "--samples", "100", "--seed", "28")
+    assert "[FAIL]" not in out
+    assert code == 0
+    _, out = _run(capsys, "analyze", "s2xs2-so3", "--samples", "100", "--seed", "28")
+    model = _parse_report(out)[0]["payload"]["interval_model"]
+    assert model["strata"] == [[["open", -1, 1]], [["point", -1], ["point", 1]]]
+    assert model["frontier"] is True
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [("--match-eps", "nan"), ("--rank-eps", "0"), ("--cluster-eps-factor", "-1"),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from orthofold import actions, groups, kernels
+from orthofold import actions, groups, isotropy, kernels
 
 BACKENDS = ["numpy"] + (["numba"] if kernels.HAS_NUMBA else [])
 
@@ -141,3 +141,184 @@ def test_so3_refine_reaches_the_target(backend):
 def test_backend_switch_guard():
     with pytest.raises(ValueError):
         kernels.set_backend("fortran")
+
+
+# ---------------------------------------------------------------------------
+# SO(3) search path against its interleaved einsum reference
+# ---------------------------------------------------------------------------
+
+
+def _ref_phase_inner(Y, x):
+    xr, xi = x[0::2], x[1::2]
+    yr, yi = Y[:, 0::2], Y[:, 1::2]
+    return yr @ xr + yi @ xi, yr @ xi - yi @ xr
+
+
+def _ref_factors_mag(Y, x, mode):
+    if mode == kernels.ALIGN_SIGN:
+        a = np.where(Y @ x >= 0.0, 1.0, -1.0)
+        return a, np.zeros_like(a), np.ones_like(a)
+    if mode == kernels.ALIGN_PHASE:
+        re, im = _ref_phase_inner(Y, x)
+        mag = np.hypot(re, im)
+        bad = mag < 1e-12
+        safe = np.where(bad, 1.0, mag)
+        return np.where(bad, 1.0, re / safe), np.where(bad, 0.0, im / safe), safe
+    ones = np.ones(Y.shape[0])
+    return ones, np.zeros_like(ones), np.ones_like(ones)
+
+
+def _ref_apply_factors(Y, a, b, mode):
+    if mode == kernels.ALIGN_PHASE:
+        out = np.empty_like(Y)
+        out[:, 0::2] = a[:, None] * Y[:, 0::2] - b[:, None] * Y[:, 1::2]
+        out[:, 1::2] = b[:, None] * Y[:, 0::2] + a[:, None] * Y[:, 1::2]
+        return out
+    return a[:, None] * Y
+
+
+def _ref_jacobian_column(dY, Yal, x, fa, fb, mag, mode):
+    col = _ref_apply_factors(dY, fa, fb, mode)
+    if mode == kernels.ALIGN_PHASE:
+        re, im = _ref_phase_inner(dY, x)
+        coef = (fa * im - fb * re) / mag
+        rot = np.empty_like(Yal)
+        rot[:, 0::2] = -Yal[:, 1::2]
+        rot[:, 1::2] = Yal[:, 0::2]
+        col = col + coef[:, None] * rot
+    return col
+
+
+def _ref_apply_tx(TX, G):
+    return np.einsum("pjk,bjk->bp", TX, G)
+
+
+def _ref_align(Y, x, mode):
+    a, b, _ = _ref_factors_mag(Y, x, mode)
+    return _ref_apply_factors(Y, a, b, mode) - x
+
+
+def _ref_so3_refine(TX, x, G0, mode, max_iter=30):
+    # one apply per Jacobian direction, interleaved alignment, per-row LM
+    gens = kernels.SO3_GENERATORS
+    G = G0.copy()
+    R = _ref_align(_ref_apply_tx(TX, G), x, mode)
+    d2 = np.einsum("bp,bp->b", R, R)
+    mu = np.full(G.shape[0], 1e-3)
+    active = np.ones(G.shape[0], dtype=bool)
+    fails = np.zeros(G.shape[0], dtype=np.int64)
+    for _ in range(max_iter):
+        active &= d2 >= 1e-28
+        if not active.any():
+            break
+        idx = np.nonzero(active)[0]
+        Ga = G[idx]
+        Ya = _ref_apply_tx(TX, Ga)
+        fa, fb, mag = _ref_factors_mag(Ya, x, mode)
+        Yal = _ref_apply_factors(Ya, fa, fb, mode)
+        J = np.empty((idx.size, x.size, 3))
+        for i in range(3):
+            Yi = _ref_apply_tx(TX, np.einsum("al,blc->bac", gens[i], Ga))
+            J[:, :, i] = _ref_jacobian_column(Yi, Yal, x, fa, fb, mag, mode)
+        JtJ = np.einsum("bpi,bpj->bij", J, J)
+        Jtr = np.einsum("bpi,bp->bi", J, R[idx])
+        improved = np.zeros(idx.size, dtype=bool)
+        mua = mu[idx].copy()
+        for _trial in range(6):
+            todo = ~improved
+            if not todo.any():
+                break
+            M = JtJ[todo] + mua[todo, None, None] * np.eye(3)
+            try:
+                delta = -np.linalg.solve(M, Jtr[todo, :, None])[..., 0]
+            except np.linalg.LinAlgError:
+                mua[todo] *= 10.0
+                continue
+            Gt = kernels.rodrigues_batch(delta) @ G[idx[todo]]
+            Rt = _ref_align(_ref_apply_tx(TX, Gt), x, mode)
+            d2t = np.einsum("bp,bp->b", Rt, Rt)
+            sub = np.nonzero(todo)[0]
+            better = d2t < d2[idx[todo]]
+            acc = sub[better]
+            G[idx[acc]] = Gt[better]
+            R[idx[acc]] = Rt[better]
+            d2[idx[acc]] = d2t[better]
+            mua[acc] = np.maximum(mua[acc] * 0.3, 1e-12)
+            improved[acc] = True
+            mua[sub[~better]] *= 10.0
+        mu[idx] = mua
+        fails[idx[~improved]] += 1
+        fails[idx[improved]] = 0
+        active[idx[fails[idx] >= 2]] = False
+    return G, d2
+
+
+def test_batch_apply_tx_matches_einsum():
+    rng = np.random.default_rng(11)
+    for n in (1, 6, 13):
+        TX = rng.normal(size=(n, 3, 3))
+        G = rng.normal(size=(40, 3, 3))
+        got = kernels._batch_apply_tx(TX, G)
+        assert got.shape == (40, n)
+        assert np.abs(got - _ref_apply_tx(TX, G)).max() < 1e-13
+
+
+@pytest.mark.parametrize("mode", [kernels.ALIGN_NONE, kernels.ALIGN_SIGN, kernels.ALIGN_PHASE])
+def test_phase_helpers_match_interleaved_reference(mode):
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=6)
+    x /= np.linalg.norm(x)
+    Y = rng.normal(size=(30, 6))
+    # rows orthogonal to x in the complex sense take the mag < 1e-12 branch
+    xc = actions.to_complex(x)
+    for row in (0, 1):
+        zc = actions.to_complex(Y[row])
+        zc -= np.vdot(xc, zc) * xc
+        Y[row, 0::2], Y[row, 1::2] = zc.real, zc.imag
+    dY = rng.normal(size=(30, 6))
+
+    re, im = kernels._phase_inner(Y, x)
+    ref_re, ref_im = _ref_phase_inner(Y, x)
+    assert np.abs(re - ref_re).max() < 1e-14 and np.abs(im - ref_im).max() < 1e-14
+
+    fa, fb, mag = kernels._batch_factors_mag(Y, x, mode)
+    ref = _ref_factors_mag(Y, x, mode)
+    for got, want in zip((fa, fb, mag), ref):
+        assert np.abs(got - want).max() < 1e-13
+    if mode == kernels.ALIGN_PHASE:
+        assert np.array_equal(mag[:2], [1.0, 1.0]) and np.array_equal(fa[:2], [1.0, 1.0])
+        assert np.array_equal(fb[:2], [0.0, 0.0]) and (mag[2:] > 1e-3).all()
+
+    Yal = kernels._batch_apply_factors(Y, fa, fb, mode)
+    assert np.abs(Yal - _ref_apply_factors(Y, fa, fb, mode)).max() < 1e-13
+    col = kernels._batch_jacobian_columns(dY, Yal, x, fa, fb, mag, mode)
+    assert np.abs(col - _ref_jacobian_column(dY, Yal, x, fa, fb, mag, mode)).max() < 1e-13
+    # several directions at once: factors broadcast over a middle axis
+    stacked = kernels._batch_jacobian_columns(
+        np.stack([dY, 2.0 * dY], axis=1), Yal[:, None], x,
+        fa[:, None], fb[:, None], mag[:, None], mode,
+    )
+    assert np.abs(stacked[:, 0] - col).max() < 1e-13
+    assert np.abs(kernels._batch_align(Y, x, mode) - _ref_align(Y, x, mode)).max() < 1e-13
+
+
+@pytest.mark.parametrize("name, special", [
+    ("s2xs2-so3", 0), ("s2xs2-so3", None), ("cp2-so3", 0), ("cp2-so3", None),
+])
+def test_so3_refine_matches_reference_accepted_set(name, special):
+    a = actions.get_action(name)
+    rng = np.random.default_rng(13)
+    if special is None:
+        x = actions.sample_points(a.manifold, 1, rng)[0]
+    else:
+        x = a.special_points(rng)[special]
+    x = actions.normalize(a.manifold, x)
+    tx = a.tx_tensor(x)
+    mode = a.manifold.align_mode
+    G0 = np.concatenate([np.eye(3)[None], groups.sample_elements(a.group, 512, rng)])
+    G, d2 = kernels._so3_refine_np(tx, x, G0, mode, 30, kernels.SO3_GENERATORS)
+    G_ref, d2_ref = _ref_so3_refine(tx, x, G0, mode)
+    accepted = d2 <= isotropy.ACCEPT_D2
+    assert np.array_equal(accepted, d2_ref <= isotropy.ACCEPT_D2)
+    assert accepted.sum() >= (1 if special is None else 50)
+    assert np.abs(G[accepted] - G_ref[accepted]).max() < 1e-9

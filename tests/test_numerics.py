@@ -105,3 +105,15 @@ def test_median_nn_distance():
         ]
     )
     assert numerics.median_nn_distance(d) == 1.0
+
+
+def test_nearest_other_matches_masked_diagonal(monkeypatch):
+    rng = np.random.default_rng(9)
+    pts = rng.normal(size=(41, 3))
+    d = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
+    ref = (d + np.diag(np.full(41, np.inf))).min(axis=1)
+    assert np.array_equal(numerics._nearest_other(d), ref)
+    # blocks of 3 rows: the diagonal offset must follow the block start
+    monkeypatch.setattr(numerics, "_NN_CHUNK_BYTES", 3 * 8 * 41)
+    assert np.array_equal(numerics._nearest_other(d), ref)
+    assert numerics.median_nn_distance(d) == float(np.median(ref))
