@@ -22,12 +22,14 @@ import numpy as np
 
 from . import __version__, actions, groups, quotient, strata
 from .errors import (
+    ClassificationError,
+    CorrespondenceError,
     InputError,
     OrthofoldError,
     PointSpecError,
     UnknownActionError,
 )
-from .isotropy import reps_equivalent, slice_representation, stabilizer
+from .isotropy import ACCEPT_D2, reps_equivalent, slice_representation, stabilizer
 from .numerics import Tolerance
 from .seeding import rng_for
 
@@ -131,13 +133,24 @@ def _tolerance(args) -> Tolerance:
     )
 
 
+class _CheckFailure(OrthofoldError):
+    """A pipeline stage raised, and its error is the verdict of one verify check."""
+
+    def __init__(self, check: str, err: OrthofoldError):
+        self.check = check
+        super().__init__(str(err))
+
+
 def run_pipeline(a, samples: int, seed: int, tol: Tolerance) -> SimpleNamespace:
     """Every derived structure of one action, computed once."""
     cloud = strata.build_cloud(a, samples, seed=seed, tol=tol)
     orbit_type = strata.orbit_type_partition(cloud)
     iso = strata.isostabilizer_decomposition(cloud)
     klein = quotient.klein_partition(cloud)
-    corr = quotient.correspondence(iso, klein)
+    try:
+        corr = quotient.correspondence(iso, klein)
+    except CorrespondenceError as e:
+        raise _CheckFailure("correspondence-defined", e) from e
     principal = strata.principal_dimension(cloud)
     labels = strata.singularity_labels(cloud)
     interval = None
@@ -152,7 +165,10 @@ def run_pipeline(a, samples: int, seed: int, tol: Tolerance) -> SimpleNamespace:
             # keep the report valid and record the degeneracy
             interval = None
             interval_note = str(e)
-    orbifold = quotient.orbifold_criterion(cloud)
+    try:
+        orbifold = quotient.orbifold_criterion(cloud)
+    except ClassificationError as e:
+        raise _CheckFailure("orbifold-criterion-consistent", e) from e
     return SimpleNamespace(
         action=a,
         cloud=cloud,
@@ -288,7 +304,7 @@ def _generic_checks(r, results, seed: int):
     )
     _check(results, "klein-dimension-constant", const, "a klein block mixes dimensions")
 
-    # correspondence was computed without a straddle, so well-definedness held
+    # a straddling block raises in run_pipeline and fails this check there
     _check(results, "correspondence-defined", True)
     _check(results, "correspondence-surjective", r.corr.surjective, "missed klein blocks")
 
@@ -309,7 +325,7 @@ def _generic_checks(r, results, seed: int):
     )
 
     # orbifold_criterion raises when local structure and dimension-map
-    # constancy disagree; reaching this line with a boolean is the pass
+    # constancy disagree, which fails this check in run_pipeline
     _check(results, "orbifold-criterion-consistent", isinstance(r.orbifold, bool))
 
     if a.interval is not None:
@@ -355,6 +371,17 @@ def _klein_block_of_point(r, point: np.ndarray):
     return r.klein.block_of()[i]
 
 
+def _rp2_t0_locus(vals: np.ndarray) -> np.ndarray:
+    """Mask of rp2-so2 points at t = 0 as the stabilizer search resolves them.
+
+    The half-turn moves a point at height z by 2|z|, a squared displacement
+    of 4t, so the search accepts it as a fixer exactly when 4t <= ACCEPT_D2.
+    Points just above that cut have a trivial stabilizer and are labelled
+    so, however small t is.
+    """
+    return 4.0 * vals <= ACCEPT_D2
+
+
 def _pinned_checks(r, results, seed: int, tol: Tolerance):
     a = r.action
     cloud = r.cloud
@@ -378,12 +405,13 @@ def _pinned_checks(r, results, seed: int, tol: Tolerance):
         _check(results, "klein-dims-1-1-2", sorted(r.klein.dims) == [1, 1, 2],
                f"got {sorted(r.klein.dims)}")
         vals = np.asarray(a.interval.projection(cloud.points))
-        at0 = {r.labels[i].display() for i in np.where(np.abs(vals) < 1e-9)[0]}
+        on0 = _rp2_t0_locus(vals)
+        at0 = {r.labels[i].display() for i in np.where(on0)[0]}
         at1 = {r.labels[i].display() for i in np.where(np.abs(vals - 1.0) < 1e-9)[0]}
         _check(results, "t0-orbifold-point-2", at0 == {"OrbifoldPoint(2)"}, f"got {at0}")
         _check(results, "t1-orthofold-point", at1 == {"OrthofoldPoint"}, f"got {at1}")
         _check(results, "exceptional-locus-flagged",
-               bool(r.principal.exceptional[np.abs(vals) < 1e-9].all()),
+               bool(r.principal.exceptional[on0].all()),
                "t=0 points not flagged exceptional")
         _check(results, "orbifold-criterion-false", r.orbifold is False, f"got {r.orbifold}")
 
@@ -416,7 +444,7 @@ def _pinned_checks(r, results, seed: int, tol: Tolerance):
         kids = {}
         for label, (spec, want) in fixed.items():
             x = actions.parse_point(a, spec)
-            st = stabilizer(a, x, seed=seed, tol=tol)
+            st = stabilizer(a, x, seed=seed, tol=tol, pool=cloud.pool)
             rep = slice_representation(a, st, tol, seed=seed)
             reps[label] = rep
             kids[label] = _klein_block_of_point(r, x)
@@ -464,6 +492,9 @@ def verify_action(a, samples: int, seed: int, tol: Tolerance) -> list:
     results = []
     try:
         r = run_pipeline(a, samples, seed, tol)
+    except _CheckFailure as e:
+        _check(results, e.check, False, str(e))
+        return results
     except OrthofoldError as e:
         _check(results, "pipeline", False, str(e))
         return results
@@ -547,7 +578,7 @@ def cmd_classify(args) -> int:
     probe = strata.build_cloud(a, _CLASSIFY_PROBE, seed=args.seed, tol=tol)
     principal = strata.principal_dimension(probe)
     label = strata.classify_singularity(st, principal.subgroup, tol)
-    fp = quotient.local_model(a, st, rep, seed=args.seed, tol=tol)
+    fp = quotient.local_model(a, st, rep, seed=args.seed)
     payload = {
         "action": a.name,
         "point": [float(t) for t in x],

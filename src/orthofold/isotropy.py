@@ -31,6 +31,16 @@ POOL_SIZE = 512
 ACCEPT_D2 = 1e-12
 
 
+def witness_pool(a: ActionModel, seed: int) -> np.ndarray | None:
+    """Haar candidate pool shared by every search on one action and seed.
+
+    Finite groups are enumerated instead of searched and get None.
+    """
+    if a.group.kind == "finite":
+        return None
+    return groups.sample_elements(a.group, COARSE_POOL, rng_for(seed, a.name, "witness-pool"))
+
+
 @dataclass(frozen=True)
 class StabilizerData:
     """Stabilizer of a point: Lie algebra plus one witness per component.
@@ -165,6 +175,28 @@ def _coarse_top(d2: np.ndarray, k: int) -> np.ndarray:
     return part[np.argsort(d2[part], kind="stable")]
 
 
+def _byte_rows(a: np.ndarray) -> np.ndarray:
+    """One opaque item per leading index, ordered and compared by its raw bytes."""
+    a = np.ascontiguousarray(a).reshape(a.shape[0], -1)
+    return a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel()
+
+
+def _visit_order(accepted: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """Indices of the candidates the witness dedup visits, in visit order.
+
+    Candidates sort by residual, ties broken by the raw bytes of the matrix
+    rounded to 1e-8 (so -0.0 and 0.0 differ); lexsort is stable, so full
+    ties keep their index order. Converged duplicates then collapse to their
+    first visit: candidates on the same fixer agree to ~1e-6 while distinct
+    components sit O(1) apart, so a 1e-5 grid never merges classes and the
+    batched membership pass stays tiny.
+    """
+    _, byte_rank = np.unique(_byte_rows(np.round(accepted, 8)), return_inverse=True)
+    order = np.lexsort((byte_rank, d2))
+    _, first = np.unique(_byte_rows(np.round(accepted[order], 5)), return_index=True)
+    return order[np.sort(first)]
+
+
 def _dedup_witnesses(g, accepted, d2, lie_kernel):
     """One representative per component, identity first, deterministic order.
 
@@ -181,22 +213,7 @@ def _dedup_witnesses(g, accepted, d2, lie_kernel):
         # algebra fills the whole Lie algebra is the whole group
         return np.stack(classes)
     if accepted.shape[0]:
-        rounded = np.round(accepted, 8)
-        order = sorted(
-            range(accepted.shape[0]), key=lambda i: (d2[i], rounded[i].tobytes())
-        )
-        # collapse converged duplicates first: candidates on the same fixer
-        # agree to ~1e-6 while distinct components sit O(1) apart, so a 1e-5
-        # grid never merges classes and the batched pass stays tiny
-        coarse = np.round(accepted, 5)
-        seen = set()
-        visit = []
-        for i in order:
-            key = coarse[i].tobytes()
-            if key not in seen:
-                seen.add(key)
-                visit.append(i)
-        cands = accepted[visit]
+        cands = accepted[_visit_order(accepted, d2)]
         covered = groups.identity_component_mask(g, cands, lie_kernel)
         for j in range(cands.shape[0]):
             if covered[j]:
@@ -240,7 +257,7 @@ def stabilizer(
         wits = np.stack(keep)
     else:
         if pool is None:
-            pool = groups.sample_elements(g, COARSE_POOL, rng_for(seed, a.name, "witness-pool"))
+            pool = witness_pool(a, seed)
         if g.kind == "so3":
             if a.tx_tensor is None:
                 raise InputError(f"action {a.name!r} lacks tensor data for so3 search")
@@ -321,7 +338,7 @@ def transport_element(
             return g.elements[i].copy()
         return None
     if pool is None:
-        pool = groups.sample_elements(g, COARSE_POOL, rng_for(seed, a.name, "witness-pool"))
+        pool = witness_pool(a, seed)
     if g.kind == "so3":
         tx = a.tx_tensor(x)
         coarse = kernels._batch_align(kernels._batch_apply_tx(tx, pool), y, m.align_mode)

@@ -23,12 +23,11 @@ from .errors import (
     RepExtractionError,
 )
 from .isotropy import (
-    COARSE_POOL,
     SliceRep,
     canonical_weight_rows,
     transport_element,
 )
-from .numerics import DEFAULT_TOL, Tolerance
+from .numerics import Tolerance
 from .seeding import rng_for
 from .strata import (
     PartitionOfM,
@@ -395,15 +394,12 @@ def _effective_signature(rep: SliceRep) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def local_model(
-    a: ActionModel, stab, rep: SliceRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL
-) -> LocalModelFingerprint:
+def local_model(a: ActionModel, stab, rep: SliceRep, seed: int = 0) -> LocalModelFingerprint:
     """Fingerprint of the local quotient model at a stabilized point.
 
-    The tolerance is accepted for signature uniformity; fingerprint
-    components are decided at fixed absolute cuts.
+    Fingerprint components are decided at fixed absolute cuts, not at the
+    run's tolerance.
     """
-    del tol
     profile, free = _slice_stab_profile(a, rep, seed)
     return LocalModelFingerprint(
         slice_dim=rep.slice_dim,
@@ -431,15 +427,12 @@ def _klein_key(f: LocalModelFingerprint) -> tuple:
     )
 
 
-def klein_equivalent(
-    f1: LocalModelFingerprint, f2: LocalModelFingerprint, tol: Tolerance = DEFAULT_TOL
-) -> bool:
+def klein_equivalent(f1: LocalModelFingerprint, f2: LocalModelFingerprint) -> bool:
     """Fingerprint equality, the computable surrogate for one Klein stratum.
 
-    The tolerance has already been spent building the fingerprints; their
-    components are integers, labels, and pre-rounded traces.
+    Fingerprint components are integers, labels, and pre-rounded traces, so
+    equality needs no tolerance.
     """
-    del tol
     return _klein_key(f1) == _klein_key(f2)
 
 
@@ -488,11 +481,6 @@ def klein_partition(cloud: SampleCloud, tol: Tolerance | None = None) -> KleinPa
             i = parent[i]
         return i
 
-    pool = None
-    if a.group.kind != "finite":
-        pool = groups.sample_elements(
-            a.group, COARSE_POOL, rng_for(cloud.seed, a.name, "witness-pool")
-        )
     inv_raw = _orbit_invariants(a, cloud.points)
     inv = np.round(inv_raw, 6)
     candidates: dict = {}
@@ -525,7 +513,7 @@ def klein_partition(cloud: SampleCloud, tol: Tolerance | None = None) -> KleinPa
                     cloud.points[j],
                     seed=cloud.seed,
                     tol=tol,
-                    pool=pool,
+                    pool=cloud.pool,
                     accept_d2=_IDENTIFY_D2,
                 )
                 if g is not None:
@@ -538,7 +526,7 @@ def klein_partition(cloud: SampleCloud, tol: Tolerance | None = None) -> KleinPa
     block_map: dict = {}
     for orb in orbits:
         root = orb[0]
-        fp = local_model(a, cloud.stabs[root], cloud.reps[root], seed=cloud.seed, tol=tol)
+        fp = local_model(a, cloud.stabs[root], cloud.reps[root], seed=cloud.seed)
         entry = block_map.setdefault(_klein_key(fp), {"fp": fp, "members": []})
         entry["members"].extend(orb)
     items = sorted(block_map.values(), key=lambda e: min(e["members"]))

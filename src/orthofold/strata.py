@@ -20,7 +20,7 @@ from .actions import (
     validate_point,
 )
 from .errors import ClassificationError, InputError
-from .isotropy import COARSE_POOL, slice_representation, stabilizer
+from .isotropy import slice_representation, stabilizer, witness_pool
 from .kernels import graph_components
 from .numerics import (
     DEFAULT_TOL,
@@ -43,7 +43,9 @@ class SampleCloud:
     """Finite proxy for the manifold: representatives with isotropy data.
 
     Uniform samples occupy the leading indices; the action's special loci
-    are appended after them so measure-zero strata are always present.
+    are appended after them so measure-zero strata are always present. pool
+    is the Haar candidate pool the stabilizer searches used (None for
+    finite groups); later searches on the same action reuse it.
     """
 
     action: str
@@ -56,6 +58,7 @@ class SampleCloud:
     sample_count: int
     seed: int
     tol: Tolerance
+    pool: np.ndarray | None
 
     def __len__(self) -> int:
         return int(self.points.shape[0])
@@ -133,11 +136,7 @@ def build_cloud(
         pts = np.vstack([uniform, special.reshape(-1, a.manifold.ambient_dim)])
     else:
         pts = uniform
-    pool = None
-    if a.group.kind != "finite":
-        pool = groups.sample_elements(
-            a.group, COARSE_POOL, rng_for(seed, a.name, "witness-pool")
-        )
+    pool = witness_pool(a, seed)
     stabs = []
     reps = []
     for x in pts:
@@ -157,6 +156,7 @@ def build_cloud(
         sample_count=count,
         seed=seed,
         tol=tol,
+        pool=pool,
     )
 
 

@@ -6,10 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from orthofold import cli
-from orthofold.errors import InputError
+from orthofold import actions, cli, strata
+from orthofold.errors import ClassificationError, CorrespondenceError, InputError
 
 
 def _run(capsys, *argv):
@@ -164,6 +165,44 @@ def test_sparse_principal_block_stays_open(capsys):
     model = _parse_report(out)[0]["payload"]["interval_model"]
     assert model["strata"] == [[["open", -1, 1]], [["point", -1], ["point", 1]]]
     assert model["frontier"] is True
+
+
+def test_rp2_t0_window_follows_the_fixer_cut(capsys):
+    # uniform sample 27 sits at t = 4.6e-10: inside a fixed 1e-9 window, but
+    # the half-turn moves it by 4.3e-5, far above the fixer cut, so its
+    # stabilizer is trivial and the t = 0 checks must not select it
+    code, out = _run(capsys, "verify", "rp2-so2", "--samples", "100", "--seed", "24")
+    assert "[FAIL]" not in out
+    assert code == 0
+    a = actions.get_action("rp2-so2")
+    cloud = strata.build_cloud(a, 100, seed=24)
+    on0 = cli._rp2_t0_locus(a.interval.projection(cloud.points))
+    # 100 uniform samples, the pole, then the 32 equator specials
+    assert np.flatnonzero(on0).tolist() == list(range(101, 133))
+
+
+@pytest.mark.parametrize(
+    "target, error, check",
+    [
+        ("correspondence", CorrespondenceError(1, (0, 2)), "correspondence-defined"),
+        ("orbifold_criterion",
+         ClassificationError("dimension map and local structure disagree on orbifoldness"),
+         "orbifold-criterion-consistent"),
+    ],
+)
+def test_stage_errors_fail_their_named_check(capsys, monkeypatch, target, error, check):
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli.quotient, target, broken)
+    code, out = _run(capsys, "verify", "s2-zn(5)", "--samples", "30", "--seed", "1")
+    assert code == 1
+    assert f"[FAIL] s2-zn(5) :: {check} ({error})" in out
+    assert "pipeline" not in out
+    # analyze has no checks to fail and keeps the pipeline-failure exit
+    code = cli.main(["analyze", "s2-zn(5)", "--samples", "30", "--seed", "1"])
+    assert code == 3
+    assert str(error) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -138,3 +138,38 @@ def test_stabilizer_dimension_identity():
         for x in actions.sample_points(a.manifold, 3, rng):
             st = isotropy.stabilizer(a, x, seed=0)
             assert st.lie_kernel.shape[1] + st.orbit_dim == a.group.lie_dim
+
+
+def _reference_visit_order(accepted, d2):
+    # the per-candidate Python sort and first-occurrence scan
+    rounded = np.round(accepted, 8)
+    order = sorted(range(accepted.shape[0]), key=lambda i: (d2[i], rounded[i].tobytes()))
+    coarse = np.round(accepted, 5)
+    seen, visit = set(), []
+    for i in order:
+        key = coarse[i].tobytes()
+        if key not in seen:
+            seen.add(key)
+            visit.append(i)
+    return visit
+
+
+def test_visit_order_matches_sorted_reference():
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        n = int(rng.integers(1, 40))
+        acc = rng.normal(size=(n, 3, 3)) * rng.choice([1e-9, 1e-6, 1.0], size=(n, 3, 3))
+        # duplicated candidates, and entries that round to -0.0 or 0.0
+        acc[rng.integers(0, n, size=n // 3)] = acc[rng.integers(0, n, size=n // 3)]
+        acc[0, 0, 0], acc[-1, 0, 0] = -1e-12, 1e-12
+        d2 = rng.choice([0.0, 5e-14, 1e-13], size=n)  # forced ties
+        got = isotropy._visit_order(acc, d2)
+        assert got.tolist() == _reference_visit_order(acc, d2)
+
+
+def test_witness_pool_is_shared_and_absent_for_finite_groups():
+    a = actions.get_action("rp2-so2")
+    pool = isotropy.witness_pool(a, 3)
+    assert pool.shape[0] == isotropy.COARSE_POOL
+    assert np.array_equal(pool, isotropy.witness_pool(a, 3))
+    assert isotropy.witness_pool(actions.get_action("s2-zn(5)"), 3) is None

@@ -1,19 +1,9 @@
-"""Both kernel backends satisfy the same contracts and agree numerically."""
+"""The numpy kernels against brute-force, scipy and interleaved einsum references."""
 
 import numpy as np
 import pytest
 
 from orthofold import actions, groups, isotropy, kernels
-
-BACKENDS = ["numpy"] + (["numba"] if kernels.HAS_NUMBA else [])
-
-
-@pytest.fixture(params=BACKENDS)
-def backend(request):
-    previous = kernels.get_backend()
-    kernels.set_backend(request.param)
-    yield request.param
-    kernels.set_backend(previous)
 
 
 def _brute_pairwise(pts, dist):
@@ -25,14 +15,14 @@ def _brute_pairwise(pts, dist):
     return out
 
 
-def test_pairwise_euclidean(backend):
+def test_pairwise_euclidean():
     pts = np.random.default_rng(0).normal(size=(17, 5))
     got = kernels.pairwise_euclidean(pts)
     ref = _brute_pairwise(pts, lambda a, b: np.linalg.norm(a - b))
     assert np.abs(got - ref).max() < 1e-10
 
 
-def test_pairwise_sign_aligned(backend):
+def test_pairwise_sign_aligned():
     rng = np.random.default_rng(1)
     pts = rng.normal(size=(15, 4))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
@@ -48,7 +38,7 @@ def test_pairwise_sign_aligned(backend):
     assert kernels.pairwise_sign_aligned(two)[0, 1] < 1e-7
 
 
-def test_pairwise_phase_aligned(backend):
+def test_pairwise_phase_aligned():
     rng = np.random.default_rng(2)
     pts = rng.normal(size=(12, 6))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
@@ -64,7 +54,7 @@ def test_pairwise_phase_aligned(backend):
     assert np.abs(got - ref).max() < 1e-10
 
 
-def test_graph_components(backend):
+def test_graph_components():
     d = np.array(
         [
             [0.0, 0.1, 9.0, 9.0],
@@ -86,14 +76,14 @@ def test_pairwise_euclidean_matches_scipy_bitwise():
     rng = np.random.default_rng(5)
     for d in range(2, 13):
         pts = rng.normal(size=(60, d))
-        assert np.array_equal(kernels._pairwise_euclidean_np(pts), cdist(pts, pts))
+        assert np.array_equal(kernels.pairwise_euclidean(pts), cdist(pts, pts))
 
 
 def test_pairwise_euclidean_chunks_rows(monkeypatch):
     pts = np.random.default_rng(6).normal(size=(37, 4))
-    whole = kernels._pairwise_euclidean_np(pts)
+    whole = kernels.pairwise_euclidean(pts)
     monkeypatch.setattr(kernels, "_ROW_CHUNK_BYTES", 5 * 8 * 37)
-    assert np.array_equal(kernels._pairwise_euclidean_np(pts), whole)
+    assert np.array_equal(kernels.pairwise_euclidean(pts), whole)
 
 
 def _partition(labels):
@@ -108,12 +98,12 @@ def test_graph_components_match_scipy():
     rng = np.random.default_rng(8)
     for n, scale in ((1, 1.0), (40, 0.15), (120, 0.07), (120, 0.1), (120, 0.3)):
         pts = rng.uniform(size=(n, 2))
-        dist = kernels._pairwise_euclidean_np(pts)
+        dist = kernels.pairwise_euclidean(pts)
         _, ref = csgraph.connected_components(dist <= scale, directed=False)
-        assert _partition(kernels._graph_components_np(dist, scale)) == _partition(ref)
+        assert _partition(kernels.graph_components(dist, scale)) == _partition(ref)
 
 
-def test_rodrigues_batch_matches_exp(backend):
+def test_rodrigues_batch_matches_exp():
     g = groups.so3()
     rng = np.random.default_rng(3)
     W = rng.normal(size=(9, 3))
@@ -123,7 +113,7 @@ def test_rodrigues_batch_matches_exp(backend):
         assert np.allclose(q, groups.exp_coeffs(g, w), atol=1e-12)
 
 
-def test_so3_refine_reaches_the_target(backend):
+def test_so3_refine_reaches_the_target():
     a = actions.get_action("s2xs2-so3")
     rng = np.random.default_rng(4)
     x = actions.sample_points(a.manifold, 1, rng)[0]
@@ -136,11 +126,6 @@ def test_so3_refine_reaches_the_target(backend):
     refined, d2 = kernels.so3_refine(tx, y, start, a.manifold.align_mode, max_iter=60)
     assert float(d2[0]) < 1e-16
     assert np.allclose(refined[0] @ refined[0].T, np.eye(3), atol=1e-10)
-
-
-def test_backend_switch_guard():
-    with pytest.raises(ValueError):
-        kernels.set_backend("fortran")
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +301,7 @@ def test_so3_refine_matches_reference_accepted_set(name, special):
     tx = a.tx_tensor(x)
     mode = a.manifold.align_mode
     G0 = np.concatenate([np.eye(3)[None], groups.sample_elements(a.group, 512, rng)])
-    G, d2 = kernels._so3_refine_np(tx, x, G0, mode, 30, kernels.SO3_GENERATORS)
+    G, d2 = kernels.so3_refine(tx, x, G0, mode)
     G_ref, d2_ref = _ref_so3_refine(tx, x, G0, mode)
     accepted = d2 <= isotropy.ACCEPT_D2
     assert np.array_equal(accepted, d2_ref <= isotropy.ACCEPT_D2)
