@@ -220,7 +220,8 @@ class ActionModel:
     tx_tensor: Callable | None = None  # x -> (N, k, k) tensor for so3 refinement
     # For torus-kind groups: tuple of (coords, weight) with coords a fixed
     # index (i,) or a rotating pair (i, j), weight an integer vector over the
-    # canonical angle parameters. Drives closed-form batched application.
+    # canonical angle parameters. Drives the exact stabilizer and transport
+    # solves.
     ambient_pairs: tuple | None = None
     interval: IntervalModel | None = None
     params: dict = field(default_factory=dict)
@@ -292,17 +293,6 @@ def differential_of_element(
 def _embed_so2_in_3(g2: np.ndarray) -> np.ndarray:
     out = np.eye(3)
     out[:2, :2] = g2
-    return out
-
-
-def _interleave_complex_matrix(gc: np.ndarray) -> np.ndarray:
-    """Real matrix of a complex-linear map on interleaved coordinates."""
-    n = gc.shape[0]
-    out = np.zeros((2 * n, 2 * n))
-    out[0::2, 0::2] = gc.real
-    out[1::2, 1::2] = gc.real
-    out[0::2, 1::2] = -gc.imag
-    out[1::2, 0::2] = gc.imag
     return out
 
 

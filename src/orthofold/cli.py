@@ -372,12 +372,12 @@ def _klein_block_of_point(r, point: np.ndarray):
 
 
 def _rp2_t0_locus(vals: np.ndarray) -> np.ndarray:
-    """Mask of rp2-so2 points at t = 0 as the stabilizer search resolves them.
+    """Mask of rp2-so2 points at t = 0 as the stabilizer solve resolves them.
 
     The half-turn moves a point at height z by 2|z|, a squared displacement
-    of 4t, so the search accepts it as a fixer exactly when 4t <= ACCEPT_D2.
-    Points just above that cut have a trivial stabilizer and are labelled
-    so, however small t is.
+    of 4t, so the solve drops the z coordinate and keeps the half-turn
+    exactly when 4t <= ACCEPT_D2. Points just above that cut have a trivial
+    stabilizer and are labelled so, however small t is.
     """
     return 4.0 * vals <= ACCEPT_D2
 

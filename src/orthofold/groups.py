@@ -16,12 +16,11 @@ import numpy as np
 from .errors import ClassificationError, InputError
 from .numerics import Tolerance, DEFAULT_TOL, orthonormalize
 
-# identity-component membership cut: for so3 on |q zeta - zeta|, for the
-# torus kinds on the wrapped angle residual off the kernel span, and for a
-# finite stabilizer on max |q - 1|. Catalog component classes sit O(1) apart.
+# identity-component membership cut of the SO(3) witness dedup: on
+# |q zeta - zeta| for a circle stabilizer and on max |q - 1| for a finite one.
+# Catalog component classes sit O(1) apart. Torus-kind stabilizers are solved
+# exactly and finite groups enumerated, so neither passes through this cut.
 COMPONENT_EPS = 1e-5
-# bytes of the (B, 3^r, r) shifted-angle block built per chunk of candidates
-_SHIFT_CHUNK_BYTES = 4 << 20
 
 
 def _rot2(theta: float) -> np.ndarray:
@@ -36,15 +35,14 @@ _J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 class GroupDescriptor:
     """A compact matrix group in its canonical representation.
 
-    kind: one of "so3", "so2", "u1", "o2", "torus", "finite", "product".
+    kind: one of "so3", "so2", "u1", "torus", "finite".
     """
 
     kind: str
     size: int
     lie: np.ndarray  # (k, size, size) antisymmetric generators
-    elements: np.ndarray | None = None  # component representatives / full list
+    elements: np.ndarray | None = None  # finite groups: the full element list
     circle_label: str = "SO2"  # label given to one-parameter stabilizer circles
-    parts: tuple = ()
     name: str = ""
 
     @property
@@ -55,13 +53,6 @@ class GroupDescriptor:
     def n_components(self) -> int:
         if self.kind == "finite":
             return len(self.elements)
-        if self.kind == "o2":
-            return 2
-        if self.kind == "product":
-            n = 1
-            for p in self.parts:
-                n *= p.n_components
-            return n
         return 1
 
     def identity(self) -> np.ndarray:
@@ -81,13 +72,6 @@ def so2() -> GroupDescriptor:
 def u1() -> GroupDescriptor:
     return GroupDescriptor(
         kind="u1", size=2, lie=_J2[None].copy(), circle_label="U1", name="U(1)"
-    )
-
-
-def o2() -> GroupDescriptor:
-    refl = np.diag([1.0, -1.0])
-    return GroupDescriptor(
-        kind="o2", size=2, lie=_J2[None].copy(), elements=refl[None].copy(), name="O(2)"
     )
 
 
@@ -112,29 +96,6 @@ def finite(elements, name: str = "finite") -> GroupDescriptor:
     )
 
 
-def product(parts) -> GroupDescriptor:
-    parts = tuple(parts)
-    size = sum(p.size for p in parts)
-    k = sum(p.lie_dim for p in parts)
-    gens = np.zeros((k, size, size))
-    row = 0
-    off = 0
-    for p in parts:
-        for j in range(p.lie_dim):
-            gens[row, off : off + p.size, off : off + p.size] = p.lie[j]
-            row += 1
-        off += p.size
-    label = parts[0].circle_label if parts else "SO2"
-    return GroupDescriptor(
-        kind="product",
-        size=size,
-        lie=gens,
-        circle_label=label,
-        parts=parts,
-        name=" x ".join(p.name for p in parts),
-    )
-
-
 # ---------------------------------------------------------------------------
 # exponential and sampling
 # ---------------------------------------------------------------------------
@@ -147,7 +108,7 @@ def exp_coeffs(g: GroupDescriptor, c: np.ndarray) -> np.ndarray:
         raise InputError(f"expected {g.lie_dim} coefficients, got {c.size}")
     if g.kind == "so3":
         return _rodrigues_single(c)
-    if g.kind in ("so2", "u1", "o2"):
+    if g.kind in ("so2", "u1"):
         return _rot2(c[0]) if c.size else g.identity()
     if g.kind == "torus":
         r = g.lie_dim
@@ -155,13 +116,6 @@ def exp_coeffs(g: GroupDescriptor, c: np.ndarray) -> np.ndarray:
         for j in range(r):
             out[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = _rot2(c[j])
         return out
-    if g.kind == "product":
-        blocks = []
-        off = 0
-        for p in g.parts:
-            blocks.append(exp_coeffs(p, c[off : off + p.lie_dim]))
-            off += p.lie_dim
-        return _blockdiag(blocks)
     return g.identity()  # finite: the Lie algebra is zero
 
 
@@ -172,7 +126,7 @@ def exp_coeffs_batch(g: GroupDescriptor, C: np.ndarray) -> np.ndarray:
         from .kernels import rodrigues_batch
 
         return rodrigues_batch(C)
-    if g.kind in ("so2", "u1", "o2", "torus"):
+    if g.kind in ("so2", "u1", "torus"):
         r = g.lie_dim
         out = np.zeros((C.shape[0], g.size, g.size))
         out[:] = np.eye(g.size)
@@ -192,17 +146,6 @@ def _rodrigues_single(w: np.ndarray) -> np.ndarray:
     return rodrigues_batch(w[None])[0]
 
 
-def _blockdiag(blocks) -> np.ndarray:
-    n = sum(b.shape[0] for b in blocks)
-    out = np.zeros((n, n))
-    off = 0
-    for b in blocks:
-        m = b.shape[0]
-        out[off : off + m, off : off + m] = b
-        off += m
-    return out
-
-
 def sample_elements(g: GroupDescriptor, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw elements of g: Haar for the continuous kinds, the full list for
     finite groups (count is ignored there).
@@ -218,19 +161,6 @@ def sample_elements(g: GroupDescriptor, count: int, rng: np.random.Generator) ->
         return exp_coeffs_batch(g, rng.uniform(0.0, 2.0 * np.pi, size=(count, 1)))
     if g.kind == "torus":
         return exp_coeffs_batch(g, rng.uniform(0.0, 2.0 * np.pi, size=(count, g.lie_dim)))
-    if g.kind == "o2":
-        rots = exp_coeffs_batch(g, rng.uniform(0.0, 2.0 * np.pi, size=(count, 1)))
-        flip = rng.integers(0, 2, size=count).astype(bool)
-        rots[flip] = rots[flip] @ g.elements[0]
-        return rots
-    if g.kind == "product":
-        parts = [sample_elements(p, count, rng) for p in g.parts]
-        out = np.zeros((count, g.size, g.size))
-        off = 0
-        for p, block in zip(g.parts, parts):
-            out[:, off : off + p.size, off : off + p.size] = block
-            off += p.size
-        return out
     raise InputError(f"cannot sample elements of kind {g.kind!r}")
 
 
@@ -254,20 +184,6 @@ def _quat_to_mat(q: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def torus_angles(g: GroupDescriptor, q: np.ndarray) -> np.ndarray:
-    """Block rotation angles of torus-kind elements, each in (-pi, pi].
-
-    q is one (size, size) element or a (..., size, size) stack; the angles
-    sit on the last axis.
-    """
-    q = np.asarray(q, dtype=np.float64)
-    r = g.lie_dim
-    return np.stack(
-        [np.arctan2(q[..., 2 * j + 1, 2 * j], q[..., 2 * j, 2 * j]) for j in range(r)],
-        axis=-1,
-    )
-
-
 def adjoint_coeffs(g: GroupDescriptor, elem: np.ndarray) -> np.ndarray:
     """Matrix of Ad_elem on Lie-algebra coefficient vectors."""
     k = g.lie_dim
@@ -279,6 +195,64 @@ def adjoint_coeffs(g: GroupDescriptor, elem: np.ndarray) -> np.ndarray:
     return np.linalg.solve(gram, mixed)
 
 
+def smith_form(W) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Integer diagonalization U @ W @ V = diag(d) with U and V unimodular.
+
+    W is an (m, n) integer matrix; d holds min(m, n) nonnegative entries,
+    the nonzero ones first. Each step pivots on the smallest nonzero entry
+    left and reduces its row and column by integer division; a nonzero
+    remainder is smaller than the pivot, so the loop ends. The divisibility
+    chain of the Smith normal form is not enforced: every diagonal form has
+    the same rank and the same product of nonzero entries, and the subgroup
+    {psi : d_i psi_i = 0 mod 2 pi} of the torus has that product as its
+    number of components.
+    """
+    A = np.asarray(W, dtype=np.int64)
+    m, n = A.shape
+    A = [[int(v) for v in row] for row in A]
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def swap_cols(M, a, b):
+        for row in M:
+            row[a], row[b] = row[b], row[a]
+
+    for t in range(min(m, n)):
+        while True:
+            nonzero = [(abs(A[i][j]), i, j) for i in range(t, m) for j in range(t, n) if A[i][j]]
+            if not nonzero:
+                break
+            _, pi, pj = min(nonzero)
+            A[t], A[pi] = A[pi], A[t]
+            U[t], U[pi] = U[pi], U[t]
+            swap_cols(A, t, pj)
+            swap_cols(V, t, pj)
+            p = A[t][t]
+            clean = True
+            for i in range(t + 1, m):
+                q = A[i][t] // p
+                A[i] = [u - q * v for u, v in zip(A[i], A[t])]
+                U[i] = [u - q * v for u, v in zip(U[i], U[t])]
+                clean &= A[i][t] == 0
+            for j in range(t + 1, n):
+                q = A[t][j] // p
+                for M in (A, V):
+                    for row in M:
+                        row[j] -= q * row[t]
+                clean &= A[t][j] == 0
+            if clean:
+                break
+        if A[t][t] < 0:
+            A[t] = [-v for v in A[t]]
+            U[t] = [-v for v in U[t]]
+    d = [A[t][t] for t in range(min(m, n))]
+    return (
+        np.array(U, dtype=np.int64).reshape(m, m),
+        np.array(d, dtype=np.int64),
+        np.array(V, dtype=np.int64).reshape(n, n),
+    )
+
+
 def identity_component_mask(
     g: GroupDescriptor, Q: np.ndarray, kernel_coeffs: np.ndarray
 ) -> np.ndarray:
@@ -287,35 +261,18 @@ def identity_component_mask(
     kernel_coeffs has shape (lie_dim, k); k = 0 reduces to an identity test.
     For so3 with a one-dimensional kernel spanned by zeta, exp(span zeta) is
     the set of rotations fixing zeta, so membership is |q zeta - zeta| small,
-    which stays well conditioned for every rotation angle, pi included. The
-    torus kinds project the block angles onto the kernel span, trying every
-    2 pi wrap of each angle.
+    which stays well conditioned for every rotation angle, pi included.
     """
     Q = np.asarray(Q, dtype=np.float64)
     k = kernel_coeffs.shape[1] if kernel_coeffs.ndim == 2 else 0
     if k == 0:
         return np.abs(Q - g.identity()).max(axis=(1, 2)) <= COMPONENT_EPS
-    if g.kind == "so3":
-        if k >= 3:
-            return np.ones(Q.shape[0], dtype=bool)
-        zeta = kernel_coeffs[:, 0] / np.linalg.norm(kernel_coeffs[:, 0])
-        return np.linalg.norm(Q @ zeta - zeta, axis=1) <= COMPONENT_EPS
-    if g.kind in ("so2", "u1", "torus", "o2"):
-        phi = torus_angles(g, Q)
-        basis = orthonormalize(kernel_coeffs)
-        r = phi.shape[1]
-        shifts = 2.0 * np.pi * (np.array(list(np.ndindex(*(3,) * r)), dtype=np.float64) - 1.0)
-        step = max(1, _SHIFT_CHUNK_BYTES // (shifts.size * 8))
-        best = np.empty(phi.shape[0])
-        for lo in range(0, phi.shape[0], step):
-            v = phi[lo : lo + step, None, :] + shifts
-            resid = v - (v @ basis) @ basis.T
-            best[lo : lo + step] = np.linalg.norm(resid, axis=2).min(axis=1)
-        inside = best <= COMPONENT_EPS
-        if g.kind == "o2":
-            inside &= np.linalg.det(Q) >= 0.0
-        return inside
-    raise InputError(f"identity-component membership unsupported for kind {g.kind!r}")
+    if g.kind != "so3":
+        raise InputError(f"identity-component membership unsupported for kind {g.kind!r}")
+    if k >= 3:
+        return np.ones(Q.shape[0], dtype=bool)
+    zeta = kernel_coeffs[:, 0] / np.linalg.norm(kernel_coeffs[:, 0])
+    return np.linalg.norm(Q @ zeta - zeta, axis=1) <= COMPONENT_EPS
 
 
 # ---------------------------------------------------------------------------

@@ -22,21 +22,23 @@ from .errors import InputError, RepExtractionError, StabilizerError
 from .numerics import DEFAULT_TOL, Tolerance, kernel_basis, orthogonal_complement, rank
 from .seeding import rng_for
 
-# Haar candidates scored cheaply per point; the best POOL_SIZE of them are
-# refined. Refining a flat 512 draw misses small fixer basins a few percent
-# of the time; preselecting from the larger pool makes misses negligible.
+# SO(3) Haar candidates scored cheaply per point; the best POOL_SIZE of them
+# are refined. Refining a flat 512 draw misses small fixer basins a few
+# percent of the time; preselecting from the larger pool makes misses
+# negligible.
 COARSE_POOL = 16384
 POOL_SIZE = 512
-# squared chordal distance below which a refined candidate counts as a fixer
+# squared chordal distance below which a candidate counts as a fixer
 ACCEPT_D2 = 1e-12
 
 
 def witness_pool(a: ActionModel, seed: int) -> np.ndarray | None:
-    """Haar candidate pool shared by every search on one action and seed.
+    """Haar candidate pool shared by every SO(3) search on one action and seed.
 
-    Finite groups are enumerated instead of searched and get None.
+    Only SO(3) stabilizers and transports are searched numerically. Torus
+    kinds are solved exactly and finite groups enumerated; both get None.
     """
-    if a.group.kind == "finite":
+    if a.group.kind != "so3":
         return None
     return groups.sample_elements(a.group, COARSE_POOL, rng_for(seed, a.name, "witness-pool"))
 
@@ -84,83 +86,8 @@ class SliceRep:
 
 
 # ---------------------------------------------------------------------------
-# stabilizer search
+# stabilizers and transports
 # ---------------------------------------------------------------------------
-
-
-def _apply_angles(a: ActionModel, x: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    Y = np.tile(x, (phi.shape[0], 1))
-    for coords, w in a.ambient_pairs:
-        if len(coords) == 1:
-            continue
-        i, j = coords
-        alpha = phi @ np.asarray(w, dtype=float)
-        c, s = np.cos(alpha), np.sin(alpha)
-        Y[:, i] = c * x[i] - s * x[j]
-        Y[:, j] = s * x[i] + c * x[j]
-    return Y
-
-
-def _refine_angles(
-    a: ActionModel,
-    x: np.ndarray,
-    phi0: np.ndarray,
-    mode: int,
-    max_iter: int = 30,
-    target: np.ndarray | None = None,
-):
-    """Damped Gauss-Newton on block rotation angles, batched over candidates.
-
-    Drives the rotated image of x onto target (x itself by default, which is
-    the stabilizer case).
-    """
-    tgt = x if target is None else target
-    phi = phi0.copy()
-    B, r = phi.shape
-    wrows = [np.asarray(w, dtype=float) for _, w in a.ambient_pairs]
-
-    def evaluate(p):
-        Y = _apply_angles(a, x, p)
-        res = kernels._batch_align(Y, tgt, mode)
-        return Y, np.einsum("bi,bi->b", res, res)
-
-    Y, d2 = evaluate(phi)
-    mu = np.full(B, 1e-3)
-    fails = np.zeros(B, dtype=np.int64)
-    diag = np.arange(r)
-    for _ in range(max_iter):
-        active = (d2 > 1e-28) & (fails < 2)
-        if not active.any():
-            break
-        fa, fb, mag = kernels._batch_factors_mag(Y, tgt, mode)
-        Yal = kernels._batch_apply_factors(Y, fa, fb, mode)
-        J = np.empty((B, x.size, r))
-        for l in range(r):
-            dY = np.zeros_like(Y)
-            for (coords, _), w in zip(a.ambient_pairs, wrows):
-                if len(coords) == 1 or w[l] == 0.0:
-                    continue
-                i, j = coords
-                dY[:, i] -= w[l] * Y[:, j]
-                dY[:, j] += w[l] * Y[:, i]
-            J[:, :, l] = kernels._batch_jacobian_columns(dY, Yal, tgt, fa, fb, mag, mode)
-        resf = Yal - tgt
-        A = np.einsum("bni,bnj->bij", J, J)
-        A[:, diag, diag] += mu[:, None]
-        grad = np.einsum("bni,bn->bi", J, resf)
-        step = np.linalg.solve(A, -grad[..., None])[..., 0]
-        trial = np.where(active[:, None], phi + step, phi)
-        Yt, d2t = evaluate(trial)
-        better = active & (d2t < d2)
-        worse = active & ~better
-        phi[better] = trial[better]
-        Y[better] = Yt[better]
-        d2[better] = d2t[better]
-        mu[better] *= 0.3
-        mu[worse] *= 10.0
-        fails[better] = 0
-        fails[worse] += 1
-    return phi, d2
 
 
 def _coarse_top(d2: np.ndarray, k: int) -> np.ndarray:
@@ -202,15 +129,15 @@ def _dedup_witnesses(g, accepted, d2, lie_kernel):
 
     Candidates are visited best-converged first so each class is represented
     by its sharpest fixer. A candidate q belongs to the class of rep when
-    rep.T @ q lies in the identity component; witnesses of the searched group
-    kinds are orthogonal so the transpose is the inverse. Each class tests
-    all later candidates in one batch, so a candidate is kept exactly when no
-    earlier class covers it.
+    rep.T @ q lies in the identity component; rotations are orthogonal so
+    the transpose is the inverse. Each class tests all later candidates in
+    one batch, so a candidate is kept exactly when no earlier class covers
+    it.
     """
     classes = [np.eye(g.size)]
-    if lie_kernel.shape[1] == g.lie_dim and g.kind in ("so3", "so2", "u1", "torus"):
-        # the searched group kinds are connected, so a stabilizer whose
-        # algebra fills the whole Lie algebra is the whole group
+    if lie_kernel.shape[1] == g.lie_dim:
+        # SO(3) is connected, so a stabilizer whose algebra fills the whole
+        # Lie algebra is the whole group
         return np.stack(classes)
     if accepted.shape[0]:
         cands = accepted[_visit_order(accepted, d2)]
@@ -226,6 +153,67 @@ def _dedup_witnesses(g, accepted, d2, lie_kernel):
     return np.stack(classes)
 
 
+def _displacement(a: ActionModel, x: np.ndarray, G: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Squared distance of each image G x from y, the representative aligned."""
+    Y = np.einsum("bij,j->bi", a.amb_batch(G), x)
+    res = kernels._batch_align(Y, y, a.manifold.align_mode)
+    return np.einsum("bi,bi->b", res, res)
+
+
+def _torus_system(a: ActionModel, x: np.ndarray, y: np.ndarray):
+    """Integer rows W and target angles b of the congruence W psi = b (mod 2 pi).
+
+    psi = (phi, alpha) holds the torus angles and, on projective models, the
+    phase alpha of the representative; its solutions are the elements
+    carrying x to y up to that phase. Each ambient pair contributes its
+    weight row and the angle atan2(y) - atan2(x); a fixed coordinate is a
+    weight-0 row whose target is 0 or pi by sign. Projective rows get a -1
+    column for alpha, and on RP^2 the row 2 alpha = 0 keeps the phase a
+    sign. A pair whose magnitudes at x and y are both at most
+    sqrt(ACCEPT_D2) / 2 is skipped: every rotation of it stays inside the
+    fixer cut, so it constrains nothing.
+    """
+    if a.ambient_pairs is None:
+        raise InputError(f"action {a.name!r} lacks ambient pair data for the torus solve")
+    cut = 0.5 * np.sqrt(ACCEPT_D2)
+    kind = a.manifold.kind
+    projective = kind in ("real_projective", "complex_projective")
+    rows, b = [], []
+    for coords, w in a.ambient_pairs:
+        # a rotating pair (i, j) reads as x_i + i x_j, a fixed coordinate as real
+        zx, zy = complex(*x[list(coords)]), complex(*y[list(coords)])
+        if abs(zx) <= cut and abs(zy) <= cut:
+            continue
+        rows.append([*w, -1] if projective else list(w))
+        b.append(np.angle(zy) - np.angle(zx))
+    if kind == "real_projective":
+        rows.append([0] * a.group.lie_dim + [2])
+        b.append(0.0)
+    n = a.group.lie_dim + projective
+    return np.array(rows, dtype=np.int64).reshape(len(rows), n), np.array(b)
+
+
+def _torus_solutions(a: ActionModel, x: np.ndarray, y: np.ndarray):
+    """Elements carrying x to y, one per stabilizer component, in closed form.
+
+    With U W V = diag(d) for the congruence W psi = b of _torus_system,
+    psi = V chi is a solution exactly when d_i chi_i = (U b)_i (mod 2 pi)
+    for every nonzero d_i (and the rows of U b past them vanish mod 2 pi,
+    which the caller's displacement test decides). The other coordinates of
+    chi are free and span the identity component of the stabilizer. Each j
+    in prod [0, d_i) gives chi_i = ((U b)_i + 2 pi j_i) / d_i with the free
+    coordinates 0; j = 0, the particular solution, comes first. Returns the
+    elements and the number of free coordinates.
+    """
+    W, b = _torus_system(a, x, y)
+    U, d, V = groups.smith_form(W)
+    k = int(np.count_nonzero(d))
+    j = np.array(list(np.ndindex(*d[:k])), dtype=np.float64)
+    chi = np.zeros((j.shape[0], V.shape[0]))
+    chi[:, :k] = ((U @ b)[:k] + 2.0 * np.pi * j) / d[:k]
+    return groups.exp_coeffs_batch(a.group, (chi @ V.T)[:, : a.group.lie_dim]), V.shape[0] - k
+
+
 def stabilizer(
     a: ActionModel,
     x: np.ndarray,
@@ -235,10 +223,12 @@ def stabilizer(
 ) -> StabilizerData:
     """Compute the stabilizer of x: Lie kernel, component witnesses, class.
 
-    The Lie algebra comes from the kernel of the infinitesimal action. The
-    component search refines a pool of Haar candidates onto the fixer set and
-    keeps those with squared displacement below ACCEPT_D2; finite groups are
-    enumerated instead. Witnesses are reduced to one per component.
+    The Lie algebra comes from the kernel of the infinitesimal action.
+    Torus-kind components are solved exactly from the integer congruence of
+    the active ambient pairs, and finite groups are enumerated. For SO(3)
+    the component search refines a pool of Haar candidates onto the fixer
+    set, keeps those with squared displacement below ACCEPT_D2 and reduces
+    them to one witness per component.
     """
     m = a.manifold
     x = normalize(m, np.asarray(x, dtype=float))
@@ -249,50 +239,38 @@ def stabilizer(
     if odim + lie_kernel.shape[1] != g.lie_dim:
         raise StabilizerError("orbit and kernel dimensions are inconsistent")
 
-    point_eps = max(tol.match_eps, 1e-7)
     if g.kind == "finite":
+        point_eps = max(tol.match_eps, 1e-7)
         keep = [e for e in g.elements if distance(m, act(a, e, x), x) <= point_eps]
         ident = np.eye(g.size)
         keep.sort(key=lambda e: (not np.allclose(e, ident), np.round(e, 8).tobytes()))
         wits = np.stack(keep)
-    else:
+    elif g.kind in ("so2", "u1", "torus"):
+        wits, free = _torus_solutions(a, x, x)
+        if free != lie_kernel.shape[1]:
+            raise StabilizerError("Lie kernel and torus solve disagree on the stabilizer dimension")
+        if float(_displacement(a, x, wits, x).max()) > ACCEPT_D2:
+            raise StabilizerError("closed-form witness misses the fixer set")
+    elif g.kind == "so3":
+        if a.tx_tensor is None:
+            raise InputError(f"action {a.name!r} lacks tensor data for so3 search")
         if pool is None:
             pool = witness_pool(a, seed)
-        if g.kind == "so3":
-            if a.tx_tensor is None:
-                raise InputError(f"action {a.name!r} lacks tensor data for so3 search")
-            tx = a.tx_tensor(x)
-            coarse = kernels._batch_align(kernels._batch_apply_tx(tx, pool), x, m.align_mode)
-            best = _coarse_top(np.einsum("bi,bi->b", coarse, coarse), POOL_SIZE)
-            cands = np.concatenate([np.eye(3)[None], pool[best]])
-            refined, d2 = kernels.so3_refine(tx, x, cands, m.align_mode)
-        elif g.kind in ("so2", "u1", "torus"):
-            if a.ambient_pairs is None:
-                raise InputError(f"action {a.name!r} lacks angle data for torus search")
-            phi_pool = groups.torus_angles(g, pool)
-            coarse = kernels._batch_align(_apply_angles(a, x, phi_pool), x, m.align_mode)
-            best = _coarse_top(np.einsum("bi,bi->b", coarse, coarse), POOL_SIZE)
-            phi0 = np.concatenate([np.zeros((1, g.lie_dim)), phi_pool[best]])
-            phi, d2 = _refine_angles(a, x, phi0, m.align_mode)
-            refined = groups.exp_coeffs_batch(g, phi)
-        else:
-            raise InputError(f"no stabilizer search scheme for group kind {g.kind!r}")
+        tx = a.tx_tensor(x)
+        coarse = kernels._batch_align(kernels._batch_apply_tx(tx, pool), x, m.align_mode)
+        best = _coarse_top(np.einsum("bi,bi->b", coarse, coarse), POOL_SIZE)
+        cands = np.concatenate([np.eye(3)[None], pool[best]])
+        refined, d2 = kernels.so3_refine(tx, x, cands, m.align_mode)
         mask = d2 <= ACCEPT_D2
         wits = _dedup_witnesses(g, refined[mask], d2[mask], lie_kernel)
         if wits.shape[0] > 1:
             # polish the non-identity representatives to machine precision
-            if g.kind == "so3":
-                polished, pd2 = kernels.so3_refine(
-                    a.tx_tensor(x), x, wits[1:], m.align_mode, max_iter=60
-                )
-            else:
-                pphi, pd2 = _refine_angles(
-                    a, x, groups.torus_angles(g, wits[1:]), m.align_mode, max_iter=60
-                )
-                polished = groups.exp_coeffs_batch(g, pphi)
+            polished, pd2 = kernels.so3_refine(tx, x, wits[1:], m.align_mode, max_iter=60)
             wits = np.concatenate([wits[:1], polished])
             if float(pd2.max()) > ACCEPT_D2:
                 raise StabilizerError("witness failed to converge onto the fixer set")
+    else:
+        raise InputError(f"no stabilizer scheme for group kind {g.kind!r}")
 
     cls = groups.classify_subgroup(g, lie_kernel, wits, tol)
     return StabilizerData(
@@ -317,14 +295,16 @@ def transport_element(
     pool: np.ndarray | None = None,
     accept_d2: float = ACCEPT_D2,
 ) -> np.ndarray | None:
-    """Group element carrying x onto y, or None when the search finds none.
+    """Group element carrying x onto y, or None when there is none.
 
-    A returned element certifies the points share an orbit. None is only
-    sampled evidence of distinct orbits, not a proof. accept_d2 bounds the
-    squared displacement of the refined candidate; callers identifying
-    orbits in dense clouds pass a near-machine bound, since distinct orbits
-    can pass within coarse tolerance of each other while genuine transports
-    polish many orders lower.
+    A returned element certifies the points share an orbit. accept_d2
+    bounds its squared displacement; callers identifying orbits in dense
+    clouds pass a near-machine bound, since distinct orbits can pass within
+    coarse tolerance of each other while genuine transports land many
+    orders lower. Finite groups try every element. Torus kinds take the
+    particular solution of the angle congruence, so their None is a
+    decision at the accept_d2 cut. SO(3) refines the best Haar candidates,
+    and its None is only sampled evidence of distinct orbits, not a proof.
     """
     m = a.manifold
     x = normalize(m, np.asarray(x, dtype=float))
@@ -337,23 +317,17 @@ def transport_element(
         if dists[i] <= min(max(tol.match_eps, 1e-7), np.sqrt(accept_d2)):
             return g.elements[i].copy()
         return None
+    if g.kind in ("so2", "u1", "torus"):
+        el = _torus_solutions(a, x, y)[0][0]
+        return el if float(_displacement(a, x, el[None], y)[0]) <= accept_d2 else None
+    if g.kind != "so3":
+        raise InputError(f"no transport scheme for group kind {g.kind!r}")
     if pool is None:
         pool = witness_pool(a, seed)
-    if g.kind == "so3":
-        tx = a.tx_tensor(x)
-        coarse = kernels._batch_align(kernels._batch_apply_tx(tx, pool), y, m.align_mode)
-        best = _coarse_top(np.einsum("bi,bi->b", coarse, coarse), TRANSPORT_POOL)
-        refined, d2 = kernels.so3_refine(tx, y, pool[best], m.align_mode, max_iter=60)
-    elif g.kind in ("so2", "u1", "torus"):
-        phi_pool = groups.torus_angles(g, pool)
-        coarse = kernels._batch_align(_apply_angles(a, x, phi_pool), y, m.align_mode)
-        best = _coarse_top(np.einsum("bi,bi->b", coarse, coarse), TRANSPORT_POOL)
-        phi, d2 = _refine_angles(
-            a, x, phi_pool[best], m.align_mode, max_iter=60, target=y
-        )
-        refined = groups.exp_coeffs_batch(g, phi)
-    else:
-        raise InputError(f"no transport search scheme for group kind {g.kind!r}")
+    tx = a.tx_tensor(x)
+    coarse = kernels._batch_align(kernels._batch_apply_tx(tx, pool), y, m.align_mode)
+    best = _coarse_top(np.einsum("bi,bi->b", coarse, coarse), TRANSPORT_POOL)
+    refined, d2 = kernels.so3_refine(tx, y, pool[best], m.align_mode, max_iter=60)
     i = int(np.argmin(d2))
     if float(d2[i]) <= accept_d2:
         return refined[i].copy()

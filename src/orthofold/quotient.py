@@ -169,57 +169,6 @@ def _weight_planes(rep: SliceRep):
     return planes, [tuple(int(t) for t in row) for row in rows], zero_basis
 
 
-def _smith_diagonal(mat) -> list:
-    """Nonzero diagonal of the Smith form of a small integer matrix.
-
-    Only the rank and the product of the entries are consumed, so the
-    divisibility normalization of the full Smith form is skipped.
-    """
-    m = [list(map(int, row)) for row in np.atleast_2d(mat)]
-    rows, cols = len(m), len(m[0])
-    out = []
-    r = 0
-    c = 0
-    while r < rows and c < cols:
-        best = None
-        pr = pc = 0
-        for i in range(r, rows):
-            for j in range(c, cols):
-                if m[i][j] != 0 and (best is None or abs(m[i][j]) < best):
-                    best, pr, pc = abs(m[i][j]), i, j
-        if best is None:
-            break
-        m[r], m[pr] = m[pr], m[r]
-        for row_ in m:
-            row_[c], row_[pc] = row_[pc], row_[c]
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(r + 1, rows):
-                q = m[i][c] // m[r][c]
-                if q:
-                    for j in range(c, cols):
-                        m[i][j] -= q * m[r][j]
-                if m[i][c]:
-                    m[r], m[i] = m[i], m[r]
-                    dirty = True
-            if dirty:
-                continue
-            for j in range(c + 1, cols):
-                q = m[r][j] // m[r][c]
-                if q:
-                    for i in range(r, rows):
-                        m[i][j] -= q * m[i][c]
-                if m[r][j]:
-                    for i in range(rows):
-                        m[i][c], m[i][j] = m[i][j], m[i][c]
-                    dirty = True
-        out.append(abs(m[r][c]))
-        r += 1
-        c += 1
-    return out
-
-
 # orthogonal slice matrices move non-fixed unit vectors at unit scale while
 # polished witnesses carry noise a few orders below these cuts, so both
 # thresholds sit in a wide gap
@@ -310,11 +259,10 @@ def _sample_label(rep, planes, rows, zero_basis, v, circle_label) -> str:
             count += _coset_solutions(planes, rows, zero_basis, w, v)
         return "Trivial" if count == 1 else f"Zn({count})"
     # higher-rank identity component: kernel of the active rows on the torus
-    diag = _smith_diagonal(np.array(active, dtype=np.int64))
+    _, diag, _ = groups.smith_form(np.array(active, dtype=np.int64))
+    diag = diag[diag != 0]
     k_v = k - len(diag)
-    comps = 1
-    for d in diag:
-        comps *= abs(d)
+    comps = int(np.prod(diag))
     if k_v == 0:
         return "Trivial" if comps == 1 else f"Zn({comps})"
     if comps > 1:

@@ -44,8 +44,9 @@ class SampleCloud:
 
     Uniform samples occupy the leading indices; the action's special loci
     are appended after them so measure-zero strata are always present. pool
-    is the Haar candidate pool the stabilizer searches used (None for
-    finite groups); later searches on the same action reuse it.
+    is the Haar candidate pool the SO(3) stabilizer searches used; later
+    searches on the same action reuse it. Torus-kind stabilizers are solved
+    exactly and finite groups enumerated, so their pool is None.
     """
 
     action: str
@@ -125,8 +126,8 @@ def build_cloud(
     """Sample the manifold and attach per-point isotropy data.
 
     The catalog's measure-zero loci are appended after the uniform samples.
-    All stabilizer searches across the cloud share one Haar candidate pool,
-    so rebuilding with the same seed reproduces the cloud exactly.
+    All SO(3) stabilizer searches across the cloud share one Haar candidate
+    pool, so rebuilding with the same seed reproduces the cloud exactly.
     """
     if count < 1:
         raise InputError("cloud needs a sample count of at least 1")
@@ -292,19 +293,24 @@ def isostabilizer_decomposition(cloud: SampleCloud, tol: Tolerance | None = None
 def principal_dimension(cloud: SampleCloud) -> PrincipalData:
     """Minimal quotient dimension, its class, and the exceptional mask.
 
-    The principal class is read off the largest orbit-type block attaining
-    the minimum. A point is flagged exceptional when its class is not the
-    principal one yet its orbit already has principal dimension, so the
-    dimension map alone cannot see it.
+    The principal class is read off the orbit-type block attaining the
+    minimum that holds the most uniform samples (the first sample_count
+    points); ties go to the larger block, then to the first index. Catalog
+    specials lie on measure-zero loci, so they never outvote the samples. A
+    point is flagged exceptional when its class is not the principal one yet
+    its orbit already has principal dimension, so the dimension map alone
+    cannot see it.
     """
     d_pr = int(cloud.quotient_dims.min())
     part = orbit_type_partition(cloud)
-    # on a representative cloud this is simply the largest block; a skewed
-    # cloud (say all specials) still gets the largest block at minimal dim
     attaining = [b for b in part.blocks if int(cloud.quotient_dims[b[0]]) == d_pr]
-    largest = sorted(attaining, key=lambda b: (-len(b), b[0]))[0]
-    pcls = cloud.stabs[largest[0]].subgroup
-    podim = int(cloud.orbit_dims[largest[0]])
+
+    def votes(b):
+        return sum(1 for i in b if i < cloud.sample_count)
+
+    elected = min(attaining, key=lambda b: (-votes(b), -len(b), b[0]))
+    pcls = cloud.stabs[elected[0]].subgroup
+    podim = int(cloud.orbit_dims[elected[0]])
     exceptional = np.array(
         [
             int(cloud.orbit_dims[i]) == podim

@@ -3,14 +3,16 @@
 Everything here is deliberately slow and exact: rational Gaussian
 elimination for rank and nullspace, a synthetic torus action with a
 hidden orthogonal change of frame whose planted weight rows the pipeline
-must recover, and a one-element-at-a-time identity-component test. None
-of it imports the numeric routines under test beyond the public model
-types.
+must recover, a one-element-at-a-time SO(3) identity-component test, and
+minors of integer matrices by exact determinants. None of it imports the
+numeric routines under test beyond the public model types.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import numpy as np
 
@@ -76,32 +78,59 @@ def refines(p_blocks, q_blocks) -> bool:
 
 
 def identity_component_reference(g, q: np.ndarray, kernel_coeffs: np.ndarray) -> bool:
-    """Whether the single element q lies on exp(span kernel_coeffs).
+    """Whether the single rotation q lies on exp(span kernel_coeffs).
 
-    so3 compares the rotation axis, taken as the null vector of q - 1, with
-    the kernel direction; the torus kinds try each 2 pi wrap of each block
-    angle in a plain loop and project onto the kernel span.
+    Compares the rotation axis, taken as the null vector of q - 1, with the
+    kernel direction; k = 0 is an identity test.
     """
     k = kernel_coeffs.shape[1]
     if k == 0:
         return bool(np.abs(q - np.eye(g.size)).max() <= 1e-5)
-    if g.kind == "so3":
-        if k == 3:
-            return True
-        _, sv, vt = np.linalg.svd(q - np.eye(3))
-        if sv[0] < 1e-9:
-            return True
-        axis = vt[2]
-        zeta = kernel_coeffs[:, 0] / np.linalg.norm(kernel_coeffs[:, 0])
-        return bool(min(np.linalg.norm(axis - zeta), np.linalg.norm(axis + zeta)) <= 1e-5)
-    r = g.lie_dim
-    phi = np.array([np.arctan2(q[2 * j + 1, 2 * j], q[2 * j, 2 * j]) for j in range(r)])
-    basis, _ = np.linalg.qr(kernel_coeffs)
-    best = np.inf
-    for shift in np.ndindex(*(3,) * r):
-        v = phi + 2.0 * np.pi * (np.array(shift) - 1)
-        best = min(best, float(np.linalg.norm(v - basis @ (basis.T @ v))))
-    return best <= 1e-5
+    if k == 3:
+        return True
+    _, sv, vt = np.linalg.svd(q - np.eye(3))
+    if sv[0] < 1e-9:
+        return True
+    axis = vt[2]
+    zeta = kernel_coeffs[:, 0] / np.linalg.norm(kernel_coeffs[:, 0])
+    return bool(min(np.linalg.norm(axis - zeta), np.linalg.norm(axis + zeta)) <= 1e-5)
+
+
+def exact_det(mat) -> Fraction:
+    """Determinant of a square integer (or rational) matrix by fraction elimination."""
+    rows = [[Fraction(v) for v in row] for row in mat]
+    n = len(rows)
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for i in range(c + 1, n):
+            f = rows[i][c] / rows[c][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    return det
+
+
+def minor_gcd(mat, k: int | None = None) -> int:
+    """gcd of all k x k minors of an integer matrix, k = min(m, n) by default.
+
+    At k = rank this is the product of the nonzero Smith invariants, the
+    component count of the torus subgroup {phi : mat @ phi = 0 mod 2 pi}.
+    """
+    a = np.atleast_2d(np.asarray(mat, dtype=np.int64))
+    m, n = a.shape
+    k = min(m, n) if k is None else k
+    out = 0
+    for rows in combinations(range(m), k):
+        for cols in combinations(range(n), k):
+            minor = exact_det(a[np.ix_(rows, cols)])
+            assert minor.denominator == 1
+            out = gcd(out, abs(minor.numerator))
+    return out
 
 
 def _rot2(t: float) -> np.ndarray:
@@ -124,7 +153,7 @@ def planted_torus_action(rows, zero_dims: int, frame_seed: int) -> actions.Actio
     g = groups.torus(k)
 
     def amb(el):
-        th = groups.torus_angles(g, el)
+        th = np.arctan2(el[1::2, 0::2].diagonal(), el[0::2, 0::2].diagonal())
         out = np.eye(d)
         for i, ang in enumerate(W @ th):
             out[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = _rot2(ang)

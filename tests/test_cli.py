@@ -242,3 +242,34 @@ def test_cli_runs_without_scipy():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip().splitlines()[-1] == "[]"
+
+
+# analyze --samples 100 --seed 0 report hashes from the numeric angle
+# search; the exact torus solve must reproduce them byte for byte
+_TORUS_SHAS = {
+    "rp2-so2": "1989ec3e887e93327397b31a29f5409b8d5cf93b9b4497dc163f662c8083b7dc",
+    "cp2-u1": "17c9519f8b61945807bc0ddca925b5d4a5fbacae8d7b818179da3c5d5afae8d9",
+    "cn-tn(2)": "1849d52aeca12fb94ac245a43435b1239a1058da999115fb643214687cd87102",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TORUS_SHAS))
+def test_torus_payloads_are_pinned(capsys, name):
+    code, out = _run(capsys, "analyze", name, "--samples", "100", "--seed", "0")
+    assert code == 0
+    assert _parse_report(out)[1] == _TORUS_SHAS[name]
+
+
+def test_verify_cn_t5_small_cloud(capsys):
+    code, out = _run(capsys, "verify", "cn-tn(5)", "--samples", "20", "--seed", "0")
+    assert "[FAIL]" not in out
+    assert code == 0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rp2_small_cloud_elects_the_sampled_class(capsys, seed):
+    # the 32 equator specials outnumber 20 samples; the principal class must
+    # still come from the samples
+    code, out = _run(capsys, "verify", "rp2-so2", "--samples", "20", "--seed", str(seed))
+    assert "[FAIL]" not in out
+    assert code == 0

@@ -6,7 +6,7 @@ import pytest
 from orthofold import groups
 from orthofold.errors import ClassificationError, InputError
 
-from oracles import identity_component_reference
+from oracles import exact_rank, identity_component_reference, minor_gcd
 
 
 def test_descriptor_shapes():
@@ -36,13 +36,6 @@ def test_exp_coeffs_batch_matches_single():
     Q = groups.exp_coeffs_batch(g, C)
     for c, q in zip(C, Q):
         assert np.allclose(q, groups.exp_coeffs(g, c), atol=1e-12)
-
-
-def test_torus_angles_round_trip():
-    g = groups.torus(2)
-    th = np.array([0.4, -2.0])
-    q = groups.exp_coeffs(g, th)
-    assert np.allclose(groups.torus_angles(g, q), th, atol=1e-12)
 
 
 def test_sampling_is_deterministic_and_valid():
@@ -132,7 +125,7 @@ def test_mask_near_half_turn():
 
 
 def _mask_cases(g, kernel, rng):
-    """Elements on the kernel circle or torus, off it by a finite twist, and Haar."""
+    """Elements on the kernel circle, off it by a finite twist, and Haar."""
     on = groups.exp_coeffs_batch(g, rng.uniform(-7.0, 7.0, size=(12, kernel.shape[1])) @ kernel.T)
     twist = groups.exp_coeffs(g, np.full(g.lie_dim, np.pi / 3) * (np.arange(g.lie_dim) + 1))
     return np.concatenate([on, on @ twist, groups.sample_elements(g, 12, rng), np.eye(g.size)[None]])
@@ -141,36 +134,43 @@ def _mask_cases(g, kernel, rng):
 @pytest.mark.parametrize(
     "g, kernel",
     [
-        (groups.torus(1), np.zeros((1, 0))),
-        (groups.torus(1), np.eye(1)),
-        (groups.torus(2), np.array([[1.0], [1.0]])),
-        (groups.torus(2), np.array([[1.0], [-2.0]])),
-        (groups.torus(3), np.array([[1.0], [2.0], [0.0]])),
-        (groups.torus(3), np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]])),
         (groups.so3(), np.zeros((3, 0))),
         (groups.so3(), np.array([[0.48], [-0.6], [0.64]])),
         (groups.so3(), np.eye(3)),
     ],
-    ids=["t1-k0", "t1-k1", "t2-diag", "t2-skew", "t3-k1", "t3-k2", "so3-k0", "so3-k1", "so3-k3"],
+    ids=["so3-k0", "so3-k1", "so3-k3"],
 )
-def test_mask_matches_per_element_reference(g, kernel, monkeypatch):
+def test_mask_matches_per_element_reference(g, kernel):
     rng = np.random.default_rng(7)
     Q = _mask_cases(g, kernel, rng)
     got = groups.identity_component_mask(g, Q, kernel)
     want = [identity_component_reference(g, q, kernel) for q in Q]
     assert got.tolist() == want
-    # candidates split into chunks of a few rows decide the same way
-    monkeypatch.setattr(groups, "_SHIFT_CHUNK_BYTES", 1)
-    assert groups.identity_component_mask(g, Q, kernel).tolist() == want
     # every case family is present, so the comparison is not vacuous
     assert any(want)
     if kernel.shape[1] < g.lie_dim:
         assert not all(want)
 
 
-def test_product_group_blocks():
-    g = groups.product([groups.so2(), groups.so2()])
-    assert g.size == 4 and g.lie_dim == 2
-    q = groups.exp_coeffs(g, np.array([0.5, -0.25]))
-    assert np.allclose(q[:2, :2], groups.exp_coeffs(groups.so2(), np.array([0.5])))
-    assert np.abs(q[:2, 2:]).max() == 0.0
+def test_mask_rejects_torus_kinds():
+    # torus-kind components come from the exact solve, never from this test
+    g = groups.torus(2)
+    with pytest.raises(InputError):
+        groups.identity_component_mask(g, np.eye(4)[None], np.eye(2)[:, :1])
+
+
+def test_smith_form_diagonalizes_with_unimodular_factors():
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        m, n = (int(v) for v in rng.integers(1, 5, size=2))
+        W = rng.integers(-6, 7, size=(m, n)) * (rng.random((m, n)) < 0.7)
+        U, d, V = groups.smith_form(W)
+        D = np.zeros((m, n), dtype=np.int64)
+        D[np.arange(d.size), np.arange(d.size)] = d
+        assert np.array_equal(U @ W @ V, D)
+        assert round(abs(np.linalg.det(U))) == 1 and round(abs(np.linalg.det(V))) == 1
+        # nonnegative, nonzero entries first, rank and invariant product exact
+        r = exact_rank(W)
+        assert (d >= 0).all() and np.count_nonzero(d) == r and d[:r].all()
+        assert int(np.prod(d)) == minor_gcd(W)
+        assert int(np.prod(d[:r])) == minor_gcd(W, r)

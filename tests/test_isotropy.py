@@ -6,6 +6,8 @@ import pytest
 from orthofold import actions, groups, isotropy
 from orthofold.errors import StabilizerError
 
+from oracles import exact_rank, minor_gcd
+
 
 def _stab(name, point):
     a = actions.get_action(name)
@@ -26,6 +28,13 @@ def test_rp2_equator_has_two_components():
     assert st.orbit_dim == 1
     # the nontrivial witness is the half turn
     assert np.allclose(st.witnesses[1], -np.eye(2), atol=1e-9)
+
+
+@pytest.mark.parametrize("z, label", [(0.0, "Zn(2)"), (4.9e-7, "Zn(2)"), (5.1e-7, "Trivial")])
+def test_rp2_half_turn_follows_the_fixer_cut(z, label):
+    # the half-turn moves height z by 2|z|: it is a fixer while 4 z^2 <= ACCEPT_D2
+    a, st = _stab("rp2-so2", [1.0, 0.0, z])
+    assert st.subgroup.display() == label
 
 
 def test_rp2_generic_point_is_free():
@@ -168,8 +177,111 @@ def test_visit_order_matches_sorted_reference():
 
 
 def test_witness_pool_is_shared_and_absent_for_finite_groups():
-    a = actions.get_action("rp2-so2")
+    # only the SO(3) search draws candidates; torus kinds are solved exactly
+    a = actions.get_action("cp2-so3")
     pool = isotropy.witness_pool(a, 3)
-    assert pool.shape[0] == isotropy.COARSE_POOL
+    assert pool.shape == (isotropy.COARSE_POOL, 3, 3)
     assert np.array_equal(pool, isotropy.witness_pool(a, 3))
-    assert isotropy.witness_pool(actions.get_action("s2-zn(5)"), 3) is None
+    for name in ("rp2-so2", "cp2-u1", "cn-tn(2)", "s2-zn(5)"):
+        assert isotropy.witness_pool(actions.get_action(name), 3) is None
+
+
+# weight rows of a rank-2 torus on C^3: every subset of active rows has its
+# own component count (the gcd of its maximal minors)
+_C3_ROWS = ((1, 2), (2, -1), (0, 3))
+
+
+def _weighted_torus_action(rows):
+    """T^r acting on C^p, coordinate i rotating at the rate rows[i] . phi."""
+    W = np.array(rows)
+    p, r = W.shape
+
+    def rotate(rates):
+        out = np.zeros((2 * p, 2 * p))
+        c, s = np.cos(rates), np.sin(rates)
+        out[0::2, 0::2] = np.diag(c)
+        out[1::2, 1::2] = np.diag(c)
+        out[0::2, 1::2] = -np.diag(s)
+        out[1::2, 0::2] = np.diag(s)
+        return out
+
+    def amb(el):
+        return rotate(W @ np.arctan2(el[1::2, 0::2].diagonal(), el[0::2, 0::2].diagonal()))
+
+    def amb_lie(xi):
+        rates = W @ xi[1::2, 0::2].diagonal()
+        out = np.zeros((2 * p, 2 * p))
+        out[0::2, 1::2] = -np.diag(rates)
+        out[1::2, 0::2] = np.diag(rates)
+        return out
+
+    return actions.ActionModel(
+        name="weighted-c3",
+        group=groups.torus(r),
+        manifold=actions.euclidean(2 * p),
+        amb=amb,
+        amb_lie=amb_lie,
+        special_points=lambda rng_: np.zeros((0, 2 * p)),
+        ambient_pairs=tuple(((2 * i, 2 * i + 1), row) for i, row in enumerate(rows)),
+    )
+
+
+@pytest.mark.parametrize("pattern", range(1, 8))
+def test_torus_component_count_is_the_minor_gcd(pattern):
+    a = _weighted_torus_action(_C3_ROWS)
+    rng = np.random.default_rng(pattern)
+    active = [i for i in range(3) if pattern >> i & 1]
+    x = np.zeros(6)
+    for i in active:
+        x[2 * i : 2 * i + 2] = rng.normal(size=2)
+    st = isotropy.stabilizer(a, x)
+    sub = np.array([_C3_ROWS[i] for i in active])
+    r = exact_rank(sub)
+    assert st.lie_kernel.shape[1] == 2 - r
+    assert len(st.witnesses) == minor_gcd(sub, r)
+    assert np.array_equal(st.witnesses[0], np.eye(4))
+    for w in st.witnesses:
+        assert np.linalg.norm(actions.act(a, w, x) - x) < 1e-12
+    if r == 2:
+        # finite stabilizer: the witnesses are the distinct group elements
+        gaps = [np.abs(u - v).max() for k, u in enumerate(st.witnesses) for v in st.witnesses[:k]]
+        assert min(gaps, default=1.0) > 0.1
+
+
+def test_torus_solve_rejects_a_kernel_mismatch(monkeypatch):
+    a = actions.get_action("cn-tn(2)")
+    monkeypatch.setattr(isotropy, "kernel_basis", lambda inf, tol: np.zeros((2, 0)))
+    monkeypatch.setattr(isotropy, "rank", lambda inf, tol: 2)
+    with pytest.raises(StabilizerError):
+        isotropy.stabilizer(a, np.array([1.0, 0.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("name", ["cn-tn(3)", "cp2-u1"])
+def test_torus_transport_is_exact(name):
+    a = actions.get_action(name)
+    rng = np.random.default_rng(4)
+    for x in actions.sample_points(a.manifold, 20, rng):
+        g = groups.sample_elements(a.group, 1, rng)[0]
+        y = actions.act(a, g, x)
+        if a.manifold.kind == "complex_projective":
+            # another representative of the same point: a global phase
+            y = actions.from_complex(np.exp(1j * rng.uniform(0, 6.3)) * actions.to_complex(y))
+        el = isotropy.transport_element(a, x, y, accept_d2=1e-20)
+        assert el is not None
+        u = actions.act(a, el, x)
+        if a.manifold.kind == "complex_projective":
+            # align the phase; the sqrt(2 - 2 |<u, y>|) of actions.distance
+            # cannot resolve gaps below ~1e-8
+            inner = np.vdot(actions.to_complex(y), actions.to_complex(u))
+            u = actions.from_complex(actions.to_complex(u) * np.conj(inner) / abs(inner))
+        assert np.linalg.norm(u - y) < 1e-9
+
+
+def test_cp2_u1_transport_sees_the_cross_ratio_phase():
+    # equal |z_i| but a different arg(z0 z2 / z1^2): no element relates them
+    a = actions.get_action("cp2-u1")
+    x = actions.normalize(a.manifold, actions.from_complex(np.array([0.6, 0.5j, 0.4 + 0.3j])))
+    z = actions.to_complex(x)
+    y = actions.from_complex(z * np.array([1.0, 1.0, np.exp(0.7j)]))
+    assert isotropy.transport_element(a, x, y) is None
+    assert isotropy.transport_element(a, x, x) is not None
