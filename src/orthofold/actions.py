@@ -119,21 +119,33 @@ def sample_points(m: ManifoldModel, count: int, rng: np.random.Generator) -> np.
 
 
 def distance(m: ManifoldModel, x: np.ndarray, y: np.ndarray) -> float:
+    """Manifold distance, the representatives aligned before differencing.
+
+    On RP^n the sign and on CP^n the unit phase of <y, x> that brings y
+    nearest to x; the difference is then taken coordinate-wise, so gaps far
+    below sqrt(machine epsilon) are resolved.
+    """
     if m.kind == "real_projective":
-        g = min(abs(float(x @ y)), 1.0)
-        return float(np.sqrt(max(2.0 - 2.0 * g, 0.0)))
+        return float(min(np.linalg.norm(x - y), np.linalg.norm(x + y)))
     if m.kind == "complex_projective":
-        g = min(abs(complex(np.vdot(to_complex(x), to_complex(y)))), 1.0)
-        return float(np.sqrt(max(2.0 - 2.0 * g, 0.0)))
+        zx, zy = to_complex(x), to_complex(y)
+        inner = complex(np.vdot(zy, zx))
+        phase = inner / abs(inner) if inner != 0 else 1.0
+        return float(np.linalg.norm(zx - phase * zy))
     return float(np.linalg.norm(x - y))
 
 
-def pairwise_distances(m: ManifoldModel, pts: np.ndarray) -> np.ndarray:
+def pairwise_distances(
+    m: ManifoldModel, pts: np.ndarray, lo: int = 0, hi: int | None = None
+) -> np.ndarray:
+    """The (hi - lo, n) block of manifold distances from rows lo..hi of pts
+    to all n rows; the defaults give the full matrix. Entries do not depend
+    on the block bounds."""
     if m.kind == "real_projective":
-        return kernels.pairwise_sign_aligned(pts)
+        return kernels.pairwise_sign_aligned(pts, lo, hi)
     if m.kind == "complex_projective":
-        return kernels.pairwise_phase_aligned(pts)
-    return kernels.pairwise_euclidean(pts)
+        return kernels.pairwise_phase_aligned(pts, lo, hi)
+    return kernels.pairwise_euclidean(pts, lo, hi)
 
 
 def _householder_frame(x: np.ndarray) -> np.ndarray:

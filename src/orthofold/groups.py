@@ -9,6 +9,7 @@ stabilizer kernels, exponentials and adjoints all speak the same coordinates.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -319,8 +320,9 @@ def classify_subgroup(
         raise ClassificationError("witness list must at least contain the identity")
     traces = tuple(sorted(round(float(np.trace(w)), 9) for w in witnesses))
 
-    # every witness must normalize the stabilizer algebra
-    if k > 0:
+    # every witness must normalize the stabilizer algebra; Ad is the
+    # identity on an abelian group, so only SO(3) can fail this
+    if k > 0 and g.kind not in ("so2", "u1", "torus"):
         from .numerics import spans_equal
 
         span = orthonormalize(lie_kernel)
@@ -351,6 +353,7 @@ def classify_subgroup(
     return SubgroupClass("Other", None, k, f"components({m})", traces)
 
 
+@functools.lru_cache(maxsize=4096)
 def classes_conjugate(
     a: SubgroupClass, b: SubgroupClass, tol: Tolerance = DEFAULT_TOL
 ) -> bool:
@@ -359,7 +362,9 @@ def classes_conjugate(
     Labeled classes compare by label (and order for Zn). Other-vs-Other is a
     conservative invariant match on (lie_dim, component hint, trace multiset):
     equality is only reported on a full match, so distinct but genuinely
-    conjugate exotic subgroups may compare unequal.
+    conjugate exotic subgroups may compare unequal. Both classes and the
+    tolerance are frozen values and the answer depends on nothing else, so
+    answers are cached; partition builders ask the same pairs many times.
     """
     if a.label != b.label:
         return False

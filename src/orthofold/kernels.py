@@ -1,8 +1,9 @@
 """Hot numeric kernels: pairwise aligned distances, graph component
 labeling, and batched Levenberg-Marquardt refinement of rotation candidates.
 
-Every kernel is vectorized numpy; the loops that remain run over row chunks,
-graph frontiers or refinement iterations, never over single entries.
+Every kernel is vectorized numpy; the loops that remain run over row blocks,
+coordinates, union-find rounds or refinement iterations, never over single
+entries. No distance scan holds more than one (rows, n) block at a time.
 """
 
 from __future__ import annotations
@@ -34,57 +35,99 @@ ALIGN_PHASE = 2  # complex projective representatives (interleaved reals)
 
 
 # ---------------------------------------------------------------------------
-# pairwise distances
+# pairwise distances, a row block at a time
 # ---------------------------------------------------------------------------
+#
+# Each kernel returns the (hi - lo, n) block of distances from the rows
+# lo..hi of pts to every row. Coordinates accumulate one at a time, in
+# order, as in a scalar loop, so an entry is rounded the same way whatever
+# block it is computed in; a GEMM would not be (BLAS picks its summation
+# order by operand shape).
 
 
-# bytes of the (rows, n) coordinate-difference block in pairwise_euclidean
-_ROW_CHUNK_BYTES = 1 << 20
+# bytes of one (rows, n) float64 block in the blocked scans
+BLOCK_BYTES = 1 << 20
 
 
-def pairwise_euclidean(pts: np.ndarray) -> np.ndarray:
-    # coordinates accumulate one at a time, in order, as in a scalar loop,
-    # so each entry is rounded the same way as by scipy's cdist
+def block_rows(n: int) -> int:
+    """Rows per block so that one (rows, n) float64 block fits BLOCK_BYTES."""
+    return max(1, BLOCK_BYTES // (8 * max(n, 1)))
+
+
+def _row_range(pts, lo: int, hi: int | None):
     pts = np.ascontiguousarray(pts, dtype=np.float64)
-    n, d = pts.shape
-    out = np.zeros((n, n))
-    cols = np.ascontiguousarray(pts.T)
-    step = max(1, _ROW_CHUNK_BYTES // (8 * max(n, 1)))
-    diff = np.empty((min(step, n), n))
-    for lo in range(0, n, step):
-        acc = out[lo : lo + step]
-        t = diff[: acc.shape[0]]
-        for k in range(d):
-            np.subtract(pts[lo : lo + step, k, None], cols[k], out=t)
-            np.multiply(t, t, out=t)
-            acc += t
-        np.sqrt(acc, out=acc)
+    hi = pts.shape[0] if hi is None else min(hi, pts.shape[0])
+    return pts, np.ascontiguousarray(pts.T), lo, hi
+
+
+def pairwise_euclidean(pts: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    # bit-equal to scipy's cdist, which sums the squared coordinates in order
+    pts, cols, lo, hi = _row_range(pts, lo, hi)
+    out = np.zeros((hi - lo, pts.shape[0]))
+    t = np.empty_like(out)
+    for k in range(pts.shape[1]):
+        np.subtract(pts[lo:hi, k, None], cols[k], out=t)
+        np.multiply(t, t, out=t)
+        out += t
+    np.sqrt(out, out=out)
     return out
 
 
-def pairwise_sign_aligned(pts: np.ndarray) -> np.ndarray:
+def pairwise_chebyshev(pts: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Largest coordinate difference max_k |u_k - v_k|; exact in any order."""
+    pts, cols, lo, hi = _row_range(pts, lo, hi)
+    out = np.zeros((hi - lo, pts.shape[0]))
+    t = np.empty_like(out)
+    for k in range(pts.shape[1]):
+        np.subtract(pts[lo:hi, k, None], cols[k], out=t)
+        np.abs(t, out=t)
+        np.maximum(out, t, out=out)
+    return out
+
+
+def _gram_distances(g: np.ndarray, lo: int) -> np.ndarray:
+    """sqrt(2 - 2 |g|) in place, with the diagonal of the block set to 0."""
+    np.abs(g, out=g)
+    np.clip(g, 0.0, 1.0, out=g)
+    np.multiply(g, -2.0, out=g)
+    g += 2.0
+    np.clip(g, 0.0, None, out=g)
+    np.sqrt(g, out=g)
+    rows = np.arange(g.shape[0])
+    g[rows, lo + rows] = 0.0
+    return g
+
+
+def pairwise_sign_aligned(pts: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
     """Distances min(|u-v|, |u+v|) between unit rows, as for projective lines."""
-    pts = np.ascontiguousarray(pts, dtype=np.float64)
-    g = np.abs(pts @ pts.T)
-    np.clip(g, 0.0, 1.0, out=g)
-    d2 = 2.0 - 2.0 * g
-    np.clip(d2, 0.0, None, out=d2)
-    out = np.sqrt(d2)
-    np.fill_diagonal(out, 0.0)
-    return out
+    pts, cols, lo, hi = _row_range(pts, lo, hi)
+    g = np.zeros((hi - lo, pts.shape[0]))
+    t = np.empty_like(g)
+    for k in range(pts.shape[1]):
+        np.multiply(pts[lo:hi, k, None], cols[k], out=t)
+        g += t
+    return _gram_distances(g, lo)
 
 
-def pairwise_phase_aligned(pts: np.ndarray) -> np.ndarray:
+def pairwise_phase_aligned(pts: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
     """Phase-minimal distances between unit rows holding interleaved complex entries."""
-    pts = np.ascontiguousarray(pts, dtype=np.float64)
-    z = pts[:, 0::2] + 1j * pts[:, 1::2]
-    g = np.abs(z @ z.conj().T)
-    np.clip(g, 0.0, 1.0, out=g)
-    d2 = 2.0 - 2.0 * g
-    np.clip(d2, 0.0, None, out=d2)
-    out = np.sqrt(d2)
-    np.fill_diagonal(out, 0.0)
-    return out
+    pts, cols, lo, hi = _row_range(pts, lo, hi)
+    re = np.zeros((hi - lo, pts.shape[0]))
+    im = np.zeros_like(re)
+    t = np.empty_like(re)
+    for k in range(0, pts.shape[1], 2):
+        # <u, v> term by term: u_k conj(v_k) = (a + ib)(c - id)
+        a, b = pts[lo:hi, k, None], pts[lo:hi, k + 1, None]
+        c, d = cols[k], cols[k + 1]
+        np.multiply(a, c, out=t)
+        re += t
+        np.multiply(b, d, out=t)
+        re += t
+        np.multiply(b, c, out=t)
+        im += t
+        np.multiply(a, d, out=t)
+        im -= t
+    return _gram_distances(np.hypot(re, im, out=re), lo)
 
 
 # ---------------------------------------------------------------------------
@@ -92,24 +135,47 @@ def pairwise_phase_aligned(pts: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def graph_components(dist: np.ndarray, threshold: float) -> np.ndarray:
-    """Label connected components of the graph with edges at dist <= threshold."""
-    # breadth-first search over the undirected adjacency, one frontier per step
-    adj = np.ascontiguousarray(dist, dtype=np.float64) <= float(threshold)
-    adj |= adj.T
-    n = adj.shape[0]
-    labels = np.full(n, -1, dtype=np.int64)
-    comp = 0
-    for start in range(n):
-        if labels[start] >= 0:
-            continue
-        labels[start] = comp
-        frontier = np.array([start])
-        while frontier.size:
-            frontier = np.flatnonzero(adj[frontier].any(axis=0) & (labels < 0))
-            labels[frontier] = comp
-        comp += 1
-    return labels
+def _roots(parent: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Root of each node, compressing the paths it walked."""
+    r = parent[nodes]
+    while True:
+        up = parent[r]
+        if np.array_equal(up, r):
+            break
+        r = up
+    parent[nodes] = r
+    return r
+
+
+def _union(parent: np.ndarray, i: np.ndarray, j: np.ndarray) -> None:
+    """Merge the trees of every edge (i, j), hooking larger roots under smaller.
+
+    Parents only ever point to smaller indices, so the forest has no cycle
+    and each root is the smallest index of its tree. When several edges
+    hook the same root one write wins; the others are retried on the roots.
+    """
+    while i.size:
+        ri, rj = _roots(parent, i), _roots(parent, j)
+        apart = ri != rj
+        i, j = np.minimum(ri[apart], rj[apart]), np.maximum(ri[apart], rj[apart])
+        parent[j] = i
+
+
+def graph_components(rows, n: int, threshold: float) -> np.ndarray:
+    """Label the components of the graph with edges at distance <= threshold.
+
+    rows(lo, hi) returns the (hi - lo, n) block of distances from points
+    lo..hi to all n points; blocks of block_rows(n) rows are requested in
+    order and dropped once their edges are merged, so only one block is
+    alive at a time. The label of a point is the smallest index in its
+    component.
+    """
+    parent = np.arange(n)
+    step = block_rows(n)
+    for lo in range(0, n, step):
+        i, j = np.nonzero(rows(lo, min(lo + step, n)) <= float(threshold))
+        _union(parent, i + lo, j)
+    return _roots(parent, np.arange(n))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
-"""Small dense linear algebra with explicit tolerance policy.
+"""Small dense linear algebra with explicit tolerance policy, and the
+epsilon-graph scans over point samples.
 
-All matrices here are plain float64 arrays of at most 64 rows/columns.
-Rank decisions use a relative singular-value threshold; subspace bases are
-returned orthonormal, as columns.
+The matrices of the linear algebra are plain float64 arrays of at most 64
+rows/columns. Rank decisions use a relative singular-value threshold;
+subspace bases are returned orthonormal, as columns. The point-sample scans
+(nearest-neighbour scale, epsilon-graph components) read their distances a
+row block at a time and never hold an (n, n) matrix.
 """
 
 from __future__ import annotations
@@ -130,11 +133,14 @@ def epsilon_components(
 ) -> list[list[int]]:
     """Connected components of the epsilon-graph on a point sample.
 
-    metric maps the stacked (n, d) array to the full (n, n) distance matrix.
-    Edges join points at distance <= eps_factor * median nearest-neighbor
-    distance, or <= absolute_eps when that override is given (used when the
-    scale is calibrated on a larger ambient sample). Components are sorted
-    by smallest member index.
+    metric(pts, lo, hi) returns the (hi - lo, n) block of distances from the
+    rows lo..hi of the stacked (n, d) array to all of its rows, as a new
+    array that the scan may overwrite. Edges join points at distance
+    <= eps_factor * median nearest-neighbor distance, or <= absolute_eps
+    when that override is given (used when the scale is calibrated on a
+    larger ambient sample). The distances are scanned a row block at a
+    time, so no (n, n) array is built. Components are sorted by smallest
+    member index.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] == 0:
@@ -142,45 +148,56 @@ def epsilon_components(
     n = pts.shape[0]
     if n == 1:
         return [[0]]
-    dist = np.asarray(metric(pts), dtype=np.float64)
-    if dist.shape != (n, n):
-        raise InputError(f"metric returned shape {dist.shape}, expected {(n, n)}")
+    rows = _row_blocks(pts, metric)
     if absolute_eps is not None:
         threshold = float(absolute_eps)
     else:
-        threshold = float(eps_factor) * float(np.median(_nearest_other(dist)))
-    labels = kernels.graph_components(dist, threshold)
+        threshold = float(eps_factor) * float(np.median(_nearest_other(rows, n)))
+    labels = kernels.graph_components(rows, n, threshold)
     comps: dict[int, list[int]] = {}
     for i, lab in enumerate(labels):
         comps.setdefault(int(lab), []).append(i)
     return sorted(comps.values(), key=lambda c: c[0])
 
 
-def median_nn_distance(dist: np.ndarray) -> float:
-    """Median over points of the distance to the nearest distinct point."""
-    n = dist.shape[0]
+def median_nn_distance(points: np.ndarray, metric) -> float:
+    """Median over points of the distance to the nearest distinct point.
+
+    metric is as for epsilon_components; the scan runs in row blocks.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    n = pts.shape[0]
     if n < 2:
         return 0.0
-    return float(np.median(_nearest_other(dist)))
+    return float(np.median(_nearest_other(_row_blocks(pts, metric), n)))
 
 
-# bytes of the row block copied per step of the nearest-neighbour scan
-_NN_CHUNK_BYTES = 1 << 20
+def _row_blocks(pts: np.ndarray, metric):
+    """rows(lo, hi): the metric's distance block of points lo..hi, checked."""
+    n = pts.shape[0]
+
+    def rows(lo, hi):
+        block = np.asarray(metric(pts, lo, hi), dtype=np.float64)
+        if block.shape != (hi - lo, n):
+            raise InputError(f"metric returned shape {block.shape}, expected {(hi - lo, n)}")
+        return block
+
+    return rows
 
 
-def _nearest_other(dist: np.ndarray) -> np.ndarray:
-    """Per row, the smallest entry off the diagonal.
+def _nearest_other(rows, n: int) -> np.ndarray:
+    """Per point, the smallest distance to another point.
 
-    Rows are copied a block at a time with their diagonal entries set to
-    infinity, so no second n x n array is built; min is exact, so chunking
-    does not change the result.
+    rows(lo, hi) returns the (hi - lo, n) distance block of points lo..hi,
+    as for kernels.graph_components. Each block gets its diagonal entries
+    set to infinity before its row minima are taken; min is exact, so the
+    block size does not change the result.
     """
-    n = dist.shape[0]
     out = np.empty(n)
-    step = max(1, _NN_CHUNK_BYTES // (8 * n))
+    step = kernels.block_rows(n)
     for lo in range(0, n, step):
-        block = dist[lo : lo + step].copy()
-        rows = np.arange(block.shape[0])
-        block[rows, lo + rows] = np.inf
-        block.min(axis=1, out=out[lo : lo + step])
+        block = rows(lo, min(lo + step, n))
+        r = np.arange(block.shape[0])
+        block[r, lo + r] = np.inf
+        block.min(axis=1, out=out[lo : lo + block.shape[0]])
     return out

@@ -21,7 +21,7 @@ from .actions import (
 )
 from .errors import ClassificationError, InputError
 from .isotropy import slice_representation, stabilizer, witness_pool
-from .kernels import graph_components
+from .kernels import graph_components, pairwise_chebyshev
 from .numerics import (
     DEFAULT_TOL,
     Tolerance,
@@ -206,7 +206,10 @@ def _fingerprint_groups(cloud: SampleCloud, tol: Tolerance) -> list[list[int]]:
     The fingerprint is the class label together with the witness trace
     multiset and the stabilizer's Lie span; spans compare as subspaces, via
     projectors, so conjugate-but-unequal stabilizers land in different
-    groups.
+    groups. Within a coarse key, features join when their largest
+    coordinate difference is <= match_eps, transitively. Equal feature rows
+    (every trivial stabilizer, say) are collapsed first, since distance 0
+    always joins; the scan then runs over the distinct rows in row blocks.
     """
     coarse: dict[tuple, list[int]] = {}
     for i, st in enumerate(cloud.stabs):
@@ -230,12 +233,10 @@ def _fingerprint_groups(cloud: SampleCloud, tol: Tolerance) -> list[list[int]]:
                     ]
                 )
             )
-        feats = np.stack(feats)
-        n = len(idx)
-        dist = np.empty((n, n))
-        for r in range(n):
-            dist[r] = np.abs(feats - feats[r]).max(axis=1)
-        labels = graph_components(dist, tol.match_eps)
+        distinct, inverse = np.unique(np.stack(feats), axis=0, return_inverse=True)
+        labels = graph_components(
+            lambda lo, hi: pairwise_chebyshev(distinct, lo, hi), len(distinct), tol.match_eps
+        )[inverse.ravel()]
         sub: dict[int, list[int]] = {}
         for pos, lab in enumerate(labels):
             sub.setdefault(int(lab), []).append(idx[pos])
@@ -249,22 +250,21 @@ def isostabilizer_decomposition(cloud: SampleCloud, tol: Tolerance | None = None
     Points sharing a fingerprint are divided into epsilon-graph components
     under the manifold distance. The epsilon scale is calibrated once on the
     whole cloud, so thin loci with few samples do not self-calibrate to the
-    huge gaps between their own points.
+    huge gaps between their own points. Every distance scan runs in row
+    blocks, so memory stays linear in the cloud size.
     """
     tol = cloud.tol if tol is None else tol
     m = cloud.model.manifold
-    threshold = tol.cluster_eps_factor * median_nn_distance(
-        pairwise_distances(m, cloud.points)
-    )
+
+    def metric(pts, lo, hi):
+        return pairwise_distances(m, pts, lo, hi)
+
+    threshold = tol.cluster_eps_factor * median_nn_distance(cloud.points, metric)
     blocks = []
     labels = []
     counters: dict[str, int] = {}
     for fid, idx in enumerate(_fingerprint_groups(cloud, tol)):
-        comps = epsilon_components(
-            cloud.points[idx],
-            lambda pts: pairwise_distances(m, pts),
-            absolute_eps=threshold,
-        )
+        comps = epsilon_components(cloud.points[idx], metric, absolute_eps=threshold)
         cls = cloud.stabs[idx[0]].subgroup
         for comp in comps:
             j = counters.get(cls.display(), 0)

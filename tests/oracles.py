@@ -3,8 +3,9 @@
 Everything here is deliberately slow and exact: rational Gaussian
 elimination for rank and nullspace, a synthetic torus action with a
 hidden orthogonal change of frame whose planted weight rows the pipeline
-must recover, a one-element-at-a-time SO(3) identity-component test, and
-minors of integer matrices by exact determinants. None of it imports the
+must recover, a one-element-at-a-time SO(3) identity-component test,
+minors of integer matrices by exact determinants, and the isostabilizer
+decomposition from whole distance matrices. None of it imports the
 numeric routines under test beyond the public model types.
 """
 
@@ -190,3 +191,82 @@ def origin_stabilizer(a: actions.ActionModel) -> isotropy.StabilizerData:
         orbit_dim=0,
         inf_action=inf,
     )
+
+
+def full_distance_matrix(m, pts: np.ndarray) -> np.ndarray:
+    """The whole (n, n) manifold distance matrix, in one shot.
+
+    Euclidean models by a broadcast difference; projective models through
+    one Gram product sqrt(2 - 2 |<u, v>|), as the decomposition computed it
+    before its scans were blocked.
+    """
+    pts = np.asarray(pts, dtype=float)
+    if m.kind == "real_projective":
+        g = np.abs(pts @ pts.T)
+    elif m.kind == "complex_projective":
+        z = actions.to_complex(pts)
+        g = np.abs(z @ z.conj().T)
+    else:
+        return np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
+    d = np.sqrt(np.clip(2.0 - 2.0 * np.clip(g, 0.0, 1.0), 0.0, None))
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def dense_components(dist: np.ndarray, threshold: float) -> list[list[int]]:
+    """Components of {dist <= threshold} by BFS on the dense adjacency,
+    sorted by smallest member."""
+    adj = dist <= threshold
+    adj |= adj.T
+    seen = np.zeros(len(adj), dtype=bool)
+    comps = []
+    for start in range(len(adj)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp, frontier = [start], [start]
+        while frontier:
+            nxt = np.flatnonzero(adj[frontier].any(axis=0) & ~seen)
+            seen[nxt] = True
+            comp.extend(nxt.tolist())
+            frontier = nxt.tolist()
+        comps.append(sorted(comp))
+    return comps
+
+
+def isostabilizer_reference(cloud) -> list[tuple[int, ...]]:
+    """Blocks of the isostabilizer decomposition from full matrices.
+
+    The algorithm before row blocking: one (n, n) distance matrix for the
+    median nearest-neighbour scale, a (k, k) max-abs feature matrix per
+    coarse fingerprint key, and an (n_f, n_f) matrix per fingerprint group.
+    Lie kernels are orthonormal columns, so K K^T is the span projector.
+    """
+    tol, m = cloud.tol, cloud.model.manifold
+    dist = full_distance_matrix(m, cloud.points)
+    nn = (dist + np.diag(np.full(len(dist), np.inf))).min(axis=1)
+    threshold = tol.cluster_eps_factor * float(np.median(nn))
+    coarse: dict = {}
+    for i, st in enumerate(cloud.stabs):
+        key = (st.subgroup.display(), len(st.subgroup.traces), st.lie_kernel.shape[1])
+        coarse.setdefault(key, []).append(i)
+    blocks = []
+    for idx in coarse.values():
+        feats = np.stack(
+            [
+                np.concatenate(
+                    [
+                        np.asarray(cloud.stabs[i].subgroup.traces, dtype=float),
+                        (cloud.stabs[i].lie_kernel @ cloud.stabs[i].lie_kernel.T).ravel(),
+                    ]
+                )
+                for i in idx
+            ]
+        )
+        fdist = np.abs(feats[:, None, :] - feats[None, :, :]).max(axis=2)
+        for group in dense_components(fdist, tol.match_eps):
+            members = [idx[p] for p in group]
+            sub = full_distance_matrix(m, cloud.points[members])
+            for comp in dense_components(sub, threshold):
+                blocks.append(tuple(members[p] for p in comp))
+    return sorted(blocks)

@@ -54,6 +54,23 @@ def test_projective_distance_ignores_representative():
     assert actions.distance(cp2, z, z2) < 1e-12
 
 
+@pytest.mark.parametrize("kind", ["real_projective", "complex_projective"])
+def test_projective_distance_resolves_tiny_gaps(kind):
+    # sqrt(2 - 2 |<x, y>|) reads 0 or about 1.5e-8 here; the aligned
+    # difference sees the true gap
+    m = getattr(actions, kind)(2)
+    rng = np.random.default_rng(13)
+    x = actions.sample_points(m, 1, rng)[0]
+    step = actions.tangent_frame(m, x)[:, 0]
+    for gap in (1e-9, 1e-12):
+        y = actions.normalize(m, x + gap * step)
+        if kind == "real_projective":
+            y = -y
+        else:
+            y = actions.from_complex(np.exp(0.4j) * actions.to_complex(y))
+        assert abs(actions.distance(m, x, y) - gap) < 1e-2 * gap
+
+
 def test_tangent_frame_is_orthonormal_horizontal():
     rng = np.random.default_rng(4)
     for m in (actions.sphere(2), actions.real_projective(2), actions.complex_projective(2)):

@@ -260,6 +260,22 @@ def test_torus_payloads_are_pinned(capsys, name):
     assert _parse_report(out)[1] == _TORUS_SHAS[name]
 
 
+# analyze report-sha256 at seed 0 before the decomposition scans were
+# blocked; speed work must keep these payloads byte-identical
+_PAYLOAD_SHAS = {
+    ("s2-zn(5)", "1500"): "e6300ad93c5867764dc3fb48e39ae791ae3cac02cb4bd2dc1cab204c682f4f2f",
+    ("s2xs2-so3", "100"): "5cbc36df49b33a4298e2d9cb68842d247d033e637545440951cbc304c4db7893",
+    ("cp2-so3", "100"): "c09c236102fc8e0d72b5b0a4328cd5c8ed969551bb9337982d4dd7152e057fe3",
+}
+
+
+@pytest.mark.parametrize("name, samples", sorted(_PAYLOAD_SHAS))
+def test_payloads_are_pinned(capsys, name, samples):
+    code, out = _run(capsys, "analyze", name, "--samples", samples, "--seed", "0")
+    assert code == 0
+    assert _parse_report(out)[1] == _PAYLOAD_SHAS[(name, samples)]
+
+
 def test_verify_cn_t5_small_cloud(capsys):
     code, out = _run(capsys, "verify", "cn-tn(5)", "--samples", "20", "--seed", "0")
     assert "[FAIL]" not in out

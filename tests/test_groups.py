@@ -88,6 +88,29 @@ def test_witness_must_normalize_the_algebra():
         groups.classify_subgroup(g, kz, np.stack([np.eye(3), bad]))
 
 
+def test_cached_conjugacy_matches_the_uncached_function():
+    # Other-vs-Other traces straddling the np.allclose boundary
+    # |a - b| <= match_eps + 1e-5 |b|; the cache must answer as the
+    # function does, for each tolerance separately
+    uncached = groups.classes_conjugate.__wrapped__
+    rng = np.random.default_rng(14)
+    answers = set()
+    for tol in (groups.DEFAULT_TOL, groups.Tolerance(match_eps=1e-6)):
+        for _ in range(300):
+            m = int(rng.integers(1, 5))
+            base = np.round(rng.uniform(-3.0, 3.0, size=m), 9)
+            edge = tol.match_eps + 1e-5 * np.abs(base)
+            other = base + edge * rng.uniform(0.98, 1.02, size=m) * rng.choice([-1.0, 1.0], size=m)
+            a = groups.SubgroupClass("Other", None, 1, f"components({m})", tuple(base.tolist()))
+            b = groups.SubgroupClass("Other", None, 1, f"components({m})", tuple(other.tolist()))
+            for x, y in ((a, b), (b, a), (a, a)):
+                want = uncached(x, y, tol)
+                answers.add(want)
+                assert groups.classes_conjugate(x, y, tol) is want
+                assert groups.classes_conjugate(x, y, tol) is want
+    assert answers == {True, False}
+
+
 def test_classes_conjugate():
     g = groups.so3()
     kz = np.array([[0.0], [0.0], [1.0]])

@@ -63,11 +63,11 @@ def test_graph_components():
             [9.0, 9.0, 0.2, 0.0],
         ]
     )
-    labels = kernels.graph_components(d, 0.5)
+    labels = kernels.graph_components(lambda lo, hi: d[lo:hi], 4, 0.5)
     assert labels[0] == labels[1]
     assert labels[2] == labels[3]
     assert labels[0] != labels[2]
-    one = kernels.graph_components(d, 100.0)
+    one = kernels.graph_components(lambda lo, hi: d[lo:hi], 4, 100.0)
     assert len(set(one.tolist())) == 1
 
 
@@ -79,11 +79,35 @@ def test_pairwise_euclidean_matches_scipy_bitwise():
         assert np.array_equal(kernels.pairwise_euclidean(pts), cdist(pts, pts))
 
 
-def test_pairwise_euclidean_chunks_rows(monkeypatch):
+def test_pairwise_euclidean_chunks_rows():
     pts = np.random.default_rng(6).normal(size=(37, 4))
     whole = kernels.pairwise_euclidean(pts)
-    monkeypatch.setattr(kernels, "_ROW_CHUNK_BYTES", 5 * 8 * 37)
-    assert np.array_equal(kernels.pairwise_euclidean(pts), whole)
+    rows = [kernels.pairwise_euclidean(pts, lo, lo + 5) for lo in range(0, 37, 5)]
+    assert np.array_equal(np.vstack(rows), whole)
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [kernels.pairwise_euclidean, kernels.pairwise_sign_aligned, kernels.pairwise_phase_aligned],
+)
+def test_pairwise_blocks_are_bit_equal_across_block_sizes(kernel):
+    # a row block of a GEMM differs from the full product in the last bits;
+    # the kernels sum coordinates in a fixed order instead
+    pts = np.random.default_rng(10).normal(size=(301, 6))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    whole = kernel(pts)
+    assert np.all(np.diag(whole) == 0.0)
+    for step in (1, 7, 64, 300):
+        rows = [kernel(pts, lo, lo + step) for lo in range(0, 301, step)]
+        assert np.array_equal(np.vstack(rows), whole)
+
+
+def test_pairwise_chebyshev():
+    pts = np.random.default_rng(11).normal(size=(23, 5))
+    got = kernels.pairwise_chebyshev(pts)
+    ref = _brute_pairwise(pts, lambda a, b: np.abs(a - b).max())
+    assert np.array_equal(got, ref)
+    assert np.array_equal(kernels.pairwise_chebyshev(pts, 4, 9), ref[4:9])
 
 
 def _partition(labels):
@@ -93,14 +117,20 @@ def _partition(labels):
     return sorted(blocks.values())
 
 
-def test_graph_components_match_scipy():
+def test_graph_components_match_scipy(monkeypatch):
     csgraph = pytest.importorskip("scipy.sparse.csgraph")
     rng = np.random.default_rng(8)
     for n, scale in ((1, 1.0), (40, 0.15), (120, 0.07), (120, 0.1), (120, 0.3)):
         pts = rng.uniform(size=(n, 2))
         dist = kernels.pairwise_euclidean(pts)
         _, ref = csgraph.connected_components(dist <= scale, directed=False)
-        assert _partition(kernels.graph_components(dist, scale)) == _partition(ref)
+        for block_bytes in (kernels.BLOCK_BYTES, 1, 3 * 8 * n):
+            monkeypatch.setattr(kernels, "BLOCK_BYTES", block_bytes)
+            labels = kernels.graph_components(lambda lo, hi: dist[lo:hi], n, scale)
+            assert _partition(labels) == _partition(ref)
+            # the label is the smallest index of the component
+            assert np.array_equal(labels, labels[labels])
+            assert all(labels[i] <= i for i in range(n))
 
 
 def test_rodrigues_batch_matches_exp():

@@ -1,9 +1,11 @@
 """Rank, kernel and graph utilities against exact rational references."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from orthofold import numerics
+from orthofold import actions, kernels, numerics
 from orthofold.errors import InputError
 
 from oracles import exact_nullspace, exact_rank
@@ -86,8 +88,8 @@ def test_as_small_matrix_rejects_bad_input():
 def test_epsilon_components_two_clusters():
     pts = np.array([[0.0], [0.01], [0.02], [5.0], [5.01]])
 
-    def metric(p):
-        return np.abs(p[:, None, 0] - p[None, :, 0])
+    def metric(p, lo, hi):
+        return np.abs(p[lo:hi, None, 0] - p[None, :, 0])
 
     comps = numerics.epsilon_components(pts, metric)
     assert comps == [[0, 1, 2], [3, 4]]
@@ -104,7 +106,7 @@ def test_median_nn_distance():
             [4.0, 2.0, 0.0],
         ]
     )
-    assert numerics.median_nn_distance(d) == 1.0
+    assert numerics.median_nn_distance(np.zeros((3, 1)), lambda p, lo, hi: d[lo:hi].copy()) == 1.0
 
 
 def test_nearest_other_matches_masked_diagonal(monkeypatch):
@@ -112,8 +114,29 @@ def test_nearest_other_matches_masked_diagonal(monkeypatch):
     pts = rng.normal(size=(41, 3))
     d = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
     ref = (d + np.diag(np.full(41, np.inf))).min(axis=1)
-    assert np.array_equal(numerics._nearest_other(d), ref)
+
+    def rows(lo, hi):
+        return d[lo:hi].copy()
+
+    assert np.array_equal(numerics._nearest_other(rows, 41), ref)
     # blocks of 3 rows: the diagonal offset must follow the block start
-    monkeypatch.setattr(numerics, "_NN_CHUNK_BYTES", 3 * 8 * 41)
-    assert np.array_equal(numerics._nearest_other(d), ref)
-    assert numerics.median_nn_distance(d) == float(np.median(ref))
+    monkeypatch.setattr(kernels, "BLOCK_BYTES", 3 * 8 * 41)
+    assert np.array_equal(numerics._nearest_other(rows, 41), ref)
+    assert numerics.median_nn_distance(pts, lambda p, lo, hi: rows(lo, hi)) == float(
+        np.median(ref)
+    )
+
+
+def test_epsilon_components_never_hold_a_square_matrix():
+    s2 = actions.sphere(2)
+    pts = actions.sample_points(s2, 6000, np.random.default_rng(12))
+    tracemalloc.start()
+    try:
+        comps = numerics.epsilon_components(
+            pts, lambda p, lo, hi: actions.pairwise_distances(s2, p, lo, hi)
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sorted(i for c in comps for i in c) == list(range(6000))
+    assert peak < 6000 * 6000 * 8 / 8

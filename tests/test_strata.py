@@ -1,12 +1,14 @@
 """Cloud construction, partitions, principal data and singularity labels."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from orthofold import actions, strata
+from orthofold import actions, kernels, strata
 from orthofold.errors import InputError
 
-from oracles import refines
+from oracles import isostabilizer_reference, refines
 
 
 def test_build_cloud_is_deterministic(cloud_factory):
@@ -68,6 +70,30 @@ def test_isostabilizer_splits_conjugate_circles(cloud_factory):
     iso = strata.isostabilizer_decomposition(cloud)
     circles = [lab for lab in iso.block_labels if lab["subgroup"].display() == "SO2"]
     assert len(circles) >= 2
+
+
+@pytest.mark.parametrize("name", ["s2-zn(5)", "rp2-so2", "cp2-u1", "cp2-so3"])
+def test_blocked_decomposition_matches_full_matrices(cloud_factory, monkeypatch, name):
+    cloud = cloud_factory(name)
+    ref = isostabilizer_reference(cloud)
+    assert sorted(strata.isostabilizer_decomposition(cloud).blocks) == ref
+    # one row per block, then a few rows of the whole cloud per block
+    for block_bytes in (1, 3 * 8 * len(cloud)):
+        monkeypatch.setattr(kernels, "BLOCK_BYTES", block_bytes)
+        assert sorted(strata.isostabilizer_decomposition(cloud).blocks) == ref
+
+
+def test_decomposition_holds_no_square_matrix(cloud_factory):
+    cloud = cloud_factory("s2-zn(5)", 3000)
+    n = len(cloud)
+    tracemalloc.start()
+    try:
+        iso = strata.isostabilizer_decomposition(cloud)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    strata.check_partition(iso.blocks, n)
+    assert peak < n * n * 8 / 8
 
 
 def test_principal_data_rp2(cloud_factory):
