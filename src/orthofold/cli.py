@@ -445,7 +445,7 @@ def _pinned_checks(r, results, seed: int, tol: Tolerance):
         for label, (spec, want) in fixed.items():
             x = actions.parse_point(a, spec)
             st = stabilizer(a, x, seed=seed, tol=tol, pool=cloud.pool)
-            rep = slice_representation(a, st, tol, seed=seed)
+            rep = slice_representation(a, st, tol)
             reps[label] = rep
             kids[label] = _klein_block_of_point(r, x)
             _check(results, f"slice-weights-{label}", rep.weights == want,
@@ -572,7 +572,7 @@ def cmd_classify(args) -> int:
     tol = _tolerance(args)
     x = _resolve_point(a, args.point)
     st = stabilizer(a, x, seed=args.seed, tol=tol)
-    rep = slice_representation(a, st, tol, seed=args.seed)
+    rep = slice_representation(a, st, tol)
     orbit_dim = int(a.manifold.intrinsic_dim - rep.slice_dim)
     qdim = strata.quotient_dimension(a, x, tol)
     probe = strata.build_cloud(a, _CLASSIFY_PROBE, seed=args.seed, tol=tol)

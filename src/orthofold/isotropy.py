@@ -64,11 +64,14 @@ class StabilizerData:
 class SliceRep:
     """Action of a stabilizer on the normal slice at its point.
 
-    weights lists the nonzero integer weight rows of the identity component
-    (signed when the slice carries a compatible complex structure), zero_dims
-    counts slice directions the identity component fixes. witness_mats and
-    lie_mats give the slice matrices of the component witnesses and of the
-    stabilizer Lie basis.
+    weights lists the nonzero integer weight rows of the identity component,
+    read exactly from the slice generators (signed when the slice carries a
+    compatible complex structure); planes holds the invariant rotation plane
+    of each row, aligned with weights, and fixed a basis of the directions
+    the identity component fixes, zero_dims of them. Without torus weights
+    there are no planes and fixed is the identity. witness_mats and lie_mats
+    give the slice matrices of the component witnesses and of the stabilizer
+    Lie basis; all matrices are in the slice coordinates.
     """
 
     stab_label: str
@@ -76,13 +79,13 @@ class SliceRep:
     rep_kind: str  # torus_weights | finite_characters | sampled_traces
     weights: tuple
     zero_dims: int
-    signed: bool
+    planes: np.ndarray
+    fixed: np.ndarray
     characters: tuple
     frame: np.ndarray
     coords: np.ndarray
     witness_mats: np.ndarray
     lie_mats: np.ndarray
-    jmat: np.ndarray | None
 
 
 # ---------------------------------------------------------------------------
@@ -383,81 +386,87 @@ def _slice_complex_structure(a, frame, coords):
     return js
 
 
-def _weight_rows(a, stab, coords, js, tol, seed):
-    """Integer weights of the identity component on the slice.
+# fixed generic mixing coefficients: rationally independent, so distinct
+# weight rows of the catalog cannot collide into one eigenvalue cluster
+_GENERIC_MIX = np.array(
+    [1.0, 1.6180339887, 2.2360679775, 2.7182818285,
+     3.1415926536, 3.6055512755, 4.1231056256, 4.5825756950]
+)
 
-    Rotation angles of eigenvector phases are fit by least squares against
-    sampled Lie parameters; rows must round to integers within 1e-4.
+
+def _weight_planes(mats: np.ndarray, js: np.ndarray | None):
+    """Rotation planes, integer weight rows and fixed basis of the identity component.
+
+    mats holds the slice generators A_j. Their generic mix B rotates every
+    plane of the slice at a distinct rate per distinct row. When each A_j
+    commutes with the slice complex structure J the weights are signed: the
+    symmetric J B splits the slice into complex lines by signed rate, and
+    each plane is (p0, J p0). Otherwise the eigenspaces of B B pair each
+    row with its negative, planes are (p0, B p0 / |B p0|), and each row is
+    turned to lead positive. Planes inside one eigenspace are split
+    arbitrarily, which is harmless: every invariant plane there rotates at
+    the same rates. The row of a plane is its exact rate p1 . A_j p0 under
+    each generator, rounded to an integer. Returns the (p, s, 2) planes and
+    their rows, both in sorted row order, and an (s, z) fixed basis, the
+    identity when nothing rotates.
     """
-    k = stab.lie_kernel.shape[1]
-    sdim = coords.shape[1]
-    x = stab.point
-    g = a.group
-    rng = rng_for(seed, a.name, "weight-fit")
-    scale = 0.12 / np.sqrt(k)
-    anchor = 0.0831 * np.array([1.0 / (1.0 + 0.7 * j) for j in range(k)])
-    S = np.vstack([anchor, rng.uniform(-scale, scale, size=(2 * k + 4, k))])
-    R = np.empty((S.shape[0], sdim, sdim))
-    for i, s in enumerate(S):
-        el = groups.exp_coeffs(g, stab.lie_kernel @ s)
-        R[i] = coords.T @ differential_of_element(a, el, x, tol) @ coords
-    rstar = R[0]
-
-    signed = js is not None and np.abs(rstar @ js - js @ rstar).max() <= 1e-6
-    vals, vecs = np.linalg.eig(rstar)
-    sel = []
-    used = np.zeros(vals.size, dtype=bool)
-    proj = 0.5 * (np.eye(sdim) - 1j * js) if signed else None
-    for i in range(vals.size):
-        if used[i]:
-            continue
-        cluster = np.abs(np.angle(vals * np.conj(vals[i]))) <= 1e-7
-        used |= cluster
-        V = vecs[:, cluster]
-        if signed:
-            # eigenspaces are J-invariant, so the projected basis stays inside
-            u, sv, _ = np.linalg.svd(proj @ V, full_matrices=False)
-            sel.extend(u[:, sv > 0.5].T)
-        elif abs(np.angle(vals[i])) > 1e-7 and np.angle(vals[i]) > 0.0:
-            u, sv, _ = np.linalg.svd(V, full_matrices=False)
-            sel.extend(u[:, sv > 0.5].T)
-
-    rows = []
-    for v in sel:
-        amp = np.einsum("i,mij,j->m", np.conj(v), R, v)
-        if np.abs(np.abs(amp) - 1.0).max() > 1e-6:
-            raise RepExtractionError("eigenvector is not shared by the sampled family")
-        theta = np.angle(amp)
-        w, *_ = np.linalg.lstsq(S, theta, rcond=None)
-        wi = np.rint(w)
-        if np.abs(w - wi).max() > 1e-4:
-            raise RepExtractionError("weight fit did not land on integers")
-        if np.abs(S @ wi - theta).max() > 1e-6:
-            raise RepExtractionError("integer weights do not reproduce the angles")
-        row = tuple(int(t) for t in wi)
-        if any(row):
-            if not signed and next(t for t in row if t) < 0:
-                row = tuple(-t for t in row)
-            rows.append(row)
-    zero_dims = sdim - 2 * len(rows)
-    if zero_dims < 0:
-        raise RepExtractionError("weight rows exceed the slice dimension")
-    return tuple(sorted(rows)), zero_dims, signed
+    k, s = mats.shape[0], mats.shape[1]
+    B = np.einsum("j,jab->ab", _GENERIC_MIX[:k], mats)
+    signed = js is not None and all(np.abs(m @ js - js @ m).max() <= 1e-6 for m in mats)
+    turn = js if signed else B
+    evals, evecs = np.linalg.eigh(js @ B if signed else B @ B)
+    scale = max(float(np.abs(evals).max()), 1.0)
+    zero = np.abs(evals) <= 1e-9 * scale
+    planes = []
+    idx = np.where(~zero)[0]
+    pos = 0
+    while pos < idx.size:
+        lead = evals[idx[pos]]
+        end = pos
+        while end < idx.size and abs(evals[idx[end]] - lead) <= 1e-6 * scale:
+            end += 1
+        basis = evecs[:, idx[pos:end]]
+        while basis.shape[1]:
+            u1 = basis[:, 0]
+            u2 = turn @ u1
+            u2 = u2 - (u2 @ u1) * u1
+            u2 = u2 / np.linalg.norm(u2)
+            plane = np.stack([u1, u2], axis=1)
+            planes.append(plane)
+            # the rest of the eigenspace: singular values 1 off the plane, 0 on it
+            u, sv, _ = np.linalg.svd(basis - plane @ (plane.T @ basis), full_matrices=False)
+            basis = u[:, sv > 0.5]
+        pos = end
+    if not planes:
+        return np.zeros((0, s, 2)), (), np.eye(s)
+    P = np.stack(planes)
+    rates = np.einsum("pa,jab,pb->pj", P[:, :, 1], mats, P[:, :, 0])
+    rows = np.rint(rates)
+    if np.abs(rates - rows).max() > 1e-6:
+        raise RepExtractionError("slice rotation rates are not integers")
+    moved = np.einsum("jab,pb->pja", mats, P[:, :, 0]) - rates[:, :, None] * P[:, None, :, 1]
+    if np.abs(moved).max() > 1e-6:
+        raise RepExtractionError("slice generators do not preserve the rotation planes")
+    if not signed:
+        lead = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
+        rows[lead < 0] *= -1
+        P[lead < 0, :, 1] *= -1
+    rows = [tuple(int(t) for t in row) for row in rows]
+    order = sorted(range(len(rows)), key=rows.__getitem__)
+    return P[order], tuple(rows[i] for i in order), evecs[:, zero]
 
 
 _TORUS_REP_LABELS = ("SO2", "U1", "O2", "FullGroup")
 
 
 def slice_representation(
-    a: ActionModel,
-    stab: StabilizerData,
-    tol: Tolerance = DEFAULT_TOL,
-    seed: int = 0,
+    a: ActionModel, stab: StabilizerData, tol: Tolerance = DEFAULT_TOL
 ) -> SliceRep:
     """Representation of the stabilizer on the normal slice at its point.
 
     Positive-dimensional stabilizers with a recognized class get integer
-    torus weights (of the identity component; component witnesses are kept
+    torus weights of the identity component, read exactly from the slice
+    generators with their rotation planes (component witnesses are kept
     alongside). Finite stabilizers record witness traces. Unrecognized
     positive-dimensional classes fall back to sampled traces.
     """
@@ -474,18 +483,18 @@ def slice_representation(
             raise StabilizerError("witness does not preserve the slice")
         wmats[i] = s
     lie_mats = _slice_lie_generators(a, stab, frame, coords)
-    js = _slice_complex_structure(a, frame, coords)
     characters = tuple(sorted(round(float(np.trace(s)), 9) for s in wmats))
 
     label = stab.subgroup.label
+    planes, weights, fixed = np.zeros((0, sdim, 2)), (), np.eye(sdim)
     if k == 0:
-        kind, weights, zero_dims, signed = "finite_characters", (), sdim, False
+        kind = "finite_characters"
     elif label in _TORUS_REP_LABELS:
         kind = "torus_weights"
-        weights, zero_dims, signed = _weight_rows(a, stab, coords, js, tol, seed)
+        js = _slice_complex_structure(a, frame, coords)
+        planes, weights, fixed = _weight_planes(lie_mats, js)
     else:
         kind = "sampled_traces"
-        weights, zero_dims, signed = (), sdim, False
         extra = [
             round(float(np.trace(coords.T @ differential_of_element(
                 a, groups.exp_coeffs(a.group, stab.lie_kernel @ s), stab.point, tol
@@ -499,14 +508,14 @@ def slice_representation(
         slice_dim=sdim,
         rep_kind=kind,
         weights=weights,
-        zero_dims=zero_dims,
-        signed=signed,
+        zero_dims=fixed.shape[1],
+        planes=planes,
+        fixed=fixed,
         characters=characters,
         frame=frame @ coords,
         coords=coords,
         witness_mats=wmats,
         lie_mats=lie_mats,
-        jmat=js,
     )
 
 

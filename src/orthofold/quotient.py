@@ -20,7 +20,6 @@ from .errors import (
     ClassificationError,
     CorrespondenceError,
     InputError,
-    RepExtractionError,
 )
 from .isotropy import (
     SliceRep,
@@ -108,67 +107,6 @@ class StratifiedInterval:
 # slice geometry
 # ---------------------------------------------------------------------------
 
-# fixed generic mixing coefficients: rationally independent, so distinct
-# weight rows of the catalog cannot collide into one eigenvalue cluster
-_GENERIC_MIX = np.array(
-    [1.0, 1.6180339887, 2.2360679775, 2.7182818285,
-     3.1415926536, 3.6055512755, 4.1231056256, 4.5825756950]
-)
-
-
-def _weight_planes(rep: SliceRep):
-    """Invariant rotation planes of the identity component on the slice.
-
-    Returns (planes, rows, zero_basis): orthonormal bases of the rotating
-    planes, the integer weight row each plane rotates at, and a basis of the
-    jointly fixed subspace. Planes inside an equal-rate eigenspace are split
-    arbitrarily, which is harmless: any invariant plane there rotates at the
-    same rates.
-    """
-    mats = rep.lie_mats
-    k = mats.shape[0]
-    s = rep.slice_dim
-    if k == 0 or not rep.weights:
-        return [], [], np.eye(s)
-    B = np.einsum("j,jab->ab", _GENERIC_MIX[:k], mats)
-    evals, evecs = np.linalg.eigh(B @ B)
-    scale = max(float(-evals.min()), 1.0)
-    zero = np.abs(evals) <= 1e-9 * scale
-    zero_basis = evecs[:, zero]
-    planes = []
-    idx = np.where(~zero)[0]
-    pos = 0
-    while pos < idx.size:
-        lead = evals[idx[pos]]
-        end = pos
-        while end < idx.size and abs(evals[idx[end]] - lead) <= 1e-6 * scale:
-            end += 1
-        basis = evecs[:, idx[pos:end]]
-        while basis.shape[1]:
-            u1 = basis[:, 0]
-            u2 = B @ u1
-            u2 = u2 - (u2 @ u1) * u1
-            u2 = u2 / np.linalg.norm(u2)
-            plane = np.stack([u1, u2], axis=1)
-            planes.append(plane)
-            rem = basis - plane @ (plane.T @ basis)
-            q, r = np.linalg.qr(rem)
-            basis = q[:, np.abs(np.diag(r)) > 1e-8]
-        pos = end
-    if len(planes) != len(rep.weights):
-        raise RepExtractionError("rotation plane count does not match the weight rows")
-    rates = np.array(
-        [[float(p[:, 1] @ (mats[j] @ p[:, 0])) for j in range(k)] for p in planes]
-    )
-    wmax = max(np.linalg.norm(np.asarray(r, dtype=float)) for r in rep.weights)
-    lam = np.abs(rates).max() / wmax
-    rows_f = rates / lam
-    rows = np.rint(rows_f)
-    if np.abs(rows - rows_f).max() > 0.05:
-        raise RepExtractionError("slice rotation rates do not match the weight rows")
-    return planes, [tuple(int(t) for t in row) for row in rows], zero_basis
-
-
 # orthogonal slice matrices move non-fixed unit vectors at unit scale while
 # polished witnesses carry noise a few orders below these cuts, so both
 # thresholds sit in a wide gap
@@ -192,7 +130,7 @@ def _fixed_space(w: np.ndarray) -> np.ndarray:
     return vt[sv <= _FIX_EPS].T
 
 
-def _coset_solutions(planes, rows, zero_basis, w, v) -> int:
+def _coset_solutions(rep: SliceRep, w, v) -> int:
     """Angles th with exp(th A) w v = v, counted over one circle period.
 
     Exact congruence arithmetic on per-plane alignment angles; rank-one
@@ -200,11 +138,11 @@ def _coset_solutions(planes, rows, zero_basis, w, v) -> int:
     """
     u = w @ v
     scale = max(float(np.linalg.norm(v)), 1.0)
-    if zero_basis.shape[1]:
-        if np.linalg.norm(zero_basis.T @ (u - v)) > _FIX_EPS * scale:
+    if rep.fixed.shape[1]:
+        if np.linalg.norm(rep.fixed.T @ (u - v)) > _FIX_EPS * scale:
             return 0
     cons = []
-    for plane, row in zip(planes, rows):
+    for plane, row in zip(rep.planes, rep.weights):
         cv = plane.T @ v
         cu = plane.T @ u
         nv = float(np.linalg.norm(cv))
@@ -232,7 +170,7 @@ def _finite_fix_count(mats: np.ndarray, v: np.ndarray) -> int:
     return int(sum(1 for w in mats if np.linalg.norm(w @ v - v) <= _FIX_EPS * scale))
 
 
-def _sample_label(rep, planes, rows, zero_basis, v, circle_label) -> str:
+def _sample_label(rep: SliceRep, v, circle_label) -> str:
     """Stabilizer label of one nonzero slice vector under the slice action."""
     v = np.asarray(v, dtype=float)
     v = v / np.linalg.norm(v)
@@ -242,7 +180,7 @@ def _sample_label(rep, planes, rows, zero_basis, v, circle_label) -> str:
         return "Trivial" if q == 1 else f"Zn({q})"
     active = [
         row
-        for plane, row in zip(planes, rows)
+        for plane, row in zip(rep.planes, rep.weights)
         if np.linalg.norm(plane.T @ v) > 1e-6
     ]
     if not active:
@@ -254,9 +192,9 @@ def _sample_label(rep, planes, rows, zero_basis, v, circle_label) -> str:
             return "O2" if extra else circle_label
         return f"Torus({k})"
     if k == 1:
-        count = _coset_solutions(planes, rows, zero_basis, np.eye(v.size), v)
+        count = _coset_solutions(rep, np.eye(v.size), v)
         for w in rep.witness_mats[1:]:
-            count += _coset_solutions(planes, rows, zero_basis, w, v)
+            count += _coset_solutions(rep, w, v)
         return "Trivial" if count == 1 else f"Zn({count})"
     # higher-rank identity component: kernel of the active rows on the torus
     _, diag, _ = groups.smith_form(np.array(active, dtype=np.int64))
@@ -281,7 +219,6 @@ def _slice_stab_profile(a: ActionModel, rep: SliceRep, seed: int):
     s = rep.slice_dim
     if s == 0:
         return (), True
-    planes, rows, zero_basis = _weight_planes(rep)
     samples = []
     if rep.lie_mats.shape[0] == 0:
         for w in rep.witness_mats[1:]:
@@ -289,15 +226,11 @@ def _slice_stab_profile(a: ActionModel, rep: SliceRep, seed: int):
             if fix.shape[1]:
                 samples.append(fix[:, 0])
     else:
-        for plane in planes:
-            samples.append(plane[:, 0])
-        if zero_basis.shape[1]:
-            samples.append(zero_basis[:, 0])
+        samples.extend(rep.planes[:, :, 0])
+        if rep.fixed.shape[1]:
+            samples.append(rep.fixed[:, 0])
     samples.extend(rng_for(seed, a.name, "slice-profile").normal(size=(4, s)))
-    labels = sorted(
-        _sample_label(rep, planes, rows, zero_basis, v, a.group.circle_label)
-        for v in samples
-    )
+    labels = sorted(_sample_label(rep, v, a.group.circle_label) for v in samples)
     return tuple(labels), all(lab == "Trivial" for lab in labels)
 
 

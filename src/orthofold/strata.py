@@ -143,7 +143,7 @@ def build_cloud(
     for x in pts:
         st = stabilizer(a, x, seed=seed, tol=tol, pool=pool)
         stabs.append(st)
-        reps.append(slice_representation(a, st, tol, seed=seed))
+        reps.append(slice_representation(a, st, tol))
     orbit_dims = np.array([st.orbit_dim for st in stabs], dtype=np.int64)
     quotient_dims = a.manifold.intrinsic_dim - orbit_dims
     return SampleCloud(

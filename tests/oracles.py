@@ -4,20 +4,25 @@ Everything here is deliberately slow and exact: rational Gaussian
 elimination for rank and nullspace, a synthetic torus action with a
 hidden orthogonal change of frame whose planted weight rows the pipeline
 must recover, a one-element-at-a-time SO(3) identity-component test,
-minors of integer matrices by exact determinants, and the isostabilizer
-decomposition from whole distance matrices. None of it imports the
-numeric routines under test beyond the public model types.
+minors of integer matrices by exact determinants, the isostabilizer
+decomposition from whole distance matrices, and the slice weight fit over
+sampled group elements that preceded the exact read-off. None of it imports
+the numeric routines under test beyond the public model types and the slice
+frame helpers.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
 import numpy as np
 
-from orthofold import actions, groups, isotropy
+from orthofold import actions, groups, isotropy, quotient
+from orthofold.numerics import DEFAULT_TOL
+from orthofold.seeding import rng_for
 
 
 def exact_rank(mat) -> int:
@@ -270,3 +275,121 @@ def isostabilizer_reference(cloud) -> list[tuple[int, ...]]:
             for comp in dense_components(sub, threshold):
                 blocks.append(tuple(members[p] for p in comp))
     return sorted(blocks)
+
+
+def weight_rows_reference(a, stab, tol=DEFAULT_TOL, seed: int = 0):
+    """Weights (rows, zero_dims, signed) by a least-squares fit of sampled angles.
+
+    The identity component is sampled at an anchor and 2k + 4 random Lie
+    parameters; the eigenvectors of the anchor's slice matrix (projected to
+    the +i eigenspace of the slice complex structure when the anchor commutes
+    with it) give one phase per sample, and the weights are the integer
+    least-squares fit of those phases. Unsigned rows lead positive.
+    """
+    frame = actions.tangent_frame(a.manifold, stab.point, tol)
+    coords = isotropy._slice_coords(stab)
+    js = isotropy._slice_complex_structure(a, frame, coords)
+    k = stab.lie_kernel.shape[1]
+    sdim = coords.shape[1]
+    rng = rng_for(seed, a.name, "weight-fit")
+    scale = 0.12 / np.sqrt(k)
+    anchor = 0.0831 * np.array([1.0 / (1.0 + 0.7 * j) for j in range(k)])
+    S = np.vstack([anchor, rng.uniform(-scale, scale, size=(2 * k + 4, k))])
+    R = np.empty((S.shape[0], sdim, sdim))
+    for i, s in enumerate(S):
+        el = groups.exp_coeffs(a.group, stab.lie_kernel @ s)
+        R[i] = coords.T @ actions.differential_of_element(a, el, stab.point, tol) @ coords
+    rstar = R[0]
+    signed = js is not None and np.abs(rstar @ js - js @ rstar).max() <= 1e-6
+    vals, vecs = np.linalg.eig(rstar)
+    sel = []
+    used = np.zeros(vals.size, dtype=bool)
+    proj = 0.5 * (np.eye(sdim) - 1j * js) if signed else None
+    for i in range(vals.size):
+        if used[i]:
+            continue
+        cluster = np.abs(np.angle(vals * np.conj(vals[i]))) <= 1e-7
+        used |= cluster
+        V = vecs[:, cluster]
+        if signed:
+            u, sv, _ = np.linalg.svd(proj @ V, full_matrices=False)
+            sel.extend(u[:, sv > 0.5].T)
+        elif abs(np.angle(vals[i])) > 1e-7 and np.angle(vals[i]) > 0.0:
+            u, sv, _ = np.linalg.svd(V, full_matrices=False)
+            sel.extend(u[:, sv > 0.5].T)
+    rows = []
+    for v in sel:
+        amp = np.einsum("i,mij,j->m", np.conj(v), R, v)
+        assert np.abs(np.abs(amp) - 1.0).max() <= 1e-6
+        theta = np.angle(amp)
+        w, *_ = np.linalg.lstsq(S, theta, rcond=None)
+        wi = np.rint(w)
+        assert np.abs(w - wi).max() <= 1e-4
+        assert np.abs(S @ wi - theta).max() <= 1e-6
+        row = tuple(int(t) for t in wi)
+        if any(row):
+            if not signed and next(t for t in row if t) < 0:
+                row = tuple(-t for t in row)
+            rows.append(row)
+    return tuple(sorted(rows)), sdim - 2 * len(rows), signed
+
+
+_GENERIC_MIX = np.array(
+    [1.0, 1.6180339887, 2.2360679775, 2.7182818285,
+     3.1415926536, 3.6055512755, 4.1231056256, 4.5825756950]
+)
+
+
+def weight_planes_reference(mats: np.ndarray, weights: tuple):
+    """Rotation planes of the slice generators, with rates rescaled to the weights.
+
+    Eigenspaces of B B for the generic mix B are split into planes (u, B u),
+    oriented by B; each plane's rates under the generators are divided by
+    the ratio of the largest rate to the largest weight-row norm and
+    rounded. Returns (planes, rows, zero_basis), the identity basis when
+    there are no weights.
+    """
+    k, s = mats.shape[0], mats.shape[1]
+    if k == 0 or not weights:
+        return [], [], np.eye(s)
+    B = np.einsum("j,jab->ab", _GENERIC_MIX[:k], mats)
+    evals, evecs = np.linalg.eigh(B @ B)
+    scale = max(float(-evals.min()), 1.0)
+    zero = np.abs(evals) <= 1e-9 * scale
+    planes = []
+    idx = np.where(~zero)[0]
+    pos = 0
+    while pos < idx.size:
+        end = pos
+        while end < idx.size and abs(evals[idx[end]] - evals[idx[pos]]) <= 1e-6 * scale:
+            end += 1
+        basis = evecs[:, idx[pos:end]]
+        while basis.shape[1]:
+            u1 = basis[:, 0]
+            u2 = B @ u1
+            u2 = u2 - (u2 @ u1) * u1
+            plane = np.stack([u1, u2 / np.linalg.norm(u2)], axis=1)
+            planes.append(plane)
+            q, r = np.linalg.qr(basis - plane @ (plane.T @ basis))
+            basis = q[:, np.abs(np.diag(r)) > 1e-8]
+        pos = end
+    assert len(planes) == len(weights)
+    rates = np.array([[p[:, 1] @ (mats[j] @ p[:, 0]) for j in range(k)] for p in planes])
+    wmax = max(np.linalg.norm(np.asarray(r, dtype=float)) for r in weights)
+    rows_f = rates / (np.abs(rates).max() / wmax)
+    rows = np.rint(rows_f)
+    assert np.abs(rows - rows_f).max() <= 0.05
+    return planes, [tuple(int(t) for t in row) for row in rows], evecs[:, zero]
+
+
+def slice_stab_profile_reference(a, rep, weights: tuple, seed: int = 0):
+    """The slice stabilizer profile with the reference planes swapped in."""
+    planes, rows, zero_basis = weight_planes_reference(rep.lie_mats, weights)
+    s = rep.slice_dim
+    old = replace(
+        rep,
+        planes=np.stack(planes) if planes else np.zeros((0, s, 2)),
+        weights=tuple(rows),
+        fixed=zero_basis,
+    )
+    return quotient._slice_stab_profile(a, old, seed)

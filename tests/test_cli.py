@@ -266,6 +266,8 @@ _PAYLOAD_SHAS = {
     ("s2-zn(5)", "1500"): "e6300ad93c5867764dc3fb48e39ae791ae3cac02cb4bd2dc1cab204c682f4f2f",
     ("s2xs2-so3", "100"): "5cbc36df49b33a4298e2d9cb68842d247d033e637545440951cbc304c4db7893",
     ("cp2-so3", "100"): "c09c236102fc8e0d72b5b0a4328cd5c8ed969551bb9337982d4dd7152e057fe3",
+    # the origin's FullGroup weights have three rows, one per torus factor
+    ("cn-tn(3)", "20"): "3e73a931dd282b4b89caa8951e57269b74fdf30a99e4a1701dd4ef948482e17e",
 }
 
 

@@ -3,10 +3,15 @@
 import numpy as np
 import pytest
 
-from orthofold import actions, groups, isotropy
+from orthofold import actions, groups, isotropy, quotient
 from orthofold.errors import StabilizerError
 
-from oracles import exact_rank, minor_gcd
+from oracles import (
+    exact_rank,
+    minor_gcd,
+    slice_stab_profile_reference,
+    weight_rows_reference,
+)
 
 
 def _stab(name, point):
@@ -281,3 +286,34 @@ def test_cp2_u1_transport_sees_the_cross_ratio_phase():
     y = actions.from_complex(z * np.array([1.0, 1.0, np.exp(0.7j)]))
     assert isotropy.transport_element(a, x, y) is None
     assert isotropy.transport_element(a, x, x) is not None
+
+
+def _assert_matches_fit(a, st, rep, seed):
+    if rep.rep_kind == "torus_weights":
+        weights, zero_dims, _ = weight_rows_reference(a, st, seed=seed)
+    else:
+        weights, zero_dims = (), rep.slice_dim
+    assert rep.weights == weights
+    assert rep.zero_dims == zero_dims == rep.fixed.shape[1]
+    assert rep.planes.shape == (len(weights), rep.slice_dim, 2)
+    got = quotient._slice_stab_profile(a, rep, seed)
+    assert got == slice_stab_profile_reference(a, rep, weights, seed)
+
+
+@pytest.mark.parametrize("name", actions.catalog_ids())
+def test_exact_weights_match_the_sampled_fit(cloud_factory, name):
+    # the weights read from the slice generators agree with the old
+    # least-squares fit, and so do the profiles built on their planes
+    for seed in range(4):
+        cloud = cloud_factory(name, 40, seed)
+        for st, rep in zip(cloud.stabs, cloud.reps):
+            _assert_matches_fit(cloud.model, st, rep, seed)
+
+
+@pytest.mark.parametrize("name", ["cn-tn(3)", "cn-tn(4)"])
+def test_exact_weights_match_the_sampled_fit_on_higher_tori(cloud_factory, name):
+    cloud = cloud_factory(name, 20, 0)
+    kinds = {rep.rep_kind for rep in cloud.reps}
+    assert "torus_weights" in kinds
+    for st, rep in zip(cloud.stabs, cloud.reps):
+        _assert_matches_fit(cloud.model, st, rep, 0)

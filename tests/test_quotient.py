@@ -7,7 +7,12 @@ from orthofold import isotropy, quotient, strata
 from orthofold.errors import InputError
 from orthofold.strata import PartitionOfM
 
-from oracles import origin_stabilizer, planted_torus_action, refines
+from oracles import (
+    origin_stabilizer,
+    planted_torus_action,
+    refines,
+    weight_rows_reference,
+)
 
 
 def _part(*blocks):
@@ -162,3 +167,37 @@ def test_planted_weights_recovered_through_the_slice():
     rep = isotropy.slice_representation(a, st)
     assert rep.zero_dims == 1
     assert isotropy.canonical_weight_rows(rep.weights) == isotropy.canonical_weight_rows(rows)
+
+
+# profile by hand: a plane sample sees the Smith form of its own row, a
+# fixed sample the whole stabilizer, a generic draw all rows at once
+@pytest.mark.parametrize(
+    "rows, zero_dims, profile",
+    [
+        # two planes share one rate
+        (((1,), (1,), (2,)), 1, ("Trivial",) * 6 + ("U1", "Zn(2)")),
+        # negative leads, one row repeated
+        (((-2,), (1,), (-2,)), 0, ("Trivial",) * 5 + ("Zn(2)",) * 2),
+        (((-1, 2), (0, -3), (1, 1)), 2, ("FullGroup", "Other(1,3)", "U1", "U1") + ("Zn(3)",) * 4),
+        (((1, -1), (1, -1), (-2, 0)), 0, ("Other(1,2)", "U1", "U1") + ("Zn(2)",) * 4),
+    ],
+)
+def test_planted_rows_are_read_exactly(rows, zero_dims, profile):
+    a = planted_torus_action(rows, zero_dims, frame_seed=7)
+    st = origin_stabilizer(a)
+    rep = isotropy.slice_representation(a, st)
+    # euclidean slices carry no complex structure, so rows lead positive
+    assert rep.weights == isotropy.canonical_weight_rows(rows)
+    assert rep.zero_dims == zero_dims
+    weights, fit_zero_dims, _ = weight_rows_reference(a, st)
+    assert (rep.weights, rep.zero_dims) == (weights, fit_zero_dims)
+    # each plane turns from its first axis to its second at its row's rates,
+    # and the fixed basis is killed by every generator
+    for plane, row in zip(rep.planes, rep.weights):
+        for mat, w in zip(rep.lie_mats, row):
+            assert np.abs(mat @ plane[:, 0] - w * plane[:, 1]).max() < 1e-12
+            assert np.abs(mat @ plane[:, 1] + w * plane[:, 0]).max() < 1e-12
+    assert np.abs(rep.lie_mats @ rep.fixed).max(initial=0.0) < 1e-12
+    basis = np.concatenate([*rep.planes, rep.fixed], axis=1)
+    assert np.abs(basis.T @ basis - np.eye(rep.slice_dim)).max() < 1e-12
+    assert quotient._slice_stab_profile(a, rep, 0) == (profile, False)
