@@ -20,7 +20,6 @@ from .actions import (
 from .errors import (
     ClassificationError,
     CorrespondenceError,
-    DimensionMismatch,
     InputError,
     OrthofoldError,
     PointSpecError,
@@ -79,7 +78,6 @@ __all__ = [
     "parse_point",
     "ClassificationError",
     "CorrespondenceError",
-    "DimensionMismatch",
     "InputError",
     "OrthofoldError",
     "PointSpecError",

@@ -151,14 +151,14 @@ def run_pipeline(a, samples: int, seed: int, tol: Tolerance) -> SimpleNamespace:
         corr = quotient.correspondence(iso, klein)
     except CorrespondenceError as e:
         raise _CheckFailure("correspondence-defined", e) from e
-    principal = strata.principal_dimension(cloud)
-    labels = strata.singularity_labels(cloud)
+    principal = strata.principal_dimension(cloud, orbit_type)
+    labels = strata.singularity_labels(cloud, principal)
     interval = None
     frontier = None
     interval_note = ""
     if a.interval is not None:
         try:
-            interval = quotient.quotient_interval_model(a, cloud, klein)
+            interval = quotient.quotient_interval_model(cloud, klein, principal)
             frontier = quotient.frontier_check(interval)
         except InputError as e:
             # a too-small cloud can push every block into point strata;
@@ -166,7 +166,7 @@ def run_pipeline(a, samples: int, seed: int, tol: Tolerance) -> SimpleNamespace:
             interval = None
             interval_note = str(e)
     try:
-        orbifold = quotient.orbifold_criterion(cloud)
+        orbifold = quotient.orbifold_criterion(cloud, labels)
     except ClassificationError as e:
         raise _CheckFailure("orbifold-criterion-consistent", e) from e
     return SimpleNamespace(
@@ -334,7 +334,7 @@ def _generic_checks(r, results, seed: int):
         els = groups.sample_elements(a.group, 32, rng_for(seed, a.name, "pi-invariance"))
         worst = 0.0
         for g in els:
-            moved = np.stack([actions.act(a, g, x) for x in take])
+            moved = actions.normalize(a.manifold, take @ a.amb(g).T)
             worst = max(
                 worst,
                 float(np.abs(np.asarray(a.interval.projection(moved)) - vals[: take.shape[0]]).max()),
@@ -576,7 +576,7 @@ def cmd_classify(args) -> int:
     orbit_dim = int(a.manifold.intrinsic_dim - rep.slice_dim)
     qdim = strata.quotient_dimension(a, x, tol)
     probe = strata.build_cloud(a, _CLASSIFY_PROBE, seed=args.seed, tol=tol)
-    principal = strata.principal_dimension(probe)
+    principal = strata.principal_dimension(probe, strata.orbit_type_partition(probe))
     label = strata.classify_singularity(st, principal.subgroup, tol)
     fp = quotient.local_model(a, st, rep, seed=args.seed)
     payload = {

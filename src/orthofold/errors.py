@@ -11,10 +11,6 @@ class InputError(OrthofoldError, ValueError):
     """Malformed or out-of-contract input (bad shapes, NaNs, oversized matrices)."""
 
 
-class DimensionMismatch(InputError):
-    """Operands whose dimensions cannot be combined."""
-
-
 class UnknownActionError(OrthofoldError, KeyError):
     """Catalog lookup for an id that names no action."""
 

@@ -125,22 +125,16 @@ def _projector(a) -> np.ndarray:
     return q @ q.T
 
 
-def epsilon_components(
-    points: np.ndarray,
-    metric,
-    eps_factor: float = 2.0,
-    absolute_eps: float | None = None,
-) -> list[list[int]]:
+def epsilon_components(points: np.ndarray, metric, eps: float) -> list[list[int]]:
     """Connected components of the epsilon-graph on a point sample.
 
     metric(pts, lo, hi) returns the (hi - lo, n) block of distances from the
     rows lo..hi of the stacked (n, d) array to all of its rows, as a new
     array that the scan may overwrite. Edges join points at distance
-    <= eps_factor * median nearest-neighbor distance, or <= absolute_eps
-    when that override is given (used when the scale is calibrated on a
-    larger ambient sample). The distances are scanned a row block at a
-    time, so no (n, n) array is built. Components are sorted by smallest
-    member index.
+    <= eps; callers calibrate it on a larger ambient sample, for instance
+    as a multiple of its median_nn_distance. The distances are scanned a
+    row block at a time, so no (n, n) array is built. Components are
+    sorted by smallest member index.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] == 0:
@@ -148,12 +142,7 @@ def epsilon_components(
     n = pts.shape[0]
     if n == 1:
         return [[0]]
-    rows = _row_blocks(pts, metric)
-    if absolute_eps is not None:
-        threshold = float(absolute_eps)
-    else:
-        threshold = float(eps_factor) * float(np.median(_nearest_other(rows, n)))
-    labels = kernels.graph_components(rows, n, threshold)
+    labels = kernels.graph_components(_row_blocks(pts, metric), n, float(eps))
     comps: dict[int, list[int]] = {}
     for i, lab in enumerate(labels):
         comps.setdefault(int(lab), []).append(i)

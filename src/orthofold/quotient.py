@@ -28,12 +28,7 @@ from .isotropy import (
 )
 from .numerics import Tolerance
 from .seeding import rng_for
-from .strata import (
-    PartitionOfM,
-    SampleCloud,
-    classify_singularity,
-    principal_dimension,
-)
+from .strata import PartitionOfM, PrincipalData, SampleCloud
 
 
 # ---------------------------------------------------------------------------
@@ -607,9 +602,9 @@ def frontier_check(model: StratifiedInterval) -> bool:
 
 
 def quotient_interval_model(
-    a: ActionModel, cloud: SampleCloud, klein: KleinPartition | None = None
+    cloud: SampleCloud, klein: KleinPartition, principal: PrincipalData
 ) -> StratifiedInterval:
-    """Pushforward of the cloud through the action's interval projection.
+    """Pushforward of the cloud through its action's interval projection.
 
     Strata are the images of the Klein blocks: blocks whose values collapse
     to isolated spots become point strata; the rest fill the open cells
@@ -617,10 +612,9 @@ def quotient_interval_model(
     and dense in the quotient, so it always fills open cells, however
     sparsely the sample spreads its values.
     """
+    a = cloud.model
     if a.interval is None:
         raise InputError(f"action {a.name!r} has no interval quotient model")
-    if klein is None:
-        klein = klein_partition(cloud)
     vals = np.asarray(a.interval.projection(cloud.points), dtype=float)
     for orb in klein.orbits:
         if len(orb) > 1:
@@ -630,7 +624,6 @@ def quotient_interval_model(
                     "projection values differ along an identified orbit"
                 )
     lo, hi = a.interval.endpoints
-    principal = principal_dimension(cloud).subgroup
     point_strata = {}
     continuum = []
     breakpoints = {lo, hi}
@@ -639,7 +632,7 @@ def quotient_interval_model(
         gaps = np.where(np.diff(v) > 1e-3)[0]
         clusters = np.split(v, gaps + 1)
         has_principal = any(
-            groups.classes_conjugate(cloud.stabs[i].subgroup, principal, cloud.tol)
+            groups.classes_conjugate(cloud.stabs[i].subgroup, principal.subgroup, cloud.tol)
             for i in block
         )
         if not has_principal and all(c[-1] - c[0] <= 1e-6 for c in clusters):
@@ -676,18 +669,17 @@ def quotient_interval_model(
 # ---------------------------------------------------------------------------
 
 
-def orbifold_criterion(cloud: SampleCloud) -> bool:
+def orbifold_criterion(cloud: SampleCloud, labels: list) -> bool:
     """Whether the sampled quotient is an orbifold.
 
-    True when every non-principal point is an orbifold point with a finite
-    effective slice action. The dimension map must be constant exactly in
-    that case, so disagreement between the two readings raises instead of
-    returning an answer.
+    labels are the cloud's singularity_labels. True when every
+    non-principal point is an orbifold point with a finite effective slice
+    action. The dimension map must be constant exactly in that case, so
+    disagreement between the two readings raises instead of returning an
+    answer.
     """
-    principal = principal_dimension(cloud)
     structural = True
-    for st, rep in zip(cloud.stabs, cloud.reps):
-        lab = classify_singularity(st, principal.subgroup, cloud.tol)
+    for st, rep, lab in zip(cloud.stabs, cloud.reps, labels):
         if lab.label == "OrthofoldPoint":
             structural = False
             break

@@ -264,7 +264,7 @@ def isostabilizer_decomposition(cloud: SampleCloud, tol: Tolerance | None = None
     labels = []
     counters: dict[str, int] = {}
     for fid, idx in enumerate(_fingerprint_groups(cloud, tol)):
-        comps = epsilon_components(cloud.points[idx], metric, absolute_eps=threshold)
+        comps = epsilon_components(cloud.points[idx], metric, threshold)
         cls = cloud.stabs[idx[0]].subgroup
         for comp in comps:
             j = counters.get(cls.display(), 0)
@@ -290,10 +290,11 @@ def isostabilizer_decomposition(cloud: SampleCloud, tol: Tolerance | None = None
 # ---------------------------------------------------------------------------
 
 
-def principal_dimension(cloud: SampleCloud) -> PrincipalData:
+def principal_dimension(cloud: SampleCloud, orbit_type: PartitionOfM) -> PrincipalData:
     """Minimal quotient dimension, its class, and the exceptional mask.
 
-    The principal class is read off the orbit-type block attaining the
+    orbit_type is the cloud's orbit_type_partition. The principal class is
+    read off the orbit-type block attaining the
     minimum that holds the most uniform samples (the first sample_count
     points); ties go to the larger block, then to the first index. Catalog
     specials lie on measure-zero loci, so they never outvote the samples. A
@@ -302,8 +303,7 @@ def principal_dimension(cloud: SampleCloud) -> PrincipalData:
     cannot see it.
     """
     d_pr = int(cloud.quotient_dims.min())
-    part = orbit_type_partition(cloud)
-    attaining = [b for b in part.blocks if int(cloud.quotient_dims[b[0]]) == d_pr]
+    attaining = [b for b in orbit_type.blocks if int(cloud.quotient_dims[b[0]]) == d_pr]
 
     def votes(b):
         return sum(1 for i in b if i < cloud.sample_count)
@@ -346,9 +346,8 @@ def classify_singularity(
     return SingularityLabel("OrthofoldPoint")
 
 
-def singularity_labels(cloud: SampleCloud) -> list[SingularityLabel]:
+def singularity_labels(cloud: SampleCloud, principal: PrincipalData) -> list[SingularityLabel]:
     """Per-point singularity labels against the cloud's principal class."""
-    principal = principal_dimension(cloud)
     return [classify_singularity(st, principal.subgroup, cloud.tol) for st in cloud.stabs]
 
 

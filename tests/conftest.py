@@ -40,6 +40,7 @@ def pipeline_factory(cloud_factory):
             orbit_type = strata.orbit_type_partition(cloud)
             iso = strata.isostabilizer_decomposition(cloud)
             klein = quotient.klein_partition(cloud)
+            principal = strata.principal_dimension(cloud, orbit_type)
             cache[name] = SimpleNamespace(
                 cloud=cloud,
                 action=cloud.model,
@@ -48,6 +49,8 @@ def pipeline_factory(cloud_factory):
                 klein=klein,
                 corr=quotient.correspondence(iso, klein),
                 inverse=quotient.inverse_klein(klein, cloud),
+                principal=principal,
+                labels=strata.singularity_labels(cloud, principal),
             )
         return cache[name]
 

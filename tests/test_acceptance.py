@@ -40,7 +40,7 @@ def test_criterion_01_dimension_identity(pipeline_factory):
 def test_criterion_02_product_spheres_blocks(pipeline_factory):
     pipe = pipeline_factory("s2xs2-so3")
     assert len(pipe.klein.blocks) == 2
-    model = quotient.quotient_interval_model(pipe.action, pipe.cloud, pipe.klein)
+    model = quotient.quotient_interval_model(pipe.cloud, pipe.klein, pipe.principal)
     points = {p[1] for s in model.strata for p in s if p[0] == "point"}
     assert points == {-1.0, 1.0}
     dim_of = {}
@@ -56,7 +56,7 @@ def test_criterion_03_projective_plane_blocks(pipeline_factory):
     pipe = pipeline_factory("rp2-so2")
     assert len(pipe.klein.blocks) == 3
     assert sorted(pipe.klein.dims) == [1, 1, 2]
-    labels = strata.singularity_labels(pipe.cloud)
+    labels = pipe.labels
     owner = pipe.klein.block_of()
     proj = pipe.action.interval.projection(pipe.cloud.points)
     at0 = next(i for i in range(len(pipe.cloud)) if abs(proj[i]) < 1e-9)
@@ -110,7 +110,7 @@ def test_criterion_06_finite_group_quotient(pipeline_factory):
     assert quotient.compare_partitions(pipe.orbit_type, pipe.inverse) == "Equal"
     assert set(pipe.klein.dims) == {2}
     assert np.all(pipe.cloud.quotient_dims == 2)
-    assert quotient.orbifold_criterion(pipe.cloud)
+    assert quotient.orbifold_criterion(pipe.cloud, pipe.labels)
     _report(6, "Klein partition equals orbit types; constant dimension 2; orbifold")
 
 
@@ -148,7 +148,7 @@ def test_criterion_08_correspondence_well_defined(pipeline_factory):
 def test_criterion_09_partition_order(pipeline_factory):
     for name in ("s2xs2-so3", "rp2-so2", "cp2-so3"):
         pipe = pipeline_factory(name)
-        model = quotient.quotient_interval_model(pipe.action, pipe.cloud, pipe.klein)
+        model = quotient.quotient_interval_model(pipe.cloud, pipe.klein, pipe.principal)
         assert quotient.frontier_check(model), name
     coarser = pipeline_factory("cp2-so3")
     assert quotient.compare_partitions(coarser.inverse, coarser.orbit_type) == "QRefinesP"

@@ -113,6 +113,35 @@ def test_differential_of_element_is_isometry():
         actions.differential_of_element(a, g, moving)
 
 
+@pytest.mark.parametrize(
+    "mat",
+    [
+        np.eye(2),
+        np.diag([1.0 + 5e-6, 1.0]),  # diagonal drift 1.0e-5, inside 1e-6 + 1e-5
+        np.diag([1.0 + 6e-6, 1.0]),  # 1.2e-5, outside
+        np.array([[1.0, 9e-7], [0.0, 1.0]]),  # off-diagonal bound is 1e-6 alone
+        np.array([[1.0, 1.1e-6], [0.0, 1.0]]),
+        np.array([[np.nan, 0.0], [0.0, 1.0]]),
+    ],
+)
+def test_differential_orthogonality_bound_is_allclose(mat):
+    # the action fixes the origin, so only the orthogonality check decides
+    a = actions.ActionModel(
+        name="fixed-matrix",
+        group=groups.so2(),
+        manifold=actions.euclidean(2),
+        amb=lambda el: mat,
+        amb_lie=lambda xi: np.zeros((2, 2)),
+        special_points=lambda rng: np.zeros((0, 2)),
+    )
+    x = np.zeros(2)
+    if np.allclose(mat.T @ mat, np.eye(2), atol=1e-6):
+        assert np.array_equal(actions.differential_of_element(a, np.eye(2), x), mat)
+    else:
+        with pytest.raises(StabilizerError):
+            actions.differential_of_element(a, np.eye(2), x)
+
+
 def test_interval_projection_ranges():
     rng = np.random.default_rng(8)
     for name in ("s2xs2-so3", "rp2-so2", "cp2-so3"):

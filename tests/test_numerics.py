@@ -91,11 +91,11 @@ def test_epsilon_components_two_clusters():
     def metric(p, lo, hi):
         return np.abs(p[lo:hi, None, 0] - p[None, :, 0])
 
-    comps = numerics.epsilon_components(pts, metric)
-    assert comps == [[0, 1, 2], [3, 4]]
-    # absolute override can glue everything together
-    one = numerics.epsilon_components(pts, metric, absolute_eps=10.0)
-    assert one == [[0, 1, 2, 3, 4]]
+    # twice the median nearest-neighbour distance keeps the two clusters apart
+    eps = 2.0 * numerics.median_nn_distance(pts, metric)
+    assert numerics.epsilon_components(pts, metric, eps) == [[0, 1, 2], [3, 4]]
+    # a large threshold glues everything together
+    assert numerics.epsilon_components(pts, metric, 10.0) == [[0, 1, 2, 3, 4]]
 
 
 def test_median_nn_distance():
@@ -130,11 +130,14 @@ def test_nearest_other_matches_masked_diagonal(monkeypatch):
 def test_epsilon_components_never_hold_a_square_matrix():
     s2 = actions.sphere(2)
     pts = actions.sample_points(s2, 6000, np.random.default_rng(12))
+
+    def metric(p, lo, hi):
+        return actions.pairwise_distances(s2, p, lo, hi)
+
     tracemalloc.start()
     try:
-        comps = numerics.epsilon_components(
-            pts, lambda p, lo, hi: actions.pairwise_distances(s2, p, lo, hi)
-        )
+        eps = 2.0 * numerics.median_nn_distance(pts, metric)
+        comps = numerics.epsilon_components(pts, metric, eps)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -145,7 +145,7 @@ def test_frontier_check_hand_models():
 
 def test_quotient_interval_model_rp2(pipeline_factory):
     pipe = pipeline_factory("rp2-so2")
-    model = quotient.quotient_interval_model(pipe.action, pipe.cloud, pipe.klein)
+    model = quotient.quotient_interval_model(pipe.cloud, pipe.klein, pipe.principal)
     assert model.endpoints == (0.0, 1.0)
     pieces = [p for s in model.strata for p in s]
     assert ("point", 0.0) in pieces and ("point", 1.0) in pieces
@@ -155,8 +155,9 @@ def test_quotient_interval_model_rp2(pipeline_factory):
 
 
 def test_orbifold_criterion(pipeline_factory):
-    assert quotient.orbifold_criterion(pipeline_factory("s2-zn(5)").cloud)
-    assert not quotient.orbifold_criterion(pipeline_factory("rp2-so2").cloud)
+    zn, rp2 = pipeline_factory("s2-zn(5)"), pipeline_factory("rp2-so2")
+    assert quotient.orbifold_criterion(zn.cloud, zn.labels)
+    assert not quotient.orbifold_criterion(rp2.cloud, rp2.labels)
 
 
 def test_planted_weights_recovered_through_the_slice():

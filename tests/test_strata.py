@@ -98,7 +98,7 @@ def test_decomposition_holds_no_square_matrix(cloud_factory):
 
 def test_principal_data_rp2(cloud_factory):
     cloud = cloud_factory("rp2-so2")
-    pr = strata.principal_dimension(cloud)
+    pr = strata.principal_dimension(cloud, strata.orbit_type_partition(cloud))
     assert pr.value == 1
     assert pr.subgroup.display() == "Trivial"
     assert pr.orbit_dim == 1
@@ -110,9 +110,14 @@ def test_principal_data_rp2(cloud_factory):
             assert not bool(pr.exceptional[i])
 
 
+def _labels(cloud):
+    principal = strata.principal_dimension(cloud, strata.orbit_type_partition(cloud))
+    return strata.singularity_labels(cloud, principal)
+
+
 def test_singularity_labels_rp2(cloud_factory):
     cloud = cloud_factory("rp2-so2")
-    labels = strata.singularity_labels(cloud)
+    labels = _labels(cloud)
     by_class = {}
     for st, lab in zip(cloud.stabs, labels):
         by_class.setdefault(st.subgroup.display(), set()).add(lab.display())
@@ -123,7 +128,7 @@ def test_singularity_labels_rp2(cloud_factory):
 
 def test_singularity_labels_zn(cloud_factory):
     cloud = cloud_factory("s2-zn(5)")
-    labels = strata.singularity_labels(cloud)
+    labels = _labels(cloud)
     displays = {lab.display() for lab in labels}
     assert displays == {"ManifoldPoint", "OrbifoldPoint(5)"}
 
