@@ -33,7 +33,7 @@ from .isotropy import ACCEPT_D2, reps_equivalent, slice_representation, stabiliz
 from .numerics import Tolerance
 from .seeding import rng_for
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 # principal-class probe size for classify; small because only the class of
 # the generic stabilizer is needed, not a stratification
@@ -194,7 +194,6 @@ def _fingerprint_doc(fp) -> dict:
     return {
         "slice_dim": fp.slice_dim,
         "stabilizer": fp.stab_class.display(),
-        "dim_at_origin": fp.dim_at_origin,
         "rep_kind": kind,
         "weights": [list(r) for r in rows],
         "zero_dims": zero_dims,

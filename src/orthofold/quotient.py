@@ -50,7 +50,6 @@ class LocalModelFingerprint:
     slice_dim: int
     stab_class: groups.SubgroupClass
     rep_fingerprint: tuple
-    dim_at_origin: int
     slice_stab_profile: tuple
     free_away_from_origin: bool
     effective_signature: tuple
@@ -286,7 +285,6 @@ def local_model(a: ActionModel, stab, rep: SliceRep, seed: int = 0) -> LocalMode
             rep.zero_dims,
             rep.characters,
         ),
-        dim_at_origin=rep.slice_dim,
         slice_stab_profile=profile,
         free_away_from_origin=free,
         effective_signature=_effective_signature(rep),
@@ -296,7 +294,6 @@ def local_model(a: ActionModel, stab, rep: SliceRep, seed: int = 0) -> LocalMode
 def _klein_key(f: LocalModelFingerprint) -> tuple:
     return (
         f.slice_dim,
-        f.dim_at_origin,
         f.slice_stab_profile,
         f.free_away_from_origin,
         f.effective_signature,

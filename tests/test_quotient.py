@@ -25,14 +25,12 @@ def test_local_model_fingerprint_fields(pipeline_factory):
     pole = int(np.argmin(np.linalg.norm(np.abs(cloud.points) - [0, 0, 1.0], axis=1)))
     fp = quotient.local_model(cloud.model, cloud.stabs[pole], cloud.reps[pole])
     assert fp.slice_dim == 2
-    assert fp.dim_at_origin == 2
     assert fp.stab_class.display() == "SO2"
     generic = next(
         i for i, st in enumerate(cloud.stabs) if st.subgroup.display() == "Trivial"
     )
     fg = quotient.local_model(cloud.model, cloud.stabs[generic], cloud.reps[generic])
     assert fg.slice_dim == 1
-    assert fg.dim_at_origin == 1
     assert fg.free_away_from_origin
     assert not quotient.klein_equivalent(fp, fg)
 
