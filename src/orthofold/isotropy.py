@@ -448,9 +448,9 @@ def _weight_planes(mats: np.ndarray, js: np.ndarray | None):
     if np.abs(moved).max() > 1e-6:
         raise RepExtractionError("slice generators do not preserve the rotation planes")
     if not signed:
-        lead = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
-        rows[lead < 0] *= -1
-        P[lead < 0, :, 1] *= -1
+        flip = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)] < 0
+        rows[flip] *= -1
+        P[flip, :, 1] *= -1
     rows = [tuple(int(t) for t in row) for row in rows]
     order = sorted(range(len(rows)), key=rows.__getitem__)
     return P[order], tuple(rows[i] for i in order), evecs[:, zero]

@@ -244,10 +244,8 @@ def test_cli_runs_without_scipy():
     assert done.stdout.strip().splitlines()[-1] == "[]"
 
 
-# analyze --samples 100 --seed 0 report hashes from the numeric angle
-# search; the exact torus solve must reproduce them byte for byte. All the
-# pins below were re-taken once, when the fingerprint dropped dim_at_origin
-# (schema 2): the reports differed from the old pins by that field alone.
+# analyze --samples 100 --seed 0 report hashes; the exact torus solve
+# reproduced the numeric angle search's payloads byte for byte
 _TORUS_SHAS = {
     "rp2-so2": "8d87df616de55054c37d9961c0abefaa8a548c9d38a93107312530de5d6c82d9",
     "cp2-u1": "60dd1b8f897c29c9f264a632cce5be8a65da76bf2e2d5b456354f774cca826da",
