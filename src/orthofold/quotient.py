@@ -202,8 +202,8 @@ def _sample_label(rep: SliceRep, v, circle_label) -> str:
     return circle_label if k_v == 1 else f"Torus({k_v})"
 
 
-def _slice_stab_profile(a: ActionModel, rep: SliceRep, seed: int):
-    """Stabilizer labels at sampled nonzero slice vectors.
+def _profile_samples(a: ActionModel, rep: SliceRep, seed: int) -> list:
+    """Nonzero slice vectors whose stabilizers make up the profile.
 
     One sample per rotating plane (or per fixed space of a finite element)
     plus one per jointly fixed subspace, then four generic draws. The draws
@@ -212,7 +212,7 @@ def _slice_stab_profile(a: ActionModel, rep: SliceRep, seed: int):
     """
     s = rep.slice_dim
     if s == 0:
-        return (), True
+        return []
     samples = []
     if rep.lie_mats.shape[0] == 0:
         for w in rep.witness_mats[1:]:
@@ -224,6 +224,12 @@ def _slice_stab_profile(a: ActionModel, rep: SliceRep, seed: int):
         if rep.fixed.shape[1]:
             samples.append(rep.fixed[:, 0])
     samples.extend(rng_for(seed, a.name, "slice-profile").normal(size=(4, s)))
+    return samples
+
+
+def _slice_stab_profile(a: ActionModel, rep: SliceRep, seed: int):
+    """Sorted stabilizer labels at the profile samples, and whether all are trivial."""
+    samples = _profile_samples(a, rep, seed)
     labels = sorted(_sample_label(rep, v, a.group.circle_label) for v in samples)
     return tuple(labels), all(lab == "Trivial" for lab in labels)
 

@@ -5,10 +5,11 @@ elimination for rank and nullspace, a synthetic torus action with a
 hidden orthogonal change of frame whose planted weight rows the pipeline
 must recover, a one-element-at-a-time SO(3) identity-component test,
 minors of integer matrices by exact determinants, the isostabilizer
-decomposition from whole distance matrices, and the slice weight fit over
-sampled group elements that preceded the exact read-off. None of it imports
-the numeric routines under test beyond the public model types and the slice
-frame helpers.
+decomposition from whole distance matrices, the slice weight fit over
+sampled group elements that preceded the exact read-off, and the
+slice-vector stabilizer count that preceded the single congruence solve.
+None of it imports the numeric routines under test beyond the public model
+types and the slice frame helpers.
 """
 
 from __future__ import annotations
@@ -144,6 +145,16 @@ def _rot2(t: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
+def hidden_frame(d: int, frame_seed: int) -> np.ndarray:
+    """The orthogonal frame that hides the planes of a planted action.
+
+    Column 2i is the first axis of planted plane i, column 2i + 1 its
+    second, and the last zero_dims columns span the fixed directions.
+    """
+    q_frame, _ = np.linalg.qr(np.random.default_rng(frame_seed).normal(size=(d, d)))
+    return q_frame
+
+
 def planted_torus_action(rows, zero_dims: int, frame_seed: int) -> actions.ActionModel:
     """Torus action on R^(2p+z) rotating p hidden planes at integer rates.
 
@@ -154,8 +165,7 @@ def planted_torus_action(rows, zero_dims: int, frame_seed: int) -> actions.Actio
     W = np.array(rows, dtype=float)
     p, k = W.shape
     d = 2 * p + zero_dims
-    rng = np.random.default_rng(frame_seed)
-    q_frame, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    q_frame = hidden_frame(d, frame_seed)
     g = groups.torus(k)
 
     def amb(el):
@@ -196,6 +206,38 @@ def origin_stabilizer(a: actions.ActionModel) -> isotropy.StabilizerData:
         orbit_dim=0,
         inf_action=inf,
     )
+
+
+def planted_point_rep(a: actions.ActionModel, x: np.ndarray, kernel, witness_angles):
+    """Slice representation at x of a planted action, planes read exactly,
+    with the ambient frame of its normal slice.
+
+    kernel holds the Lie kernel columns and witness_angles the torus angles
+    of the non-identity component witnesses; the caller vouches that both
+    describe the stabilizer of x. Such stabilizers classify as Other, whose
+    reps carry sampled traces, so the planes, rows and fixed basis are read
+    from the slice generators here, as for a torus-weight rep.
+    """
+    kernel = np.asarray(kernel, dtype=float)
+    angles = np.zeros((1 + len(witness_angles), a.group.lie_dim))
+    angles[1:] = witness_angles
+    wits = groups.exp_coeffs_batch(a.group, angles)
+    inf = actions.infinitesimal_action(a, x)
+    st = isotropy.StabilizerData(
+        point=x,
+        lie_kernel=kernel,
+        witnesses=wits,
+        subgroup=groups.classify_subgroup(a.group, kernel, wits),
+        orbit_dim=a.group.lie_dim - kernel.shape[1],
+        inf_action=inf,
+    )
+    rep = isotropy.slice_representation(a, st)
+    planes, weights, fixed = isotropy._weight_planes(rep.lie_mats, None)
+    rep = replace(
+        rep, rep_kind="torus_weights", planes=planes, weights=weights,
+        fixed=fixed, zero_dims=fixed.shape[1],
+    )
+    return rep, isotropy.normal_slice(a, st)
 
 
 def full_distance_matrix(m, pts: np.ndarray) -> np.ndarray:
@@ -393,3 +435,96 @@ def slice_stab_profile_reference(a, rep, weights: tuple, seed: int = 0):
         fixed=zero_basis,
     )
     return quotient._slice_stab_profile(a, old, seed)
+
+
+# the slice-vector stabilizer count before the single congruence solve: a
+# float angle loop for rank one, a Smith form of the active rows alone for
+# higher ranks, and a fixer count for finite groups
+_ANGLE_EPS = 1e-4
+
+
+def _angle_close(x: float, y: float, eps: float = _ANGLE_EPS) -> bool:
+    d = (x - y) % (2.0 * np.pi)
+    return d <= eps or d >= 2.0 * np.pi - eps
+
+
+def coset_solutions_reference(rep, w, v) -> int:
+    """Angles th with exp(th A) w v = v, counted over one circle period.
+
+    Congruence arithmetic on per-plane alignment angles; rank-one identity
+    components only.
+    """
+    eps = quotient._FIX_EPS
+    u = w @ v
+    scale = max(float(np.linalg.norm(v)), 1.0)
+    if rep.fixed.shape[1]:
+        if np.linalg.norm(rep.fixed.T @ (u - v)) > eps * scale:
+            return 0
+    cons = []
+    for plane, row in zip(rep.planes, rep.weights):
+        cv = plane.T @ v
+        cu = plane.T @ u
+        nv = float(np.linalg.norm(cv))
+        nu = float(np.linalg.norm(cu))
+        if nv <= 1e-6 * scale and nu <= 1e-6 * scale:
+            continue
+        if abs(nv - nu) > eps * scale:
+            return 0
+        w_int = row[0]
+        alpha = float(np.arctan2(cv[1], cv[0]) - np.arctan2(cu[1], cu[0]))
+        cons.append((abs(w_int), alpha if w_int > 0 else -alpha))
+    if not cons:
+        return 1 if np.linalg.norm(u - v) <= eps * scale else 0
+    w0, a0 = cons[0]
+    count = 0
+    for j in range(w0):
+        th = (a0 + 2.0 * np.pi * j) / w0
+        if all(_angle_close(wi * th, ai) for wi, ai in cons[1:]):
+            count += 1
+    return count
+
+
+def finite_fix_count_reference(mats: np.ndarray, v: np.ndarray) -> int:
+    scale = max(float(np.linalg.norm(v)), 1.0)
+    return int(sum(1 for w in mats if np.linalg.norm(w @ v - v) <= quotient._FIX_EPS * scale))
+
+
+def sample_label_reference(rep, v, circle_label) -> str:
+    """Stabilizer label of one nonzero slice vector under the slice action.
+
+    At rank two and up, only the identity component is counted when some
+    plane is active.
+    """
+    v = np.asarray(v, dtype=float)
+    v = v / np.linalg.norm(v)
+    k = rep.lie_mats.shape[0]
+    if k == 0:
+        q = finite_fix_count_reference(rep.witness_mats, v)
+        return "Trivial" if q == 1 else f"Zn({q})"
+    active = [
+        row
+        for plane, row in zip(rep.planes, rep.weights)
+        if np.linalg.norm(plane.T @ v) > 1e-6
+    ]
+    if not active:
+        # the identity component fixes v; only the other components matter
+        extra = finite_fix_count_reference(rep.witness_mats[1:], v)
+        if extra == rep.witness_mats.shape[0] - 1:
+            return rep.stab_label
+        if k == 1:
+            return "O2" if extra else circle_label
+        return f"Torus({k})"
+    if k == 1:
+        count = coset_solutions_reference(rep, np.eye(v.size), v)
+        for w in rep.witness_mats[1:]:
+            count += coset_solutions_reference(rep, w, v)
+        return "Trivial" if count == 1 else f"Zn({count})"
+    _, diag, _ = groups.smith_form(np.array(active, dtype=np.int64))
+    diag = diag[diag != 0]
+    k_v = k - len(diag)
+    comps = int(np.prod(diag))
+    if k_v == 0:
+        return "Trivial" if comps == 1 else f"Zn({comps})"
+    if comps > 1:
+        return f"Other({k_v},{comps})"
+    return circle_label if k_v == 1 else f"Torus({k_v})"

@@ -268,6 +268,8 @@ _PAYLOAD_SHAS = {
     ("cp2-so3", "100"): "e36b635dad8e9884985a1f49d5c4a7fb0f3a7269b79013baac219e8f262a58b2",
     # the origin's FullGroup weights have three rows, one per torus factor
     ("cn-tn(3)", "20"): "d9159759885d3701e291631d22280899710398df16262ff02514a71364c70c9f",
+    # the cheapest payload whose slice profiles solve a rank-4 congruence
+    ("cn-tn(4)", "10"): "502ccd6b9a76aa0685c908595590145e5ae0ef6e9604c566abb78215612d73d7",
 }
 
 

@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 
-from orthofold import isotropy, quotient, strata
+from orthofold import actions, isotropy, quotient, strata
 from orthofold.errors import InputError
 from orthofold.strata import PartitionOfM
 
 from oracles import (
+    hidden_frame,
     origin_stabilizer,
+    planted_point_rep,
     planted_torus_action,
     refines,
+    sample_label_reference,
     weight_rows_reference,
 )
 
@@ -200,3 +203,61 @@ def test_planted_rows_are_read_exactly(rows, zero_dims, profile):
     basis = np.concatenate([*rep.planes, rep.fixed], axis=1)
     assert np.abs(basis.T @ basis - np.eye(rep.slice_dim)).max() < 1e-12
     assert quotient._slice_stab_profile(a, rep, 0) == (profile, False)
+
+
+def _labels(a, rep, vectors):
+    """Labels of the slice vectors, by the shipped count and by the reference."""
+    circle = a.group.circle_label
+    got = [quotient._sample_label(rep, v, circle) for v in vectors]
+    return got, [sample_label_reference(rep, v, circle) for v in vectors]
+
+
+@pytest.mark.parametrize("name", actions.catalog_ids())
+def test_sample_labels_match_the_reference(cloud_factory, name):
+    for seed in range(4):
+        cloud = cloud_factory(name, 40, seed)
+        for rep in cloud.reps:
+            got, ref = _labels(cloud.model, rep, quotient._profile_samples(cloud.model, rep, seed))
+            assert got == ref
+
+
+@pytest.mark.parametrize("name", ["cn-tn(3)", "cn-tn(4)"])
+def test_sample_labels_match_the_reference_on_higher_tori(cloud_factory, name):
+    cloud = cloud_factory(name, 20, 0)
+    for rep in cloud.reps:
+        got, ref = _labels(cloud.model, rep, quotient._profile_samples(cloud.model, rep, 0))
+        assert got == ref
+
+
+# planted slices reaching branches no catalog action does: the rank-one
+# coset path at q > 2, and Other(k, c) with c > 1
+@pytest.mark.parametrize(
+    "rows, zero_dims, label",
+    [
+        (((3,), (6,)), 1, "Zn(3)"),
+        (((-1, 2), (0, -3), (1, 1)), 2, "Other(1,3)"),
+        (((1, -1), (1, -1), (-2, 0)), 0, "Other(1,2)"),
+    ],
+)
+def test_planted_origin_labels_match_the_reference(rows, zero_dims, label):
+    a = planted_torus_action(rows, zero_dims, frame_seed=7)
+    rep = isotropy.slice_representation(a, origin_stabilizer(a))
+    # the origin's slice is the whole space; add every planted axis
+    vectors = [*quotient._profile_samples(a, rep, 0), *hidden_frame(rep.slice_dim, 7).T]
+    got, ref = _labels(a, rep, vectors)
+    assert got == ref
+    assert label in got
+
+
+def test_planted_inert_circle_with_one_fixing_component():
+    # T^2 on R^6 at a point of the plane of row (2, 0): the stabilizer is
+    # {0, pi} x T^1. The identity component fixes the plane of row (1, 0),
+    # which the half turn reverses, so a vector there is fixed by one
+    # component of two; the radial direction is fixed by both
+    a = planted_torus_action(((2, 0), (1, 0), (0, 1)), 0, frame_seed=5)
+    frame = hidden_frame(6, 5)
+    rep, slice_frame = planted_point_rep(a, frame[:, 0], [[0.0], [1.0]], [[np.pi, 0.0]])
+    axes = slice_frame.T @ frame[:, [0, 2, 3, 4, 5]]
+    got, ref = _labels(a, rep, [*quotient._profile_samples(a, rep, 0), *axes.T])
+    assert got == ref
+    assert got[-5:] == [rep.stab_label, "U1", "U1", "Zn(2)", "Zn(2)"]
