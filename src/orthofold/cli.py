@@ -570,11 +570,12 @@ def cmd_classify(args) -> int:
     a = actions.get_action(args.action)
     tol = _tolerance(args)
     x = _resolve_point(a, args.point)
-    st = stabilizer(a, x, seed=args.seed, tol=tol)
+    # the probe cloud draws the SO(3) witness pool; the point's search shares it
+    probe = strata.build_cloud(a, _CLASSIFY_PROBE, seed=args.seed, tol=tol)
+    st = stabilizer(a, x, seed=args.seed, tol=tol, pool=probe.pool)
     rep = slice_representation(a, st, tol)
     orbit_dim = int(a.manifold.intrinsic_dim - rep.slice_dim)
     qdim = strata.quotient_dimension(a, x, tol)
-    probe = strata.build_cloud(a, _CLASSIFY_PROBE, seed=args.seed, tol=tol)
     principal = strata.principal_dimension(probe, strata.orbit_type_partition(probe))
     label = strata.classify_singularity(st, principal.subgroup, tol)
     fp = quotient.local_model(a, st, rep, seed=args.seed)

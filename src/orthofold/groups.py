@@ -15,18 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ClassificationError, InputError
-from .numerics import Tolerance, DEFAULT_TOL, orthonormalize
+from .kernels import SO3_GENERATORS, rodrigues_batch
+from .numerics import Tolerance, DEFAULT_TOL, orthonormalize, spans_equal
 
 # identity-component membership cut of the SO(3) witness dedup: on
 # |q zeta - zeta| for a circle stabilizer and on max |q - 1| for a finite one.
 # Catalog component classes sit O(1) apart. Torus-kind stabilizers are solved
 # exactly and finite groups enumerated, so neither passes through this cut.
 COMPONENT_EPS = 1e-5
-
-
-def _rot2(theta: float) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
 
 
 _J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -36,7 +32,8 @@ _J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 class GroupDescriptor:
     """A compact matrix group in its canonical representation.
 
-    kind: one of "so3", "so2", "u1", "torus", "finite".
+    kind: one of "so3", "torus", "finite". SO(2) and U(1) are the rank-one
+    torus; they differ only in circle_label and name.
     """
 
     kind: str
@@ -61,29 +58,25 @@ class GroupDescriptor:
 
 
 def so3() -> GroupDescriptor:
-    from .kernels import SO3_GENERATORS
-
     return GroupDescriptor(kind="so3", size=3, lie=SO3_GENERATORS.copy(), name="SO(3)")
 
 
 def so2() -> GroupDescriptor:
-    return GroupDescriptor(kind="so2", size=2, lie=_J2[None].copy(), name="SO(2)")
+    return torus(1, circle_label="SO2", name="SO(2)")
 
 
 def u1() -> GroupDescriptor:
-    return GroupDescriptor(
-        kind="u1", size=2, lie=_J2[None].copy(), circle_label="U1", name="U(1)"
-    )
+    return torus(1, name="U(1)")
 
 
-def torus(r: int) -> GroupDescriptor:
+def torus(r: int, circle_label: str = "U1", name: str = "") -> GroupDescriptor:
     if r < 1:
         raise InputError("torus rank must be positive")
     gens = np.zeros((r, 2 * r, 2 * r))
     for j in range(r):
         gens[j, 2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = _J2
     return GroupDescriptor(
-        kind="torus", size=2 * r, lie=gens, circle_label="U1", name=f"T^{r}"
+        kind="torus", size=2 * r, lie=gens, circle_label=circle_label, name=name or f"T^{r}"
     )
 
 
@@ -107,44 +100,27 @@ def exp_coeffs(g: GroupDescriptor, c: np.ndarray) -> np.ndarray:
     c = np.asarray(c, dtype=np.float64).ravel()
     if c.size != g.lie_dim:
         raise InputError(f"expected {g.lie_dim} coefficients, got {c.size}")
-    if g.kind == "so3":
-        return _rodrigues_single(c)
-    if g.kind in ("so2", "u1"):
-        return _rot2(c[0]) if c.size else g.identity()
-    if g.kind == "torus":
-        r = g.lie_dim
-        out = np.eye(2 * r)
-        for j in range(r):
-            out[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = _rot2(c[j])
-        return out
-    return g.identity()  # finite: the Lie algebra is zero
+    return exp_coeffs_batch(g, c[None])[0]
 
 
 def exp_coeffs_batch(g: GroupDescriptor, C: np.ndarray) -> np.ndarray:
-    """Vectorized exp_coeffs over rows of C."""
+    """exp_coeffs over the rows of C.
+
+    A torus element turns its j-th coordinate plane by C[:, j]; finite
+    groups have no coordinates, so every row gives the identity.
+    """
     C = np.atleast_2d(np.asarray(C, dtype=np.float64))
     if g.kind == "so3":
-        from .kernels import rodrigues_batch
-
         return rodrigues_batch(C)
-    if g.kind in ("so2", "u1", "torus"):
-        r = g.lie_dim
-        out = np.zeros((C.shape[0], g.size, g.size))
-        out[:] = np.eye(g.size)
-        for j in range(r):
-            cos, sin = np.cos(C[:, j]), np.sin(C[:, j])
-            out[:, 2 * j, 2 * j] = cos
-            out[:, 2 * j, 2 * j + 1] = -sin
-            out[:, 2 * j + 1, 2 * j] = sin
-            out[:, 2 * j + 1, 2 * j + 1] = cos
-        return out
-    return np.stack([exp_coeffs(g, c) for c in C])
-
-
-def _rodrigues_single(w: np.ndarray) -> np.ndarray:
-    from .kernels import rodrigues_batch
-
-    return rodrigues_batch(w[None])[0]
+    out = np.zeros((C.shape[0], g.size, g.size))
+    out[:] = np.eye(g.size)
+    for j in range(g.lie_dim):
+        cos, sin = np.cos(C[:, j]), np.sin(C[:, j])
+        out[:, 2 * j, 2 * j] = cos
+        out[:, 2 * j, 2 * j + 1] = -sin
+        out[:, 2 * j + 1, 2 * j] = sin
+        out[:, 2 * j + 1, 2 * j + 1] = cos
+    return out
 
 
 def sample_elements(g: GroupDescriptor, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -158,8 +134,6 @@ def sample_elements(g: GroupDescriptor, count: int, rng: np.random.Generator) ->
         q = rng.normal(size=(count, 4))
         q /= np.linalg.norm(q, axis=1, keepdims=True)
         return _quat_to_mat(q)
-    if g.kind in ("so2", "u1"):
-        return exp_coeffs_batch(g, rng.uniform(0.0, 2.0 * np.pi, size=(count, 1)))
     if g.kind == "torus":
         return exp_coeffs_batch(g, rng.uniform(0.0, 2.0 * np.pi, size=(count, g.lie_dim)))
     raise InputError(f"cannot sample elements of kind {g.kind!r}")
@@ -254,6 +228,31 @@ def smith_form(W) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
+def congruence_solutions(W, B) -> tuple[np.ndarray, int]:
+    """Solutions of W psi = b (mod 2 pi), one per component, for each row b of B.
+
+    With U W V = diag(d) from smith_form, psi = V chi solves the congruence
+    exactly when d_i chi_i = (U b)_i (mod 2 pi) for every nonzero d_i and
+    the rows of U b past them vanish mod 2 pi; callers decide the latter by
+    testing the solutions. The other coordinates of chi are free and span
+    the identity component of the solution set. Each j in prod [0, d_i)
+    gives chi_i = ((U b)_i + 2 pi j_i) / d_i with the free coordinates 0;
+    j = 0, the particular solution, comes first. A W without rows
+    constrains nothing and is not factored. Returns psi of shape
+    (len(B), prod d, n) and the number of free coordinates.
+    """
+    W = np.asarray(W, dtype=np.int64)
+    n = W.shape[1]
+    if W.shape[0] == 0:
+        return np.zeros((len(B), 1, n)), n
+    U, d, V = smith_form(W)
+    k = int(np.count_nonzero(d))
+    j = np.array(list(np.ndindex(*d[:k])), dtype=np.float64)
+    chi = np.zeros((len(B), j.shape[0], n))
+    chi[:, :, :k] = (np.stack([U @ b for b in B])[:, None, :k] + 2.0 * np.pi * j) / d[:k]
+    return chi @ V.T, n - k
+
+
 def identity_component_mask(
     g: GroupDescriptor, Q: np.ndarray, kernel_coeffs: np.ndarray
 ) -> np.ndarray:
@@ -322,9 +321,7 @@ def classify_subgroup(
 
     # every witness must normalize the stabilizer algebra; Ad is the
     # identity on an abelian group, so only SO(3) can fail this
-    if k > 0 and g.kind not in ("so2", "u1", "torus"):
-        from .numerics import spans_equal
-
+    if k > 0 and g.kind == "so3":
         span = orthonormalize(lie_kernel)
         for w in witnesses:
             ad = adjoint_coeffs(g, w)

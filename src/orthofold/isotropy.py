@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,9 +70,10 @@ class SliceRep:
     compatible complex structure); planes holds the invariant rotation plane
     of each row, aligned with weights, and fixed a basis of the directions
     the identity component fixes, zero_dims of them. Without torus weights
-    there are no planes and fixed is the identity. witness_mats and lie_mats
-    give the slice matrices of the component witnesses and of the stabilizer
-    Lie basis; all matrices are in the slice coordinates.
+    there are no planes and fixed is the identity, read-only arrays shared
+    by every such rep of one slice dimension. witness_mats and lie_mats give
+    the slice matrices of the component witnesses and of the stabilizer Lie
+    basis; all matrices are in the slice coordinates.
     """
 
     stab_label: str
@@ -82,8 +84,6 @@ class SliceRep:
     planes: np.ndarray
     fixed: np.ndarray
     characters: tuple
-    frame: np.ndarray
-    coords: np.ndarray
     witness_mats: np.ndarray
     lie_mats: np.ndarray
 
@@ -199,22 +199,15 @@ def _torus_system(a: ActionModel, x: np.ndarray, y: np.ndarray):
 def _torus_solutions(a: ActionModel, x: np.ndarray, y: np.ndarray):
     """Elements carrying x to y, one per stabilizer component, in closed form.
 
-    With U W V = diag(d) for the congruence W psi = b of _torus_system,
-    psi = V chi is a solution exactly when d_i chi_i = (U b)_i (mod 2 pi)
-    for every nonzero d_i (and the rows of U b past them vanish mod 2 pi,
-    which the caller's displacement test decides). The other coordinates of
-    chi are free and span the identity component of the stabilizer. Each j
-    in prod [0, d_i) gives chi_i = ((U b)_i + 2 pi j_i) / d_i with the free
-    coordinates 0; j = 0, the particular solution, comes first. Returns the
-    elements and the number of free coordinates.
+    The congruence of _torus_system is solved by groups.congruence_solutions;
+    the particular solution comes first, and whether the solutions really
+    carry x to y is left to the caller's displacement test. Returns the
+    elements and the number of free coordinates, which span the identity
+    component of the stabilizer.
     """
     W, b = _torus_system(a, x, y)
-    U, d, V = groups.smith_form(W)
-    k = int(np.count_nonzero(d))
-    j = np.array(list(np.ndindex(*d[:k])), dtype=np.float64)
-    chi = np.zeros((j.shape[0], V.shape[0]))
-    chi[:, :k] = ((U @ b)[:k] + 2.0 * np.pi * j) / d[:k]
-    return groups.exp_coeffs_batch(a.group, (chi @ V.T)[:, : a.group.lie_dim]), V.shape[0] - k
+    psi, free = groups.congruence_solutions(W, b[None])
+    return groups.exp_coeffs_batch(a.group, psi[0][:, : a.group.lie_dim]), free
 
 
 def stabilizer(
@@ -248,7 +241,7 @@ def stabilizer(
         ident = np.eye(g.size)
         keep.sort(key=lambda e: (not np.allclose(e, ident), np.round(e, 8).tobytes()))
         wits = np.stack(keep)
-    elif g.kind in ("so2", "u1", "torus"):
+    elif g.kind == "torus":
         wits, free = _torus_solutions(a, x, x)
         if free != lie_kernel.shape[1]:
             raise StabilizerError("Lie kernel and torus solve disagree on the stabilizer dimension")
@@ -320,7 +313,7 @@ def transport_element(
         if dists[i] <= min(max(tol.match_eps, 1e-7), np.sqrt(accept_d2)):
             return g.elements[i].copy()
         return None
-    if g.kind in ("so2", "u1", "torus"):
+    if g.kind == "torus":
         el = _torus_solutions(a, x, y)[0][0]
         return el if float(_displacement(a, x, el[None], y)[0]) <= accept_d2 else None
     if g.kind != "so3":
@@ -438,7 +431,8 @@ def _weight_planes(mats: np.ndarray, js: np.ndarray | None):
             basis = u[:, sv > 0.5]
         pos = end
     if not planes:
-        return np.zeros((0, s, 2)), (), np.eye(s)
+        empty, fixed = _no_planes(s)
+        return empty, (), fixed
     P = np.stack(planes)
     rates = np.einsum("pa,jab,pb->pj", P[:, :, 1], mats, P[:, :, 0])
     rows = np.rint(rates)
@@ -454,6 +448,18 @@ def _weight_planes(mats: np.ndarray, js: np.ndarray | None):
     rows = [tuple(int(t) for t in row) for row in rows]
     order = sorted(range(len(rows)), key=rows.__getitem__)
     return P[order], tuple(rows[i] for i in order), evecs[:, zero]
+
+
+@functools.lru_cache(maxsize=None)
+def _no_planes(sdim: int):
+    """Planes and fixed basis of a slice nothing rotates: none, and the identity.
+
+    One read-only pair per slice dimension, shared by every such rep.
+    """
+    planes, fixed = np.zeros((0, sdim, 2)), np.eye(sdim)
+    planes.flags.writeable = False
+    fixed.flags.writeable = False
+    return planes, fixed
 
 
 _TORUS_REP_LABELS = ("SO2", "U1", "O2", "FullGroup")
@@ -486,7 +492,8 @@ def slice_representation(
     characters = tuple(sorted(round(float(np.trace(s)), 9) for s in wmats))
 
     label = stab.subgroup.label
-    planes, weights, fixed = np.zeros((0, sdim, 2)), (), np.eye(sdim)
+    planes, fixed = _no_planes(sdim)
+    weights = ()
     if k == 0:
         kind = "finite_characters"
     elif label in _TORUS_REP_LABELS:
@@ -512,8 +519,6 @@ def slice_representation(
         planes=planes,
         fixed=fixed,
         characters=characters,
-        frame=frame @ coords,
-        coords=coords,
         witness_mats=wmats,
         lie_mats=lie_mats,
     )

@@ -8,6 +8,7 @@ frontier checking on the one-dimensional interval models.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from math import gcd
@@ -102,20 +103,14 @@ class StratifiedInterval:
 # ---------------------------------------------------------------------------
 
 # orthogonal slice matrices move non-fixed unit vectors at unit scale while
-# polished witnesses carry noise a few orders below these cuts, so both
-# thresholds sit in a wide gap
+# polished witnesses carry noise a few orders below this cut, so it sits in
+# a wide gap
 _FIX_EPS = 1e-5
-_ANGLE_EPS = 1e-4
 
 # squared-displacement bound when identifying orbits across the cloud: in
 # dense clouds distinct orbits can pass within coarse tolerance of each
 # other, while a genuine transport polishes to near machine precision
 _IDENTIFY_D2 = 1e-20
-
-
-def _angle_close(x: float, y: float, eps: float = _ANGLE_EPS) -> bool:
-    d = (x - y) % (2.0 * np.pi)
-    return d <= eps or d >= 2.0 * np.pi - eps
 
 
 def _fixed_space(w: np.ndarray) -> np.ndarray:
@@ -124,82 +119,48 @@ def _fixed_space(w: np.ndarray) -> np.ndarray:
     return vt[sv <= _FIX_EPS].T
 
 
-def _coset_solutions(rep: SliceRep, w, v) -> int:
-    """Angles th with exp(th A) w v = v, counted over one circle period.
-
-    Exact congruence arithmetic on per-plane alignment angles; rank-one
-    identity components only.
-    """
-    u = w @ v
-    scale = max(float(np.linalg.norm(v)), 1.0)
-    if rep.fixed.shape[1]:
-        if np.linalg.norm(rep.fixed.T @ (u - v)) > _FIX_EPS * scale:
-            return 0
-    cons = []
-    for plane, row in zip(rep.planes, rep.weights):
-        cv = plane.T @ v
-        cu = plane.T @ u
-        nv = float(np.linalg.norm(cv))
-        nu = float(np.linalg.norm(cu))
-        if nv <= 1e-6 * scale and nu <= 1e-6 * scale:
-            continue
-        if abs(nv - nu) > _FIX_EPS * scale:
-            return 0
-        w_int = row[0]
-        alpha = float(np.arctan2(cv[1], cv[0]) - np.arctan2(cu[1], cu[0]))
-        cons.append((abs(w_int), alpha if w_int > 0 else -alpha))
-    if not cons:
-        return 1 if np.linalg.norm(u - v) <= _FIX_EPS * scale else 0
-    w0, a0 = cons[0]
-    count = 0
-    for j in range(w0):
-        th = (a0 + 2.0 * np.pi * j) / w0
-        if all(_angle_close(wi * th, ai) for wi, ai in cons[1:]):
-            count += 1
-    return count
-
-
-def _finite_fix_count(mats: np.ndarray, v: np.ndarray) -> int:
-    scale = max(float(np.linalg.norm(v)), 1.0)
-    return int(sum(1 for w in mats if np.linalg.norm(w @ v - v) <= _FIX_EPS * scale))
-
-
 def _sample_label(rep: SliceRep, v, circle_label) -> str:
-    """Stabilizer label of one nonzero slice vector under the slice action."""
+    """Stabilizer label of one nonzero slice vector under the slice action.
+
+    The stabilizer H_v is counted one component of H at a time. An element
+    exp(psi . A) of the identity component turns plane p by weights[p] . psi,
+    so the elements carrying w v back to v solve W psi = b (mod 2 pi): W
+    holds the rows of the planes v touches, and b their angles from w v to
+    v, one target per witness w. groups.congruence_solutions gives one
+    solution per component and the free dimension of H_v, and a solution
+    counts when it turns w v to within _FIX_EPS of v. A slice without
+    planes, a finite stabilizer's among them, has nothing to solve: each
+    witness is its own single candidate and all k coordinates are free.
+    The label reads the free dimension and the count.
+    """
     v = np.asarray(v, dtype=float)
-    v = v / np.linalg.norm(v)
+    v = v / np.sqrt(v @ v)
+    wv = rep.witness_mats @ v
+    # no element of the identity component turns the fixed coordinates
+    d = (wv - v) @ rep.fixed
+    miss = np.einsum("mz,mz->m", d, d)[:, None]
     k = rep.lie_mats.shape[0]
-    if k == 0:
-        q = _finite_fix_count(rep.witness_mats, v)
-        return "Trivial" if q == 1 else f"Zn({q})"
-    active = [
-        row
-        for plane, row in zip(rep.planes, rep.weights)
-        if np.linalg.norm(plane.T @ v) > 1e-6
-    ]
-    if not active:
-        # the identity component fixes v; only the other components matter
-        extra = _finite_fix_count(rep.witness_mats[1:], v)
-        if extra == rep.witness_mats.shape[0] - 1:
-            return rep.stab_label
-        if k == 1:
-            return "O2" if extra else circle_label
-        return f"Torus({k})"
-    if k == 1:
-        count = _coset_solutions(rep, np.eye(v.size), v)
-        for w in rep.witness_mats[1:]:
-            count += _coset_solutions(rep, w, v)
+    free = k
+    if rep.weights:
+        rows = np.array(rep.weights, dtype=np.int64)
+        # plane coordinates as complex numbers: exp(psi . A) multiplies
+        # them by exp(i weights[p] . psi)
+        planes = rep.planes[:, :, 0] + 1j * rep.planes[:, :, 1]
+        zv, zw = planes @ v, wv @ planes.T
+        # a plane under 1e-6 of v cannot move it past the fixer cut
+        touched = np.abs(zv) > 1e-6
+        b = np.angle(zv[touched] * zw[:, touched].conj())
+        psi, free = groups.congruence_solutions(rows[touched], b)
+        turned = zw[:, None, :] * np.exp(1j * (psi @ rows.T))
+        miss = miss + (np.abs(turned - zv) ** 2).sum(axis=2)
+    count = int(np.count_nonzero(miss <= _FIX_EPS**2))
+    if free == 0:
         return "Trivial" if count == 1 else f"Zn({count})"
-    # higher-rank identity component: kernel of the active rows on the torus
-    _, diag, _ = groups.smith_form(np.array(active, dtype=np.int64))
-    diag = diag[diag != 0]
-    k_v = k - len(diag)
-    comps = int(np.prod(diag))
-    if k_v == 0:
-        return "Trivial" if comps == 1 else f"Zn({comps})"
-    if comps > 1:
-        return f"Other({k_v},{comps})"
-    return circle_label if k_v == 1 else f"Torus({k_v})"
+    if free == k and count == rep.witness_mats.shape[0]:
+        return rep.stab_label
+    if count > 1:
+        return "O2" if k == 1 else f"Other({free},{count})"
+    return circle_label if free == 1 else f"Torus({free})"
 
 
 def _profile_samples(a: ActionModel, rep: SliceRep, seed: int) -> list:
@@ -298,12 +259,8 @@ def local_model(a: ActionModel, stab, rep: SliceRep, seed: int = 0) -> LocalMode
 
 
 def _klein_key(f: LocalModelFingerprint) -> tuple:
-    return (
-        f.slice_dim,
-        f.slice_stab_profile,
-        f.free_away_from_origin,
-        f.effective_signature,
-    )
+    # free_away_from_origin is read off the profile, so it is not keyed
+    return (f.slice_dim, f.slice_stab_profile, f.effective_signature)
 
 
 def klein_equivalent(f1: LocalModelFingerprint, f2: LocalModelFingerprint) -> bool:
@@ -326,7 +283,7 @@ def _orbit_invariants(a: ActionModel, pts: np.ndarray) -> np.ndarray:
     m = a.manifold
     if m.kind == "complex_projective":
         return np.sqrt(pts[:, 0::2] ** 2 + pts[:, 1::2] ** 2)
-    if a.group.kind in ("so2", "u1", "torus") and a.ambient_pairs is not None:
+    if a.group.kind == "torus" and a.ambient_pairs is not None:
         cols = []
         for coords, _ in a.ambient_pairs:
             if len(coords) == 1:
@@ -447,39 +404,45 @@ def correspondence(iso: PartitionOfM, klein: KleinPartition) -> CorrespondenceRe
     surjective = hit == set(range(len(klein.blocks)))
     injective = len(hit) == len(mapping)
 
-    by_kid: dict = {}
-    for bid, kid in enumerate(mapping):
-        by_kid.setdefault(kid, []).append(bid)
-    merge = []
-    seen_pairs = set()
-    for kid in sorted(by_kid):
-        ids = by_kid[kid]
-        for p in range(len(ids)):
-            for q in range(p + 1, len(ids)):
-                ci = iso.block_labels[ids[p]]["subgroup"]
-                cj = iso.block_labels[ids[q]]["subgroup"]
-                if groups.classes_conjugate(ci, cj):
+    # conjugacy depends on the classes alone, so both witness lists are read
+    # off the blocks of each distinct class, kept in block order
+    by_class: dict = {}
+    for bid, lab in enumerate(iso.block_labels):
+        by_class.setdefault(lab["subgroup"], []).append(bid)
+
+    # per display tag, the first pair p < q of non-conjugate blocks inside
+    # one Klein block: p the first block of its class there, q the first
+    # block of the other class after p
+    in_klein: dict = {}
+    for cls, ids in by_class.items():
+        for bid in ids:
+            in_klein.setdefault(mapping[bid], {}).setdefault(cls, []).append(bid)
+    first: dict = {}
+    for kid, members in in_klein.items():
+        for ci, a_ids in members.items():
+            for cj, b_ids in members.items():
+                j = bisect_right(b_ids, a_ids[0])
+                if j == len(b_ids) or groups.classes_conjugate(ci, cj):
                     continue
+                pair = (a_ids[0], b_ids[j])
                 tag = (ci.display(), cj.display(), kid)
-                if tag in seen_pairs:
-                    continue
-                seen_pairs.add(tag)
-                merge.append(((ids[p], ids[q]), kid))
+                first[tag] = min(first.get(tag, pair), pair)
+    merge = sorted(((pair, tag[2]) for tag, pair in first.items()), key=lambda e: (e[1], e[0]))
 
     class_groups: list = []
-    for bid in range(len(iso.blocks)):
-        cls = iso.block_labels[bid]["subgroup"]
+    for cls, ids in by_class.items():
+        kids = {mapping[bid] for bid in ids}
         for grp in class_groups:
             if groups.classes_conjugate(cls, grp["cls"]):
-                grp["ids"].append(bid)
+                grp["kids"] |= kids
                 break
         else:
-            class_groups.append({"cls": cls, "ids": [bid]})
-    split = []
-    for grp in class_groups:
-        kids = sorted({mapping[bid] for bid in grp["ids"]})
-        if len(kids) > 1:
-            split.append((grp["cls"].display(), tuple(kids)))
+            class_groups.append({"cls": cls, "kids": kids})
+    split = [
+        (grp["cls"].display(), tuple(sorted(grp["kids"])))
+        for grp in class_groups
+        if len(grp["kids"]) > 1
+    ]
 
     return CorrespondenceReport(
         mapping=tuple(mapping),

@@ -7,8 +7,8 @@ must recover, a one-element-at-a-time SO(3) identity-component test,
 minors of integer matrices by exact determinants, the isostabilizer
 decomposition from whole distance matrices, the slice weight fit over
 sampled group elements that preceded the exact read-off, and the
-slice-vector stabilizer count that preceded the single congruence solve.
-None of it imports the numeric routines under test beyond the public model
+slice-vector stabilizer count that preceded the single congruence solve,
+and the pairwise scan behind the correspondence witnesses. None of it imports the numeric routines under test beyond the public model
 types and the slice frame helpers.
 """
 
@@ -435,6 +435,62 @@ def slice_stab_profile_reference(a, rep, weights: tuple, seed: int = 0):
         fixed=zero_basis,
     )
     return quotient._slice_stab_profile(a, old, seed)
+
+
+def correspondence_reference(iso, klein):
+    """The correspondence report from a scan of every pair of iso blocks.
+
+    The merge witnesses compare every pair of blocks inside each Klein
+    block and keep the first pair per display tag; the split witnesses
+    group the blocks one at a time by conjugacy with each group's first
+    class.
+    """
+    owner = klein.block_of()
+    mapping = []
+    for bid, b in enumerate(iso.blocks):
+        kids = sorted({owner[i] for i in b})
+        assert len(kids) == 1
+        mapping.append(kids[0])
+    hit = set(mapping)
+    by_kid: dict = {}
+    for bid, kid in enumerate(mapping):
+        by_kid.setdefault(kid, []).append(bid)
+    merge = []
+    seen_pairs = set()
+    for kid in sorted(by_kid):
+        ids = by_kid[kid]
+        for p in range(len(ids)):
+            for q in range(p + 1, len(ids)):
+                ci = iso.block_labels[ids[p]]["subgroup"]
+                cj = iso.block_labels[ids[q]]["subgroup"]
+                if groups.classes_conjugate(ci, cj):
+                    continue
+                tag = (ci.display(), cj.display(), kid)
+                if tag in seen_pairs:
+                    continue
+                seen_pairs.add(tag)
+                merge.append(((ids[p], ids[q]), kid))
+    class_groups: list = []
+    for bid in range(len(iso.blocks)):
+        cls = iso.block_labels[bid]["subgroup"]
+        for grp in class_groups:
+            if groups.classes_conjugate(cls, grp["cls"]):
+                grp["ids"].append(bid)
+                break
+        else:
+            class_groups.append({"cls": cls, "ids": [bid]})
+    split = []
+    for grp in class_groups:
+        kids = sorted({mapping[bid] for bid in grp["ids"]})
+        if len(kids) > 1:
+            split.append((grp["cls"].display(), tuple(kids)))
+    return quotient.CorrespondenceReport(
+        mapping=tuple(mapping),
+        surjective=hit == set(range(len(klein.blocks))),
+        injective=len(hit) == len(mapping),
+        merge_witnesses=tuple(merge),
+        split_witnesses=tuple(split),
+    )
 
 
 # the slice-vector stabilizer count before the single congruence solve: a

@@ -233,6 +233,9 @@ def test_cli_runs_without_scipy():
         "from orthofold import cli\n"
         "assert cli.main(['catalog']) == 0\n"
         "assert cli.main(['classify', 's2-zn(5)', 'north']) == 0\n"
+        # one action per group kind runs every import on the pipeline path
+        "for name in ('cp2-so3', 'cn-tn(2)', 's2-zn(5)'):\n"
+        "    assert cli.main(['analyze', name, '--samples', '5']) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])

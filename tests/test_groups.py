@@ -19,6 +19,13 @@ def test_descriptor_shapes():
         groups.torus(0)
 
 
+def test_circles_are_the_rank_one_torus():
+    for g, label, name in ((groups.so2(), "SO2", "SO(2)"), (groups.u1(), "U1", "U(1)")):
+        assert (g.kind, g.circle_label, g.name) == ("torus", label, name)
+        assert np.array_equal(g.lie, groups.torus(1).lie)
+    assert groups.torus(3).name == "T^3"
+
+
 def test_exp_coeffs_is_orthogonal():
     rng = np.random.default_rng(0)
     for g in (groups.so3(), groups.so2(), groups.torus(2)):
@@ -30,12 +37,38 @@ def test_exp_coeffs_is_orthogonal():
 
 
 def test_exp_coeffs_batch_matches_single():
-    g = groups.so3()
     rng = np.random.default_rng(1)
-    C = rng.normal(size=(7, 3))
-    Q = groups.exp_coeffs_batch(g, C)
-    for c, q in zip(C, Q):
-        assert np.allclose(q, groups.exp_coeffs(g, c), atol=1e-12)
+    for g in (groups.so3(), groups.torus(3)):
+        C = rng.normal(size=(7, g.lie_dim))
+        Q = groups.exp_coeffs_batch(g, C)
+        for c, q in zip(C, Q):
+            assert np.allclose(q, groups.exp_coeffs(g, c), atol=1e-12)
+    g = groups.finite(np.stack([np.eye(2), -np.eye(2)]))
+    assert np.array_equal(groups.exp_coeffs(g, np.zeros(0)), np.eye(2))
+    with pytest.raises(InputError):
+        groups.exp_coeffs(groups.torus(2), np.zeros(3))
+
+
+@pytest.mark.parametrize(
+    "W, comps, free",
+    [
+        (((2, 0), (0, 3)), 6, 0),
+        (((1, 1),), 1, 1),
+        (((2, 4), (1, 1)), 2, 0),
+        (((2, 2, 0), (0, 3, 3)), 6, 1),
+        (np.zeros((0, 2)), 1, 2),
+    ],
+)
+def test_congruence_solutions_cover_every_component(W, comps, free):
+    # every W here has full row rank, so every target b is consistent
+    W = np.asarray(W, dtype=np.int64)
+    B = np.random.default_rng(3).uniform(-np.pi, np.pi, size=(4, W.shape[0]))
+    psi, got_free = groups.congruence_solutions(W, B)
+    assert psi.shape == (4, comps, W.shape[1]) and got_free == free
+    for b, sols in zip(B, psi):
+        r = (sols @ W.T - b) / (2.0 * np.pi)
+        assert np.abs(r - np.rint(r)).max(initial=0.0) < 1e-12
+        assert len({tuple(np.round(np.mod(s, 2.0 * np.pi), 9)) for s in sols}) == comps
 
 
 def test_sampling_is_deterministic_and_valid():

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from orthofold import actions, isotropy, quotient, strata
+from orthofold import actions, groups, isotropy, quotient, strata
 from orthofold.errors import InputError
 from orthofold.strata import PartitionOfM
 
 from oracles import (
+    correspondence_reference,
     hidden_frame,
     origin_stabilizer,
     planted_point_rep,
@@ -88,6 +89,47 @@ def test_correspondence_mapping_is_total(pipeline_factory):
         pipe = pipeline_factory(name)
         assert len(pipe.corr.mapping) == len(pipe.iso.blocks)
         assert set(pipe.corr.mapping) == set(range(len(pipe.klein.blocks)))
+
+
+@pytest.mark.parametrize("name", actions.catalog_ids())
+def test_correspondence_matches_the_pairwise_scan(pipeline_factory, name):
+    pipe = pipeline_factory(name)
+    assert quotient.correspondence(pipe.iso, pipe.klein) == correspondence_reference(
+        pipe.iso, pipe.klein
+    )
+
+
+# two Other classes share a display tag but not their traces, so they are
+# not conjugate; Zn(2) appears under two trace lists that are
+_PLANTED_CLASSES = (
+    groups.SubgroupClass("Trivial", 1, 0, "connected"),
+    groups.SubgroupClass("Zn", 2, 0, "finite(2)", (-1.0, 3.0)),
+    groups.SubgroupClass("Zn", 2, 0, "finite(2)", (1.0, 3.0)),
+    groups.SubgroupClass("Zn", 3, 0, "finite(3)"),
+    groups.SubgroupClass("SO2", None, 1, "connected"),
+    groups.SubgroupClass("O2", None, 1, "two_components"),
+    groups.SubgroupClass("Other", None, 1, "components(3)", (0.0, 1.0, 3.0)),
+    groups.SubgroupClass("Other", None, 1, "components(3)", (-1.0, 1.0, 3.0)),
+)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_correspondence_matches_the_pairwise_scan_on_interleaved_classes(seed):
+    # 60 one-point iso blocks with random classes, spread over 4 Klein blocks
+    rng = np.random.default_rng(seed)
+    cls = rng.integers(len(_PLANTED_CLASSES), size=60)
+    kid = rng.integers(4, size=60)
+    iso = PartitionOfM(
+        blocks=tuple((i,) for i in range(60)),
+        block_labels=tuple({"subgroup": _PLANTED_CLASSES[c]} for c in cls),
+    )
+    klein = quotient.KleinPartition(
+        blocks=tuple(tuple(np.flatnonzero(kid == k).tolist()) for k in range(4)),
+        fingerprints=(), dims=(), orbits=(),
+    )
+    got = quotient.correspondence(iso, klein)
+    assert got == correspondence_reference(iso, klein)
+    assert len(got.merge_witnesses) > 4 * 6 and got.split_witnesses
 
 
 def test_inverse_klein_mirrors_the_blocks(pipeline_factory):
@@ -261,3 +303,21 @@ def test_planted_inert_circle_with_one_fixing_component():
     got, ref = _labels(a, rep, [*quotient._profile_samples(a, rep, 0), *axes.T])
     assert got == ref
     assert got[-5:] == [rep.stab_label, "U1", "U1", "Zn(2)", "Zn(2)"]
+
+
+def test_planted_rank_two_counts_every_component():
+    # T^3 on R^8 at a point of the plane of row (2, 0, 0): the stabilizer is
+    # {0, pi} x T^2 with slice rows (1, 0) and (1, 1) and one inert plane
+    # that the half turn reverses. A vector on either rotating plane is
+    # fixed by a circle in each of the two components, so its stabilizer is
+    # Other(1,2); the old count saw only the identity component's circle
+    a = planted_torus_action(((2, 0, 0), (1, 1, 0), (0, 1, 1), (1, 0, 0)), 0, frame_seed=3)
+    frame = hidden_frame(8, 3)
+    rep, slice_frame = planted_point_rep(
+        a, frame[:, 0], [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[np.pi, 0.0, 0.0]]
+    )
+    assert rep.weights == ((1, 0), (1, 1))
+    axes = (slice_frame.T @ frame[:, [0, 2, 4, 6]]).T
+    got, ref = _labels(a, rep, axes)
+    assert got == [rep.stab_label, "Other(1,2)", "Other(1,2)", "Torus(2)"]
+    assert ref == [rep.stab_label, "U1", "U1", "Torus(2)"]
