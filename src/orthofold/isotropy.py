@@ -78,7 +78,7 @@ class SliceRep:
 
     stab_label: str
     slice_dim: int
-    rep_kind: str  # torus_weights | finite_characters | sampled_traces
+    rep_kind: str  # torus_weights when the Lie kernel is nonzero, else finite_characters
     weights: tuple
     zero_dims: int
     planes: np.ndarray
@@ -462,19 +462,17 @@ def _no_planes(sdim: int):
     return planes, fixed
 
 
-_TORUS_REP_LABELS = ("SO2", "U1", "O2", "FullGroup")
-
-
 def slice_representation(
     a: ActionModel, stab: StabilizerData, tol: Tolerance = DEFAULT_TOL
 ) -> SliceRep:
     """Representation of the stabilizer on the normal slice at its point.
 
-    Positive-dimensional stabilizers with a recognized class get integer
-    torus weights of the identity component, read exactly from the slice
-    generators with their rotation planes (component witnesses are kept
-    alongside). Finite stabilizers record witness traces. Unrecognized
-    positive-dimensional classes fall back to sampled traces.
+    Every positive-dimensional stabilizer gets the integer torus weights of
+    its identity component, read exactly from the slice generators with
+    their rotation planes and fixed basis (torus_weights). Finite
+    stabilizers have no generators and record witness traces
+    (finite_characters). Both keep the slice matrices of the component
+    witnesses.
     """
     frame = tangent_frame(a.manifold, stab.point, tol)
     coords = _slice_coords(stab)
@@ -491,29 +489,16 @@ def slice_representation(
     lie_mats = _slice_lie_generators(a, stab, frame, coords)
     characters = tuple(sorted(round(float(np.trace(s)), 9) for s in wmats))
 
-    label = stab.subgroup.label
     planes, fixed = _no_planes(sdim)
     weights = ()
-    if k == 0:
-        kind = "finite_characters"
-    elif label in _TORUS_REP_LABELS:
-        kind = "torus_weights"
+    if k:
         js = _slice_complex_structure(a, frame, coords)
         planes, weights, fixed = _weight_planes(lie_mats, js)
-    else:
-        kind = "sampled_traces"
-        extra = [
-            round(float(np.trace(coords.T @ differential_of_element(
-                a, groups.exp_coeffs(a.group, stab.lie_kernel @ s), stab.point, tol
-            ) @ coords)), 9)
-            for s in 0.0831 * np.eye(k)
-        ]
-        characters = tuple(sorted([*characters, *extra]))
 
     return SliceRep(
-        stab_label=label,
+        stab_label=stab.subgroup.label,
         slice_dim=sdim,
-        rep_kind=kind,
+        rep_kind="torus_weights" if k else "finite_characters",
         weights=weights,
         zero_dims=fixed.shape[1],
         planes=planes,

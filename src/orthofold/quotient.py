@@ -212,9 +212,7 @@ def _effective_signature(rep: SliceRep) -> tuple:
     to the finite group of distinct witness matrices; no witnesses acting
     leaves a plain Euclidean model.
     """
-    if rep.rep_kind == "sampled_traces":
-        return ("sampled", rep.stab_label, rep.characters)
-    if rep.rep_kind == "torus_weights" and rep.weights:
+    if rep.weights:
         k = rep.lie_mats.shape[0]
         if k == 1:
             mags = sorted(abs(int(row[0])) for row in rep.weights)
@@ -325,7 +323,6 @@ def klein_partition(cloud: SampleCloud, tol: Tolerance | None = None) -> KleinPa
         key = (
             cloud.stabs[i].subgroup.display(),
             int(cloud.orbit_dims[i]),
-            rep.rep_kind,
             canonical_weight_rows(rep.weights),
             rep.zero_dims,
             rep.characters,

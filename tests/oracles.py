@@ -209,14 +209,12 @@ def origin_stabilizer(a: actions.ActionModel) -> isotropy.StabilizerData:
 
 
 def planted_point_rep(a: actions.ActionModel, x: np.ndarray, kernel, witness_angles):
-    """Slice representation at x of a planted action, planes read exactly,
-    with the ambient frame of its normal slice.
+    """Slice representation at x of a planted action, with the ambient frame
+    of its normal slice.
 
     kernel holds the Lie kernel columns and witness_angles the torus angles
     of the non-identity component witnesses; the caller vouches that both
-    describe the stabilizer of x. Such stabilizers classify as Other, whose
-    reps carry sampled traces, so the planes, rows and fixed basis are read
-    from the slice generators here, as for a torus-weight rep.
+    describe the stabilizer of x.
     """
     kernel = np.asarray(kernel, dtype=float)
     angles = np.zeros((1 + len(witness_angles), a.group.lie_dim))
@@ -231,13 +229,7 @@ def planted_point_rep(a: actions.ActionModel, x: np.ndarray, kernel, witness_ang
         orbit_dim=a.group.lie_dim - kernel.shape[1],
         inf_action=inf,
     )
-    rep = isotropy.slice_representation(a, st)
-    planes, weights, fixed = isotropy._weight_planes(rep.lie_mats, None)
-    rep = replace(
-        rep, rep_kind="torus_weights", planes=planes, weights=weights,
-        fixed=fixed, zero_dims=fixed.shape[1],
-    )
-    return rep, isotropy.normal_slice(a, st)
+    return isotropy.slice_representation(a, st), isotropy.normal_slice(a, st)
 
 
 def full_distance_matrix(m, pts: np.ndarray) -> np.ndarray:

@@ -269,10 +269,12 @@ _PAYLOAD_SHAS = {
     ("s2-zn(5)", "1500"): "23ce79b4ca33f974d0143eaf0748f7109f614d4580f9eb8b0e75224e3d1e9878",
     ("s2xs2-so3", "100"): "525142ac088d54bf3dac1841952b0ec7604c659eeed9fb8445b882213e59490b",
     ("cp2-so3", "100"): "e36b635dad8e9884985a1f49d5c4a7fb0f3a7269b79013baac219e8f262a58b2",
-    # the origin's FullGroup weights have three rows, one per torus factor
-    ("cn-tn(3)", "20"): "d9159759885d3701e291631d22280899710398df16262ff02514a71364c70c9f",
+    # the origin's FullGroup weights have three rows, one per torus factor;
+    # the T^2 of an axis point reads rows (0, 1) and (1, 0) with one fixed
+    # direction, and its profile shows a U1 on each rotating plane
+    ("cn-tn(3)", "20"): "b35e25952db0c9e9c13bc138223af1e478443eaecf4db9a620da8969756d98f3",
     # the cheapest payload whose slice profiles solve a rank-4 congruence
-    ("cn-tn(4)", "10"): "502ccd6b9a76aa0685c908595590145e5ae0ef6e9604c566abb78215612d73d7",
+    ("cn-tn(4)", "10"): "8a3147e44e4860bf5284cb19d111c44220c2a3d662e68ba496c795fa78033cb8",
 }
 
 
@@ -281,6 +283,14 @@ def test_payloads_are_pinned(capsys, name, samples):
     code, out = _run(capsys, "analyze", name, "--samples", samples, "--seed", "0")
     assert code == 0
     assert _parse_report(out)[1] == _PAYLOAD_SHAS[(name, samples)]
+
+
+def test_classify_cn_t3_axis_point_is_pinned(capsys):
+    code, out = _run(capsys, "classify", "cn-tn(3)", "1,0,0", "--seed", "0")
+    assert code == 0
+    doc, sha = _parse_report(out)
+    assert doc["payload"]["fingerprint"]["weights"] == [[0, 1], [1, 0]]
+    assert sha == "bd6f042876fa3ceb0f516d3723ffbd8e64b024fde001c68876d0dab7638bc4fa"
 
 
 def test_verify_cn_t5_small_cloud(capsys):

@@ -289,6 +289,8 @@ def test_cp2_u1_transport_sees_the_cross_ratio_phase():
 
 
 def _assert_matches_fit(a, st, rep, seed):
+    # every positive-dimensional stabilizer reads exact weights
+    assert rep.rep_kind == ("torus_weights" if st.lie_kernel.shape[1] else "finite_characters")
     if rep.rep_kind == "torus_weights":
         weights, zero_dims, _ = weight_rows_reference(a, st, seed=seed)
     else:
@@ -310,10 +312,25 @@ def test_exact_weights_match_the_sampled_fit(cloud_factory, name):
             _assert_matches_fit(cloud.model, st, rep, seed)
 
 
-@pytest.mark.parametrize("name", ["cn-tn(3)", "cn-tn(4)"])
+@pytest.mark.parametrize("name", ["cn-tn(3)", "cn-tn(4)", "cn-tn(5)"])
 def test_exact_weights_match_the_sampled_fit_on_higher_tori(cloud_factory, name):
     cloud = cloud_factory(name, 20, 0)
-    kinds = {rep.rep_kind for rep in cloud.reps}
-    assert "torus_weights" in kinds
     for st, rep in zip(cloud.stabs, cloud.reps):
         _assert_matches_fit(cloud.model, st, rep, 0)
+
+
+def test_cn_t3_axis_point_reads_exact_weights():
+    # z = (1, 0, 0): the stabilizer is the T^2 of phi_2 and phi_3, classed
+    # Other. The slice is the radial line of z_1, fixed, plus the z_2 and
+    # z_3 planes, each turned by one kernel angle. A vector on one plane is
+    # fixed by the circle of the other angle, the radial vector by all of
+    # H, and a generic vector touches both planes and is free
+    a, st = _stab("cn-tn(3)", [1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    assert st.subgroup.display() == "Other"
+    rep = isotropy.slice_representation(a, st)
+    assert rep.rep_kind == "torus_weights"
+    assert rep.weights == ((0, 1), (1, 0))
+    assert rep.zero_dims == 1 and rep.slice_dim == 5
+    profile, free = quotient._slice_stab_profile(a, rep, 0)
+    assert profile == ("Other", "Trivial", "Trivial", "Trivial", "Trivial", "U1", "U1")
+    assert not free
