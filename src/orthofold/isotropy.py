@@ -10,11 +10,8 @@ import numpy as np
 from . import groups, kernels
 from .actions import (
     ActionModel,
-    act,
-    act_batch,
     ambient_complex_structure,
     differential_of_element,
-    distance,
     infinitesimal_action,
     normalize,
     tangent_frame,
@@ -237,10 +234,13 @@ def stabilizer(
 
     if g.kind == "finite":
         point_eps = max(tol.match_eps, 1e-7)
-        keep = [e for e in g.elements if distance(m, act(a, e, x), x) <= point_eps]
+        keep = g.elements[_displacement(a, x, g.elements, x) <= point_eps * point_eps]
+        # identity first (np.allclose's per-entry bound, written out), then
+        # by the raw bytes of the matrix rounded to 1e-8
         ident = np.eye(g.size)
-        keep.sort(key=lambda e: (not np.allclose(e, ident), np.round(e, 8).tobytes()))
-        wits = np.stack(keep)
+        moved = ~np.all(np.abs(keep - ident) <= 1e-8 + 1e-5 * ident, axis=(1, 2))
+        _, byte_rank = np.unique(_byte_rows(np.round(keep, 8)), return_inverse=True)
+        wits = keep[np.lexsort((byte_rank, moved))]
     elif g.kind == "torus":
         wits, free = _torus_solutions(a, x, x)
         if free != lie_kernel.shape[1]:
@@ -307,12 +307,10 @@ def transport_element(
     y = normalize(m, np.asarray(y, dtype=float))
     g = a.group
     if g.kind == "finite":
-        images = act_batch(a, g.elements, x)
-        dists = np.array([distance(m, img, y) for img in images])
-        i = int(np.argmin(dists))
-        if dists[i] <= min(max(tol.match_eps, 1e-7), np.sqrt(accept_d2)):
-            return g.elements[i].copy()
-        return None
+        d2 = _displacement(a, x, g.elements, y)
+        i = int(np.argmin(d2))
+        cut = min(max(tol.match_eps, 1e-7), np.sqrt(accept_d2))
+        return g.elements[i].copy() if d2[i] <= cut * cut else None
     if g.kind == "torus":
         el = _torus_solutions(a, x, y)[0][0]
         return el if float(_displacement(a, x, el[None], y)[0]) <= accept_d2 else None
