@@ -488,8 +488,8 @@ def _make_cp2_u1() -> ActionModel:
 
 
 def _make_s2_zn(n: int) -> ActionModel:
-    if n < 2:
-        raise InputError("s2-zn needs n >= 2")
+    if not 2 <= n <= 64:
+        raise InputError("s2-zn supports 2 <= n <= 64")
     m = sphere(2)
     mats = []
     for j in range(n):
@@ -574,7 +574,11 @@ def get_action(action_id: str) -> ActionModel:
         return fixed[action_id]()
     m = _PARAM_RE.match(action_id)
     if m:
-        n = int(m.group(2))
+        try:
+            n = int(m.group(2))
+        except ValueError:
+            # past int's digit limit, far outside every family's range
+            raise UnknownActionError(f"parameter of {m.group(1)} out of range") from None
         try:
             if m.group(1) == "s2-zn":
                 return _make_s2_zn(n)

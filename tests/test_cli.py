@@ -62,6 +62,23 @@ def test_unknown_action_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["s2-zn(1)", "s2-zn(65)", "s2-zn(1000000000)", "s2-zn(" + "9" * 5000 + ")", "cn-tn(9)"],
+    ids=["s2-zn(1)", "s2-zn(65)", "s2-zn(1000000000)", "s2-zn(5000-digits)", "cn-tn(9)"],
+)
+def test_family_parameter_out_of_range_exit_code(capsys, monkeypatch, name):
+    # the range is checked before the group is built, so a huge n
+    # allocates nothing
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("group built before the range check")
+
+    monkeypatch.setattr(actions.groups, "finite", unbuilt)
+    monkeypatch.setattr(actions.groups, "torus", unbuilt)
+    code, _ = _run(capsys, "analyze", name, "--samples", "5")
+    assert code == 2
+
+
 def test_malformed_point_exit_code(capsys):
     code, _ = _run(capsys, "classify", "s2-zn(5)", "one,two")
     assert code == 2
