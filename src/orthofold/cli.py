@@ -114,10 +114,13 @@ def render_report(payload: dict, stream) -> str:
     return sha
 
 
-def _out_stream(path):
+def _write_report(payload: dict, path) -> None:
+    """render_report to the file at path, or to stdout when path is None."""
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        render_report(payload, sys.stdout)
+        return
+    with open(path, "w", encoding="utf-8") as stream:
+        render_report(payload, stream)
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +154,7 @@ def run_pipeline(a, samples: int, seed: int, tol: Tolerance) -> SimpleNamespace:
         corr = quotient.correspondence(iso, klein)
     except CorrespondenceError as e:
         raise _CheckFailure("correspondence-defined", e) from e
+    inverse = quotient.inverse_klein(klein, cloud)
     principal = strata.principal_dimension(cloud, orbit_type)
     labels = strata.singularity_labels(cloud, principal)
     interval = None
@@ -176,6 +180,7 @@ def run_pipeline(a, samples: int, seed: int, tol: Tolerance) -> SimpleNamespace:
         iso=iso,
         klein=klein,
         corr=corr,
+        inverse=inverse,
         principal=principal,
         labels=labels,
         interval=interval,
@@ -307,7 +312,6 @@ def _generic_checks(r, results, seed: int):
     _check(results, "correspondence-defined", True)
     _check(results, "correspondence-surjective", r.corr.surjective, "missed klein blocks")
 
-    ik = quotient.inverse_klein(r.klein, cloud)
     rel_ot = quotient.compare_partitions(r.iso, r.orbit_type)
     _check(
         results,
@@ -315,7 +319,7 @@ def _generic_checks(r, results, seed: int):
         rel_ot in ("PRefinesQ", "Equal"),
         f"relation {rel_ot}",
     )
-    rel_ik = quotient.compare_partitions(r.iso, ik)
+    rel_ik = quotient.compare_partitions(r.iso, r.inverse)
     _check(
         results,
         "iso-refines-klein",
@@ -428,8 +432,7 @@ def _pinned_checks(r, results, seed: int, tol: Tolerance):
             merged.add(r.iso.block_labels[j]["subgroup"].label)
         _check(results, "merge-witness-so2-o2", {"SO2", "O2"} <= merged,
                f"merged classes {sorted(merged)}")
-        ik = quotient.inverse_klein(r.klein, cloud)
-        rel = quotient.compare_partitions(ik, r.orbit_type)
+        rel = quotient.compare_partitions(r.inverse, r.orbit_type)
         _check(results, "inverse-klein-coarser-than-orbit-type", rel == "QRefinesP",
                f"relation {rel}")
 
@@ -459,14 +462,12 @@ def _pinned_checks(r, results, seed: int, tol: Tolerance):
         _check(results, "p1-separate-klein-block", other, f"blocks {kids}")
         _check(results, "split-witness-present", len(r.corr.split_witnesses) > 0,
                "no split witnesses")
-        ik = quotient.inverse_klein(r.klein, cloud)
-        rel = quotient.compare_partitions(ik, r.orbit_type)
+        rel = quotient.compare_partitions(r.inverse, r.orbit_type)
         _check(results, "inverse-klein-finer-than-orbit-type", rel == "PRefinesQ",
                f"relation {rel}")
 
     elif name.startswith("s2-zn"):
-        ik = quotient.inverse_klein(r.klein, cloud)
-        rel = quotient.compare_partitions(r.orbit_type, ik)
+        rel = quotient.compare_partitions(r.orbit_type, r.inverse)
         _check(results, "klein-equals-orbit-type", rel == "Equal", f"relation {rel}")
         dims = sorted({int(d) for d in cloud.quotient_dims})
         _check(results, "constant-dimension-2", dims == [2], f"got {dims}")
@@ -512,12 +513,7 @@ def cmd_analyze(args) -> int:
     tol = _tolerance(args)
     r = run_pipeline(a, args.samples, args.seed, tol)
     payload = _analysis_payload(r, args.samples, args.seed, tol)
-    stream, close = _out_stream(args.out)
-    try:
-        render_report(payload, stream)
-    finally:
-        if close:
-            stream.close()
+    _write_report(payload, args.out)
     return 0
 
 
@@ -547,12 +543,7 @@ def cmd_verify(args) -> int:
         "actions": action_docs,
         "failures": failures,
     }
-    stream, close = _out_stream(args.out)
-    try:
-        render_report(payload, stream)
-    finally:
-        if close:
-            stream.close()
+    _write_report(payload, args.out)
     return 1 if failures else 0
 
 
@@ -590,12 +581,7 @@ def cmd_classify(args) -> int:
         "singularity": label.display(),
         "fingerprint": _fingerprint_doc(fp),
     }
-    stream, close = _out_stream(args.out)
-    try:
-        render_report(payload, stream)
-    finally:
-        if close:
-            stream.close()
+    _write_report(payload, args.out)
     return 0
 
 
