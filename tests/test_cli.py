@@ -316,6 +316,15 @@ def test_verify_cn_t5_small_cloud(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", [*actions.catalog_ids(), "cn-tn(3)"])
+def test_verify_passes_across_seeds(capsys, name, seed):
+    # the invariant battery must hold for any seed, not only the pinned 0
+    code, out = _run(capsys, "verify", name, "--samples", "40", "--seed", str(seed))
+    assert "[FAIL]" not in out
+    assert code == 0
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_rp2_small_cloud_elects_the_sampled_class(capsys, seed):
     # the 32 equator specials outnumber 20 samples; the principal class must
