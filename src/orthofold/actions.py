@@ -246,10 +246,6 @@ def act(a: ActionModel, g: np.ndarray, x: np.ndarray) -> np.ndarray:
     return normalize(a.manifold, a.amb(g) @ x)
 
 
-def act_batch(a: ActionModel, G: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return normalize(a.manifold, np.einsum("bij,j->bi", a.amb_batch(G), x))
-
-
 def infinitesimal_action(
     a: ActionModel, x: np.ndarray, tol: Tolerance = DEFAULT_TOL
 ) -> np.ndarray:
