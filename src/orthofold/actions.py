@@ -229,7 +229,10 @@ class ActionModel:
     amb: Callable  # canonical element -> ambient matrix
     amb_lie: Callable  # canonical Lie generator -> ambient matrix
     special_points: Callable  # rng -> (m, N) measure-zero stratum representatives
-    tx_tensor: Callable | None = None  # x -> (N, k, k) tensor for so3 refinement
+    # For SO(3) acting on copies of R^3: x -> the (3, 2) frame X the rotations
+    # act on from the left. On complex projective models X holds the real
+    # and imaginary parts, defined up to the phase gauge X -> X rot(alpha).
+    so3_frame: Callable | None = None
     # For torus-kind groups: tuple of (coords, weight) with coords a fixed
     # index (i,) or a rotating pair (i, j), weight an integer vector over the
     # canonical angle parameters. Drives the exact stabilizer and transport
@@ -316,12 +319,8 @@ def _make_s2xs2() -> ActionModel:
         out[3:, 3:] = q
         return out
 
-    def tx(x):
-        t = np.zeros((6, 3, 3))
-        for j in range(3):
-            t[j, j, :] = x[:3]
-            t[3 + j, j, :] = x[3:]
-        return t
+    def frame(x):
+        return np.stack([x[:3], x[3:]], axis=1)
 
     def specials(rng):
         axes = [np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])]
@@ -344,7 +343,7 @@ def _make_s2xs2() -> ActionModel:
         amb=amb,
         amb_lie=amb,
         special_points=specials,
-        tx_tensor=tx,
+        so3_frame=frame,
         interval=IntervalModel((-1.0, 1.0), proj),
     )
 
@@ -387,12 +386,8 @@ def _make_cp2_so3() -> ActionModel:
         out[1::2, 1::2] = q
         return out
 
-    def tx(x):
-        t = np.zeros((6, 3, 3))
-        for j in range(3):
-            for c in range(2):
-                t[2 * j + c, j, :] = x[c::2]
-        return t
+    def frame(x):
+        return np.stack([x[0::2], x[1::2]], axis=1)
 
     def specials(rng):
         pts = []
@@ -434,7 +429,7 @@ def _make_cp2_so3() -> ActionModel:
         amb=amb,
         amb_lie=amb,
         special_points=specials,
-        tx_tensor=tx,
+        so3_frame=frame,
         interval=IntervalModel((0.0, 1.0), proj),
     )
 

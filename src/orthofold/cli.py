@@ -446,7 +446,7 @@ def _pinned_checks(r, results, seed: int, tol: Tolerance):
         kids = {}
         for label, (spec, want) in fixed.items():
             x = actions.parse_point(a, spec)
-            st = stabilizer(a, x, seed=seed, tol=tol, pool=cloud.pool)
+            st = stabilizer(a, x, tol=tol)
             rep = slice_representation(a, st, tol)
             reps[label] = rep
             kids[label] = _klein_block_of_point(r, x)
@@ -561,9 +561,9 @@ def cmd_classify(args) -> int:
     a = actions.get_action(args.action)
     tol = _tolerance(args)
     x = _resolve_point(a, args.point)
-    # the probe cloud draws the SO(3) witness pool; the point's search shares it
+    # the probe cloud elects the principal class the singularity label needs
     probe = strata.build_cloud(a, _CLASSIFY_PROBE, seed=args.seed, tol=tol)
-    st = stabilizer(a, x, seed=args.seed, tol=tol, pool=probe.pool)
+    st = stabilizer(a, x, tol=tol)
     rep = slice_representation(a, st, tol)
     orbit_dim = int(a.manifold.intrinsic_dim - rep.slice_dim)
     qdim = strata.quotient_dimension(a, x, tol)

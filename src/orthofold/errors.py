@@ -14,6 +14,9 @@ class InputError(OrthofoldError, ValueError):
 class UnknownActionError(OrthofoldError, KeyError):
     """Catalog lookup for an id that names no action."""
 
+    # KeyError's str() is the repr of its key; this error carries a message
+    __str__ = Exception.__str__
+
 
 class PointSpecError(InputError):
     """Unparseable or invalid point specification."""

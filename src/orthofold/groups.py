@@ -18,13 +18,6 @@ from .errors import ClassificationError, InputError
 from .kernels import SO3_GENERATORS, rodrigues_batch
 from .numerics import Tolerance, DEFAULT_TOL, orthonormalize, spans_equal
 
-# identity-component membership cut of the SO(3) witness dedup: on
-# |q zeta - zeta| for a circle stabilizer and on max |q - 1| for a finite one.
-# Catalog component classes sit O(1) apart. Torus-kind stabilizers are solved
-# exactly and finite groups enumerated, so neither passes through this cut.
-COMPONENT_EPS = 1e-5
-
-
 _J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
@@ -251,28 +244,6 @@ def congruence_solutions(W, B) -> tuple[np.ndarray, int]:
     chi = np.zeros((len(B), j.shape[0], n))
     chi[:, :, :k] = (np.stack([U @ b for b in B])[:, None, :k] + 2.0 * np.pi * j) / d[:k]
     return chi @ V.T, n - k
-
-
-def identity_component_mask(
-    g: GroupDescriptor, Q: np.ndarray, kernel_coeffs: np.ndarray
-) -> np.ndarray:
-    """Which of the elements Q (B, size, size) lie on exp(span kernel_coeffs).
-
-    kernel_coeffs has shape (lie_dim, k); k = 0 reduces to an identity test.
-    For so3 with a one-dimensional kernel spanned by zeta, exp(span zeta) is
-    the set of rotations fixing zeta, so membership is |q zeta - zeta| small,
-    which stays well conditioned for every rotation angle, pi included.
-    """
-    Q = np.asarray(Q, dtype=np.float64)
-    k = kernel_coeffs.shape[1] if kernel_coeffs.ndim == 2 else 0
-    if k == 0:
-        return np.abs(Q - g.identity()).max(axis=(1, 2)) <= COMPONENT_EPS
-    if g.kind != "so3":
-        raise InputError(f"identity-component membership unsupported for kind {g.kind!r}")
-    if k >= 3:
-        return np.ones(Q.shape[0], dtype=bool)
-    zeta = kernel_coeffs[:, 0] / np.linalg.norm(kernel_coeffs[:, 0])
-    return np.linalg.norm(Q @ zeta - zeta, axis=1) <= COMPONENT_EPS
 
 
 # ---------------------------------------------------------------------------

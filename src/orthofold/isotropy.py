@@ -18,27 +18,9 @@ from .actions import (
 )
 from .errors import InputError, RepExtractionError, StabilizerError
 from .numerics import DEFAULT_TOL, Tolerance, kernel_basis, orthogonal_complement, rank
-from .seeding import rng_for
 
-# SO(3) Haar candidates scored cheaply per point; the best POOL_SIZE of them
-# are refined. Refining a flat 512 draw misses small fixer basins a few
-# percent of the time; preselecting from the larger pool makes misses
-# negligible.
-COARSE_POOL = 16384
-POOL_SIZE = 512
 # squared chordal distance below which a candidate counts as a fixer
 ACCEPT_D2 = 1e-12
-
-
-def witness_pool(a: ActionModel, seed: int) -> np.ndarray | None:
-    """Haar candidate pool shared by every SO(3) search on one action and seed.
-
-    Only SO(3) stabilizers and transports are searched numerically. Torus
-    kinds are solved exactly and finite groups enumerated; both get None.
-    """
-    if a.group.kind != "so3":
-        return None
-    return groups.sample_elements(a.group, COARSE_POOL, rng_for(seed, a.name, "witness-pool"))
 
 
 @dataclass(frozen=True)
@@ -90,67 +72,10 @@ class SliceRep:
 # ---------------------------------------------------------------------------
 
 
-def _coarse_top(d2: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k smallest entries, ordered by value.
-
-    Partial selection instead of a full sort; the pool is two orders larger
-    than the refined set.
-    """
-    if d2.shape[0] <= k:
-        return np.argsort(d2, kind="stable")
-    part = np.argpartition(d2, k)[:k]
-    return part[np.argsort(d2[part], kind="stable")]
-
-
 def _byte_rows(a: np.ndarray) -> np.ndarray:
     """One opaque item per leading index, ordered and compared by its raw bytes."""
     a = np.ascontiguousarray(a).reshape(a.shape[0], -1)
     return a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel()
-
-
-def _visit_order(accepted: np.ndarray, d2: np.ndarray) -> np.ndarray:
-    """Indices of the candidates the witness dedup visits, in visit order.
-
-    Candidates sort by residual, ties broken by the raw bytes of the matrix
-    rounded to 1e-8 (so -0.0 and 0.0 differ); lexsort is stable, so full
-    ties keep their index order. Converged duplicates then collapse to their
-    first visit: candidates on the same fixer agree to ~1e-6 while distinct
-    components sit O(1) apart, so a 1e-5 grid never merges classes and the
-    batched membership pass stays tiny.
-    """
-    _, byte_rank = np.unique(_byte_rows(np.round(accepted, 8)), return_inverse=True)
-    order = np.lexsort((byte_rank, d2))
-    _, first = np.unique(_byte_rows(np.round(accepted[order], 5)), return_index=True)
-    return order[np.sort(first)]
-
-
-def _dedup_witnesses(g, accepted, d2, lie_kernel):
-    """One representative per component, identity first, deterministic order.
-
-    Candidates are visited best-converged first so each class is represented
-    by its sharpest fixer. A candidate q belongs to the class of rep when
-    rep.T @ q lies in the identity component; rotations are orthogonal so
-    the transpose is the inverse. Each class tests all later candidates in
-    one batch, so a candidate is kept exactly when no earlier class covers
-    it.
-    """
-    classes = [np.eye(g.size)]
-    if lie_kernel.shape[1] == g.lie_dim:
-        # SO(3) is connected, so a stabilizer whose algebra fills the whole
-        # Lie algebra is the whole group
-        return np.stack(classes)
-    if accepted.shape[0]:
-        cands = accepted[_visit_order(accepted, d2)]
-        covered = groups.identity_component_mask(g, cands, lie_kernel)
-        for j in range(cands.shape[0]):
-            if covered[j]:
-                continue
-            rep = cands[j]
-            classes.append(rep)
-            covered[j + 1 :] |= groups.identity_component_mask(
-                g, rep.T @ cands[j + 1 :], lie_kernel
-            )
-    return np.stack(classes)
 
 
 def _displacement(a: ActionModel, x: np.ndarray, G: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -207,21 +132,88 @@ def _torus_solutions(a: ActionModel, x: np.ndarray, y: np.ndarray):
     return groups.exp_coeffs_batch(a.group, psi[0][:, : a.group.lie_dim]), free
 
 
-def stabilizer(
-    a: ActionModel,
-    x: np.ndarray,
-    seed: int = 0,
-    tol: Tolerance = DEFAULT_TOL,
-    pool: np.ndarray | None = None,
-) -> StabilizerData:
+def _half_turns(axes: np.ndarray) -> np.ndarray:
+    """Rotations by pi about the unit rows of axes: 2 a a^T - I."""
+    return 2.0 * np.einsum("mi,mj->mij", axes, axes) - np.eye(3)
+
+
+def _so3_candidates(a: ActionModel, x: np.ndarray, lie_kernel: np.ndarray) -> np.ndarray:
+    """The half-turns whose displacement test decides the SO(3) stabilizer.
+
+    X = a.so3_frame(x) is the 3 x 2 frame that rotations act on from the
+    left. On CP^2 it is fixed only up to the phase gauge X -> X rot(alpha),
+    which leaves S = X X^T unchanged, so a stabilizing R satisfies
+    R S R^T = S: it commutes with S. By the Lie kernel dimension k:
+
+    - k = 3: the stabilizer is the connected group; nothing to test.
+    - k = 1, axis n: the identity component is the circle about n and the
+      stabilizer normalizes it, so it lies in O(2)_n. The other coset of
+      O(2)_n, the half-turns about axes perpendicular to n, is one orbit of
+      that circle, so it lies in the stabilizer wholly or not at all, and
+      one half-turn about a fixed axis perpendicular to n decides it.
+    - k = 0: when S has distinct eigenvalues its centralizer in SO(3) is the
+      Klein four-group of the identity and the half-turns about its
+      eigenvectors, which are the left singular vectors of X. They come
+      from an SVD of X, not from an eigendecomposition of S, which squares
+      the conditioning next to the real locus of CP^2, where X is nearly of
+      rank 1. The only catalog points with k = 0 and a repeated eigenvalue
+      are those of s2xs2 with u perpendicular to v (v = +-u, the real locus
+      and the null quadric all have k = 1). There X has rank 2 and no gauge
+      applies, so R X = X forces R = I, and the test rejects every
+      candidate.
+    """
+    k = lie_kernel.shape[1]
+    if k == 3:
+        return np.zeros((0, 3, 3))
+    if k == 1:
+        # coefficients in the so(3) basis of SO3_GENERATORS are the axis
+        n = lie_kernel[:, 0]
+        e = np.zeros(3)
+        e[np.argmin(np.abs(n))] = 1.0
+        p = np.cross(n, e)
+        return _half_turns((p / np.linalg.norm(p))[None])
+    if k == 0:
+        return _half_turns(np.linalg.svd(a.so3_frame(x))[0].T)
+    raise StabilizerError("so(3) has no two-dimensional subalgebra")
+
+
+def _kabsch(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """The rotation R minimizing |R P - Q_i| for each frame Q_i of the stack Q.
+
+    Orthogonal Procrustes with the determinant fixed to +1 (Kabsch, Acta
+    Cryst. A32, 1976): R = U diag(1, 1, det U V^T) V^T from the SVD
+    U Sigma V^T of Q_i P^T.
+    """
+    u, _, vt = np.linalg.svd(Q @ P.T)
+    u[..., :, 2] *= np.sign(np.linalg.det(u @ vt))[..., None]
+    return u @ vt
+
+
+def _gauge_normal_form(X: np.ndarray) -> np.ndarray:
+    """X V with V the right singular vectors of X, turned to det +1.
+
+    Right multiplication by a rotation is a change of phase, so X V is a
+    frame of the same point of CP^2. Its columns are orthogonal with
+    descending norms, which leaves only the sign of X V free when the norms
+    differ; when they are equal (the null quadric) any two such frames are
+    carried onto each other by a rotation.
+    """
+    v = np.linalg.svd(X)[2].T
+    if np.linalg.det(v) < 0.0:
+        v[:, 1] = -v[:, 1]
+    return X @ v
+
+
+def stabilizer(a: ActionModel, x: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> StabilizerData:
     """Compute the stabilizer of x: Lie kernel, component witnesses, class.
 
-    The Lie algebra comes from the kernel of the infinitesimal action.
-    Torus-kind components are solved exactly from the integer congruence of
-    the active ambient pairs, and finite groups are enumerated. For SO(3)
-    the component search refines a pool of Haar candidates onto the fixer
-    set, keeps those with squared displacement below ACCEPT_D2 and reduces
-    them to one witness per component.
+    The Lie algebra comes from the kernel of the infinitesimal action. Every
+    kind is decided in closed form: torus-kind components are solved
+    exactly from the integer congruence of the active ambient pairs, finite
+    groups are enumerated, and SO(3) components are the half-turns of
+    _so3_candidates that pass the fixer test. Each witness has squared
+    displacement at most ACCEPT_D2 (the finite kind tests at the point
+    match cut).
     """
     m = a.manifold
     x = normalize(m, np.asarray(x, dtype=float))
@@ -248,23 +240,10 @@ def stabilizer(
         if float(_displacement(a, x, wits, x).max()) > ACCEPT_D2:
             raise StabilizerError("closed-form witness misses the fixer set")
     elif g.kind == "so3":
-        if a.tx_tensor is None:
-            raise InputError(f"action {a.name!r} lacks tensor data for so3 search")
-        if pool is None:
-            pool = witness_pool(a, seed)
-        tx = a.tx_tensor(x)
-        coarse = kernels._batch_align(kernels._batch_apply_tx(tx, pool), x, m.align_mode)
-        best = _coarse_top(np.einsum("bi,bi->b", coarse, coarse), POOL_SIZE)
-        cands = np.concatenate([np.eye(3)[None], pool[best]])
-        refined, d2 = kernels.so3_refine(tx, x, cands, m.align_mode)
-        mask = d2 <= ACCEPT_D2
-        wits = _dedup_witnesses(g, refined[mask], d2[mask], lie_kernel)
-        if wits.shape[0] > 1:
-            # polish the non-identity representatives to machine precision
-            polished, pd2 = kernels.so3_refine(tx, x, wits[1:], m.align_mode, max_iter=60)
-            wits = np.concatenate([wits[:1], polished])
-            if float(pd2.max()) > ACCEPT_D2:
-                raise StabilizerError("witness failed to converge onto the fixer set")
+        if a.so3_frame is None:
+            raise InputError(f"action {a.name!r} lacks the frame data of the SO(3) solve")
+        cands = _so3_candidates(a, x, lie_kernel)
+        wits = np.concatenate([np.eye(3)[None], cands[_displacement(a, x, cands, x) <= ACCEPT_D2]])
     else:
         raise InputError(f"no stabilizer scheme for group kind {g.kind!r}")
 
@@ -279,16 +258,11 @@ def stabilizer(
     )
 
 
-TRANSPORT_POOL = 64
-
-
 def transport_element(
     a: ActionModel,
     x: np.ndarray,
     y: np.ndarray,
-    seed: int = 0,
     tol: Tolerance = DEFAULT_TOL,
-    pool: np.ndarray | None = None,
     accept_d2: float = ACCEPT_D2,
 ) -> np.ndarray | None:
     """Group element carrying x onto y, or None when there is none.
@@ -297,10 +271,12 @@ def transport_element(
     bounds its squared displacement; callers identifying orbits in dense
     clouds pass a near-machine bound, since distinct orbits can pass within
     coarse tolerance of each other while genuine transports land many
-    orders lower. Finite groups try every element. Torus kinds take the
-    particular solution of the angle congruence, so their None is a
-    decision at the accept_d2 cut. SO(3) refines the best Haar candidates,
-    and its None is only sampled evidence of distinct orbits, not a proof.
+    orders lower. Every kind is a decision at the accept_d2 cut: finite
+    groups try every element, torus kinds take the particular solution of
+    the angle congruence, and SO(3) takes the Kabsch rotation of the frame
+    of x onto that of y. On CP^2 both frames are first put in gauge normal
+    form, and y's is tried with both signs, since the sign is all the
+    normal form leaves free.
     """
     m = a.manifold
     x = normalize(m, np.asarray(x, dtype=float))
@@ -316,16 +292,17 @@ def transport_element(
         return el if float(_displacement(a, x, el[None], y)[0]) <= accept_d2 else None
     if g.kind != "so3":
         raise InputError(f"no transport scheme for group kind {g.kind!r}")
-    if pool is None:
-        pool = witness_pool(a, seed)
-    tx = a.tx_tensor(x)
-    coarse = kernels._batch_align(kernels._batch_apply_tx(tx, pool), y, m.align_mode)
-    best = _coarse_top(np.einsum("bi,bi->b", coarse, coarse), TRANSPORT_POOL)
-    refined, d2 = kernels.so3_refine(tx, y, pool[best], m.align_mode, max_iter=60)
+    if a.so3_frame is None:
+        raise InputError(f"action {a.name!r} lacks the frame data of the SO(3) solve")
+    X, Y = a.so3_frame(x), a.so3_frame(y)
+    if m.kind == "complex_projective":
+        X, Y = _gauge_normal_form(X), _gauge_normal_form(Y)
+        els = _kabsch(X, np.stack([Y, -Y]))
+    else:
+        els = _kabsch(X, Y[None])
+    d2 = _displacement(a, x, els, y)
     i = int(np.argmin(d2))
-    if float(d2[i]) <= accept_d2:
-        return refined[i].copy()
-    return None
+    return els[i] if float(d2[i]) <= accept_d2 else None
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Hot numeric kernels: pairwise aligned distances, graph component
-labeling, and batched Levenberg-Marquardt refinement of rotation candidates.
+labeling, the representative alignment behind the fixer test, and the
+so(3) generators with their batched exponential.
 
 Every kernel is vectorized numpy; the loops that remain run over row blocks,
-coordinates, union-find rounds or refinement iterations, never over single
-entries. No distance scan holds more than one (rows, n) block at a time.
+coordinates or union-find rounds, never over single entries. No distance
+scan holds more than one (rows, n) block at a time.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ SO3_GENERATORS = np.array(
     ]
 )
 
-# Alignment modes for the refinement kernel.
+# Alignment modes of representatives: how an image is brought nearest a target.
 ALIGN_NONE = 0  # spheres, products of spheres, euclidean space
 ALIGN_SIGN = 1  # real projective representatives
 ALIGN_PHASE = 2  # complex projective representatives (interleaved reals)
@@ -179,23 +180,19 @@ def graph_components(rows, n: int, threshold: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# batched rotation refinement
+# representative alignment
 # ---------------------------------------------------------------------------
 #
-# Minimizes |align(A(g) x) - x|^2 over g in SO(3) from many starting
-# candidates at once. The ambient action must be linear in the rotation:
-# (A(g) x)[p] = sum_jk TX[p,j,k] g[jk], with TX precomputed from x.
-
-
-def _batch_apply_tx(TX: np.ndarray, G: np.ndarray) -> np.ndarray:
-    return G.reshape(G.shape[0], 9) @ TX.reshape(TX.shape[0], 9).T
+# An image Y of a point counts against a target x once its representative is
+# aligned: flipped in sign on real projective models, turned in phase on
+# complex projective ones, so that it lies nearest x.
 
 
 def _as_complex(U: np.ndarray) -> np.ndarray:
     """Complex view of rows holding interleaved (real, imaginary) pairs.
 
-    The last axis must be contiguous, as it is for every array the search
-    builds; numpy raises otherwise.
+    The last axis must be contiguous, as it is for every array the fixer
+    test builds; numpy raises otherwise.
     """
     return U.view(np.complex128)
 
@@ -229,24 +226,6 @@ def _batch_factors(Y: np.ndarray, x: np.ndarray, mode: int):
     return a, b
 
 
-def _batch_jacobian_columns(dY, Y_aligned, x, fa, fb, mag, mode):
-    """Column of the aligned-residual Jacobian for one parameter direction.
-
-    The aligned residual is lambda(g) y(g) - x; for phase alignment the
-    factor moves with g and contributes i lambda y Im(conj(lambda) <dy, x>)
-    divided by |<y, x>|. Sign alignment is locally constant, so only the
-    frozen factor applies there. The factors broadcast against the leading
-    axes of dY, so one call can fill several directions.
-    """
-    col = _batch_apply_factors(dY, fa, fb, mode)
-    if mode == ALIGN_PHASE:
-        re, im = _phase_inner(dY, x)
-        coef = (fa * im - fb * re) / mag
-        colc = _as_complex(col)
-        colc += (1j * coef)[..., None] * _as_complex(Y_aligned)
-    return col
-
-
 def _batch_apply_factors(Y: np.ndarray, a: np.ndarray, b: np.ndarray, mode: int):
     if mode == ALIGN_PHASE:
         out = (a + 1j * b)[..., None] * _as_complex(Y)
@@ -260,6 +239,7 @@ def _batch_align(Y: np.ndarray, x: np.ndarray, mode: int):
 
 
 def rodrigues_batch(W: np.ndarray) -> np.ndarray:
+    """Rotations exp(W_i . L) of the rows of W, by Rodrigues' formula."""
     theta = np.linalg.norm(W, axis=1)
     K = np.zeros((W.shape[0], 3, 3))
     K[:, 0, 1] = -W[:, 2]
@@ -275,75 +255,3 @@ def rodrigues_batch(W: np.ndarray) -> np.ndarray:
         b = np.where(small, 0.5 - t2 / 24.0, (1.0 - np.cos(theta)) / np.where(small, 1.0, t2))
     K2 = K @ K
     return np.eye(3) + a[:, None, None] * K + b[:, None, None] * K2
-
-
-def so3_refine(TX: np.ndarray, x: np.ndarray, G0: np.ndarray, mode: int, max_iter: int = 30):
-    """Refine rotation candidates toward fixers of x under a linear so(3) action.
-
-    TX is the (N,3,3) tensor with (A(g) x)[p] = sum_jk TX[p,j,k] g[j,k].
-    Returns (refined candidates, squared aligned residuals).
-    """
-    TX = np.ascontiguousarray(TX, dtype=np.float64)
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    G0 = np.ascontiguousarray(G0, dtype=np.float64)
-    n = x.size
-    # image and the three Jacobian directions in one GEMM per iteration:
-    # A(L_i g) x = sum_jk (L_i^T TX[p])[j, k] g[j, k]
-    LT = SO3_GENERATORS.transpose(0, 2, 1)
-    stacked = np.concatenate([TX[None], LT[:, None] @ TX[None]])
-    ops = stacked.reshape(4 * n, 9).T
-    G = G0.copy()
-    B = G.shape[0]
-    Y = _batch_apply_tx(TX, G)
-    R = _batch_align(Y, x, mode)
-    d2 = np.einsum("bp,bp->b", R, R)
-    mu = np.full(B, 1e-3)
-    active = np.ones(B, dtype=bool)
-    fails = np.zeros(B, dtype=np.int64)
-    for _ in range(max_iter):
-        active &= d2 >= 1e-28
-        if not active.any():
-            break
-        idx = np.nonzero(active)[0]
-        Z = (G[idx].reshape(idx.size, 9) @ ops).reshape(idx.size, 4, n)
-        Ya = Z[:, 0]
-        fa, fb, mag = _batch_factors_mag(Ya, x, mode)
-        Yal = _batch_apply_factors(Ya, fa, fb, mode)
-        J = _batch_jacobian_columns(
-            Z[:, 1:], Yal[:, None], x, fa[:, None], fb[:, None], mag[:, None], mode
-        )
-        Ra = R[idx]
-        JtJ = J @ J.transpose(0, 2, 1)
-        Jtr = (J @ Ra[:, :, None])[..., 0]
-        improved = np.zeros(idx.size, dtype=bool)
-        mua = mu[idx].copy()
-        for _trial in range(6):
-            todo = ~improved
-            if not todo.any():
-                break
-            M = JtJ[todo] + mua[todo, None, None] * np.eye(3)
-            try:
-                delta = -np.linalg.solve(M, Jtr[todo, :, None])[..., 0]
-            except np.linalg.LinAlgError:
-                mua[todo] *= 10.0
-                continue
-            steps = rodrigues_batch(delta)
-            Gt = steps @ G[idx[todo]]
-            Yt = _batch_apply_tx(TX, Gt)
-            Rt = _batch_align(Yt, x, mode)
-            d2t = np.einsum("bp,bp->b", Rt, Rt)
-            sub = np.nonzero(todo)[0]
-            better = d2t < d2[idx[todo]]
-            acc = sub[better]
-            G[idx[acc]] = Gt[better]
-            R[idx[acc]] = Rt[better]
-            d2[idx[acc]] = d2t[better]
-            mua[acc] = np.maximum(mua[acc] * 0.3, 1e-12)
-            improved[acc] = True
-            rej = sub[~better]
-            mua[rej] *= 10.0
-        mu[idx] = mua
-        fails[idx[~improved]] += 1
-        fails[idx[improved]] = 0
-        active[idx[fails[idx] >= 2]] = False
-    return G, d2

@@ -103,13 +103,13 @@ class StratifiedInterval:
 # ---------------------------------------------------------------------------
 
 # orthogonal slice matrices move non-fixed unit vectors at unit scale while
-# polished witnesses carry noise a few orders below this cut, so it sits in
-# a wide gap
+# the closed-form witnesses carry rounding noise many orders below this cut,
+# so it sits in a wide gap
 _FIX_EPS = 1e-5
 
 # squared-displacement bound when identifying orbits across the cloud: in
 # dense clouds distinct orbits can pass within coarse tolerance of each
-# other, while a genuine transport polishes to near machine precision
+# other, while a genuine closed-form transport lands near machine precision
 _IDENTIFY_D2 = 1e-20
 
 
@@ -337,17 +337,11 @@ def klein_partition(cloud: SampleCloud, tol: Tolerance | None = None) -> KleinPa
                 if find(i) == find(j):
                     continue
                 # orbit mates agree on the raw invariants to machine noise,
-                # so a visible gap rules the pair out without a search
+                # so a visible gap rules the pair out without a transport solve
                 if inv_raw.shape[1] and np.abs(inv_raw[i] - inv_raw[j]).max() > 1e-7:
                     continue
                 g = transport_element(
-                    a,
-                    cloud.points[i],
-                    cloud.points[j],
-                    seed=cloud.seed,
-                    tol=tol,
-                    pool=cloud.pool,
-                    accept_d2=_IDENTIFY_D2,
+                    a, cloud.points[i], cloud.points[j], tol=tol, accept_d2=_IDENTIFY_D2
                 )
                 if g is not None:
                     parent[find(j)] = find(i)

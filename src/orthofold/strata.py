@@ -20,7 +20,7 @@ from .actions import (
     validate_point,
 )
 from .errors import ClassificationError, InputError
-from .isotropy import slice_representation, stabilizer, witness_pool
+from .isotropy import slice_representation, stabilizer
 from .kernels import graph_components, pairwise_chebyshev
 from .numerics import (
     DEFAULT_TOL,
@@ -43,10 +43,7 @@ class SampleCloud:
     """Finite proxy for the manifold: representatives with isotropy data.
 
     Uniform samples occupy the leading indices; the action's special loci
-    are appended after them so measure-zero strata are always present. pool
-    is the Haar candidate pool the SO(3) stabilizer searches used; later
-    searches on the same action reuse it. Torus-kind stabilizers are solved
-    exactly and finite groups enumerated, so their pool is None.
+    are appended after them so measure-zero strata are always present.
     """
 
     action: str
@@ -59,7 +56,6 @@ class SampleCloud:
     sample_count: int
     seed: int
     tol: Tolerance
-    pool: np.ndarray | None
 
     def __len__(self) -> int:
         return int(self.points.shape[0])
@@ -126,8 +122,8 @@ def build_cloud(
     """Sample the manifold and attach per-point isotropy data.
 
     The catalog's measure-zero loci are appended after the uniform samples.
-    All SO(3) stabilizer searches across the cloud share one Haar candidate
-    pool, so rebuilding with the same seed reproduces the cloud exactly.
+    Stabilizers are computed in closed form, so the seed fixes the cloud and
+    rebuilding with the same seed reproduces it exactly.
     """
     if count < 1:
         raise InputError("cloud needs a sample count of at least 1")
@@ -137,11 +133,10 @@ def build_cloud(
         pts = np.vstack([uniform, special.reshape(-1, a.manifold.ambient_dim)])
     else:
         pts = uniform
-    pool = witness_pool(a, seed)
     stabs = []
     reps = []
     for x in pts:
-        st = stabilizer(a, x, seed=seed, tol=tol, pool=pool)
+        st = stabilizer(a, x, tol=tol)
         stabs.append(st)
         reps.append(slice_representation(a, st, tol))
     orbit_dims = np.array([st.orbit_dim for st in stabs], dtype=np.int64)
@@ -157,7 +152,6 @@ def build_cloud(
         sample_count=count,
         seed=seed,
         tol=tol,
-        pool=pool,
     )
 
 

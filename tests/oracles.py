@@ -1,6 +1,6 @@
 """Independent reference implementations used to pin test expectations.
 
-Everything here is deliberately slow and exact: rational Gaussian
+Most of it is deliberately slow and exact: rational Gaussian
 elimination for rank and nullspace, a synthetic torus action with a
 hidden orthogonal change of frame whose planted weight rows the pipeline
 must recover, a one-element-at-a-time SO(3) identity-component test,
@@ -8,8 +8,11 @@ minors of integer matrices by exact determinants, the isostabilizer
 decomposition from whole distance matrices, the slice weight fit over
 sampled group elements that preceded the exact read-off, and the
 slice-vector stabilizer count that preceded the single congruence solve,
-and the pairwise scan behind the correspondence witnesses. None of it imports the numeric routines under test beyond the public model
-types and the slice frame helpers.
+the pairwise scan behind the correspondence witnesses, and the SO(3)
+Haar-and-Levenberg-Marquardt search that preceded the closed-form
+stabilizers and transports. None of it imports the numeric routines under
+test beyond the public model types, the slice frame helpers and the
+alignment kernels the displacement test shares.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ from math import gcd
 
 import numpy as np
 
-from orthofold import actions, groups, isotropy, quotient
-from orthofold.numerics import DEFAULT_TOL
+from orthofold import actions, groups, isotropy, kernels, quotient
+from orthofold.errors import InputError
+from orthofold.numerics import DEFAULT_TOL, kernel_basis, rank
 from orthofold.seeding import rng_for
 
 
@@ -576,3 +580,231 @@ def sample_label_reference(rep, v, circle_label) -> str:
     if comps > 1:
         return f"Other({k_v},{comps})"
     return circle_label if k_v == 1 else f"Torus({k_v})"
+
+
+# ---------------------------------------------------------------------------
+# the SO(3) search that preceded the closed-form solve
+# ---------------------------------------------------------------------------
+#
+# Haar candidates are scored cheaply, the best are refined by a batched
+# Levenberg-Marquardt (LM) iteration onto the fixer set, and the accepted
+# fixers are reduced to one witness per stabilizer component. Kept as the
+# reference the exact path in isotropy is compared with.
+
+# candidates scored per point, of which the best POOL_SIZE are refined
+COARSE_POOL = 16384
+POOL_SIZE = 512
+# candidates refined per transport
+TRANSPORT_POOL = 64
+# identity-component membership cut of the witness dedup: on |q zeta - zeta|
+# for a circle stabilizer and on max |q - 1| for a finite one
+COMPONENT_EPS = 1e-5
+
+
+def witness_pool(a: actions.ActionModel, seed: int) -> np.ndarray:
+    """Haar candidate pool shared by every search on one SO(3) action and seed."""
+    return groups.sample_elements(a.group, COARSE_POOL, rng_for(seed, a.name, "witness-pool"))
+
+
+def tx_tensor(a: actions.ActionModel, x: np.ndarray) -> np.ndarray:
+    """The (N, 3, 3) tensor with (amb(g) x)[p] = sum_jk TX[p, j, k] g[j, k].
+
+    amb is linear, so TX is amb on the nine unit matrices applied to x.
+    """
+    units = np.eye(9).reshape(9, 3, 3)
+    return np.stack([a.amb(e) @ x for e in units], axis=1).reshape(-1, 3, 3)
+
+
+def batch_apply_tx(TX: np.ndarray, G: np.ndarray) -> np.ndarray:
+    return G.reshape(G.shape[0], 9) @ TX.reshape(TX.shape[0], 9).T
+
+
+def batch_jacobian_columns(dY, Y_aligned, x, fa, fb, mag, mode):
+    """Column of the aligned-residual Jacobian for one parameter direction.
+
+    The aligned residual is lambda(g) y(g) - x; for phase alignment the
+    factor moves with g and contributes i lambda y Im(conj(lambda) <dy, x>)
+    divided by |<y, x>|. Sign alignment is locally constant, so only the
+    frozen factor applies there. The factors broadcast against the leading
+    axes of dY, so one call can fill several directions.
+    """
+    col = kernels._batch_apply_factors(dY, fa, fb, mode)
+    if mode == kernels.ALIGN_PHASE:
+        re, im = kernels._phase_inner(dY, x)
+        coef = (fa * im - fb * re) / mag
+        colc = kernels._as_complex(col)
+        colc += (1j * coef)[..., None] * kernels._as_complex(Y_aligned)
+    return col
+
+
+def so3_refine(TX: np.ndarray, x: np.ndarray, G0: np.ndarray, mode: int, max_iter: int = 30):
+    """Refine rotation candidates toward elements carrying x's tensor onto x.
+
+    Minimizes |align(A(g) x0) - x|^2 over g in SO(3) from every row of G0 at
+    once, with (A(g) x0)[p] = sum_jk TX[p, j, k] g[j, k]. Returns (refined
+    candidates, squared aligned residuals).
+    """
+    TX = np.ascontiguousarray(TX, dtype=np.float64)
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    G0 = np.ascontiguousarray(G0, dtype=np.float64)
+    n = x.size
+    # image and the three Jacobian directions in one GEMM per iteration:
+    # A(L_i g) x = sum_jk (L_i^T TX[p])[j, k] g[j, k]
+    LT = kernels.SO3_GENERATORS.transpose(0, 2, 1)
+    stacked = np.concatenate([TX[None], LT[:, None] @ TX[None]])
+    ops = stacked.reshape(4 * n, 9).T
+    G = G0.copy()
+    B = G.shape[0]
+    R = kernels._batch_align(batch_apply_tx(TX, G), x, mode)
+    d2 = np.einsum("bp,bp->b", R, R)
+    mu = np.full(B, 1e-3)
+    active = np.ones(B, dtype=bool)
+    fails = np.zeros(B, dtype=np.int64)
+    for _ in range(max_iter):
+        active &= d2 >= 1e-28
+        if not active.any():
+            break
+        idx = np.nonzero(active)[0]
+        Z = (G[idx].reshape(idx.size, 9) @ ops).reshape(idx.size, 4, n)
+        Ya = Z[:, 0]
+        fa, fb, mag = kernels._batch_factors_mag(Ya, x, mode)
+        Yal = kernels._batch_apply_factors(Ya, fa, fb, mode)
+        J = batch_jacobian_columns(
+            Z[:, 1:], Yal[:, None], x, fa[:, None], fb[:, None], mag[:, None], mode
+        )
+        Ra = R[idx]
+        JtJ = J @ J.transpose(0, 2, 1)
+        Jtr = (J @ Ra[:, :, None])[..., 0]
+        improved = np.zeros(idx.size, dtype=bool)
+        mua = mu[idx].copy()
+        for _trial in range(6):
+            todo = ~improved
+            if not todo.any():
+                break
+            M = JtJ[todo] + mua[todo, None, None] * np.eye(3)
+            try:
+                delta = -np.linalg.solve(M, Jtr[todo, :, None])[..., 0]
+            except np.linalg.LinAlgError:
+                mua[todo] *= 10.0
+                continue
+            Gt = kernels.rodrigues_batch(delta) @ G[idx[todo]]
+            Rt = kernels._batch_align(batch_apply_tx(TX, Gt), x, mode)
+            d2t = np.einsum("bp,bp->b", Rt, Rt)
+            sub = np.nonzero(todo)[0]
+            better = d2t < d2[idx[todo]]
+            acc = sub[better]
+            G[idx[acc]] = Gt[better]
+            R[idx[acc]] = Rt[better]
+            d2[idx[acc]] = d2t[better]
+            mua[acc] = np.maximum(mua[acc] * 0.3, 1e-12)
+            improved[acc] = True
+            mua[sub[~better]] *= 10.0
+        mu[idx] = mua
+        fails[idx[~improved]] += 1
+        fails[idx[improved]] = 0
+        active[idx[fails[idx] >= 2]] = False
+    return G, d2
+
+
+def identity_component_mask(g, Q: np.ndarray, kernel_coeffs: np.ndarray) -> np.ndarray:
+    """Which of the elements Q (B, size, size) lie on exp(span kernel_coeffs).
+
+    kernel_coeffs has shape (lie_dim, k); k = 0 reduces to an identity test.
+    For so3 with a one-dimensional kernel spanned by zeta, exp(span zeta) is
+    the set of rotations fixing zeta, so membership is |q zeta - zeta| small,
+    which stays well conditioned for every rotation angle, pi included.
+    """
+    Q = np.asarray(Q, dtype=np.float64)
+    k = kernel_coeffs.shape[1] if kernel_coeffs.ndim == 2 else 0
+    if k == 0:
+        return np.abs(Q - g.identity()).max(axis=(1, 2)) <= COMPONENT_EPS
+    if g.kind != "so3":
+        raise InputError(f"identity-component membership unsupported for kind {g.kind!r}")
+    if k >= 3:
+        return np.ones(Q.shape[0], dtype=bool)
+    zeta = kernel_coeffs[:, 0] / np.linalg.norm(kernel_coeffs[:, 0])
+    return np.linalg.norm(Q @ zeta - zeta, axis=1) <= COMPONENT_EPS
+
+
+def coarse_top(d2: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k smallest entries, ordered by value."""
+    if d2.shape[0] <= k:
+        return np.argsort(d2, kind="stable")
+    part = np.argpartition(d2, k)[:k]
+    return part[np.argsort(d2[part], kind="stable")]
+
+
+def visit_order(accepted: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """Indices of the candidates the witness dedup visits, in visit order.
+
+    Candidates sort by residual, ties broken by the raw bytes of the matrix
+    rounded to 1e-8; converged duplicates, equal on a 1e-5 grid, then
+    collapse to their first visit.
+    """
+    _, byte_rank = np.unique(isotropy._byte_rows(np.round(accepted, 8)), return_inverse=True)
+    order = np.lexsort((byte_rank, d2))
+    _, first = np.unique(isotropy._byte_rows(np.round(accepted[order], 5)), return_index=True)
+    return order[np.sort(first)]
+
+
+def dedup_witnesses(g, accepted, d2, lie_kernel):
+    """One representative per component, identity first, sharpest fixer first.
+
+    A candidate q belongs to the class of rep when rep.T @ q lies in the
+    identity component.
+    """
+    classes = [np.eye(g.size)]
+    if lie_kernel.shape[1] == g.lie_dim:
+        return np.stack(classes)
+    if accepted.shape[0]:
+        cands = accepted[visit_order(accepted, d2)]
+        covered = identity_component_mask(g, cands, lie_kernel)
+        for j in range(cands.shape[0]):
+            if covered[j]:
+                continue
+            rep = cands[j]
+            classes.append(rep)
+            covered[j + 1 :] |= identity_component_mask(g, rep.T @ cands[j + 1 :], lie_kernel)
+    return np.stack(classes)
+
+
+def stabilizer_reference(a, x, pool: np.ndarray, tol=DEFAULT_TOL) -> isotropy.StabilizerData:
+    """The SO(3) stabilizer by search: refine the best POOL_SIZE of the pool
+    (and the identity), keep fixers within ACCEPT_D2, dedup, polish."""
+    m = a.manifold
+    x = actions.normalize(m, np.asarray(x, dtype=float))
+    g = a.group
+    inf = actions.infinitesimal_action(a, x, tol)
+    lie_kernel = kernel_basis(inf, tol)
+    tx = tx_tensor(a, x)
+    coarse = kernels._batch_align(batch_apply_tx(tx, pool), x, m.align_mode)
+    best = coarse_top(np.einsum("bi,bi->b", coarse, coarse), POOL_SIZE)
+    cands = np.concatenate([np.eye(3)[None], pool[best]])
+    refined, d2 = so3_refine(tx, x, cands, m.align_mode)
+    mask = d2 <= isotropy.ACCEPT_D2
+    wits = dedup_witnesses(g, refined[mask], d2[mask], lie_kernel)
+    if wits.shape[0] > 1:
+        polished, _ = so3_refine(tx, x, wits[1:], m.align_mode, max_iter=60)
+        wits = np.concatenate([wits[:1], polished])
+    return isotropy.StabilizerData(
+        point=x,
+        lie_kernel=lie_kernel,
+        witnesses=wits,
+        subgroup=groups.classify_subgroup(g, lie_kernel, wits, tol),
+        orbit_dim=rank(inf, tol),
+        inf_action=inf,
+    )
+
+
+def transport_reference(a, x, y, pool: np.ndarray, accept_d2: float = 1e-12):
+    """An SO(3) element carrying x onto y by search, or None when the
+    TRANSPORT_POOL best candidates all refine to above accept_d2."""
+    m = a.manifold
+    x = actions.normalize(m, np.asarray(x, dtype=float))
+    y = actions.normalize(m, np.asarray(y, dtype=float))
+    tx = tx_tensor(a, x)
+    coarse = kernels._batch_align(batch_apply_tx(tx, pool), y, m.align_mode)
+    best = coarse_top(np.einsum("bi,bi->b", coarse, coarse), TRANSPORT_POOL)
+    refined, d2 = so3_refine(tx, y, pool[best], m.align_mode, max_iter=60)
+    i = int(np.argmin(d2))
+    return refined[i].copy() if float(d2[i]) <= accept_d2 else None

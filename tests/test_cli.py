@@ -79,6 +79,17 @@ def test_family_parameter_out_of_range_exit_code(capsys, monkeypatch, name):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "name, message",
+    [("s2-zn(65)", "s2-zn supports 2 <= n <= 64"), ("nope", "no catalog action named 'nope'")],
+)
+def test_unknown_action_message_is_unquoted(capsys, name, message):
+    # the message itself, not the repr that KeyError's str() would give
+    code = cli.main(["analyze", name, "--samples", "5"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_malformed_point_exit_code(capsys):
     code, _ = _run(capsys, "classify", "s2-zn(5)", "one,two")
     assert code == 2
@@ -163,9 +174,9 @@ def test_degenerate_interval_model_is_a_failed_check(capsys, monkeypatch):
 
 
 def test_near_half_turn_witness_seed_passes(capsys):
-    # at seed 2 one t = 0 point (stabilizer SO2) has a refined fixer that is
-    # a rotation by pi - 4.3e-6 about the stabilizer axis; it lies in the
-    # identity component and must not be counted as a second component
+    # at seed 2 one t = 0 point (stabilizer SO2) led the Haar search to a
+    # fixer that is a rotation by pi - 4.3e-6 about the stabilizer axis, in
+    # the identity component; it must not be counted as a second component
     code, out = _run(capsys, "verify", "cp2-so3", "--samples", "100", "--seed", "2")
     assert "[FAIL]" not in out
     assert code == 0
@@ -300,6 +311,28 @@ def test_payloads_are_pinned(capsys, name, samples):
     code, out = _run(capsys, "analyze", name, "--samples", samples, "--seed", "0")
     assert code == 0
     assert _parse_report(out)[1] == _PAYLOAD_SHAS[(name, samples)]
+
+
+# verify --samples 100 report-sha256 of the SO(3) actions at the four seeds
+# the so3-search benchmark runs; speed work on the SO(3) solve must keep
+# these payloads byte-identical
+_SO3_VERIFY_SHAS = {
+    ("s2xs2-so3", 0): "7306cb55c3b502dab016557e3cdf9e22abae0bcd05dbe08ea22afbf16dec310e",
+    ("s2xs2-so3", 1): "ffb7ee578c3cc8d6c402a18f1905875b066bc3c76ebc82817c82fea6f264e3f8",
+    ("s2xs2-so3", 2): "668b52aa814001d44fa7a050414da955dcc44c84c0f6cc4d0c18fc49b09425ce",
+    ("s2xs2-so3", 3): "5b4992aaa1fa8fad399c48a77e5dc73ce65210f30e0fdfa38250bdbc0f82cecf",
+    ("cp2-so3", 0): "3cb38b22c45f47c9cfc9ea7906e0b2e6f890ad3e47b7d624d810e427955dc114",
+    ("cp2-so3", 1): "4b58448a3f25cb44addc4c6985bdb53fb174c3994485d9cc078f0f52ee0cec0a",
+    ("cp2-so3", 2): "99a195bb64c29a2129a3c9b86ff1f7384d791f9d0c782a6be862268eeace42c0",
+    ("cp2-so3", 3): "af40562577f0fec014b3fad525922a52a0c55dfbf92416d44ff1be0f17c6e61e",
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(_SO3_VERIFY_SHAS))
+def test_so3_verify_payloads_are_pinned(capsys, name, seed):
+    code, out = _run(capsys, "verify", name, "--samples", "100", "--seed", str(seed))
+    assert code == 0
+    assert out.rstrip().splitlines()[-1] == f"report-sha256: {_SO3_VERIFY_SHAS[(name, seed)]}"
 
 
 def test_classify_cn_t3_axis_point_is_pinned(capsys):

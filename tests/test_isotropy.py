@@ -3,21 +3,25 @@
 import numpy as np
 import pytest
 
-from orthofold import actions, groups, isotropy, quotient
+from orthofold import actions, groups, isotropy, quotient, strata
 from orthofold.errors import StabilizerError
 
 from oracles import (
     exact_rank,
     minor_gcd,
     slice_stab_profile_reference,
+    stabilizer_reference,
+    transport_reference,
+    visit_order,
     weight_rows_reference,
+    witness_pool,
 )
 
 
 def _stab(name, point):
     a = actions.get_action(name)
     x = actions.normalize(a.manifold, np.array(point, dtype=float))
-    return a, isotropy.stabilizer(a, x, seed=0)
+    return a, isotropy.stabilizer(a, x)
 
 
 def test_rp2_pole_has_circle_stabilizer():
@@ -100,7 +104,7 @@ def test_reps_equivalent_on_isolated_fixed_points():
     a = actions.get_action("cp2-u1")
     reps = []
     for spec in ([1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 1, 0]):
-        st = isotropy.stabilizer(a, np.array(spec, dtype=float), seed=0)
+        st = isotropy.stabilizer(a, np.array(spec, dtype=float))
         reps.append(isotropy.slice_representation(a, st))
     r0, r1, r2 = reps
     assert isotropy.reps_equivalent(r0, r2)
@@ -126,12 +130,103 @@ def test_transport_so3_with_strict_acceptance():
     y = actions.act(a, g, x)
     # the near-machine bound used for orbit identification must still
     # accept a genuine transport
-    el = isotropy.transport_element(a, x, y, seed=0, accept_d2=1e-20)
+    el = isotropy.transport_element(a, x, y, accept_d2=1e-20)
     assert el is not None
     assert actions.distance(a.manifold, actions.act(a, el, x), y) < 1e-9
     # a pair with a different factor angle sits on a different orbit
     off = actions.normalize(a.manifold, np.concatenate([y[:3], y[:3] + 0.3 * y[3:]]))
-    assert isotropy.transport_element(a, x, off, seed=0) is None
+    assert isotropy.transport_element(a, x, off) is None
+
+
+# two orthonormal directions of R^3 for the SO(3) loci below
+_U = np.array([1.0, 2.0, 2.0]) / 3.0
+_W = np.array([2.0, 1.0, -2.0]) / 3.0
+
+
+def _cp2_point(z):
+    a = actions.get_action("cp2-so3")
+    return a, actions.normalize(a.manifold, actions.from_complex(np.asarray(z)))
+
+
+def _s2xs2_point(u, v):
+    a = actions.get_action("s2xs2-so3")
+    return a, actions.normalize(a.manifold, np.concatenate([u, v]))
+
+
+@pytest.mark.parametrize(
+    "point, label",
+    [
+        (lambda: _cp2_point(_U + 1e-6j * _W), "Zn(2)"),
+        (lambda: _cp2_point(_U + 1e-7j * _W), "Zn(4)"),
+        (lambda: _cp2_point(_U + 1j * (1.0 - 1e-6) * _W), "Zn(2)"),
+        (lambda: _s2xs2_point(_U, _U + 1e-8 * _W), "Zn(2)"),
+    ],
+    ids=["cp2-real-1e-6", "cp2-real-1e-7", "cp2-null-1e-6", "s2xs2-diagonal-1e-8"],
+)
+def test_so3_stabilizer_next_to_a_locus_is_a_group(point, label):
+    # the rank cut already reads k = 0 here, but a whole arc of rotations
+    # about the nearby axis still moves x by less than ACCEPT_D2; only the
+    # half-turns of the eigenframe may become witnesses, and they must form
+    # a subgroup of the Klein four-group
+    a, x = point()
+    st = isotropy.stabilizer(a, x)
+    assert st.lie_kernel.shape[1] == 0
+    assert st.subgroup.display() == label
+    wits = st.witnesses
+    assert len(wits) <= 4
+    assert isotropy._displacement(a, st.point, wits, st.point).max() <= isotropy.ACCEPT_D2
+    for p in wits:
+        for q in wits:
+            assert np.abs(p @ q - wits).max(axis=(1, 2)).min() <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "point, label",
+    [
+        (lambda: _s2xs2_point(_U, _W), "Trivial"),
+        (lambda: _s2xs2_point(_U, _U), "SO2"),
+        (lambda: _s2xs2_point(_U, -_U), "SO2"),
+        (lambda: _cp2_point(_U + 0j), "O2"),
+        (lambda: _cp2_point(_U + 1j * _W), "SO2"),
+    ],
+    ids=["s2xs2-orthogonal", "s2xs2-diagonal", "s2xs2-antidiagonal", "cp2-real", "cp2-null"],
+)
+def test_so3_stabilizer_on_the_degenerate_loci(point, label):
+    # u perpendicular to v is the one k = 0 point whose moment matrix has a
+    # repeated eigenvalue; the others keep a circle
+    a, x = point()
+    st = isotropy.stabilizer(a, x)
+    assert st.subgroup.display() == label
+    assert st.lie_kernel.shape[1] == (0 if label == "Trivial" else 1)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", ["s2xs2-so3", "cp2-so3"])
+def test_so3_exact_path_matches_the_search_reference(monkeypatch, name, seed):
+    a = actions.get_action(name)
+    cloud = strata.build_cloud(a, 100, seed=seed)
+    pool = witness_pool(a, seed)
+    for st in cloud.stabs:
+        ref = stabilizer_reference(a, st.point, pool)
+        got, want = st.subgroup, ref.subgroup
+        assert (got.label, got.order, got.traces) == (want.label, want.order, want.traces)
+        assert st.lie_kernel.shape[1] == ref.lie_kernel.shape[1]
+
+    # every pair the orbit identification tries: the exact transport is
+    # found whenever the search finds one
+    tried = []
+
+    def recording(a_, x, y, **kw):
+        el = isotropy.transport_element(a_, x, y, **kw)
+        tried.append((x, y, kw.get("accept_d2", isotropy.ACCEPT_D2), el is not None))
+        return el
+
+    monkeypatch.setattr(quotient, "transport_element", recording)
+    quotient.klein_partition(cloud)
+    assert any(found for *_, found in tried)
+    for x, y, accept_d2, found in tried:
+        if not found:
+            assert transport_reference(a, x, y, pool, accept_d2) is None
 
 
 def test_transport_circle_group():
@@ -139,7 +234,7 @@ def test_transport_circle_group():
     x = actions.normalize(a.manifold, np.array([0.5, 0.1, 0.6]))
     g = groups.exp_coeffs(a.group, np.array([1.2]))
     y = actions.act(a, g, x)
-    el = isotropy.transport_element(a, x, y, seed=0)
+    el = isotropy.transport_element(a, x, y)
     assert el is not None
     assert actions.distance(a.manifold, actions.act(a, el, x), y) < 1e-9
 
@@ -150,12 +245,13 @@ def test_stabilizer_dimension_identity():
     for name in ("rp2-so2", "cp2-u1", "cn-tn(2)"):
         a = actions.get_action(name)
         for x in actions.sample_points(a.manifold, 3, rng):
-            st = isotropy.stabilizer(a, x, seed=0)
+            st = isotropy.stabilizer(a, x)
             assert st.lie_kernel.shape[1] + st.orbit_dim == a.group.lie_dim
 
 
 def _reference_visit_order(accepted, d2):
-    # the per-candidate Python sort and first-occurrence scan
+    # the per-candidate Python sort and first-occurrence scan that the
+    # vectorized visit order of the SO(3) search reference replaced
     rounded = np.round(accepted, 8)
     order = sorted(range(accepted.shape[0]), key=lambda i: (d2[i], rounded[i].tobytes()))
     coarse = np.round(accepted, 5)
@@ -177,18 +273,8 @@ def test_visit_order_matches_sorted_reference():
         acc[rng.integers(0, n, size=n // 3)] = acc[rng.integers(0, n, size=n // 3)]
         acc[0, 0, 0], acc[-1, 0, 0] = -1e-12, 1e-12
         d2 = rng.choice([0.0, 5e-14, 1e-13], size=n)  # forced ties
-        got = isotropy._visit_order(acc, d2)
+        got = visit_order(acc, d2)
         assert got.tolist() == _reference_visit_order(acc, d2)
-
-
-def test_witness_pool_is_shared_and_absent_for_finite_groups():
-    # only the SO(3) search draws candidates; torus kinds are solved exactly
-    a = actions.get_action("cp2-so3")
-    pool = isotropy.witness_pool(a, 3)
-    assert pool.shape == (isotropy.COARSE_POOL, 3, 3)
-    assert np.array_equal(pool, isotropy.witness_pool(a, 3))
-    for name in ("rp2-so2", "cp2-u1", "cn-tn(2)", "s2-zn(5)"):
-        assert isotropy.witness_pool(actions.get_action(name), 3) is None
 
 
 # weight rows of a rank-2 torus on C^3: every subset of active rows has its

@@ -1,8 +1,14 @@
-"""The numpy kernels against brute-force, scipy and interleaved einsum references."""
+"""The numpy kernels against brute-force, scipy and interleaved einsum references.
+
+The SO(3) Levenberg-Marquardt search left the package for tests/oracles.py,
+where it serves as the reference of the closed-form stabilizers; its tests
+stay here, next to the alignment kernels it shares with the fixer test.
+"""
 
 import numpy as np
 import pytest
 
+import oracles
 from orthofold import actions, groups, isotropy, kernels
 
 
@@ -152,8 +158,8 @@ def test_so3_refine_reaches_the_target():
     # start nearby and polish onto the fixer of y
     bump = kernels.rodrigues_batch(rng.normal(scale=3e-2, size=(1, 3)))[0]
     start = (bump @ true)[None]
-    tx = a.tx_tensor(x)
-    refined, d2 = kernels.so3_refine(tx, y, start, a.manifold.align_mode, max_iter=60)
+    tx = oracles.tx_tensor(a, x)
+    refined, d2 = oracles.so3_refine(tx, y, start, a.manifold.align_mode, max_iter=60)
     assert float(d2[0]) < 1e-16
     assert np.allclose(refined[0] @ refined[0].T, np.eye(3), atol=1e-10)
 
@@ -273,7 +279,7 @@ def test_batch_apply_tx_matches_einsum():
     for n in (1, 6, 13):
         TX = rng.normal(size=(n, 3, 3))
         G = rng.normal(size=(40, 3, 3))
-        got = kernels._batch_apply_tx(TX, G)
+        got = oracles.batch_apply_tx(TX, G)
         assert got.shape == (40, n)
         assert np.abs(got - _ref_apply_tx(TX, G)).max() < 1e-13
 
@@ -306,10 +312,10 @@ def test_phase_helpers_match_interleaved_reference(mode):
 
     Yal = kernels._batch_apply_factors(Y, fa, fb, mode)
     assert np.abs(Yal - _ref_apply_factors(Y, fa, fb, mode)).max() < 1e-13
-    col = kernels._batch_jacobian_columns(dY, Yal, x, fa, fb, mag, mode)
+    col = oracles.batch_jacobian_columns(dY, Yal, x, fa, fb, mag, mode)
     assert np.abs(col - _ref_jacobian_column(dY, Yal, x, fa, fb, mag, mode)).max() < 1e-13
     # several directions at once: factors broadcast over a middle axis
-    stacked = kernels._batch_jacobian_columns(
+    stacked = oracles.batch_jacobian_columns(
         np.stack([dY, 2.0 * dY], axis=1), Yal[:, None], x,
         fa[:, None], fb[:, None], mag[:, None], mode,
     )
@@ -328,10 +334,10 @@ def test_so3_refine_matches_reference_accepted_set(name, special):
     else:
         x = a.special_points(rng)[special]
     x = actions.normalize(a.manifold, x)
-    tx = a.tx_tensor(x)
+    tx = oracles.tx_tensor(a, x)
     mode = a.manifold.align_mode
     G0 = np.concatenate([np.eye(3)[None], groups.sample_elements(a.group, 512, rng)])
-    G, d2 = kernels.so3_refine(tx, x, G0, mode)
+    G, d2 = oracles.so3_refine(tx, x, G0, mode)
     G_ref, d2_ref = _ref_so3_refine(tx, x, G0, mode)
     accepted = d2 <= isotropy.ACCEPT_D2
     assert np.array_equal(accepted, d2_ref <= isotropy.ACCEPT_D2)
