@@ -13,6 +13,7 @@ act(g, x) renormalizes the image representative.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from typing import Callable
@@ -121,18 +122,12 @@ def sample_points(m: ManifoldModel, count: int, rng: np.random.Generator) -> np.
 def distance(m: ManifoldModel, x: np.ndarray, y: np.ndarray) -> float:
     """Manifold distance, the representatives aligned before differencing.
 
-    On RP^n the sign and on CP^n the unit phase of <y, x> that brings y
-    nearest to x; the difference is then taken coordinate-wise, so gaps far
-    below sqrt(machine epsilon) are resolved.
+    y is turned by the sign (RP^n) or unit phase (CP^n) that brings it
+    nearest to x, as in the fixer test; the difference is then taken
+    coordinate-wise, so gaps far below sqrt(machine epsilon) are resolved.
     """
-    if m.kind == "real_projective":
-        return float(min(np.linalg.norm(x - y), np.linalg.norm(x + y)))
-    if m.kind == "complex_projective":
-        zx, zy = to_complex(x), to_complex(y)
-        inner = complex(np.vdot(zy, zx))
-        phase = inner / abs(inner) if inner != 0 else 1.0
-        return float(np.linalg.norm(zx - phase * zy))
-    return float(np.linalg.norm(x - y))
+    x, y = (np.ascontiguousarray(v, dtype=np.float64) for v in (x, y))
+    return float(np.linalg.norm(kernels._batch_align(y[None], x, m.align_mode)))
 
 
 def pairwise_distances(
@@ -154,8 +149,8 @@ def _householder_frame(x: np.ndarray) -> np.ndarray:
     s = 1.0 if x[0] >= 0.0 else -1.0
     u = x.copy()
     u[0] += s
-    h = np.eye(n) - 2.0 * np.outer(u, u) / float(u @ u)
-    return h[:, 1:]
+    # the reflection I - 2 u u^T / |u|^2 without its first column, x's image
+    return np.eye(n)[:, 1:] - 2.0 * np.outer(u, u[1:]) / float(u @ u)
 
 
 def _complex_householder_frame(z: np.ndarray) -> np.ndarray:
@@ -189,22 +184,23 @@ def tangent_frame(m: ManifoldModel, x: np.ndarray, tol: Tolerance = DEFAULT_TOL)
         out[d1:, f1.shape[1] :] = f2
         return out
     # complex projective: realified complex frame, J-pairs adjacent
-    z = to_complex(x)
-    fz = _complex_householder_frame(z)
-    cols = []
-    for j in range(fz.shape[1]):
-        cols.append(from_complex(fz[:, j]))
-        cols.append(from_complex(1j * fz[:, j]))
-    return np.column_stack(cols)
+    fz = _complex_householder_frame(to_complex(x)).T
+    pairs = from_complex(np.stack([fz, 1j * fz], axis=1)).reshape(-1, m.ambient_dim)
+    return np.ascontiguousarray(pairs.T)
 
 
+@functools.lru_cache(maxsize=None)
 def ambient_complex_structure(m: ManifoldModel) -> np.ndarray:
-    """The matrix of multiplication by i on interleaved real coordinates."""
+    """The matrix of multiplication by i on interleaved real coordinates.
+
+    Built once per manifold and shared read-only.
+    """
     n = m.ambient_dim
     j = np.zeros((n, n))
     for k in range(n // 2):
         j[2 * k, 2 * k + 1] = -1.0
         j[2 * k + 1, 2 * k] = 1.0
+    j.flags.writeable = False
     return j
 
 
@@ -249,15 +245,13 @@ def act(a: ActionModel, g: np.ndarray, x: np.ndarray) -> np.ndarray:
     return normalize(a.manifold, a.amb(g) @ x)
 
 
-def infinitesimal_action(
-    a: ActionModel, x: np.ndarray, tol: Tolerance = DEFAULT_TOL
-) -> np.ndarray:
+def infinitesimal_action(a: ActionModel, x: np.ndarray, frame: np.ndarray) -> np.ndarray:
     """Matrix whose columns are the frame coordinates of the generator fields.
 
-    Column i holds the horizontal projection of amb_lie(basis_i) x at x; its
-    rank is the orbit dimension through x.
+    frame is tangent_frame(a.manifold, x). Column i holds the horizontal
+    projection of amb_lie(basis_i) x at x; its rank is the orbit dimension
+    through x.
     """
-    frame = tangent_frame(a.manifold, x, tol)
     k = a.group.lie_dim
     out = np.empty((frame.shape[1], k))
     for i in range(k):
@@ -265,35 +259,32 @@ def infinitesimal_action(
     return out
 
 
-def differential_of_element(
-    a: ActionModel, g: np.ndarray, x: np.ndarray, tol: Tolerance = DEFAULT_TOL
+def differentials(
+    a: ActionModel, G: np.ndarray, x: np.ndarray, frame: np.ndarray, tol: Tolerance = DEFAULT_TOL
 ) -> np.ndarray:
-    """Differential of the action of a stabilizer element, in frame coordinates.
+    """Differentials at x of a stack of stabilizer elements, in frame coordinates.
 
-    Requires act(g, x) to equal x as a manifold point; raises StabilizerError
-    otherwise. The result is an orthogonal (intrinsic x intrinsic) matrix.
+    frame is tangent_frame(a.manifold, x). Each amb(g) is aligned by the sign
+    (RP^n) or unit phase (CP^n) of the fixer test, then read in the frame.
+    Raises StabilizerError when an element moves x by more than
+    max(match_eps, 1e-7), or when a differential fails np.allclose's
+    orthogonality bound. Returns a (B, dim, dim) stack.
     """
-    y = act(a, g, x)
-    if distance(a.manifold, y, x) > max(tol.match_eps, 1e-7):
-        raise StabilizerError("element does not stabilize the point")
-    frame = tangent_frame(a.manifold, x, tol)
-    amb = a.amb(g)
     m = a.manifold
-    if m.kind == "real_projective":
-        s = 1.0 if float((amb @ x) @ x) >= 0.0 else -1.0
-        d = frame.T @ (s * amb) @ frame
-    elif m.kind == "complex_projective":
-        ax = amb @ x
-        inner = complex(np.vdot(to_complex(ax), to_complex(x)))
-        lam = inner / abs(inner)
-        jmat = ambient_complex_structure(m)
-        aligned = lam.real * amb + lam.imag * (jmat @ amb)
-        d = frame.T @ aligned @ frame
-    else:
-        d = frame.T @ amb @ frame
+    amb = a.amb_batch(G)
+    Y = normalize(m, np.einsum("bij,j->bi", amb, x))
+    fa, fb = kernels._batch_factors(Y, x, m.align_mode)
+    moved = kernels._batch_apply_factors(Y, fa, fb, m.align_mode) - x
+    if np.linalg.norm(moved, axis=1).max() > max(tol.match_eps, 1e-7):
+        raise StabilizerError("element does not stabilize the point")
+    if m.align_mode == kernels.ALIGN_PHASE:
+        amb = fa[:, None, None] * amb + fb[:, None, None] * (ambient_complex_structure(m) @ amb)
+    elif m.align_mode == kernels.ALIGN_SIGN:
+        amb = fa[:, None, None] * amb
+    d = frame.T @ amb @ frame
     # np.allclose's per-entry bound, written out; a NaN entry fails it too
-    eye = np.eye(d.shape[0])
-    if not np.all(np.abs(d.T @ d - eye) <= 1e-6 + 1e-5 * eye):
+    eye = np.eye(d.shape[1])
+    if not np.all(np.abs(np.swapaxes(d, 1, 2) @ d - eye) <= 1e-6 + 1e-5 * eye):
         raise StabilizerError("differential is not orthogonal; point data inconsistent")
     return d
 

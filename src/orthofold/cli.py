@@ -20,7 +20,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import __version__, actions, groups, quotient, strata
+from . import __version__, actions, groups, kernels, quotient, strata
 from .errors import (
     ClassificationError,
     CorrespondenceError,
@@ -365,13 +365,11 @@ def _point_strata_values(model) -> set:
 
 
 def _klein_block_of_point(r, point: np.ndarray):
-    d = np.array(
-        [actions.distance(r.action.manifold, point, p) for p in r.cloud.points]
-    )
+    # the cloud's representatives aligned onto point, as in the fixer test
+    mode = r.action.manifold.align_mode
+    d = np.linalg.norm(kernels._batch_align(r.cloud.points, point, mode), axis=1)
     i = int(d.argmin())
-    if d[i] > 1e-7:
-        return None
-    return r.klein.block_of()[i]
+    return r.klein.block_of()[i] if d[i] <= 1e-7 else None
 
 
 def _rp2_t0_locus(vals: np.ndarray) -> np.ndarray:
@@ -475,14 +473,11 @@ def _pinned_checks(r, results, seed: int, tol: Tolerance):
 
     elif name.startswith("cn-tn"):
         n = a.params["n"]
-        ok = True
-        detail = ""
-        for x in cloud.points:
-            if not strata.toric_consistency(a, x, cloud.tol):
-                ok = False
-                detail = f"formula fails at {np.round(x, 4)}"
-                break
-        _check(results, "toric-dimension-formula", ok, detail)
+        # the dimension n + depth of each moment image against the cloud's
+        bad = [x for x, q in zip(cloud.points, cloud.quotient_dims)
+               if strata.toric_depth(x[0::2] ** 2 + x[1::2] ** 2, cloud.tol)[1] != q]
+        _check(results, "toric-dimension-formula", not bad,
+               f"formula fails at {np.round(bad[0], 4)}" if bad else "")
         if n == 2:
             _check(results, "klein-block-count-3", len(r.klein.blocks) == 3,
                    f"got {len(r.klein.blocks)}")
@@ -565,8 +560,6 @@ def cmd_classify(args) -> int:
     probe = strata.build_cloud(a, _CLASSIFY_PROBE, seed=args.seed, tol=tol)
     st = stabilizer(a, x, tol=tol)
     rep = slice_representation(a, st, tol)
-    orbit_dim = int(a.manifold.intrinsic_dim - rep.slice_dim)
-    qdim = strata.quotient_dimension(a, x, tol)
     principal = strata.principal_dimension(probe, strata.orbit_type_partition(probe))
     label = strata.classify_singularity(st, principal.subgroup, tol)
     fp = quotient.local_model(a, st, rep, seed=args.seed)
@@ -575,8 +568,8 @@ def cmd_classify(args) -> int:
         "point": [float(t) for t in x],
         "seed": args.seed,
         "stabilizer": st.subgroup.display(),
-        "orbit_dim": orbit_dim,
-        "quotient_dim": qdim,
+        "orbit_dim": st.orbit_dim,
+        "quotient_dim": a.manifold.intrinsic_dim - st.orbit_dim,
         "principal_dim": principal.value,
         "singularity": label.display(),
         "fingerprint": _fingerprint_doc(fp),

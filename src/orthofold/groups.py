@@ -267,6 +267,19 @@ class SubgroupClass:
         return self.label
 
 
+def identity_mask(G: np.ndarray) -> np.ndarray:
+    """Which matrices of G are the identity, by np.allclose's bound written out."""
+    eye = np.eye(G.shape[-1])
+    return np.all(np.abs(G - eye) <= 1e-8 + 1e-5 * eye, axis=(-2, -1))
+
+
+def _has_element_of_order(witnesses: np.ndarray, m: int) -> bool:
+    """Whether one of the m witnesses has order m: no power w^j, j a proper
+    divisor of m, is the identity (every order divides m)."""
+    powers = [np.linalg.matrix_power(witnesses, j) for j in range(1, m) if m % j == 0]
+    return bool(np.any(~np.any([identity_mask(p) for p in powers], axis=0)))
+
+
 def classify_subgroup(
     g: GroupDescriptor,
     lie_kernel: np.ndarray,
@@ -282,13 +295,15 @@ def classify_subgroup(
     subgroups outside that vocabulary land in Other, whose comparisons use
     conservative invariants only. In particular non-conjugate subtori of a
     higher-rank torus can share a label; the finer Lie-span data lives on
-    the decomposition fingerprints, not here.
+    the decomposition fingerprints, not here. A finite group of order m is
+    Zn(m) only when some witness has order m; a non-cyclic one, such as the
+    Klein four-group of half-turns in SO(3), is Other with hint finite(m).
     """
     k = int(lie_kernel.shape[1]) if lie_kernel.ndim == 2 else 0
     m = len(witnesses)
     if m == 0:
         raise ClassificationError("witness list must at least contain the identity")
-    traces = tuple(sorted(round(float(np.trace(w)), 9) for w in witnesses))
+    traces = tuple(sorted(round(float(np.trace(w)), 9) + 0.0 for w in witnesses))
 
     # every witness must normalize the stabilizer algebra; Ad is the
     # identity on an abelian group, so only SO(3) can fail this
@@ -304,7 +319,9 @@ def classify_subgroup(
     if k == 0:
         if m == 1:
             return SubgroupClass("Trivial", 1, 0, "connected", traces)
-        return SubgroupClass("Zn", m, 0, f"finite({m})", traces)
+        if _has_element_of_order(witnesses, m):
+            return SubgroupClass("Zn", m, 0, f"finite({m})", traces)
+        return SubgroupClass("Other", None, 0, f"finite({m})", traces)
 
     if k == 1:
         if m == 1:

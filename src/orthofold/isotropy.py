@@ -11,13 +11,13 @@ from . import groups, kernels
 from .actions import (
     ActionModel,
     ambient_complex_structure,
-    differential_of_element,
+    differentials,
     infinitesimal_action,
     normalize,
     tangent_frame,
 )
 from .errors import InputError, RepExtractionError, StabilizerError
-from .numerics import DEFAULT_TOL, Tolerance, kernel_basis, orthogonal_complement, rank
+from .numerics import DEFAULT_TOL, Tolerance, shared_identity, svd_split
 
 # squared chordal distance below which a candidate counts as a fixer
 ACCEPT_D2 = 1e-12
@@ -29,7 +29,9 @@ class StabilizerData:
 
     lie_kernel holds coefficient vectors (columns) in the canonical Lie basis
     of the acting group; witnesses holds one ambient matrix per detected
-    component, identity first.
+    component, identity first. frame is the horizontal tangent frame at the
+    point and slice_basis the frame coordinates of the normal slice; one SVD
+    of the infinitesimal action gives it, lie_kernel and orbit_dim.
     """
 
     point: np.ndarray
@@ -37,7 +39,8 @@ class StabilizerData:
     witnesses: np.ndarray
     subgroup: groups.SubgroupClass
     orbit_dim: int
-    inf_action: np.ndarray
+    frame: np.ndarray
+    slice_basis: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -207,20 +210,22 @@ def _gauge_normal_form(X: np.ndarray) -> np.ndarray:
 def stabilizer(a: ActionModel, x: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> StabilizerData:
     """Compute the stabilizer of x: Lie kernel, component witnesses, class.
 
-    The Lie algebra comes from the kernel of the infinitesimal action. Every
-    kind is decided in closed form: torus-kind components are solved
-    exactly from the integer congruence of the active ambient pairs, finite
-    groups are enumerated, and SO(3) components are the half-turns of
-    _so3_candidates that pass the fixer test. Each witness has squared
+    x is normalized and its tangent frame built, which also validates it.
+    One SVD of the infinitesimal action in that frame gives the orbit
+    dimension (its rank), the Lie algebra (its kernel) and the normal slice
+    (the complement of its column span). Every kind is decided in closed
+    form: torus-kind components are solved exactly from the integer
+    congruence of the active ambient pairs, finite groups are enumerated,
+    and SO(3) components are the half-turns of _so3_candidates that pass
+    the fixer test. Each witness has squared
     displacement at most ACCEPT_D2 (the finite kind tests at the point
     match cut).
     """
     m = a.manifold
     x = normalize(m, np.asarray(x, dtype=float))
     g = a.group
-    inf = infinitesimal_action(a, x, tol)
-    odim = rank(inf, tol)
-    lie_kernel = kernel_basis(inf, tol)
+    frame = tangent_frame(m, x, tol)
+    odim, lie_kernel, slice_basis = svd_split(infinitesimal_action(a, x, frame), tol)
     if odim + lie_kernel.shape[1] != g.lie_dim:
         raise StabilizerError("orbit and kernel dimensions are inconsistent")
 
@@ -229,8 +234,7 @@ def stabilizer(a: ActionModel, x: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> S
         keep = g.elements[_displacement(a, x, g.elements, x) <= point_eps * point_eps]
         # identity first (np.allclose's per-entry bound, written out), then
         # by the raw bytes of the matrix rounded to 1e-8
-        ident = np.eye(g.size)
-        moved = ~np.all(np.abs(keep - ident) <= 1e-8 + 1e-5 * ident, axis=(1, 2))
+        moved = ~groups.identity_mask(keep)
         _, byte_rank = np.unique(_byte_rows(np.round(keep, 8)), return_inverse=True)
         wits = keep[np.lexsort((byte_rank, moved))]
     elif g.kind == "torus":
@@ -254,7 +258,8 @@ def stabilizer(a: ActionModel, x: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> S
         witnesses=wits,
         subgroup=cls,
         orbit_dim=odim,
-        inf_action=inf,
+        frame=frame,
+        slice_basis=slice_basis,
     )
 
 
@@ -310,29 +315,23 @@ def transport_element(
 # ---------------------------------------------------------------------------
 
 
-def _slice_coords(stab: StabilizerData) -> np.ndarray:
-    return orthogonal_complement(stab.inf_action)
-
-
-def normal_slice(a: ActionModel, stab: StabilizerData, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def normal_slice(stab: StabilizerData) -> np.ndarray:
     """Orthonormal ambient frame of the normal slice at the stabilized point."""
-    frame = tangent_frame(a.manifold, stab.point, tol)
-    return frame @ _slice_coords(stab)
+    return stab.frame @ stab.slice_basis
 
 
-def _slice_lie_generators(a, stab, frame, coords):
+def _slice_lie_generators(a, stab):
     """Exact slice matrices of the stabilizer Lie basis.
 
     On complex projective models the representative curve drifts in phase;
     the drift acts vertically, and subtracting its rate times the ambient
     complex structure leaves the horizontal generator.
     """
-    x = stab.point
+    x, frame, coords = stab.point, stab.frame, stab.slice_basis
     k = stab.lie_kernel.shape[1]
     sdim = coords.shape[1]
-    jamb = None
-    if a.manifold.kind == "complex_projective":
-        jamb = ambient_complex_structure(a.manifold)
+    cp = a.manifold.kind == "complex_projective"
+    jamb = ambient_complex_structure(a.manifold) if cp else None
     mats = np.empty((k, sdim, sdim))
     for j in range(k):
         xi = np.einsum("i,ijk->jk", stab.lie_kernel[:, j], a.group.lie)
@@ -344,10 +343,11 @@ def _slice_lie_generators(a, stab, frame, coords):
     return mats
 
 
-def _slice_complex_structure(a, frame, coords):
+def _slice_complex_structure(a, stab):
     if a.manifold.kind != "complex_projective":
         return None
     jamb = ambient_complex_structure(a.manifold)
+    frame, coords = stab.frame, stab.slice_basis
     js = coords.T @ (frame.T @ jamb @ frame) @ coords
     if np.abs(js @ js + np.eye(js.shape[0])).max() > 1e-6:
         return None
@@ -431,10 +431,9 @@ def _no_planes(sdim: int):
 
     One read-only pair per slice dimension, shared by every such rep.
     """
-    planes, fixed = np.zeros((0, sdim, 2)), np.eye(sdim)
+    planes = np.zeros((0, sdim, 2))
     planes.flags.writeable = False
-    fixed.flags.writeable = False
-    return planes, fixed
+    return planes, shared_identity(sdim)
 
 
 def slice_representation(
@@ -447,27 +446,25 @@ def slice_representation(
     their rotation planes and fixed basis (torus_weights). Finite
     stabilizers have no generators and record witness traces
     (finite_characters). Both keep the slice matrices of the component
-    witnesses.
+    witnesses, all read in one batch from the stabilizer's frame and slice
+    basis.
     """
-    frame = tangent_frame(a.manifold, stab.point, tol)
-    coords = _slice_coords(stab)
+    coords = stab.slice_basis
     sdim = coords.shape[1]
     k = stab.lie_kernel.shape[1]
 
-    wmats = np.empty((stab.witnesses.shape[0], sdim, sdim))
-    for i, wit in enumerate(stab.witnesses):
-        d = differential_of_element(a, wit, stab.point, tol)
-        s = coords.T @ d @ coords
-        if np.abs(s.T @ s - np.eye(sdim)).max() > 1e-6:
-            raise StabilizerError("witness does not preserve the slice")
-        wmats[i] = s
-    lie_mats = _slice_lie_generators(a, stab, frame, coords)
-    characters = tuple(sorted(round(float(np.trace(s)), 9) for s in wmats))
+    wmats = coords.T @ differentials(a, stab.witnesses, stab.point, stab.frame, tol) @ coords
+    if np.abs(np.swapaxes(wmats, 1, 2) @ wmats - np.eye(sdim)).max() > 1e-6:
+        raise StabilizerError("witness does not preserve the slice")
+    lie_mats = _slice_lie_generators(a, stab)
+    traces = np.trace(wmats, axis1=1, axis2=2)
+    # + 0.0 turns a rounded -0.0 into 0.0
+    characters = tuple(sorted(round(float(t), 9) + 0.0 for t in traces))
 
     planes, fixed = _no_planes(sdim)
     weights = ()
     if k:
-        js = _slice_complex_structure(a, frame, coords)
+        js = _slice_complex_structure(a, stab)
         planes, weights, fixed = _weight_planes(lie_mats, js)
 
     return SliceRep(

@@ -10,6 +10,7 @@ row block at a time and never hold an (n, n) matrix.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -58,44 +59,43 @@ def as_small_matrix(a) -> np.ndarray:
     return m
 
 
+def _relative_rank(s: np.ndarray, tol: Tolerance) -> int:
+    """Number of singular values (descending) above tol.rank_eps times the largest."""
+    return int(np.sum(s > tol.rank_eps * s[0])) if s.size and s[0] > 0.0 else 0
+
+
 def rank(a, tol: Tolerance = DEFAULT_TOL) -> int:
     """Numerical rank with threshold tol.rank_eps * largest singular value."""
     m = as_small_matrix(a)
+    return _relative_rank(np.linalg.svd(m, compute_uv=False), tol) if m.size else 0
+
+
+def svd_split(a, tol: Tolerance = DEFAULT_TOL) -> tuple[int, np.ndarray, np.ndarray]:
+    """(r, K, C) of a (d, n) matrix from one full SVD u s vt: the relative
+    rank r, the orthonormal null space basis K = vt[r:]^T and the orthonormal
+    basis C = u[:, r:] of the complement of the column span. C is the
+    identity for a zero matrix or one without columns; identity bases are
+    shared read-only."""
+    m = as_small_matrix(a)
+    d, n = m.shape
     if m.size == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol.rank_eps * s[0]))
+        return 0, shared_identity(n), shared_identity(d)
+    u, s, vt = np.linalg.svd(m)
+    r = _relative_rank(s, tol)
+    return r, vt[r:].T.copy(), (u[:, r:].copy() if m.any() else shared_identity(d))
+
+
+@functools.lru_cache(maxsize=None)
+def shared_identity(d: int) -> np.ndarray:
+    """One read-only d x d identity, shared by every fixed-point basis."""
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return eye
 
 
 def kernel_basis(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis (columns) of the null space of a."""
-    m = as_small_matrix(a)
-    ncols = m.shape[1]
-    if m.size == 0:
-        return np.eye(ncols)
-    _, s, vt = np.linalg.svd(m)
-    if s.size == 0 or s[0] == 0.0:
-        r = 0
-    else:
-        r = int(np.sum(s > tol.rank_eps * s[0]))
-    return vt[r:].T.copy()
-
-
-def orthogonal_complement(vectors, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of the column span.
-
-    A (d, k) input yields a (d, d - rank) output; a zero-column input yields
-    the identity basis of the ambient space.
-    """
-    m = as_small_matrix(vectors)
-    d = m.shape[0]
-    if m.shape[1] == 0 or not m.any():
-        return np.eye(d)
-    u, s, _ = np.linalg.svd(m, full_matrices=True)
-    r = int(np.sum(s > tol.rank_eps * s[0])) if s[0] > 0.0 else 0
-    return u[:, r:].copy()
+    return svd_split(a, tol)[1]
 
 
 def orthonormalize(vectors, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -104,8 +104,7 @@ def orthonormalize(vectors, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     if m.shape[1] == 0 or not m.any():
         return np.zeros((m.shape[0], 0))
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    r = int(np.sum(s > tol.rank_eps * s[0])) if s[0] > 0.0 else 0
-    return u[:, :r].copy()
+    return u[:, : _relative_rank(s, tol)].copy()
 
 
 def spans_equal(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -225,7 +225,7 @@ def _effective_signature(rep: SliceRep) -> tuple:
     mats = _distinct_matrices(rep.witness_mats)
     if len(mats) == 1:
         return ("euclidean",)
-    traces = tuple(sorted(round(float(np.trace(w)), 6) for w in mats))
+    traces = tuple(sorted(round(float(np.trace(w)), 6) + 0.0 for w in mats))
     return ("finite", len(mats), traces)
 
 

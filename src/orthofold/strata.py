@@ -17,7 +17,7 @@ from .actions import (
     infinitesimal_action,
     pairwise_distances,
     sample_points,
-    validate_point,
+    tangent_frame,
 )
 from .errors import ClassificationError, InputError
 from .isotropy import slice_representation, stabilizer
@@ -158,8 +158,8 @@ def build_cloud(
 def quotient_dimension(a: ActionModel, x, tol: Tolerance = DEFAULT_TOL) -> int:
     """Pointwise dimension of the orbit space: dim(M) minus the orbit dimension."""
     x = np.asarray(x, dtype=float)
-    validate_point(a.manifold, x, tol)
-    return int(a.manifold.intrinsic_dim - rank(infinitesimal_action(a, x, tol), tol))
+    frame = tangent_frame(a.manifold, x, tol)
+    return int(a.manifold.intrinsic_dim - rank(infinitesimal_action(a, x, frame), tol))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import numpy as np
 
 from orthofold import actions, groups, isotropy, kernels, quotient
 from orthofold.errors import InputError
-from orthofold.numerics import DEFAULT_TOL, kernel_basis, rank
+from orthofold.numerics import DEFAULT_TOL, svd_split
 from orthofold.seeding import rng_for
 
 
@@ -200,7 +200,7 @@ def planted_torus_action(rows, zero_dims: int, frame_seed: int) -> actions.Actio
 def origin_stabilizer(a: actions.ActionModel) -> isotropy.StabilizerData:
     """Stabilizer of the origin of a linear action: the whole group."""
     x0 = np.zeros(a.manifold.ambient_dim)
-    inf = actions.infinitesimal_action(a, x0)
+    frame = actions.tangent_frame(a.manifold, x0)
     k = a.group.lie_dim
     return isotropy.StabilizerData(
         point=x0,
@@ -208,7 +208,8 @@ def origin_stabilizer(a: actions.ActionModel) -> isotropy.StabilizerData:
         witnesses=np.eye(a.group.size)[None],
         subgroup=groups.classify_subgroup(a.group, np.eye(k), np.eye(a.group.size)[None]),
         orbit_dim=0,
-        inf_action=inf,
+        frame=frame,
+        slice_basis=svd_split(actions.infinitesimal_action(a, x0, frame))[2],
     )
 
 
@@ -224,16 +225,17 @@ def planted_point_rep(a: actions.ActionModel, x: np.ndarray, kernel, witness_ang
     angles = np.zeros((1 + len(witness_angles), a.group.lie_dim))
     angles[1:] = witness_angles
     wits = groups.exp_coeffs_batch(a.group, angles)
-    inf = actions.infinitesimal_action(a, x)
+    frame = actions.tangent_frame(a.manifold, x)
     st = isotropy.StabilizerData(
         point=x,
         lie_kernel=kernel,
         witnesses=wits,
         subgroup=groups.classify_subgroup(a.group, kernel, wits),
         orbit_dim=a.group.lie_dim - kernel.shape[1],
-        inf_action=inf,
+        frame=frame,
+        slice_basis=svd_split(actions.infinitesimal_action(a, x, frame))[2],
     )
-    return isotropy.slice_representation(a, st), isotropy.normal_slice(a, st)
+    return isotropy.slice_representation(a, st), isotropy.normal_slice(st)
 
 
 def full_distance_matrix(m, pts: np.ndarray) -> np.ndarray:
@@ -324,19 +326,16 @@ def weight_rows_reference(a, stab, tol=DEFAULT_TOL, seed: int = 0):
     with it) give one phase per sample, and the weights are the integer
     least-squares fit of those phases. Unsigned rows lead positive.
     """
-    frame = actions.tangent_frame(a.manifold, stab.point, tol)
-    coords = isotropy._slice_coords(stab)
-    js = isotropy._slice_complex_structure(a, frame, coords)
+    coords = stab.slice_basis
+    js = isotropy._slice_complex_structure(a, stab)
     k = stab.lie_kernel.shape[1]
     sdim = coords.shape[1]
     rng = rng_for(seed, a.name, "weight-fit")
     scale = 0.12 / np.sqrt(k)
     anchor = 0.0831 * np.array([1.0 / (1.0 + 0.7 * j) for j in range(k)])
     S = np.vstack([anchor, rng.uniform(-scale, scale, size=(2 * k + 4, k))])
-    R = np.empty((S.shape[0], sdim, sdim))
-    for i, s in enumerate(S):
-        el = groups.exp_coeffs(a.group, stab.lie_kernel @ s)
-        R[i] = coords.T @ actions.differential_of_element(a, el, stab.point, tol) @ coords
+    els = groups.exp_coeffs_batch(a.group, S @ stab.lie_kernel.T)
+    R = coords.T @ actions.differentials(a, els, stab.point, stab.frame, tol) @ coords
     rstar = R[0]
     signed = js is not None and np.abs(rstar @ js - js @ rstar).max() <= 1e-6
     vals, vecs = np.linalg.eig(rstar)
@@ -774,8 +773,8 @@ def stabilizer_reference(a, x, pool: np.ndarray, tol=DEFAULT_TOL) -> isotropy.St
     m = a.manifold
     x = actions.normalize(m, np.asarray(x, dtype=float))
     g = a.group
-    inf = actions.infinitesimal_action(a, x, tol)
-    lie_kernel = kernel_basis(inf, tol)
+    frame = actions.tangent_frame(m, x, tol)
+    odim, lie_kernel, slice_basis = svd_split(actions.infinitesimal_action(a, x, frame), tol)
     tx = tx_tensor(a, x)
     coarse = kernels._batch_align(batch_apply_tx(tx, pool), x, m.align_mode)
     best = coarse_top(np.einsum("bi,bi->b", coarse, coarse), POOL_SIZE)
@@ -791,8 +790,9 @@ def stabilizer_reference(a, x, pool: np.ndarray, tol=DEFAULT_TOL) -> isotropy.St
         lie_kernel=lie_kernel,
         witnesses=wits,
         subgroup=groups.classify_subgroup(g, lie_kernel, wits, tol),
-        orbit_dim=rank(inf, tol),
-        inf_action=inf,
+        orbit_dim=odim,
+        frame=frame,
+        slice_basis=slice_basis,
     )
 
 

@@ -95,22 +95,24 @@ def test_infinitesimal_action_rank_is_orbit_dim():
     a = actions.get_action("rp2-so2")
     # generic point moves, the fixed point does not
     moving = actions.normalize(a.manifold, np.array([0.6, 0.2, 0.5]))
-    assert np.linalg.matrix_rank(actions.infinitesimal_action(a, moving)) == 1
+    frame = actions.tangent_frame(a.manifold, moving)
+    assert np.linalg.matrix_rank(actions.infinitesimal_action(a, moving, frame)) == 1
     fixed = np.array([0.0, 0.0, 1.0])
-    assert np.abs(actions.infinitesimal_action(a, fixed)).max() < 1e-12
+    frame = actions.tangent_frame(a.manifold, fixed)
+    assert np.abs(actions.infinitesimal_action(a, fixed, frame)).max() < 1e-12
 
 
 def test_differential_of_element_is_isometry():
     a = actions.get_action("cp2-u1")
     x = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])  # fixed by the whole circle
     g = groups.exp_coeffs(a.group, np.array([0.9]))
-    d = actions.differential_of_element(a, g, x)
-    assert d.shape == (4, 4)
-    assert np.allclose(d.T @ d, np.eye(4), atol=1e-8)
+    d = actions.differentials(a, g[None], x, actions.tangent_frame(a.manifold, x))
+    assert d.shape == (1, 4, 4)
+    assert np.allclose(d[0].T @ d[0], np.eye(4), atol=1e-8)
     # a non-stabilizing element is rejected
     moving = actions.normalize(a.manifold, np.array([0.7, 0.0, 0.7, 0.0, 0.0, 0.1]))
-    with pytest.raises(StabilizerError):
-        actions.differential_of_element(a, g, moving)
+    with pytest.raises(StabilizerError, match="does not stabilize"):
+        actions.differentials(a, g[None], moving, actions.tangent_frame(a.manifold, moving))
 
 
 @pytest.mark.parametrize(
@@ -135,11 +137,12 @@ def test_differential_orthogonality_bound_is_allclose(mat):
         special_points=lambda rng: np.zeros((0, 2)),
     )
     x = np.zeros(2)
+    one = np.eye(2)[None]
     if np.allclose(mat.T @ mat, np.eye(2), atol=1e-6):
-        assert np.array_equal(actions.differential_of_element(a, np.eye(2), x), mat)
+        assert np.array_equal(actions.differentials(a, one, x, np.eye(2)), mat[None])
     else:
-        with pytest.raises(StabilizerError):
-            actions.differential_of_element(a, np.eye(2), x)
+        with pytest.raises(StabilizerError, match="not orthogonal"):
+            actions.differentials(a, one, x, np.eye(2))
 
 
 def test_interval_projection_ranges():

@@ -24,6 +24,15 @@ def _stab(name, point):
     return a, isotropy.stabilizer(a, x)
 
 
+def test_rounded_characters_carry_no_negative_zero():
+    # zero-trace witness slice matrices of this cloud carry rounding noise of
+    # either sign; a rounded -0.0 would render as "-0" in the payloads
+    cloud = strata.build_cloud(actions.get_action("cp2-so3"), 100, seed=0)
+    zeros = [c for rep in cloud.reps for c in rep.characters if c == 0.0]
+    assert zeros
+    assert all(np.copysign(1.0, c) > 0.0 for c in zeros)
+
+
 def test_rp2_pole_has_circle_stabilizer():
     a, st = _stab("rp2-so2", [0.0, 0.0, 1.0])
     assert st.subgroup.display() == "SO2"
@@ -78,7 +87,7 @@ def test_witnesses_are_orthogonal_fixers():
 
 def test_normal_slice_is_orthogonal_to_the_orbit():
     a, st = _stab("s2xs2-so3", [1.0, 0.0, 0.0, 0.0, 0.8, 0.6])
-    s = isotropy.normal_slice(a, st)
+    s = isotropy.normal_slice(st)
     assert s.shape == (6, 1)
     assert a.manifold.intrinsic_dim - st.orbit_dim == 1
     # ambient slice directions are orthogonal to every generator field
@@ -157,7 +166,8 @@ def _s2xs2_point(u, v):
     "point, label",
     [
         (lambda: _cp2_point(_U + 1e-6j * _W), "Zn(2)"),
-        (lambda: _cp2_point(_U + 1e-7j * _W), "Zn(4)"),
+        # the Klein four-group: no element of order 4, so not Zn(4)
+        (lambda: _cp2_point(_U + 1e-7j * _W), "Other"),
         (lambda: _cp2_point(_U + 1j * (1.0 - 1e-6) * _W), "Zn(2)"),
         (lambda: _s2xs2_point(_U, _U + 1e-8 * _W), "Zn(2)"),
     ],
@@ -341,8 +351,7 @@ def test_torus_component_count_is_the_minor_gcd(pattern):
 
 def test_torus_solve_rejects_a_kernel_mismatch(monkeypatch):
     a = actions.get_action("cn-tn(2)")
-    monkeypatch.setattr(isotropy, "kernel_basis", lambda inf, tol: np.zeros((2, 0)))
-    monkeypatch.setattr(isotropy, "rank", lambda inf, tol: 2)
+    monkeypatch.setattr(isotropy, "svd_split", lambda inf, tol: (2, np.zeros((2, 0)), np.eye(2)))
     with pytest.raises(StabilizerError):
         isotropy.stabilizer(a, np.array([1.0, 0.0, 0.0, 0.0]))
 

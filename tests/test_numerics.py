@@ -60,11 +60,13 @@ def test_orthonormalize_and_complement():
     v = np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0]])
     q = numerics.orthonormalize(v)
     assert q.shape == (3, 1)
-    c = numerics.orthogonal_complement(v)
-    assert c.shape == (3, 2)
+    r, k, c = numerics.svd_split(v)
+    assert (r, k.shape, c.shape) == (1, (2, 1), (3, 2))
     assert np.abs(c.T @ q).max() < 1e-12
-    full = numerics.orthogonal_complement(np.zeros((3, 0)))
-    assert full.shape == (3, 3)
+    assert np.abs(v @ k).max() < 1e-12
+    # a fixed point: no columns, or a zero matrix, leaves the whole space
+    assert np.array_equal(numerics.svd_split(np.zeros((3, 0)))[2], np.eye(3))
+    assert np.array_equal(numerics.svd_split(np.zeros((3, 2)))[2], np.eye(3))
 
 
 def test_spans_equal_detects_difference():

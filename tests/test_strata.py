@@ -1,5 +1,6 @@
 """Cloud construction, partitions, principal data and singularity labels."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,24 @@ def test_build_cloud_is_deterministic(cloud_factory):
     ]
     with pytest.raises(InputError):
         strata.build_cloud(a, 0)
+
+
+@pytest.mark.parametrize("name", ["s2-zn(5)", "s2xs2-so3", "rp2-so2", "cp2-so3", "cn-tn(2)"])
+def test_build_cloud_builds_one_frame_per_point(monkeypatch, name):
+    # one action per manifold kind: sphere, product, RP^2, CP^2, euclidean
+    original = actions.tangent_frame
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    # rebind every module-level name of the function, as `from` imports copy it
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("orthofold") and getattr(mod, "tangent_frame", None) is original:
+            monkeypatch.setattr(mod, "tangent_frame", counted)
+    cloud = strata.build_cloud(actions.get_action(name), 20, seed=0)
+    assert len(calls) == len(cloud)
 
 
 def test_cloud_appends_special_loci(cloud_factory):
