@@ -240,6 +240,17 @@ class ActionModel:
     def amb_batch(self, G: np.ndarray) -> np.ndarray:
         return np.stack([self.amb(g) for g in G])
 
+    @functools.cached_property
+    def element_ambs(self) -> np.ndarray:
+        """Ambient matrices of a finite group's elements, in element order.
+
+        They do not depend on any point, so they are built on first use,
+        once per action, and shared read-only.
+        """
+        out = self.amb_batch(self.group.elements)
+        out.flags.writeable = False
+        return out
+
 
 def act(a: ActionModel, g: np.ndarray, x: np.ndarray) -> np.ndarray:
     return normalize(a.manifold, a.amb(g) @ x)
@@ -260,19 +271,20 @@ def infinitesimal_action(a: ActionModel, x: np.ndarray, frame: np.ndarray) -> np
 
 
 def differentials(
-    a: ActionModel, G: np.ndarray, x: np.ndarray, frame: np.ndarray, tol: Tolerance = DEFAULT_TOL
+    a: ActionModel, amb: np.ndarray, x: np.ndarray, frame: np.ndarray, tol: Tolerance = DEFAULT_TOL
 ) -> np.ndarray:
-    """Differentials at x of a stack of stabilizer elements, in frame coordinates.
+    """Differentials of a stack of stabilizing ambient matrices, in frame coordinates.
 
-    frame is tangent_frame(a.manifold, x). Each amb(g) is aligned by the sign
-    (RP^n) or unit phase (CP^n) of the fixer test, then read in the frame.
-    Raises StabilizerError when an element moves x by more than
-    max(match_eps, 1e-7), or when a differential fails np.allclose's
-    orthogonality bound. Returns a (B, dim, dim) stack.
+    amb holds B ambient matrices; x is one point, or one per matrix as a
+    (B, N) stack, and frame its tangent_frame, or a (B, N, dim) stack of
+    them. Each matrix is aligned by the sign (RP^n) or unit phase (CP^n) of
+    the fixer test, then read in its point's frame. Raises StabilizerError
+    when a matrix moves its point by more than max(match_eps, 1e-7), or when
+    a differential fails np.allclose's orthogonality bound. Returns a
+    (B, dim, dim) stack.
     """
     m = a.manifold
-    amb = a.amb_batch(G)
-    Y = normalize(m, np.einsum("bij,j->bi", amb, x))
+    Y = normalize(m, np.einsum("bij,bj->bi", amb, np.broadcast_to(x, amb.shape[:2])))
     fa, fb = kernels._batch_factors(Y, x, m.align_mode)
     moved = kernels._batch_apply_factors(Y, fa, fb, m.align_mode) - x
     if np.linalg.norm(moved, axis=1).max() > max(tol.match_eps, 1e-7):
@@ -281,7 +293,7 @@ def differentials(
         amb = fa[:, None, None] * amb + fb[:, None, None] * (ambient_complex_structure(m) @ amb)
     elif m.align_mode == kernels.ALIGN_SIGN:
         amb = fa[:, None, None] * amb
-    d = frame.T @ amb @ frame
+    d = np.swapaxes(frame, -1, -2) @ amb @ frame
     # np.allclose's per-entry bound, written out; a NaN entry fails it too
     eye = np.eye(d.shape[1])
     if not np.all(np.abs(np.swapaxes(d, 1, 2) @ d - eye) <= 1e-6 + 1e-5 * eye):

@@ -28,8 +28,9 @@ class StabilizerData:
     """Stabilizer of a point: Lie algebra plus one witness per component.
 
     lie_kernel holds coefficient vectors (columns) in the canonical Lie basis
-    of the acting group; witnesses holds one ambient matrix per detected
-    component, identity first. frame is the horizontal tangent frame at the
+    of the acting group; witnesses holds one group element per detected
+    component, identity first, and witness_ambs their ambient matrices, as
+    the fixer test read them. frame is the horizontal tangent frame at the
     point and slice_basis the frame coordinates of the normal slice; one SVD
     of the infinitesimal action gives it, lie_kernel and orbit_dim.
     """
@@ -37,6 +38,7 @@ class StabilizerData:
     point: np.ndarray
     lie_kernel: np.ndarray
     witnesses: np.ndarray
+    witness_ambs: np.ndarray
     subgroup: groups.SubgroupClass
     orbit_dim: int
     frame: np.ndarray
@@ -81,11 +83,41 @@ def _byte_rows(a: np.ndarray) -> np.ndarray:
     return a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel()
 
 
-def _displacement(a: ActionModel, x: np.ndarray, G: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Squared distance of each image G x from y, the representative aligned."""
-    Y = np.einsum("bij,j->bi", a.amb_batch(G), x)
+def _displacement(a: ActionModel, x: np.ndarray, amb: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Squared distance of each image amb_i x from y, the representative aligned."""
+    Y = np.einsum("bij,j->bi", amb, x)
     res = kernels._batch_align(Y, y, a.manifold.align_mode)
     return np.einsum("bi,bi->b", res, res)
+
+
+@functools.lru_cache(maxsize=64)
+def _witness_order(g: groups.GroupDescriptor) -> np.ndarray:
+    """Element indices of a finite group in witness order.
+
+    The identity comes first (np.allclose's per-entry bound, written out),
+    then the elements by the raw bytes of their matrices rounded to 1e-8,
+    ties in element order. A stabilizer's witnesses are its fixers taken in
+    this order, which is the order of sorting them alone, so it is sorted
+    once per group.
+    """
+    moved = ~groups.identity_mask(g.elements)
+    _, byte_rank = np.unique(_byte_rows(np.round(g.elements, 8)), return_inverse=True)
+    order = np.lexsort((byte_rank, moved))
+    order.flags.writeable = False
+    return order
+
+
+@functools.lru_cache(maxsize=1024)
+def _finite_stabilizer(g: groups.GroupDescriptor, keep: tuple, tol: Tolerance):
+    """Witnesses and class of the finite stabilizer made of the elements keep.
+
+    A finite group has no Lie algebra, so every stabilizer's Lie kernel is
+    empty and the class reads only g, the witnesses and tol: it is keyed on
+    exactly those. The witnesses are shared read-only.
+    """
+    wits = g.elements[list(keep)]
+    wits.flags.writeable = False
+    return wits, groups.classify_subgroup(g, np.zeros((0, 0)), wits, tol)
 
 
 def _torus_system(a: ActionModel, x: np.ndarray, y: np.ndarray):
@@ -121,18 +153,32 @@ def _torus_system(a: ActionModel, x: np.ndarray, y: np.ndarray):
     return np.array(rows, dtype=np.int64).reshape(len(rows), n), np.array(b)
 
 
-def _torus_solutions(a: ActionModel, x: np.ndarray, y: np.ndarray):
-    """Elements carrying x to y, one per stabilizer component, in closed form.
+def _torus_solutions(g: groups.GroupDescriptor, W: np.ndarray, b: np.ndarray):
+    """Elements solving the congruence W, b of _torus_system, one per component.
 
-    The congruence of _torus_system is solved by groups.congruence_solutions;
+    The congruence is solved in closed form by groups.congruence_solutions;
     the particular solution comes first, and whether the solutions really
     carry x to y is left to the caller's displacement test. Returns the
     elements and the number of free coordinates, which span the identity
     component of the stabilizer.
     """
-    W, b = _torus_system(a, x, y)
     psi, free = groups.congruence_solutions(W, b[None])
-    return groups.exp_coeffs_batch(a.group, psi[0][:, : a.group.lie_dim]), free
+    return groups.exp_coeffs_batch(g, psi[0][:, : g.lie_dim]), free
+
+
+@functools.lru_cache(maxsize=1024)
+def _torus_stabilizer(g: groups.GroupDescriptor, n: int, rows: bytes):
+    """_torus_solutions of W psi = 0 (mod 2 pi), W the int64 rows of n
+    columns given by their bytes.
+
+    At y = x every target angle atan2(y) - atan2(x) of _torus_system is
+    exactly 0, so a stabilizer's solve depends on W alone and is shared by
+    every point with the same rows. The witnesses are read-only.
+    """
+    W = np.frombuffer(rows, dtype=np.int64).reshape(-1, n)
+    wits, free = _torus_solutions(g, W, np.zeros(W.shape[0]))
+    wits.flags.writeable = False
+    return wits, free
 
 
 def _half_turns(axes: np.ndarray) -> np.ndarray:
@@ -217,9 +263,11 @@ def stabilizer(a: ActionModel, x: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> S
     form: torus-kind components are solved exactly from the integer
     congruence of the active ambient pairs, finite groups are enumerated,
     and SO(3) components are the half-turns of _so3_candidates that pass
-    the fixer test. Each witness has squared
-    displacement at most ACCEPT_D2 (the finite kind tests at the point
-    match cut).
+    the fixer test. Each witness has squared displacement at most
+    ACCEPT_D2 (the finite kind tests at the point match cut). Work that
+    does not depend on x is done once and shared: a finite group's ambient
+    matrices, witness order and classes, and the torus solve of each
+    congruence.
     """
     m = a.manifold
     x = normalize(m, np.asarray(x, dtype=float))
@@ -231,31 +279,36 @@ def stabilizer(a: ActionModel, x: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> S
 
     if g.kind == "finite":
         point_eps = max(tol.match_eps, 1e-7)
-        keep = g.elements[_displacement(a, x, g.elements, x) <= point_eps * point_eps]
-        # identity first (np.allclose's per-entry bound, written out), then
-        # by the raw bytes of the matrix rounded to 1e-8
-        moved = ~groups.identity_mask(keep)
-        _, byte_rank = np.unique(_byte_rows(np.round(keep, 8)), return_inverse=True)
-        wits = keep[np.lexsort((byte_rank, moved))]
+        order = _witness_order(g)
+        d2 = _displacement(a, x, a.element_ambs, x)
+        keep = order[d2[order] <= point_eps * point_eps]
+        wits, cls = _finite_stabilizer(g, tuple(keep.tolist()), tol)
+        wambs = a.element_ambs[keep]
     elif g.kind == "torus":
-        wits, free = _torus_solutions(a, x, x)
+        W, _ = _torus_system(a, x, x)
+        wits, free = _torus_stabilizer(g, W.shape[1], W.tobytes())
         if free != lie_kernel.shape[1]:
             raise StabilizerError("Lie kernel and torus solve disagree on the stabilizer dimension")
-        if float(_displacement(a, x, wits, x).max()) > ACCEPT_D2:
+        wambs = a.amb_batch(wits)
+        if float(_displacement(a, x, wambs, x).max()) > ACCEPT_D2:
             raise StabilizerError("closed-form witness misses the fixer set")
+        cls = groups.classify_subgroup(g, lie_kernel, wits, tol)
     elif g.kind == "so3":
         if a.so3_frame is None:
             raise InputError(f"action {a.name!r} lacks the frame data of the SO(3) solve")
-        cands = _so3_candidates(a, x, lie_kernel)
-        wits = np.concatenate([np.eye(3)[None], cands[_displacement(a, x, cands, x) <= ACCEPT_D2]])
+        cands = np.concatenate([np.eye(3)[None], _so3_candidates(a, x, lie_kernel)])
+        ambs = a.amb_batch(cands)
+        fix = np.concatenate([[True], _displacement(a, x, ambs[1:], x) <= ACCEPT_D2])
+        wits, wambs = cands[fix], ambs[fix]
+        cls = groups.classify_subgroup(g, lie_kernel, wits, tol)
     else:
         raise InputError(f"no stabilizer scheme for group kind {g.kind!r}")
 
-    cls = groups.classify_subgroup(g, lie_kernel, wits, tol)
     return StabilizerData(
         point=x,
         lie_kernel=lie_kernel,
         witnesses=wits,
+        witness_ambs=wambs,
         subgroup=cls,
         orbit_dim=odim,
         frame=frame,
@@ -288,13 +341,13 @@ def transport_element(
     y = normalize(m, np.asarray(y, dtype=float))
     g = a.group
     if g.kind == "finite":
-        d2 = _displacement(a, x, g.elements, y)
+        d2 = _displacement(a, x, a.element_ambs, y)
         i = int(np.argmin(d2))
         cut = min(max(tol.match_eps, 1e-7), np.sqrt(accept_d2))
         return g.elements[i].copy() if d2[i] <= cut * cut else None
     if g.kind == "torus":
-        el = _torus_solutions(a, x, y)[0][0]
-        return el if float(_displacement(a, x, el[None], y)[0]) <= accept_d2 else None
+        el = _torus_solutions(g, *_torus_system(a, x, y))[0][:1]
+        return el[0] if float(_displacement(a, x, a.amb_batch(el), y)[0]) <= accept_d2 else None
     if g.kind != "so3":
         raise InputError(f"no transport scheme for group kind {g.kind!r}")
     if a.so3_frame is None:
@@ -305,7 +358,7 @@ def transport_element(
         els = _kabsch(X, np.stack([Y, -Y]))
     else:
         els = _kabsch(X, Y[None])
-    d2 = _displacement(a, x, els, y)
+    d2 = _displacement(a, x, a.amb_batch(els), y)
     i = int(np.argmin(d2))
     return els[i] if float(d2[i]) <= accept_d2 else None
 
@@ -406,7 +459,7 @@ def _weight_planes(mats: np.ndarray, js: np.ndarray | None):
             basis = u[:, sv > 0.5]
         pos = end
     if not planes:
-        empty, fixed = _no_planes(s)
+        _, empty, fixed = _no_planes(s)
         return empty, (), fixed
     P = np.stack(planes)
     rates = np.einsum("pa,jab,pb->pj", P[:, :, 1], mats, P[:, :, 0])
@@ -427,58 +480,87 @@ def _weight_planes(mats: np.ndarray, js: np.ndarray | None):
 
 @functools.lru_cache(maxsize=None)
 def _no_planes(sdim: int):
-    """Planes and fixed basis of a slice nothing rotates: none, and the identity.
+    """Generators, planes and fixed basis of a slice nothing rotates: none,
+    none, and the identity.
 
-    One read-only pair per slice dimension, shared by every such rep.
+    One read-only triple per slice dimension, shared by every such rep.
     """
+    lie = np.zeros((0, sdim, sdim))
     planes = np.zeros((0, sdim, 2))
-    planes.flags.writeable = False
-    return planes, shared_identity(sdim)
+    lie.flags.writeable = planes.flags.writeable = False
+    return lie, planes, shared_identity(sdim)
 
 
-def slice_representation(
-    a: ActionModel, stab: StabilizerData, tol: Tolerance = DEFAULT_TOL
-) -> SliceRep:
-    """Representation of the stabilizer on the normal slice at its point.
+def slice_representations(
+    a: ActionModel, stabs, tol: Tolerance = DEFAULT_TOL
+) -> list[SliceRep]:
+    """Representation of each stabilizer on the normal slice at its point.
 
     Every positive-dimensional stabilizer gets the integer torus weights of
     its identity component, read exactly from the slice generators with
     their rotation planes and fixed basis (torus_weights). Finite
     stabilizers have no generators and record witness traces
     (finite_characters). Both keep the slice matrices of the component
-    witnesses, all read in one batch from the stabilizer's frame and slice
-    basis.
+    witnesses. All (point, witness) pairs are read in one batch: their
+    differentials at once, from the witnesses' ambient matrices and each
+    point's frame, then their slice matrices and characters one slice
+    dimension at a time. Only points with a positive-dimensional
+    stabilizer read generators and planes, one point at a time.
     """
-    coords = stab.slice_basis
-    sdim = coords.shape[1]
-    k = stab.lie_kernel.shape[1]
+    stabs = list(stabs)
+    if not stabs:
+        return []
+    counts = np.array([st.witness_ambs.shape[0] for st in stabs])
+    owner = np.repeat(np.arange(len(stabs)), counts)
+    points = np.stack([st.point for st in stabs])
+    frames = np.stack([st.frame for st in stabs])
+    diffs = differentials(
+        a, np.concatenate([st.witness_ambs for st in stabs]), points[owner], frames[owner], tol
+    )
+    sdims = np.array([st.slice_basis.shape[1] for st in stabs])
+    reps = [None] * len(stabs)
+    for sdim in np.unique(sdims).tolist():
+        idx = np.flatnonzero(sdims == sdim)
+        coords = np.repeat(np.stack([stabs[i].slice_basis for i in idx]), counts[idx], axis=0)
+        wmats = np.swapaxes(coords, 1, 2) @ diffs[sdims[owner] == sdim] @ coords
+        if np.any(np.abs(np.swapaxes(wmats, 1, 2) @ wmats - np.eye(sdim)) > 1e-6):
+            raise StabilizerError("witness does not preserve the slice")
+        traces = np.trace(wmats, axis1=1, axis2=2).tolist()
+        bounds = np.concatenate([[0], np.cumsum(counts[idx])]).tolist()
+        for i, lo, hi in zip(idx.tolist(), bounds, bounds[1:]):
+            reps[i] = _slice_rep(a, stabs[i], wmats[lo:hi], traces[lo:hi])
+    return reps
 
-    wmats = coords.T @ differentials(a, stab.witnesses, stab.point, stab.frame, tol) @ coords
-    if np.abs(np.swapaxes(wmats, 1, 2) @ wmats - np.eye(sdim)).max() > 1e-6:
-        raise StabilizerError("witness does not preserve the slice")
-    lie_mats = _slice_lie_generators(a, stab)
-    traces = np.trace(wmats, axis1=1, axis2=2)
-    # + 0.0 turns a rounded -0.0 into 0.0
-    characters = tuple(sorted(round(float(t), 9) + 0.0 for t in traces))
 
-    planes, fixed = _no_planes(sdim)
+def _slice_rep(a: ActionModel, st: StabilizerData, wmats: np.ndarray, traces: list) -> SliceRep:
+    """The SliceRep of one stabilizer from its witnesses' slice matrices and traces."""
+    sdim = wmats.shape[1]
+    k = st.lie_kernel.shape[1]
+    lie_mats, planes, fixed = _no_planes(sdim)
     weights = ()
     if k:
-        js = _slice_complex_structure(a, stab)
-        planes, weights, fixed = _weight_planes(lie_mats, js)
-
+        lie_mats = _slice_lie_generators(a, st)
+        planes, weights, fixed = _weight_planes(lie_mats, _slice_complex_structure(a, st))
     return SliceRep(
-        stab_label=stab.subgroup.label,
+        stab_label=st.subgroup.label,
         slice_dim=sdim,
         rep_kind="torus_weights" if k else "finite_characters",
         weights=weights,
         zero_dims=fixed.shape[1],
         planes=planes,
         fixed=fixed,
-        characters=characters,
+        # + 0.0 turns a rounded -0.0 into 0.0
+        characters=tuple(sorted(round(t, 9) + 0.0 for t in traces)),
         witness_mats=wmats,
         lie_mats=lie_mats,
     )
+
+
+def slice_representation(
+    a: ActionModel, stab: StabilizerData, tol: Tolerance = DEFAULT_TOL
+) -> SliceRep:
+    """slice_representations of one stabilizer."""
+    return slice_representations(a, [stab], tol)[0]
 
 
 def canonical_weight_rows(weights: tuple) -> tuple:

@@ -197,16 +197,24 @@ def _as_complex(U: np.ndarray) -> np.ndarray:
     return U.view(np.complex128)
 
 
+def _row_dot(U: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """u . x per row u of U, against one vector x or row by row against a stack."""
+    return U @ x if x.ndim == 1 else np.einsum("bi,bi->b", U, x)
+
+
 def _phase_inner(Y: np.ndarray, x: np.ndarray):
     """Real and imaginary parts of <y, x> per row, interleaved layout."""
-    inner = _as_complex(Y) @ _as_complex(x).conj()  # conj(<y, x>)
+    inner = _row_dot(_as_complex(Y), _as_complex(x).conj())  # conj(<y, x>)
     return inner.real, -inner.imag
 
 
 def _batch_factors_mag(Y: np.ndarray, x: np.ndarray, mode: int):
-    """Alignment factors (a, b) plus the inner-product magnitude per row."""
+    """Alignment factors (a, b) plus the inner-product magnitude per row.
+
+    x is the target of every row, or a stack holding one target per row.
+    """
     if mode == ALIGN_SIGN:
-        a = np.where(Y @ x >= 0.0, 1.0, -1.0)
+        a = np.where(_row_dot(Y, x) >= 0.0, 1.0, -1.0)
         return a, np.zeros_like(a), np.ones_like(a)
     if mode == ALIGN_PHASE:
         re, im = _phase_inner(Y, x)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from math import gcd
 
 import numpy as np
@@ -155,7 +155,7 @@ def _sample_label(rep: SliceRep, v, circle_label) -> str:
         miss = miss + (np.abs(turned - zv) ** 2).sum(axis=2)
     count = int(np.count_nonzero(miss <= _FIX_EPS**2))
     if free == 0:
-        return "Trivial" if count == 1 else f"Zn({count})"
+        return _count_label(count)
     if free == k and count == rep.witness_mats.shape[0]:
         return rep.stab_label
     if count > 1:
@@ -184,15 +184,93 @@ def _profile_samples(a: ActionModel, rep: SliceRep, seed: int) -> list:
         samples.extend(rep.planes[:, :, 0])
         if rep.fixed.shape[1]:
             samples.append(rep.fixed[:, 0])
-    samples.extend(rng_for(seed, a.name, "slice-profile").normal(size=(4, s)))
+    samples.extend(_generic_draws(a.name, seed, s))
     return samples
+
+
+@lru_cache(maxsize=64)
+def _generic_draws(name: str, seed: int, s: int) -> np.ndarray:
+    """The four generic profile draws in a slice of dimension s.
+
+    They come from the per-action stream alone, so they are drawn once per
+    slice dimension and shared read-only.
+    """
+    draws = rng_for(seed, name, "slice-profile").normal(size=(4, s))
+    draws.flags.writeable = False
+    return draws
 
 
 def _slice_stab_profile(a: ActionModel, rep: SliceRep, seed: int):
     """Sorted stabilizer labels at the profile samples, and whether all are trivial."""
     samples = _profile_samples(a, rep, seed)
-    labels = sorted(_sample_label(rep, v, a.group.circle_label) for v in samples)
+    return _profile(_sample_label(rep, v, a.group.circle_label) for v in samples)
+
+
+def _profile(labels) -> tuple:
+    """The sorted labels, and whether all are trivial."""
+    labels = sorted(labels)
     return tuple(labels), all(lab == "Trivial" for lab in labels)
+
+
+def _finite_profiles(a: ActionModel, reps: list, seed: int) -> list:
+    """_slice_stab_profile of reps without stabilizer algebra, in array passes.
+
+    With nothing to solve, a sample's label is the number of witnesses that
+    move it by at most _FIX_EPS, as in _sample_label. Reps of one slice
+    dimension are stacked: the generic draws, which they share, are tested
+    against every witness at once, and the sample from each non-identity
+    witness's fixed space against every witness of its own rep.
+    """
+    out = [None] * len(reps)
+    sdims = np.array([rep.slice_dim for rep in reps], dtype=np.int64)
+    for s in np.unique(sdims).tolist():
+        idx = np.flatnonzero(sdims == s).tolist()
+        if s == 0:
+            for i in idx:
+                out[i] = _profile(())
+            continue
+        counts = np.array([reps[i].witness_mats.shape[0] for i in idx])
+        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+        wmats = np.concatenate([reps[i].witness_mats for i in idx])
+        draws = _unit_rows(_generic_draws(a.name, seed, s))
+        moved = np.einsum("pab,tb->pta", wmats, draws) - draws
+        fixing = np.add.reduceat(_fixes(moved), starts, axis=0).tolist()
+        labels = [[_count_label(c) for c in row] for row in fixing]
+
+        moving = np.ones(len(wmats), dtype=bool)
+        moving[starts] = False
+        _, sv, vt = np.linalg.svd(wmats[moving] - np.eye(s))
+        fix = sv <= _FIX_EPS
+        has = fix.any(axis=1)
+        # the first fixed vector, as _fixed_space orders them
+        v = _unit_rows(vt[has, np.argmax(fix[has], axis=1)])
+        owner = np.repeat(np.arange(len(idx)), counts)[moving][has]
+        # each sample against every witness of its rep, sample-major
+        per = counts[owner]
+        first = np.concatenate([[0], np.cumsum(per)[:-1]])
+        sample = np.repeat(np.arange(len(v)), per)
+        wit = starts[owner][sample] + np.arange(len(sample)) - first[sample]
+        moved = np.einsum("pab,pb->pa", wmats[wit], v[sample]) - v[sample]
+        fixing = np.add.reduceat(_fixes(moved), first).tolist() if len(v) else []
+        for r, c in zip(owner.tolist(), fixing):
+            labels[r].append(_count_label(c))
+        for i, lab in zip(idx, labels):
+            out[i] = _profile(lab)
+    return out
+
+
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    return v / np.sqrt(np.einsum("ti,ti->t", v, v))[:, None]
+
+
+def _fixes(moved: np.ndarray) -> np.ndarray:
+    """1 where a displacement vector (last axis) is within _FIX_EPS, else 0."""
+    return (np.einsum("...a,...a->...", moved, moved) <= _FIX_EPS**2).astype(np.int64)
+
+
+def _count_label(count: int) -> str:
+    """Label of a slice vector fixed by count elements of a finite stabilizer."""
+    return "Trivial" if count == 1 else f"Zn({count})"
 
 
 def _distinct_matrices(mats: np.ndarray) -> list:
@@ -234,26 +312,41 @@ def _effective_signature(rep: SliceRep) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def local_model(a: ActionModel, stab, rep: SliceRep, seed: int = 0) -> LocalModelFingerprint:
-    """Fingerprint of the local quotient model at a stabilized point.
+def local_models(a: ActionModel, stabs, reps, seed: int = 0) -> list[LocalModelFingerprint]:
+    """Fingerprints of the local quotient models at stabilized points.
 
-    Fingerprint components are decided at fixed absolute cuts, not at the
-    run's tolerance.
+    stabs and reps are aligned. Fingerprint components are decided at fixed
+    absolute cuts, not at the run's tolerance. Reps without stabilizer
+    algebra are profiled together in one array pass; reps with torus
+    weights solve their slice congruences one rep at a time.
     """
-    profile, free = _slice_stab_profile(a, rep, seed)
-    return LocalModelFingerprint(
-        slice_dim=rep.slice_dim,
-        stab_class=stab.subgroup,
-        rep_fingerprint=(
-            rep.rep_kind,
-            canonical_weight_rows(rep.weights),
-            rep.zero_dims,
-            rep.characters,
-        ),
-        slice_stab_profile=profile,
-        free_away_from_origin=free,
-        effective_signature=_effective_signature(rep),
-    )
+    reps = list(reps)
+    finite = [i for i, rep in enumerate(reps) if rep.lie_mats.shape[0] == 0]
+    profiles = dict(zip(finite, _finite_profiles(a, [reps[i] for i in finite], seed)))
+    out = []
+    for i, (stab, rep) in enumerate(zip(stabs, reps)):
+        profile, free = profiles[i] if i in profiles else _slice_stab_profile(a, rep, seed)
+        out.append(
+            LocalModelFingerprint(
+                slice_dim=rep.slice_dim,
+                stab_class=stab.subgroup,
+                rep_fingerprint=(
+                    rep.rep_kind,
+                    canonical_weight_rows(rep.weights),
+                    rep.zero_dims,
+                    rep.characters,
+                ),
+                slice_stab_profile=profile,
+                free_away_from_origin=free,
+                effective_signature=_effective_signature(rep),
+            )
+        )
+    return out
+
+
+def local_model(a: ActionModel, stab, rep: SliceRep, seed: int = 0) -> LocalModelFingerprint:
+    """local_models of one stabilized point."""
+    return local_models(a, [stab], [rep], seed)[0]
 
 
 def _klein_key(f: LocalModelFingerprint) -> tuple:
@@ -291,8 +384,7 @@ def _orbit_invariants(a: ActionModel, pts: np.ndarray) -> np.ndarray:
                 cols.append(np.sqrt(pts[:, i] ** 2 + pts[:, j] ** 2))
         return np.stack(cols, axis=1)
     if a.group.kind == "finite" and m.kind in ("sphere", "product_spheres", "euclidean"):
-        mats = a.amb_batch(a.group.elements)
-        return np.einsum("mij,nj->nmi", mats, pts).mean(axis=1)
+        return np.einsum("mij,nj->nmi", a.element_ambs, pts).mean(axis=1)
     return np.zeros((pts.shape[0], 0))
 
 
@@ -350,10 +442,12 @@ def klein_partition(cloud: SampleCloud, tol: Tolerance | None = None) -> KleinPa
         orbit_members.setdefault(find(i), []).append(i)
     orbits = sorted(orbit_members.values(), key=lambda o: o[0])
 
+    roots = [orb[0] for orb in orbits]
+    fps = local_models(
+        a, [cloud.stabs[r] for r in roots], [cloud.reps[r] for r in roots], seed=cloud.seed
+    )
     block_map: dict = {}
-    for orb in orbits:
-        root = orb[0]
-        fp = local_model(a, cloud.stabs[root], cloud.reps[root], seed=cloud.seed)
+    for orb, fp in zip(orbits, fps):
         entry = block_map.setdefault(_klein_key(fp), {"fp": fp, "members": []})
         entry["members"].extend(orb)
     items = sorted(block_map.values(), key=lambda e: min(e["members"]))

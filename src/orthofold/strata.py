@@ -20,7 +20,7 @@ from .actions import (
     tangent_frame,
 )
 from .errors import ClassificationError, InputError
-from .isotropy import slice_representation, stabilizer
+from .isotropy import slice_representations, stabilizer
 from .kernels import graph_components, pairwise_chebyshev
 from .numerics import (
     DEFAULT_TOL,
@@ -122,8 +122,9 @@ def build_cloud(
     """Sample the manifold and attach per-point isotropy data.
 
     The catalog's measure-zero loci are appended after the uniform samples.
-    Stabilizers are computed in closed form, so the seed fixes the cloud and
-    rebuilding with the same seed reproduces it exactly.
+    Stabilizers are computed in closed form, one point at a time, and the
+    slice representations in one batch over the cloud; the seed fixes the
+    cloud and rebuilding with the same seed reproduces it exactly.
     """
     if count < 1:
         raise InputError("cloud needs a sample count of at least 1")
@@ -133,12 +134,8 @@ def build_cloud(
         pts = np.vstack([uniform, special.reshape(-1, a.manifold.ambient_dim)])
     else:
         pts = uniform
-    stabs = []
-    reps = []
-    for x in pts:
-        st = stabilizer(a, x, tol=tol)
-        stabs.append(st)
-        reps.append(slice_representation(a, st, tol))
+    stabs = [stabilizer(a, x, tol=tol) for x in pts]
+    reps = slice_representations(a, stabs, tol)
     orbit_dims = np.array([st.orbit_dim for st in stabs], dtype=np.int64)
     quotient_dims = a.manifold.intrinsic_dim - orbit_dims
     return SampleCloud(

@@ -8,9 +8,10 @@ minors of integer matrices by exact determinants, the isostabilizer
 decomposition from whole distance matrices, the slice weight fit over
 sampled group elements that preceded the exact read-off, and the
 slice-vector stabilizer count that preceded the single congruence solve,
-the pairwise scan behind the correspondence witnesses, and the SO(3)
-Haar-and-Levenberg-Marquardt search that preceded the closed-form
-stabilizers and transports. None of it imports the numeric routines under
+the pairwise scan behind the correspondence witnesses, the sort of each
+finite stabilizer's witnesses that preceded the order sorted once per
+group, and the SO(3) Haar-and-Levenberg-Marquardt search that preceded the
+closed-form stabilizers and transports. None of it imports the numeric routines under
 test beyond the public model types, the slice frame helpers and the
 alignment kernels the displacement test shares.
 """
@@ -206,6 +207,7 @@ def origin_stabilizer(a: actions.ActionModel) -> isotropy.StabilizerData:
         point=x0,
         lie_kernel=np.eye(k),
         witnesses=np.eye(a.group.size)[None],
+        witness_ambs=a.amb_batch(np.eye(a.group.size)[None]),
         subgroup=groups.classify_subgroup(a.group, np.eye(k), np.eye(a.group.size)[None]),
         orbit_dim=0,
         frame=frame,
@@ -230,6 +232,7 @@ def planted_point_rep(a: actions.ActionModel, x: np.ndarray, kernel, witness_ang
         point=x,
         lie_kernel=kernel,
         witnesses=wits,
+        witness_ambs=a.amb_batch(wits),
         subgroup=groups.classify_subgroup(a.group, kernel, wits),
         orbit_dim=a.group.lie_dim - kernel.shape[1],
         frame=frame,
@@ -335,7 +338,7 @@ def weight_rows_reference(a, stab, tol=DEFAULT_TOL, seed: int = 0):
     anchor = 0.0831 * np.array([1.0 / (1.0 + 0.7 * j) for j in range(k)])
     S = np.vstack([anchor, rng.uniform(-scale, scale, size=(2 * k + 4, k))])
     els = groups.exp_coeffs_batch(a.group, S @ stab.lie_kernel.T)
-    R = coords.T @ actions.differentials(a, els, stab.point, stab.frame, tol) @ coords
+    R = coords.T @ actions.differentials(a, a.amb_batch(els), stab.point, stab.frame, tol) @ coords
     rstar = R[0]
     signed = js is not None and np.abs(rstar @ js - js @ rstar).max() <= 1e-6
     vals, vecs = np.linalg.eig(rstar)
@@ -600,6 +603,15 @@ TRANSPORT_POOL = 64
 COMPONENT_EPS = 1e-5
 
 
+def witness_order_reference(keep: np.ndarray) -> list[int]:
+    """Order of a finite stabilizer's witnesses, sorted on their own: the
+    identity first (np.allclose), then by the bytes of each matrix rounded
+    to 1e-8, ties in the given order."""
+    eye = np.eye(keep.shape[1])
+    key = [(not np.allclose(w, eye), np.round(w, 8).tobytes(), i) for i, w in enumerate(keep)]
+    return [i for *_, i in sorted(key)]
+
+
 def witness_pool(a: actions.ActionModel, seed: int) -> np.ndarray:
     """Haar candidate pool shared by every search on one SO(3) action and seed."""
     return groups.sample_elements(a.group, COARSE_POOL, rng_for(seed, a.name, "witness-pool"))
@@ -789,6 +801,7 @@ def stabilizer_reference(a, x, pool: np.ndarray, tol=DEFAULT_TOL) -> isotropy.St
         point=x,
         lie_kernel=lie_kernel,
         witnesses=wits,
+        witness_ambs=a.amb_batch(wits),
         subgroup=groups.classify_subgroup(g, lie_kernel, wits, tol),
         orbit_dim=odim,
         frame=frame,

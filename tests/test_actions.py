@@ -106,13 +106,14 @@ def test_differential_of_element_is_isometry():
     a = actions.get_action("cp2-u1")
     x = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])  # fixed by the whole circle
     g = groups.exp_coeffs(a.group, np.array([0.9]))
-    d = actions.differentials(a, g[None], x, actions.tangent_frame(a.manifold, x))
+    d = actions.differentials(a, a.amb_batch(g[None]), x, actions.tangent_frame(a.manifold, x))
     assert d.shape == (1, 4, 4)
     assert np.allclose(d[0].T @ d[0], np.eye(4), atol=1e-8)
     # a non-stabilizing element is rejected
     moving = actions.normalize(a.manifold, np.array([0.7, 0.0, 0.7, 0.0, 0.0, 0.1]))
     with pytest.raises(StabilizerError, match="does not stabilize"):
-        actions.differentials(a, g[None], moving, actions.tangent_frame(a.manifold, moving))
+        frame = actions.tangent_frame(a.manifold, moving)
+        actions.differentials(a, a.amb_batch(g[None]), moving, frame)
 
 
 @pytest.mark.parametrize(
@@ -137,7 +138,7 @@ def test_differential_orthogonality_bound_is_allclose(mat):
         special_points=lambda rng: np.zeros((0, 2)),
     )
     x = np.zeros(2)
-    one = np.eye(2)[None]
+    one = a.amb_batch(np.eye(2)[None])
     if np.allclose(mat.T @ mat, np.eye(2), atol=1e-6):
         assert np.array_equal(actions.differentials(a, one, x, np.eye(2)), mat[None])
     else:

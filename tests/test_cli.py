@@ -335,6 +335,49 @@ def test_so3_verify_payloads_are_pinned(capsys, name, seed):
     assert out.rstrip().splitlines()[-1] == f"report-sha256: {_SO3_VERIFY_SHAS[(name, seed)]}"
 
 
+# verify --samples 100 report-sha256 of the torus-search actions at the four
+# seeds that benchmark runs, recorded before the slice representations and
+# local models were batched over the cloud
+_TORUS_VERIFY_SHAS = {
+    ("cn-tn(2)", 0): "42c81fce13b86c7f2fd96712711578cab822a4bfd455b68ac0e82e4add3d2ab6",
+    ("cn-tn(2)", 1): "a23fc28a6b7d94962ccf4d48b9369a6c7e9fbf07a9c4114e3d030847470ca06c",
+    ("cn-tn(2)", 2): "0837669bf3deea981e2ed2488e95a23cbf2df376c748d81790c9e8d6320dda8f",
+    ("cn-tn(2)", 3): "c7b0efc862b7f04e883cbf1c28b712cc4e48517dec761578d566d26cc811936b",
+    ("cp2-u1", 0): "89d7e9d4dba221d1a6d0b2812bfba3539a1fd8463864d525191649031a18fd05",
+    ("cp2-u1", 1): "196f7e9a802bce3c6715de65cd531bcf978e7478c20b36614bda3b6ef173f380",
+    ("cp2-u1", 2): "053471bfd0784a91a41f49fc1c3e4a4f7f2be74cdc9d715e711eb8763ad6e177",
+    ("cp2-u1", 3): "6a1cbef98c5dcd95af76ab61171b4892ac25c39432dbe9e99c55cbcdd3888747",
+    ("rp2-so2", 0): "f7015b50d0964e3f69d625f2ff5e35dc2368981060be3f0409c5d327ad98dc2d",
+    ("rp2-so2", 1): "03c2f483ad1790e981c19b76801b0824fe99185df184fdf00929d12eddfeca5c",
+    ("rp2-so2", 2): "af9ff9c33e9019498ead682d61e1ec237818db275fc129dd0e5fa2e42ec43efe",
+    ("rp2-so2", 3): "6ee36d557b17e16801ade7f79dcccb64ba4802b46d734db11559b019344cf9c7",
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(_TORUS_VERIFY_SHAS))
+def test_torus_verify_payloads_are_pinned(capsys, name, seed):
+    code, out = _run(capsys, "verify", name, "--samples", "100", "--seed", str(seed))
+    assert code == 0
+    assert out.rstrip().splitlines()[-1] == f"report-sha256: {_TORUS_VERIFY_SHAS[(name, seed)]}"
+
+
+# analyze s2-zn(5) --samples 3000 report-sha256 at the four seeds of the
+# finite-dense benchmark, recorded before the same change
+_FINITE_DENSE_SHAS = {
+    0: "c0eed97dbae05d8ef4fdeb9a6da3f8be3747032be780e7ef313ad2db2a3822b8",
+    1: "a4741f692e2d84b589eefcc003f9327019f46f3814b7e4150827de2519cbd2e5",
+    2: "0416ac786253d82527ccd0170c9caec3e79b574bd80fed753a865c2d05f655b6",
+    3: "cb09fe25887e982e4ce05fcfe607ce05a383609b7320d1823d3e8b8fc847d3b1",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_FINITE_DENSE_SHAS))
+def test_finite_dense_payloads_are_pinned(capsys, seed):
+    code, out = _run(capsys, "analyze", "s2-zn(5)", "--samples", "3000", "--seed", str(seed))
+    assert code == 0
+    assert _parse_report(out)[1] == _FINITE_DENSE_SHAS[seed]
+
+
 def test_classify_cn_t3_axis_point_is_pinned(capsys):
     code, out = _run(capsys, "classify", "cn-tn(3)", "1,0,0", "--seed", "0")
     assert code == 0

@@ -1,5 +1,7 @@
 """Stabilizers, transports and slice representations on known loci."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from oracles import (
     transport_reference,
     visit_order,
     weight_rows_reference,
+    witness_order_reference,
     witness_pool,
 )
 
@@ -184,7 +187,7 @@ def test_so3_stabilizer_next_to_a_locus_is_a_group(point, label):
     assert st.subgroup.display() == label
     wits = st.witnesses
     assert len(wits) <= 4
-    assert isotropy._displacement(a, st.point, wits, st.point).max() <= isotropy.ACCEPT_D2
+    assert isotropy._displacement(a, st.point, a.amb_batch(wits), st.point).max() <= isotropy.ACCEPT_D2
     for p in wits:
         for q in wits:
             assert np.abs(p @ q - wits).max(axis=(1, 2)).min() <= 1e-8
@@ -429,3 +432,40 @@ def test_cn_t3_axis_point_reads_exact_weights():
     profile, free = quotient._slice_stab_profile(a, rep, 0)
     assert profile == ("Other", "Trivial", "Trivial", "Trivial", "Trivial", "U1", "U1")
     assert not free
+
+
+@pytest.mark.parametrize("n", [2, 5, 64])
+def test_finite_witness_order_matches_sorting_the_fixers(n):
+    # the witness order is sorted once per group; at the poles every element
+    # is a fixer, so the witnesses are the whole group in that order. The
+    # shuffled copy of the group puts the identity off the front
+    a = actions.get_action(f"s2-zn({n})")
+    els = a.group.elements
+    shuffled = replace(
+        a, group=groups.finite(els[np.random.default_rng(n).permutation(n)], name=a.group.name)
+    )
+    for model in (a, shuffled):
+        for pole in ([0.0, 0.0, 1.0], [0.0, 0.0, -1.0]):
+            st = isotropy.stabilizer(model, np.array(pole))
+            elements = model.group.elements
+            assert np.array_equal(st.witnesses, elements[witness_order_reference(elements)])
+            assert np.array_equal(st.witness_ambs, model.amb_batch(st.witnesses))
+        st = isotropy.stabilizer(model, np.array([0.6, 0.0, 0.8]))
+        assert np.array_equal(st.witnesses, np.eye(3)[None])
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("name", [*actions.catalog_ids(), "cn-tn(3)"])
+def test_slice_representations_are_slice_representation_in_one_batch(cloud_factory, name, seed):
+    cloud = cloud_factory(name, 40, seed)
+    a = cloud.model
+    batch = isotropy.slice_representations(a, cloud.stabs)
+    assert len(batch) == len(cloud)
+    for got, st in zip(batch, cloud.stabs):
+        want = isotropy.slice_representation(a, st)
+        for field in ("stab_label", "slice_dim", "rep_kind", "weights", "zero_dims", "characters"):
+            assert getattr(got, field) == getattr(want, field)
+        for field in ("planes", "fixed", "witness_mats", "lie_mats"):
+            g, w = getattr(got, field), getattr(want, field)
+            assert g.shape == w.shape
+            assert np.abs(g - w).max(initial=0.0) <= 1e-12

@@ -1,5 +1,7 @@
 """Fingerprints, the Klein partition, correspondence and interval models."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -327,3 +329,43 @@ def test_planted_rank_two_counts_every_component():
     got, ref = _labels(a, rep, axes)
     assert got == [rep.stab_label, "Other(1,4)", "Other(1,4)", "Torus(2)", "Other(2,2)"]
     assert ref == [rep.stab_label, "U1", "U1", "Torus(2)", "Torus(2)"]
+
+
+@pytest.mark.parametrize("n, samples", [(2, 20), (3, 20), (4, 10), (5, 5)])
+def test_cn_tn_has_one_klein_block_per_depth(n, samples):
+    # the quotient of C^n by T^n is the orthant, stratified by depth: n + 1
+    # Klein strata, of dimensions n .. 2n
+    klein = quotient.klein_partition(
+        strata.build_cloud(actions.get_action(f"cn-tn({n})"), samples, seed=0)
+    )
+    assert len(klein.blocks) == n + 1
+    assert sorted(klein.dims) == list(range(n, 2 * n + 1))
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("name", [*actions.catalog_ids(), "cn-tn(3)"])
+def test_local_models_are_local_model_in_one_batch(cloud_factory, name, seed):
+    cloud = cloud_factory(name, 40, seed)
+    a = cloud.model
+    batch = quotient.local_models(a, cloud.stabs, cloud.reps, seed=seed)
+    for fp, st, rep in zip(batch, cloud.stabs, cloud.reps):
+        assert fp == quotient.local_model(a, st, rep, seed=seed)
+        # reps without stabilizer algebra are profiled in one array pass;
+        # it must read what the per-sample labels read
+        profile = quotient._slice_stab_profile(a, rep, seed)
+        assert (fp.slice_stab_profile, fp.free_away_from_origin) == profile
+
+
+def test_local_models_count_the_witnesses_of_each_rep():
+    # the reflections in the x = 0 and y = 0 planes fix the poles together
+    # with their product, the half-turn about z. At a pole each reflection's
+    # fixed slice vector is fixed by two of the four witnesses, so the
+    # batched count must pair a sample with its own rep's witnesses only
+    mats = np.array([np.diag(d) for d in ([1, 1, 1], [-1, 1, 1], [1, -1, 1], [-1, -1, 1])])
+    a = replace(actions.get_action("s2-zn(2)"), name="reflections", group=groups.finite(mats))
+    cloud = strata.build_cloud(a, 12, seed=0)
+    fps = quotient.local_models(a, cloud.stabs, cloud.reps)
+    assert fps[-1].slice_stab_profile == ("Trivial",) * 4 + ("Zn(2)",) * 2
+    for fp, rep in zip(fps, cloud.reps):
+        profile = quotient._slice_stab_profile(a, rep, 0)
+        assert (fp.slice_stab_profile, fp.free_away_from_origin) == profile

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from orthofold import actions, kernels, strata
+from orthofold import actions, isotropy, kernels, strata
 from orthofold.errors import InputError
 
 from oracles import isostabilizer_reference, refines
@@ -38,6 +38,24 @@ def test_build_cloud_builds_one_frame_per_point(monkeypatch, name):
     for mod_name, mod in list(sys.modules.items()):
         if mod_name.startswith("orthofold") and getattr(mod, "tangent_frame", None) is original:
             monkeypatch.setattr(mod, "tangent_frame", counted)
+    cloud = strata.build_cloud(actions.get_action(name), 20, seed=0)
+    assert len(calls) == len(cloud)
+
+
+@pytest.mark.parametrize("name", ["s2-zn(5)", "s2xs2-so3", "rp2-so2", "cp2-so3", "cn-tn(2)"])
+def test_build_cloud_calls_the_stabilizer_once_per_point(monkeypatch, name):
+    # the per-layer trace counts the stabilizer calls of each cloud build and
+    # rejects a run with fewer calls than points, so stabilizers stay per point
+    original = isotropy.stabilizer
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("orthofold") and getattr(mod, "stabilizer", None) is original:
+            monkeypatch.setattr(mod, "stabilizer", counted)
     cloud = strata.build_cloud(actions.get_action(name), 20, seed=0)
     assert len(calls) == len(cloud)
 
