@@ -22,7 +22,7 @@ import numpy as np
 
 from . import groups, kernels
 from .errors import InputError, PointSpecError, StabilizerError, UnknownActionError
-from .numerics import Tolerance, DEFAULT_TOL
+from .numerics import Tolerance, DEFAULT_TOL, widest_coordinate
 
 # ---------------------------------------------------------------------------
 # manifold models
@@ -131,16 +131,41 @@ def distance(m: ManifoldModel, x: np.ndarray, y: np.ndarray) -> float:
 
 
 def pairwise_distances(
-    m: ManifoldModel, pts: np.ndarray, lo: int = 0, hi: int | None = None
+    m: ManifoldModel,
+    pts: np.ndarray,
+    lo: int = 0,
+    hi: int | None = None,
+    clo: int = 0,
+    chi: int | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """The (hi - lo, n) block of manifold distances from rows lo..hi of pts
-    to all n rows; the defaults give the full matrix. Entries do not depend
-    on the block bounds."""
+    """The (hi - lo, chi - clo) block of manifold distances from rows lo..hi
+    of pts to rows clo..chi; the defaults give the full matrix. Entries do
+    not depend on the block bounds. out is the kernels' optional scratch
+    (see kernels.SCRATCH_PLANES), of which the block is then a view."""
     if m.kind == "real_projective":
-        return kernels.pairwise_sign_aligned(pts, lo, hi)
+        return kernels.pairwise_sign_aligned(pts, lo, hi, clo, chi, out)
     if m.kind == "complex_projective":
-        return kernels.pairwise_phase_aligned(pts, lo, hi)
-    return kernels.pairwise_euclidean(pts, lo, hi)
+        return kernels.pairwise_phase_aligned(pts, lo, hi, clo, chi, out)
+    return kernels.pairwise_euclidean(pts, lo, hi, clo, chi, out)
+
+
+def sort_key(m: ManifoldModel, pts: np.ndarray) -> np.ndarray:
+    """One coordinate k per row with |k(x) - k(y)| <= d(x, y) for the
+    distances of pairwise_distances: of the candidates below, the one whose
+    values spread widest.
+
+    The candidates are the raw coordinates on spheres, products and
+    euclidean models, |x_a| on RP^n (sign-invariant, and ||x_a| - |y_a|| <=
+    min(|x - y|, |x + y|)), and |z_a| on CP^n, since ||z_a| - |w_a|| <=
+    min over θ of |z - e^{iθ} w|.
+    """
+    pts = np.asarray(pts, dtype=np.float64)
+    if m.kind == "real_projective":
+        return widest_coordinate(np.abs(pts))
+    if m.kind == "complex_projective":
+        return widest_coordinate(np.hypot(pts[:, 0::2], pts[:, 1::2]))
+    return widest_coordinate(pts)
 
 
 def _householder_frame(x: np.ndarray) -> np.ndarray:

@@ -2,9 +2,11 @@
 labeling, the representative alignment behind the fixer test, and the
 so(3) generators with their batched exponential.
 
-Every kernel is vectorized numpy; the loops that remain run over row blocks,
-coordinates or union-find rounds, never over single entries. No distance
-scan holds more than one (rows, n) block at a time.
+Every kernel is vectorized numpy; the loops that remain run over
+coordinates or union-find rounds, never over single entries. A distance
+kernel computes one block of rows against a contiguous range of columns,
+each entry bit-equal to the whole matrix's, into a scratch array its caller
+may reuse; the scans that choose the blocks live in numerics.
 """
 
 from __future__ import annotations
@@ -36,89 +38,126 @@ ALIGN_PHASE = 2  # complex projective representatives (interleaved reals)
 
 
 # ---------------------------------------------------------------------------
-# pairwise distances, a row block at a time
+# pairwise distances, one block of rows and columns at a time
 # ---------------------------------------------------------------------------
 #
-# Each kernel returns the (hi - lo, n) block of distances from the rows
-# lo..hi of pts to every row. Coordinates accumulate one at a time, in
-# order, as in a scalar loop, so an entry is rounded the same way whatever
-# block it is computed in; a GEMM would not be (BLAS picks its summation
-# order by operand shape).
+# Each kernel returns the (hi - lo, chi - clo) block of distances from the
+# rows lo..hi of pts to its rows clo..chi; the defaults give the whole
+# matrix. Coordinates accumulate one at a time, in order, as in a scalar
+# loop, so an entry is rounded the same way whatever block it is computed
+# in; a GEMM would not be (BLAS picks its summation order by operand shape).
+#
+# out, when given, is a flat float64 scratch array of at least
+# SCRATCH_PLANES * (hi - lo) * (chi - clo) entries. The kernel builds its
+# block and its temporaries in it and returns the block as a view of it, so
+# a scan that passes the same scratch to every call allocates nothing per
+# block.
+
+SCRATCH_PLANES = 3
 
 
-# bytes of one (rows, n) float64 block in the blocked scans
-BLOCK_BYTES = 1 << 20
-
-
-def block_rows(n: int) -> int:
-    """Rows per block so that one (rows, n) float64 block fits BLOCK_BYTES."""
-    return max(1, BLOCK_BYTES // (8 * max(n, 1)))
-
-
-def _row_range(pts, lo: int, hi: int | None):
+def _operands(pts, lo: int, hi: int | None, clo: int, chi: int | None):
+    """Rows lo..hi of pts, and its rows clo..chi as contiguous columns."""
     pts = np.ascontiguousarray(pts, dtype=np.float64)
-    hi = pts.shape[0] if hi is None else min(hi, pts.shape[0])
-    return pts, np.ascontiguousarray(pts.T), lo, hi
+    n = pts.shape[0]
+    hi = n if hi is None else min(hi, n)
+    chi = n if chi is None else min(chi, n)
+    return pts[lo:hi], np.ascontiguousarray(pts[clo:chi].T)
 
 
-def pairwise_euclidean(pts: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
+def _planes(out, count: int, shape: tuple) -> list:
+    """count zeroed arrays of the given shape, carved from out or new."""
+    if out is None:
+        return [np.zeros(shape) for _ in range(count)]
+    size = shape[0] * shape[1]
+    planes = [out[p * size : (p + 1) * size].reshape(shape) for p in range(count)]
+    for plane in planes:
+        plane.fill(0.0)
+    return planes
+
+
+def pairwise_euclidean(
+    pts: np.ndarray,
+    lo: int = 0,
+    hi: int | None = None,
+    clo: int = 0,
+    chi: int | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     # bit-equal to scipy's cdist, which sums the squared coordinates in order
-    pts, cols, lo, hi = _row_range(pts, lo, hi)
-    out = np.zeros((hi - lo, pts.shape[0]))
-    t = np.empty_like(out)
-    for k in range(pts.shape[1]):
-        np.subtract(pts[lo:hi, k, None], cols[k], out=t)
+    rows, cols = _operands(pts, lo, hi, clo, chi)
+    acc, t = _planes(out, 2, (rows.shape[0], cols.shape[1]))
+    for k in range(rows.shape[1]):
+        np.subtract(rows[:, k, None], cols[k], out=t)
         np.multiply(t, t, out=t)
-        out += t
-    np.sqrt(out, out=out)
-    return out
+        acc += t
+    np.sqrt(acc, out=acc)
+    return acc
 
 
-def pairwise_chebyshev(pts: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
+def pairwise_chebyshev(
+    pts: np.ndarray,
+    lo: int = 0,
+    hi: int | None = None,
+    clo: int = 0,
+    chi: int | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Largest coordinate difference max_k |u_k - v_k|; exact in any order."""
-    pts, cols, lo, hi = _row_range(pts, lo, hi)
-    out = np.zeros((hi - lo, pts.shape[0]))
-    t = np.empty_like(out)
-    for k in range(pts.shape[1]):
-        np.subtract(pts[lo:hi, k, None], cols[k], out=t)
+    rows, cols = _operands(pts, lo, hi, clo, chi)
+    acc, t = _planes(out, 2, (rows.shape[0], cols.shape[1]))
+    for k in range(rows.shape[1]):
+        np.subtract(rows[:, k, None], cols[k], out=t)
         np.abs(t, out=t)
-        np.maximum(out, t, out=out)
-    return out
+        np.maximum(acc, t, out=acc)
+    return acc
 
 
-def _gram_distances(g: np.ndarray, lo: int) -> np.ndarray:
-    """sqrt(2 - 2 |g|) in place, with the diagonal of the block set to 0."""
+def _gram_distances(g: np.ndarray, lo: int, clo: int) -> np.ndarray:
+    """sqrt(2 - 2 |g|) in place, with the entries of a point against itself
+    (row lo + r, column clo + c, lo + r == clo + c) set to 0."""
     np.abs(g, out=g)
     np.clip(g, 0.0, 1.0, out=g)
     np.multiply(g, -2.0, out=g)
     g += 2.0
     np.clip(g, 0.0, None, out=g)
     np.sqrt(g, out=g)
-    rows = np.arange(g.shape[0])
-    g[rows, lo + rows] = 0.0
+    same = np.arange(max(lo, clo), min(lo + g.shape[0], clo + g.shape[1]))
+    g[same - lo, same - clo] = 0.0
     return g
 
 
-def pairwise_sign_aligned(pts: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
+def pairwise_sign_aligned(
+    pts: np.ndarray,
+    lo: int = 0,
+    hi: int | None = None,
+    clo: int = 0,
+    chi: int | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Distances min(|u-v|, |u+v|) between unit rows, as for projective lines."""
-    pts, cols, lo, hi = _row_range(pts, lo, hi)
-    g = np.zeros((hi - lo, pts.shape[0]))
-    t = np.empty_like(g)
-    for k in range(pts.shape[1]):
-        np.multiply(pts[lo:hi, k, None], cols[k], out=t)
+    rows, cols = _operands(pts, lo, hi, clo, chi)
+    g, t = _planes(out, 2, (rows.shape[0], cols.shape[1]))
+    for k in range(rows.shape[1]):
+        np.multiply(rows[:, k, None], cols[k], out=t)
         g += t
-    return _gram_distances(g, lo)
+    return _gram_distances(g, lo, clo)
 
 
-def pairwise_phase_aligned(pts: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
+def pairwise_phase_aligned(
+    pts: np.ndarray,
+    lo: int = 0,
+    hi: int | None = None,
+    clo: int = 0,
+    chi: int | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Phase-minimal distances between unit rows holding interleaved complex entries."""
-    pts, cols, lo, hi = _row_range(pts, lo, hi)
-    re = np.zeros((hi - lo, pts.shape[0]))
-    im = np.zeros_like(re)
-    t = np.empty_like(re)
-    for k in range(0, pts.shape[1], 2):
+    rows, cols = _operands(pts, lo, hi, clo, chi)
+    re, im, t = _planes(out, 3, (rows.shape[0], cols.shape[1]))
+    for k in range(0, rows.shape[1], 2):
         # <u, v> term by term: u_k conj(v_k) = (a + ib)(c - id)
-        a, b = pts[lo:hi, k, None], pts[lo:hi, k + 1, None]
+        a, b = rows[:, k, None], rows[:, k + 1, None]
         c, d = cols[k], cols[k + 1]
         np.multiply(a, c, out=t)
         re += t
@@ -128,7 +167,7 @@ def pairwise_phase_aligned(pts: np.ndarray, lo: int = 0, hi: int | None = None) 
         im += t
         np.multiply(a, d, out=t)
         im -= t
-    return _gram_distances(np.hypot(re, im, out=re), lo)
+    return _gram_distances(np.hypot(re, im, out=re), lo, clo)
 
 
 # ---------------------------------------------------------------------------
@@ -162,20 +201,17 @@ def _union(parent: np.ndarray, i: np.ndarray, j: np.ndarray) -> None:
         parent[j] = i
 
 
-def graph_components(rows, n: int, threshold: float) -> np.ndarray:
-    """Label the components of the graph with edges at distance <= threshold.
+def graph_components(edges, n: int) -> np.ndarray:
+    """Label the components of the graph on nodes 0..n-1.
 
-    rows(lo, hi) returns the (hi - lo, n) block of distances from points
-    lo..hi to all n points; blocks of block_rows(n) rows are requested in
-    order and dropped once their edges are merged, so only one block is
-    alive at a time. The label of a point is the smallest index in its
-    component.
+    edges yields pairs (i, j) of equal-length index arrays, one batch of
+    edges at a time; each batch is merged into a union-find as it comes, so
+    a scan can produce its edges block by block. The label of a node is the
+    smallest index in its component.
     """
     parent = np.arange(n)
-    step = block_rows(n)
-    for lo in range(0, n, step):
-        i, j = np.nonzero(rows(lo, min(lo + step, n)) <= float(threshold))
-        _union(parent, i + lo, j)
+    for i, j in edges:
+        _union(parent, i, j)
     return _roots(parent, np.arange(n))
 
 

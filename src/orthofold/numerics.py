@@ -3,9 +3,13 @@ epsilon-graph scans over point samples.
 
 The matrices of the linear algebra are plain float64 arrays of at most 64
 rows/columns. Rank decisions use a relative singular-value threshold;
-subspace bases are returned orthonormal, as columns. The point-sample scans
-(nearest-neighbour scale, epsilon-graph components) read their distances a
-row block at a time and never hold an (n, n) matrix.
+subspace bases are returned orthonormal, as columns.
+
+The point-sample scans (nearest-neighbour distances, epsilon-graph
+components) are banded: BandScan sorts the sample once by a 1-Lipschitz key
+of the metric, and computes each block of rows only against the columns
+whose keys lie within the scan's radius. They never hold an (n, n) matrix,
+and their results equal those of full distance matrices.
 """
 
 from __future__ import annotations
@@ -124,68 +128,157 @@ def _projector(a) -> np.ndarray:
     return q @ q.T
 
 
-def epsilon_components(points: np.ndarray, metric, eps: float) -> list[list[int]]:
-    """Connected components of the epsilon-graph on a point sample.
+# bytes of one float64 distance block in the band scans
+BLOCK_BYTES = 1 << 20
 
-    metric(pts, lo, hi) returns the (hi - lo, n) block of distances from the
-    rows lo..hi of the stacked (n, d) array to all of its rows, as a new
-    array that the scan may overwrite. Edges join points at distance
-    <= eps; callers calibrate it on a larger ambient sample, for instance
-    as a multiple of its median_nn_distance. The distances are scanned a
-    row block at a time, so no (n, n) array is built. Components are
-    sorted by smallest member index.
+# Slack of a band's reach beyond its radius. The kernels' rounding may put a
+# computed distance below the key gap of its pair: by a relative few ulps
+# for coordinate differences, and, near zero, by up to about 1e-8 absolute
+# for the Gram form sqrt(2 - 2|<u, v>|) of the projective kernels.
+_REACH_REL = 1e-9
+_REACH_ABS = 1e-6
+
+# Rows per band block at most. A block's window is about as many columns
+# wider than one row's as the block has rows, while each block costs a
+# fixed overhead of numpy calls; 64 rows balanced the two on clouds of 100
+# to 3000 points.
+_BLOCK_ROWS = 64
+
+
+def widest_coordinate(cols: np.ndarray) -> np.ndarray:
+    """The column of an (n, d) array whose values spread widest (max - min);
+    zeros when there is no column."""
+    cols = np.asarray(cols, dtype=np.float64)
+    if cols.shape[1] == 0:
+        return np.zeros(cols.shape[0])
+    return cols[:, int(np.argmax(np.ptp(cols, axis=0)))]
+
+
+class BandScan:
+    """Distance scans over a point sample sorted by a 1-Lipschitz key.
+
+    keys must satisfy |key(x) - key(y)| <= d(x, y) for the distances d the
+    metric computes. metric(pts, lo, hi, clo, chi, out) returns the
+    (hi - lo, chi - clo) block of distances between the rows lo..hi and the
+    rows clo..chi of the sorted stacked points, built in the flat scratch
+    array out as the kernels do (kernels.SCRATCH_PLANES planes). Every entry
+    must be the one the whole matrix holds, whatever the block.
+
+    The points are sorted by key once. A scan with radius r computes each
+    block of consecutive rows only against the contiguous window of columns
+    whose keys lie within reach of the block's keys, where reach is r plus
+    a rounding slack; a pair outside the window is farther apart than r.
+    Blocks hold at most BLOCK_BYTES of distances (one row at least), and
+    each scan allocates its scratch once, so no (n, n) array is built. When
+    the keys are too close for the radius, the window is the whole sample
+    and the scan is the plain row-block scan. Results are reported in the
+    callers' point order.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise InputError("epsilon_components expects a nonempty (n, d) array")
-    n = pts.shape[0]
-    if n == 1:
-        return [[0]]
-    labels = kernels.graph_components(_row_blocks(pts, metric), n, float(eps))
-    comps: dict[int, list[int]] = {}
-    for i, lab in enumerate(labels):
-        comps.setdefault(int(lab), []).append(i)
-    return sorted(comps.values(), key=lambda c: c[0])
 
+    def __init__(self, points, keys, metric):
+        pts = np.asarray(points, dtype=np.float64)
+        if pts.ndim != 2 or pts.shape[0] == 0:
+            raise InputError("a band scan expects a nonempty (n, d) array")
+        keys = np.asarray(keys, dtype=np.float64)
+        self.order = np.argsort(keys, kind="stable")
+        self.keys = keys[self.order]
+        self.points = np.ascontiguousarray(pts[self.order])
+        self.metric = metric
 
-def median_nn_distance(points: np.ndarray, metric) -> float:
-    """Median over points of the distance to the nearest distinct point.
+    def __len__(self) -> int:
+        return int(self.keys.size)
 
-    metric is as for epsilon_components; the scan runs in row blocks.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    n = pts.shape[0]
-    if n < 2:
-        return 0.0
-    return float(np.median(_nearest_other(_row_blocks(pts, metric), n)))
+    def _scratch(self) -> np.ndarray:
+        """Scratch for the largest block of a scan: BLOCK_BYTES, or one row."""
+        n = len(self)
+        return np.empty(kernels.SCRATCH_PLANES * min(n * n, max(BLOCK_BYTES // 8, n)))
 
+    def _blocks(self, lo: int, hi: int, r: float):
+        """Row blocks blo..bhi of rows lo..hi, each with its column window
+        clo..chi, as (blo, bhi, clo, chi).
 
-def _row_blocks(pts: np.ndarray, metric):
-    """rows(lo, hi): the metric's distance block of points lo..hi, checked."""
-    n = pts.shape[0]
+        A block has at most _BLOCK_ROWS rows and BLOCK_BYTES of distances,
+        and one row at least.
+        """
+        keys = self.keys
+        reach = r + _REACH_REL * (r + float(np.abs(keys[[0, -1]]).max())) + _REACH_ABS
+        left = np.searchsorted(keys, keys[lo:hi] - reach, "left")
+        right = np.searchsorted(keys, keys[lo:hi] + reach, "right")
+        cap = BLOCK_BYTES // 8
+        a = 0
+        while a < hi - lo:
+            # rows a..b share the window left[a]..right[b - 1]
+            rows = min(hi - lo - a, _BLOCK_ROWS, max(1, cap // int(right[a] - left[a])))
+            sizes = np.arange(1, rows + 1) * (right[a : a + rows] - left[a])
+            b = a + max(1, int(np.searchsorted(sizes, cap, "right")))
+            yield lo + a, lo + b, int(left[a]), int(right[b - 1])
+            a = b
 
-    def rows(lo, hi):
-        block = np.asarray(metric(pts, lo, hi), dtype=np.float64)
-        if block.shape != (hi - lo, n):
-            raise InputError(f"metric returned shape {block.shape}, expected {(hi - lo, n)}")
-        return block
+    def nearest_distances(self, dim: float) -> np.ndarray:
+        """Per point, the distance to its nearest other point (inf for a
+        sample of one).
 
-    return rows
+        Each block starts at radius (key spread) * n^(-1/dim), the spacing of
+        n points spread evenly over a dim-dimensional sample. Its rows whose
+        minimum exceeds the radius are scanned again at twice the radius,
+        against the columns the wider window adds only, until every row's
+        minimum lies within its radius or the window is the whole sample. A
+        minimum within the radius is exact, since every column outside the
+        window is farther away.
+        """
+        n = len(self)
+        nearest = np.full(n, np.inf)
+        scratch = self._scratch()
 
+        def scan(lo, hi, r, seen):
+            # rows lo..hi hold their minimum over the columns seen[0]..seen[1]
+            for blo, bhi, clo, chi in self._blocks(lo, hi, r):
+                for a, b in ((clo, min(chi, seen[0])), (max(clo, seen[1]), chi)):
+                    if a < b:
+                        block = self.metric(self.points, blo, bhi, a, b, scratch)
+                        own = np.arange(max(blo, a), min(bhi, b))
+                        block[own - blo, own - a] = np.inf
+                        np.minimum(nearest[blo:bhi], block.min(axis=1), out=nearest[blo:bhi])
+                far = np.flatnonzero(nearest[blo:bhi] > r)
+                if far.size and chi - clo < n:
+                    scan(blo + int(far[0]), blo + int(far[-1]) + 1, 2.0 * r, (clo, chi))
 
-def _nearest_other(rows, n: int) -> np.ndarray:
-    """Per point, the smallest distance to another point.
+        scan(0, n, float(self.keys[-1] - self.keys[0]) * n ** (-1.0 / dim), (0, 0))
+        out = np.empty(n)
+        out[self.order] = nearest
+        return out
 
-    rows(lo, hi) returns the (hi - lo, n) distance block of points lo..hi,
-    as for kernels.graph_components. Each block gets its diagonal entries
-    set to infinity before its row minima are taken; min is exact, so the
-    block size does not change the result.
-    """
-    out = np.empty(n)
-    step = kernels.block_rows(n)
-    for lo in range(0, n, step):
-        block = rows(lo, min(lo + step, n))
-        r = np.arange(block.shape[0])
-        block[r, lo + r] = np.inf
-        block.min(axis=1, out=out[lo : lo + block.shape[0]])
-    return out
+    def median_nn_distance(self, dim: float) -> float:
+        """Median over points of the distance to the nearest other point; 0
+        for a sample of one."""
+        if len(self) < 2:
+            return 0.0
+        return float(np.median(self.nearest_distances(dim)))
+
+    def epsilon_components(self, eps: float, groups=None) -> np.ndarray:
+        """Component labels of the epsilon-graph: per point, the smallest
+        index of its component.
+
+        Edges join points at distance <= eps; with groups, an integer per
+        point, only points of the same group. Callers calibrate eps on a
+        larger ambient sample, for instance as a multiple of its
+        median_nn_distance.
+        """
+        eps = float(eps)
+        scratch = self._scratch()
+        near = np.empty(scratch.size // kernels.SCRATCH_PLANES, dtype=bool)
+        same = np.empty_like(near)
+        g = None if groups is None else np.asarray(groups)[self.order]
+
+        def edges():
+            for lo, hi, clo, chi in self._blocks(0, len(self), eps):
+                block = self.metric(self.points, lo, hi, clo, chi, scratch)
+                mask = np.less_equal(block, eps, out=near[: block.size].reshape(block.shape))
+                if g is not None:
+                    mask &= np.equal(
+                        g[lo:hi, None], g[clo:chi], out=same[: block.size].reshape(block.shape)
+                    )
+                i, j = np.nonzero(mask)
+                yield self.order[i + lo], self.order[j + clo]
+
+        return kernels.graph_components(edges(), len(self))

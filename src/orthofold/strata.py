@@ -7,6 +7,7 @@ and the depth bookkeeping of the toric family.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,19 +18,13 @@ from .actions import (
     infinitesimal_action,
     pairwise_distances,
     sample_points,
+    sort_key,
     tangent_frame,
 )
 from .errors import ClassificationError, InputError
 from .isotropy import slice_representations, stabilizer
-from .kernels import graph_components, pairwise_chebyshev
-from .numerics import (
-    DEFAULT_TOL,
-    Tolerance,
-    epsilon_components,
-    median_nn_distance,
-    orthonormalize,
-    rank,
-)
+from .kernels import pairwise_chebyshev
+from .numerics import DEFAULT_TOL, BandScan, Tolerance, orthonormalize, rank, widest_coordinate
 from .seeding import rng_for
 
 
@@ -200,7 +195,8 @@ def _fingerprint_groups(cloud: SampleCloud, tol: Tolerance) -> list[list[int]]:
     groups. Within a coarse key, features join when their largest
     coordinate difference is <= match_eps, transitively. Equal feature rows
     (every trivial stabilizer, say) are collapsed first, since distance 0
-    always joins; the scan then runs over the distinct rows in row blocks.
+    always joins; a band scan then runs over the distinct rows, keyed by
+    their widest coordinate.
     """
     coarse: dict[tuple, list[int]] = {}
     for i, st in enumerate(cloud.stabs):
@@ -225,9 +221,8 @@ def _fingerprint_groups(cloud: SampleCloud, tol: Tolerance) -> list[list[int]]:
                 )
             )
         distinct, inverse = np.unique(np.stack(feats), axis=0, return_inverse=True)
-        labels = graph_components(
-            lambda lo, hi: pairwise_chebyshev(distinct, lo, hi), len(distinct), tol.match_eps
-        )[inverse.ravel()]
+        band = BandScan(distinct, widest_coordinate(distinct), pairwise_chebyshev)
+        labels = band.epsilon_components(tol.match_eps)[inverse.ravel()]
         sub: dict[int, list[int]] = {}
         for pos, lab in enumerate(labels):
             sub.setdefault(int(lab), []).append(idx[pos])
@@ -241,26 +236,36 @@ def isostabilizer_decomposition(cloud: SampleCloud, tol: Tolerance | None = None
     Points sharing a fingerprint are divided into epsilon-graph components
     under the manifold distance. The epsilon scale is calibrated once on the
     whole cloud, so thin loci with few samples do not self-calibrate to the
-    huge gaps between their own points. Every distance scan runs in row
-    blocks, so memory stays linear in the cloud size.
+    huge gaps between their own points. Both scans are band scans over the
+    cloud sorted by actions.sort_key, and the epsilon-graph is one scan whose
+    edges join points of the same fingerprint group only; memory stays
+    linear in the cloud size.
     """
     tol = cloud.tol if tol is None else tol
     m = cloud.model.manifold
+    metric = functools.partial(pairwise_distances, m)
+    band = BandScan(cloud.points, sort_key(m, cloud.points), metric)
+    threshold = tol.cluster_eps_factor * band.median_nn_distance(m.intrinsic_dim)
+    fgroups = _fingerprint_groups(cloud, tol)
+    fid_of = np.empty(len(cloud), dtype=np.int64)
+    for fid, idx in enumerate(fgroups):
+        fid_of[idx] = fid
+    roots = band.epsilon_components(threshold, fid_of).tolist()
 
-    def metric(pts, lo, hi):
-        return pairwise_distances(m, pts, lo, hi)
-
-    threshold = tol.cluster_eps_factor * median_nn_distance(cloud.points, metric)
     blocks = []
     labels = []
     counters: dict[str, int] = {}
-    for fid, idx in enumerate(_fingerprint_groups(cloud, tol)):
-        comps = epsilon_components(cloud.points[idx], metric, threshold)
+    for fid, idx in enumerate(fgroups):
+        # idx ascends and a component's root is its smallest member, so the
+        # components come out ordered by smallest member
+        comps: dict[int, list[int]] = {}
+        for i in idx:
+            comps.setdefault(roots[i], []).append(i)
         cls = cloud.stabs[idx[0]].subgroup
-        for comp in comps:
+        for comp in comps.values():
             j = counters.get(cls.display(), 0)
             counters[cls.display()] = j + 1
-            blocks.append(tuple(idx[p] for p in comp))
+            blocks.append(tuple(comp))
             labels.append(
                 {
                     "subgroup": cls,

@@ -313,6 +313,24 @@ def test_payloads_are_pinned(capsys, name, samples):
     assert _parse_report(out)[1] == _PAYLOAD_SHAS[(name, samples)]
 
 
+# analyze --samples 1000 --seed 0 report-sha256, recorded before the
+# distance scans were banded: at this size the row blocks and the band
+# windows cover only part of the cloud, on four manifold kinds
+_DENSE_SHAS = {
+    "rp2-so2": "a31aed1d4c35431b51606d0d37ed8f18fb9f465d99154c1a1236160354f07921",
+    "cp2-u1": "4ee5ecdfa175e5e13f9edfe70ad0ca28d9e55f57f49ece3a46416b3e42f99b96",
+    "s2xs2-so3": "98f59fa3f9fd57a978cd0afc10a38861237cb053cccab7111577a9759539ef15",
+    "cn-tn(2)": "4e7520b906e5a2fb2ce31749bad73506e99b70111be52d32817082fda8e89bb3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DENSE_SHAS))
+def test_dense_payloads_are_pinned(capsys, name):
+    code, out = _run(capsys, "analyze", name, "--samples", "1000", "--seed", "0")
+    assert code == 0
+    assert _parse_report(out)[1] == _DENSE_SHAS[name]
+
+
 # verify --samples 100 report-sha256 of the SO(3) actions at the four seeds
 # the so3-search benchmark runs; speed work on the SO(3) solve must keep
 # these payloads byte-identical

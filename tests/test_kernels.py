@@ -60,6 +60,13 @@ def test_pairwise_phase_aligned():
     assert np.abs(got - ref).max() < 1e-10
 
 
+def _edges_below(d, threshold, batch):
+    """Edges i, j with d[i, j] <= threshold, in batches of batch rows."""
+    for lo in range(0, len(d), batch):
+        i, j = np.nonzero(d[lo : lo + batch] <= threshold)
+        yield i + lo, j
+
+
 def test_graph_components():
     d = np.array(
         [
@@ -69,12 +76,14 @@ def test_graph_components():
             [9.0, 9.0, 0.2, 0.0],
         ]
     )
-    labels = kernels.graph_components(lambda lo, hi: d[lo:hi], 4, 0.5)
+    labels = kernels.graph_components(_edges_below(d, 0.5, 4), 4)
     assert labels[0] == labels[1]
     assert labels[2] == labels[3]
     assert labels[0] != labels[2]
-    one = kernels.graph_components(lambda lo, hi: d[lo:hi], 4, 100.0)
+    one = kernels.graph_components(_edges_below(d, 100.0, 4), 4)
     assert len(set(one.tolist())) == 1
+    # no edges at all: every node is its own component
+    assert kernels.graph_components(iter(()), 3).tolist() == [0, 1, 2]
 
 
 def test_pairwise_euclidean_matches_scipy_bitwise():
@@ -106,6 +115,12 @@ def test_pairwise_blocks_are_bit_equal_across_block_sizes(kernel):
     for step in (1, 7, 64, 300):
         rows = [kernel(pts, lo, lo + step) for lo in range(0, 301, step)]
         assert np.array_equal(np.vstack(rows), whole)
+    # column windows, on and off the diagonal, built in a reused scratch
+    scratch = np.full(kernels.SCRATCH_PLANES * 40 * 90, np.nan)
+    for lo, clo in ((0, 0), (20, 0), (100, 130), (200, 10), (261, 211)):
+        block = kernel(pts, lo, lo + 40, clo, clo + 90, scratch)
+        assert np.array_equal(block, whole[lo : lo + 40, clo : clo + 90])
+        assert np.shares_memory(block, scratch)
 
 
 def test_pairwise_chebyshev():
@@ -114,6 +129,8 @@ def test_pairwise_chebyshev():
     ref = _brute_pairwise(pts, lambda a, b: np.abs(a - b).max())
     assert np.array_equal(got, ref)
     assert np.array_equal(kernels.pairwise_chebyshev(pts, 4, 9), ref[4:9])
+    scratch = np.empty(kernels.SCRATCH_PLANES * 5 * 7)
+    assert np.array_equal(kernels.pairwise_chebyshev(pts, 4, 9, 13, 20, scratch), ref[4:9, 13:20])
 
 
 def _partition(labels):
@@ -123,16 +140,16 @@ def _partition(labels):
     return sorted(blocks.values())
 
 
-def test_graph_components_match_scipy(monkeypatch):
+def test_graph_components_match_scipy():
     csgraph = pytest.importorskip("scipy.sparse.csgraph")
     rng = np.random.default_rng(8)
     for n, scale in ((1, 1.0), (40, 0.15), (120, 0.07), (120, 0.1), (120, 0.3)):
         pts = rng.uniform(size=(n, 2))
         dist = kernels.pairwise_euclidean(pts)
         _, ref = csgraph.connected_components(dist <= scale, directed=False)
-        for block_bytes in (kernels.BLOCK_BYTES, 1, 3 * 8 * n):
-            monkeypatch.setattr(kernels, "BLOCK_BYTES", block_bytes)
-            labels = kernels.graph_components(lambda lo, hi: dist[lo:hi], n, scale)
+        # edges merged all at once, a few rows at a time, or row by row
+        for batch in (n, 3, 1):
+            labels = kernels.graph_components(_edges_below(dist, scale, batch), n)
             assert _partition(labels) == _partition(ref)
             # the label is the smallest index of the component
             assert np.array_equal(labels, labels[labels])

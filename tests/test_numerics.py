@@ -1,5 +1,6 @@
 """Rank, kernel and graph utilities against exact rational references."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from orthofold import actions, kernels, numerics
 from orthofold.errors import InputError
 
-from oracles import exact_nullspace, exact_rank
+from oracles import dense_components, exact_nullspace, exact_rank, full_distance_matrix
 
 
 def test_rank_on_handpicked_matrices():
@@ -87,17 +88,29 @@ def test_as_small_matrix_rejects_bad_input():
     assert numerics.as_small_matrix([1.0, 2.0]).shape == (2, 1)
 
 
+def _components(labels):
+    comps = {}
+    for i, lab in enumerate(labels):
+        comps.setdefault(int(lab), []).append(i)
+    return sorted(comps.values())
+
+
+def _abs_difference(p, lo, hi, clo, chi, out):
+    return np.abs(p[lo:hi, None, 0] - p[None, clo:chi, 0])
+
+
 def test_epsilon_components_two_clusters():
     pts = np.array([[0.0], [0.01], [0.02], [5.0], [5.01]])
-
-    def metric(p, lo, hi):
-        return np.abs(p[lo:hi, None, 0] - p[None, :, 0])
+    band = numerics.BandScan(pts, pts[:, 0], _abs_difference)
 
     # twice the median nearest-neighbour distance keeps the two clusters apart
-    eps = 2.0 * numerics.median_nn_distance(pts, metric)
-    assert numerics.epsilon_components(pts, metric, eps) == [[0, 1, 2], [3, 4]]
+    eps = 2.0 * band.median_nn_distance(1)
+    assert _components(band.epsilon_components(eps)) == [[0, 1, 2], [3, 4]]
     # a large threshold glues everything together
-    assert numerics.epsilon_components(pts, metric, 10.0) == [[0, 1, 2, 3, 4]]
+    assert _components(band.epsilon_components(10.0)) == [[0, 1, 2, 3, 4]]
+    # edges only join points of one group
+    groups = np.array([0, 1, 0, 1, 1])
+    assert _components(band.epsilon_components(10.0, groups)) == [[0, 2], [1, 3, 4]]
 
 
 def test_median_nn_distance():
@@ -108,40 +121,151 @@ def test_median_nn_distance():
             [4.0, 2.0, 0.0],
         ]
     )
-    assert numerics.median_nn_distance(np.zeros((3, 1)), lambda p, lo, hi: d[lo:hi].copy()) == 1.0
+    # equal keys: the window is the whole sample, in the given order
+    band = numerics.BandScan(
+        np.zeros((3, 1)), np.zeros(3), lambda p, lo, hi, clo, chi, out: d[lo:hi, clo:chi].copy()
+    )
+    assert band.median_nn_distance(2) == 1.0
+    assert numerics.BandScan(np.zeros((1, 2)), np.zeros(1), None).median_nn_distance(2) == 0.0
+
+
+def _euclidean_band(pts):
+    return numerics.BandScan(pts, numerics.widest_coordinate(pts), kernels.pairwise_euclidean)
 
 
 def test_nearest_other_matches_masked_diagonal(monkeypatch):
     rng = np.random.default_rng(9)
     pts = rng.normal(size=(41, 3))
-    d = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
+    d = kernels.pairwise_euclidean(pts)
     ref = (d + np.diag(np.full(41, np.inf))).min(axis=1)
-
-    def rows(lo, hi):
-        return d[lo:hi].copy()
-
-    assert np.array_equal(numerics._nearest_other(rows, 41), ref)
-    # blocks of 3 rows: the diagonal offset must follow the block start
-    monkeypatch.setattr(kernels, "BLOCK_BYTES", 3 * 8 * 41)
-    assert np.array_equal(numerics._nearest_other(rows, 41), ref)
-    assert numerics.median_nn_distance(pts, lambda p, lo, hi: rows(lo, hi)) == float(
-        np.median(ref)
-    )
+    # blocks of a few rows, or one: the diagonal offset must follow the
+    # block's row and column starts
+    for block_bytes in (numerics.BLOCK_BYTES, 3 * 8 * 41, 1):
+        monkeypatch.setattr(numerics, "BLOCK_BYTES", block_bytes)
+        band = _euclidean_band(pts)
+        assert np.array_equal(band.nearest_distances(3), ref)
+        assert band.median_nn_distance(3) == float(np.median(ref))
 
 
 def test_epsilon_components_never_hold_a_square_matrix():
     s2 = actions.sphere(2)
     pts = actions.sample_points(s2, 6000, np.random.default_rng(12))
 
-    def metric(p, lo, hi):
-        return actions.pairwise_distances(s2, p, lo, hi)
+    def metric(p, lo, hi, clo, chi, out):
+        return actions.pairwise_distances(s2, p, lo, hi, clo, chi, out)
 
     tracemalloc.start()
     try:
-        eps = 2.0 * numerics.median_nn_distance(pts, metric)
-        comps = numerics.epsilon_components(pts, metric, eps)
+        band = numerics.BandScan(pts, actions.sort_key(s2, pts), metric)
+        eps = 2.0 * band.median_nn_distance(2)
+        labels = band.epsilon_components(eps)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert sorted(i for c in comps for i in c) == list(range(6000))
+    assert labels.shape == (6000,) and np.all(labels <= np.arange(6000))
     assert peak < 6000 * 6000 * 8 / 8
+
+
+def test_band_scan_rejects_an_empty_sample():
+    with pytest.raises(InputError):
+        numerics.BandScan(np.zeros((0, 3)), np.zeros(0), kernels.pairwise_euclidean)
+
+
+def _mirrors(x):
+    """x with one coordinate negated, for each coordinate: every mirror
+    image ties x on all the other coordinates, whichever one keys it."""
+    out = []
+    for c in range(x.shape[1]):
+        y = x.copy()
+        y[:, c] = -y[:, c]
+        out.append(y)
+    return np.vstack(out)
+
+
+def _fibonacci_sphere(n):
+    """n points spread evenly over S^2: farther apart than random ones."""
+    i = np.arange(n) + 0.5
+    z = 1.0 - 2.0 * i / n
+    phi = np.pi * (1.0 + 5.0**0.5) * i
+    rho = np.sqrt(1.0 - z * z)
+    return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
+
+
+def _band_clouds():
+    """(id, manifold, points): every manifold kind, with the cases a band
+    window could get wrong."""
+    rng = np.random.default_rng(21)
+    s2 = actions.sphere(2)
+    prod = actions.product_spheres(2, 2)
+    rp2 = actions.real_projective(2)
+    cp2 = actions.complex_projective(2)
+    r4 = actions.euclidean(4)
+    base = {m.kind: actions.sample_points(m, 100, rng) for m in (s2, prod, rp2, cp2, r4)}
+    # near duplicates at d ~ 1e-9, where the Gram form errs by about 1e-8
+    near_rp = actions.normalize(rp2, base[rp2.kind][:20] + 1e-9 * rng.normal(size=(20, 3)))
+    near_cp = actions.normalize(cp2, base[cp2.kind][:20] + 1e-9 * rng.normal(size=(20, 6)))
+    turns = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(30, 1)))
+    turned = actions.from_complex(actions.to_complex(base[cp2.kind][:30]) * turns)
+    quarter = [1.0, 1j, -1.0, -1j]
+    quarters = [[1.0, p, q] for p in quarter for q in quarter]
+    sphere, prod_pts, euclid, rp, cp = (base[m.kind] for m in (s2, prod, r4, rp2, cp2))
+    return [
+        # exact duplicates and tied keys
+        ("sphere", s2, np.vstack([sphere, sphere[:10], _mirrors(sphere[:40])])),
+        ("product", prod, np.vstack([prod_pts, _mirrors(prod_pts[:30])])),
+        ("euclidean", r4, np.vstack([euclid, _mirrors(euclid[:30])])),
+        # sign-flipped representatives: distance 0, equal keys
+        ("rp", rp2, np.vstack([rp, -rp[:30], near_rp, _mirrors(rp[:20])])),
+        # phase-turned representatives
+        ("cp", cp2, np.vstack([cp, turned, near_cp])),
+        # every key equal: the window is the whole sample
+        ("rp-equal-keys", rp2, np.array(list(itertools.product((1.0, -1.0), repeat=3))) / 3**0.5),
+        ("cp-equal-keys", cp2, actions.from_complex(np.array(quarters)) / 3**0.5),
+        # evenly spread: most rows have no neighbour within the first radius
+        ("sphere-even", s2, _fibonacci_sphere(150)),
+    ]
+
+
+@pytest.mark.parametrize("name, m, pts", [pytest.param(*c, id=c[0]) for c in _band_clouds()])
+def test_band_windows_are_complete(monkeypatch, name, m, pts):
+    n = len(pts)
+    keys = actions.sort_key(m, pts)
+    # the key is 1-Lipschitz for the manifold distance, up to the oracle's
+    # own Gram rounding
+    oracle = full_distance_matrix(m, pts)
+    assert np.all(np.abs(keys[:, None] - keys[None, :]) <= oracle + 1e-7)
+    if name.endswith("equal-keys"):
+        assert np.ptp(keys) == 0.0
+    if name == "sphere-even":
+        first = np.ptp(keys) * n ** (-1.0 / m.intrinsic_dim)
+        nn = (oracle + np.diag(np.full(n, np.inf))).min(axis=1)
+        assert np.mean(nn <= first) < 0.5
+
+    full = actions.pairwise_distances(m, pts)
+    ref_nn = (full + np.diag(np.full(n, np.inf))).min(axis=1)
+    off = np.sort(full[~np.eye(n, dtype=bool)])
+    groups = np.arange(n) % 3
+    grouped = np.where(groups[:, None] == groups[None, :], full, np.inf)
+    calls = []
+
+    def metric(p, lo, hi, clo, chi, out):
+        calls.append((lo, hi, clo, chi))
+        return actions.pairwise_distances(m, p, lo, hi, clo, chi, out)
+
+    for block_bytes in (numerics.BLOCK_BYTES, 3 * 8 * n, 1):
+        monkeypatch.setattr(numerics, "BLOCK_BYTES", block_bytes)
+        band = numerics.BandScan(pts, keys, metric)
+        assert np.array_equal(band.nearest_distances(m.intrinsic_dim), ref_nn)
+        # thresholds that are entries: pairs lie exactly at epsilon
+        for eps in (0.0, off[n // 2], off[4 * n], 2.0 * np.median(ref_nn), off[len(off) // 10]):
+            calls.clear()
+            labels = band.epsilon_components(eps, groups)
+            seen = np.zeros((n, n), dtype=bool)
+            for lo, hi, clo, chi in calls:
+                seen[lo:hi, clo:chi] = True
+            # no pair at or below epsilon falls outside every window
+            within = (full <= eps)[np.ix_(band.order, band.order)]
+            assert not np.any(within & ~seen)
+            if name.endswith("equal-keys"):
+                assert all(clo == 0 and chi == n for _, _, clo, chi in calls)
+            assert _components(labels) == dense_components(grouped, eps)

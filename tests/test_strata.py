@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from orthofold import actions, isotropy, kernels, strata
+from orthofold import actions, isotropy, numerics, strata
 from orthofold.errors import InputError
 
 from oracles import isostabilizer_reference, refines
@@ -109,14 +109,17 @@ def test_isostabilizer_splits_conjugate_circles(cloud_factory):
     assert len(circles) >= 2
 
 
-@pytest.mark.parametrize("name", ["s2-zn(5)", "rp2-so2", "cp2-u1", "cp2-so3"])
+@pytest.mark.parametrize(
+    "name", ["s2-zn(5)", "rp2-so2", "cp2-u1", "cp2-so3", "s2xs2-so3", "cn-tn(2)"]
+)
 def test_blocked_decomposition_matches_full_matrices(cloud_factory, monkeypatch, name):
+    # every manifold kind: sphere, RP^2, CP^2, product, euclidean
     cloud = cloud_factory(name)
     ref = isostabilizer_reference(cloud)
     assert sorted(strata.isostabilizer_decomposition(cloud).blocks) == ref
     # one row per block, then a few rows of the whole cloud per block
     for block_bytes in (1, 3 * 8 * len(cloud)):
-        monkeypatch.setattr(kernels, "BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(numerics, "BLOCK_BYTES", block_bytes)
         assert sorted(strata.isostabilizer_decomposition(cloud).blocks) == ref
 
 
@@ -131,6 +134,27 @@ def test_decomposition_holds_no_square_matrix(cloud_factory):
         tracemalloc.stop()
     strata.check_partition(iso.blocks, n)
     assert peak < n * n * 8 / 8
+
+
+def test_decomposition_scans_a_band(cloud_factory, monkeypatch):
+    # the banded scans compute a fraction of the n^2 distances that the
+    # nearest-neighbour scan and the per-group epsilon-graphs took before
+    # (about 2 n^2 at this cloud)
+    cloud = cloud_factory("s2-zn(5)", 3000)
+    n = len(cloud)
+    entries = []
+    original = actions.pairwise_distances
+
+    def counted(*args, **kwargs):
+        out = original(*args, **kwargs)
+        entries.append(out.size)
+        return out
+
+    # strata holds the function by name, so both bindings are replaced
+    monkeypatch.setattr(actions, "pairwise_distances", counted)
+    monkeypatch.setattr(strata, "pairwise_distances", counted)
+    strata.isostabilizer_decomposition(cloud)
+    assert 0 < sum(entries) <= 0.4 * n * n
 
 
 def test_principal_data_rp2(cloud_factory):
