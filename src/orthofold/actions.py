@@ -22,7 +22,7 @@ import numpy as np
 
 from . import groups, kernels
 from .errors import InputError, PointSpecError, StabilizerError, UnknownActionError
-from .numerics import Tolerance, DEFAULT_TOL, widest_coordinate
+from .numerics import MATCH_EPS, POINT_EPS, widest_coordinate
 
 # ---------------------------------------------------------------------------
 # manifold models
@@ -92,19 +92,18 @@ def normalize(m: ManifoldModel, x: np.ndarray) -> np.ndarray:
     return x / np.linalg.norm(x, axis=-1, keepdims=True)
 
 
-def validate_point(m: ManifoldModel, x: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> None:
+def validate_point(m: ManifoldModel, x: np.ndarray) -> None:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (m.ambient_dim,):
         raise InputError(f"point of shape {x.shape}, expected ({m.ambient_dim},)")
     if not np.all(np.isfinite(x)):
         raise InputError("point has non-finite entries")
-    eps = max(tol.match_eps, 1e-9)
     if m.kind == "product_spheres":
         d1 = m.factors[0]
-        if abs(np.linalg.norm(x[:d1]) - 1.0) > eps or abs(np.linalg.norm(x[d1:]) - 1.0) > eps:
+        if max(abs(np.linalg.norm(x[:d1]) - 1.0), abs(np.linalg.norm(x[d1:]) - 1.0)) > MATCH_EPS:
             raise InputError("product-sphere representative factors must be unit vectors")
     elif m.kind != "euclidean":
-        if abs(np.linalg.norm(x) - 1.0) > eps:
+        if abs(np.linalg.norm(x) - 1.0) > MATCH_EPS:
             raise InputError("representative must be a unit vector")
 
 
@@ -117,17 +116,6 @@ def sample_points(m: ManifoldModel, count: int, rng: np.random.Generator) -> np.
     if m.kind == "euclidean":
         return raw
     return normalize(m, raw)
-
-
-def distance(m: ManifoldModel, x: np.ndarray, y: np.ndarray) -> float:
-    """Manifold distance, the representatives aligned before differencing.
-
-    y is turned by the sign (RP^n) or unit phase (CP^n) that brings it
-    nearest to x, as in the fixer test; the difference is then taken
-    coordinate-wise, so gaps far below sqrt(machine epsilon) are resolved.
-    """
-    x, y = (np.ascontiguousarray(v, dtype=np.float64) for v in (x, y))
-    return float(np.linalg.norm(kernels._batch_align(y[None], x, m.align_mode)))
 
 
 def pairwise_distances(
@@ -188,14 +176,14 @@ def _complex_householder_frame(z: np.ndarray) -> np.ndarray:
     return h[:, 1:]
 
 
-def tangent_frame(m: ManifoldModel, x: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def tangent_frame(m: ManifoldModel, x: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the horizontal tangent space at a representative.
 
     Columns are ambient vectors: orthogonal to x on spheres, to x and Jx on
     complex projective models (where consecutive columns are J-paired), and
     the standard basis in the euclidean case.
     """
-    validate_point(m, x, tol)
+    validate_point(m, x)
     if m.kind == "euclidean":
         return np.eye(m.ambient_dim)
     if m.kind in ("sphere", "real_projective"):
@@ -296,7 +284,7 @@ def infinitesimal_action(a: ActionModel, x: np.ndarray, frame: np.ndarray) -> np
 
 
 def differentials(
-    a: ActionModel, amb: np.ndarray, x: np.ndarray, frame: np.ndarray, tol: Tolerance = DEFAULT_TOL
+    a: ActionModel, amb: np.ndarray, x: np.ndarray, frame: np.ndarray
 ) -> np.ndarray:
     """Differentials of a stack of stabilizing ambient matrices, in frame coordinates.
 
@@ -304,7 +292,7 @@ def differentials(
     (B, N) stack, and frame its tangent_frame, or a (B, N, dim) stack of
     them. Each matrix is aligned by the sign (RP^n) or unit phase (CP^n) of
     the fixer test, then read in its point's frame. Raises StabilizerError
-    when a matrix moves its point by more than max(match_eps, 1e-7), or when
+    when a matrix moves its point by more than POINT_EPS, or when
     a differential fails np.allclose's orthogonality bound. Returns a
     (B, dim, dim) stack.
     """
@@ -312,7 +300,7 @@ def differentials(
     Y = normalize(m, np.einsum("bij,bj->bi", amb, np.broadcast_to(x, amb.shape[:2])))
     fa, fb = kernels._batch_factors(Y, x, m.align_mode)
     moved = kernels._batch_apply_factors(Y, fa, fb, m.align_mode) - x
-    if np.linalg.norm(moved, axis=1).max() > max(tol.match_eps, 1e-7):
+    if np.linalg.norm(moved, axis=1).max() > POINT_EPS:
         raise StabilizerError("element does not stabilize the point")
     if m.align_mode == kernels.ALIGN_PHASE:
         amb = fa[:, None, None] * amb + fb[:, None, None] * (ambient_complex_structure(m) @ amb)

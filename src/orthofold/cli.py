@@ -20,7 +20,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import __version__, actions, groups, kernels, quotient, strata
+from . import __version__, actions, groups, kernels, numerics, quotient, strata
 from .errors import (
     ClassificationError,
     CorrespondenceError,
@@ -30,7 +30,6 @@ from .errors import (
     UnknownActionError,
 )
 from .isotropy import ACCEPT_D2, reps_equivalent, slice_representation, stabilizer
-from .numerics import Tolerance
 from .seeding import rng_for
 
 SCHEMA_VERSION = "2"
@@ -128,14 +127,6 @@ def _write_report(payload: dict, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _tolerance(args) -> Tolerance:
-    return Tolerance(
-        rank_eps=args.rank_eps,
-        match_eps=args.match_eps,
-        cluster_eps_factor=args.cluster_eps_factor,
-    )
-
-
 class _CheckFailure(OrthofoldError):
     """A pipeline stage raised, and its error is the verdict of one verify check."""
 
@@ -144,9 +135,9 @@ class _CheckFailure(OrthofoldError):
         super().__init__(str(err))
 
 
-def run_pipeline(a, samples: int, seed: int, tol: Tolerance) -> SimpleNamespace:
+def run_pipeline(a, samples: int, seed: int) -> SimpleNamespace:
     """Every derived structure of one action, computed once."""
-    cloud = strata.build_cloud(a, samples, seed=seed, tol=tol)
+    cloud = strata.build_cloud(a, samples, seed=seed)
     orbit_type = strata.orbit_type_partition(cloud)
     iso = strata.isostabilizer_decomposition(cloud)
     klein = quotient.klein_partition(cloud)
@@ -225,7 +216,7 @@ def _interval_doc(model) -> dict:
     }
 
 
-def _analysis_payload(r, samples: int, seed: int, tol: Tolerance) -> dict:
+def _analysis_payload(r, samples: int, seed: int) -> dict:
     a = r.action
     cloud = r.cloud
     sing = {}
@@ -244,9 +235,9 @@ def _analysis_payload(r, samples: int, seed: int, tol: Tolerance) -> dict:
         "samples": samples,
         "seed": seed,
         "tolerance": {
-            "rank_eps": tol.rank_eps,
-            "match_eps": tol.match_eps,
-            "cluster_eps_factor": tol.cluster_eps_factor,
+            "rank_eps": numerics.RANK_EPS,
+            "match_eps": numerics.MATCH_EPS,
+            "cluster_eps_factor": strata.CLUSTER_EPS_FACTOR,
         },
         "cloud": {
             "points": len(cloud),
@@ -345,7 +336,7 @@ def _generic_checks(r, results, seed: int):
         _check(
             results,
             "pi-orbit-invariant",
-            worst <= cloud.tol.match_eps,
+            worst <= numerics.MATCH_EPS,
             f"max drift {worst:.3e}",
         )
         _check(
@@ -383,7 +374,7 @@ def _rp2_t0_locus(vals: np.ndarray) -> np.ndarray:
     return 4.0 * vals <= ACCEPT_D2
 
 
-def _pinned_checks(r, results, seed: int, tol: Tolerance):
+def _pinned_checks(r, results, seed: int):
     a = r.action
     cloud = r.cloud
     name = a.name
@@ -444,8 +435,8 @@ def _pinned_checks(r, results, seed: int, tol: Tolerance):
         kids = {}
         for label, (spec, want) in fixed.items():
             x = actions.parse_point(a, spec)
-            st = stabilizer(a, x, tol=tol)
-            rep = slice_representation(a, st, tol)
+            st = stabilizer(a, x)
+            rep = slice_representation(a, st)
             reps[label] = rep
             kids[label] = _klein_block_of_point(r, x)
             _check(results, f"slice-weights-{label}", rep.weights == want,
@@ -475,7 +466,7 @@ def _pinned_checks(r, results, seed: int, tol: Tolerance):
         n = a.params["n"]
         # the dimension n + depth of each moment image against the cloud's
         bad = [x for x, q in zip(cloud.points, cloud.quotient_dims)
-               if strata.toric_depth(x[0::2] ** 2 + x[1::2] ** 2, cloud.tol)[1] != q]
+               if strata.toric_depth(x[0::2] ** 2 + x[1::2] ** 2)[1] != q]
         _check(results, "toric-dimension-formula", not bad,
                f"formula fails at {np.round(bad[0], 4)}" if bad else "")
         if n == 2:
@@ -483,10 +474,10 @@ def _pinned_checks(r, results, seed: int, tol: Tolerance):
                    f"got {len(r.klein.blocks)}")
 
 
-def verify_action(a, samples: int, seed: int, tol: Tolerance) -> list:
+def verify_action(a, samples: int, seed: int) -> list:
     results = []
     try:
-        r = run_pipeline(a, samples, seed, tol)
+        r = run_pipeline(a, samples, seed)
     except _CheckFailure as e:
         _check(results, e.check, False, str(e))
         return results
@@ -494,7 +485,7 @@ def verify_action(a, samples: int, seed: int, tol: Tolerance) -> list:
         _check(results, "pipeline", False, str(e))
         return results
     _generic_checks(r, results, seed)
-    _pinned_checks(r, results, seed, tol)
+    _pinned_checks(r, results, seed)
     return results
 
 
@@ -505,9 +496,8 @@ def verify_action(a, samples: int, seed: int, tol: Tolerance) -> list:
 
 def cmd_analyze(args) -> int:
     a = actions.get_action(args.action)
-    tol = _tolerance(args)
-    r = run_pipeline(a, args.samples, args.seed, tol)
-    payload = _analysis_payload(r, args.samples, args.seed, tol)
+    r = run_pipeline(a, args.samples, args.seed)
+    payload = _analysis_payload(r, args.samples, args.seed)
     _write_report(payload, args.out)
     return 0
 
@@ -517,11 +507,10 @@ def cmd_verify(args) -> int:
         models = actions.catalog()
     else:
         models = [actions.get_action(t) for t in args.actions]
-    tol = _tolerance(args)
     action_docs = []
     failures = 0
     for a in models:
-        results = verify_action(a, args.samples, args.seed, tol)
+        results = verify_action(a, args.samples, args.seed)
         for res in results:
             tag = "PASS" if res["ok"] else "FAIL"
             line = f"[{tag}] {a.name} :: {res['name']}"
@@ -554,14 +543,13 @@ def _resolve_point(a, spec: str) -> np.ndarray:
 
 def cmd_classify(args) -> int:
     a = actions.get_action(args.action)
-    tol = _tolerance(args)
     x = _resolve_point(a, args.point)
     # the probe cloud elects the principal class the singularity label needs
-    probe = strata.build_cloud(a, _CLASSIFY_PROBE, seed=args.seed, tol=tol)
-    st = stabilizer(a, x, tol=tol)
-    rep = slice_representation(a, st, tol)
+    probe = strata.build_cloud(a, _CLASSIFY_PROBE, seed=args.seed)
+    st = stabilizer(a, x)
+    rep = slice_representation(a, st)
     principal = strata.principal_dimension(probe, strata.orbit_type_partition(probe))
-    label = strata.classify_singularity(st, principal.subgroup, tol)
+    label = strata.classify_singularity(st, principal.subgroup)
     fp = quotient.local_model(a, st, rep, seed=args.seed)
     payload = {
         "action": a.name,
@@ -611,10 +599,6 @@ def _add_common(p: argparse.ArgumentParser, with_samples: bool = True):
                        help="points sampled per action (default 2000)")
     p.add_argument("--seed", type=int, default=None,
                    help="seed for all sampling (default 0, or ORTHOFOLD_SEED)")
-    p.add_argument("--rank-eps", type=float, default=Tolerance().rank_eps)
-    p.add_argument("--match-eps", type=float, default=Tolerance().match_eps)
-    p.add_argument("--cluster-eps-factor", type=float,
-                   default=Tolerance().cluster_eps_factor)
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
 
 

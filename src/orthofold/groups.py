@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ClassificationError, InputError
 from .kernels import SO3_GENERATORS, rodrigues_batch
-from .numerics import Tolerance, DEFAULT_TOL, orthonormalize, spans_equal
+from .numerics import MATCH_EPS, orthonormalize, spans_equal
 
 _J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -284,7 +284,6 @@ def classify_subgroup(
     g: GroupDescriptor,
     lie_kernel: np.ndarray,
     witnesses: np.ndarray,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> SubgroupClass:
     """Name the subgroup spanned by a stabilizer's Lie kernel and witnesses.
 
@@ -311,7 +310,7 @@ def classify_subgroup(
         span = orthonormalize(lie_kernel)
         for w in witnesses:
             ad = adjoint_coeffs(g, w)
-            if not spans_equal(ad @ span, span, tol):
+            if not spans_equal(ad @ span, span):
                 raise ClassificationError(
                     "witness does not normalize the stabilizer Lie span"
                 )
@@ -339,17 +338,15 @@ def classify_subgroup(
 
 
 @functools.lru_cache(maxsize=4096)
-def classes_conjugate(
-    a: SubgroupClass, b: SubgroupClass, tol: Tolerance = DEFAULT_TOL
-) -> bool:
+def classes_conjugate(a: SubgroupClass, b: SubgroupClass) -> bool:
     """Conjugacy at the level of class descriptions.
 
     Labeled classes compare by label (and order for Zn). Other-vs-Other is a
     conservative invariant match on (lie_dim, component hint, trace multiset):
     equality is only reported on a full match, so distinct but genuinely
-    conjugate exotic subgroups may compare unequal. Both classes and the
-    tolerance are frozen values and the answer depends on nothing else, so
-    answers are cached; partition builders ask the same pairs many times.
+    conjugate exotic subgroups may compare unequal. Both classes are frozen
+    values and the answer depends on nothing else, so answers are cached;
+    partition builders ask the same pairs many times.
     """
     if a.label != b.label:
         return False
@@ -360,7 +357,5 @@ def classes_conjugate(
             return False
         if len(a.traces) != len(b.traces):
             return False
-        return bool(
-            np.allclose(np.array(a.traces), np.array(b.traces), atol=tol.match_eps)
-        )
+        return bool(np.allclose(np.array(a.traces), np.array(b.traces), atol=MATCH_EPS))
     return a.lie_dim == b.lie_dim

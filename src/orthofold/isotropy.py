@@ -17,7 +17,7 @@ from .actions import (
     tangent_frame,
 )
 from .errors import InputError, RepExtractionError, StabilizerError
-from .numerics import DEFAULT_TOL, Tolerance, shared_identity, svd_split
+from .numerics import MATCH_EPS, POINT_EPS, shared_identity, svd_split
 
 # squared chordal distance below which a candidate counts as a fixer
 ACCEPT_D2 = 1e-12
@@ -108,16 +108,16 @@ def _witness_order(g: groups.GroupDescriptor) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1024)
-def _finite_stabilizer(g: groups.GroupDescriptor, keep: tuple, tol: Tolerance):
+def _finite_stabilizer(g: groups.GroupDescriptor, keep: tuple):
     """Witnesses and class of the finite stabilizer made of the elements keep.
 
     A finite group has no Lie algebra, so every stabilizer's Lie kernel is
-    empty and the class reads only g, the witnesses and tol: it is keyed on
+    empty and the class reads only g and the witnesses: it is keyed on
     exactly those. The witnesses are shared read-only.
     """
     wits = g.elements[list(keep)]
     wits.flags.writeable = False
-    return wits, groups.classify_subgroup(g, np.zeros((0, 0)), wits, tol)
+    return wits, groups.classify_subgroup(g, np.zeros((0, 0)), wits)
 
 
 def _torus_system(a: ActionModel, x: np.ndarray, y: np.ndarray):
@@ -253,7 +253,7 @@ def _gauge_normal_form(X: np.ndarray) -> np.ndarray:
     return X @ v
 
 
-def stabilizer(a: ActionModel, x: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> StabilizerData:
+def stabilizer(a: ActionModel, x: np.ndarray) -> StabilizerData:
     """Compute the stabilizer of x: Lie kernel, component witnesses, class.
 
     x is normalized and its tangent frame built, which also validates it.
@@ -264,7 +264,7 @@ def stabilizer(a: ActionModel, x: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> S
     congruence of the active ambient pairs, finite groups are enumerated,
     and SO(3) components are the half-turns of _so3_candidates that pass
     the fixer test. Each witness has squared displacement at most
-    ACCEPT_D2 (the finite kind tests at the point match cut). Work that
+    ACCEPT_D2 (the finite kind tests at POINT_EPS). Work that
     does not depend on x is done once and shared: a finite group's ambient
     matrices, witness order and classes, and the torus solve of each
     congruence.
@@ -272,17 +272,16 @@ def stabilizer(a: ActionModel, x: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> S
     m = a.manifold
     x = normalize(m, np.asarray(x, dtype=float))
     g = a.group
-    frame = tangent_frame(m, x, tol)
-    odim, lie_kernel, slice_basis = svd_split(infinitesimal_action(a, x, frame), tol)
+    frame = tangent_frame(m, x)
+    odim, lie_kernel, slice_basis = svd_split(infinitesimal_action(a, x, frame))
     if odim + lie_kernel.shape[1] != g.lie_dim:
         raise StabilizerError("orbit and kernel dimensions are inconsistent")
 
     if g.kind == "finite":
-        point_eps = max(tol.match_eps, 1e-7)
         order = _witness_order(g)
         d2 = _displacement(a, x, a.element_ambs, x)
-        keep = order[d2[order] <= point_eps * point_eps]
-        wits, cls = _finite_stabilizer(g, tuple(keep.tolist()), tol)
+        keep = order[d2[order] <= POINT_EPS * POINT_EPS]
+        wits, cls = _finite_stabilizer(g, tuple(keep.tolist()))
         wambs = a.element_ambs[keep]
     elif g.kind == "torus":
         W, _ = _torus_system(a, x, x)
@@ -292,7 +291,7 @@ def stabilizer(a: ActionModel, x: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> S
         wambs = a.amb_batch(wits)
         if float(_displacement(a, x, wambs, x).max()) > ACCEPT_D2:
             raise StabilizerError("closed-form witness misses the fixer set")
-        cls = groups.classify_subgroup(g, lie_kernel, wits, tol)
+        cls = groups.classify_subgroup(g, lie_kernel, wits)
     elif g.kind == "so3":
         if a.so3_frame is None:
             raise InputError(f"action {a.name!r} lacks the frame data of the SO(3) solve")
@@ -300,7 +299,7 @@ def stabilizer(a: ActionModel, x: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> S
         ambs = a.amb_batch(cands)
         fix = np.concatenate([[True], _displacement(a, x, ambs[1:], x) <= ACCEPT_D2])
         wits, wambs = cands[fix], ambs[fix]
-        cls = groups.classify_subgroup(g, lie_kernel, wits, tol)
+        cls = groups.classify_subgroup(g, lie_kernel, wits)
     else:
         raise InputError(f"no stabilizer scheme for group kind {g.kind!r}")
 
@@ -320,7 +319,6 @@ def transport_element(
     a: ActionModel,
     x: np.ndarray,
     y: np.ndarray,
-    tol: Tolerance = DEFAULT_TOL,
     accept_d2: float = ACCEPT_D2,
 ) -> np.ndarray | None:
     """Group element carrying x onto y, or None when there is none.
@@ -343,7 +341,7 @@ def transport_element(
     if g.kind == "finite":
         d2 = _displacement(a, x, a.element_ambs, y)
         i = int(np.argmin(d2))
-        cut = min(max(tol.match_eps, 1e-7), np.sqrt(accept_d2))
+        cut = min(POINT_EPS, np.sqrt(accept_d2))
         return g.elements[i].copy() if d2[i] <= cut * cut else None
     if g.kind == "torus":
         el = _torus_solutions(g, *_torus_system(a, x, y))[0][:1]
@@ -491,9 +489,7 @@ def _no_planes(sdim: int):
     return lie, planes, shared_identity(sdim)
 
 
-def slice_representations(
-    a: ActionModel, stabs, tol: Tolerance = DEFAULT_TOL
-) -> list[SliceRep]:
+def slice_representations(a: ActionModel, stabs) -> list[SliceRep]:
     """Representation of each stabilizer on the normal slice at its point.
 
     Every positive-dimensional stabilizer gets the integer torus weights of
@@ -515,7 +511,7 @@ def slice_representations(
     points = np.stack([st.point for st in stabs])
     frames = np.stack([st.frame for st in stabs])
     diffs = differentials(
-        a, np.concatenate([st.witness_ambs for st in stabs]), points[owner], frames[owner], tol
+        a, np.concatenate([st.witness_ambs for st in stabs]), points[owner], frames[owner]
     )
     sdims = np.array([st.slice_basis.shape[1] for st in stabs])
     reps = [None] * len(stabs)
@@ -556,11 +552,9 @@ def _slice_rep(a: ActionModel, st: StabilizerData, wmats: np.ndarray, traces: li
     )
 
 
-def slice_representation(
-    a: ActionModel, stab: StabilizerData, tol: Tolerance = DEFAULT_TOL
-) -> SliceRep:
+def slice_representation(a: ActionModel, stab: StabilizerData) -> SliceRep:
     """slice_representations of one stabilizer."""
-    return slice_representations(a, [stab], tol)[0]
+    return slice_representations(a, [stab])[0]
 
 
 def canonical_weight_rows(weights: tuple) -> tuple:
@@ -572,7 +566,7 @@ def canonical_weight_rows(weights: tuple) -> tuple:
     return tuple(sorted(out))
 
 
-def reps_equivalent(r1: SliceRep, r2: SliceRep, tol: Tolerance = DEFAULT_TOL) -> bool:
+def reps_equivalent(r1: SliceRep, r2: SliceRep) -> bool:
     """Whether two slice representations agree up to real orthogonal change.
 
     Stabilizer class labels must match first; torus weights compare as
@@ -588,6 +582,4 @@ def reps_equivalent(r1: SliceRep, r2: SliceRep, tol: Tolerance = DEFAULT_TOL) ->
         return canonical_weight_rows(r1.weights) == canonical_weight_rows(r2.weights)
     if len(r1.characters) != len(r2.characters):
         return False
-    return bool(
-        np.allclose(np.array(r1.characters), np.array(r2.characters), atol=tol.match_eps)
-    )
+    return bool(np.allclose(np.array(r1.characters), np.array(r2.characters), atol=MATCH_EPS))

@@ -1,9 +1,13 @@
-"""Small dense linear algebra with explicit tolerance policy, and the
+"""Small dense linear algebra with fixed numeric cuts, and the
 epsilon-graph scans over point samples.
 
 The matrices of the linear algebra are plain float64 arrays of at most 64
-rows/columns. Rank decisions use a relative singular-value threshold;
-subspace bases are returned orthonormal, as columns.
+rows/columns. Rank decisions keep the singular values above RANK_EPS times
+the largest; subspace bases are returned orthonormal, as columns. The cuts
+several modules share are defined here: MATCH_EPS for matching points,
+traces, characters and coordinates, and POINT_EPS for the displacement of
+a point that still counts as fixed. Each cut is one constant, not a
+setting.
 
 The point-sample scans (nearest-neighbour distances, epsilon-graph
 components) are banded: BandScan sorts the sample once by a 1-Lipschitz key
@@ -15,7 +19,6 @@ and their results equal those of full distance matrices.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,29 +27,19 @@ from . import kernels
 
 MAX_DIM = 64
 
+# relative singular-value cut of every rank decision
+RANK_EPS = 1e-9
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Numeric policy used throughout the pipeline.
+# absolute cut for matching points, traces, characters and coordinates
+MATCH_EPS = 1e-8
 
-    rank_eps: relative singular-value cutoff for rank decisions.
-    match_eps: absolute tolerance for matching points, elements and weights.
-    cluster_eps_factor: multiplier on the median nearest-neighbor distance
-    when building epsilon-graphs.
-    """
+# largest displacement of a point that still counts as fixed by a matrix:
+# the differentials' fixer test and the finite stabilizers and transports
+POINT_EPS = 1e-7
 
-    rank_eps: float = 1e-9
-    match_eps: float = 1e-8
-    cluster_eps_factor: float = 2.0
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not (np.isfinite(value) and value > 0.0):
-                raise InputError(f"tolerance {f.name} must be finite and positive, got {value!r}")
-
-
-DEFAULT_TOL = Tolerance()
+# largest entry of the difference of two span projectors that still counts
+# as one span
+_SPAN_EPS = 1e-7
 
 
 def as_small_matrix(a) -> np.ndarray:
@@ -63,18 +56,12 @@ def as_small_matrix(a) -> np.ndarray:
     return m
 
 
-def _relative_rank(s: np.ndarray, tol: Tolerance) -> int:
-    """Number of singular values (descending) above tol.rank_eps times the largest."""
-    return int(np.sum(s > tol.rank_eps * s[0])) if s.size and s[0] > 0.0 else 0
+def _relative_rank(s: np.ndarray) -> int:
+    """Number of singular values (descending) above RANK_EPS times the largest."""
+    return int(np.sum(s > RANK_EPS * s[0])) if s.size and s[0] > 0.0 else 0
 
 
-def rank(a, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Numerical rank with threshold tol.rank_eps * largest singular value."""
-    m = as_small_matrix(a)
-    return _relative_rank(np.linalg.svd(m, compute_uv=False), tol) if m.size else 0
-
-
-def svd_split(a, tol: Tolerance = DEFAULT_TOL) -> tuple[int, np.ndarray, np.ndarray]:
+def svd_split(a) -> tuple[int, np.ndarray, np.ndarray]:
     """(r, K, C) of a (d, n) matrix from one full SVD u s vt: the relative
     rank r, the orthonormal null space basis K = vt[r:]^T and the orthonormal
     basis C = u[:, r:] of the complement of the column span. C is the
@@ -85,7 +72,7 @@ def svd_split(a, tol: Tolerance = DEFAULT_TOL) -> tuple[int, np.ndarray, np.ndar
     if m.size == 0:
         return 0, shared_identity(n), shared_identity(d)
     u, s, vt = np.linalg.svd(m)
-    r = _relative_rank(s, tol)
+    r = _relative_rank(s)
     return r, vt[r:].T.copy(), (u[:, r:].copy() if m.any() else shared_identity(d))
 
 
@@ -97,27 +84,22 @@ def shared_identity(d: int) -> np.ndarray:
     return eye
 
 
-def kernel_basis(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the null space of a."""
-    return svd_split(a, tol)[1]
-
-
-def orthonormalize(vectors, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def orthonormalize(vectors) -> np.ndarray:
     """Orthonormal basis of the column span (rank-revealing, via SVD)."""
     m = as_small_matrix(vectors)
     if m.shape[1] == 0 or not m.any():
         return np.zeros((m.shape[0], 0))
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    return u[:, : _relative_rank(s, tol)].copy()
+    return u[:, : _relative_rank(s)].copy()
 
 
-def spans_equal(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
+def spans_equal(a, b) -> bool:
     """Whether two column spans agree, compared through their projectors."""
     pa = _projector(a)
     pb = _projector(b)
     if pa.shape != pb.shape:
         return False
-    return bool(np.max(np.abs(pa - pb)) <= max(tol.match_eps, 1e2 * tol.rank_eps))
+    return bool(np.max(np.abs(pa - pb)) <= _SPAN_EPS)
 
 
 def _projector(a) -> np.ndarray:

@@ -27,7 +27,7 @@ from .isotropy import (
     canonical_weight_rows,
     transport_element,
 )
-from .numerics import Tolerance
+from .numerics import MATCH_EPS
 from .seeding import rng_for
 from .strata import PartitionOfM, PrincipalData, SampleCloud
 
@@ -316,7 +316,7 @@ def local_models(a: ActionModel, stabs, reps, seed: int = 0) -> list[LocalModelF
     """Fingerprints of the local quotient models at stabilized points.
 
     stabs and reps are aligned. Fingerprint components are decided at fixed
-    absolute cuts, not at the run's tolerance. Reps without stabilizer
+    absolute cuts. Reps without stabilizer
     algebra are profiled together in one array pass; reps with torus
     weights solve their slice congruences one rep at a time.
     """
@@ -388,7 +388,7 @@ def _orbit_invariants(a: ActionModel, pts: np.ndarray) -> np.ndarray:
     return np.zeros((pts.shape[0], 0))
 
 
-def klein_partition(cloud: SampleCloud, tol: Tolerance | None = None) -> KleinPartition:
+def klein_partition(cloud: SampleCloud) -> KleinPartition:
     """Fingerprint classes of the quotient points seen by the cloud.
 
     Cloud points are identified along orbits first, each merge certified by
@@ -396,7 +396,6 @@ def klein_partition(cloud: SampleCloud, tol: Tolerance | None = None) -> KleinPa
     construction. Orbit representatives are then grouped by local-model
     fingerprint.
     """
-    tol = cloud.tol if tol is None else tol
     a = cloud.model
     n = len(cloud)
     parent = list(range(n))
@@ -432,9 +431,7 @@ def klein_partition(cloud: SampleCloud, tol: Tolerance | None = None) -> KleinPa
                 # so a visible gap rules the pair out without a transport solve
                 if inv_raw.shape[1] and np.abs(inv_raw[i] - inv_raw[j]).max() > 1e-7:
                     continue
-                g = transport_element(
-                    a, cloud.points[i], cloud.points[j], tol=tol, accept_d2=_IDENTIFY_D2
-                )
+                g = transport_element(a, cloud.points[i], cloud.points[j], accept_d2=_IDENTIFY_D2)
                 if g is not None:
                     parent[find(j)] = find(i)
     orbit_members: dict = {}
@@ -670,7 +667,7 @@ def quotient_interval_model(
     for orb in klein.orbits:
         if len(orb) > 1:
             spread = float(np.ptp(vals[list(orb)]))
-            if spread > cloud.tol.match_eps:
+            if spread > MATCH_EPS:
                 raise ClassificationError(
                     "projection values differ along an identified orbit"
                 )
@@ -683,7 +680,7 @@ def quotient_interval_model(
         gaps = np.where(np.diff(v) > 1e-3)[0]
         clusters = np.split(v, gaps + 1)
         has_principal = any(
-            groups.classes_conjugate(cloud.stabs[i].subgroup, principal.subgroup, cloud.tol)
+            groups.classes_conjugate(cloud.stabs[i].subgroup, principal.subgroup)
             for i in block
         )
         if not has_principal and all(c[-1] - c[0] <= 1e-6 for c in clusters):

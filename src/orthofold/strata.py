@@ -24,8 +24,12 @@ from .actions import (
 from .errors import ClassificationError, InputError
 from .isotropy import slice_representations, stabilizer
 from .kernels import pairwise_chebyshev
-from .numerics import DEFAULT_TOL, BandScan, Tolerance, orthonormalize, rank, widest_coordinate
+from .numerics import MATCH_EPS, BandScan, orthonormalize, svd_split, widest_coordinate
 from .seeding import rng_for
+
+# multiple of the cloud's median nearest-neighbour distance that joins two
+# points of one fingerprint group in the isostabilizer epsilon-graph
+CLUSTER_EPS_FACTOR = 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +54,6 @@ class SampleCloud:
     quotient_dims: np.ndarray
     sample_count: int
     seed: int
-    tol: Tolerance
 
     def __len__(self) -> int:
         return int(self.points.shape[0])
@@ -69,12 +72,6 @@ class PartitionOfM:
             for i in idx:
                 owner[i] = b
         return owner
-
-
-def check_partition(blocks, n: int) -> None:
-    seen = sorted(i for b in blocks for i in b)
-    if seen != list(range(n)):
-        raise InputError("blocks do not partition the index set")
 
 
 @dataclass(frozen=True)
@@ -111,9 +108,7 @@ class PrincipalData:
 # ---------------------------------------------------------------------------
 
 
-def build_cloud(
-    a: ActionModel, count: int, seed: int = 0, tol: Tolerance = DEFAULT_TOL
-) -> SampleCloud:
+def build_cloud(a: ActionModel, count: int, seed: int = 0) -> SampleCloud:
     """Sample the manifold and attach per-point isotropy data.
 
     The catalog's measure-zero loci are appended after the uniform samples.
@@ -129,8 +124,8 @@ def build_cloud(
         pts = np.vstack([uniform, special.reshape(-1, a.manifold.ambient_dim)])
     else:
         pts = uniform
-    stabs = [stabilizer(a, x, tol=tol) for x in pts]
-    reps = slice_representations(a, stabs, tol)
+    stabs = [stabilizer(a, x) for x in pts]
+    reps = slice_representations(a, stabs)
     orbit_dims = np.array([st.orbit_dim for st in stabs], dtype=np.int64)
     quotient_dims = a.manifold.intrinsic_dim - orbit_dims
     return SampleCloud(
@@ -143,15 +138,14 @@ def build_cloud(
         quotient_dims=quotient_dims,
         sample_count=count,
         seed=seed,
-        tol=tol,
     )
 
 
-def quotient_dimension(a: ActionModel, x, tol: Tolerance = DEFAULT_TOL) -> int:
+def quotient_dimension(a: ActionModel, x) -> int:
     """Pointwise dimension of the orbit space: dim(M) minus the orbit dimension."""
     x = np.asarray(x, dtype=float)
-    frame = tangent_frame(a.manifold, x, tol)
-    return int(a.manifold.intrinsic_dim - rank(infinitesimal_action(a, x, frame), tol))
+    frame = tangent_frame(a.manifold, x)
+    return int(a.manifold.intrinsic_dim - svd_split(infinitesimal_action(a, x, frame))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +159,7 @@ def orbit_type_partition(cloud: SampleCloud) -> PartitionOfM:
     labels: list[dict] = []
     for i, st in enumerate(cloud.stabs):
         for blk, lab in zip(blocks, labels):
-            if groups.classes_conjugate(st.subgroup, lab["subgroup"], cloud.tol):
+            if groups.classes_conjugate(st.subgroup, lab["subgroup"]):
                 blk.append(i)
                 break
         else:
@@ -178,22 +172,27 @@ def orbit_type_partition(cloud: SampleCloud) -> PartitionOfM:
     )
 
 
-def _lie_span_projector(g: groups.GroupDescriptor, lie_kernel: np.ndarray) -> np.ndarray:
-    d = g.lie_dim
-    if lie_kernel.size == 0:
-        return np.zeros(d * d)
-    q = orthonormalize(lie_kernel)
-    return (q @ q.T).ravel()
+def _fingerprint_features(g: groups.GroupDescriptor, stabs) -> np.ndarray:
+    """Feature rows of stabilizers sharing one coarse fingerprint key: the
+    witness traces, then the flattened projector onto the Lie span (zeros
+    when the span is 0)."""
+    traces = np.array([st.subgroup.traces for st in stabs], dtype=float)
+    spans = np.zeros((len(stabs), g.lie_dim**2))
+    for row, st in zip(spans, stabs):
+        if st.lie_kernel.shape[1]:
+            q = orthonormalize(st.lie_kernel)
+            row[:] = (q @ q.T).ravel()
+    return np.hstack([traces, spans])
 
 
-def _fingerprint_groups(cloud: SampleCloud, tol: Tolerance) -> list[list[int]]:
+def _fingerprint_groups(cloud: SampleCloud) -> list[list[int]]:
     """Indices grouped by exact-stabilizer fingerprint.
 
     The fingerprint is the class label together with the witness trace
     multiset and the stabilizer's Lie span; spans compare as subspaces, via
     projectors, so conjugate-but-unequal stabilizers land in different
     groups. Within a coarse key, features join when their largest
-    coordinate difference is <= match_eps, transitively. Equal feature rows
+    coordinate difference is <= MATCH_EPS, transitively. Equal feature rows
     (every trivial stabilizer, say) are collapsed first, since distance 0
     always joins; a band scan then runs over the distinct rows, keyed by
     their widest coordinate.
@@ -209,20 +208,10 @@ def _fingerprint_groups(cloud: SampleCloud, tol: Tolerance) -> list[list[int]]:
         if len(idx) == 1:
             out.append(idx)
             continue
-        feats = []
-        for i in idx:
-            st = cloud.stabs[i]
-            feats.append(
-                np.concatenate(
-                    [
-                        np.asarray(st.subgroup.traces, dtype=float),
-                        _lie_span_projector(cloud.model.group, st.lie_kernel),
-                    ]
-                )
-            )
-        distinct, inverse = np.unique(np.stack(feats), axis=0, return_inverse=True)
+        feats = _fingerprint_features(cloud.model.group, [cloud.stabs[i] for i in idx])
+        distinct, inverse = np.unique(feats, axis=0, return_inverse=True)
         band = BandScan(distinct, widest_coordinate(distinct), pairwise_chebyshev)
-        labels = band.epsilon_components(tol.match_eps)[inverse.ravel()]
+        labels = band.epsilon_components(MATCH_EPS)[inverse.ravel()]
         sub: dict[int, list[int]] = {}
         for pos, lab in enumerate(labels):
             sub.setdefault(int(lab), []).append(idx[pos])
@@ -230,7 +219,7 @@ def _fingerprint_groups(cloud: SampleCloud, tol: Tolerance) -> list[list[int]]:
     return sorted(out, key=lambda c: c[0])
 
 
-def isostabilizer_decomposition(cloud: SampleCloud, tol: Tolerance | None = None) -> PartitionOfM:
+def isostabilizer_decomposition(cloud: SampleCloud) -> PartitionOfM:
     """Split the cloud by exact stabilizer subgroup, then by proximity.
 
     Points sharing a fingerprint are divided into epsilon-graph components
@@ -241,12 +230,11 @@ def isostabilizer_decomposition(cloud: SampleCloud, tol: Tolerance | None = None
     edges join points of the same fingerprint group only; memory stays
     linear in the cloud size.
     """
-    tol = cloud.tol if tol is None else tol
     m = cloud.model.manifold
     metric = functools.partial(pairwise_distances, m)
     band = BandScan(cloud.points, sort_key(m, cloud.points), metric)
-    threshold = tol.cluster_eps_factor * band.median_nn_distance(m.intrinsic_dim)
-    fgroups = _fingerprint_groups(cloud, tol)
+    threshold = CLUSTER_EPS_FACTOR * band.median_nn_distance(m.intrinsic_dim)
+    fgroups = _fingerprint_groups(cloud)
     fid_of = np.empty(len(cloud), dtype=np.int64)
     for fid, idx in enumerate(fgroups):
         fid_of[idx] = fid
@@ -310,7 +298,7 @@ def principal_dimension(cloud: SampleCloud, orbit_type: PartitionOfM) -> Princip
     exceptional = np.array(
         [
             int(cloud.orbit_dims[i]) == podim
-            and not groups.classes_conjugate(cloud.stabs[i].subgroup, pcls, cloud.tol)
+            and not groups.classes_conjugate(cloud.stabs[i].subgroup, pcls)
             for i in range(len(cloud))
         ],
         dtype=bool,
@@ -318,9 +306,7 @@ def principal_dimension(cloud: SampleCloud, orbit_type: PartitionOfM) -> Princip
     return PrincipalData(value=d_pr, subgroup=pcls, orbit_dim=podim, exceptional=exceptional)
 
 
-def classify_singularity(
-    stab, principal_class: groups.SubgroupClass, tol: Tolerance = DEFAULT_TOL
-) -> SingularityLabel:
+def classify_singularity(stab, principal_class: groups.SubgroupClass) -> SingularityLabel:
     """Geometric nature of the quotient point.
 
     Principal points are manifold points. A non-principal class of the same
@@ -328,7 +314,7 @@ def classify_singularity(
     components; a larger stabilizer dimension gives a general orthofold point.
     """
     cls = stab.subgroup
-    if groups.classes_conjugate(cls, principal_class, tol):
+    if groups.classes_conjugate(cls, principal_class):
         return SingularityLabel("ManifoldPoint")
     if cls.lie_dim < principal_class.lie_dim:
         raise ClassificationError("stabilizer smaller than the principal class")
@@ -344,7 +330,7 @@ def classify_singularity(
 
 def singularity_labels(cloud: SampleCloud, principal: PrincipalData) -> list[SingularityLabel]:
     """Per-point singularity labels against the cloud's principal class."""
-    return [classify_singularity(st, principal.subgroup, cloud.tol) for st in cloud.stabs]
+    return [classify_singularity(st, principal.subgroup) for st in cloud.stabs]
 
 
 # ---------------------------------------------------------------------------
@@ -352,23 +338,23 @@ def singularity_labels(cloud: SampleCloud, principal: PrincipalData) -> list[Sin
 # ---------------------------------------------------------------------------
 
 
-def toric_depth(t, tol: Tolerance = DEFAULT_TOL) -> tuple[int, int]:
+def toric_depth(t) -> tuple[int, int]:
     """Depth of a positive-orthant point and the dimension n + depth."""
     t = np.asarray(t, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise InputError("depth expects a nonempty coordinate vector")
     if np.any(t < 0.0):
         raise InputError("depth needs nonnegative coordinates")
-    depth = int(np.count_nonzero(t < tol.match_eps))
+    depth = int(np.count_nonzero(t < MATCH_EPS))
     return depth, int(t.size) + depth
 
 
-def toric_consistency(a: ActionModel, z, tol: Tolerance = DEFAULT_TOL) -> bool:
+def toric_consistency(a: ActionModel, z) -> bool:
     """Cross-check the dimension formula against the depth of the moment image."""
     n = a.params.get("n")
     if a.manifold.kind != "euclidean" or n is None:
         raise InputError("toric consistency applies to the torus family only")
     z = np.asarray(z, dtype=float)
     t = z[0::2] ** 2 + z[1::2] ** 2
-    _, dim = toric_depth(t, tol)
-    return quotient_dimension(a, z, tol) == dim
+    _, dim = toric_depth(t)
+    return quotient_dimension(a, z) == dim

@@ -10,10 +10,13 @@ sampled group elements that preceded the exact read-off, and the
 slice-vector stabilizer count that preceded the single congruence solve,
 the pairwise scan behind the correspondence witnesses, the sort of each
 finite stabilizer's witnesses that preceded the order sorted once per
-group, and the SO(3) Haar-and-Levenberg-Marquardt search that preceded the
-closed-form stabilizers and transports. None of it imports the numeric routines under
-test beyond the public model types, the slice frame helpers and the
-alignment kernels the displacement test shares.
+group, the SO(3) Haar-and-Levenberg-Marquardt search that preceded the
+closed-form stabilizers and transports, the fingerprint rows built one
+stabilizer at a time, a partition check and the aligned distance of two
+points. None of it imports the numeric routines under
+test beyond the public model types, the slice frame helpers, the
+alignment kernels the displacement test shares, and the orthonormalization
+the fingerprint rows must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ from math import gcd
 
 import numpy as np
 
-from orthofold import actions, groups, isotropy, kernels, quotient
+from orthofold import actions, groups, isotropy, kernels, numerics, quotient, strata
 from orthofold.errors import InputError
-from orthofold.numerics import DEFAULT_TOL, svd_split
+from orthofold.numerics import MATCH_EPS, svd_split
 from orthofold.seeding import rng_for
 
 
@@ -241,6 +244,24 @@ def planted_point_rep(a: actions.ActionModel, x: np.ndarray, kernel, witness_ang
     return isotropy.slice_representation(a, st), isotropy.normal_slice(st)
 
 
+def check_partition(blocks, n: int) -> None:
+    """Raise InputError unless the blocks cover 0..n-1, each index once."""
+    seen = sorted(i for b in blocks for i in b)
+    if seen != list(range(n)):
+        raise InputError("blocks do not partition the index set")
+
+
+def distance(m, x: np.ndarray, y: np.ndarray) -> float:
+    """Manifold distance, the representatives aligned before differencing.
+
+    y is turned by the sign (RP^n) or unit phase (CP^n) that brings it
+    nearest to x, as in the fixer test; the difference is then taken
+    coordinate-wise, so gaps far below sqrt(machine epsilon) are resolved.
+    """
+    x, y = (np.ascontiguousarray(v, dtype=np.float64) for v in (x, y))
+    return float(np.linalg.norm(kernels._batch_align(y[None], x, m.align_mode)))
+
+
 def full_distance_matrix(m, pts: np.ndarray) -> np.ndarray:
     """The whole (n, n) manifold distance matrix, in one shot.
 
@@ -290,10 +311,10 @@ def isostabilizer_reference(cloud) -> list[tuple[int, ...]]:
     coarse fingerprint key, and an (n_f, n_f) matrix per fingerprint group.
     Lie kernels are orthonormal columns, so K K^T is the span projector.
     """
-    tol, m = cloud.tol, cloud.model.manifold
+    m = cloud.model.manifold
     dist = full_distance_matrix(m, cloud.points)
     nn = (dist + np.diag(np.full(len(dist), np.inf))).min(axis=1)
-    threshold = tol.cluster_eps_factor * float(np.median(nn))
+    threshold = strata.CLUSTER_EPS_FACTOR * float(np.median(nn))
     coarse: dict = {}
     for i, st in enumerate(cloud.stabs):
         key = (st.subgroup.display(), len(st.subgroup.traces), st.lie_kernel.shape[1])
@@ -312,7 +333,7 @@ def isostabilizer_reference(cloud) -> list[tuple[int, ...]]:
             ]
         )
         fdist = np.abs(feats[:, None, :] - feats[None, :, :]).max(axis=2)
-        for group in dense_components(fdist, tol.match_eps):
+        for group in dense_components(fdist, MATCH_EPS):
             members = [idx[p] for p in group]
             sub = full_distance_matrix(m, cloud.points[members])
             for comp in dense_components(sub, threshold):
@@ -320,7 +341,23 @@ def isostabilizer_reference(cloud) -> list[tuple[int, ...]]:
     return sorted(blocks)
 
 
-def weight_rows_reference(a, stab, tol=DEFAULT_TOL, seed: int = 0):
+def fingerprint_features_reference(g, stabs) -> np.ndarray:
+    """Fingerprint feature rows built one stabilizer at a time, as the
+    decomposition built them before the rows of a key were built together:
+    the witness traces, then the flattened Lie span projector, zeros for a
+    span of 0."""
+    rows = []
+    for st in stabs:
+        if st.lie_kernel.size == 0:
+            span = np.zeros(g.lie_dim * g.lie_dim)
+        else:
+            q = numerics.orthonormalize(st.lie_kernel)
+            span = (q @ q.T).ravel()
+        rows.append(np.concatenate([np.asarray(st.subgroup.traces, dtype=float), span]))
+    return np.stack(rows)
+
+
+def weight_rows_reference(a, stab, seed: int = 0):
     """Weights (rows, zero_dims, signed) by a least-squares fit of sampled angles.
 
     The identity component is sampled at an anchor and 2k + 4 random Lie
@@ -338,7 +375,7 @@ def weight_rows_reference(a, stab, tol=DEFAULT_TOL, seed: int = 0):
     anchor = 0.0831 * np.array([1.0 / (1.0 + 0.7 * j) for j in range(k)])
     S = np.vstack([anchor, rng.uniform(-scale, scale, size=(2 * k + 4, k))])
     els = groups.exp_coeffs_batch(a.group, S @ stab.lie_kernel.T)
-    R = coords.T @ actions.differentials(a, a.amb_batch(els), stab.point, stab.frame, tol) @ coords
+    R = coords.T @ actions.differentials(a, a.amb_batch(els), stab.point, stab.frame) @ coords
     rstar = R[0]
     signed = js is not None and np.abs(rstar @ js - js @ rstar).max() <= 1e-6
     vals, vecs = np.linalg.eig(rstar)
@@ -779,14 +816,14 @@ def dedup_witnesses(g, accepted, d2, lie_kernel):
     return np.stack(classes)
 
 
-def stabilizer_reference(a, x, pool: np.ndarray, tol=DEFAULT_TOL) -> isotropy.StabilizerData:
+def stabilizer_reference(a, x, pool: np.ndarray) -> isotropy.StabilizerData:
     """The SO(3) stabilizer by search: refine the best POOL_SIZE of the pool
     (and the identity), keep fixers within ACCEPT_D2, dedup, polish."""
     m = a.manifold
     x = actions.normalize(m, np.asarray(x, dtype=float))
     g = a.group
-    frame = actions.tangent_frame(m, x, tol)
-    odim, lie_kernel, slice_basis = svd_split(actions.infinitesimal_action(a, x, frame), tol)
+    frame = actions.tangent_frame(m, x)
+    odim, lie_kernel, slice_basis = svd_split(actions.infinitesimal_action(a, x, frame))
     tx = tx_tensor(a, x)
     coarse = kernels._batch_align(batch_apply_tx(tx, pool), x, m.align_mode)
     best = coarse_top(np.einsum("bi,bi->b", coarse, coarse), POOL_SIZE)
@@ -802,7 +839,7 @@ def stabilizer_reference(a, x, pool: np.ndarray, tol=DEFAULT_TOL) -> isotropy.St
         lie_kernel=lie_kernel,
         witnesses=wits,
         witness_ambs=a.amb_batch(wits),
-        subgroup=groups.classify_subgroup(g, lie_kernel, wits, tol),
+        subgroup=groups.classify_subgroup(g, lie_kernel, wits),
         orbit_dim=odim,
         frame=frame,
         slice_basis=slice_basis,

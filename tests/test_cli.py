@@ -1,5 +1,6 @@
 """Command line surface: subcommands, exit codes, report shape."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from orthofold import actions, cli, strata
+from orthofold import actions, cli, numerics, strata
 from orthofold.errors import ClassificationError, CorrespondenceError, InputError
 
 
@@ -239,10 +240,38 @@ def test_stage_errors_fail_their_named_check(capsys, monkeypatch, target, error,
      ("--match-eps", "inf")],
 )
 def test_bad_tolerance_exit_code(capsys, flag, value):
-    code = cli.main(["analyze", "rp2-so2", "--samples", "20", flag, value])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert flag[2:].replace("-", "_") in err
+    # the numeric cuts are constants: every subcommand rejects the flags
+    # that once set them, as any unknown flag
+    for argv in (["analyze", "rp2-so2"], ["verify", "rp2-so2"], ["classify", "rp2-so2", "k"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_subcommand_options():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    want = {
+        "analyze": {"--samples", "--seed", "--out"},
+        "verify": {"--samples", "--seed", "--out"},
+        "classify": {"--seed", "--out"},
+        "catalog": set(),
+    }
+    for name, options in want.items():
+        p = sub.choices[name]
+        assert {o for a in p._actions for o in a.option_strings} == {"-h", "--help", *options}
+        assert "eps" not in p.format_help()
+
+
+def test_payload_tolerance_block_reads_the_constants(capsys):
+    code, out = _run(capsys, "analyze", "s2-zn(5)", "--samples", "20", "--seed", "0")
+    assert code == 0
+    assert _parse_report(out)[0]["payload"]["tolerance"] == {
+        "rank_eps": numerics.RANK_EPS,
+        "match_eps": numerics.MATCH_EPS,
+        "cluster_eps_factor": strata.CLUSTER_EPS_FACTOR,
+    }
 
 
 def test_bad_env_seed_exit_code(capsys, monkeypatch):
@@ -394,6 +423,28 @@ def test_finite_dense_payloads_are_pinned(capsys, seed):
     code, out = _run(capsys, "analyze", "s2-zn(5)", "--samples", "3000", "--seed", str(seed))
     assert code == 0
     assert _parse_report(out)[1] == _FINITE_DENSE_SHAS[seed]
+
+
+# classify --seed 0 report-sha256 of every named point and of a cn-tn(2)
+# coordinate point, recorded while the numeric cuts could still be set per run
+_CLASSIFY_SHAS = {
+    ("rp2-so2", "k"): "bfd043d85e40de42607cc8ad824f10d7fa62eae6c883d27c4a2fb84abde28fcc",
+    ("cp2-u1", "P0"): "8dd80dedf6bf80ab5bef33db542be1273065e138ef312223d0e8ed1a739af2f7",
+    ("cp2-u1", "P1"): "43c2478f37a49ab6dacca30295ad4d613ca78cd5851f4f33b907691d4f030865",
+    ("cp2-u1", "P2"): "00be086949761f59e07753af5559c4dc22ce2395558da67322881caf980aab98",
+    ("s2xs2-so3", "diag"): "f0cb3491fd6ff332cae1a7cdaedd29e7a796d2d165a996cb25c943c94a402557",
+    ("s2xs2-so3", "antidiag"): "f18ef67cc03c0d8954a011c41610846241566b14e4a46634171d89f539fa1e64",
+    ("s2-zn(5)", "north"): "84b17466a1518528b33c16ab62b7b641f4c5893e30ba742e5e8c82cd698c947f",
+    ("s2-zn(5)", "south"): "3a901a867f815a5a8ba44a7a9bb0782f24850244b958345019257c85bf64ab26",
+    ("cn-tn(2)", "(0,1)"): "a6ff33c386e21ded2c88225e6ac3b0ee30129b0f1764ced3e2807f8c31168550",
+}
+
+
+@pytest.mark.parametrize("name, point", sorted(_CLASSIFY_SHAS))
+def test_classify_points_are_pinned(capsys, name, point):
+    code, out = _run(capsys, "classify", name, point, "--seed", "0")
+    assert code == 0
+    assert _parse_report(out)[1] == _CLASSIFY_SHAS[(name, point)]
 
 
 def test_classify_cn_t3_axis_point_is_pinned(capsys):

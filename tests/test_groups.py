@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from orthofold import groups
+from orthofold import groups, numerics
 from orthofold.errors import ClassificationError, InputError
 
 from oracles import (
@@ -128,24 +128,23 @@ def test_witness_must_normalize_the_algebra():
 
 def test_cached_conjugacy_matches_the_uncached_function():
     # Other-vs-Other traces straddling the np.allclose boundary
-    # |a - b| <= match_eps + 1e-5 |b|; the cache must answer as the
-    # function does, for each tolerance separately
+    # |a - b| <= MATCH_EPS + 1e-5 |b|; the cache must answer as the
+    # function does
     uncached = groups.classes_conjugate.__wrapped__
     rng = np.random.default_rng(14)
     answers = set()
-    for tol in (groups.DEFAULT_TOL, groups.Tolerance(match_eps=1e-6)):
-        for _ in range(300):
-            m = int(rng.integers(1, 5))
-            base = np.round(rng.uniform(-3.0, 3.0, size=m), 9)
-            edge = tol.match_eps + 1e-5 * np.abs(base)
-            other = base + edge * rng.uniform(0.98, 1.02, size=m) * rng.choice([-1.0, 1.0], size=m)
-            a = groups.SubgroupClass("Other", None, 1, f"components({m})", tuple(base.tolist()))
-            b = groups.SubgroupClass("Other", None, 1, f"components({m})", tuple(other.tolist()))
-            for x, y in ((a, b), (b, a), (a, a)):
-                want = uncached(x, y, tol)
-                answers.add(want)
-                assert groups.classes_conjugate(x, y, tol) is want
-                assert groups.classes_conjugate(x, y, tol) is want
+    for _ in range(300):
+        m = int(rng.integers(1, 5))
+        base = np.round(rng.uniform(-3.0, 3.0, size=m), 9)
+        edge = numerics.MATCH_EPS + 1e-5 * np.abs(base)
+        other = base + edge * rng.uniform(0.98, 1.02, size=m) * rng.choice([-1.0, 1.0], size=m)
+        a = groups.SubgroupClass("Other", None, 1, f"components({m})", tuple(base.tolist()))
+        b = groups.SubgroupClass("Other", None, 1, f"components({m})", tuple(other.tolist()))
+        for x, y in ((a, b), (b, a), (a, a)):
+            want = uncached(x, y)
+            answers.add(want)
+            assert groups.classes_conjugate(x, y) is want
+            assert groups.classes_conjugate(x, y) is want
     assert answers == {True, False}
 
 

@@ -10,6 +10,7 @@ from orthofold.errors import InputError
 from orthofold.strata import PartitionOfM
 
 from oracles import (
+    check_partition,
     correspondence_reference,
     hidden_frame,
     origin_stabilizer,
@@ -56,7 +57,7 @@ def test_klein_partition_rp2(pipeline_factory):
     kp = pipe.klein
     assert len(kp.blocks) == 3
     assert sorted(kp.dims) == [1, 1, 2]
-    strata.check_partition(kp.blocks, len(pipe.cloud))
+    check_partition(kp.blocks, len(pipe.cloud))
     # projection constant along each identified orbit
     proj = pipe.action.interval.projection(pipe.cloud.points)
     for orbit in kp.orbits:

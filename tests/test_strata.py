@@ -9,7 +9,12 @@ import pytest
 from orthofold import actions, isotropy, numerics, strata
 from orthofold.errors import InputError
 
-from oracles import isostabilizer_reference, refines
+from oracles import (
+    check_partition,
+    fingerprint_features_reference,
+    isostabilizer_reference,
+    refines,
+)
 
 
 def test_build_cloud_is_deterministic(cloud_factory):
@@ -88,7 +93,7 @@ def test_orbit_type_partition_rp2(cloud_factory):
     part = strata.orbit_type_partition(cloud)
     labels = sorted(lab["label"] for lab in part.block_labels)
     assert labels == ["SO2", "Trivial", "Zn(2)"]
-    strata.check_partition(part.blocks, len(cloud))
+    check_partition(part.blocks, len(cloud))
 
 
 def test_isostabilizer_refines_orbit_type(cloud_factory):
@@ -96,7 +101,7 @@ def test_isostabilizer_refines_orbit_type(cloud_factory):
         cloud = cloud_factory(name)
         ot = strata.orbit_type_partition(cloud)
         iso = strata.isostabilizer_decomposition(cloud)
-        strata.check_partition(iso.blocks, len(cloud))
+        check_partition(iso.blocks, len(cloud))
         assert refines(iso.blocks, ot.blocks)
 
 
@@ -123,6 +128,26 @@ def test_blocked_decomposition_matches_full_matrices(cloud_factory, monkeypatch,
         assert sorted(strata.isostabilizer_decomposition(cloud).blocks) == ref
 
 
+@pytest.mark.parametrize(
+    "name", ["s2-zn(5)", "rp2-so2", "cp2-u1", "cp2-so3", "s2xs2-so3", "cn-tn(2)", "cn-tn(3)"]
+)
+def test_fingerprint_features_match_the_row_loop(cloud_factory, name):
+    # the rows of each coarse key, built together, are bit-identical to the
+    # rows built one stabilizer at a time, so the grouping sees the same
+    # input; all but s2-zn(5) and rp2-so2 have keys of several circle or
+    # torus stabilizers, whose rows carry span projectors
+    cloud = cloud_factory(name)
+    coarse = {}
+    for st in cloud.stabs:
+        key = (st.subgroup.display(), len(st.subgroup.traces), st.lie_kernel.shape[1])
+        coarse.setdefault(key, []).append(st)
+    for stabs in coarse.values():
+        got = strata._fingerprint_features(cloud.model.group, stabs)
+        want = fingerprint_features_reference(cloud.model.group, stabs)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_decomposition_holds_no_square_matrix(cloud_factory):
     cloud = cloud_factory("s2-zn(5)", 3000)
     n = len(cloud)
@@ -132,7 +157,7 @@ def test_decomposition_holds_no_square_matrix(cloud_factory):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    strata.check_partition(iso.blocks, n)
+    check_partition(iso.blocks, n)
     assert peak < n * n * 8 / 8
 
 
@@ -215,7 +240,7 @@ def test_toric_consistency_handpicked():
 
 def test_check_partition_rejects_overlap_and_gap():
     with pytest.raises(InputError):
-        strata.check_partition([(0, 1), (1, 2)], 3)
+        check_partition([(0, 1), (1, 2)], 3)
     with pytest.raises(InputError):
-        strata.check_partition([(0,), (2,)], 3)
-    strata.check_partition([(0, 2), (1,)], 3)
+        check_partition([(0,), (2,)], 3)
+    check_partition([(0, 2), (1,)], 3)
