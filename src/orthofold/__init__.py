@@ -7,114 +7,3 @@ of concrete actions.
 """
 
 __version__ = "0.1.0"
-
-from .actions import (
-    ActionModel,
-    ManifoldModel,
-    act,
-    catalog,
-    catalog_ids,
-    get_action,
-    parse_point,
-)
-from .errors import (
-    ClassificationError,
-    CorrespondenceError,
-    InputError,
-    OrthofoldError,
-    PointSpecError,
-    RepExtractionError,
-    StabilizerError,
-    UnknownActionError,
-)
-from .isotropy import (
-    SliceRep,
-    StabilizerData,
-    canonical_weight_rows,
-    normal_slice,
-    reps_equivalent,
-    slice_representation,
-    stabilizer,
-    transport_element,
-)
-from .quotient import (
-    CorrespondenceReport,
-    KleinPartition,
-    LocalModelFingerprint,
-    StratifiedInterval,
-    compare_partitions,
-    correspondence,
-    frontier_check,
-    inverse_klein,
-    klein_equivalent,
-    klein_partition,
-    local_model,
-    orbifold_criterion,
-    quotient_interval_model,
-)
-from .strata import (
-    PartitionOfM,
-    SampleCloud,
-    SingularityLabel,
-    build_cloud,
-    classify_singularity,
-    isostabilizer_decomposition,
-    orbit_type_partition,
-    principal_dimension,
-    quotient_dimension,
-    singularity_labels,
-    toric_consistency,
-    toric_depth,
-)
-
-__all__ = [
-    "ActionModel",
-    "ManifoldModel",
-    "act",
-    "catalog",
-    "catalog_ids",
-    "get_action",
-    "parse_point",
-    "ClassificationError",
-    "CorrespondenceError",
-    "InputError",
-    "OrthofoldError",
-    "PointSpecError",
-    "RepExtractionError",
-    "StabilizerError",
-    "UnknownActionError",
-    "SliceRep",
-    "StabilizerData",
-    "canonical_weight_rows",
-    "normal_slice",
-    "reps_equivalent",
-    "slice_representation",
-    "stabilizer",
-    "transport_element",
-    "CorrespondenceReport",
-    "KleinPartition",
-    "LocalModelFingerprint",
-    "StratifiedInterval",
-    "compare_partitions",
-    "correspondence",
-    "frontier_check",
-    "inverse_klein",
-    "klein_equivalent",
-    "klein_partition",
-    "local_model",
-    "orbifold_criterion",
-    "quotient_interval_model",
-    "PartitionOfM",
-    "SampleCloud",
-    "SingularityLabel",
-    "build_cloud",
-    "classify_singularity",
-    "isostabilizer_decomposition",
-    "orbit_type_partition",
-    "principal_dimension",
-    "quotient_dimension",
-    "singularity_labels",
-    "toric_consistency",
-    "toric_depth",
-    "__version__",
-]

@@ -8,7 +8,9 @@ J v = interleave(i z).
 
 Every catalog action is linear in ambient coordinates: an element g of the
 group's canonical representation acts through the ambient matrix amb(g), and
-act(g, x) renormalizes the image representative.
+act(g, x) renormalizes the image representative. An image is compared with
+a target once align has turned its representative, by sign or phase, to lie
+nearest it; the fixer and transport tests all go through it.
 """
 
 from __future__ import annotations
@@ -35,14 +37,6 @@ class ManifoldModel:
     ambient_dim: int
     intrinsic_dim: int
     factors: tuple = ()  # ambient dims of the sphere factors, product kind only
-
-    @property
-    def align_mode(self) -> int:
-        if self.kind == "real_projective":
-            return kernels.ALIGN_SIGN
-        if self.kind == "complex_projective":
-            return kernels.ALIGN_PHASE
-        return kernels.ALIGN_NONE
 
 
 def sphere(n: int) -> ManifoldModel:
@@ -90,6 +84,38 @@ def normalize(m: ManifoldModel, x: np.ndarray) -> np.ndarray:
         out[..., d1:] /= np.linalg.norm(out[..., d1:], axis=-1, keepdims=True)
         return out
     return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+
+def align(m: ManifoldModel, Y: np.ndarray, x: np.ndarray):
+    """Turn each representative row of Y to lie nearest the target x.
+
+    x is one target for every row, or a stack holding one target per row.
+    Returns (a, b, aligned): the unit factor a + ib of each row, its sign
+    on RP^n, its phase on CP^n (where rows with a vanishing inner product
+    keep 1), and 1 elsewhere, and the rows multiplied by it (Y itself
+    where every factor is 1). On CP^n the
+    last axes of Y and x must be contiguous, since they are read as
+    interleaved complex coordinates.
+    """
+
+    def dot(U, v):
+        return U @ v if v.ndim == 1 else np.einsum("bi,bi->b", U, v)
+
+    if m.kind == "real_projective":
+        a = np.where(dot(Y, x) >= 0.0, 1.0, -1.0)
+        return a, np.zeros_like(a), a[..., None] * Y
+    if m.kind == "complex_projective":
+        Yc = Y.view(np.complex128)
+        inner = dot(Yc, x.view(np.complex128).conj())  # conj(<y, x>)
+        re, im = inner.real, -inner.imag
+        mag = np.hypot(re, im)
+        bad = mag < 1e-12
+        safe = np.where(bad, 1.0, mag)
+        a = np.where(bad, 1.0, re / safe)
+        b = np.where(bad, 0.0, im / safe)
+        return a, b, ((a + 1j * b)[..., None] * Yc).view(np.float64)
+    a = np.ones(Y.shape[0])
+    return a, np.zeros_like(a), Y
 
 
 def validate_point(m: ManifoldModel, x: np.ndarray) -> None:
@@ -298,13 +324,12 @@ def differentials(
     """
     m = a.manifold
     Y = normalize(m, np.einsum("bij,bj->bi", amb, np.broadcast_to(x, amb.shape[:2])))
-    fa, fb = kernels._batch_factors(Y, x, m.align_mode)
-    moved = kernels._batch_apply_factors(Y, fa, fb, m.align_mode) - x
-    if np.linalg.norm(moved, axis=1).max() > POINT_EPS:
+    fa, fb, aligned = align(m, Y, x)
+    if np.linalg.norm(aligned - x, axis=1).max() > POINT_EPS:
         raise StabilizerError("element does not stabilize the point")
-    if m.align_mode == kernels.ALIGN_PHASE:
+    if m.kind == "complex_projective":
         amb = fa[:, None, None] * amb + fb[:, None, None] * (ambient_complex_structure(m) @ amb)
-    elif m.align_mode == kernels.ALIGN_SIGN:
+    elif m.kind == "real_projective":
         amb = fa[:, None, None] * amb
     d = np.swapaxes(frame, -1, -2) @ amb @ frame
     # np.allclose's per-entry bound, written out; a NaN entry fails it too

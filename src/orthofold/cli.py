@@ -13,20 +13,18 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 from datetime import datetime, timezone
 from types import SimpleNamespace
 
 import numpy as np
 
-from . import __version__, actions, groups, kernels, numerics, quotient, strata
+from . import __version__, actions, groups, numerics, quotient, strata
 from .errors import (
     ClassificationError,
     CorrespondenceError,
     InputError,
     OrthofoldError,
-    PointSpecError,
     UnknownActionError,
 )
 from .isotropy import ACCEPT_D2, reps_equivalent, slice_representation, stabilizer
@@ -357,8 +355,8 @@ def _point_strata_values(model) -> set:
 
 def _klein_block_of_point(r, point: np.ndarray):
     # the cloud's representatives aligned onto point, as in the fixer test
-    mode = r.action.manifold.align_mode
-    d = np.linalg.norm(kernels._batch_align(r.cloud.points, point, mode), axis=1)
+    aligned = actions.align(r.action.manifold, r.cloud.points, point)[2]
+    d = np.linalg.norm(aligned - point, axis=1)
     i = int(d.argmin())
     return r.klein.block_of()[i] if d[i] <= 1e-7 else None
 
@@ -582,23 +580,11 @@ def cmd_catalog(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_seed(args) -> None:
-    """Fill an omitted --seed from ORTHOFOLD_SEED (default 0)."""
-    if getattr(args, "seed", 0) is not None:
-        return
-    text = os.environ.get("ORTHOFOLD_SEED", "0")
-    try:
-        args.seed = int(text)
-    except ValueError:
-        raise InputError(f"ORTHOFOLD_SEED must be an integer, got {text!r}") from None
-
-
 def _add_common(p: argparse.ArgumentParser, with_samples: bool = True):
     if with_samples:
         p.add_argument("--samples", type=int, default=2000,
                        help="points sampled per action (default 2000)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed for all sampling (default 0, or ORTHOFOLD_SEED)")
+    p.add_argument("--seed", type=int, default=0, help="seed for all sampling (default 0)")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
 
 
@@ -634,12 +620,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _resolve_seed(args)
         return args.func(args)
-    except (UnknownActionError, PointSpecError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except InputError as e:
+    except (UnknownActionError, InputError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except OrthofoldError as e:

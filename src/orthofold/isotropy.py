@@ -7,9 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import groups, kernels
+from . import groups
 from .actions import (
     ActionModel,
+    align,
     ambient_complex_structure,
     differentials,
     infinitesimal_action,
@@ -21,6 +22,12 @@ from .numerics import MATCH_EPS, POINT_EPS, shared_identity, svd_split
 
 # squared chordal distance below which a candidate counts as a fixer
 ACCEPT_D2 = 1e-12
+
+# squared-displacement bound of a transport, which identifies orbits across
+# the cloud: in dense clouds distinct orbits can pass within coarse
+# tolerance of each other, while a genuine closed-form transport lands near
+# machine precision
+TRANSPORT_D2 = 1e-20
 
 
 @dataclass(frozen=True)
@@ -86,7 +93,7 @@ def _byte_rows(a: np.ndarray) -> np.ndarray:
 def _displacement(a: ActionModel, x: np.ndarray, amb: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Squared distance of each image amb_i x from y, the representative aligned."""
     Y = np.einsum("bij,j->bi", amb, x)
-    res = kernels._batch_align(Y, y, a.manifold.align_mode)
+    res = align(a.manifold, Y, y)[2] - y
     return np.einsum("bi,bi->b", res, res)
 
 
@@ -315,24 +322,16 @@ def stabilizer(a: ActionModel, x: np.ndarray) -> StabilizerData:
     )
 
 
-def transport_element(
-    a: ActionModel,
-    x: np.ndarray,
-    y: np.ndarray,
-    accept_d2: float = ACCEPT_D2,
-) -> np.ndarray | None:
+def transport_element(a: ActionModel, x: np.ndarray, y: np.ndarray) -> np.ndarray | None:
     """Group element carrying x onto y, or None when there is none.
 
-    A returned element certifies the points share an orbit. accept_d2
-    bounds its squared displacement; callers identifying orbits in dense
-    clouds pass a near-machine bound, since distinct orbits can pass within
-    coarse tolerance of each other while genuine transports land many
-    orders lower. Every kind is a decision at the accept_d2 cut: finite
-    groups try every element, torus kinds take the particular solution of
-    the angle congruence, and SO(3) takes the Kabsch rotation of the frame
-    of x onto that of y. On CP^2 both frames are first put in gauge normal
-    form, and y's is tried with both signs, since the sign is all the
-    normal form leaves free.
+    A returned element certifies the points share an orbit: its squared
+    displacement is at most TRANSPORT_D2. Every kind is a decision at that
+    cut: finite groups try every element, torus kinds take the particular
+    solution of the angle congruence, and SO(3) takes the Kabsch rotation
+    of the frame of x onto that of y. On CP^2 both frames are first put in
+    gauge normal form, and y's is tried with both signs, since the sign is
+    all the normal form leaves free.
     """
     m = a.manifold
     x = normalize(m, np.asarray(x, dtype=float))
@@ -341,11 +340,10 @@ def transport_element(
     if g.kind == "finite":
         d2 = _displacement(a, x, a.element_ambs, y)
         i = int(np.argmin(d2))
-        cut = min(POINT_EPS, np.sqrt(accept_d2))
-        return g.elements[i].copy() if d2[i] <= cut * cut else None
+        return g.elements[i].copy() if d2[i] <= TRANSPORT_D2 else None
     if g.kind == "torus":
         el = _torus_solutions(g, *_torus_system(a, x, y))[0][:1]
-        return el[0] if float(_displacement(a, x, a.amb_batch(el), y)[0]) <= accept_d2 else None
+        return el[0] if float(_displacement(a, x, a.amb_batch(el), y)[0]) <= TRANSPORT_D2 else None
     if g.kind != "so3":
         raise InputError(f"no transport scheme for group kind {g.kind!r}")
     if a.so3_frame is None:
@@ -358,7 +356,7 @@ def transport_element(
         els = _kabsch(X, Y[None])
     d2 = _displacement(a, x, a.amb_batch(els), y)
     i = int(np.argmin(d2))
-    return els[i] if float(d2[i]) <= accept_d2 else None
+    return els[i] if float(d2[i]) <= TRANSPORT_D2 else None
 
 
 # ---------------------------------------------------------------------------

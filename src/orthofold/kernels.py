@@ -1,6 +1,5 @@
 """Hot numeric kernels: pairwise aligned distances, graph component
-labeling, the representative alignment behind the fixer test, and the
-so(3) generators with their batched exponential.
+labeling, and the so(3) generators with their batched exponential.
 
 Every kernel is vectorized numpy; the loops that remain run over
 coordinates or union-find rounds, never over single entries. A distance
@@ -30,12 +29,6 @@ SO3_GENERATORS = np.array(
         [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
     ]
 )
-
-# Alignment modes of representatives: how an image is brought nearest a target.
-ALIGN_NONE = 0  # spheres, products of spheres, euclidean space
-ALIGN_SIGN = 1  # real projective representatives
-ALIGN_PHASE = 2  # complex projective representatives (interleaved reals)
-
 
 # ---------------------------------------------------------------------------
 # pairwise distances, one block of rows and columns at a time
@@ -213,73 +206,6 @@ def graph_components(edges, n: int) -> np.ndarray:
     for i, j in edges:
         _union(parent, i, j)
     return _roots(parent, np.arange(n))
-
-
-# ---------------------------------------------------------------------------
-# representative alignment
-# ---------------------------------------------------------------------------
-#
-# An image Y of a point counts against a target x once its representative is
-# aligned: flipped in sign on real projective models, turned in phase on
-# complex projective ones, so that it lies nearest x.
-
-
-def _as_complex(U: np.ndarray) -> np.ndarray:
-    """Complex view of rows holding interleaved (real, imaginary) pairs.
-
-    The last axis must be contiguous, as it is for every array the fixer
-    test builds; numpy raises otherwise.
-    """
-    return U.view(np.complex128)
-
-
-def _row_dot(U: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """u . x per row u of U, against one vector x or row by row against a stack."""
-    return U @ x if x.ndim == 1 else np.einsum("bi,bi->b", U, x)
-
-
-def _phase_inner(Y: np.ndarray, x: np.ndarray):
-    """Real and imaginary parts of <y, x> per row, interleaved layout."""
-    inner = _row_dot(_as_complex(Y), _as_complex(x).conj())  # conj(<y, x>)
-    return inner.real, -inner.imag
-
-
-def _batch_factors_mag(Y: np.ndarray, x: np.ndarray, mode: int):
-    """Alignment factors (a, b) plus the inner-product magnitude per row.
-
-    x is the target of every row, or a stack holding one target per row.
-    """
-    if mode == ALIGN_SIGN:
-        a = np.where(_row_dot(Y, x) >= 0.0, 1.0, -1.0)
-        return a, np.zeros_like(a), np.ones_like(a)
-    if mode == ALIGN_PHASE:
-        re, im = _phase_inner(Y, x)
-        mag = np.hypot(re, im)
-        bad = mag < 1e-12
-        safe = np.where(bad, 1.0, mag)
-        a = np.where(bad, 1.0, re / safe)
-        b = np.where(bad, 0.0, im / safe)
-        return a, b, safe
-    ones = np.ones(Y.shape[0])
-    return ones, np.zeros_like(ones), np.ones_like(ones)
-
-
-def _batch_factors(Y: np.ndarray, x: np.ndarray, mode: int):
-    """Per-row alignment factors (a, b) meaning multiplication by a + i b."""
-    a, b, _ = _batch_factors_mag(Y, x, mode)
-    return a, b
-
-
-def _batch_apply_factors(Y: np.ndarray, a: np.ndarray, b: np.ndarray, mode: int):
-    if mode == ALIGN_PHASE:
-        out = (a + 1j * b)[..., None] * _as_complex(Y)
-        return out.view(np.float64)
-    return a[..., None] * Y
-
-
-def _batch_align(Y: np.ndarray, x: np.ndarray, mode: int):
-    a, b = _batch_factors(Y, x, mode)
-    return _batch_apply_factors(Y, a, b, mode) - x
 
 
 def rodrigues_batch(W: np.ndarray) -> np.ndarray:

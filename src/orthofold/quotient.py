@@ -107,11 +107,6 @@ class StratifiedInterval:
 # so it sits in a wide gap
 _FIX_EPS = 1e-5
 
-# squared-displacement bound when identifying orbits across the cloud: in
-# dense clouds distinct orbits can pass within coarse tolerance of each
-# other, while a genuine closed-form transport lands near machine precision
-_IDENTIFY_D2 = 1e-20
-
 
 def _fixed_space(w: np.ndarray) -> np.ndarray:
     """Fixed vectors of one orthogonal matrix, cut at an absolute threshold."""
@@ -431,7 +426,7 @@ def klein_partition(cloud: SampleCloud) -> KleinPartition:
                 # so a visible gap rules the pair out without a transport solve
                 if inv_raw.shape[1] and np.abs(inv_raw[i] - inv_raw[j]).max() > 1e-7:
                     continue
-                g = transport_element(a, cloud.points[i], cloud.points[j], accept_d2=_IDENTIFY_D2)
+                g = transport_element(a, cloud.points[i], cloud.points[j])
                 if g is not None:
                     parent[find(j)] = find(i)
     orbit_members: dict = {}

@@ -15,8 +15,8 @@ closed-form stabilizers and transports, the fingerprint rows built one
 stabilizer at a time, a partition check and the aligned distance of two
 points. None of it imports the numeric routines under
 test beyond the public model types, the slice frame helpers, the
-alignment kernels the displacement test shares, and the orthonormalization
-the fingerprint rows must reproduce bit for bit.
+representative alignment the displacement test shares, and the
+orthonormalization the fingerprint rows must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -259,7 +259,7 @@ def distance(m, x: np.ndarray, y: np.ndarray) -> float:
     coordinate-wise, so gaps far below sqrt(machine epsilon) are resolved.
     """
     x, y = (np.ascontiguousarray(v, dtype=np.float64) for v in (x, y))
-    return float(np.linalg.norm(kernels._batch_align(y[None], x, m.align_mode)))
+    return float(np.linalg.norm(aligned_residual(m, y[None], x)))
 
 
 def full_distance_matrix(m, pts: np.ndarray) -> np.ndarray:
@@ -667,7 +667,28 @@ def batch_apply_tx(TX: np.ndarray, G: np.ndarray) -> np.ndarray:
     return G.reshape(G.shape[0], 9) @ TX.reshape(TX.shape[0], 9).T
 
 
-def batch_jacobian_columns(dY, Y_aligned, x, fa, fb, mag, mode):
+def aligned_residual(m, Y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The rows of Y aligned onto x, minus x."""
+    return actions.align(m, Y, x)[2] - x
+
+
+def phase_inner(Y: np.ndarray, x: np.ndarray):
+    """Real and imaginary parts of <y, x> per row, interleaved layout."""
+    inner = Y.view(np.complex128) @ x.view(np.complex128).conj()  # conj(<y, x>)
+    return inner.real, -inner.imag
+
+
+def phase_magnitude(m, Y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """|<y, x>| per row on CP^n, the divisor of the phase factor's derivative:
+    1 where it falls below the 1e-12 at which actions.align keeps the factor
+    1, and 1 on every other model."""
+    if m.kind != "complex_projective":
+        return np.ones(Y.shape[:-1])
+    mag = np.hypot(*phase_inner(Y, x))
+    return np.where(mag < 1e-12, 1.0, mag)
+
+
+def batch_jacobian_columns(dY, Y_aligned, x, fa, fb, mag, m):
     """Column of the aligned-residual Jacobian for one parameter direction.
 
     The aligned residual is lambda(g) y(g) - x; for phase alignment the
@@ -676,21 +697,21 @@ def batch_jacobian_columns(dY, Y_aligned, x, fa, fb, mag, mode):
     frozen factor applies there. The factors broadcast against the leading
     axes of dY, so one call can fill several directions.
     """
-    col = kernels._batch_apply_factors(dY, fa, fb, mode)
-    if mode == kernels.ALIGN_PHASE:
-        re, im = kernels._phase_inner(dY, x)
-        coef = (fa * im - fb * re) / mag
-        colc = kernels._as_complex(col)
-        colc += (1j * coef)[..., None] * kernels._as_complex(Y_aligned)
-    return col
+    if m.kind != "complex_projective":
+        return fa[..., None] * dY
+    colc = (fa + 1j * fb)[..., None] * dY.view(np.complex128)
+    re, im = phase_inner(dY, x)
+    coef = (fa * im - fb * re) / mag
+    colc += (1j * coef)[..., None] * Y_aligned.view(np.complex128)
+    return colc.view(np.float64)
 
 
-def so3_refine(TX: np.ndarray, x: np.ndarray, G0: np.ndarray, mode: int, max_iter: int = 30):
+def so3_refine(TX: np.ndarray, x: np.ndarray, G0: np.ndarray, m, max_iter: int = 30):
     """Refine rotation candidates toward elements carrying x's tensor onto x.
 
     Minimizes |align(A(g) x0) - x|^2 over g in SO(3) from every row of G0 at
-    once, with (A(g) x0)[p] = sum_jk TX[p, j, k] g[j, k]. Returns (refined
-    candidates, squared aligned residuals).
+    once, with (A(g) x0)[p] = sum_jk TX[p, j, k] g[j, k], aligned as on the
+    manifold m. Returns (refined candidates, squared aligned residuals).
     """
     TX = np.ascontiguousarray(TX, dtype=np.float64)
     x = np.ascontiguousarray(x, dtype=np.float64)
@@ -703,7 +724,7 @@ def so3_refine(TX: np.ndarray, x: np.ndarray, G0: np.ndarray, mode: int, max_ite
     ops = stacked.reshape(4 * n, 9).T
     G = G0.copy()
     B = G.shape[0]
-    R = kernels._batch_align(batch_apply_tx(TX, G), x, mode)
+    R = aligned_residual(m, batch_apply_tx(TX, G), x)
     d2 = np.einsum("bp,bp->b", R, R)
     mu = np.full(B, 1e-3)
     active = np.ones(B, dtype=bool)
@@ -715,10 +736,10 @@ def so3_refine(TX: np.ndarray, x: np.ndarray, G0: np.ndarray, mode: int, max_ite
         idx = np.nonzero(active)[0]
         Z = (G[idx].reshape(idx.size, 9) @ ops).reshape(idx.size, 4, n)
         Ya = Z[:, 0]
-        fa, fb, mag = kernels._batch_factors_mag(Ya, x, mode)
-        Yal = kernels._batch_apply_factors(Ya, fa, fb, mode)
+        fa, fb, Yal = actions.align(m, Ya, x)
+        mag = phase_magnitude(m, Ya, x)
         J = batch_jacobian_columns(
-            Z[:, 1:], Yal[:, None], x, fa[:, None], fb[:, None], mag[:, None], mode
+            Z[:, 1:], Yal[:, None], x, fa[:, None], fb[:, None], mag[:, None], m
         )
         Ra = R[idx]
         JtJ = J @ J.transpose(0, 2, 1)
@@ -736,7 +757,7 @@ def so3_refine(TX: np.ndarray, x: np.ndarray, G0: np.ndarray, mode: int, max_ite
                 mua[todo] *= 10.0
                 continue
             Gt = kernels.rodrigues_batch(delta) @ G[idx[todo]]
-            Rt = kernels._batch_align(batch_apply_tx(TX, Gt), x, mode)
+            Rt = aligned_residual(m, batch_apply_tx(TX, Gt), x)
             d2t = np.einsum("bp,bp->b", Rt, Rt)
             sub = np.nonzero(todo)[0]
             better = d2t < d2[idx[todo]]
@@ -825,14 +846,14 @@ def stabilizer_reference(a, x, pool: np.ndarray) -> isotropy.StabilizerData:
     frame = actions.tangent_frame(m, x)
     odim, lie_kernel, slice_basis = svd_split(actions.infinitesimal_action(a, x, frame))
     tx = tx_tensor(a, x)
-    coarse = kernels._batch_align(batch_apply_tx(tx, pool), x, m.align_mode)
+    coarse = aligned_residual(m, batch_apply_tx(tx, pool), x)
     best = coarse_top(np.einsum("bi,bi->b", coarse, coarse), POOL_SIZE)
     cands = np.concatenate([np.eye(3)[None], pool[best]])
-    refined, d2 = so3_refine(tx, x, cands, m.align_mode)
+    refined, d2 = so3_refine(tx, x, cands, m)
     mask = d2 <= isotropy.ACCEPT_D2
     wits = dedup_witnesses(g, refined[mask], d2[mask], lie_kernel)
     if wits.shape[0] > 1:
-        polished, _ = so3_refine(tx, x, wits[1:], m.align_mode, max_iter=60)
+        polished, _ = so3_refine(tx, x, wits[1:], m, max_iter=60)
         wits = np.concatenate([wits[:1], polished])
     return isotropy.StabilizerData(
         point=x,
@@ -846,15 +867,15 @@ def stabilizer_reference(a, x, pool: np.ndarray) -> isotropy.StabilizerData:
     )
 
 
-def transport_reference(a, x, y, pool: np.ndarray, accept_d2: float = 1e-12):
+def transport_reference(a, x, y, pool: np.ndarray):
     """An SO(3) element carrying x onto y by search, or None when the
-    TRANSPORT_POOL best candidates all refine to above accept_d2."""
+    TRANSPORT_POOL best candidates all refine to above isotropy.TRANSPORT_D2."""
     m = a.manifold
     x = actions.normalize(m, np.asarray(x, dtype=float))
     y = actions.normalize(m, np.asarray(y, dtype=float))
     tx = tx_tensor(a, x)
-    coarse = kernels._batch_align(batch_apply_tx(tx, pool), y, m.align_mode)
+    coarse = aligned_residual(m, batch_apply_tx(tx, pool), y)
     best = coarse_top(np.einsum("bi,bi->b", coarse, coarse), TRANSPORT_POOL)
-    refined, d2 = so3_refine(tx, y, pool[best], m.align_mode, max_iter=60)
+    refined, d2 = so3_refine(tx, y, pool[best], m, max_iter=60)
     i = int(np.argmin(d2))
-    return refined[i].copy() if float(d2[i]) <= accept_d2 else None
+    return refined[i].copy() if float(d2[i]) <= isotropy.TRANSPORT_D2 else None

@@ -1,5 +1,10 @@
 """Manifold models, the action catalog and point parsing."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -185,3 +190,17 @@ def test_sample_points_live_on_the_manifold():
         pts = actions.sample_points(m, 25, rng)
         for p in pts:
             actions.validate_point(m, p)
+
+
+def test_importing_actions_loads_no_later_layer():
+    # the package holds no re-exports, so a layer loads only what it imports
+    probe = "import sys, orthofold.actions\nprint(' '.join(sorted(sys.modules)))"
+    src = str(Path(actions.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "orthofold.actions" in loaded
+    assert not loaded & {"orthofold.isotropy", "orthofold.strata", "orthofold.quotient"}

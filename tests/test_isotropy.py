@@ -143,11 +143,28 @@ def test_transport_so3_with_strict_acceptance():
     y = actions.act(a, g, x)
     # the near-machine bound used for orbit identification must still
     # accept a genuine transport
-    el = isotropy.transport_element(a, x, y, accept_d2=1e-20)
+    el = isotropy.transport_element(a, x, y)
     assert el is not None
     assert distance(a.manifold, actions.act(a, el, x), y) < 1e-9
     # a pair with a different factor angle sits on a different orbit
     off = actions.normalize(a.manifold, np.concatenate([y[:3], y[:3] + 0.3 * y[3:]]))
+    assert isotropy.transport_element(a, x, off) is None
+
+
+@pytest.mark.parametrize("name", ["s2-zn(5)", "cn-tn(2)", "s2xs2-so3"])
+def test_transport_refuses_a_target_above_the_transport_cut(name):
+    # a target moved off the orbit by 1e-8 lies within the fixer cut
+    # ACCEPT_D2 of the image of x, but above TRANSPORT_D2: no transport
+    a = actions.get_action(name)
+    rng = np.random.default_rng(21)
+    x = actions.sample_points(a.manifold, 1, rng)[0]
+    # the third draw: finite groups list every element, the identity first
+    el = groups.sample_elements(a.group, 3, rng)[2]
+    y = actions.act(a, el, x)
+    assert isotropy.transport_element(a, x, y) is not None
+    off = actions.normalize(a.manifold, y + 1e-8 * rng.normal(size=y.size))
+    d2 = float(isotropy._displacement(a, x, a.amb(el)[None], off)[0])
+    assert isotropy.TRANSPORT_D2 < d2 <= isotropy.ACCEPT_D2
     assert isotropy.transport_element(a, x, off) is None
 
 
@@ -230,17 +247,17 @@ def test_so3_exact_path_matches_the_search_reference(monkeypatch, name, seed):
     # found whenever the search finds one
     tried = []
 
-    def recording(a_, x, y, **kw):
-        el = isotropy.transport_element(a_, x, y, **kw)
-        tried.append((x, y, kw.get("accept_d2", isotropy.ACCEPT_D2), el is not None))
+    def recording(a_, x, y):
+        el = isotropy.transport_element(a_, x, y)
+        tried.append((x, y, el is not None))
         return el
 
     monkeypatch.setattr(quotient, "transport_element", recording)
     quotient.klein_partition(cloud)
     assert any(found for *_, found in tried)
-    for x, y, accept_d2, found in tried:
+    for x, y, found in tried:
         if not found:
-            assert transport_reference(a, x, y, pool, accept_d2) is None
+            assert transport_reference(a, x, y, pool) is None
 
 
 def test_transport_circle_group():
@@ -370,7 +387,7 @@ def test_torus_transport_is_exact(name):
         if a.manifold.kind == "complex_projective":
             # another representative of the same point: a global phase
             y = actions.from_complex(np.exp(1j * rng.uniform(0, 6.3)) * actions.to_complex(y))
-        el = isotropy.transport_element(a, x, y, accept_d2=1e-20)
+        el = isotropy.transport_element(a, x, y)
         assert el is not None
         # distance aligns the phase before differencing, so it
         # resolves the exact transport far below sqrt(machine epsilon)

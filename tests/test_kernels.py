@@ -2,7 +2,8 @@
 
 The SO(3) Levenberg-Marquardt search left the package for tests/oracles.py,
 where it serves as the reference of the closed-form stabilizers; its tests
-stay here, next to the alignment kernels it shares with the fixer test.
+stay here, with those of actions.align, the representative alignment it
+shares with the fixer test.
 """
 
 import numpy as np
@@ -176,7 +177,7 @@ def test_so3_refine_reaches_the_target():
     bump = kernels.rodrigues_batch(rng.normal(scale=3e-2, size=(1, 3)))[0]
     start = (bump @ true)[None]
     tx = oracles.tx_tensor(a, x)
-    refined, d2 = oracles.so3_refine(tx, y, start, a.manifold.align_mode, max_iter=60)
+    refined, d2 = oracles.so3_refine(tx, y, start, a.manifold, max_iter=60)
     assert float(d2[0]) < 1e-16
     assert np.allclose(refined[0] @ refined[0].T, np.eye(3), atol=1e-10)
 
@@ -192,11 +193,11 @@ def _ref_phase_inner(Y, x):
     return yr @ xr + yi @ xi, yr @ xi - yi @ xr
 
 
-def _ref_factors_mag(Y, x, mode):
-    if mode == kernels.ALIGN_SIGN:
+def _ref_factors_mag(Y, x, kind):
+    if kind == "real_projective":
         a = np.where(Y @ x >= 0.0, 1.0, -1.0)
         return a, np.zeros_like(a), np.ones_like(a)
-    if mode == kernels.ALIGN_PHASE:
+    if kind == "complex_projective":
         re, im = _ref_phase_inner(Y, x)
         mag = np.hypot(re, im)
         bad = mag < 1e-12
@@ -206,8 +207,8 @@ def _ref_factors_mag(Y, x, mode):
     return ones, np.zeros_like(ones), np.ones_like(ones)
 
 
-def _ref_apply_factors(Y, a, b, mode):
-    if mode == kernels.ALIGN_PHASE:
+def _ref_apply_factors(Y, a, b, kind):
+    if kind == "complex_projective":
         out = np.empty_like(Y)
         out[:, 0::2] = a[:, None] * Y[:, 0::2] - b[:, None] * Y[:, 1::2]
         out[:, 1::2] = b[:, None] * Y[:, 0::2] + a[:, None] * Y[:, 1::2]
@@ -215,9 +216,9 @@ def _ref_apply_factors(Y, a, b, mode):
     return a[:, None] * Y
 
 
-def _ref_jacobian_column(dY, Yal, x, fa, fb, mag, mode):
-    col = _ref_apply_factors(dY, fa, fb, mode)
-    if mode == kernels.ALIGN_PHASE:
+def _ref_jacobian_column(dY, Yal, x, fa, fb, mag, kind):
+    col = _ref_apply_factors(dY, fa, fb, kind)
+    if kind == "complex_projective":
         re, im = _ref_phase_inner(dY, x)
         coef = (fa * im - fb * re) / mag
         rot = np.empty_like(Yal)
@@ -231,16 +232,16 @@ def _ref_apply_tx(TX, G):
     return np.einsum("pjk,bjk->bp", TX, G)
 
 
-def _ref_align(Y, x, mode):
-    a, b, _ = _ref_factors_mag(Y, x, mode)
-    return _ref_apply_factors(Y, a, b, mode) - x
+def _ref_align(Y, x, kind):
+    a, b, _ = _ref_factors_mag(Y, x, kind)
+    return _ref_apply_factors(Y, a, b, kind) - x
 
 
-def _ref_so3_refine(TX, x, G0, mode, max_iter=30):
+def _ref_so3_refine(TX, x, G0, kind, max_iter=30):
     # one apply per Jacobian direction, interleaved alignment, per-row LM
     gens = kernels.SO3_GENERATORS
     G = G0.copy()
-    R = _ref_align(_ref_apply_tx(TX, G), x, mode)
+    R = _ref_align(_ref_apply_tx(TX, G), x, kind)
     d2 = np.einsum("bp,bp->b", R, R)
     mu = np.full(G.shape[0], 1e-3)
     active = np.ones(G.shape[0], dtype=bool)
@@ -252,12 +253,12 @@ def _ref_so3_refine(TX, x, G0, mode, max_iter=30):
         idx = np.nonzero(active)[0]
         Ga = G[idx]
         Ya = _ref_apply_tx(TX, Ga)
-        fa, fb, mag = _ref_factors_mag(Ya, x, mode)
-        Yal = _ref_apply_factors(Ya, fa, fb, mode)
+        fa, fb, mag = _ref_factors_mag(Ya, x, kind)
+        Yal = _ref_apply_factors(Ya, fa, fb, kind)
         J = np.empty((idx.size, x.size, 3))
         for i in range(3):
             Yi = _ref_apply_tx(TX, np.einsum("al,blc->bac", gens[i], Ga))
-            J[:, :, i] = _ref_jacobian_column(Yi, Yal, x, fa, fb, mag, mode)
+            J[:, :, i] = _ref_jacobian_column(Yi, Yal, x, fa, fb, mag, kind)
         JtJ = np.einsum("bpi,bpj->bij", J, J)
         Jtr = np.einsum("bpi,bp->bi", J, R[idx])
         improved = np.zeros(idx.size, dtype=bool)
@@ -273,7 +274,7 @@ def _ref_so3_refine(TX, x, G0, mode, max_iter=30):
                 mua[todo] *= 10.0
                 continue
             Gt = kernels.rodrigues_batch(delta) @ G[idx[todo]]
-            Rt = _ref_align(_ref_apply_tx(TX, Gt), x, mode)
+            Rt = _ref_align(_ref_apply_tx(TX, Gt), x, kind)
             d2t = np.einsum("bp,bp->b", Rt, Rt)
             sub = np.nonzero(todo)[0]
             better = d2t < d2[idx[todo]]
@@ -301,8 +302,10 @@ def test_batch_apply_tx_matches_einsum():
         assert np.abs(got - _ref_apply_tx(TX, G)).max() < 1e-13
 
 
-@pytest.mark.parametrize("mode", [kernels.ALIGN_NONE, kernels.ALIGN_SIGN, kernels.ALIGN_PHASE])
-def test_phase_helpers_match_interleaved_reference(mode):
+@pytest.mark.parametrize("m", [
+    actions.sphere(5), actions.real_projective(5), actions.complex_projective(2),
+], ids=lambda m: m.kind)
+def test_align_matches_interleaved_reference(m):
     rng = np.random.default_rng(12)
     x = rng.normal(size=6)
     x /= np.linalg.norm(x)
@@ -315,29 +318,33 @@ def test_phase_helpers_match_interleaved_reference(mode):
         Y[row, 0::2], Y[row, 1::2] = zc.real, zc.imag
     dY = rng.normal(size=(30, 6))
 
-    re, im = kernels._phase_inner(Y, x)
+    re, im = oracles.phase_inner(Y, x)
     ref_re, ref_im = _ref_phase_inner(Y, x)
     assert np.abs(re - ref_re).max() < 1e-14 and np.abs(im - ref_im).max() < 1e-14
 
-    fa, fb, mag = kernels._batch_factors_mag(Y, x, mode)
-    ref = _ref_factors_mag(Y, x, mode)
+    fa, fb, Yal = actions.align(m, Y, x)
+    mag = oracles.phase_magnitude(m, Y, x)
+    ref = _ref_factors_mag(Y, x, m.kind)
     for got, want in zip((fa, fb, mag), ref):
         assert np.abs(got - want).max() < 1e-13
-    if mode == kernels.ALIGN_PHASE:
+    if m.kind == "complex_projective":
         assert np.array_equal(mag[:2], [1.0, 1.0]) and np.array_equal(fa[:2], [1.0, 1.0])
         assert np.array_equal(fb[:2], [0.0, 0.0]) and (mag[2:] > 1e-3).all()
 
-    Yal = kernels._batch_apply_factors(Y, fa, fb, mode)
-    assert np.abs(Yal - _ref_apply_factors(Y, fa, fb, mode)).max() < 1e-13
-    col = oracles.batch_jacobian_columns(dY, Yal, x, fa, fb, mag, mode)
-    assert np.abs(col - _ref_jacobian_column(dY, Yal, x, fa, fb, mag, mode)).max() < 1e-13
+    assert np.abs(Yal - _ref_apply_factors(Y, fa, fb, m.kind)).max() < 1e-13
+    col = oracles.batch_jacobian_columns(dY, Yal, x, fa, fb, mag, m)
+    assert np.abs(col - _ref_jacobian_column(dY, Yal, x, fa, fb, mag, m.kind)).max() < 1e-13
     # several directions at once: factors broadcast over a middle axis
     stacked = oracles.batch_jacobian_columns(
         np.stack([dY, 2.0 * dY], axis=1), Yal[:, None], x,
-        fa[:, None], fb[:, None], mag[:, None], mode,
+        fa[:, None], fb[:, None], mag[:, None], m,
     )
     assert np.abs(stacked[:, 0] - col).max() < 1e-13
-    assert np.abs(kernels._batch_align(Y, x, mode) - _ref_align(Y, x, mode)).max() < 1e-13
+    assert np.abs(Yal - x - _ref_align(Y, x, m.kind)).max() < 1e-13
+    # one target per row aligns as the shared target does, away from the
+    # two rows whose inner product vanishes and may round either way
+    per_row = actions.align(m, Y, np.ascontiguousarray(np.broadcast_to(x, Y.shape)))[2]
+    assert np.abs(per_row[2:] - Yal[2:]).max() < 1e-13
 
 
 @pytest.mark.parametrize("name, special", [
@@ -352,10 +359,9 @@ def test_so3_refine_matches_reference_accepted_set(name, special):
         x = a.special_points(rng)[special]
     x = actions.normalize(a.manifold, x)
     tx = oracles.tx_tensor(a, x)
-    mode = a.manifold.align_mode
     G0 = np.concatenate([np.eye(3)[None], groups.sample_elements(a.group, 512, rng)])
-    G, d2 = oracles.so3_refine(tx, x, G0, mode)
-    G_ref, d2_ref = _ref_so3_refine(tx, x, G0, mode)
+    G, d2 = oracles.so3_refine(tx, x, G0, a.manifold)
+    G_ref, d2_ref = _ref_so3_refine(tx, x, G0, a.manifold.kind)
     accepted = d2 <= isotropy.ACCEPT_D2
     assert np.array_equal(accepted, d2_ref <= isotropy.ACCEPT_D2)
     assert accepted.sum() >= (1 if special is None else 50)
