@@ -118,18 +118,25 @@ def align(m: ManifoldModel, Y: np.ndarray, x: np.ndarray):
     return a, np.zeros_like(a), Y
 
 
-def validate_point(m: ManifoldModel, x: np.ndarray) -> None:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (m.ambient_dim,):
-        raise InputError(f"point of shape {x.shape}, expected ({m.ambient_dim},)")
-    if not np.all(np.isfinite(x)):
+def validate_points(m: ManifoldModel, X: np.ndarray) -> None:
+    """Raise InputError unless every row of the stack X is a representative:
+    of the ambient shape, finite, and of unit norm (per sphere factor on
+    products) within MATCH_EPS."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.shape[1:] != (m.ambient_dim,):
+        raise InputError(f"point of shape {X.shape[1:]}, expected ({m.ambient_dim},)")
+    if not np.all(np.isfinite(X)):
         raise InputError("point has non-finite entries")
     if m.kind == "product_spheres":
         d1 = m.factors[0]
-        if max(abs(np.linalg.norm(x[:d1]) - 1.0), abs(np.linalg.norm(x[d1:]) - 1.0)) > MATCH_EPS:
+        off = np.maximum(
+            np.abs(np.linalg.norm(X[:, :d1], axis=1) - 1.0),
+            np.abs(np.linalg.norm(X[:, d1:], axis=1) - 1.0),
+        )
+        if np.any(off > MATCH_EPS):
             raise InputError("product-sphere representative factors must be unit vectors")
     elif m.kind != "euclidean":
-        if abs(np.linalg.norm(x) - 1.0) > MATCH_EPS:
+        if np.any(np.abs(np.linalg.norm(X, axis=1) - 1.0) > MATCH_EPS):
             raise InputError("representative must be a unit vector")
 
 
@@ -182,50 +189,70 @@ def sort_key(m: ManifoldModel, pts: np.ndarray) -> np.ndarray:
     return widest_coordinate(pts)
 
 
-def _householder_frame(x: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the hyperplane orthogonal to the unit vector x."""
-    n = x.size
-    s = 1.0 if x[0] >= 0.0 else -1.0
-    u = x.copy()
-    u[0] += s
+def _row_dots(U: np.ndarray) -> np.ndarray:
+    """u^H u of each row of U, by the same dot product as u.conj() @ u."""
+    return (U.conj()[:, None, :] @ U[:, :, None])[:, 0, 0]
+
+
+def _householder_frames(X: np.ndarray) -> np.ndarray:
+    """Orthonormal bases (columns) of the hyperplanes orthogonal to the unit
+    rows of X, as a (B, n, n - 1) stack."""
+    n = X.shape[1]
+    U = X.copy()
+    U[:, 0] += np.where(X[:, 0] >= 0.0, 1.0, -1.0)
     # the reflection I - 2 u u^T / |u|^2 without its first column, x's image
-    return np.eye(n)[:, 1:] - 2.0 * np.outer(u, u[1:]) / float(u @ u)
+    outer = U[:, :, None] * U[:, None, 1:]
+    return np.eye(n)[:, 1:] - 2.0 * outer / _row_dots(U)[:, None, None]
 
 
-def _complex_householder_frame(z: np.ndarray) -> np.ndarray:
-    """Complex orthonormal basis (columns) of the hyperplane orthogonal to z."""
-    n = z.size
-    s = z[0] / abs(z[0]) if abs(z[0]) > 1e-12 else 1.0 + 0.0j
-    u = z.copy()
-    u[0] += s
-    h = np.eye(n, dtype=complex) - 2.0 * np.outer(u, u.conj()) / complex(u.conj() @ u)
-    return h[:, 1:]
+def _complex_householder_frames(Z: np.ndarray) -> np.ndarray:
+    """Complex orthonormal bases (columns) of the hyperplanes orthogonal to
+    the rows of Z, as a (B, n, n - 1) stack. The reflection's sign is the
+    phase of z_0, or 1 when |z_0| <= 1e-12."""
+    n = Z.shape[1]
+    z0 = Z[:, 0]
+    mag = np.hypot(z0.real, z0.imag)
+    big = mag > 1e-12
+    U = Z.copy()
+    U[:, 0] += np.where(big, z0 / np.where(big, mag, 1.0), 1.0 + 0.0j)
+    outer = U[:, :, None] * U.conj()[:, None, :]
+    h = np.eye(n, dtype=complex) - 2.0 * outer / _row_dots(U)[:, None, None]
+    return h[:, :, 1:]
+
+
+def tangent_frames(m: ManifoldModel, X: np.ndarray) -> np.ndarray:
+    """Orthonormal bases of the horizontal tangent spaces at a stack of
+    representatives, validated first.
+
+    Returns a (B, ambient_dim, intrinsic_dim) stack whose columns are ambient
+    vectors: orthogonal to x on spheres, to x and Jx on complex projective
+    models (where consecutive columns are J-paired), and the standard basis
+    in the euclidean case. Every operation is row by row, so a row does not
+    depend on the rest of the stack: it is bit for bit tangent_frame of its
+    point.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    validate_points(m, X)
+    B, N = X.shape
+    if m.kind == "euclidean":
+        return np.tile(np.eye(N), (B, 1, 1))
+    if m.kind in ("sphere", "real_projective"):
+        return _householder_frames(X)
+    if m.kind == "product_spheres":
+        d1 = m.factors[0]
+        out = np.zeros((B, N, m.intrinsic_dim))
+        out[:, :d1, : d1 - 1] = _householder_frames(X[:, :d1])
+        out[:, d1:, d1 - 1 :] = _householder_frames(X[:, d1:])
+        return out
+    # complex projective: realified complex frames, J-pairs adjacent
+    fz = np.swapaxes(_complex_householder_frames(to_complex(X)), 1, 2)
+    pairs = from_complex(np.stack([fz, 1j * fz], axis=2)).reshape(B, -1, N)
+    return np.ascontiguousarray(np.swapaxes(pairs, 1, 2))
 
 
 def tangent_frame(m: ManifoldModel, x: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the horizontal tangent space at a representative.
-
-    Columns are ambient vectors: orthogonal to x on spheres, to x and Jx on
-    complex projective models (where consecutive columns are J-paired), and
-    the standard basis in the euclidean case.
-    """
-    validate_point(m, x)
-    if m.kind == "euclidean":
-        return np.eye(m.ambient_dim)
-    if m.kind in ("sphere", "real_projective"):
-        return _householder_frame(x)
-    if m.kind == "product_spheres":
-        d1 = m.factors[0]
-        f1 = _householder_frame(x[:d1])
-        f2 = _householder_frame(x[d1:])
-        out = np.zeros((m.ambient_dim, m.intrinsic_dim))
-        out[:d1, : f1.shape[1]] = f1
-        out[d1:, f1.shape[1] :] = f2
-        return out
-    # complex projective: realified complex frame, J-pairs adjacent
-    fz = _complex_householder_frame(to_complex(x)).T
-    pairs = from_complex(np.stack([fz, 1j * fz], axis=1)).reshape(-1, m.ambient_dim)
-    return np.ascontiguousarray(pairs.T)
+    """tangent_frames of one representative."""
+    return tangent_frames(m, np.asarray(x, dtype=np.float64)[None])[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -254,9 +281,13 @@ class IntervalModel:
     projection: Callable  # (B, N) representatives -> (B,) values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ActionModel:
-    """A smooth linear action of a compact matrix group on a manifold model."""
+    """A smooth linear action of a compact matrix group on a manifold model.
+
+    Actions compare and hash by identity, so work that depends on the action
+    alone can be cached per action.
+    """
 
     name: str
     group: groups.GroupDescriptor

@@ -5,6 +5,10 @@ battery over catalog actions, one PASS/FAIL line per check), classify (a
 single user-specified point), catalog (list the built-in actions). Reports
 are JSON-shaped with a stable field order and a sha256 trailer over the
 payload region, so identical invocations are byte-comparable.
+
+The pipeline layers (isotropy, strata, quotient) are imported inside the
+functions that use them and reached through their module attributes at
+call time, so catalog loads only actions and what it imports.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import __version__, actions, groups, numerics, quotient, strata
+from . import __version__, actions, groups, numerics
 from .errors import (
     ClassificationError,
     CorrespondenceError,
@@ -27,7 +31,6 @@ from .errors import (
     OrthofoldError,
     UnknownActionError,
 )
-from .isotropy import ACCEPT_D2, reps_equivalent, slice_representation, stabilizer
 from .seeding import rng_for
 
 SCHEMA_VERSION = "2"
@@ -135,6 +138,8 @@ class _CheckFailure(OrthofoldError):
 
 def run_pipeline(a, samples: int, seed: int) -> SimpleNamespace:
     """Every derived structure of one action, computed once."""
+    from . import quotient, strata
+
     cloud = strata.build_cloud(a, samples, seed=seed)
     orbit_type = strata.orbit_type_partition(cloud)
     iso = strata.isostabilizer_decomposition(cloud)
@@ -215,6 +220,8 @@ def _interval_doc(model) -> dict:
 
 
 def _analysis_payload(r, samples: int, seed: int) -> dict:
+    from . import strata
+
     a = r.action
     cloud = r.cloud
     sing = {}
@@ -286,6 +293,8 @@ def _check(results, name, ok, detail=""):
 
 
 def _generic_checks(r, results, seed: int):
+    from . import quotient
+
     a = r.action
     cloud = r.cloud
     lhs = cloud.quotient_dims + cloud.orbit_dims
@@ -369,10 +378,14 @@ def _rp2_t0_locus(vals: np.ndarray) -> np.ndarray:
     exactly when 4t <= ACCEPT_D2. Points just above that cut have a trivial
     stabilizer and are labelled so, however small t is.
     """
-    return 4.0 * vals <= ACCEPT_D2
+    from . import isotropy
+
+    return 4.0 * vals <= isotropy.ACCEPT_D2
 
 
 def _pinned_checks(r, results, seed: int):
+    from . import isotropy, quotient, strata
+
     a = r.action
     cloud = r.cloud
     name = a.name
@@ -433,16 +446,16 @@ def _pinned_checks(r, results, seed: int):
         kids = {}
         for label, (spec, want) in fixed.items():
             x = actions.parse_point(a, spec)
-            st = stabilizer(a, x)
-            rep = slice_representation(a, st)
+            st = isotropy.stabilizer(a, x)
+            rep = isotropy.slice_representation(a, st)
             reps[label] = rep
             kids[label] = _klein_block_of_point(r, x)
             _check(results, f"slice-weights-{label}", rep.weights == want,
                    f"got {rep.weights}")
         _check(results, "reps-p0-p2-equivalent",
-               reps_equivalent(reps["P0"], reps["P2"]), "not equivalent")
+               isotropy.reps_equivalent(reps["P0"], reps["P2"]), "not equivalent")
         _check(results, "reps-p0-p1-inequivalent",
-               not reps_equivalent(reps["P0"], reps["P1"]), "unexpectedly equivalent")
+               not isotropy.reps_equivalent(reps["P0"], reps["P1"]), "unexpectedly equivalent")
         same = kids["P0"] is not None and kids["P0"] == kids["P2"]
         other = kids["P1"] is not None and kids["P1"] != kids["P0"]
         _check(results, "p0-p2-share-klein-block", same, f"blocks {kids}")
@@ -540,12 +553,14 @@ def _resolve_point(a, spec: str) -> np.ndarray:
 
 
 def cmd_classify(args) -> int:
+    from . import isotropy, quotient, strata
+
     a = actions.get_action(args.action)
     x = _resolve_point(a, args.point)
     # the probe cloud elects the principal class the singularity label needs
     probe = strata.build_cloud(a, _CLASSIFY_PROBE, seed=args.seed)
-    st = stabilizer(a, x)
-    rep = slice_representation(a, st)
+    st = isotropy.stabilizer(a, x)
+    rep = isotropy.slice_representation(a, st)
     principal = strata.principal_dimension(probe, strata.orbit_type_partition(probe))
     label = strata.classify_singularity(st, principal.subgroup)
     fp = quotient.local_model(a, st, rep, seed=args.seed)

@@ -38,8 +38,9 @@ class StabilizerData:
     of the acting group; witnesses holds one group element per detected
     component, identity first, and witness_ambs their ambient matrices, as
     the fixer test read them. frame is the horizontal tangent frame at the
-    point and slice_basis the frame coordinates of the normal slice; one SVD
-    of the infinitesimal action gives it, lie_kernel and orbit_dim.
+    point and slice_basis the frame coordinates of the normal slice; for a
+    group with a Lie algebra one SVD of the infinitesimal action gives it,
+    lie_kernel and orbit_dim, and for a finite group it is the identity.
     """
 
     point: np.ndarray
@@ -91,8 +92,13 @@ def _byte_rows(a: np.ndarray) -> np.ndarray:
 
 
 def _displacement(a: ActionModel, x: np.ndarray, amb: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Squared distance of each image amb_i x from y, the representative aligned."""
-    Y = np.einsum("bij,j->bi", amb, x)
+    """Squared distance of each image amb_i x from y, the representative aligned.
+
+    The images come from one matrix-vector product with the stack amb
+    flattened to (B * N, N).
+    """
+    n = x.shape[0]
+    Y = (amb.reshape(-1, n) @ x).reshape(-1, n)
     res = align(a.manifold, Y, y)[2] - y
     return np.einsum("bi,bi->b", res, res)
 
@@ -115,16 +121,20 @@ def _witness_order(g: groups.GroupDescriptor) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1024)
-def _finite_stabilizer(g: groups.GroupDescriptor, keep: tuple):
-    """Witnesses and class of the finite stabilizer made of the elements keep.
+def _finite_stabilizer(a: ActionModel, keep: tuple):
+    """Witnesses, their ambient matrices and the class of the finite
+    stabilizer made of the elements keep of a's group.
 
     A finite group has no Lie algebra, so every stabilizer's Lie kernel is
-    empty and the class reads only g and the witnesses: it is keyed on
-    exactly those. The witnesses are shared read-only.
+    empty and the class reads only the group and the witnesses: it is keyed
+    on exactly those, and on the action for the ambient matrices. The arrays
+    are shared read-only.
     """
+    g = a.group
     wits = g.elements[list(keep)]
-    wits.flags.writeable = False
-    return wits, groups.classify_subgroup(g, np.zeros((0, 0)), wits)
+    wambs = a.element_ambs[list(keep)]
+    wits.flags.writeable = wambs.flags.writeable = False
+    return wits, wambs, groups.classify_subgroup(g, np.zeros((0, 0)), wits)
 
 
 def _torus_system(a: ActionModel, x: np.ndarray, y: np.ndarray):
@@ -260,36 +270,44 @@ def _gauge_normal_form(X: np.ndarray) -> np.ndarray:
     return X @ v
 
 
-def stabilizer(a: ActionModel, x: np.ndarray) -> StabilizerData:
+def stabilizer(a: ActionModel, x: np.ndarray, frame: np.ndarray | None = None) -> StabilizerData:
     """Compute the stabilizer of x: Lie kernel, component witnesses, class.
 
-    x is normalized and its tangent frame built, which also validates it.
-    One SVD of the infinitesimal action in that frame gives the orbit
+    frame is the tangent frame of x as actions.tangent_frames built it, x
+    then being a validated representative; without it, x is normalized and
+    framed here, which also validates it. For a group with a Lie algebra,
+    one SVD of the infinitesimal action in that frame gives the orbit
     dimension (its rank), the Lie algebra (its kernel) and the normal slice
-    (the complement of its column span). Every kind is decided in closed
-    form: torus-kind components are solved exactly from the integer
-    congruence of the active ambient pairs, finite groups are enumerated,
-    and SO(3) components are the half-turns of _so3_candidates that pass
-    the fixer test. Each witness has squared displacement at most
-    ACCEPT_D2 (the finite kind tests at POINT_EPS). Work that
-    does not depend on x is done once and shared: a finite group's ambient
-    matrices, witness order and classes, and the torus solve of each
-    congruence.
+    (the complement of its column span); a finite group has orbit dimension
+    0, no kernel and the whole tangent space as slice. Every kind is decided
+    in closed form: torus-kind components are solved exactly from the
+    integer congruence of the active ambient pairs, finite groups are
+    enumerated by one fixer test against the element stack, and SO(3)
+    components are the half-turns of _so3_candidates that pass the fixer
+    test. Each witness has squared displacement at most ACCEPT_D2 (the
+    finite kind tests at POINT_EPS). Only what depends on x is done per
+    call: a finite group's ambient matrices, witness order and the
+    stabilizers of each fixer set, and the torus solve of each congruence,
+    are built once and shared.
     """
     m = a.manifold
-    x = normalize(m, np.asarray(x, dtype=float))
+    if frame is None:
+        x = normalize(m, np.asarray(x, dtype=float))
+        frame = tangent_frame(m, x)
     g = a.group
-    frame = tangent_frame(m, x)
-    odim, lie_kernel, slice_basis = svd_split(infinitesimal_action(a, x, frame))
-    if odim + lie_kernel.shape[1] != g.lie_dim:
-        raise StabilizerError("orbit and kernel dimensions are inconsistent")
+    if g.lie_dim:
+        odim, lie_kernel, slice_basis = svd_split(infinitesimal_action(a, x, frame))
+        if odim + lie_kernel.shape[1] != g.lie_dim:
+            raise StabilizerError("orbit and kernel dimensions are inconsistent")
+    else:
+        # what svd_split gives for the infinitesimal action, a matrix without columns
+        odim, lie_kernel, slice_basis = 0, shared_identity(0), shared_identity(frame.shape[1])
 
     if g.kind == "finite":
         order = _witness_order(g)
         d2 = _displacement(a, x, a.element_ambs, x)
         keep = order[d2[order] <= POINT_EPS * POINT_EPS]
-        wits, cls = _finite_stabilizer(g, tuple(keep.tolist()))
-        wambs = a.element_ambs[keep]
+        wits, wambs, cls = _finite_stabilizer(a, tuple(keep.tolist()))
     elif g.kind == "torus":
         W, _ = _torus_system(a, x, x)
         wits, free = _torus_stabilizer(g, W.shape[1], W.tobytes())
@@ -495,35 +513,67 @@ def slice_representations(a: ActionModel, stabs) -> list[SliceRep]:
     their rotation planes and fixed basis (torus_weights). Finite
     stabilizers have no generators and record witness traces
     (finite_characters). Both keep the slice matrices of the component
-    witnesses. All (point, witness) pairs are read in one batch: their
+    witnesses.
+
+    A trivial stabilizer, whose only witness is the identity and whose Lie
+    kernel is empty, has an exact representation: the identity witness
+    matrix, no planes, and the one character slice_dim. Such points share
+    one read-only SliceRep per (label, slice dimension) and read nothing.
+    The other (point, witness) pairs are read in one batch: their
     differentials at once, from the witnesses' ambient matrices and each
     point's frame, then their slice matrices and characters one slice
     dimension at a time. Only points with a positive-dimensional
     stabilizer read generators and planes, one point at a time.
     """
     stabs = list(stabs)
-    if not stabs:
-        return []
-    counts = np.array([st.witness_ambs.shape[0] for st in stabs])
-    owner = np.repeat(np.arange(len(stabs)), counts)
-    points = np.stack([st.point for st in stabs])
-    frames = np.stack([st.frame for st in stabs])
-    diffs = differentials(
-        a, np.concatenate([st.witness_ambs for st in stabs]), points[owner], frames[owner]
-    )
-    sdims = np.array([st.slice_basis.shape[1] for st in stabs])
     reps = [None] * len(stabs)
+    read = []
+    for i, st in enumerate(stabs):
+        if st.lie_kernel.shape[1] == 0 and st.witness_ambs.shape[0] == 1:
+            reps[i] = _trivial_rep(st.subgroup.label, st.slice_basis.shape[1])
+        else:
+            read.append(i)
+    if not read:
+        return reps
+    counts = np.array([stabs[i].witness_ambs.shape[0] for i in read])
+    owner = np.repeat(np.arange(len(read)), counts)
+    points = np.stack([stabs[i].point for i in read])
+    frames = np.stack([stabs[i].frame for i in read])
+    diffs = differentials(
+        a, np.concatenate([stabs[i].witness_ambs for i in read]), points[owner], frames[owner]
+    )
+    sdims = np.array([stabs[i].slice_basis.shape[1] for i in read])
     for sdim in np.unique(sdims).tolist():
         idx = np.flatnonzero(sdims == sdim)
-        coords = np.repeat(np.stack([stabs[i].slice_basis for i in idx]), counts[idx], axis=0)
+        coords = np.repeat(np.stack([stabs[read[j]].slice_basis for j in idx]), counts[idx], axis=0)
         wmats = np.swapaxes(coords, 1, 2) @ diffs[sdims[owner] == sdim] @ coords
         if np.any(np.abs(np.swapaxes(wmats, 1, 2) @ wmats - np.eye(sdim)) > 1e-6):
             raise StabilizerError("witness does not preserve the slice")
         traces = np.trace(wmats, axis1=1, axis2=2).tolist()
         bounds = np.concatenate([[0], np.cumsum(counts[idx])]).tolist()
-        for i, lo, hi in zip(idx.tolist(), bounds, bounds[1:]):
+        for j, lo, hi in zip(idx.tolist(), bounds, bounds[1:]):
+            i = read[j]
             reps[i] = _slice_rep(a, stabs[i], wmats[lo:hi], traces[lo:hi])
     return reps
+
+
+@functools.lru_cache(maxsize=None)
+def _trivial_rep(label: str, sdim: int) -> SliceRep:
+    """The SliceRep of a trivial stabilizer on a slice of dimension sdim,
+    shared read-only by every such point."""
+    lie_mats, planes, fixed = _no_planes(sdim)
+    return SliceRep(
+        stab_label=label,
+        slice_dim=sdim,
+        rep_kind="finite_characters",
+        weights=(),
+        zero_dims=sdim,
+        planes=planes,
+        fixed=fixed,
+        characters=(float(sdim),),
+        witness_mats=shared_identity(sdim)[None],
+        lie_mats=lie_mats,
+    )
 
 
 def _slice_rep(a: ActionModel, st: StabilizerData, wmats: np.ndarray, traces: list) -> SliceRep:

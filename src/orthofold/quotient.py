@@ -310,18 +310,29 @@ def _effective_signature(rep: SliceRep) -> tuple:
 def local_models(a: ActionModel, stabs, reps, seed: int = 0) -> list[LocalModelFingerprint]:
     """Fingerprints of the local quotient models at stabilized points.
 
-    stabs and reps are aligned. Fingerprint components are decided at fixed
-    absolute cuts. Reps without stabilizer
+    stabs and reps are aligned. By the slice theorem the local model depends
+    only on the stabilizer and its slice representation, so one fingerprint
+    is computed per distinct (rep, stabilizer class), reps compared as
+    objects (slice_representations shares one rep between equal trivial
+    stabilizers), and handed to every point of the pair. Fingerprint
+    components are decided at fixed absolute cuts. Reps without stabilizer
     algebra are profiled together in one array pass; reps with torus
     weights solve their slice congruences one rep at a time.
     """
-    reps = list(reps)
-    finite = [i for i, rep in enumerate(reps) if rep.lie_mats.shape[0] == 0]
-    profiles = dict(zip(finite, _finite_profiles(a, [reps[i] for i in finite], seed)))
-    out = []
-    for i, (stab, rep) in enumerate(zip(stabs, reps)):
+    first: dict = {}
+    pairs, slot = [], []
+    for stab, rep in zip(stabs, reps):
+        key = (id(rep), stab.subgroup)
+        if key not in first:
+            first[key] = len(pairs)
+            pairs.append((stab, rep))
+        slot.append(first[key])
+    finite = [i for i, (_, rep) in enumerate(pairs) if rep.lie_mats.shape[0] == 0]
+    profiles = dict(zip(finite, _finite_profiles(a, [pairs[i][1] for i in finite], seed)))
+    fps = []
+    for i, (stab, rep) in enumerate(pairs):
         profile, free = profiles[i] if i in profiles else _slice_stab_profile(a, rep, seed)
-        out.append(
+        fps.append(
             LocalModelFingerprint(
                 slice_dim=rep.slice_dim,
                 stab_class=stab.subgroup,
@@ -336,7 +347,7 @@ def local_models(a: ActionModel, stabs, reps, seed: int = 0) -> list[LocalModelF
                 effective_signature=_effective_signature(rep),
             )
         )
-    return out
+    return [fps[j] for j in slot]
 
 
 def local_model(a: ActionModel, stab, rep: SliceRep, seed: int = 0) -> LocalModelFingerprint:
@@ -402,18 +413,18 @@ def klein_partition(cloud: SampleCloud) -> KleinPartition:
         return i
 
     inv_raw = _orbit_invariants(a, cloud.points)
-    inv = np.round(inv_raw, 6)
+    inv = np.round(inv_raw, 6).tolist()
+    orbit_dims = cloud.orbit_dims.tolist()
+    # the rep's part of the key, once per rep object: equal trivial
+    # stabilizers share one
+    rep_keys: dict = {}
     candidates: dict = {}
-    for i in range(n):
-        rep = cloud.reps[i]
-        key = (
-            cloud.stabs[i].subgroup.display(),
-            int(cloud.orbit_dims[i]),
-            canonical_weight_rows(rep.weights),
-            rep.zero_dims,
-            rep.characters,
-            tuple(inv[i]),
-        )
+    for i, (st, rep) in enumerate(zip(cloud.stabs, cloud.reps)):
+        rep_key = rep_keys.get(id(rep))
+        if rep_key is None:
+            rep_key = (canonical_weight_rows(rep.weights), rep.zero_dims, rep.characters)
+            rep_keys[id(rep)] = rep_key
+        key = (st.subgroup.display(), orbit_dims[i], *rep_key, tuple(inv[i]))
         candidates.setdefault(key, []).append(i)
     for key in sorted(candidates):
         idx = candidates[key]

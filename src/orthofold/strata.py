@@ -16,10 +16,12 @@ from . import groups
 from .actions import (
     ActionModel,
     infinitesimal_action,
+    normalize,
     pairwise_distances,
     sample_points,
     sort_key,
     tangent_frame,
+    tangent_frames,
 )
 from .errors import ClassificationError, InputError
 from .isotropy import slice_representations, stabilizer
@@ -112,26 +114,31 @@ def build_cloud(a: ActionModel, count: int, seed: int = 0) -> SampleCloud:
     """Sample the manifold and attach per-point isotropy data.
 
     The catalog's measure-zero loci are appended after the uniform samples.
-    Stabilizers are computed in closed form, one point at a time, and the
-    slice representations in one batch over the cloud; the seed fixes the
-    cloud and rebuilding with the same seed reproduces it exactly.
+    The cloud is normalized and validated once, and every tangent frame is
+    built in one call; then each point's stabilizer is computed in closed
+    form from its frame, and the slice representations in one batch over
+    the cloud. The seed fixes the cloud and rebuilding with the same seed
+    reproduces it exactly.
     """
     if count < 1:
         raise InputError("cloud needs a sample count of at least 1")
-    uniform = sample_points(a.manifold, count, rng_for(seed, a.name, "cloud"))
+    m = a.manifold
+    uniform = sample_points(m, count, rng_for(seed, a.name, "cloud"))
     special = np.asarray(a.special_points(rng_for(seed, a.name, "specials")), dtype=float)
     if special.size:
-        pts = np.vstack([uniform, special.reshape(-1, a.manifold.ambient_dim)])
+        pts = np.vstack([uniform, special.reshape(-1, m.ambient_dim)])
     else:
         pts = uniform
-    stabs = [stabilizer(a, x) for x in pts]
+    pts = normalize(m, pts)
+    frames = tangent_frames(m, pts)
+    stabs = [stabilizer(a, x, frame) for x, frame in zip(pts, frames)]
     reps = slice_representations(a, stabs)
     orbit_dims = np.array([st.orbit_dim for st in stabs], dtype=np.int64)
-    quotient_dims = a.manifold.intrinsic_dim - orbit_dims
+    quotient_dims = m.intrinsic_dim - orbit_dims
     return SampleCloud(
         action=a.name,
         model=a,
-        points=np.stack([st.point for st in stabs]),
+        points=pts,
         stabs=tuple(stabs),
         reps=tuple(reps),
         orbit_dims=orbit_dims,

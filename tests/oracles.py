@@ -12,8 +12,9 @@ the pairwise scan behind the correspondence witnesses, the sort of each
 finite stabilizer's witnesses that preceded the order sorted once per
 group, the SO(3) Haar-and-Levenberg-Marquardt search that preceded the
 closed-form stabilizers and transports, the fingerprint rows built one
-stabilizer at a time, a partition check and the aligned distance of two
-points. None of it imports the numeric routines under
+stabilizer at a time, the tangent frame built one point at a time, the
+finite slice representation read from one point's witness differentials,
+a partition check and the aligned distance of two points. None of it imports the numeric routines under
 test beyond the public model types, the slice frame helpers, the
 representative alignment the displacement test shares, and the
 orthonormalization the fingerprint rows must reproduce bit for bit.
@@ -879,3 +880,65 @@ def transport_reference(a, x, y, pool: np.ndarray):
     refined, d2 = so3_refine(tx, y, pool[best], m, max_iter=60)
     i = int(np.argmin(d2))
     return refined[i].copy() if float(d2[i]) <= isotropy.TRANSPORT_D2 else None
+
+
+def _householder_frame_reference(x: np.ndarray) -> np.ndarray:
+    n = x.size
+    s = 1.0 if x[0] >= 0.0 else -1.0
+    u = x.copy()
+    u[0] += s
+    return np.eye(n)[:, 1:] - 2.0 * np.outer(u, u[1:]) / float(u @ u)
+
+
+def _complex_householder_frame_reference(z: np.ndarray) -> np.ndarray:
+    n = z.size
+    s = z[0] / abs(z[0]) if abs(z[0]) > 1e-12 else 1.0 + 0.0j
+    u = z.copy()
+    u[0] += s
+    h = np.eye(n, dtype=complex) - 2.0 * np.outer(u, u.conj()) / complex(u.conj() @ u)
+    return h[:, 1:]
+
+
+def tangent_frame_reference(m, x: np.ndarray) -> np.ndarray:
+    """The horizontal tangent frame of one valid representative, built
+    alone: Householder reflections of x (of each sphere factor on products,
+    of the complex vector on CP^n, realified with J-pairs adjacent)."""
+    if m.kind == "euclidean":
+        return np.eye(m.ambient_dim)
+    if m.kind in ("sphere", "real_projective"):
+        return _householder_frame_reference(x)
+    if m.kind == "product_spheres":
+        d1 = m.factors[0]
+        f1 = _householder_frame_reference(x[:d1])
+        f2 = _householder_frame_reference(x[d1:])
+        out = np.zeros((m.ambient_dim, m.intrinsic_dim))
+        out[:d1, : f1.shape[1]] = f1
+        out[d1:, f1.shape[1] :] = f2
+        return out
+    fz = _complex_householder_frame_reference(actions.to_complex(x)).T
+    pairs = actions.from_complex(np.stack([fz, 1j * fz], axis=1)).reshape(-1, m.ambient_dim)
+    return np.ascontiguousarray(pairs.T)
+
+
+def finite_slice_rep_reference(a, st: isotropy.StabilizerData) -> isotropy.SliceRep:
+    """The slice representation of a stabilizer without Lie kernel, read
+    from the differentials of its own witnesses at its own point: their
+    slice matrices and rounded traces."""
+    assert st.lie_kernel.shape[1] == 0
+    diffs = actions.differentials(a, st.witness_ambs, st.point, st.frame)
+    C = st.slice_basis
+    wmats = C.T @ diffs @ C
+    sdim = C.shape[1]
+    traces = np.trace(wmats, axis1=1, axis2=2).tolist()
+    return isotropy.SliceRep(
+        stab_label=st.subgroup.label,
+        slice_dim=sdim,
+        rep_kind="finite_characters",
+        weights=(),
+        zero_dims=sdim,
+        planes=np.zeros((0, sdim, 2)),
+        fixed=np.eye(sdim),
+        characters=tuple(sorted(round(t, 9) + 0.0 for t in traces)),
+        witness_mats=wmats,
+        lie_mats=np.zeros((0, sdim, sdim)),
+    )

@@ -16,7 +16,7 @@ from orthofold.errors import (
     UnknownActionError,
 )
 
-from oracles import distance
+from oracles import distance, tangent_frame_reference
 
 
 def test_catalog_ids_resolve():
@@ -42,9 +42,9 @@ def test_normalize_and_validate():
     x = actions.normalize(s2, np.array([3.0, 0.0, 4.0]))
     assert abs(np.linalg.norm(x) - 1.0) < 1e-14
     with pytest.raises(InputError):
-        actions.validate_point(s2, np.array([0.5, 0.0, 0.0]))
+        actions.validate_points(s2, np.array([[0.5, 0.0, 0.0]]))
     with pytest.raises(InputError):
-        actions.validate_point(s2, np.array([np.nan, 0.0, 1.0]))
+        actions.validate_points(s2, np.array([[np.nan, 0.0, 1.0]]))
     eu = actions.euclidean(4)
     y = actions.normalize(eu, np.array([5.0, 1.0, 0.0, 0.0]))
     assert np.array_equal(y, [5.0, 1.0, 0.0, 0.0])
@@ -86,6 +86,59 @@ def test_tangent_frame_is_orthonormal_horizontal():
         assert f.shape == (m.ambient_dim, m.intrinsic_dim)
         assert np.allclose(f.T @ f, np.eye(m.intrinsic_dim), atol=1e-10)
         assert np.abs(f.T @ x).max() < 1e-10
+
+
+def _frame_points(m, count: int, rng) -> np.ndarray:
+    """Representatives with the first coordinate of every kind of sign: x_0
+    negative, zero and positive, on each sphere factor of a product, and on
+    CP^n with |z_0| at most 1e-12 (zero, and of order 1e-13)."""
+    raw = rng.normal(size=(count, m.ambient_dim))
+    blocks = np.array_split(np.arange(count), 8)
+    raw[blocks[0], 0] = 0.0
+    raw[blocks[1], 0] = -np.abs(raw[blocks[1], 0])
+    raw[blocks[2], 0] = np.abs(raw[blocks[2], 0])
+    if m.kind == "complex_projective":
+        raw[blocks[3], :2] = 0.0
+        raw[blocks[4], :2] *= 1e-13
+    if m.kind == "product_spheres":
+        d1 = m.factors[0]
+        raw[blocks[3], d1] = 0.0
+        raw[blocks[4], d1] = -np.abs(raw[blocks[4], d1])
+        raw[blocks[5], 0] = -np.abs(raw[blocks[5], 0])
+        raw[blocks[5], d1] = -np.abs(raw[blocks[5], d1])
+    return actions.normalize(m, raw)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        actions.sphere(2),
+        actions.product_spheres(2, 2),
+        actions.real_projective(2),
+        actions.complex_projective(2),
+        actions.euclidean(4),
+    ],
+    ids=lambda m: m.kind,
+)
+def test_tangent_frames_match_the_per_point_frame_bit_for_bit(m):
+    X = _frame_points(m, 400, np.random.default_rng(7))
+    if m.kind == "complex_projective":
+        z0 = np.hypot(X[:, 0], X[:, 1])
+        assert np.count_nonzero(z0 == 0.0) and np.count_nonzero((z0 > 0.0) & (z0 <= 1e-12))
+    want = np.stack([tangent_frame_reference(m, x) for x in X])
+    got = actions.tangent_frames(m, X)
+    assert got.shape == want.shape == (len(X), m.ambient_dim, m.intrinsic_dim)
+    assert got.tobytes() == want.tobytes()
+    # the batch of one is the same frame
+    for x, frame in zip(X[::23], want[::23]):
+        assert actions.tangent_frame(m, x).tobytes() == frame.tobytes()
+
+
+def test_tangent_frames_reject_a_stack_of_the_wrong_width():
+    with pytest.raises(InputError, match=r"^point of shape \(4,\), expected \(3,\)$"):
+        actions.tangent_frames(actions.sphere(2), np.zeros((2, 4)))
+    with pytest.raises(InputError, match=r"^point of shape \(2, 3\), expected \(3,\)$"):
+        actions.tangent_frame(actions.sphere(2), np.eye(3)[:2])
 
 
 def test_act_matches_ambient_matrix():
@@ -187,9 +240,7 @@ def test_parse_point_real_and_complex():
 def test_sample_points_live_on_the_manifold():
     rng = np.random.default_rng(3)
     for m in (actions.sphere(2), actions.complex_projective(2)):
-        pts = actions.sample_points(m, 25, rng)
-        for p in pts:
-            actions.validate_point(m, p)
+        actions.validate_points(m, actions.sample_points(m, 25, rng))
 
 
 def test_importing_actions_loads_no_later_layer():

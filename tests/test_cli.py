@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from orthofold import actions, cli, numerics, strata
+from orthofold import actions, cli, numerics, quotient, strata
 from orthofold.errors import ClassificationError, CorrespondenceError, InputError
 
 
@@ -167,7 +167,7 @@ def test_degenerate_interval_model_is_a_failed_check(capsys, monkeypatch):
     def degenerate(*args, **kwargs):
         raise InputError("every block projects to a point")
 
-    monkeypatch.setattr(cli.quotient, "quotient_interval_model", degenerate)
+    monkeypatch.setattr(quotient, "quotient_interval_model", degenerate)
     code, out = _run(capsys, "verify", "s2xs2-so3", "--samples", "30", "--seed", "0")
     assert code == 1
     assert (
@@ -226,7 +226,7 @@ def test_stage_errors_fail_their_named_check(capsys, monkeypatch, target, error,
     def broken(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(cli.quotient, target, broken)
+    monkeypatch.setattr(quotient, target, broken)
     code, out = _run(capsys, "verify", "s2-zn(5)", "--samples", "30", "--seed", "1")
     assert code == 1
     assert f"[FAIL] s2-zn(5) :: {check} ({error})" in out
@@ -275,6 +275,26 @@ def test_payload_tolerance_block_reads_the_constants(capsys):
         "match_eps": numerics.MATCH_EPS,
         "cluster_eps_factor": strata.CLUSTER_EPS_FACTOR,
     }
+
+
+def test_catalog_loads_no_pipeline_layer():
+    # catalog lists actions only; cli imports the pipeline layers in the
+    # functions that use them
+    probe = (
+        "import sys\n"
+        "from orthofold import cli\n"
+        "assert cli.main(['catalog']) == 0\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.strip().splitlines()[-1].split())
+    assert "orthofold.actions" in loaded
+    assert not loaded & {"orthofold.isotropy", "orthofold.strata", "orthofold.quotient"}
 
 
 def test_cli_runs_without_scipy():
@@ -416,6 +436,23 @@ def test_finite_dense_payloads_are_pinned(capsys, seed):
     code, out = _run(capsys, "analyze", "s2-zn(5)", "--samples", "3000", "--seed", str(seed))
     assert code == 0
     assert _parse_report(out)[1] == _FINITE_DENSE_SHAS[seed]
+
+
+# analyze report-sha256 of finite actions with many and with few witnesses
+# per pole, recorded before the fixer test became one flattened product
+_FINITE_ORDER_SHAS = {
+    ("s2-zn(64)", "2000", 0): "755bc7d220c2f5eb14ab55544d1483ec3d3fba20d3a4e8633569a765e728e1bc",
+    ("s2-zn(64)", "2000", 1): "14c72ae78dd6e3f24ceaefd855a631d7e09f0a8faeffb1adf52f416a09ca8546",
+    ("s2-zn(2)", "1000", 0): "c3f5023f64f844f79048377f145856ca16cc4e1e968e4756cb251f58f456220d",
+    ("s2-zn(2)", "1000", 1): "b9b15487041fb397da9c3b8bb24335ca4ffdec77f6408152179600821e84a1bf",
+}
+
+
+@pytest.mark.parametrize("name, samples, seed", sorted(_FINITE_ORDER_SHAS))
+def test_finite_order_payloads_are_pinned(capsys, name, samples, seed):
+    code, out = _run(capsys, "analyze", name, "--samples", samples, "--seed", str(seed))
+    assert code == 0
+    assert _parse_report(out)[1] == _FINITE_ORDER_SHAS[(name, samples, seed)]
 
 
 # classify --seed 0 report-sha256 of every named point and of a cn-tn(2)

@@ -11,6 +11,7 @@ from orthofold.errors import StabilizerError
 from oracles import (
     distance,
     exact_rank,
+    finite_slice_rep_reference,
     minor_gcd,
     slice_stab_profile_reference,
     stabilizer_reference,
@@ -487,3 +488,30 @@ def test_slice_representations_are_slice_representation_in_one_batch(cloud_facto
             g, w = getattr(got, field), getattr(want, field)
             assert g.shape == w.shape
             assert np.abs(g - w).max(initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("name", [*actions.catalog_ids(), "cn-tn(3)"])
+def test_trivial_stabilizers_share_one_exact_rep(cloud_factory, name):
+    # a trivial stabilizer's rep is exact and shared per slice dimension; it
+    # must read what its point's own witness differentials read
+    cloud = cloud_factory(name, 40, 0)
+    a = cloud.model
+    shared = {}
+    for st, rep in zip(cloud.stabs, cloud.reps):
+        if st.lie_kernel.shape[1] or st.witness_ambs.shape[0] > 1:
+            continue
+        assert shared.setdefault(rep.slice_dim, rep) is rep
+        want = finite_slice_rep_reference(a, st)
+        assert rep.stab_label == want.stab_label == "Trivial"
+        assert (rep.rep_kind, rep.weights, rep.zero_dims, rep.characters) == (
+            want.rep_kind,
+            want.weights,
+            want.zero_dims,
+            want.characters,
+        )
+        assert np.array_equal(rep.witness_mats, np.eye(rep.slice_dim)[None])
+        assert np.abs(want.witness_mats - rep.witness_mats).max() <= 1e-12
+        assert not rep.witness_mats.flags.writeable
+    # the generic stabilizer of cp2-so3 is Zn(2); every other action samples
+    # trivial stabilizers
+    assert bool(shared) == (name != "cp2-so3")

@@ -370,3 +370,20 @@ def test_local_models_count_the_witnesses_of_each_rep():
     for fp, rep in zip(fps, cloud.reps):
         profile = quotient._slice_stab_profile(a, rep, 0)
         assert (fp.slice_stab_profile, fp.free_away_from_origin) == profile
+
+
+def test_klein_partition_fingerprints_each_shared_rep_once(monkeypatch):
+    # 3000 of the 3002 points have the trivial stabilizer and share its rep,
+    # so the orbit roots need a handful of fingerprints, not one each
+    original = quotient._effective_signature
+    calls = []
+
+    def counted(rep):
+        calls.append(1)
+        return original(rep)
+
+    monkeypatch.setattr(quotient, "_effective_signature", counted)
+    cloud = strata.build_cloud(actions.get_action("s2-zn(5)"), 3000, seed=0)
+    klein = quotient.klein_partition(cloud)
+    assert len(klein.orbits) > 3000
+    assert len(calls) <= 10

@@ -2,6 +2,7 @@
 
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,20 +32,32 @@ def test_build_cloud_is_deterministic(cloud_factory):
 
 @pytest.mark.parametrize("name", ["s2-zn(5)", "s2xs2-so3", "rp2-so2", "cp2-so3", "cn-tn(2)"])
 def test_build_cloud_builds_one_frame_per_point(monkeypatch, name):
-    # one action per manifold kind: sphere, product, RP^2, CP^2, euclidean
-    original = actions.tangent_frame
-    calls = []
+    # one action per manifold kind: sphere, product, RP^2, CP^2, euclidean.
+    # Every frame row comes from tangent_frames, one row per point, and no
+    # point is framed alone by tangent_frame (which would add rows too)
+    batch, single = actions.tangent_frames, actions.tangent_frame
+    rows, singles = [], []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted_batch(*args, **kwargs):
+        out = batch(*args, **kwargs)
+        rows.append(out.shape[0])
+        return out
 
-    # rebind every module-level name of the function, as `from` imports copy it
+    def counted_single(*args, **kwargs):
+        singles.append(1)
+        return single(*args, **kwargs)
+
+    # rebind every module-level name of the functions, as `from` imports copy them
     for mod_name, mod in list(sys.modules.items()):
-        if mod_name.startswith("orthofold") and getattr(mod, "tangent_frame", None) is original:
-            monkeypatch.setattr(mod, "tangent_frame", counted)
+        if not mod_name.startswith("orthofold"):
+            continue
+        if getattr(mod, "tangent_frames", None) is batch:
+            monkeypatch.setattr(mod, "tangent_frames", counted_batch)
+        if getattr(mod, "tangent_frame", None) is single:
+            monkeypatch.setattr(mod, "tangent_frame", counted_single)
     cloud = strata.build_cloud(actions.get_action(name), 20, seed=0)
-    assert len(calls) == len(cloud)
+    assert sum(rows) == len(cloud)
+    assert not singles
 
 
 @pytest.mark.parametrize("name", ["s2-zn(5)", "s2xs2-so3", "rp2-so2", "cp2-so3", "cn-tn(2)"])
@@ -63,6 +76,35 @@ def test_build_cloud_calls_the_stabilizer_once_per_point(monkeypatch, name):
             monkeypatch.setattr(mod, "stabilizer", counted)
     cloud = strata.build_cloud(actions.get_action(name), 20, seed=0)
     assert len(calls) == len(cloud)
+
+
+@pytest.mark.parametrize(
+    "name, point, message",
+    [
+        ("s2-zn(5)", [np.nan, 0.0, 1.0], "point has non-finite entries"),
+        # the squared norm overflows, so normalizing leaves the zero vector
+        ("s2-zn(5)", [1e200, 1e200, 0.0], "representative must be a unit vector"),
+        ("cp2-u1", [0.0, 1.0, np.inf, 0.0, 0.0, 0.0], "point has non-finite entries"),
+        (
+            "s2xs2-so3",
+            [1e200, 1e200, 0.0, 0.0, 0.0, 1.0],
+            "product-sphere representative factors must be unit vectors",
+        ),
+    ],
+)
+def test_invalid_special_points_raise_the_point_errors(name, point, message):
+    # the cloud is validated once, with the messages of a single point
+    a = replace(actions.get_action(name), special_points=lambda rng: np.array([point]))
+    with np.errstate(all="ignore"), pytest.raises(InputError, match=f"^{message}$"):
+        strata.build_cloud(a, 5, seed=0)
+
+
+def test_stabilizer_of_a_point_of_the_wrong_shape_names_it():
+    # build_cloud reshapes its specials to the ambient width; a single point
+    # of another shape reaches the frame validation
+    a = actions.get_action("s2-zn(5)")
+    with pytest.raises(InputError, match=r"^point of shape \(4,\), expected \(3,\)$"):
+        isotropy.stabilizer(a, np.array([0.0, 0.0, 1.0, 0.0]))
 
 
 def test_cloud_appends_special_loci(cloud_factory):
