@@ -281,13 +281,9 @@ class IntervalModel:
     projection: Callable  # (B, N) representatives -> (B,) values
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ActionModel:
-    """A smooth linear action of a compact matrix group on a manifold model.
-
-    Actions compare and hash by identity, so work that depends on the action
-    alone can be cached per action.
-    """
+    """A smooth linear action of a compact matrix group on a manifold model."""
 
     name: str
     group: groups.GroupDescriptor

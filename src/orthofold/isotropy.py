@@ -38,9 +38,8 @@ class StabilizerData:
     of the acting group; witnesses holds one group element per detected
     component, identity first, and witness_ambs their ambient matrices, as
     the fixer test read them. frame is the horizontal tangent frame at the
-    point and slice_basis the frame coordinates of the normal slice; for a
-    group with a Lie algebra one SVD of the infinitesimal action gives it,
-    lie_kernel and orbit_dim, and for a finite group it is the identity.
+    point and slice_basis the frame coordinates of the normal slice; one SVD
+    of the infinitesimal action gives it, lie_kernel and orbit_dim.
     """
 
     point: np.ndarray
@@ -121,20 +120,16 @@ def _witness_order(g: groups.GroupDescriptor) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1024)
-def _finite_stabilizer(a: ActionModel, keep: tuple):
-    """Witnesses, their ambient matrices and the class of the finite
-    stabilizer made of the elements keep of a's group.
+def _finite_stabilizer(g: groups.GroupDescriptor, keep: tuple):
+    """Witnesses and class of the finite stabilizer made of the elements keep.
 
     A finite group has no Lie algebra, so every stabilizer's Lie kernel is
-    empty and the class reads only the group and the witnesses: it is keyed
-    on exactly those, and on the action for the ambient matrices. The arrays
-    are shared read-only.
+    empty and the class reads only g and the witnesses: it is keyed on
+    exactly those. The witnesses are shared read-only.
     """
-    g = a.group
     wits = g.elements[list(keep)]
-    wambs = a.element_ambs[list(keep)]
-    wits.flags.writeable = wambs.flags.writeable = False
-    return wits, wambs, groups.classify_subgroup(g, np.zeros((0, 0)), wits)
+    wits.flags.writeable = False
+    return wits, groups.classify_subgroup(g, np.zeros((0, 0)), wits)
 
 
 def _torus_system(a: ActionModel, x: np.ndarray, y: np.ndarray):
@@ -275,39 +270,35 @@ def stabilizer(a: ActionModel, x: np.ndarray, frame: np.ndarray | None = None) -
 
     frame is the tangent frame of x as actions.tangent_frames built it, x
     then being a validated representative; without it, x is normalized and
-    framed here, which also validates it. For a group with a Lie algebra,
-    one SVD of the infinitesimal action in that frame gives the orbit
-    dimension (its rank), the Lie algebra (its kernel) and the normal slice
-    (the complement of its column span); a finite group has orbit dimension
-    0, no kernel and the whole tangent space as slice. Every kind is decided
-    in closed form: torus-kind components are solved exactly from the
-    integer congruence of the active ambient pairs, finite groups are
-    enumerated by one fixer test against the element stack, and SO(3)
-    components are the half-turns of _so3_candidates that pass the fixer
-    test. Each witness has squared displacement at most ACCEPT_D2 (the
-    finite kind tests at POINT_EPS). Only what depends on x is done per
-    call: a finite group's ambient matrices, witness order and the
-    stabilizers of each fixer set, and the torus solve of each congruence,
-    are built once and shared.
+    framed here, which also validates it. One SVD of the infinitesimal
+    action in that frame gives the orbit dimension (its rank), the Lie
+    algebra (its kernel) and the normal slice (the complement of its column
+    span); a finite group's action has no columns, so its slice is the whole
+    tangent space. Every kind is decided in closed form: torus-kind
+    components are solved exactly from the integer congruence of the active
+    ambient pairs, finite groups are enumerated by one fixer test against
+    the element stack, and SO(3) components are the half-turns of
+    _so3_candidates that pass the fixer test. Each witness has squared
+    displacement at most ACCEPT_D2 (the finite kind tests at POINT_EPS).
+    Only what depends on x is done per call: a finite group's ambient
+    matrices, witness order and the witnesses and class of each fixer set,
+    and the torus solve of each congruence, are built once and shared.
     """
     m = a.manifold
     if frame is None:
         x = normalize(m, np.asarray(x, dtype=float))
         frame = tangent_frame(m, x)
     g = a.group
-    if g.lie_dim:
-        odim, lie_kernel, slice_basis = svd_split(infinitesimal_action(a, x, frame))
-        if odim + lie_kernel.shape[1] != g.lie_dim:
-            raise StabilizerError("orbit and kernel dimensions are inconsistent")
-    else:
-        # what svd_split gives for the infinitesimal action, a matrix without columns
-        odim, lie_kernel, slice_basis = 0, shared_identity(0), shared_identity(frame.shape[1])
+    odim, lie_kernel, slice_basis = svd_split(infinitesimal_action(a, x, frame))
+    if odim + lie_kernel.shape[1] != g.lie_dim:
+        raise StabilizerError("orbit and kernel dimensions are inconsistent")
 
     if g.kind == "finite":
         order = _witness_order(g)
         d2 = _displacement(a, x, a.element_ambs, x)
         keep = order[d2[order] <= POINT_EPS * POINT_EPS]
-        wits, wambs, cls = _finite_stabilizer(a, tuple(keep.tolist()))
+        wits, cls = _finite_stabilizer(g, tuple(keep.tolist()))
+        wambs = a.element_ambs[keep]
     elif g.kind == "torus":
         W, _ = _torus_system(a, x, x)
         wits, free = _torus_stabilizer(g, W.shape[1], W.tobytes())

@@ -413,18 +413,18 @@ def klein_partition(cloud: SampleCloud) -> KleinPartition:
         return i
 
     inv_raw = _orbit_invariants(a, cloud.points)
-    inv = np.round(inv_raw, 6).tolist()
-    orbit_dims = cloud.orbit_dims.tolist()
-    # the rep's part of the key, once per rep object: equal trivial
-    # stabilizers share one
-    rep_keys: dict = {}
+    inv = np.round(inv_raw, 6)
     candidates: dict = {}
-    for i, (st, rep) in enumerate(zip(cloud.stabs, cloud.reps)):
-        rep_key = rep_keys.get(id(rep))
-        if rep_key is None:
-            rep_key = (canonical_weight_rows(rep.weights), rep.zero_dims, rep.characters)
-            rep_keys[id(rep)] = rep_key
-        key = (st.subgroup.display(), orbit_dims[i], *rep_key, tuple(inv[i]))
+    for i in range(n):
+        rep = cloud.reps[i]
+        key = (
+            cloud.stabs[i].subgroup.display(),
+            int(cloud.orbit_dims[i]),
+            canonical_weight_rows(rep.weights),
+            rep.zero_dims,
+            rep.characters,
+            tuple(inv[i]),
+        )
         candidates.setdefault(key, []).append(i)
     for key in sorted(candidates):
         idx = candidates[key]
