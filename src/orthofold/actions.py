@@ -371,9 +371,12 @@ def differentials(
 # ---------------------------------------------------------------------------
 
 
-def _embed_so2_in_3(g2: np.ndarray) -> np.ndarray:
-    out = np.eye(3)
+def _embed_so2_in_3(g2: np.ndarray, corner: float = 1.0) -> np.ndarray:
+    """g2 in the upper-left block of a 3x3 matrix whose (2, 2) entry is
+    corner: 1 for a group element, 0 for a Lie generator."""
+    out = np.zeros((3, 3))
     out[:2, :2] = g2
+    out[2, 2] = corner
     return out
 
 
@@ -436,7 +439,7 @@ def _make_rp2() -> ActionModel:
         group=g,
         manifold=m,
         amb=_embed_so2_in_3,
-        amb_lie=_embed_so2_in_3,
+        amb_lie=functools.partial(_embed_so2_in_3, corner=0.0),
         special_points=specials,
         ambient_pairs=(((0, 1), (1,)), ((2,), (0,))),
         interval=IntervalModel((0.0, 1.0), proj),

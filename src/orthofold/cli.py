@@ -143,12 +143,12 @@ def run_pipeline(a, samples: int, seed: int) -> SimpleNamespace:
     cloud = strata.build_cloud(a, samples, seed=seed)
     orbit_type = strata.orbit_type_partition(cloud)
     iso = strata.isostabilizer_decomposition(cloud)
-    klein = quotient.klein_partition(cloud)
+    orbits = quotient.identify_orbits(cloud)
+    klein = quotient.klein_partition(cloud, orbits)
     try:
         corr = quotient.correspondence(iso, klein)
     except CorrespondenceError as e:
         raise _CheckFailure("correspondence-defined", e) from e
-    inverse = quotient.inverse_klein(klein, cloud)
     principal = strata.principal_dimension(cloud, orbit_type)
     labels = strata.singularity_labels(cloud, principal)
     interval = None
@@ -156,7 +156,7 @@ def run_pipeline(a, samples: int, seed: int) -> SimpleNamespace:
     interval_note = ""
     if a.interval is not None:
         try:
-            interval = quotient.quotient_interval_model(cloud, klein, principal)
+            interval = quotient.quotient_interval_model(cloud, orbits, klein, principal)
             frontier = quotient.frontier_check(interval)
         except InputError as e:
             # a too-small cloud can push every block into point strata;
@@ -172,9 +172,9 @@ def run_pipeline(a, samples: int, seed: int) -> SimpleNamespace:
         cloud=cloud,
         orbit_type=orbit_type,
         iso=iso,
+        orbits=orbits,
         klein=klein,
         corr=corr,
-        inverse=inverse,
         principal=principal,
         labels=labels,
         interval=interval,
@@ -246,7 +246,7 @@ def _analysis_payload(r, samples: int, seed: int) -> dict:
         },
         "cloud": {
             "points": len(cloud),
-            "orbits": len(r.klein.orbits),
+            "orbits": len(r.orbits),
             "intrinsic_dim": a.manifold.intrinsic_dim,
         },
         "dimension": {
@@ -260,8 +260,10 @@ def _analysis_payload(r, samples: int, seed: int) -> dict:
             "klein": {
                 "blocks": len(r.klein.blocks),
                 "sizes": [len(b) for b in r.klein.blocks],
-                "dims": list(r.klein.dims),
-                "fingerprints": [_fingerprint_doc(fp) for fp in r.klein.fingerprints],
+                "dims": [lab["dim"] for lab in r.klein.block_labels],
+                "fingerprints": [
+                    _fingerprint_doc(lab["fingerprint"]) for lab in r.klein.block_labels
+                ],
             },
         },
         "correspondence": {
@@ -317,7 +319,7 @@ def _generic_checks(r, results, seed: int):
         rel_ot in ("PRefinesQ", "Equal"),
         f"relation {rel_ot}",
     )
-    rel_ik = quotient.compare_partitions(r.iso, r.inverse)
+    rel_ik = quotient.compare_partitions(r.iso, r.klein)
     _check(
         results,
         "iso-refines-klein",
@@ -389,12 +391,12 @@ def _pinned_checks(r, results, seed: int):
     a = r.action
     cloud = r.cloud
     name = a.name
+    klein_dims = sorted(lab["dim"] for lab in r.klein.block_labels)
 
     if name == "s2xs2-so3":
         _check(results, "klein-block-count-2", len(r.klein.blocks) == 2,
                f"got {len(r.klein.blocks)}")
-        _check(results, "klein-dims-1-2", sorted(r.klein.dims) == [1, 2],
-               f"got {sorted(r.klein.dims)}")
+        _check(results, "klein-dims-1-2", klein_dims == [1, 2], f"got {klein_dims}")
         if r.interval is None:
             _check(results, "interval-endpoints-singular", False, r.interval_note)
         else:
@@ -405,8 +407,8 @@ def _pinned_checks(r, results, seed: int):
     elif name == "rp2-so2":
         _check(results, "klein-block-count-3", len(r.klein.blocks) == 3,
                f"got {len(r.klein.blocks)}")
-        _check(results, "klein-dims-1-1-2", sorted(r.klein.dims) == [1, 1, 2],
-               f"got {sorted(r.klein.dims)}")
+        _check(results, "klein-dims-1-1-2", klein_dims == [1, 1, 2],
+               f"got {klein_dims}")
         vals = np.asarray(a.interval.projection(cloud.points))
         on0 = _rp2_t0_locus(vals)
         at0 = {r.labels[i].display() for i in np.where(on0)[0]}
@@ -432,7 +434,7 @@ def _pinned_checks(r, results, seed: int):
             merged.add(r.iso.block_labels[j]["subgroup"].label)
         _check(results, "merge-witness-so2-o2", {"SO2", "O2"} <= merged,
                f"merged classes {sorted(merged)}")
-        rel = quotient.compare_partitions(r.inverse, r.orbit_type)
+        rel = quotient.compare_partitions(r.klein, r.orbit_type)
         _check(results, "inverse-klein-coarser-than-orbit-type", rel == "QRefinesP",
                f"relation {rel}")
 
@@ -462,12 +464,12 @@ def _pinned_checks(r, results, seed: int):
         _check(results, "p1-separate-klein-block", other, f"blocks {kids}")
         _check(results, "split-witness-present", len(r.corr.split_witnesses) > 0,
                "no split witnesses")
-        rel = quotient.compare_partitions(r.inverse, r.orbit_type)
+        rel = quotient.compare_partitions(r.klein, r.orbit_type)
         _check(results, "inverse-klein-finer-than-orbit-type", rel == "PRefinesQ",
                f"relation {rel}")
 
     elif name.startswith("s2-zn"):
-        rel = quotient.compare_partitions(r.orbit_type, r.inverse)
+        rel = quotient.compare_partitions(r.orbit_type, r.klein)
         _check(results, "klein-equals-orbit-type", rel == "Equal", f"relation {rel}")
         dims = sorted({int(d) for d in cloud.quotient_dims})
         _check(results, "constant-dimension-2", dims == [2], f"got {dims}")

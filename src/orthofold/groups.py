@@ -9,7 +9,6 @@ stabilizer kernels, exponentials and adjoints all speak the same coordinates.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -337,16 +336,15 @@ def classify_subgroup(
     return SubgroupClass("Other", None, k, f"components({m})", traces)
 
 
-@functools.lru_cache(maxsize=4096)
 def classes_conjugate(a: SubgroupClass, b: SubgroupClass) -> bool:
     """Conjugacy at the level of class descriptions.
 
     Labeled classes compare by label (and order for Zn). Other-vs-Other is a
     conservative invariant match on (lie_dim, component hint, trace multiset):
     equality is only reported on a full match, so distinct but genuinely
-    conjugate exotic subgroups may compare unequal. Both classes are frozen
-    values and the answer depends on nothing else, so answers are cached;
-    partition builders ask the same pairs many times.
+    conjugate exotic subgroups may compare unequal. The traces match under
+    np.allclose's bound, written out: partition builders ask this once per
+    point, and the per-call array set-up would cost more than the test.
     """
     if a.label != b.label:
         return False
@@ -357,5 +355,5 @@ def classes_conjugate(a: SubgroupClass, b: SubgroupClass) -> bool:
             return False
         if len(a.traces) != len(b.traces):
             return False
-        return bool(np.allclose(np.array(a.traces), np.array(b.traces), atol=MATCH_EPS))
+        return all(abs(x - y) <= MATCH_EPS + 1e-5 * abs(y) for x, y in zip(a.traces, b.traces))
     return a.lie_dim == b.lie_dim

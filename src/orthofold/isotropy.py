@@ -373,11 +373,6 @@ def transport_element(a: ActionModel, x: np.ndarray, y: np.ndarray) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 
-def normal_slice(stab: StabilizerData) -> np.ndarray:
-    """Orthonormal ambient frame of the normal slice at the stabilized point."""
-    return stab.frame @ stab.slice_basis
-
-
 def _slice_lie_generators(a, stab):
     """Exact slice matrices of the stabilizer Lie basis.
 

@@ -1,9 +1,10 @@
 """Quotient-side structures of a compact group action.
 
-Local-model fingerprints of quotient points, the Klein partition they
-induce, the correspondence map from isostabilizer blocks with its merge and
-split witnesses, inverse Klein pullbacks, partition comparison, and exact
-frontier checking on the one-dimensional interval models.
+Local-model fingerprints of quotient points, orbit identification, the
+inverse Klein partition of the cloud, the correspondence map from
+isostabilizer blocks with its merge and split witnesses, partition
+comparison, and exact frontier checking on the one-dimensional interval
+models.
 """
 
 from __future__ import annotations
@@ -54,23 +55,6 @@ class LocalModelFingerprint:
     slice_stab_profile: tuple
     free_away_from_origin: bool
     effective_signature: tuple
-
-
-@dataclass(frozen=True)
-class KleinPartition:
-    """Fingerprint classes of quotient points, pulled back to cloud indices."""
-
-    blocks: tuple
-    fingerprints: tuple
-    dims: tuple
-    orbits: tuple
-
-    def block_of(self) -> dict:
-        owner = {}
-        for b, idx in enumerate(self.blocks):
-            for i in idx:
-                owner[i] = b
-        return owner
 
 
 @dataclass(frozen=True)
@@ -360,15 +344,6 @@ def _klein_key(f: LocalModelFingerprint) -> tuple:
     return (f.slice_dim, f.slice_stab_profile, f.effective_signature)
 
 
-def klein_equivalent(f1: LocalModelFingerprint, f2: LocalModelFingerprint) -> bool:
-    """Fingerprint equality, the computable surrogate for one Klein stratum.
-
-    Fingerprint components are integers, labels, and pre-rounded traces, so
-    equality needs no tolerance.
-    """
-    return _klein_key(f1) == _klein_key(f2)
-
-
 def _orbit_invariants(a: ActionModel, pts: np.ndarray) -> np.ndarray:
     """Orbit-constant coordinates used to prefilter orbit identification.
 
@@ -394,13 +369,13 @@ def _orbit_invariants(a: ActionModel, pts: np.ndarray) -> np.ndarray:
     return np.zeros((pts.shape[0], 0))
 
 
-def klein_partition(cloud: SampleCloud) -> KleinPartition:
-    """Fingerprint classes of the quotient points seen by the cloud.
+def identify_orbits(cloud: SampleCloud) -> tuple:
+    """Cloud indices grouped by orbit, each merge certified by a transport.
 
-    Cloud points are identified along orbits first, each merge certified by
-    a transported group element, so points of one orbit share a block by
-    construction. Orbit representatives are then grouped by local-model
-    fingerprint.
+    Candidate pairs share their stabilizer class, orbit dimension, slice
+    weights and rounded orbit invariants; a pair joins when
+    transport_element finds a group element carrying one point to the
+    other. Returns ascending index tuples ordered by smallest member.
     """
     a = cloud.model
     n = len(cloud)
@@ -443,26 +418,31 @@ def klein_partition(cloud: SampleCloud) -> KleinPartition:
     orbit_members: dict = {}
     for i in range(n):
         orbit_members.setdefault(find(i), []).append(i)
-    orbits = sorted(orbit_members.values(), key=lambda o: o[0])
+    return tuple(sorted((tuple(o) for o in orbit_members.values()), key=lambda o: o[0]))
 
+
+def klein_partition(cloud: SampleCloud, orbits) -> PartitionOfM:
+    """The inverse Klein stratification: Klein strata pulled back to the cloud.
+
+    orbits are identify_orbits(cloud). One root per orbit is fingerprinted,
+    and orbits whose fingerprints share a _klein_key form one block, so
+    points of one orbit share a block by construction. Block j is labelled
+    S<j> and carries its fingerprint and quotient dimension.
+    """
     roots = [orb[0] for orb in orbits]
-    fps = local_models(
-        a, [cloud.stabs[r] for r in roots], [cloud.reps[r] for r in roots], seed=cloud.seed
-    )
+    stabs, reps = [cloud.stabs[r] for r in roots], [cloud.reps[r] for r in roots]
+    fps = local_models(cloud.model, stabs, reps, seed=cloud.seed)
     block_map: dict = {}
     for orb, fp in zip(orbits, fps):
         entry = block_map.setdefault(_klein_key(fp), {"fp": fp, "members": []})
         entry["members"].extend(orb)
     items = sorted(block_map.values(), key=lambda e: min(e["members"]))
     blocks = tuple(tuple(sorted(e["members"])) for e in items)
-    fingerprints = tuple(e["fp"] for e in items)
-    dims = tuple(int(cloud.quotient_dims[b[0]]) for b in blocks)
-    return KleinPartition(
-        blocks=blocks,
-        fingerprints=fingerprints,
-        dims=dims,
-        orbits=tuple(tuple(o) for o in orbits),
+    labels = tuple(
+        {"label": f"S{j}", "fingerprint": e["fp"], "dim": int(cloud.quotient_dims[b[0]])}
+        for j, (e, b) in enumerate(zip(items, blocks))
     )
+    return PartitionOfM(blocks=blocks, block_labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -470,18 +450,21 @@ def klein_partition(cloud: SampleCloud) -> KleinPartition:
 # ---------------------------------------------------------------------------
 
 
-def correspondence(iso: PartitionOfM, klein: KleinPartition) -> CorrespondenceReport:
+def _block_owner(p: PartitionOfM, q: PartitionOfM) -> dict:
+    """q.block_of(), once p and q are checked to cover one index set."""
+    if sorted(i for b in p.blocks for i in b) != sorted(i for b in q.blocks for i in b):
+        raise InputError("partitions cover different index sets")
+    return q.block_of()
+
+
+def correspondence(iso: PartitionOfM, klein: PartitionOfM) -> CorrespondenceReport:
     """Map isostabilizer blocks into the Klein blocks containing them.
 
     Raises when a block straddles two Klein blocks: that would falsify
     well-definedness of the induced map, so it is a hard failure rather
     than a reported state.
     """
-    iso_idx = sorted(i for b in iso.blocks for i in b)
-    klein_idx = sorted(i for b in klein.blocks for i in b)
-    if iso_idx != klein_idx:
-        raise InputError("partitions cover different point sets")
-    owner = klein.block_of()
+    owner = _block_owner(iso, klein)
     mapping = []
     for bid, b in enumerate(iso.blocks):
         kids = sorted({owner[i] for i in b})
@@ -541,31 +524,14 @@ def correspondence(iso: PartitionOfM, klein: KleinPartition) -> CorrespondenceRe
     )
 
 
-def inverse_klein(klein: KleinPartition, cloud: SampleCloud) -> PartitionOfM:
-    """Pull the Klein blocks back to a partition of the sampled manifold."""
-    idx = sorted(i for b in klein.blocks for i in b)
-    if idx != list(range(len(cloud))):
-        raise InputError("klein blocks do not cover the cloud")
-    labels = tuple(
-        {"label": f"S{j}", "fingerprint": klein.fingerprints[j], "dim": klein.dims[j]}
-        for j in range(len(klein.blocks))
-    )
-    return PartitionOfM(blocks=klein.blocks, block_labels=labels)
-
-
 def compare_partitions(p: PartitionOfM, q: PartitionOfM) -> str:
     """Refinement relation between two partitions of one index set."""
-    ip = sorted(i for b in p.blocks for i in b)
-    iq = sorted(i for b in q.blocks for i in b)
-    if ip != iq:
-        raise InputError("partitions cover different index sets")
 
-    def refines(r, s):
-        owner = s.block_of()
+    def refines(r, owner):
         return all(len({owner[i] for i in b}) == 1 for b in r.blocks)
 
-    pq = refines(p, q)
-    qp = refines(q, p)
+    pq = refines(p, _block_owner(p, q))
+    qp = refines(q, p.block_of())
     if pq and qp:
         return "Equal"
     if pq:
@@ -656,11 +622,13 @@ def frontier_check(model: StratifiedInterval) -> bool:
 
 
 def quotient_interval_model(
-    cloud: SampleCloud, klein: KleinPartition, principal: PrincipalData
+    cloud: SampleCloud, orbits, klein: PartitionOfM, principal: PrincipalData
 ) -> StratifiedInterval:
     """Pushforward of the cloud through its action's interval projection.
 
-    Strata are the images of the Klein blocks: blocks whose values collapse
+    orbits and klein are identify_orbits(cloud) and klein_partition(cloud,
+    orbits); the projection must be constant along each orbit. Strata are
+    the images of the Klein blocks: blocks whose values collapse
     to isolated spots become point strata; the rest fill the open cells
     between those spots. The block holding the principal orbit type is open
     and dense in the quotient, so it always fills open cells, however
@@ -670,7 +638,7 @@ def quotient_interval_model(
     if a.interval is None:
         raise InputError(f"action {a.name!r} has no interval quotient model")
     vals = np.asarray(a.interval.projection(cloud.points), dtype=float)
-    for orb in klein.orbits:
+    for orb in orbits:
         if len(orb) > 1:
             spread = float(np.ptp(vals[list(orb)]))
             if spread > MATCH_EPS:

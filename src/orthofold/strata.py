@@ -15,18 +15,16 @@ import numpy as np
 from . import groups
 from .actions import (
     ActionModel,
-    infinitesimal_action,
     normalize,
     pairwise_distances,
     sample_points,
     sort_key,
-    tangent_frame,
     tangent_frames,
 )
 from .errors import ClassificationError, InputError
 from .isotropy import slice_representations, stabilizer
 from .kernels import pairwise_chebyshev
-from .numerics import MATCH_EPS, BandScan, orthonormalize, svd_split, widest_coordinate
+from .numerics import MATCH_EPS, BandScan, orthonormalize, widest_coordinate
 from .seeding import rng_for
 
 # multiple of the cloud's median nearest-neighbour distance that joins two
@@ -146,13 +144,6 @@ def build_cloud(a: ActionModel, count: int, seed: int = 0) -> SampleCloud:
         sample_count=count,
         seed=seed,
     )
-
-
-def quotient_dimension(a: ActionModel, x) -> int:
-    """Pointwise dimension of the orbit space: dim(M) minus the orbit dimension."""
-    x = np.asarray(x, dtype=float)
-    frame = tangent_frame(a.manifold, x)
-    return int(a.manifold.intrinsic_dim - svd_split(infinitesimal_action(a, x, frame))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -354,14 +345,3 @@ def toric_depth(t) -> tuple[int, int]:
         raise InputError("depth needs nonnegative coordinates")
     depth = int(np.count_nonzero(t < MATCH_EPS))
     return depth, int(t.size) + depth
-
-
-def toric_consistency(a: ActionModel, z) -> bool:
-    """Cross-check the dimension formula against the depth of the moment image."""
-    n = a.params.get("n")
-    if a.manifold.kind != "euclidean" or n is None:
-        raise InputError("toric consistency applies to the torus family only")
-    z = np.asarray(z, dtype=float)
-    t = z[0::2] ** 2 + z[1::2] ** 2
-    _, dim = toric_depth(t)
-    return quotient_dimension(a, z) == dim

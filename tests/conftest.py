@@ -7,11 +7,9 @@ defaults are what the acceptance checks run at.
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import pytest
 
-from orthofold import actions, quotient, strata
+from orthofold import actions, cli, strata
 
 CLOUD_SAMPLES = 150
 CLOUD_SEED = 0
@@ -31,27 +29,12 @@ def cloud_factory():
 
 
 @pytest.fixture(scope="session")
-def pipeline_factory(cloud_factory):
+def pipeline_factory():
     cache = {}
 
     def get(name):
         if name not in cache:
-            cloud = cloud_factory(name)
-            orbit_type = strata.orbit_type_partition(cloud)
-            iso = strata.isostabilizer_decomposition(cloud)
-            klein = quotient.klein_partition(cloud)
-            principal = strata.principal_dimension(cloud, orbit_type)
-            cache[name] = SimpleNamespace(
-                cloud=cloud,
-                action=cloud.model,
-                orbit_type=orbit_type,
-                iso=iso,
-                klein=klein,
-                corr=quotient.correspondence(iso, klein),
-                inverse=quotient.inverse_klein(klein, cloud),
-                principal=principal,
-                labels=strata.singularity_labels(cloud, principal),
-            )
+            cache[name] = cli.run_pipeline(actions.get_action(name), CLOUD_SAMPLES, CLOUD_SEED)
         return cache[name]
 
     return get

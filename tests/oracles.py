@@ -242,7 +242,7 @@ def planted_point_rep(a: actions.ActionModel, x: np.ndarray, kernel, witness_ang
         frame=frame,
         slice_basis=svd_split(actions.infinitesimal_action(a, x, frame))[2],
     )
-    return isotropy.slice_representation(a, st), isotropy.normal_slice(st)
+    return isotropy.slice_representation(a, st), frame @ st.slice_basis
 
 
 def check_partition(blocks, n: int) -> None:
@@ -475,6 +475,8 @@ def slice_stab_profile_reference(a, rep, weights: tuple, seed: int = 0):
 
 def correspondence_reference(iso, klein):
     """The correspondence report from a scan of every pair of iso blocks.
+
+    iso and klein are PartitionOfM; only the Klein blocks are read.
 
     The merge witnesses compare every pair of blocks inside each Klein
     block and keep the first pair per display tag; the split witnesses

@@ -40,13 +40,13 @@ def test_criterion_01_dimension_identity(pipeline_factory):
 def test_criterion_02_product_spheres_blocks(pipeline_factory):
     pipe = pipeline_factory("s2xs2-so3")
     assert len(pipe.klein.blocks) == 2
-    model = quotient.quotient_interval_model(pipe.cloud, pipe.klein, pipe.principal)
+    model = quotient.quotient_interval_model(pipe.cloud, pipe.orbits, pipe.klein, pipe.principal)
     points = {p[1] for s in model.strata for p in s if p[0] == "point"}
     assert points == {-1.0, 1.0}
     dim_of = {}
     for stratum, label in zip(model.strata, model.labels):
         kind = {p[0] for p in stratum}
-        dim_of.setdefault(pipe.klein.dims[label], set()).update(kind)
+        dim_of.setdefault(pipe.klein.block_labels[label]["dim"], set()).update(kind)
     assert dim_of[1] == {"open"}
     assert dim_of[2] == {"point"}
     _report(2, "two Klein blocks; endpoints -1, +1 singular with dims 1 and 2")
@@ -55,7 +55,7 @@ def test_criterion_02_product_spheres_blocks(pipeline_factory):
 def test_criterion_03_projective_plane_blocks(pipeline_factory):
     pipe = pipeline_factory("rp2-so2")
     assert len(pipe.klein.blocks) == 3
-    assert sorted(pipe.klein.dims) == [1, 1, 2]
+    assert sorted(lab["dim"] for lab in pipe.klein.block_labels) == [1, 1, 2]
     labels = pipe.labels
     owner = pipe.klein.block_of()
     proj = pipe.action.interval.projection(pipe.cloud.points)
@@ -107,8 +107,8 @@ def test_criterion_05_isolated_fixed_points(pipeline_factory):
 
 def test_criterion_06_finite_group_quotient(pipeline_factory):
     pipe = pipeline_factory("s2-zn(5)")
-    assert quotient.compare_partitions(pipe.orbit_type, pipe.inverse) == "Equal"
-    assert set(pipe.klein.dims) == {2}
+    assert quotient.compare_partitions(pipe.orbit_type, pipe.klein) == "Equal"
+    assert {lab["dim"] for lab in pipe.klein.block_labels} == {2}
     assert np.all(pipe.cloud.quotient_dims == 2)
     assert quotient.orbifold_criterion(pipe.cloud, pipe.labels)
     _report(6, "Klein partition equals orbit types; constant dimension 2; orbifold")
@@ -131,7 +131,8 @@ def test_criterion_07_toric_dimension_formula():
                 t = z[0::2] ** 2 + z[1::2] ** 2
                 depth, dim = strata.toric_depth(t)
                 assert depth == bin(mask).count("1")
-                assert strata.quotient_dimension(a, z) == dim == n + depth
+                orbit_dim = isotropy.stabilizer(a, z).orbit_dim
+                assert a.manifold.intrinsic_dim - orbit_dim == dim == n + depth
                 trials += 1
     _report(7, f"quotient dimension n + depth on {trials} zero-pattern trials")
 
@@ -148,16 +149,16 @@ def test_criterion_08_correspondence_well_defined(pipeline_factory):
 def test_criterion_09_partition_order(pipeline_factory):
     for name in ("s2xs2-so3", "rp2-so2", "cp2-so3"):
         pipe = pipeline_factory(name)
-        model = quotient.quotient_interval_model(pipe.cloud, pipe.klein, pipe.principal)
+        model = quotient.quotient_interval_model(pipe.cloud, pipe.orbits, pipe.klein, pipe.principal)
         assert quotient.frontier_check(model), name
     coarser = pipeline_factory("cp2-so3")
-    assert quotient.compare_partitions(coarser.inverse, coarser.orbit_type) == "QRefinesP"
+    assert quotient.compare_partitions(coarser.klein, coarser.orbit_type) == "QRefinesP"
     finer = pipeline_factory("cp2-u1")
-    assert quotient.compare_partitions(finer.inverse, finer.orbit_type) == "PRefinesQ"
+    assert quotient.compare_partitions(finer.klein, finer.orbit_type) == "PRefinesQ"
     for name in ALL_ACTIONS:
         pipe = pipeline_factory(name)
         assert refines(pipe.iso.blocks, pipe.orbit_type.blocks), name
-        assert refines(pipe.iso.blocks, pipe.inverse.blocks), name
+        assert refines(pipe.iso.blocks, pipe.klein.blocks), name
     _report(9, "frontier holds; inverse-Klein coarser/finer as expected; iso refines both")
 
 

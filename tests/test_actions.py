@@ -151,6 +151,20 @@ def test_act_matches_ambient_matrix():
     assert np.allclose(y[3:], g @ x[3:], atol=1e-12)
 
 
+@pytest.mark.parametrize("name", [*actions.catalog_ids(), "cn-tn(3)"])
+def test_amb_lie_is_the_derivative_of_amb(name):
+    # amb_lie(xi) is antisymmetric and equals d/dt amb(exp(t xi)) at t = 0,
+    # taken as a central difference
+    a = actions.get_action(name)
+    t = 1e-6
+    for i, xi in enumerate(a.group.lie):
+        mat = a.amb_lie(xi)
+        assert np.abs(mat + mat.T).max() < 1e-12
+        c = t * np.eye(a.group.lie_dim)[i]
+        plus, minus = (a.amb(groups.exp_coeffs(a.group, s * c)) for s in (1.0, -1.0))
+        assert np.abs((plus - minus) / (2 * t) - mat).max() < 1e-8
+
+
 def test_infinitesimal_action_rank_is_orbit_dim():
     a = actions.get_action("rp2-so2")
     # generic point moves, the fixed point does not

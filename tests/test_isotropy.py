@@ -90,9 +90,9 @@ def test_witnesses_are_orthogonal_fixers():
         assert distance(a.manifold, y, st.point) < 1e-6
 
 
-def test_normal_slice_is_orthogonal_to_the_orbit():
+def test_slice_frame_is_orthogonal_to_the_orbit():
     a, st = _stab("s2xs2-so3", [1.0, 0.0, 0.0, 0.0, 0.8, 0.6])
-    s = isotropy.normal_slice(st)
+    s = st.frame @ st.slice_basis
     assert s.shape == (6, 1)
     assert a.manifold.intrinsic_dim - st.orbit_dim == 1
     # ambient slice directions are orthogonal to every generator field
@@ -254,7 +254,7 @@ def test_so3_exact_path_matches_the_search_reference(monkeypatch, name, seed):
         return el
 
     monkeypatch.setattr(quotient, "transport_element", recording)
-    quotient.klein_partition(cloud)
+    quotient.identify_orbits(cloud)
     assert any(found for *_, found in tried)
     for x, y, found in tried:
         if not found:

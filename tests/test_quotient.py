@@ -39,28 +39,29 @@ def test_local_model_fingerprint_fields(pipeline_factory):
     fg = quotient.local_model(cloud.model, cloud.stabs[generic], cloud.reps[generic])
     assert fg.slice_dim == 1
     assert fg.free_away_from_origin
-    assert not quotient.klein_equivalent(fp, fg)
+    assert quotient._klein_key(fp) != quotient._klein_key(fg)
 
 
-def test_klein_equivalent_ignores_the_stabilizer_class(pipeline_factory):
+def test_klein_key_ignores_the_stabilizer_class(pipeline_factory):
     # two generic points agree on every compared field
     pipe = pipeline_factory("rp2-so2")
     cloud = pipe.cloud
     idx = [i for i, st in enumerate(cloud.stabs) if st.subgroup.display() == "Trivial"]
     f1 = quotient.local_model(cloud.model, cloud.stabs[idx[0]], cloud.reps[idx[0]])
     f2 = quotient.local_model(cloud.model, cloud.stabs[idx[1]], cloud.reps[idx[1]])
-    assert quotient.klein_equivalent(f1, f2)
+    assert quotient._klein_key(f1) == quotient._klein_key(f2)
 
 
 def test_klein_partition_rp2(pipeline_factory):
     pipe = pipeline_factory("rp2-so2")
     kp = pipe.klein
     assert len(kp.blocks) == 3
-    assert sorted(kp.dims) == [1, 1, 2]
+    assert sorted(lab["dim"] for lab in kp.block_labels) == [1, 1, 2]
     check_partition(kp.blocks, len(pipe.cloud))
+    check_partition(pipe.orbits, len(pipe.cloud))
     # projection constant along each identified orbit
     proj = pipe.action.interval.projection(pipe.cloud.points)
-    for orbit in kp.orbits:
+    for orbit in pipe.orbits:
         vals = proj[list(orbit)]
         assert vals.max() - vals.min() < 1e-8
 
@@ -68,8 +69,17 @@ def test_klein_partition_rp2(pipeline_factory):
 def test_klein_dims_match_sampled_dimensions(pipeline_factory):
     for name in ("rp2-so2", "cp2-u1"):
         pipe = pipeline_factory(name)
-        for block, dim in zip(pipe.klein.blocks, pipe.klein.dims):
-            assert {int(pipe.cloud.quotient_dims[i]) for i in block} == {dim}
+        for block, lab in zip(pipe.klein.blocks, pipe.klein.block_labels):
+            assert {int(pipe.cloud.quotient_dims[i]) for i in block} == {lab["dim"]}
+
+
+@pytest.mark.parametrize("name", [*actions.catalog_ids(), "cn-tn(3)"])
+def test_each_orbit_lies_in_one_klein_and_one_orbit_type_block(pipeline_factory, name):
+    pipe = pipeline_factory(name)
+    assert list(pipe.orbits) == sorted(pipe.orbits, key=lambda o: o[0])
+    assert all(list(o) == sorted(o) for o in pipe.orbits)
+    assert refines(pipe.orbits, pipe.klein.blocks)
+    assert refines(pipe.orbits, pipe.orbit_type.blocks)
 
 
 def test_correspondence_split_witness_cp2_u1(pipeline_factory):
@@ -126,21 +136,21 @@ def test_correspondence_matches_the_pairwise_scan_on_interleaved_classes(seed):
         blocks=tuple((i,) for i in range(60)),
         block_labels=tuple({"subgroup": _PLANTED_CLASSES[c]} for c in cls),
     )
-    klein = quotient.KleinPartition(
-        blocks=tuple(tuple(np.flatnonzero(kid == k).tolist()) for k in range(4)),
-        fingerprints=(), dims=(), orbits=(),
-    )
+    klein = _part(*(tuple(np.flatnonzero(kid == k).tolist()) for k in range(4)))
     got = quotient.correspondence(iso, klein)
     assert got == correspondence_reference(iso, klein)
     assert got.merge_witnesses and got.split_witnesses
 
 
-def test_inverse_klein_mirrors_the_blocks(pipeline_factory):
+def test_klein_labels_name_each_stratum(pipeline_factory):
     pipe = pipeline_factory("rp2-so2")
-    inv = pipe.inverse
-    assert inv.blocks == pipe.klein.blocks
-    assert [lab["dim"] for lab in inv.block_labels] == list(pipe.klein.dims)
-    assert refines(pipe.iso.blocks, inv.blocks)
+    klein = pipe.klein
+    assert [lab["label"] for lab in klein.block_labels] == ["S0", "S1", "S2"]
+    for block, lab in zip(klein.blocks, klein.block_labels):
+        root = block[0]
+        fp = quotient.local_model(pipe.action, pipe.cloud.stabs[root], pipe.cloud.reps[root])
+        assert quotient._klein_key(lab["fingerprint"]) == quotient._klein_key(fp)
+    assert refines(pipe.iso.blocks, klein.blocks)
 
 
 def test_compare_partitions_relations():
@@ -153,6 +163,15 @@ def test_compare_partitions_relations():
     assert quotient.compare_partitions(p, r) == "Incomparable"
     with pytest.raises(InputError):
         quotient.compare_partitions(p, _part((0, 1), (2,)))
+
+
+@pytest.mark.parametrize("other", [((0, 1), (2,)), ((0, 1), (2, 3), (4,)), ((0, 1), (1, 2, 3))])
+def test_partitions_of_different_index_sets_raise_alike(other):
+    p = _part((0, 1), (2, 3))
+    q = _part(*other)
+    for call in (quotient.correspondence, quotient.compare_partitions):
+        with pytest.raises(InputError, match="partitions cover different index sets"):
+            call(p, q)
 
 
 def test_frontier_check_hand_models():
@@ -191,7 +210,7 @@ def test_frontier_check_hand_models():
 
 def test_quotient_interval_model_rp2(pipeline_factory):
     pipe = pipeline_factory("rp2-so2")
-    model = quotient.quotient_interval_model(pipe.cloud, pipe.klein, pipe.principal)
+    model = quotient.quotient_interval_model(pipe.cloud, pipe.orbits, pipe.klein, pipe.principal)
     assert model.endpoints == (0.0, 1.0)
     pieces = [p for s in model.strata for p in s]
     assert ("point", 0.0) in pieces and ("point", 1.0) in pieces
@@ -336,11 +355,10 @@ def test_planted_rank_two_counts_every_component():
 def test_cn_tn_has_one_klein_block_per_depth(n, samples):
     # the quotient of C^n by T^n is the orthant, stratified by depth: n + 1
     # Klein strata, of dimensions n .. 2n
-    klein = quotient.klein_partition(
-        strata.build_cloud(actions.get_action(f"cn-tn({n})"), samples, seed=0)
-    )
+    cloud = strata.build_cloud(actions.get_action(f"cn-tn({n})"), samples, seed=0)
+    klein = quotient.klein_partition(cloud, quotient.identify_orbits(cloud))
     assert len(klein.blocks) == n + 1
-    assert sorted(klein.dims) == list(range(n, 2 * n + 1))
+    assert sorted(lab["dim"] for lab in klein.block_labels) == list(range(n, 2 * n + 1))
 
 
 @pytest.mark.parametrize("seed", range(2))
@@ -384,6 +402,7 @@ def test_klein_partition_fingerprints_each_shared_rep_once(monkeypatch):
 
     monkeypatch.setattr(quotient, "_effective_signature", counted)
     cloud = strata.build_cloud(actions.get_action("s2-zn(5)"), 3000, seed=0)
-    klein = quotient.klein_partition(cloud)
-    assert len(klein.orbits) > 3000
+    orbits = quotient.identify_orbits(cloud)
+    assert len(orbits) > 3000
+    quotient.klein_partition(cloud, orbits)
     assert len(calls) <= 10

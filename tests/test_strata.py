@@ -115,13 +115,17 @@ def test_cloud_appends_special_loci(cloud_factory):
     assert dists.min() < 1e-9
 
 
-def test_quotient_dimension_pointwise():
+def _quotient_dim(a, x):
+    return a.manifold.intrinsic_dim - isotropy.stabilizer(a, np.asarray(x, dtype=float)).orbit_dim
+
+
+def test_pointwise_dimension_is_intrinsic_minus_orbit_dim():
     a = actions.get_action("rp2-so2")
-    assert strata.quotient_dimension(a, [0.0, 0.0, 1.0]) == 2
-    assert strata.quotient_dimension(a, [0.6, 0.0, 0.8]) == 1
+    assert _quotient_dim(a, [0.0, 0.0, 1.0]) == 2
+    assert _quotient_dim(a, [0.6, 0.0, 0.8]) == 1
     z = actions.get_action("s2-zn(5)")
-    assert strata.quotient_dimension(z, [0.0, 0.0, 1.0]) == 2
-    assert strata.quotient_dimension(z, [0.6, 0.0, 0.8]) == 2
+    assert _quotient_dim(z, [0.0, 0.0, 1.0]) == 2
+    assert _quotient_dim(z, [0.6, 0.0, 0.8]) == 2
 
 
 def test_dimension_identity_on_a_cloud(cloud_factory):
@@ -271,13 +275,11 @@ def test_toric_depth_values():
         strata.toric_depth([])
 
 
-def test_toric_consistency_handpicked():
+def test_toric_depth_matches_the_pointwise_dimension_handpicked():
     a = actions.get_action("cn-tn(2)")
-    assert strata.toric_consistency(a, [0.5, 0.1, -0.3, 0.9])
-    assert strata.toric_consistency(a, [0.0, 0.0, 1.0, 0.0])
-    assert strata.toric_consistency(a, [0.0, 0.0, 0.0, 0.0])
-    with pytest.raises(InputError):
-        strata.toric_consistency(actions.get_action("rp2-so2"), [0.0, 0.0, 1.0])
+    for z in ([0.5, 0.1, -0.3, 0.9], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0]):
+        z = np.array(z)
+        assert strata.toric_depth(z[0::2] ** 2 + z[1::2] ** 2)[1] == _quotient_dim(a, z)
 
 
 def test_check_partition_rejects_overlap_and_gap():
