@@ -40,7 +40,9 @@ def test_criterion_01_dimension_identity(pipeline_factory):
 def test_criterion_02_product_spheres_blocks(pipeline_factory):
     pipe = pipeline_factory("s2xs2-so3")
     assert len(pipe.klein.blocks) == 2
-    model = quotient.quotient_interval_model(pipe.cloud, pipe.orbits, pipe.klein, pipe.principal)
+    model = quotient.quotient_interval_model(
+        pipe.cloud, pipe.orbits, pipe.klein, pipe.principal
+    )
     points = {p[1] for s in model.strata for p in s if p[0] == "point"}
     assert points == {-1.0, 1.0}
     dim_of = {}
@@ -149,7 +151,9 @@ def test_criterion_08_correspondence_well_defined(pipeline_factory):
 def test_criterion_09_partition_order(pipeline_factory):
     for name in ("s2xs2-so3", "rp2-so2", "cp2-so3"):
         pipe = pipeline_factory(name)
-        model = quotient.quotient_interval_model(pipe.cloud, pipe.orbits, pipe.klein, pipe.principal)
+        model = quotient.quotient_interval_model(
+        pipe.cloud, pipe.orbits, pipe.klein, pipe.principal
+    )
         assert quotient.frontier_check(model), name
     coarser = pipeline_factory("cp2-so3")
     assert quotient.compare_partitions(coarser.klein, coarser.orbit_type) == "QRefinesP"

@@ -126,22 +126,31 @@ def test_witness_must_normalize_the_algebra():
         groups.classify_subgroup(g, kz, np.stack([np.eye(3), bad]))
 
 
+def _other(traces):
+    return groups.SubgroupClass("Other", None, 1, f"components({len(traces)})", tuple(traces))
+
+
 def test_other_conjugacy_matches_allclose_at_the_bound():
     # Other-vs-Other traces placed at and around the np.allclose boundary
     # |a - b| <= MATCH_EPS + 1e-5 |b|; the written-out bound must decide
     # every pair as np.allclose does
     rng = np.random.default_rng(14)
-    answers = set()
+    pairs = []
     for _ in range(300):
         m = int(rng.integers(1, 5))
         base = np.round(rng.uniform(-3.0, 3.0, size=m), 9)
         edge = numerics.MATCH_EPS + 1e-5 * np.abs(base)
         scale = rng.choice([0.98, 1.0, 1.02, rng.uniform(0.98, 1.02)], size=m)
         other = base + edge * scale * rng.choice([-1.0, 1.0], size=m)
-        a = groups.SubgroupClass("Other", None, 1, f"components({m})", tuple(base.tolist()))
-        b = groups.SubgroupClass("Other", None, 1, f"components({m})", tuple(other.tolist()))
+        pairs.append((base.tolist(), other.tolist()))
+    # against a zero trace the bound is MATCH_EPS itself, met exactly
+    eps = numerics.MATCH_EPS
+    pairs += [([eps], [0.0]), ([-eps], [0.0]), ([np.nextafter(eps, 1.0)], [0.0])]
+    answers = set()
+    for p, q in pairs:
+        a, b = _other(p), _other(q)
         for x, y in ((a, b), (b, a), (a, a)):
-            want = bool(np.allclose(np.array(x.traces), np.array(y.traces), atol=numerics.MATCH_EPS))
+            want = bool(np.allclose(np.array(x.traces), np.array(y.traces), atol=eps))
             answers.add(want)
             assert groups.classes_conjugate(x, y) is want
     assert answers == {True, False}

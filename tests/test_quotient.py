@@ -210,7 +210,9 @@ def test_frontier_check_hand_models():
 
 def test_quotient_interval_model_rp2(pipeline_factory):
     pipe = pipeline_factory("rp2-so2")
-    model = quotient.quotient_interval_model(pipe.cloud, pipe.orbits, pipe.klein, pipe.principal)
+    model = quotient.quotient_interval_model(
+        pipe.cloud, pipe.orbits, pipe.klein, pipe.principal
+    )
     assert model.endpoints == (0.0, 1.0)
     pieces = [p for s in model.strata for p in s]
     assert ("point", 0.0) in pieces and ("point", 1.0) in pieces
