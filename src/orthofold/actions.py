@@ -118,6 +118,14 @@ def align(m: ManifoldModel, Y: np.ndarray, x: np.ndarray):
     return a, np.zeros_like(a), Y
 
 
+def aligned(m: ManifoldModel, Y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The rows of Y as align turns them, without the factors: Y itself on
+    spheres, products and euclidean models, where every factor is 1."""
+    if m.kind in ("real_projective", "complex_projective"):
+        return align(m, Y, x)[2]
+    return Y
+
+
 def validate_points(m: ManifoldModel, X: np.ndarray) -> None:
     """Raise InputError unless every row of the stack X is a representative:
     of the ambient shape, finite, and of unit norm (per sphere factor on

@@ -366,7 +366,7 @@ def _point_strata_values(model) -> set:
 
 def _klein_block_of_point(r, point: np.ndarray):
     # the cloud's representatives aligned onto point, as in the fixer test
-    aligned = actions.align(r.action.manifold, r.cloud.points, point)[2]
+    aligned = actions.aligned(r.action.manifold, r.cloud.points, point)
     d = np.linalg.norm(aligned - point, axis=1)
     i = int(d.argmin())
     return r.klein.block_of()[i] if d[i] <= 1e-7 else None

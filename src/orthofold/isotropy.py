@@ -10,7 +10,7 @@ import numpy as np
 from . import groups
 from .actions import (
     ActionModel,
-    align,
+    aligned,
     ambient_complex_structure,
     differentials,
     infinitesimal_action,
@@ -18,7 +18,7 @@ from .actions import (
     tangent_frame,
 )
 from .errors import InputError, RepExtractionError, StabilizerError
-from .numerics import MATCH_EPS, POINT_EPS, shared_identity, svd_split
+from .numerics import BLOCK_BYTES, MATCH_EPS, POINT_EPS, shared_identity, svd_split
 
 # squared chordal distance below which a candidate counts as a fixer
 ACCEPT_D2 = 1e-12
@@ -98,8 +98,35 @@ def _displacement(a: ActionModel, x: np.ndarray, amb: np.ndarray, y: np.ndarray)
     """
     n = x.shape[0]
     Y = (amb.reshape(-1, n) @ x).reshape(-1, n)
-    res = align(a.manifold, Y, y)[2] - y
+    res = aligned(a.manifold, Y, y) - y
     return np.einsum("bi,bi->b", res, res)
+
+
+def fixer_masks(a: ActionModel, X: np.ndarray) -> np.ndarray:
+    """The finite fixer test of a stack of points: bool[n, |G|], True where
+    the element fixes the point.
+
+    The images of a chunk of rows under every element come from one product
+    with the element stack flattened to (|G| * N, N), a chunk holding at
+    most BLOCK_BYTES of images (one row at least); an element fixes a point
+    when the aligned image lies within POINT_EPS of it, by squared
+    displacement. X holds validated representatives.
+    """
+    X = np.asarray(X, dtype=float)
+    ambs = a.element_ambs
+    size, n = ambs.shape[0], ambs.shape[1]
+    flat_t = ambs.reshape(-1, n).T
+    out = np.empty((X.shape[0], size), dtype=bool)
+    step = max(1, BLOCK_BYTES // (8 * size * n))
+    for lo in range(0, X.shape[0], step):
+        x = X[lo : lo + step]
+        # row (point, element) holds the image of the point under the element
+        images = (x @ flat_t).reshape(-1, n)
+        targets = np.repeat(x, size, axis=0)
+        res = aligned(a.manifold, images, targets) - targets
+        d2 = np.einsum("bi,bi->b", res, res).reshape(-1, size)
+        np.less_equal(d2, POINT_EPS * POINT_EPS, out=out[lo : lo + step])
+    return out
 
 
 @functools.lru_cache(maxsize=64)
@@ -265,18 +292,25 @@ def _gauge_normal_form(X: np.ndarray) -> np.ndarray:
     return X @ v
 
 
-def stabilizer(a: ActionModel, x: np.ndarray, frame: np.ndarray | None = None) -> StabilizerData:
+def stabilizer(
+    a: ActionModel,
+    x: np.ndarray,
+    frame: np.ndarray | None = None,
+    fixers: np.ndarray | None = None,
+) -> StabilizerData:
     """Compute the stabilizer of x: Lie kernel, component witnesses, class.
 
     frame is the tangent frame of x as actions.tangent_frames built it, x
     then being a validated representative; without it, x is normalized and
-    framed here, which also validates it. One SVD of the infinitesimal
-    action in that frame gives the orbit dimension (its rank), the Lie
+    framed here, which also validates it. For a finite group, fixers is the
+    row of x in fixer_masks, given with its frame; without it the fixer test
+    runs here, as fixer_masks of x alone. One SVD of the infinitesimal
+    action in the frame gives the orbit dimension (its rank), the Lie
     algebra (its kernel) and the normal slice (the complement of its column
     span); a finite group's action has no columns, so its slice is the whole
     tangent space. Every kind is decided in closed form: torus-kind
     components are solved exactly from the integer congruence of the active
-    ambient pairs, finite groups are enumerated by one fixer test against
+    ambient pairs, finite groups are enumerated by the fixer test against
     the element stack, and SO(3) components are the half-turns of
     _so3_candidates that pass the fixer test. Each witness has squared
     displacement at most ACCEPT_D2 (the finite kind tests at POINT_EPS).
@@ -294,9 +328,10 @@ def stabilizer(a: ActionModel, x: np.ndarray, frame: np.ndarray | None = None) -
         raise StabilizerError("orbit and kernel dimensions are inconsistent")
 
     if g.kind == "finite":
+        if fixers is None:
+            fixers = fixer_masks(a, x[None])[0]
         order = _witness_order(g)
-        d2 = _displacement(a, x, a.element_ambs, x)
-        keep = order[d2[order] <= POINT_EPS * POINT_EPS]
+        keep = order[fixers[order]]
         wits, cls = _finite_stabilizer(g, tuple(keep.tolist()))
         wambs = a.element_ambs[keep]
     elif g.kind == "torus":

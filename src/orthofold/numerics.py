@@ -51,7 +51,8 @@ def as_small_matrix(a) -> np.ndarray:
         raise InputError(f"expected a matrix, got ndim={m.ndim}")
     if m.shape[0] > MAX_DIM or m.shape[1] > MAX_DIM:
         raise InputError(f"matrix of shape {m.shape} exceeds the {MAX_DIM} limit")
-    if not np.all(np.isfinite(m)):
+    # an empty matrix has no entry to scan
+    if m.size and not np.all(np.isfinite(m)):
         raise InputError("matrix contains non-finite entries")
     return m
 

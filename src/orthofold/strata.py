@@ -22,7 +22,7 @@ from .actions import (
     tangent_frames,
 )
 from .errors import ClassificationError, InputError
-from .isotropy import slice_representations, stabilizer
+from .isotropy import fixer_masks, slice_representations, stabilizer
 from .kernels import pairwise_chebyshev
 from .numerics import MATCH_EPS, BandScan, orthonormalize, widest_coordinate
 from .seeding import rng_for
@@ -112,11 +112,12 @@ def build_cloud(a: ActionModel, count: int, seed: int = 0) -> SampleCloud:
     """Sample the manifold and attach per-point isotropy data.
 
     The catalog's measure-zero loci are appended after the uniform samples.
-    The cloud is normalized and validated once, and every tangent frame is
-    built in one call; then each point's stabilizer is computed in closed
-    form from its frame, and the slice representations in one batch over
-    the cloud. The seed fixes the cloud and rebuilding with the same seed
-    reproduces it exactly.
+    The cloud is normalized and validated once, every tangent frame is
+    built in one call, and a finite group's fixer test runs once over the
+    whole cloud; then each point's stabilizer is computed in closed form
+    from its frame (and fixer row), and the slice representations in one
+    batch over the cloud. The seed fixes the cloud and rebuilding with the
+    same seed reproduces it exactly.
     """
     if count < 1:
         raise InputError("cloud needs a sample count of at least 1")
@@ -129,7 +130,8 @@ def build_cloud(a: ActionModel, count: int, seed: int = 0) -> SampleCloud:
         pts = uniform
     pts = normalize(m, pts)
     frames = tangent_frames(m, pts)
-    stabs = [stabilizer(a, x, frame) for x, frame in zip(pts, frames)]
+    fixers = fixer_masks(a, pts) if a.group.kind == "finite" else [None] * len(pts)
+    stabs = [stabilizer(a, x, frame, row) for x, frame, row in zip(pts, frames, fixers)]
     reps = slice_representations(a, stabs)
     orbit_dims = np.array([st.orbit_dim for st in stabs], dtype=np.int64)
     quotient_dims = m.intrinsic_dim - orbit_dims
@@ -151,18 +153,40 @@ def build_cloud(a: ActionModel, count: int, seed: int = 0) -> SampleCloud:
 # ---------------------------------------------------------------------------
 
 
+def _once_per_class(stabs, decide) -> list:
+    """decide(st) for each stabilizer, called once per distinct class, in
+    the order the classes first occur, and shared by every stabilizer of
+    that class. decide never returns None."""
+    seen: dict = {}
+    out = []
+    for st in stabs:
+        d = seen.get(st.subgroup)
+        if d is None:
+            d = seen[st.subgroup] = decide(st)
+        out.append(d)
+    return out
+
+
 def orbit_type_partition(cloud: SampleCloud) -> PartitionOfM:
-    """Group cloud points whose stabilizer classes are conjugate."""
-    blocks: list[list[int]] = []
+    """Group cloud points whose stabilizer classes are conjugate.
+
+    A point joins the first block whose class is conjugate to its own, else
+    opens a new one. Blocks are only appended, so equal classes always join
+    the same block: it is found once per distinct class.
+    """
     labels: list[dict] = []
-    for i, st in enumerate(cloud.stabs):
-        for blk, lab in zip(blocks, labels):
+
+    def block(st):
+        for b, lab in enumerate(labels):
             if groups.classes_conjugate(st.subgroup, lab["subgroup"]):
-                blk.append(i)
-                break
-        else:
-            blocks.append([i])
-            labels.append({"subgroup": st.subgroup, "label": st.subgroup.display()})
+                return b
+        labels.append({"subgroup": st.subgroup, "label": st.subgroup.display()})
+        return len(labels) - 1
+
+    owner = _once_per_class(cloud.stabs, block)
+    blocks: list[list[int]] = [[] for _ in labels]
+    for i, b in enumerate(owner):
+        blocks[b].append(i)
     order = sorted(range(len(blocks)), key=lambda j: blocks[j][0])
     return PartitionOfM(
         blocks=tuple(tuple(blocks[j]) for j in order),
@@ -293,14 +317,8 @@ def principal_dimension(cloud: SampleCloud, orbit_type: PartitionOfM) -> Princip
     elected = min(attaining, key=lambda b: (-votes(b), -len(b), b[0]))
     pcls = cloud.stabs[elected[0]].subgroup
     podim = int(cloud.orbit_dims[elected[0]])
-    exceptional = np.array(
-        [
-            int(cloud.orbit_dims[i]) == podim
-            and not groups.classes_conjugate(cloud.stabs[i].subgroup, pcls)
-            for i in range(len(cloud))
-        ],
-        dtype=bool,
-    )
+    off = _once_per_class(cloud.stabs, lambda st: not groups.classes_conjugate(st.subgroup, pcls))
+    exceptional = (cloud.orbit_dims == podim) & np.array(off, dtype=bool)
     return PrincipalData(value=d_pr, subgroup=pcls, orbit_dim=podim, exceptional=exceptional)
 
 
@@ -327,8 +345,13 @@ def classify_singularity(stab, principal_class: groups.SubgroupClass) -> Singula
 
 
 def singularity_labels(cloud: SampleCloud, principal: PrincipalData) -> list[SingularityLabel]:
-    """Per-point singularity labels against the cloud's principal class."""
-    return [classify_singularity(st, principal.subgroup) for st in cloud.stabs]
+    """Per-point singularity labels against the cloud's principal class.
+
+    A label reads the stabilizer's class and its witness count, which is the
+    length of the class's trace multiset, so it is decided once per distinct
+    class.
+    """
+    return _once_per_class(cloud.stabs, lambda st: classify_singularity(st, principal.subgroup))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ group, the SO(3) Haar-and-Levenberg-Marquardt search that preceded the
 closed-form stabilizers and transports, the fingerprint rows built one
 stabilizer at a time, the tangent frame built one point at a time, the
 finite slice representation read from one point's witness differentials,
-a partition check and the aligned distance of two points. None of it imports the numeric routines under
+the finite fixer test run one point at a time, the orbit identification
+loop that built every candidate key per point, a partition check and the
+aligned distance of two points. None of it imports the numeric routines under
 test beyond the public model types, the slice frame helpers, the
 representative alignment the displacement test shares, and the
 orthonormalization the fingerprint rows must reproduce bit for bit.
@@ -944,3 +946,60 @@ def finite_slice_rep_reference(a, st: isotropy.StabilizerData) -> isotropy.Slice
         witness_mats=wmats,
         lie_mats=np.zeros((0, sdim, sdim)),
     )
+
+
+def fixer_d2_reference(a, x: np.ndarray) -> np.ndarray:
+    """Squared displacement of the representative x under each element of a
+    finite group, by the per-point fixer test that preceded the batched
+    isotropy.fixer_masks: one matrix-vector product with the element stack
+    flattened to (|G| * N, N), the images aligned onto x."""
+    n = x.shape[0]
+    Y = (a.element_ambs.reshape(-1, n) @ x).reshape(-1, n)
+    res = actions.align(a.manifold, Y, x)[2] - x
+    return np.einsum("bi,bi->b", res, res)
+
+
+def identify_orbits_reference(cloud, transport) -> tuple:
+    """quotient.identify_orbits as it was before its candidate keys were
+    shared between equal (rep, class) pairs: every key built per point from
+    numpy-scalar invariants, and every candidate group sorted and scanned.
+    transport(i, j) returns an element carrying point i onto point j, or
+    None."""
+    n = len(cloud)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    inv_raw = quotient._orbit_invariants(cloud.model, cloud.points)
+    inv = np.round(inv_raw, 6)
+    candidates: dict = {}
+    for i in range(n):
+        rep = cloud.reps[i]
+        key = (
+            cloud.stabs[i].subgroup.display(),
+            int(cloud.orbit_dims[i]),
+            isotropy.canonical_weight_rows(rep.weights),
+            rep.zero_dims,
+            rep.characters,
+            tuple(inv[i]),
+        )
+        candidates.setdefault(key, []).append(i)
+    for key in sorted(candidates):
+        idx = candidates[key]
+        for p in range(len(idx)):
+            for q in range(p + 1, len(idx)):
+                i, j = idx[p], idx[q]
+                if find(i) == find(j):
+                    continue
+                if inv_raw.shape[1] and np.abs(inv_raw[i] - inv_raw[j]).max() > 1e-7:
+                    continue
+                if transport(i, j) is not None:
+                    parent[find(j)] = find(i)
+    orbit_members: dict = {}
+    for i in range(n):
+        orbit_members.setdefault(find(i), []).append(i)
+    return tuple(sorted((tuple(o) for o in orbit_members.values()), key=lambda o: o[0]))

@@ -5,13 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from orthofold import actions, groups, isotropy, quotient, strata
+from orthofold import actions, groups, isotropy, numerics, quotient, strata
 from orthofold.errors import StabilizerError
 
 from oracles import (
     distance,
     exact_rank,
     finite_slice_rep_reference,
+    fixer_d2_reference,
     minor_gcd,
     slice_stab_profile_reference,
     stabilizer_reference,
@@ -471,6 +472,25 @@ def test_finite_witness_order_matches_sorting_the_fixers(n):
             assert np.array_equal(st.witness_ambs, model.amb_batch(st.witnesses))
         st = isotropy.stabilizer(model, np.array([0.6, 0.0, 0.8]))
         assert np.array_equal(st.witnesses, np.eye(3)[None])
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n", [2, 5, 64])
+def test_fixer_masks_of_a_cloud_are_its_batches_of_one(n, seed):
+    # the batched product differs from the per-point one in the last bits
+    # (up to 1.8e-15 in d2), which moves no decision: every fixer sits at
+    # d2 = 0 and the nearest non-fixer at 1.4e-6 or more (s2-zn(64), seed
+    # 0), against the POINT_EPS^2 = 1e-14 cut. s2-zn(64) spans several row
+    # chunks
+    a = actions.get_action(f"s2-zn({n})")
+    pts = strata.build_cloud(a, 3000, seed=seed).points
+    masks = isotropy.fixer_masks(a, pts)
+    assert masks.shape == (len(pts), n)
+    assert np.array_equal(masks, np.stack([isotropy.fixer_masks(a, x[None])[0] for x in pts]))
+    d2 = np.stack([fixer_d2_reference(a, x) for x in pts])
+    assert np.array_equal(masks, d2 <= numerics.POINT_EPS**2)
+    assert d2[masks].max() <= 1e-20
+    assert d2[~masks].min() >= 1e-6
 
 
 @pytest.mark.parametrize("seed", range(2))

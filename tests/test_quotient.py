@@ -13,6 +13,7 @@ from oracles import (
     check_partition,
     correspondence_reference,
     hidden_frame,
+    identify_orbits_reference,
     origin_stabilizer,
     planted_point_rep,
     planted_torus_action,
@@ -390,6 +391,32 @@ def test_local_models_count_the_witnesses_of_each_rep():
     for fp, rep in zip(fps, cloud.reps):
         profile = quotient._slice_stab_profile(a, rep, 0)
         assert (fp.slice_stab_profile, fp.free_away_from_origin) == profile
+
+
+@pytest.mark.parametrize("name", [*actions.catalog_ids(), "cn-tn(3)"])
+def test_identify_orbits_tries_the_reference_transports(monkeypatch, pipeline_factory, name):
+    # the candidate keys are shared between equal (rep, class) pairs and
+    # only groups of two or more are sorted, yet the same (i, j) pairs
+    # reach transport_element in the same order as in the per-point loop
+    cloud = pipeline_factory(name).cloud
+    index = {x.tobytes(): i for i, x in enumerate(cloud.points)}
+    assert len(index) == len(cloud)
+    tried, want = [], []
+
+    def recording(a, x, y):
+        tried.append((index[x.tobytes()], index[y.tobytes()]))
+        return isotropy.transport_element(a, x, y)
+
+    def transport(i, j):
+        want.append((i, j))
+        return isotropy.transport_element(cloud.model, cloud.points[i], cloud.points[j])
+
+    monkeypatch.setattr(quotient, "transport_element", recording)
+    orbits = quotient.identify_orbits(cloud)
+    assert orbits == identify_orbits_reference(cloud, transport)
+    assert tried == want
+    # the other actions' orbit invariants separate every orbit of this cloud
+    assert bool(tried) == (name in ("s2xs2-so3", "rp2-so2", "cp2-so3"))
 
 
 def test_klein_partition_fingerprints_each_shared_rep_once(monkeypatch):

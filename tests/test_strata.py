@@ -60,6 +60,36 @@ def test_build_cloud_builds_one_frame_per_point(monkeypatch, name):
     assert not singles
 
 
+@pytest.mark.parametrize("name", ["s2-zn(2)", "s2-zn(5)", "s2-zn(64)"])
+def test_build_cloud_runs_one_fixer_test_per_finite_cloud(monkeypatch, name):
+    # every mask row comes from one fixer_masks call over the whole cloud,
+    # and no point runs the fixer test on its own: neither fixer_masks of
+    # one point (which would add calls and rows) nor the per-point
+    # displacement of isotropy._displacement
+    batch, single = isotropy.fixer_masks, isotropy._displacement
+    rows, singles = [], []
+
+    def counted_batch(*args, **kwargs):
+        out = batch(*args, **kwargs)
+        rows.append(out.shape[0])
+        return out
+
+    def counted_single(*args, **kwargs):
+        singles.append(1)
+        return single(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if not mod_name.startswith("orthofold"):
+            continue
+        if getattr(mod, "fixer_masks", None) is batch:
+            monkeypatch.setattr(mod, "fixer_masks", counted_batch)
+        if getattr(mod, "_displacement", None) is single:
+            monkeypatch.setattr(mod, "_displacement", counted_single)
+    cloud = strata.build_cloud(actions.get_action(name), 20, seed=0)
+    assert rows == [len(cloud)]
+    assert not singles
+
+
 @pytest.mark.parametrize("name", ["s2-zn(5)", "s2xs2-so3", "rp2-so2", "cp2-so3", "cn-tn(2)"])
 def test_build_cloud_calls_the_stabilizer_once_per_point(monkeypatch, name):
     # the per-layer trace counts the stabilizer calls of each cloud build and
