@@ -1,10 +1,10 @@
 """Stage times of the benchmark's workload commands, measured in process.
 
-    python3 benchmarks/bench_pipeline.py --repeats 10 --seed 0 --out BENCH_pipeline.json
+    python3 benchmarks/bench_pipeline.py --out BENCH_pipeline.json
 
 Each command of each workload in perfbench/run.py (`verify` or `analyze` of
 one action at the workload's sample count) runs through orthofold.cli.main
-in this process at the given program seed, --repeats times, with every BLAS
+in this process at program seed SEED, REPEATS times, with every BLAS
 library held to one thread as perfbench holds its children. The pipeline
 stages are timed by wrapping the functions cli.run_pipeline calls: the cloud
 build, the orbit type partition, the isostabilizer decomposition, orbit
@@ -15,10 +15,10 @@ interval model, the verify checks, the payload and its rendering.
 Per command and stage the JSON keeps the minimum over the repetitions and
 the first repetition, which starts with this process's caches cold, as a
 fresh CLI process does; a workload's stage time is the sum over its
-commands. Every repetition of a command must print the same report-sha256,
-which is recorded. The environment (core count, BLAS library and threads,
-Python and numpy versions) is perfbench/probe.py's, which needs scipy (the
-test extra).
+commands. Every repetition of a command must exit 0 and print a
+report-sha256, the same one each time, which is recorded. The environment
+(core count, BLAS library and threads, Python and numpy versions) is
+perfbench/probe.py's, which needs scipy (the test extra).
 """
 
 from __future__ import annotations
@@ -54,6 +54,8 @@ STAGES = {
     "klein": (quotient, "klein_partition"),
 }
 REPORT = "report"
+REPEATS = 10  # runs per command
+SEED = 0  # program seed
 
 
 @contextlib.contextmanager
@@ -95,15 +97,15 @@ def run_once(argv: list[str]) -> tuple[dict, int, str | None]:
     return times, code, sha
 
 
-def bench_command(argv: list[str], repeats: int) -> dict:
-    runs = [run_once(argv) for _ in range(repeats)]
+def bench_command(argv: list[str]) -> dict:
+    runs = [run_once(argv) for _ in range(REPEATS)]
     codes = sorted({code for _, code, _ in runs})
-    shas = sorted({str(sha) for *_, sha in runs})
-    if len(shas) != 1 or codes != [0]:
+    shas = {sha for *_, sha in runs}
+    if None in shas or len(shas) != 1 or codes != [0]:
         raise SystemExit(f"{' '.join(argv)}: exit codes {codes}, report hashes {shas}")
     return {
         "argv": argv,
-        "report_sha256": shas[0],
+        "report_sha256": shas.pop(),
         "first_s": {k: round(v, 6) for k, v in runs[0][0].items()},
         "min_s": {k: round(min(t[k] for t, *_ in runs), 6) for k in runs[0][0]},
     }
@@ -111,23 +113,19 @@ def bench_command(argv: list[str], repeats: int) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--repeats", type=int, default=10, help="runs per command (default 10)")
-    ap.add_argument("--seed", type=int, default=0, help="program seed (default 0)")
     ap.add_argument("--out", default=str(ROOT / "BENCH_pipeline.json"))
     args = ap.parse_args(argv)
-    if args.repeats < 1:
-        ap.error("--repeats must be at least 1")
 
     workloads = {}
     for name, cmds in WORKLOADS.items():
-        results = [bench_command(c.args(args.seed), args.repeats) for c in cmds]
+        results = [bench_command(c.args(SEED)) for c in cmds]
         summed = {k: round(sum(r["min_s"][k] for r in results), 6) for k in results[0]["min_s"]}
         workloads[name] = {"commands": results, "min_s": summed}
         print(name, " ".join(f"{k}={v * 1e3:.1f}ms" for k, v in summed.items()))
     doc = {
         "harness": "benchmarks/bench_pipeline.py",
-        "repeats": args.repeats,
-        "seed": args.seed,
+        "repeats": REPEATS,
+        "seed": SEED,
         "stages": [*STAGES, REPORT],
         "env": probe.environment(),
         "workloads": workloads,

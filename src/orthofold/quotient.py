@@ -390,20 +390,16 @@ def identify_orbits(cloud: SampleCloud) -> tuple:
     inv_raw = _orbit_invariants(a, cloud.points)
     inv = np.round(inv_raw, 6).tolist()
     odims = cloud.orbit_dims.tolist()
-    # the class and rep part of a key, once per distinct (rep, class)
-    parts: dict = {}
     candidates: dict = {}
     for i, (st, rep) in enumerate(zip(cloud.stabs, cloud.reps)):
-        part = parts.get((id(rep), st.subgroup))
-        if part is None:
-            part = parts[id(rep), st.subgroup] = (
-                st.subgroup.display(),
-                canonical_weight_rows(rep.weights),
-                rep.zero_dims,
-                rep.characters,
-            )
-        label, rows, zero_dims, chars = part
-        key = (label, odims[i], rows, zero_dims, chars, tuple(inv[i]))
+        key = (
+            st.subgroup.display(),
+            odims[i],
+            canonical_weight_rows(rep.weights),
+            rep.zero_dims,
+            rep.characters,
+            tuple(inv[i]),
+        )
         candidates.setdefault(key, []).append(i)
     # a singleton group tries no transport
     for key in sorted(k for k, idx in candidates.items() if len(idx) > 1):
