@@ -22,9 +22,9 @@ from typing import Callable
 
 import numpy as np
 
-from . import groups, kernels
+from . import groups
 from .errors import InputError, PointSpecError, StabilizerError, UnknownActionError
-from .numerics import MATCH_EPS, POINT_EPS, widest_coordinate
+from .numerics import MATCH_EPS, POINT_EPS
 
 # ---------------------------------------------------------------------------
 # manifold models
@@ -157,44 +157,6 @@ def sample_points(m: ManifoldModel, count: int, rng: np.random.Generator) -> np.
     if m.kind == "euclidean":
         return raw
     return normalize(m, raw)
-
-
-def pairwise_distances(
-    m: ManifoldModel,
-    pts: np.ndarray,
-    lo: int = 0,
-    hi: int | None = None,
-    clo: int = 0,
-    chi: int | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """The (hi - lo, chi - clo) block of manifold distances from rows lo..hi
-    of pts to rows clo..chi; the defaults give the full matrix. Entries do
-    not depend on the block bounds. out is the kernels' optional scratch
-    (see kernels.SCRATCH_PLANES), of which the block is then a view."""
-    if m.kind == "real_projective":
-        return kernels.pairwise_sign_aligned(pts, lo, hi, clo, chi, out)
-    if m.kind == "complex_projective":
-        return kernels.pairwise_phase_aligned(pts, lo, hi, clo, chi, out)
-    return kernels.pairwise_euclidean(pts, lo, hi, clo, chi, out)
-
-
-def sort_key(m: ManifoldModel, pts: np.ndarray) -> np.ndarray:
-    """One coordinate k per row with |k(x) - k(y)| <= d(x, y) for the
-    distances of pairwise_distances: of the candidates below, the one whose
-    values spread widest.
-
-    The candidates are the raw coordinates on spheres, products and
-    euclidean models, |x_a| on RP^n (sign-invariant, and ||x_a| - |y_a|| <=
-    min(|x - y|, |x + y|)), and |z_a| on CP^n, since ||z_a| - |w_a|| <=
-    min over θ of |z - e^{iθ} w|.
-    """
-    pts = np.asarray(pts, dtype=np.float64)
-    if m.kind == "real_projective":
-        return widest_coordinate(np.abs(pts))
-    if m.kind == "complex_projective":
-        return widest_coordinate(np.hypot(pts[:, 0::2], pts[:, 1::2]))
-    return widest_coordinate(pts)
 
 
 def _row_dots(U: np.ndarray) -> np.ndarray:
@@ -344,18 +306,16 @@ def infinitesimal_action(a: ActionModel, x: np.ndarray, frame: np.ndarray) -> np
     return out
 
 
-def differentials(
-    a: ActionModel, amb: np.ndarray, x: np.ndarray, frame: np.ndarray
-) -> np.ndarray:
-    """Differentials of a stack of stabilizing ambient matrices, in frame coordinates.
+def lift(a: ActionModel, amb: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A stack of stabilizing ambient matrices, each turned to fix its point
+    as a vector.
 
     amb holds B ambient matrices; x is one point, or one per matrix as a
-    (B, N) stack, and frame its tangent_frame, or a (B, N, dim) stack of
-    them. Each matrix is aligned by the sign (RP^n) or unit phase (CP^n) of
-    the fixer test, then read in its point's frame. Raises StabilizerError
-    when a matrix moves its point by more than POINT_EPS, or when
-    a differential fails np.allclose's orthogonality bound. Returns a
-    (B, dim, dim) stack.
+    (B, N) stack. Each matrix is multiplied by the sign (RP^n) or unit phase
+    (CP^n) that align gives its image of the point; elsewhere it is kept as
+    it is. The lifts of a stabilizer's elements form a group, a lift of it
+    into the ambient orthogonal group. Raises StabilizerError when a matrix
+    moves its point by more than POINT_EPS.
     """
     m = a.manifold
     Y = normalize(m, np.einsum("bij,bj->bi", amb, np.broadcast_to(x, amb.shape[:2])))
@@ -363,10 +323,25 @@ def differentials(
     if np.linalg.norm(aligned - x, axis=1).max() > POINT_EPS:
         raise StabilizerError("element does not stabilize the point")
     if m.kind == "complex_projective":
-        amb = fa[:, None, None] * amb + fb[:, None, None] * (ambient_complex_structure(m) @ amb)
-    elif m.kind == "real_projective":
-        amb = fa[:, None, None] * amb
-    d = np.swapaxes(frame, -1, -2) @ amb @ frame
+        return fa[:, None, None] * amb + fb[:, None, None] * (ambient_complex_structure(m) @ amb)
+    if m.kind == "real_projective":
+        return fa[:, None, None] * amb
+    return amb
+
+
+def differentials(
+    a: ActionModel, amb: np.ndarray, x: np.ndarray, frame: np.ndarray
+) -> np.ndarray:
+    """Differentials of a stack of stabilizing ambient matrices, in frame coordinates.
+
+    amb holds B ambient matrices; x is one point, or one per matrix as a
+    (B, N) stack, and frame its tangent_frame, or a (B, N, dim) stack of
+    them. Each matrix is lifted (see lift), then read in its point's frame.
+    Raises StabilizerError when a matrix moves its point by more than
+    POINT_EPS, or when a differential fails np.allclose's orthogonality
+    bound. Returns a (B, dim, dim) stack.
+    """
+    d = np.swapaxes(frame, -1, -2) @ lift(a, amb, x) @ frame
     # np.allclose's per-entry bound, written out; a NaN entry fails it too
     eye = np.eye(d.shape[1])
     if not np.all(np.abs(np.swapaxes(d, 1, 2) @ d - eye) <= 1e-6 + 1e-5 * eye):

@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 import sys
+from collections import Counter
 from datetime import datetime, timezone
 from types import SimpleNamespace
 
@@ -33,7 +34,7 @@ from .errors import (
 )
 from .seeding import rng_for
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 # principal-class probe size for classify; small because only the class of
 # the generic stabilizer is needed, not a stratification
@@ -144,7 +145,7 @@ def run_pipeline(a, samples: int, seed: int) -> SimpleNamespace:
     orbit_type = strata.orbit_type_partition(cloud)
     iso = strata.isostabilizer_decomposition(cloud)
     orbits = quotient.identify_orbits(cloud)
-    klein = quotient.klein_partition(cloud, orbits)
+    klein = quotient.klein_partition(cloud)
     try:
         corr = quotient.correspondence(iso, klein)
     except CorrespondenceError as e:
@@ -220,8 +221,6 @@ def _interval_doc(model) -> dict:
 
 
 def _analysis_payload(r, samples: int, seed: int) -> dict:
-    from . import strata
-
     a = r.action
     cloud = r.cloud
     sing = {}
@@ -239,11 +238,6 @@ def _analysis_payload(r, samples: int, seed: int) -> dict:
         "action": a.name,
         "samples": samples,
         "seed": seed,
-        "tolerance": {
-            "rank_eps": numerics.RANK_EPS,
-            "match_eps": numerics.MATCH_EPS,
-            "cluster_eps_factor": strata.CLUSTER_EPS_FACTOR,
-        },
         "cloud": {
             "points": len(cloud),
             "orbits": len(r.orbits),
@@ -307,6 +301,12 @@ def _generic_checks(r, results, seed: int):
         len({int(cloud.quotient_dims[i]) for i in b}) == 1 for b in r.klein.blocks
     )
     _check(results, "klein-dimension-constant", const, "a klein block mixes dimensions")
+
+    owner = r.klein.block_of()
+    kids = [sorted({owner[i] for i in o}) for o in r.orbits]
+    bad = next((j for j, k in enumerate(kids) if len(k) > 1), None)
+    _check(results, "orbit-in-one-klein-block", bad is None,
+           "" if bad is None else f"orbit {r.orbits[bad]} meets klein blocks {kids[bad]}")
 
     # a straddling block raises in run_pipeline and fails this check there
     _check(results, "correspondence-defined", True)
@@ -385,6 +385,40 @@ def _rp2_t0_locus(vals: np.ndarray) -> np.ndarray:
     return 4.0 * vals <= isotropy.ACCEPT_D2
 
 
+def _iso_pieces_expected(a, cloud) -> dict | None:
+    """Isostabilizer pieces per class display, worked out by hand.
+
+    Each generic set is connected. On s2xs2-so3, SO(2)_u fixes only
+    (+-u, +-u), so each of the 12 circle specials (two per axis) is a piece
+    of its own; the three U(1) fixed points of cp2-u1 share H = U(1) and
+    are isolated too, as are the two poles of s2-zn(n). On cp2-so3 every
+    generic Zn(2) point, and each of the 16 real (O2) and 16 null-quadric
+    (SO2) specials, has its own axis, so its own H. The half-turn circle of
+    rp2-so2 and the C* at z1 = 0 of cp2-u1 are connected. cn-tn(n) has one
+    piece per zero pattern, classed by its count z of zero coordinates.
+    """
+    name = a.name
+    if name == "s2xs2-so3":
+        return {"Trivial": 1, "SO2": 12}
+    if name == "rp2-so2":
+        return {"Trivial": 1, "Zn(2)": 1, "SO2": 1}
+    if name == "cp2-so3":
+        generic = sum(1 for st in cloud.stabs if st.subgroup.display() == "Zn(2)")
+        return {"Zn(2)": generic, "O2": 16, "SO2": 16}
+    if name == "cp2-u1":
+        return {"Trivial": 1, "Zn(2)": 1, "U1": 3}
+    n = a.params.get("n")
+    if name.startswith("s2-zn"):
+        return {"Trivial": 1, f"Zn({n})": 2}
+    if name.startswith("cn-tn"):
+        out: Counter = Counter()
+        for z in range(n + 1):
+            label = {0: "Trivial", 1: "U1", n: "FullGroup"}.get(z, "Other")
+            out[label] += math.comb(n, z)
+        return out
+    return None
+
+
 def _pinned_checks(r, results, seed: int):
     from . import isotropy, quotient, strata
 
@@ -392,6 +426,12 @@ def _pinned_checks(r, results, seed: int):
     cloud = r.cloud
     name = a.name
     klein_dims = sorted(lab["dim"] for lab in r.klein.block_labels)
+
+    want = _iso_pieces_expected(a, cloud)
+    if want is not None:
+        got = Counter(lab["subgroup"].display() for lab in r.iso.block_labels)
+        _check(results, "iso-component-counts", got == want,
+               f"got {dict(sorted(got.items()))}, expected {dict(sorted(want.items()))}")
 
     if name == "s2xs2-so3":
         _check(results, "klein-block-count-2", len(r.klein.blocks) == 2,

@@ -1,11 +1,11 @@
-"""Hot numeric kernels: pairwise aligned distances, graph component
+"""Hot numeric kernels: the Chebyshev distance block, graph component
 labeling, and the so(3) generators with their batched exponential.
 
 Every kernel is vectorized numpy; the loops that remain run over
-coordinates or union-find rounds, never over single entries. A distance
+coordinates or union-find rounds, never over single entries. The distance
 kernel computes one block of rows against a contiguous range of columns,
 each entry bit-equal to the whole matrix's, into a scratch array its caller
-may reuse; the scans that choose the blocks live in numerics.
+may reuse; the scan that chooses the blocks lives in numerics.
 """
 
 from __future__ import annotations
@@ -34,11 +34,10 @@ SO3_GENERATORS = np.array(
 # pairwise distances, one block of rows and columns at a time
 # ---------------------------------------------------------------------------
 #
-# Each kernel returns the (hi - lo, chi - clo) block of distances from the
+# The kernel returns the (hi - lo, chi - clo) block of distances from the
 # rows lo..hi of pts to its rows clo..chi; the defaults give the whole
-# matrix. Coordinates accumulate one at a time, in order, as in a scalar
-# loop, so an entry is rounded the same way whatever block it is computed
-# in; a GEMM would not be (BLAS picks its summation order by operand shape).
+# matrix. Coordinates are taken one at a time, in order, as in a scalar
+# loop, so an entry is the same whatever block it is computed in.
 #
 # out, when given, is a flat float64 scratch array of at least
 # SCRATCH_PLANES * (hi - lo) * (chi - clo) entries. The kernel builds its
@@ -46,7 +45,7 @@ SO3_GENERATORS = np.array(
 # a scan that passes the same scratch to every call allocates nothing per
 # block.
 
-SCRATCH_PLANES = 3
+SCRATCH_PLANES = 2
 
 
 def _operands(pts, lo: int, hi: int | None, clo: int, chi: int | None):
@@ -69,25 +68,6 @@ def _planes(out, count: int, shape: tuple) -> list:
     return planes
 
 
-def pairwise_euclidean(
-    pts: np.ndarray,
-    lo: int = 0,
-    hi: int | None = None,
-    clo: int = 0,
-    chi: int | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    # bit-equal to scipy's cdist, which sums the squared coordinates in order
-    rows, cols = _operands(pts, lo, hi, clo, chi)
-    acc, t = _planes(out, 2, (rows.shape[0], cols.shape[1]))
-    for k in range(rows.shape[1]):
-        np.subtract(rows[:, k, None], cols[k], out=t)
-        np.multiply(t, t, out=t)
-        acc += t
-    np.sqrt(acc, out=acc)
-    return acc
-
-
 def pairwise_chebyshev(
     pts: np.ndarray,
     lo: int = 0,
@@ -104,63 +84,6 @@ def pairwise_chebyshev(
         np.abs(t, out=t)
         np.maximum(acc, t, out=acc)
     return acc
-
-
-def _gram_distances(g: np.ndarray, lo: int, clo: int) -> np.ndarray:
-    """sqrt(2 - 2 |g|) in place, with the entries of a point against itself
-    (row lo + r, column clo + c, lo + r == clo + c) set to 0."""
-    np.abs(g, out=g)
-    np.clip(g, 0.0, 1.0, out=g)
-    np.multiply(g, -2.0, out=g)
-    g += 2.0
-    np.clip(g, 0.0, None, out=g)
-    np.sqrt(g, out=g)
-    same = np.arange(max(lo, clo), min(lo + g.shape[0], clo + g.shape[1]))
-    g[same - lo, same - clo] = 0.0
-    return g
-
-
-def pairwise_sign_aligned(
-    pts: np.ndarray,
-    lo: int = 0,
-    hi: int | None = None,
-    clo: int = 0,
-    chi: int | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Distances min(|u-v|, |u+v|) between unit rows, as for projective lines."""
-    rows, cols = _operands(pts, lo, hi, clo, chi)
-    g, t = _planes(out, 2, (rows.shape[0], cols.shape[1]))
-    for k in range(rows.shape[1]):
-        np.multiply(rows[:, k, None], cols[k], out=t)
-        g += t
-    return _gram_distances(g, lo, clo)
-
-
-def pairwise_phase_aligned(
-    pts: np.ndarray,
-    lo: int = 0,
-    hi: int | None = None,
-    clo: int = 0,
-    chi: int | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Phase-minimal distances between unit rows holding interleaved complex entries."""
-    rows, cols = _operands(pts, lo, hi, clo, chi)
-    re, im, t = _planes(out, 3, (rows.shape[0], cols.shape[1]))
-    for k in range(0, rows.shape[1], 2):
-        # <u, v> term by term: u_k conj(v_k) = (a + ib)(c - id)
-        a, b = rows[:, k, None], rows[:, k + 1, None]
-        c, d = cols[k], cols[k + 1]
-        np.multiply(a, c, out=t)
-        re += t
-        np.multiply(b, d, out=t)
-        re += t
-        np.multiply(b, c, out=t)
-        im += t
-        np.multiply(a, d, out=t)
-        im -= t
-    return _gram_distances(np.hypot(re, im, out=re), lo, clo)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Small dense linear algebra with fixed numeric cuts, and the
-epsilon-graph scans over point samples.
+"""Small dense linear algebra with fixed numeric cuts, and the banded
+epsilon-graph scan over feature rows.
 
 The matrices of the linear algebra are plain float64 arrays of at most 64
 rows/columns. Rank decisions keep the singular values above RANK_EPS times
@@ -9,11 +9,10 @@ traces, characters and coordinates, and POINT_EPS for the displacement of
 a point that still counts as fixed. Each cut is one constant, not a
 setting.
 
-The point-sample scans (nearest-neighbour distances, epsilon-graph
-components) are banded: BandScan sorts the sample once by a 1-Lipschitz key
-of the metric, and computes each block of rows only against the columns
-whose keys lie within the scan's radius. They never hold an (n, n) matrix,
-and their results equal those of full distance matrices.
+The epsilon-graph scan is banded: BandScan sorts the sample once by a
+1-Lipschitz key of the metric, and computes each block of rows only against
+the columns whose keys lie within the scan's radius. It never holds an
+(n, n) matrix, and its components equal those of the full distance matrix.
 """
 
 from __future__ import annotations
@@ -111,15 +110,13 @@ def _projector(a) -> np.ndarray:
     return q @ q.T
 
 
-# bytes of one float64 distance block in the band scans
+# bytes of one float64 block: the band scan's distances, the finite fixer
+# test's images
 BLOCK_BYTES = 1 << 20
 
-# Slack of a band's reach beyond its radius. The kernels' rounding may put a
-# computed distance below the key gap of its pair: by a relative few ulps
-# for coordinate differences, and, near zero, by up to about 1e-8 absolute
-# for the Gram form sqrt(2 - 2|<u, v>|) of the projective kernels.
+# Slack of a band's reach beyond its radius, relative: rounding may put a
+# computed distance below the key gap of its pair by a few ulps.
 _REACH_REL = 1e-9
-_REACH_ABS = 1e-6
 
 # Rows per band block at most. A block's window is about as many columns
 # wider than one row's as the block has rows, while each block costs a
@@ -138,7 +135,7 @@ def widest_coordinate(cols: np.ndarray) -> np.ndarray:
 
 
 class BandScan:
-    """Distance scans over a point sample sorted by a 1-Lipschitz key.
+    """The epsilon-graph scan over a point sample sorted by a 1-Lipschitz key.
 
     keys must satisfy |key(x) - key(y)| <= d(x, y) for the distances d the
     metric computes. metric(pts, lo, hi, clo, chi, out) returns the
@@ -152,7 +149,7 @@ class BandScan:
     whose keys lie within reach of the block's keys, where reach is r plus
     a rounding slack; a pair outside the window is farther apart than r.
     Blocks hold at most BLOCK_BYTES of distances (one row at least), and
-    each scan allocates its scratch once, so no (n, n) array is built. When
+    the scan allocates its scratch once, so no (n, n) array is built. When
     the keys are too close for the radius, the window is the whole sample
     and the scan is the plain row-block scan. Results are reported in the
     callers' point order.
@@ -176,91 +173,39 @@ class BandScan:
         n = len(self)
         return np.empty(kernels.SCRATCH_PLANES * min(n * n, max(BLOCK_BYTES // 8, n)))
 
-    def _blocks(self, lo: int, hi: int, r: float):
-        """Row blocks blo..bhi of rows lo..hi, each with its column window
-        clo..chi, as (blo, bhi, clo, chi).
+    def _blocks(self, r: float):
+        """Row blocks lo..hi of the sorted sample, each with its column
+        window clo..chi, as (lo, hi, clo, chi).
 
         A block has at most _BLOCK_ROWS rows and BLOCK_BYTES of distances,
         and one row at least.
         """
         keys = self.keys
-        reach = r + _REACH_REL * (r + float(np.abs(keys[[0, -1]]).max())) + _REACH_ABS
-        left = np.searchsorted(keys, keys[lo:hi] - reach, "left")
-        right = np.searchsorted(keys, keys[lo:hi] + reach, "right")
+        n = len(self)
+        reach = r + _REACH_REL * (r + float(np.abs(keys[[0, -1]]).max()))
+        left = np.searchsorted(keys, keys - reach, "left")
+        right = np.searchsorted(keys, keys + reach, "right")
         cap = BLOCK_BYTES // 8
         a = 0
-        while a < hi - lo:
+        while a < n:
             # rows a..b share the window left[a]..right[b - 1]
-            rows = min(hi - lo - a, _BLOCK_ROWS, max(1, cap // int(right[a] - left[a])))
+            rows = min(n - a, _BLOCK_ROWS, max(1, cap // int(right[a] - left[a])))
             sizes = np.arange(1, rows + 1) * (right[a : a + rows] - left[a])
             b = a + max(1, int(np.searchsorted(sizes, cap, "right")))
-            yield lo + a, lo + b, int(left[a]), int(right[b - 1])
+            yield a, b, int(left[a]), int(right[b - 1])
             a = b
 
-    def nearest_distances(self, dim: float) -> np.ndarray:
-        """Per point, the distance to its nearest other point (inf for a
-        sample of one).
-
-        Each block starts at radius (key spread) * n^(-1/dim), the spacing of
-        n points spread evenly over a dim-dimensional sample. Its rows whose
-        minimum exceeds the radius are scanned again at twice the radius,
-        against the columns the wider window adds only, until every row's
-        minimum lies within its radius or the window is the whole sample. A
-        minimum within the radius is exact, since every column outside the
-        window is farther away.
-        """
-        n = len(self)
-        nearest = np.full(n, np.inf)
-        scratch = self._scratch()
-
-        def scan(lo, hi, r, seen):
-            # rows lo..hi hold their minimum over the columns seen[0]..seen[1]
-            for blo, bhi, clo, chi in self._blocks(lo, hi, r):
-                for a, b in ((clo, min(chi, seen[0])), (max(clo, seen[1]), chi)):
-                    if a < b:
-                        block = self.metric(self.points, blo, bhi, a, b, scratch)
-                        own = np.arange(max(blo, a), min(bhi, b))
-                        block[own - blo, own - a] = np.inf
-                        np.minimum(nearest[blo:bhi], block.min(axis=1), out=nearest[blo:bhi])
-                far = np.flatnonzero(nearest[blo:bhi] > r)
-                if far.size and chi - clo < n:
-                    scan(blo + int(far[0]), blo + int(far[-1]) + 1, 2.0 * r, (clo, chi))
-
-        scan(0, n, float(self.keys[-1] - self.keys[0]) * n ** (-1.0 / dim), (0, 0))
-        out = np.empty(n)
-        out[self.order] = nearest
-        return out
-
-    def median_nn_distance(self, dim: float) -> float:
-        """Median over points of the distance to the nearest other point; 0
-        for a sample of one."""
-        if len(self) < 2:
-            return 0.0
-        return float(np.median(self.nearest_distances(dim)))
-
-    def epsilon_components(self, eps: float, groups=None) -> np.ndarray:
-        """Component labels of the epsilon-graph: per point, the smallest
-        index of its component.
-
-        Edges join points at distance <= eps; with groups, an integer per
-        point, only points of the same group. Callers calibrate eps on a
-        larger ambient sample, for instance as a multiple of its
-        median_nn_distance.
-        """
+    def epsilon_components(self, eps: float) -> np.ndarray:
+        """Component labels of the epsilon-graph, whose edges join points at
+        distance <= eps: per point, the smallest index of its component."""
         eps = float(eps)
         scratch = self._scratch()
         near = np.empty(scratch.size // kernels.SCRATCH_PLANES, dtype=bool)
-        same = np.empty_like(near)
-        g = None if groups is None else np.asarray(groups)[self.order]
 
         def edges():
-            for lo, hi, clo, chi in self._blocks(0, len(self), eps):
+            for lo, hi, clo, chi in self._blocks(eps):
                 block = self.metric(self.points, lo, hi, clo, chi, scratch)
                 mask = np.less_equal(block, eps, out=near[: block.size].reshape(block.shape))
-                if g is not None:
-                    mask &= np.equal(
-                        g[lo:hi, None], g[clo:chi], out=same[: block.size].reshape(block.shape)
-                    )
                 i, j = np.nonzero(mask)
                 yield self.order[i + lo], self.order[j + clo]
 

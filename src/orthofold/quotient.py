@@ -422,23 +422,22 @@ def identify_orbits(cloud: SampleCloud) -> tuple:
     return tuple(sorted((tuple(o) for o in orbit_members.values()), key=lambda o: o[0]))
 
 
-def klein_partition(cloud: SampleCloud, orbits) -> PartitionOfM:
+def klein_partition(cloud: SampleCloud) -> PartitionOfM:
     """The inverse Klein stratification: Klein strata pulled back to the cloud.
 
-    orbits are identify_orbits(cloud). One root per orbit is fingerprinted,
-    and orbits whose fingerprints share a _klein_key form one block, so
-    points of one orbit share a block by construction. Block j is labelled
-    S<j> and carries its fingerprint and quotient dimension.
+    Each point is keyed by the _klein_key of its own local-model
+    fingerprint, and points sharing a key form one block. The orbits are
+    not read, so that each orbit lies in one block is a checked property,
+    not a construction. Block j is labelled S<j> and carries the
+    fingerprint of its smallest index and its quotient dimension.
     """
-    roots = [orb[0] for orb in orbits]
-    stabs, reps = [cloud.stabs[r] for r in roots], [cloud.reps[r] for r in roots]
-    fps = local_models(cloud.model, stabs, reps, seed=cloud.seed)
+    fps = local_models(cloud.model, cloud.stabs, cloud.reps, seed=cloud.seed)
     block_map: dict = {}
-    for orb, fp in zip(orbits, fps):
-        entry = block_map.setdefault(_klein_key(fp), {"fp": fp, "members": []})
-        entry["members"].extend(orb)
-    items = sorted(block_map.values(), key=lambda e: min(e["members"]))
-    blocks = tuple(tuple(sorted(e["members"])) for e in items)
+    for i, fp in enumerate(fps):
+        block_map.setdefault(_klein_key(fp), {"fp": fp, "members": []})["members"].append(i)
+    # indices ascend, so the first member of each block is its smallest
+    items = sorted(block_map.values(), key=lambda e: e["members"][0])
+    blocks = tuple(tuple(e["members"]) for e in items)
     labels = tuple(
         {"label": f"S{j}", "fingerprint": e["fp"], "dim": int(cloud.quotient_dims[b[0]])}
         for j, (e, b) in enumerate(zip(items, blocks))
@@ -627,8 +626,8 @@ def quotient_interval_model(
 ) -> StratifiedInterval:
     """Pushforward of the cloud through its action's interval projection.
 
-    orbits and klein are identify_orbits(cloud) and klein_partition(cloud,
-    orbits); the projection must be constant along each orbit. Strata are
+    orbits and klein are identify_orbits(cloud) and klein_partition(cloud);
+    the projection must be constant along each orbit. Strata are
     the images of the Klein blocks: blocks whose values collapse
     to isolated spots become point strata; the rest fill the open cells
     between those spots. The block holding the principal orbit type is open

@@ -1,35 +1,30 @@
 """Partitions of the sampled manifold and the pointwise dimension map.
 
-Orbit-type blocks, the finer isostabilizer components, principal-stratum
+Orbit-type blocks, the finer isostabilizer pieces, principal-stratum
 detection with exceptional flags, singularity labels for quotient points,
 and the depth bookkeeping of the toric family.
+
+The isostabilizer decomposition is the isotropy-type partition
+M_H = {x : G_x = H}, each M_H split into its connected components
+(Cushman and Sniatycki, Canad. J. Math. 2001). The cloud reads it
+pointwise: each point is keyed by its exact stabilizer H, and the points
+of one H form one piece when dim M_H > 0 and one piece each when
+dim M_H = 0; see isostabilizer_decomposition.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import groups
-from .actions import (
-    ActionModel,
-    normalize,
-    pairwise_distances,
-    sample_points,
-    sort_key,
-    tangent_frames,
-)
+from .actions import ActionModel, lift, normalize, sample_points, tangent_frames
 from .errors import ClassificationError, InputError
 from .isotropy import fixer_masks, slice_representations, stabilizer
 from .kernels import pairwise_chebyshev
-from .numerics import MATCH_EPS, BandScan, orthonormalize, widest_coordinate
+from .numerics import MATCH_EPS, BandScan, widest_coordinate
 from .seeding import rng_for
-
-# multiple of the cloud's median nearest-neighbour distance that joins two
-# points of one fingerprint group in the isostabilizer epsilon-graph
-CLUSTER_EPS_FACTOR = 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -194,30 +189,38 @@ def orbit_type_partition(cloud: SampleCloud) -> PartitionOfM:
     )
 
 
-def _fingerprint_features(g: groups.GroupDescriptor, stabs) -> np.ndarray:
-    """Feature rows of stabilizers sharing one coarse fingerprint key: the
-    witness traces, then the flattened projector onto the Lie span (zeros
-    when the span is 0)."""
-    traces = np.array([st.subgroup.traces for st in stabs], dtype=float)
-    spans = np.zeros((len(stabs), g.lie_dim**2))
-    for row, st in zip(spans, stabs):
-        if st.lie_kernel.shape[1]:
-            q = orthonormalize(st.lie_kernel)
-            row[:] = (q @ q.T).ravel()
-    return np.hstack([traces, spans])
+def _exact_features(cloud: SampleCloud, idx: list) -> np.ndarray:
+    """Feature rows of the stabilizers at the points idx, which share one
+    coarse key, so one Lie dimension k and one witness count m.
+
+    For k > 0 a row is the flattened projector onto the stabilizer's Lie
+    span (the Lie kernel's columns are orthonormal). For k = 0 it is the
+    mean of the m witnesses' ambient matrices, each lifted to fix the point
+    (actions.lift): the lifts form a finite group, so their mean is the
+    projector onto the fixed space of that group.
+    """
+    stabs = [cloud.stabs[i] for i in idx]
+    if stabs[0].lie_kernel.shape[1]:
+        return np.stack([(st.lie_kernel @ st.lie_kernel.T).ravel() for st in stabs])
+    m = stabs[0].witness_ambs.shape[0]
+    ambs = np.concatenate([st.witness_ambs for st in stabs])
+    lifted = lift(cloud.model, ambs, np.repeat(cloud.points[idx], m, axis=0))
+    return lifted.reshape(len(idx), m, -1).mean(axis=1)
 
 
-def _fingerprint_groups(cloud: SampleCloud) -> list[list[int]]:
-    """Indices grouped by exact-stabilizer fingerprint.
+def _exact_groups(cloud: SampleCloud) -> list[list[int]]:
+    """Indices grouped by exact stabilizer subgroup, each group ascending.
 
-    The fingerprint is the class label together with the witness trace
-    multiset and the stabilizer's Lie span; spans compare as subspaces, via
-    projectors, so conjugate-but-unequal stabilizers land in different
-    groups. Within a coarse key, features join when their largest
-    coordinate difference is <= MATCH_EPS, transitively. Equal feature rows
-    (every trivial stabilizer, say) are collapsed first, since distance 0
-    always joins; a band scan then runs over the distinct rows, keyed by
-    their widest coordinate.
+    The coarse key is the class label, the witness count m and the Lie
+    dimension k, and m = 1, k = 0 is the trivial subgroup. Within any other
+    key, two points share H when their _exact_features agree. For k > 0, equal Lie spans and equal class give equal H on the
+    catalog, where every stabilizer of positive dimension is connected or
+    is O2, the normalizer of its circle in SO(3). For k = 0, equal
+    fixed-space projectors put each point in the other's fixed space, so
+    each stabilizer contains the other. Rows join when their largest
+    coordinate difference is <= MATCH_EPS, transitively. Equal rows (every
+    trivial stabilizer, say) are collapsed first; a band scan then runs
+    over the distinct rows, keyed by their widest coordinate.
     """
     coarse: dict[tuple, list[int]] = {}
     for i, st in enumerate(cloud.stabs):
@@ -225,70 +228,86 @@ def _fingerprint_groups(cloud: SampleCloud) -> list[list[int]]:
         coarse.setdefault(key, []).append(i)
 
     out: list[list[int]] = []
-    for key in sorted(coarse):
-        idx = coarse[key]
-        if len(idx) == 1:
+    for (_, m, k), idx in coarse.items():
+        # one witness and no Lie kernel: every such point has H = {e}
+        if len(idx) == 1 or (m == 1 and k == 0):
             out.append(idx)
             continue
-        feats = _fingerprint_features(cloud.model.group, [cloud.stabs[i] for i in idx])
-        distinct, inverse = np.unique(feats, axis=0, return_inverse=True)
+        distinct, inverse = np.unique(_exact_features(cloud, idx), axis=0, return_inverse=True)
         band = BandScan(distinct, widest_coordinate(distinct), pairwise_chebyshev)
-        labels = band.epsilon_components(MATCH_EPS)[inverse.ravel()]
         sub: dict[int, list[int]] = {}
-        for pos, lab in enumerate(labels):
-            sub.setdefault(int(lab), []).append(idx[pos])
-        out.extend(sorted(sub.values(), key=lambda c: c[0]))
-    return sorted(out, key=lambda c: c[0])
+        for i, lab in zip(idx, band.epsilon_components(MATCH_EPS)[inverse.ravel()].tolist()):
+            sub.setdefault(lab, []).append(i)
+        out.extend(sub.values())
+    return out
+
+
+def fixed_tangent_dim(cloud: SampleCloud, i: int) -> int:
+    """dim (T_x M)^H at the point x = cloud.points[i], H its stabilizer:
+    the dimension of M_H at x.
+
+    T_x M is the orbit's tangent space plus the normal slice, and by the
+    character formula each part's H-fixed dimension is a trace averaged
+    over the m witnesses, one per component of H:
+
+    - slice part: (1/m) sum tr(F^T W F), W the witnesses' slice matrices and
+      F the slice directions the identity component fixes (rep.fixed). For
+      a finite H it is the mean of the slice characters;
+    - orbit part: the tangent space of the orbit is g/h, on which H acts by
+      Ad. On a torus Ad is trivial, so it is the orbit dimension (0 for a
+      finite group). On SO(3) Ad is the rotation itself: the mean of the
+      witness traces when h = 0, and 0 when h != 0 (a circle turns the plane
+      normal to its axis; all of SO(3) leaves nothing).
+
+    No decomposition is needed, only traces.
+    """
+    st, rep = cloud.stabs[i], cloud.reps[i]
+    F, W = rep.fixed, rep.witness_mats
+    slice_part = float(np.einsum("ai,mab,bi->", F, W, F)) / W.shape[0]
+    if cloud.model.group.kind != "so3":
+        orbit_part = float(st.orbit_dim)
+    elif st.lie_kernel.shape[1] == 0:
+        orbit_part = float(np.trace(st.witnesses, axis1=1, axis2=2).mean())
+    else:
+        orbit_part = 0.0
+    return int(round(slice_part + orbit_part))
 
 
 def isostabilizer_decomposition(cloud: SampleCloud) -> PartitionOfM:
-    """Split the cloud by exact stabilizer subgroup, then by proximity.
+    """The components of the isotropy-type sets M_H = {x : G_x = H}, as
+    read on the cloud.
 
-    Points sharing a fingerprint are divided into epsilon-graph components
-    under the manifold distance. The epsilon scale is calibrated once on the
-    whole cloud, so thin loci with few samples do not self-calibrate to the
-    huge gaps between their own points. Both scans are band scans over the
-    cloud sorted by actions.sort_key, and the epsilon-graph is one scan whose
-    edges join points of the same fingerprint group only; memory stays
-    linear in the cloud size.
+    Points are grouped by their exact stabilizer H (_exact_groups), and
+    dim M_H is read once per group, at its first point (fixed_tangent_dim).
+    When it is 0, M_H is a discrete set and each point is its own piece;
+    otherwise the whole group is one piece.
+
+    That rule assumes that every M_H of positive dimension meets the cloud
+    in one component at most. It holds on the catalog, where every such
+    M_H is connected but one: for the generic Zn(2) of cp2-so3, M_H has two
+    components (z and its conjugate, on either side of the real locus), yet
+    each meets a cloud in one point at most, since M_H has measure zero and
+    no special lies on it. A new action must re-check this assumption.
+
+    Blocks are ordered by smallest member and labelled <class>[j], j
+    counting the blocks of each class in that order.
     """
-    m = cloud.model.manifold
-    metric = functools.partial(pairwise_distances, m)
-    band = BandScan(cloud.points, sort_key(m, cloud.points), metric)
-    threshold = CLUSTER_EPS_FACTOR * band.median_nn_distance(m.intrinsic_dim)
-    fgroups = _fingerprint_groups(cloud)
-    fid_of = np.empty(len(cloud), dtype=np.int64)
-    for fid, idx in enumerate(fgroups):
-        fid_of[idx] = fid
-    roots = band.epsilon_components(threshold, fid_of).tolist()
-
     blocks = []
-    labels = []
+    for idx in _exact_groups(cloud):
+        # a group of one point is one piece whatever the dimension
+        if len(idx) > 1 and fixed_tangent_dim(cloud, idx[0]) == 0:
+            blocks.extend((i,) for i in idx)
+        else:
+            blocks.append(tuple(idx))
+    blocks.sort(key=lambda b: b[0])
     counters: dict[str, int] = {}
-    for fid, idx in enumerate(fgroups):
-        # idx ascends and a component's root is its smallest member, so the
-        # components come out ordered by smallest member
-        comps: dict[int, list[int]] = {}
-        for i in idx:
-            comps.setdefault(roots[i], []).append(i)
-        cls = cloud.stabs[idx[0]].subgroup
-        for comp in comps.values():
-            j = counters.get(cls.display(), 0)
-            counters[cls.display()] = j + 1
-            blocks.append(tuple(comp))
-            labels.append(
-                {
-                    "subgroup": cls,
-                    "label": f"{cls.display()}[{j}]",
-                    "fingerprint": fid,
-                    "component": j,
-                }
-            )
-    order = sorted(range(len(blocks)), key=lambda j: blocks[j][0])
-    return PartitionOfM(
-        blocks=tuple(blocks[j] for j in order),
-        block_labels=tuple(labels[j] for j in order),
-    )
+    labels = []
+    for b in blocks:
+        cls = cloud.stabs[b[0]].subgroup
+        j = counters.get(cls.display(), 0)
+        counters[cls.display()] = j + 1
+        labels.append({"subgroup": cls, "label": f"{cls.display()}[{j}]"})
+    return PartitionOfM(blocks=tuple(blocks), block_labels=tuple(labels))
 
 
 # ---------------------------------------------------------------------------

@@ -5,21 +5,23 @@ elimination for rank and nullspace, a synthetic torus action with a
 hidden orthogonal change of frame whose planted weight rows the pipeline
 must recover, a one-element-at-a-time SO(3) identity-component test,
 minors of integer matrices by exact determinants, the isostabilizer
-decomposition from whole distance matrices, the slice weight fit over
+decomposition from whole feature matrices with the fixed tangent dimension
+read as a null space, the truth table of its pieces, the slice weight fit over
 sampled group elements that preceded the exact read-off, and the
 slice-vector stabilizer count that preceded the single congruence solve,
 the pairwise scan behind the correspondence witnesses, the sort of each
 finite stabilizer's witnesses that preceded the order sorted once per
 group, the SO(3) Haar-and-Levenberg-Marquardt search that preceded the
-closed-form stabilizers and transports, the fingerprint rows built one
-stabilizer at a time, the tangent frame built one point at a time, the
+closed-form stabilizers and transports, the exact-subgroup feature rows
+built one stabilizer at a time, the tangent frame built one point at a time, the
 finite slice representation read from one point's witness differentials,
 the finite fixer test run one point at a time, the orbit identification
-loop that built every candidate key per point, a partition check and the
+loop that built every candidate key per point, the Klein partition built
+from orbit roots, a partition check and the
 aligned distance of two points. None of it imports the numeric routines under
 test beyond the public model types, the slice frame helpers, the
 representative alignment the displacement test shares, and the
-orthonormalization the fingerprint rows must reproduce bit for bit.
+orthonormalization of the Lie spans.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from math import gcd
 
 import numpy as np
 
-from orthofold import actions, groups, isotropy, kernels, numerics, quotient, strata
+from orthofold import actions, groups, isotropy, kernels, numerics, quotient
 from orthofold.errors import InputError
 from orthofold.numerics import MATCH_EPS, svd_split
 from orthofold.seeding import rng_for
@@ -265,26 +267,6 @@ def distance(m, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.linalg.norm(aligned_residual(m, y[None], x)))
 
 
-def full_distance_matrix(m, pts: np.ndarray) -> np.ndarray:
-    """The whole (n, n) manifold distance matrix, in one shot.
-
-    Euclidean models by a broadcast difference; projective models through
-    one Gram product sqrt(2 - 2 |<u, v>|), as the decomposition computed it
-    before its scans were blocked.
-    """
-    pts = np.asarray(pts, dtype=float)
-    if m.kind == "real_projective":
-        g = np.abs(pts @ pts.T)
-    elif m.kind == "complex_projective":
-        z = actions.to_complex(pts)
-        g = np.abs(z @ z.conj().T)
-    else:
-        return np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
-    d = np.sqrt(np.clip(2.0 - 2.0 * np.clip(g, 0.0, 1.0), 0.0, None))
-    np.fill_diagonal(d, 0.0)
-    return d
-
-
 def dense_components(dist: np.ndarray, threshold: float) -> list[list[int]]:
     """Components of {dist <= threshold} by BFS on the dense adjacency,
     sorted by smallest member."""
@@ -306,58 +288,123 @@ def dense_components(dist: np.ndarray, threshold: float) -> list[list[int]]:
     return comps
 
 
-def isostabilizer_reference(cloud) -> list[tuple[int, ...]]:
-    """Blocks of the isostabilizer decomposition from full matrices.
+def lifted_reference(m, amb: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """One stabilizing ambient matrix times the unit factor c that brings
+    its image of x back onto x as a vector: the sign of <x, amb x> on RP^n,
+    the conjugate phase of <x, amb x>_C on CP^n, and 1 elsewhere."""
+    if m.kind == "real_projective":
+        return np.sign(x @ amb @ x) * amb
+    if m.kind == "complex_projective":
+        lam = np.vdot(actions.to_complex(x), actions.to_complex(amb @ x))
+        c = np.conj(lam) / abs(lam)
+        return c.real * amb + c.imag * (actions.ambient_complex_structure(m) @ amb)
+    return amb
 
-    The algorithm before row blocking: one (n, n) distance matrix for the
-    median nearest-neighbour scale, a (k, k) max-abs feature matrix per
-    coarse fingerprint key, and an (n_f, n_f) matrix per fingerprint group.
-    Lie kernels are orthonormal columns, so K K^T is the span projector.
+
+def exact_features_reference(cloud, idx) -> np.ndarray:
+    """The exact-subgroup feature rows of the points idx, one stabilizer at
+    a time: the Lie span projector when the span is positive-dimensional,
+    else the mean of the lifted witness matrices."""
+    rows = []
+    for i in idx:
+        st = cloud.stabs[i]
+        if st.lie_kernel.shape[1]:
+            q = numerics.orthonormalize(st.lie_kernel)
+            rows.append((q @ q.T).ravel())
+        else:
+            lifted = [lifted_reference(cloud.model.manifold, w, st.point) for w in st.witness_ambs]
+            rows.append(np.mean(lifted, axis=0).ravel())
+    return np.stack(rows)
+
+
+def fixed_tangent_dim_reference(a, st) -> int:
+    """dim (T_x M)^H from the tangent action itself: the null space of the
+    witnesses' lifted differentials minus the identity, stacked on the Lie
+    generators' tangent matrices (on CP^n less their vertical drift), read
+    in the point's frame. The singular values either vanish to rounding or
+    are of unit scale."""
+    x, frame = st.point, st.frame
+    m = a.manifold
+    rows = [frame.T @ lifted_reference(m, w, x) @ frame - np.eye(frame.shape[1])
+            for w in st.witness_ambs]
+    for j in range(st.lie_kernel.shape[1]):
+        gen = a.amb_lie(np.einsum("i,ijk->jk", st.lie_kernel[:, j], a.group.lie))
+        if m.kind == "complex_projective":
+            jamb = actions.ambient_complex_structure(m)
+            gen = gen - float((gen @ x) @ (jamb @ x)) * jamb
+        rows.append(frame.T @ gen @ frame)
+    sv = np.linalg.svd(np.vstack(rows), compute_uv=False)
+    return frame.shape[1] - int(np.count_nonzero(sv > 1e-6))
+
+
+def isostabilizer_reference(cloud) -> list[tuple[int, ...]]:
+    """Blocks of the isostabilizer decomposition from whole matrices.
+
+    Points are grouped by coarse key, then by the components of the whole
+    (k, k) max-abs matrix of their exact feature rows at MATCH_EPS. A group
+    whose first point has no fixed tangent direction, by the null-space
+    reading, is split into single points.
     """
-    m = cloud.model.manifold
-    dist = full_distance_matrix(m, cloud.points)
-    nn = (dist + np.diag(np.full(len(dist), np.inf))).min(axis=1)
-    threshold = strata.CLUSTER_EPS_FACTOR * float(np.median(nn))
     coarse: dict = {}
     for i, st in enumerate(cloud.stabs):
         key = (st.subgroup.display(), len(st.subgroup.traces), st.lie_kernel.shape[1])
         coarse.setdefault(key, []).append(i)
     blocks = []
     for idx in coarse.values():
-        feats = np.stack(
-            [
-                np.concatenate(
-                    [
-                        np.asarray(cloud.stabs[i].subgroup.traces, dtype=float),
-                        (cloud.stabs[i].lie_kernel @ cloud.stabs[i].lie_kernel.T).ravel(),
-                    ]
-                )
-                for i in idx
-            ]
-        )
+        feats = exact_features_reference(cloud, idx)
         fdist = np.abs(feats[:, None, :] - feats[None, :, :]).max(axis=2)
         for group in dense_components(fdist, MATCH_EPS):
             members = [idx[p] for p in group]
-            sub = full_distance_matrix(m, cloud.points[members])
-            for comp in dense_components(sub, threshold):
-                blocks.append(tuple(members[p] for p in comp))
+            if fixed_tangent_dim_reference(cloud.model, cloud.stabs[members[0]]) == 0:
+                blocks.extend((i,) for i in members)
+            else:
+                blocks.append(tuple(members))
     return sorted(blocks)
 
 
-def fingerprint_features_reference(g, stabs) -> np.ndarray:
-    """Fingerprint feature rows built one stabilizer at a time, as the
-    decomposition built them before the rows of a key were built together:
-    the witness traces, then the flattened Lie span projector, zeros for a
-    span of 0."""
-    rows = []
-    for st in stabs:
-        if st.lie_kernel.size == 0:
-            span = np.zeros(g.lie_dim * g.lie_dim)
-        else:
-            q = numerics.orthonormalize(st.lie_kernel)
-            span = (q @ q.T).ravel()
-        rows.append(np.concatenate([np.asarray(st.subgroup.traces, dtype=float), span]))
-    return np.stack(rows)
+def iso_pieces(name: str, cloud) -> dict:
+    """The truth table: isostabilizer pieces per class display of the
+    catalog actions and the s2-zn and cn-tn families.
+
+    - s2xs2-so3: the trivial set is connected; SO(2)_u fixes (u, u) and
+      (u, -u), a discrete M_H, so each of the 12 circle specials is a piece;
+    - rp2-so2: the trivial set, the half-turn circle z = 0 and the pole;
+    - cp2-so3: each generic Zn(2) point has its own half-turn axis, and so
+      have the 16 real specials (O2) and the 16 null-quadric specials (SO2);
+    - cp2-u1: the trivial set, the C* of z1 = 0, and the 3 fixed points,
+      which share H = U(1) and are isolated;
+    - s2-zn(n): the trivial set and the two poles, which share H = Zn(n);
+    - cn-tn(n): one piece per zero pattern; z zero coordinates give the
+      class Trivial (z = 0), U1 (z = 1), FullGroup (z = n) or Other.
+    """
+    if name == "s2xs2-so3":
+        return {"Trivial": 1, "SO2": 12}
+    if name == "rp2-so2":
+        return {"Trivial": 1, "Zn(2)": 1, "SO2": 1}
+    if name == "cp2-so3":
+        generic = sum(st.subgroup.display() == "Zn(2)" for st in cloud.stabs)
+        return {"Zn(2)": generic, "O2": 16, "SO2": 16}
+    if name == "cp2-u1":
+        return {"Trivial": 1, "Zn(2)": 1, "U1": 3}
+    family, n = name[:-1].split("(")
+    n = int(n)
+    if family == "s2-zn":
+        return {"Trivial": 1, f"Zn({n})": 2}
+    assert family == "cn-tn"
+    out: dict = {}
+    for pattern in range(2**n):
+        z = bin(pattern).count("1")
+        label = {0: "Trivial", 1: "U1", n: "FullGroup"}.get(z, "Other")
+        out[label] = out.get(label, 0) + 1
+    return out
+
+
+def iso_piece_counts(iso) -> dict:
+    """Pieces per class display of an isostabilizer partition."""
+    out: dict = {}
+    for lab in iso.block_labels:
+        out[lab["subgroup"].display()] = out.get(lab["subgroup"].display(), 0) + 1
+    return out
 
 
 def weight_rows_reference(a, stab, seed: int = 0):
@@ -1003,3 +1050,24 @@ def identify_orbits_reference(cloud, transport) -> tuple:
     for i in range(n):
         orbit_members.setdefault(find(i), []).append(i)
     return tuple(sorted((tuple(o) for o in orbit_members.values()), key=lambda o: o[0]))
+
+
+def klein_by_orbits_reference(cloud, orbits):
+    """quotient.klein_partition as it was before it keyed each point: one
+    fingerprint per orbit root, and orbits sharing a _klein_key form one
+    block, labelled with the fingerprint of the block's first orbit root."""
+    roots = [orb[0] for orb in orbits]
+    fps = quotient.local_models(
+        cloud.model, [cloud.stabs[r] for r in roots], [cloud.reps[r] for r in roots], cloud.seed
+    )
+    block_map: dict = {}
+    for orb, fp in zip(orbits, fps):
+        entry = block_map.setdefault(quotient._klein_key(fp), {"fp": fp, "members": []})
+        entry["members"].extend(orb)
+    items = sorted(block_map.values(), key=lambda e: min(e["members"]))
+    blocks = tuple(tuple(sorted(e["members"])) for e in items)
+    labels = tuple(
+        {"label": f"S{j}", "fingerprint": e["fp"], "dim": int(cloud.quotient_dims[b[0]])}
+        for j, (e, b) in enumerate(zip(items, blocks))
+    )
+    return blocks, labels

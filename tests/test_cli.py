@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from orthofold import actions, cli, numerics, quotient, strata
+from orthofold import actions, cli, quotient, strata
 from orthofold.errors import ClassificationError, CorrespondenceError, InputError
 
 
@@ -102,7 +102,7 @@ def test_analyze_payload_shape(capsys):
     code, out = _run(capsys, "analyze", "s2-zn(5)", "--samples", "25", "--seed", "3")
     assert code == 0
     doc, _ = _parse_report(out)
-    assert doc["schema_version"] == "2"
+    assert doc["schema_version"] == "3"
     payload = doc["payload"]
     assert payload["action"] == "s2-zn(5)"
     assert payload["samples"] == 25
@@ -267,14 +267,54 @@ def test_subcommand_options():
         assert "eps" not in p.format_help()
 
 
-def test_payload_tolerance_block_reads_the_constants(capsys):
+def test_payload_has_no_tolerance_block(capsys):
+    # the numeric cuts are module constants, and no cut depends on the cloud
     code, out = _run(capsys, "analyze", "s2-zn(5)", "--samples", "20", "--seed", "0")
     assert code == 0
-    assert _parse_report(out)[0]["payload"]["tolerance"] == {
-        "rank_eps": numerics.RANK_EPS,
-        "match_eps": numerics.MATCH_EPS,
-        "cluster_eps_factor": strata.CLUSTER_EPS_FACTOR,
-    }
+    doc = _parse_report(out)[0]
+    assert doc["schema_version"] == cli.SCHEMA_VERSION == "3"
+    assert list(doc["payload"])[:4] == ["action", "samples", "seed", "cloud"]
+
+
+def test_split_iso_piece_fails_the_component_counts(capsys, monkeypatch):
+    # a decomposition that cuts the trivial piece in two
+    original = strata.isostabilizer_decomposition
+
+    def split(cloud):
+        iso = original(cloud)
+        b = max(range(len(iso.blocks)), key=lambda j: len(iso.blocks[j]))
+        head, tail = iso.blocks[b][:1], iso.blocks[b][1:]
+        lab = iso.block_labels[b]
+        return strata.PartitionOfM(
+            blocks=(*iso.blocks[:b], head, tail, *iso.blocks[b + 1 :]),
+            block_labels=(*iso.block_labels[:b], lab, lab, *iso.block_labels[b + 1 :]),
+        )
+
+    monkeypatch.setattr(strata, "isostabilizer_decomposition", split)
+    code, out = _run(capsys, "verify", "s2-zn(5)", "--samples", "30", "--seed", "1")
+    assert code == 1
+    fails = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+    assert fails == [
+        "[FAIL] s2-zn(5) :: iso-component-counts (got {'Trivial': 2, 'Zn(5)': 2},"
+        " expected {'Trivial': 1, 'Zn(5)': 2})"
+    ]
+
+
+def test_orbit_across_klein_blocks_fails_its_check(capsys, monkeypatch):
+    # an orbit identification that joins the north pole, a Klein block of
+    # its own, to the first sample
+    original = quotient.identify_orbits
+
+    def joined(cloud):
+        north = len(cloud) - 2
+        rest = [o for o in original(cloud) if 0 not in o and north not in o]
+        return tuple(sorted([(0, north), *rest]))
+
+    monkeypatch.setattr(quotient, "identify_orbits", joined)
+    code, out = _run(capsys, "verify", "s2-zn(5)", "--samples", "30", "--seed", "1")
+    assert code == 1
+    fails = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+    assert fails == ["[FAIL] s2-zn(5) :: orbit-in-one-klein-block (orbit (0, 30) meets klein blocks [0, 1])"]
 
 
 def test_catalog_loads_no_pipeline_layer():
@@ -318,11 +358,14 @@ def test_cli_runs_without_scipy():
 
 
 # analyze --samples 100 --seed 0 report hashes; the exact torus solve
-# reproduced the numeric angle search's payloads byte for byte
+# reproduced the numeric angle search's payloads byte for byte. Every
+# analyze hash below was re-pinned when the isostabilizer pieces became
+# exact (schema 3): the payloads lost their tolerance block, and only the
+# isostabilizer partition and the correspondence changed besides
 _TORUS_SHAS = {
-    "rp2-so2": "8d87df616de55054c37d9961c0abefaa8a548c9d38a93107312530de5d6c82d9",
-    "cp2-u1": "60dd1b8f897c29c9f264a632cce5be8a65da76bf2e2d5b456354f774cca826da",
-    "cn-tn(2)": "d3dfb0e54e954900b13029046edae38f33ee6b4d83d31f658c1920ccacff774c",
+    "rp2-so2": "48f84bab0a6f483e7a589c39972d26d8002d06d8d6480132094db888361db990",
+    "cp2-u1": "88ede0e166ce523067eee5691e7921d9f11b6851d29d0d7222f52a5bc5a903b0",
+    "cn-tn(2)": "531d594e4d2e3368839a85f48ad2f93f4cdafcbffa709570ed9eac80fc77da66",
 }
 
 
@@ -336,15 +379,15 @@ def test_torus_payloads_are_pinned(capsys, name):
 # analyze report-sha256 at seed 0 before the decomposition scans were
 # blocked; speed work must keep these payloads byte-identical
 _PAYLOAD_SHAS = {
-    ("s2-zn(5)", "1500"): "23ce79b4ca33f974d0143eaf0748f7109f614d4580f9eb8b0e75224e3d1e9878",
-    ("s2xs2-so3", "100"): "525142ac088d54bf3dac1841952b0ec7604c659eeed9fb8445b882213e59490b",
-    ("cp2-so3", "100"): "e36b635dad8e9884985a1f49d5c4a7fb0f3a7269b79013baac219e8f262a58b2",
+    ("s2-zn(5)", "1500"): "8616b689d1f39919d5a0b604991d2f60fb874e2d8ebe9fb142e5d8506316dc24",
+    ("s2xs2-so3", "100"): "e6d9f860a25ec562ed684d85edf05e7eec16e7202e78a5f0175987ca0443610e",
+    ("cp2-so3", "100"): "381ae75f747e0491413364d2dd707501d11fe6fecfec2a5e96b6c0f34830d644",
     # the origin's FullGroup weights have three rows, one per torus factor;
     # the T^2 of an axis point reads rows (0, 1) and (1, 0) with one fixed
     # direction, and its profile shows a U1 on each rotating plane
-    ("cn-tn(3)", "20"): "b35e25952db0c9e9c13bc138223af1e478443eaecf4db9a620da8969756d98f3",
+    ("cn-tn(3)", "20"): "1922bde0eaee0fd43b664878f18b00dee6ee0995e9957672ce20b1c90a67c099",
     # the cheapest payload whose slice profiles solve a rank-4 congruence
-    ("cn-tn(4)", "10"): "8a3147e44e4860bf5284cb19d111c44220c2a3d662e68ba496c795fa78033cb8",
+    ("cn-tn(4)", "10"): "15dfd638cc181ee2b5cf5cf87d4f7c4386d5d47582d2db47e703810b8493fc57",
 }
 
 
@@ -359,10 +402,10 @@ def test_payloads_are_pinned(capsys, name, samples):
 # distance scans were banded: at this size the row blocks and the band
 # windows cover only part of the cloud, on four manifold kinds
 _DENSE_SHAS = {
-    "rp2-so2": "a31aed1d4c35431b51606d0d37ed8f18fb9f465d99154c1a1236160354f07921",
-    "cp2-u1": "4ee5ecdfa175e5e13f9edfe70ad0ca28d9e55f57f49ece3a46416b3e42f99b96",
-    "s2xs2-so3": "98f59fa3f9fd57a978cd0afc10a38861237cb053cccab7111577a9759539ef15",
-    "cn-tn(2)": "4e7520b906e5a2fb2ce31749bad73506e99b70111be52d32817082fda8e89bb3",
+    "rp2-so2": "3724039782c5c6f3da70a0f03a16b8851302157980fd95888cd69cad3b0c9843",
+    "cp2-u1": "6147e65c12d6ac9764b45c2db308c555af607e025ed823dbbb5a2e766ae78165",
+    "s2xs2-so3": "aeaaa6475e6a23c590ad450857bea4ba4203b5f390a38b1b378d6f874e6fa858",
+    "cn-tn(2)": "0af47589372a3fa0b0c93945dd86ccd12908b21e7a739f37e14579cb262ff1b2",
 }
 
 
@@ -375,16 +418,18 @@ def test_dense_payloads_are_pinned(capsys, name):
 
 # verify --samples 100 report-sha256 of the SO(3) actions at the four seeds
 # the so3-search benchmark runs; speed work on the SO(3) solve must keep
-# these payloads byte-identical
+# these payloads byte-identical. Every verify hash below was re-pinned when
+# the checks iso-component-counts and orbit-in-one-klein-block were added,
+# the only change to these payloads
 _SO3_VERIFY_SHAS = {
-    ("s2xs2-so3", 0): "7306cb55c3b502dab016557e3cdf9e22abae0bcd05dbe08ea22afbf16dec310e",
-    ("s2xs2-so3", 1): "ffb7ee578c3cc8d6c402a18f1905875b066bc3c76ebc82817c82fea6f264e3f8",
-    ("s2xs2-so3", 2): "668b52aa814001d44fa7a050414da955dcc44c84c0f6cc4d0c18fc49b09425ce",
-    ("s2xs2-so3", 3): "5b4992aaa1fa8fad399c48a77e5dc73ce65210f30e0fdfa38250bdbc0f82cecf",
-    ("cp2-so3", 0): "3cb38b22c45f47c9cfc9ea7906e0b2e6f890ad3e47b7d624d810e427955dc114",
-    ("cp2-so3", 1): "4b58448a3f25cb44addc4c6985bdb53fb174c3994485d9cc078f0f52ee0cec0a",
-    ("cp2-so3", 2): "99a195bb64c29a2129a3c9b86ff1f7384d791f9d0c782a6be862268eeace42c0",
-    ("cp2-so3", 3): "af40562577f0fec014b3fad525922a52a0c55dfbf92416d44ff1be0f17c6e61e",
+    ("s2xs2-so3", 0): "44e544640663942fdd817ac58d266c09afa655f16e2c2736ba666dc3031f537f",
+    ("s2xs2-so3", 1): "2d33564b4186d92dd792ff79befc44bcf60d01409d979778b56e2d67761feea4",
+    ("s2xs2-so3", 2): "125b78b4c39330d00a2e02bf9bb3443e303c64a30919484bedd00b2c91b049cc",
+    ("s2xs2-so3", 3): "7d585e946ed7409772208958579b63d2faf744edcf039307a307e0583d6146e1",
+    ("cp2-so3", 0): "0286bf6c887cfa44aeffaae8c779551a0fbd3acb4f87767a12056ac8ec0c3ed3",
+    ("cp2-so3", 1): "bc57ae6a20f5a31003c73b3890d972d0b79e9b45f738e928826ba41ce8247884",
+    ("cp2-so3", 2): "5d73586ec9ff83a8e0a6a584e18e9a10574006bc1842826075f96cd158085bd5",
+    ("cp2-so3", 3): "30d347071a4ffbffebf50d9856121e1ecf92fbcb3767b40202ee1c2d90c5ef3c",
 }
 
 
@@ -399,18 +444,18 @@ def test_so3_verify_payloads_are_pinned(capsys, name, seed):
 # seeds that benchmark runs, recorded before the slice representations and
 # local models were batched over the cloud
 _TORUS_VERIFY_SHAS = {
-    ("cn-tn(2)", 0): "42c81fce13b86c7f2fd96712711578cab822a4bfd455b68ac0e82e4add3d2ab6",
-    ("cn-tn(2)", 1): "a23fc28a6b7d94962ccf4d48b9369a6c7e9fbf07a9c4114e3d030847470ca06c",
-    ("cn-tn(2)", 2): "0837669bf3deea981e2ed2488e95a23cbf2df376c748d81790c9e8d6320dda8f",
-    ("cn-tn(2)", 3): "c7b0efc862b7f04e883cbf1c28b712cc4e48517dec761578d566d26cc811936b",
-    ("cp2-u1", 0): "89d7e9d4dba221d1a6d0b2812bfba3539a1fd8463864d525191649031a18fd05",
-    ("cp2-u1", 1): "196f7e9a802bce3c6715de65cd531bcf978e7478c20b36614bda3b6ef173f380",
-    ("cp2-u1", 2): "053471bfd0784a91a41f49fc1c3e4a4f7f2be74cdc9d715e711eb8763ad6e177",
-    ("cp2-u1", 3): "6a1cbef98c5dcd95af76ab61171b4892ac25c39432dbe9e99c55cbcdd3888747",
-    ("rp2-so2", 0): "f7015b50d0964e3f69d625f2ff5e35dc2368981060be3f0409c5d327ad98dc2d",
-    ("rp2-so2", 1): "03c2f483ad1790e981c19b76801b0824fe99185df184fdf00929d12eddfeca5c",
-    ("rp2-so2", 2): "af9ff9c33e9019498ead682d61e1ec237818db275fc129dd0e5fa2e42ec43efe",
-    ("rp2-so2", 3): "6ee36d557b17e16801ade7f79dcccb64ba4802b46d734db11559b019344cf9c7",
+    ("cn-tn(2)", 0): "b9f8ad423c29745a1e493ace913f2b1b8866b2c915135396a55ac1320e0f0f74",
+    ("cn-tn(2)", 1): "57d2889f48aa8348285aaf662444368bcf7e9c06061eadc534626207a667fe7c",
+    ("cn-tn(2)", 2): "504e81c49e069c57e41f346a2a5552ce5e29d8bf7565ba087ff60f8f30171855",
+    ("cn-tn(2)", 3): "77637544f1f4824f6b26e761232670b2a93885bd86c6222fa09979f19f14d236",
+    ("cp2-u1", 0): "c6e24bb022fddf22fef1356053c20e218503f009ee9a2007eb4af69952b3ca39",
+    ("cp2-u1", 1): "df7d650dd49ed1a012a17509e8972c44252476472030cf13bd78a7aa6a79eabc",
+    ("cp2-u1", 2): "940f54a652db3be1618d8b25925a776f3ed5aa0dff15e7ab9cbb08ae175e7323",
+    ("cp2-u1", 3): "4c44ac6534fba7bf87d32edbbb2d05fe539e7c16685399f7947e0de6705849c0",
+    ("rp2-so2", 0): "e952bd4c6ef80734b725324cf678194900d1de7702907840740e799d8d599fdf",
+    ("rp2-so2", 1): "99fb50a2e0246cc7ff3ee9c17a17108aac8cd86eedbf0d796fa9cbe89b783300",
+    ("rp2-so2", 2): "b203f1d2371b457d80db3b98b226ebab2fd2efa3d0ee6957dae9db4919e9170c",
+    ("rp2-so2", 3): "39ac83df9b00892d2dea4cac942bd6cc4d29471c993e6473f4959b940fcdc90a",
 }
 
 
@@ -424,10 +469,10 @@ def test_torus_verify_payloads_are_pinned(capsys, name, seed):
 # analyze s2-zn(5) --samples 3000 report-sha256 at the four seeds of the
 # finite-dense benchmark, recorded before the same change
 _FINITE_DENSE_SHAS = {
-    0: "c0eed97dbae05d8ef4fdeb9a6da3f8be3747032be780e7ef313ad2db2a3822b8",
-    1: "a4741f692e2d84b589eefcc003f9327019f46f3814b7e4150827de2519cbd2e5",
-    2: "0416ac786253d82527ccd0170c9caec3e79b574bd80fed753a865c2d05f655b6",
-    3: "cb09fe25887e982e4ce05fcfe607ce05a383609b7320d1823d3e8b8fc847d3b1",
+    0: "c476da171df64bf63ebd30724a0505015d81931c82c453127ac49bed16f08786",
+    1: "a916f96c91c7fa315a62cb7e69a02cd09a459a573afc2df89c7b26747a22f60a",
+    2: "3cc889dfd15427a9dca94c05ffc6ae745e3eacf0adaaabd80502c24a7548da97",
+    3: "6f1bb9134d14df977088c428ea815057ea47d2d3839c7ee6b4443f321d4ac41d",
 }
 
 
@@ -441,10 +486,10 @@ def test_finite_dense_payloads_are_pinned(capsys, seed):
 # analyze report-sha256 of finite actions with many and with few witnesses
 # per pole, recorded before the fixer test became one flattened product
 _FINITE_ORDER_SHAS = {
-    ("s2-zn(64)", "2000", 0): "755bc7d220c2f5eb14ab55544d1483ec3d3fba20d3a4e8633569a765e728e1bc",
-    ("s2-zn(64)", "2000", 1): "14c72ae78dd6e3f24ceaefd855a631d7e09f0a8faeffb1adf52f416a09ca8546",
-    ("s2-zn(2)", "1000", 0): "c3f5023f64f844f79048377f145856ca16cc4e1e968e4756cb251f58f456220d",
-    ("s2-zn(2)", "1000", 1): "b9b15487041fb397da9c3b8bb24335ca4ffdec77f6408152179600821e84a1bf",
+    ("s2-zn(64)", "2000", 0): "8f1fc8ae1300f5ffd55054053228b086d78f61d1f54b87165aec2c776e3f71c9",
+    ("s2-zn(64)", "2000", 1): "27bc1aa1ffbd0c29d4f0027f93a12dd22cd7c570e20e751cb7b91cb0e12bffd8",
+    ("s2-zn(2)", "1000", 0): "5d777159befa9a47d38703ca203cd36aa0aabdc7ebaa4894d289ce3a3c5cde94",
+    ("s2-zn(2)", "1000", 1): "c6268ba86b3de122952a8507e96a2fd56e49d465353abc5c1b18a596af470253",
 }
 
 

@@ -22,45 +22,6 @@ def _brute_pairwise(pts, dist):
     return out
 
 
-def test_pairwise_euclidean():
-    pts = np.random.default_rng(0).normal(size=(17, 5))
-    got = kernels.pairwise_euclidean(pts)
-    ref = _brute_pairwise(pts, lambda a, b: np.linalg.norm(a - b))
-    assert np.abs(got - ref).max() < 1e-10
-
-
-def test_pairwise_sign_aligned():
-    rng = np.random.default_rng(1)
-    pts = rng.normal(size=(15, 4))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    got = kernels.pairwise_sign_aligned(pts)
-    ref = _brute_pairwise(
-        pts, lambda a, b: min(np.linalg.norm(a - b), np.linalg.norm(a + b))
-    )
-    assert np.abs(got - ref).max() < 1e-10
-    # antipodal representatives are the same projective point; the gram
-    # form loses half the digits near zero distance, which is still far
-    # below every matching threshold in the pipeline
-    two = np.stack([pts[0], -pts[0]])
-    assert kernels.pairwise_sign_aligned(two)[0, 1] < 1e-7
-
-
-def test_pairwise_phase_aligned():
-    rng = np.random.default_rng(2)
-    pts = rng.normal(size=(12, 6))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-
-    def phase_dist(a, b):
-        za, zb = actions.to_complex(a), actions.to_complex(b)
-        inner = np.vdot(zb, za)
-        phase = inner / abs(inner) if abs(inner) > 0 else 1.0
-        return np.linalg.norm(za - phase * zb)
-
-    got = kernels.pairwise_phase_aligned(pts)
-    ref = _brute_pairwise(pts, phase_dist)
-    assert np.abs(got - ref).max() < 1e-10
-
-
 def _edges_below(d, threshold, batch):
     """Edges i, j with d[i, j] <= threshold, in batches of batch rows."""
     for lo in range(0, len(d), batch):
@@ -87,43 +48,6 @@ def test_graph_components():
     assert kernels.graph_components(iter(()), 3).tolist() == [0, 1, 2]
 
 
-def test_pairwise_euclidean_matches_scipy_bitwise():
-    cdist = pytest.importorskip("scipy.spatial.distance").cdist
-    rng = np.random.default_rng(5)
-    for d in range(2, 13):
-        pts = rng.normal(size=(60, d))
-        assert np.array_equal(kernels.pairwise_euclidean(pts), cdist(pts, pts))
-
-
-def test_pairwise_euclidean_chunks_rows():
-    pts = np.random.default_rng(6).normal(size=(37, 4))
-    whole = kernels.pairwise_euclidean(pts)
-    rows = [kernels.pairwise_euclidean(pts, lo, lo + 5) for lo in range(0, 37, 5)]
-    assert np.array_equal(np.vstack(rows), whole)
-
-
-@pytest.mark.parametrize(
-    "kernel",
-    [kernels.pairwise_euclidean, kernels.pairwise_sign_aligned, kernels.pairwise_phase_aligned],
-)
-def test_pairwise_blocks_are_bit_equal_across_block_sizes(kernel):
-    # a row block of a GEMM differs from the full product in the last bits;
-    # the kernels sum coordinates in a fixed order instead
-    pts = np.random.default_rng(10).normal(size=(301, 6))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    whole = kernel(pts)
-    assert np.all(np.diag(whole) == 0.0)
-    for step in (1, 7, 64, 300):
-        rows = [kernel(pts, lo, lo + step) for lo in range(0, 301, step)]
-        assert np.array_equal(np.vstack(rows), whole)
-    # column windows, on and off the diagonal, built in a reused scratch
-    scratch = np.full(kernels.SCRATCH_PLANES * 40 * 90, np.nan)
-    for lo, clo in ((0, 0), (20, 0), (100, 130), (200, 10), (261, 211)):
-        block = kernel(pts, lo, lo + 40, clo, clo + 90, scratch)
-        assert np.array_equal(block, whole[lo : lo + 40, clo : clo + 90])
-        assert np.shares_memory(block, scratch)
-
-
 def test_pairwise_chebyshev():
     pts = np.random.default_rng(11).normal(size=(23, 5))
     got = kernels.pairwise_chebyshev(pts)
@@ -132,6 +56,21 @@ def test_pairwise_chebyshev():
     assert np.array_equal(kernels.pairwise_chebyshev(pts, 4, 9), ref[4:9])
     scratch = np.empty(kernels.SCRATCH_PLANES * 5 * 7)
     assert np.array_equal(kernels.pairwise_chebyshev(pts, 4, 9, 13, 20, scratch), ref[4:9, 13:20])
+
+
+def test_pairwise_chebyshev_blocks_are_bit_equal_across_block_sizes():
+    pts = np.random.default_rng(10).normal(size=(301, 6))
+    whole = kernels.pairwise_chebyshev(pts)
+    assert np.all(np.diag(whole) == 0.0)
+    for step in (1, 7, 64, 300):
+        rows = [kernels.pairwise_chebyshev(pts, lo, lo + step) for lo in range(0, 301, step)]
+        assert np.array_equal(np.vstack(rows), whole)
+    # column windows, on and off the diagonal, built in a reused scratch
+    scratch = np.full(kernels.SCRATCH_PLANES * 40 * 90, np.nan)
+    for lo, clo in ((0, 0), (20, 0), (100, 130), (200, 10), (261, 211)):
+        block = kernels.pairwise_chebyshev(pts, lo, lo + 40, clo, clo + 90, scratch)
+        assert np.array_equal(block, whole[lo : lo + 40, clo : clo + 90])
+        assert np.shares_memory(block, scratch)
 
 
 def _partition(labels):
@@ -146,7 +85,7 @@ def test_graph_components_match_scipy():
     rng = np.random.default_rng(8)
     for n, scale in ((1, 1.0), (40, 0.15), (120, 0.07), (120, 0.1), (120, 0.3)):
         pts = rng.uniform(size=(n, 2))
-        dist = kernels.pairwise_euclidean(pts)
+        dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
         _, ref = csgraph.connected_components(dist <= scale, directed=False)
         # edges merged all at once, a few rows at a time, or row by row
         for batch in (n, 3, 1):

@@ -9,7 +9,7 @@ import pytest
 from orthofold import actions, kernels, numerics
 from orthofold.errors import InputError
 
-from oracles import dense_components, exact_nullspace, exact_rank, full_distance_matrix
+from oracles import aligned_residual, dense_components, exact_nullspace, exact_rank
 
 
 def test_rank_on_handpicked_matrices():
@@ -103,62 +103,20 @@ def test_epsilon_components_two_clusters():
     pts = np.array([[0.0], [0.01], [0.02], [5.0], [5.01]])
     band = numerics.BandScan(pts, pts[:, 0], _abs_difference)
 
-    # twice the median nearest-neighbour distance keeps the two clusters apart
-    eps = 2.0 * band.median_nn_distance(1)
-    assert _components(band.epsilon_components(eps)) == [[0, 1, 2], [3, 4]]
+    assert _components(band.epsilon_components(0.02)) == [[0, 1, 2], [3, 4]]
     # a large threshold glues everything together
     assert _components(band.epsilon_components(10.0)) == [[0, 1, 2, 3, 4]]
-    # edges only join points of one group
-    groups = np.array([0, 1, 0, 1, 1])
-    assert _components(band.epsilon_components(10.0, groups)) == [[0, 2], [1, 3, 4]]
-
-
-def test_median_nn_distance():
-    d = np.array(
-        [
-            [0.0, 1.0, 4.0],
-            [1.0, 0.0, 2.0],
-            [4.0, 2.0, 0.0],
-        ]
-    )
-    # equal keys: the window is the whole sample, in the given order
-    band = numerics.BandScan(
-        np.zeros((3, 1)), np.zeros(3), lambda p, lo, hi, clo, chi, out: d[lo:hi, clo:chi].copy()
-    )
-    assert band.median_nn_distance(2) == 1.0
-    assert numerics.BandScan(np.zeros((1, 2)), np.zeros(1), None).median_nn_distance(2) == 0.0
-
-
-def _euclidean_band(pts):
-    return numerics.BandScan(pts, numerics.widest_coordinate(pts), kernels.pairwise_euclidean)
-
-
-def test_nearest_other_matches_masked_diagonal(monkeypatch):
-    rng = np.random.default_rng(9)
-    pts = rng.normal(size=(41, 3))
-    d = kernels.pairwise_euclidean(pts)
-    ref = (d + np.diag(np.full(41, np.inf))).min(axis=1)
-    # blocks of a few rows, or one: the diagonal offset must follow the
-    # block's row and column starts
-    for block_bytes in (numerics.BLOCK_BYTES, 3 * 8 * 41, 1):
-        monkeypatch.setattr(numerics, "BLOCK_BYTES", block_bytes)
-        band = _euclidean_band(pts)
-        assert np.array_equal(band.nearest_distances(3), ref)
-        assert band.median_nn_distance(3) == float(np.median(ref))
+    # a threshold below every gap leaves each point alone
+    assert _components(band.epsilon_components(0.001)) == [[0], [1], [2], [3], [4]]
 
 
 def test_epsilon_components_never_hold_a_square_matrix():
-    s2 = actions.sphere(2)
-    pts = actions.sample_points(s2, 6000, np.random.default_rng(12))
-
-    def metric(p, lo, hi, clo, chi, out):
-        return actions.pairwise_distances(s2, p, lo, hi, clo, chi, out)
+    pts = np.random.default_rng(12).normal(size=(6000, 3))
 
     tracemalloc.start()
     try:
-        band = numerics.BandScan(pts, actions.sort_key(s2, pts), metric)
-        eps = 2.0 * band.median_nn_distance(2)
-        labels = band.epsilon_components(eps)
+        band = numerics.BandScan(pts, numerics.widest_coordinate(pts), kernels.pairwise_chebyshev)
+        labels = band.epsilon_components(0.05)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -168,7 +126,7 @@ def test_epsilon_components_never_hold_a_square_matrix():
 
 def test_band_scan_rejects_an_empty_sample():
     with pytest.raises(InputError):
-        numerics.BandScan(np.zeros((0, 3)), np.zeros(0), kernels.pairwise_euclidean)
+        numerics.BandScan(np.zeros((0, 3)), np.zeros(0), kernels.pairwise_chebyshev)
 
 
 def _mirrors(x):
@@ -221,51 +179,59 @@ def _band_clouds():
         # every key equal: the window is the whole sample
         ("rp-equal-keys", rp2, np.array(list(itertools.product((1.0, -1.0), repeat=3))) / 3**0.5),
         ("cp-equal-keys", cp2, actions.from_complex(np.array(quarters)) / 3**0.5),
-        # evenly spread: most rows have no neighbour within the first radius
+        # evenly spread: few pairs share a window at the smaller radii
         ("sphere-even", s2, _fibonacci_sphere(150)),
     ]
 
 
+def _sort_key(m, pts):
+    """A 1-Lipschitz coordinate of the manifold distance: of the raw
+    coordinates (spheres, products, euclidean), the |x_a| (RP^n, as
+    ||x_a| - |y_a|| <= min(|x - y|, |x + y|)) or the |z_a| (CP^n, as
+    ||z_a| - |w_a|| <= min over t of |z - e^{it} w|), the one whose values
+    spread widest."""
+    if m.kind == "real_projective":
+        return numerics.widest_coordinate(np.abs(pts))
+    if m.kind == "complex_projective":
+        return numerics.widest_coordinate(np.hypot(pts[:, 0::2], pts[:, 1::2]))
+    return numerics.widest_coordinate(pts)
+
+
 @pytest.mark.parametrize("name, m, pts", [pytest.param(*c, id=c[0]) for c in _band_clouds()])
 def test_band_windows_are_complete(monkeypatch, name, m, pts):
+    # the scan's windows hold every pair within epsilon for any metric with
+    # a 1-Lipschitz key: here manifold distances between representatives
+    # aligned by sign or phase, which tie or nearly tie their keys
     n = len(pts)
-    keys = actions.sort_key(m, pts)
-    # the key is 1-Lipschitz for the manifold distance, up to the oracle's
-    # own Gram rounding
-    oracle = full_distance_matrix(m, pts)
-    assert np.all(np.abs(keys[:, None] - keys[None, :]) <= oracle + 1e-7)
+    keys = _sort_key(m, pts)
+    full = np.stack([np.linalg.norm(aligned_residual(m, pts, x), axis=1) for x in pts])
+    assert np.all(np.abs(keys[:, None] - keys[None, :]) <= full + 1e-12)
     if name.endswith("equal-keys"):
         assert np.ptp(keys) == 0.0
-    if name == "sphere-even":
-        first = np.ptp(keys) * n ** (-1.0 / m.intrinsic_dim)
-        nn = (oracle + np.diag(np.full(n, np.inf))).min(axis=1)
-        assert np.mean(nn <= first) < 0.5
-
-    full = actions.pairwise_distances(m, pts)
     ref_nn = (full + np.diag(np.full(n, np.inf))).min(axis=1)
     off = np.sort(full[~np.eye(n, dtype=bool)])
-    groups = np.arange(n) % 3
-    grouped = np.where(groups[:, None] == groups[None, :], full, np.inf)
+    # the scan hands the metric its points in key order
+    order = np.argsort(keys, kind="stable")
+    in_order = full[np.ix_(order, order)]
     calls = []
 
     def metric(p, lo, hi, clo, chi, out):
         calls.append((lo, hi, clo, chi))
-        return actions.pairwise_distances(m, p, lo, hi, clo, chi, out)
+        return in_order[lo:hi, clo:chi]
 
     for block_bytes in (numerics.BLOCK_BYTES, 3 * 8 * n, 1):
         monkeypatch.setattr(numerics, "BLOCK_BYTES", block_bytes)
         band = numerics.BandScan(pts, keys, metric)
-        assert np.array_equal(band.nearest_distances(m.intrinsic_dim), ref_nn)
+        assert np.array_equal(band.order, order)
         # thresholds that are entries: pairs lie exactly at epsilon
         for eps in (0.0, off[n // 2], off[4 * n], 2.0 * np.median(ref_nn), off[len(off) // 10]):
             calls.clear()
-            labels = band.epsilon_components(eps, groups)
+            labels = band.epsilon_components(eps)
             seen = np.zeros((n, n), dtype=bool)
             for lo, hi, clo, chi in calls:
                 seen[lo:hi, clo:chi] = True
             # no pair at or below epsilon falls outside every window
-            within = (full <= eps)[np.ix_(band.order, band.order)]
-            assert not np.any(within & ~seen)
+            assert not np.any((in_order <= eps) & ~seen)
             if name.endswith("equal-keys"):
                 assert all(clo == 0 and chi == n for _, _, clo, chi in calls)
-            assert _components(labels) == dense_components(grouped, eps)
+            assert _components(labels) == dense_components(full, eps)

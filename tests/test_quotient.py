@@ -14,6 +14,7 @@ from oracles import (
     correspondence_reference,
     hidden_frame,
     identify_orbits_reference,
+    klein_by_orbits_reference,
     origin_stabilizer,
     planted_point_rep,
     planted_torus_action,
@@ -359,7 +360,7 @@ def test_cn_tn_has_one_klein_block_per_depth(n, samples):
     # the quotient of C^n by T^n is the orthant, stratified by depth: n + 1
     # Klein strata, of dimensions n .. 2n
     cloud = strata.build_cloud(actions.get_action(f"cn-tn({n})"), samples, seed=0)
-    klein = quotient.klein_partition(cloud, quotient.identify_orbits(cloud))
+    klein = quotient.klein_partition(cloud)
     assert len(klein.blocks) == n + 1
     assert sorted(lab["dim"] for lab in klein.block_labels) == list(range(n, 2 * n + 1))
 
@@ -421,7 +422,7 @@ def test_identify_orbits_tries_the_reference_transports(monkeypatch, pipeline_fa
 
 def test_klein_partition_fingerprints_each_shared_rep_once(monkeypatch):
     # 3000 of the 3002 points have the trivial stabilizer and share its rep,
-    # so the orbit roots need a handful of fingerprints, not one each
+    # so the points need a handful of fingerprints, not one each
     original = quotient._effective_signature
     calls = []
 
@@ -431,7 +432,17 @@ def test_klein_partition_fingerprints_each_shared_rep_once(monkeypatch):
 
     monkeypatch.setattr(quotient, "_effective_signature", counted)
     cloud = strata.build_cloud(actions.get_action("s2-zn(5)"), 3000, seed=0)
-    orbits = quotient.identify_orbits(cloud)
-    assert len(orbits) > 3000
-    quotient.klein_partition(cloud, orbits)
+    quotient.klein_partition(cloud)
     assert len(calls) <= 10
+
+
+@pytest.mark.parametrize("samples, seed", [(150, 0), (300, 1), (2000, 0)])
+@pytest.mark.parametrize("name", [*actions.catalog_ids(), "cn-tn(3)"])
+def test_klein_blocks_match_the_orbit_roots(cloud_factory, name, samples, seed):
+    # keyed per point, the blocks and their fingerprints are those of the
+    # construction from one fingerprint per identified orbit
+    cloud = cloud_factory(name, samples, seed)
+    klein = quotient.klein_partition(cloud)
+    blocks, labels = klein_by_orbits_reference(cloud, quotient.identify_orbits(cloud))
+    assert klein.blocks == blocks
+    assert klein.block_labels == labels

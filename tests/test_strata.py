@@ -12,7 +12,10 @@ from orthofold.errors import InputError
 
 from oracles import (
     check_partition,
-    fingerprint_features_reference,
+    exact_features_reference,
+    fixed_tangent_dim_reference,
+    iso_piece_counts,
+    iso_pieces,
     isostabilizer_reference,
     refines,
 )
@@ -208,20 +211,21 @@ def test_blocked_decomposition_matches_full_matrices(cloud_factory, monkeypatch,
     "name", ["s2-zn(5)", "rp2-so2", "cp2-u1", "cp2-so3", "s2xs2-so3", "cn-tn(2)", "cn-tn(3)"]
 )
 def test_fingerprint_features_match_the_row_loop(cloud_factory, name):
-    # the rows of each coarse key, built together, are bit-identical to the
-    # rows built one stabilizer at a time, so the grouping sees the same
-    # input; all but s2-zn(5) and rp2-so2 have keys of several circle or
-    # torus stabilizers, whose rows carry span projectors
+    # the exact-subgroup rows of each coarse key, built together with one
+    # lift of all the witnesses, match the rows built one stabilizer at a
+    # time from the sign or phase of <x, amb x>, far below MATCH_EPS; every
+    # action but s2-zn(5) has keys of circle or torus stabilizers, whose
+    # rows are span projectors
     cloud = cloud_factory(name)
     coarse = {}
-    for st in cloud.stabs:
+    for i, st in enumerate(cloud.stabs):
         key = (st.subgroup.display(), len(st.subgroup.traces), st.lie_kernel.shape[1])
-        coarse.setdefault(key, []).append(st)
-    for stabs in coarse.values():
-        got = strata._fingerprint_features(cloud.model.group, stabs)
-        want = fingerprint_features_reference(cloud.model.group, stabs)
+        coarse.setdefault(key, []).append(i)
+    for idx in coarse.values():
+        got = strata._exact_features(cloud, idx)
+        want = exact_features_reference(cloud, idx)
         assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        assert np.abs(got - want).max() <= 1e-12
 
 
 def test_decomposition_holds_no_square_matrix(cloud_factory):
@@ -238,24 +242,43 @@ def test_decomposition_holds_no_square_matrix(cloud_factory):
 
 
 def test_decomposition_scans_a_band(cloud_factory, monkeypatch):
-    # the banded scans compute a fraction of the n^2 distances that the
-    # nearest-neighbour scan and the per-group epsilon-graphs took before
-    # (about 2 n^2 at this cloud)
-    cloud = cloud_factory("s2-zn(5)", 3000)
+    # every generic point of cp2-so3 has its own Zn(2), so the feature scan
+    # has about n distinct rows; the band computes a fraction of their n^2
+    # distances
+    cloud = cloud_factory("cp2-so3", 2000)
     n = len(cloud)
     entries = []
-    original = actions.pairwise_distances
+    original = strata.pairwise_chebyshev
 
     def counted(*args, **kwargs):
         out = original(*args, **kwargs)
         entries.append(out.size)
         return out
 
-    # strata holds the function by name, so both bindings are replaced
-    monkeypatch.setattr(actions, "pairwise_distances", counted)
-    monkeypatch.setattr(strata, "pairwise_distances", counted)
+    monkeypatch.setattr(strata, "pairwise_chebyshev", counted)
     strata.isostabilizer_decomposition(cloud)
     assert 0 < sum(entries) <= 0.4 * n * n
+
+
+_TRUTH_CLOUDS = [(300, seed) for seed in range(4)] + [(2000, 0)]
+
+
+@pytest.mark.parametrize("samples, seed", _TRUTH_CLOUDS)
+@pytest.mark.parametrize("name", [*actions.catalog_ids(), "cn-tn(3)", "cn-tn(4)"])
+def test_iso_piece_counts_match_the_truth_table(cloud_factory, name, samples, seed):
+    cloud = cloud_factory(name, samples, seed)
+    iso = strata.isostabilizer_decomposition(cloud)
+    check_partition(iso.blocks, len(cloud))
+    assert iso_piece_counts(iso) == iso_pieces(name, cloud)
+
+
+@pytest.mark.parametrize("name", [*actions.catalog_ids(), "cn-tn(3)"])
+def test_fixed_tangent_dim_matches_the_null_space(cloud_factory, name):
+    # the character formula, traces averaged over the witnesses, against
+    # the null space of the whole tangent action, at every point
+    cloud = cloud_factory(name, 40, 0)
+    for i, st in enumerate(cloud.stabs):
+        assert strata.fixed_tangent_dim(cloud, i) == fixed_tangent_dim_reference(cloud.model, st)
 
 
 def test_principal_data_rp2(cloud_factory):
