@@ -13,12 +13,23 @@ the report stage: correspondence, principal data, singularity labels, the
 interval model, the verify checks, the payload and its rendering.
 
 Per command and stage the JSON keeps the minimum over the repetitions and
-the first repetition, which starts with this process's caches cold, as a
-fresh CLI process does; a workload's stage time is the sum over its
-commands. Every repetition of a command must exit 0 and print a
-report-sha256, the same one each time, which is recorded. The environment
-(core count, BLAS library and threads, Python and numpy versions) is
-perfbench/probe.py's, which needs scipy (the test extra).
+the first repetition; a workload's stage time is the sum over its commands.
+Every repetition of a command must exit 0 and print a report-sha256, the
+same one each time, which is recorded. The first repetition is not a cold
+run: the commands before it have loaded every module and warmed the
+process's caches, and an in-process run has no start or exit.
+
+So each command also runs REPEATS times as a fresh `python -m orthofold.cli`
+process, with the same thread variables, timed from spawn to reap, as
+perfbench times its commands; `process_s` keeps the minimum and the median,
+and the report-sha256 of each must be the in-process one. The gap between
+a command's process_s and its in-process total is what one process costs
+on top of the work: interpreter start, imports and exit.
+
+The environment (core count, BLAS library and threads, Python and numpy
+versions) is perfbench/probe.py's, which needs scipy (the test extra), plus
+PYTHONDONTWRITEBYTECODE, under which every process compiles the package
+from source.
 """
 
 from __future__ import annotations
@@ -29,6 +40,8 @@ import gc
 import io
 import json
 import os
+import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -97,17 +110,35 @@ def run_once(argv: list[str]) -> tuple[dict, int, str | None]:
     return times, code, sha
 
 
+def process_seconds(argv: list[str], sha: str) -> dict:
+    """Min and median wall seconds of fresh CLI processes, spawn to reap."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    walls = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "orthofold.cli", *argv], cwd=ROOT, env=env, capture_output=True, text=True
+        )
+        walls.append(time.perf_counter() - start)
+        if done.returncode != 0 or not done.stdout.endswith(f"report-sha256: {sha}\n"):
+            raise SystemExit(f"{' '.join(argv)}: process exit {done.returncode}, or not report {sha}")
+    return {"min": round(min(walls), 6), "median": round(statistics.median(walls), 6)}
+
+
 def bench_command(argv: list[str]) -> dict:
     runs = [run_once(argv) for _ in range(REPEATS)]
     codes = sorted({code for _, code, _ in runs})
     shas = {sha for *_, sha in runs}
     if None in shas or len(shas) != 1 or codes != [0]:
         raise SystemExit(f"{' '.join(argv)}: exit codes {codes}, report hashes {shas}")
+    sha = shas.pop()
     return {
         "argv": argv,
-        "report_sha256": shas.pop(),
+        "report_sha256": sha,
         "first_s": {k: round(v, 6) for k, v in runs[0][0].items()},
         "min_s": {k: round(min(t[k] for t, *_ in runs), 6) for k in runs[0][0]},
+        "process_s": process_seconds(argv, sha),
     }
 
 
@@ -120,14 +151,19 @@ def main(argv=None) -> int:
     for name, cmds in WORKLOADS.items():
         results = [bench_command(c.args(SEED)) for c in cmds]
         summed = {k: round(sum(r["min_s"][k] for r in results), 6) for k in results[0]["min_s"]}
-        workloads[name] = {"commands": results, "min_s": summed}
-        print(name, " ".join(f"{k}={v * 1e3:.1f}ms" for k, v in summed.items()))
+        process = {k: round(sum(r["process_s"][k] for r in results), 6) for k in ("min", "median")}
+        workloads[name] = {"commands": results, "min_s": summed, "process_s": process}
+        print(
+            name,
+            " ".join(f"{k}={v * 1e3:.1f}ms" for k, v in summed.items()),
+            " ".join(f"process_{k}={v * 1e3:.1f}ms" for k, v in process.items()),
+        )
     doc = {
         "harness": "benchmarks/bench_pipeline.py",
         "repeats": REPEATS,
         "seed": SEED,
         "stages": [*STAGES, REPORT],
-        "env": probe.environment(),
+        "env": {**probe.environment(), "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")},
         "workloads": workloads,
     }
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")

@@ -9,14 +9,27 @@ payload region, so identical invocations are byte-comparable.
 The pipeline layers (isotropy, strata, quotient) are imported inside the
 functions that use them and reached through their module attributes at
 call time, so catalog loads only actions and what it imports.
+
+The process entry, run(), is the only code that sets the cyclic garbage
+collector's policy; main() and the library leave it alone.
 """
 
 from __future__ import annotations
+
+import gc
+
+if __name__ == "__main__":
+    # A `python -m orthofold.cli` process runs one command and exits, and
+    # reference counting frees its memory, so it runs no cyclic collection
+    # at all: not the ones its imports would trigger, and none during the
+    # command. This comes before numpy, whose import alone triggers dozens.
+    gc.disable()
 
 import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from collections import Counter
 from datetime import datetime, timezone
@@ -686,5 +699,26 @@ def main(argv=None) -> int:
         return 3
 
 
+def run() -> int:
+    """Process entry of the orthofold command: main() on sys.argv, then exit.
+
+    After the command, gc.freeze() moves every object the process holds
+    into the collector's permanent generation, so interpreter exit frees
+    them by reference counts without the final collections traversing the
+    heap, which took most of a 30-50 ms teardown. A reader that closes the pipe
+    early, as `| head` does, ends the command with exit code 1 and no
+    traceback; stdout is pointed at os.devnull so that the flush at exit
+    does not raise again (the Python docs' note on SIGPIPE).
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

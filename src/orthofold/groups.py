@@ -260,6 +260,21 @@ class SubgroupClass:
     component_hint: str
     traces: tuple = field(default_factory=tuple)
 
+    def __post_init__(self):
+        # every per-class memo hashes a point's class, so hash the fields
+        # once, to the value the generated __hash__ would give
+        object.__setattr__(
+            self, "_hash", hash((self.label, self.order, self.lie_dim, self.component_hint, self.traces))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # str hashes differ between processes: a copy or an unpickled class
+        # is rebuilt through __init__, which hashes it afresh
+        return SubgroupClass, (self.label, self.order, self.lie_dim, self.component_hint, self.traces)
+
     def display(self) -> str:
         if self.label == "Zn":
             return f"Zn({self.order})"

@@ -564,7 +564,8 @@ def slice_representations(a: ActionModel, stabs) -> list[SliceRep]:
         a, np.concatenate([stabs[i].witness_ambs for i in read]), points[owner], frames[owner]
     )
     sdims = np.array([stabs[i].slice_basis.shape[1] for i in read])
-    for sdim in np.unique(sdims).tolist():
+    # a 1-D np.unique would import numpy.ma, 11-18 ms of a CLI process
+    for sdim in sorted(set(sdims.tolist())):
         idx = np.flatnonzero(sdims == sdim)
         coords = np.repeat(np.stack([stabs[read[j]].slice_basis for j in idx]), counts[idx], axis=0)
         wmats = np.swapaxes(coords, 1, 2) @ diffs[sdims[owner] == sdim] @ coords

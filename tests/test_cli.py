@@ -1,6 +1,7 @@
 """Command line surface: subcommands, exit codes, report shape."""
 
 import argparse
+import gc
 import json
 import os
 import subprocess
@@ -317,6 +318,11 @@ def test_orbit_across_klein_blocks_fails_its_check(capsys, monkeypatch):
     assert fails == ["[FAIL] s2-zn(5) :: orbit-in-one-klein-block (orbit (0, 30) meets klein blocks [0, 1])"]
 
 
+def _child_env():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def test_catalog_loads_no_pipeline_layer():
     # catalog lists actions only; cli imports the pipeline layers in the
     # functions that use them
@@ -326,10 +332,8 @@ def test_catalog_loads_no_pipeline_layer():
         "assert cli.main(['catalog']) == 0\n"
         "print(' '.join(sorted(sys.modules)))\n"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", probe], env=_child_env(), capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
     loaded = set(done.stdout.strip().splitlines()[-1].split())
@@ -346,15 +350,65 @@ def test_cli_runs_without_scipy():
         # one action per group kind runs every import on the pipeline path
         "for name in ('cp2-so3', 'cn-tn(2)', 's2-zn(5)'):\n"
         "    assert cli.main(['analyze', name, '--samples', '5']) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "    assert cli.main(['verify', name, '--samples', '5']) in (0, 1)\n"
+        # nor numpy.ma, which a plain 1-D np.unique imports (11-18 ms a process)
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma']))\n"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", probe], env=_child_env(), capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_module_entry_runs_without_the_collector():
+    # the real `python -m orthofold.cli` path: the collector is off from
+    # before the imports, and the heap is frozen before interpreter exit
+    probe = (
+        "import atexit, gc, runpy, sys\n"
+        "sys.argv = ['orthofold', 'catalog']\n"
+        "atexit.register(lambda: print('gc', gc.isenabled(), gc.get_freeze_count() > 0))\n"
+        "runpy.run_module('orthofold.cli', run_name='__main__')\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=_child_env(), capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert "s2-zn" in done.stdout
+    assert done.stdout.strip().splitlines()[-1] == "gc False True"
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert cli.main(["analyze", "s2-zn(5)", "--samples", "20"]) == 0
+    assert cli.main(["catalog"]) == 0
+    capsys.readouterr()
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+def test_console_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(cli.__file__).resolve().parents[2] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts == {"orthofold": "orthofold.cli:run"}
+
+
+def test_closed_pipe_exits_1_without_traceback():
+    # more output than a pipe holds, so the command is still writing when
+    # the reader closes its end after one line
+    argv = ["verify", *["s2-zn(5)"] * 100, "--samples", "20"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "orthofold.cli", *argv],
+        env=_child_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert first.startswith(b"[PASS] s2-zn(5) :: ")
+    assert err == b""
 
 
 # analyze --samples 100 --seed 0 report hashes; the exact torus solve

@@ -1,5 +1,8 @@
 """Group descriptors, exponentials, sampling and subgroup naming."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -168,6 +171,19 @@ def test_classes_conjugate():
         groups.so2(), np.zeros((1, 0)), np.stack([np.eye(2), rot, rot @ rot])
     )
     assert not groups.classes_conjugate(c1, z3)
+
+
+def test_subgroup_class_hash_follows_its_fields():
+    fields = ("Zn", 2, 0, "finite(2)", (2.0, -2.0))
+    a, b = groups.SubgroupClass(*fields), groups.SubgroupClass(*fields)
+    assert a == b and hash(a) == hash(b) == hash(fields)
+    assert len({a, b}) == 1
+    c = dataclasses.replace(a, order=3)
+    assert c != a and hash(c) == hash(("Zn", 3, 0, "finite(2)", (2.0, -2.0)))
+    copied = pickle.loads(pickle.dumps(a))
+    assert copied == a and hash(copied) == hash(a)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.order = 3
 
 
 # identity-component membership of the SO(3) search reference in oracles.py;
