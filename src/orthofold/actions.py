@@ -262,8 +262,9 @@ class ActionModel:
     amb_lie: Callable  # canonical Lie generator -> ambient matrix
     special_points: Callable  # rng -> (m, N) measure-zero stratum representatives
     # For SO(3) acting on copies of R^3: x -> the (3, 2) frame X the rotations
-    # act on from the left. On complex projective models X holds the real
-    # and imaginary parts, defined up to the phase gauge X -> X rot(alpha).
+    # act on from the left, and a (B, N) stack -> the (B, 3, 2) frames. On
+    # complex projective models X holds the real and imaginary parts,
+    # defined up to the phase gauge X -> X rot(alpha).
     so3_frame: Callable | None = None
     # For torus-kind groups: tuple of (coords, weight) with coords a fixed
     # index (i,) or a rotating pair (i, j), weight an integer vector over the
@@ -287,23 +288,39 @@ class ActionModel:
         out.flags.writeable = False
         return out
 
+    @functools.cached_property
+    def lie_ambs(self) -> np.ndarray:
+        """Ambient matrices amb_lie of the group's Lie basis, a (k, N, N)
+        stack built once per action and shared read-only."""
+        n = self.manifold.ambient_dim
+        out = np.array([self.amb_lie(xi) for xi in self.group.lie], dtype=np.float64).reshape(-1, n, n)
+        out.flags.writeable = False
+        return out
+
 
 def act(a: ActionModel, g: np.ndarray, x: np.ndarray) -> np.ndarray:
     return normalize(a.manifold, a.amb(g) @ x)
 
 
-def infinitesimal_action(a: ActionModel, x: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    """Matrix whose columns are the frame coordinates of the generator fields.
+def infinitesimal_actions(a: ActionModel, X: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """Matrices whose columns are the frame coordinates of the generator
+    fields, one (dim, k) matrix per point of a stack.
 
-    frame is tangent_frame(a.manifold, x). Column i holds the horizontal
+    frames is tangent_frames(a.manifold, X). Column i holds the horizontal
     projection of amb_lie(basis_i) x at x; its rank is the orbit dimension
-    through x.
+    through x. Two stacked products apply every generator's ambient matrix
+    (a.lie_ambs) to every point and read each field in its point's frame;
+    each factor is a product of its own, so a point's matrix is bit for bit
+    the same in any stack.
     """
-    k = a.group.lie_dim
-    out = np.empty((frame.shape[1], k))
-    for i in range(k):
-        out[:, i] = frame.T @ (a.amb_lie(a.group.lie[i]) @ x)
-    return out
+    fields = np.matmul(a.lie_ambs, X[:, None, :, None])
+    coords = np.matmul(np.swapaxes(frames, 1, 2)[:, None], fields)
+    return np.swapaxes(coords[..., 0], 1, 2)
+
+
+def infinitesimal_action(a: ActionModel, x: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """infinitesimal_actions of one point."""
+    return infinitesimal_actions(a, x[None], frame[None])[0]
 
 
 def lift(a: ActionModel, amb: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -374,7 +391,7 @@ def _make_s2xs2() -> ActionModel:
         return out
 
     def frame(x):
-        return np.stack([x[:3], x[3:]], axis=1)
+        return np.stack([x[..., :3], x[..., 3:]], axis=-1)
 
     def specials(rng):
         axes = [np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])]
@@ -441,7 +458,7 @@ def _make_cp2_so3() -> ActionModel:
         return out
 
     def frame(x):
-        return np.stack([x[0::2], x[1::2]], axis=1)
+        return np.stack([x[..., 0::2], x[..., 1::2]], axis=-1)
 
     def specials(rng):
         pts = []

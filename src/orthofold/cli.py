@@ -547,6 +547,9 @@ def verify_action(a, samples: int, seed: int) -> list:
     except _CheckFailure as e:
         _check(results, e.check, False, str(e))
         return results
+    except InputError:
+        # bad input is not a failing check: the command exits 2
+        raise
     except OrthofoldError as e:
         _check(results, "pipeline", False, str(e))
         return results

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ClassificationError, InputError
 from .kernels import SO3_GENERATORS, rodrigues_batch
-from .numerics import MATCH_EPS, orthonormalize, spans_equal
+from .numerics import MATCH_EPS, spans_equal
 
 _J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -152,13 +152,14 @@ def _quat_to_mat(q: np.ndarray) -> np.ndarray:
 
 
 def adjoint_coeffs(g: GroupDescriptor, elem: np.ndarray) -> np.ndarray:
-    """Matrix of Ad_elem on Lie-algebra coefficient vectors."""
+    """Matrix of Ad_elem on Lie-algebra coefficient vectors, for one element
+    or each element of a (..., n, n) stack."""
     k = g.lie_dim
     if k == 0:
-        return np.zeros((0, 0))
-    conj = np.einsum("ab,jbc,dc->jad", elem, g.lie, elem)
+        return np.zeros(elem.shape[:-2] + (0, 0))
+    conj = np.einsum("...ab,jbc,...dc->...jad", elem, g.lie, elem)
     gram = np.einsum("iab,jab->ij", g.lie, g.lie)
-    mixed = np.einsum("iab,jab->ij", g.lie, conj)
+    mixed = np.einsum("iab,...jab->...ij", g.lie, conj)
     return np.linalg.solve(gram, mixed)
 
 
@@ -241,7 +242,9 @@ def congruence_solutions(W, B) -> tuple[np.ndarray, int]:
     k = int(np.count_nonzero(d))
     j = np.array(list(np.ndindex(*d[:k])), dtype=np.float64)
     chi = np.zeros((len(B), j.shape[0], n))
-    chi[:, :, :k] = (np.stack([U @ b for b in B])[:, None, :k] + 2.0 * np.pi * j) / d[:k]
+    # U b of every row at once, each a product of its own
+    Ub = np.matmul(U, np.asarray(B, dtype=np.float64)[:, :, None])[:, :, 0]
+    chi[:, :, :k] = (Ub[:, None, :k] + 2.0 * np.pi * j) / d[:k]
     return chi @ V.T, n - k
 
 
@@ -304,6 +307,23 @@ def classify_subgroup(
     lie_kernel: (lie_dim, k) coefficient vectors of the stabilizer algebra.
     witnesses: (m, n, n) component representatives, identity first.
 
+    It is classify_subgroups of the one pair.
+    """
+    kernels = lie_kernel[None] if lie_kernel.ndim == 2 else np.zeros((1, g.lie_dim, 0))
+    return classify_subgroups(g, kernels, np.asarray(witnesses)[None])[0]
+
+
+def classify_subgroups(
+    g: GroupDescriptor,
+    lie_kernels: np.ndarray,
+    witnesses: np.ndarray,
+) -> list[SubgroupClass]:
+    """Name the subgroups of a stack of stabilizers of one shape.
+
+    lie_kernels: (B, lie_dim, k) coefficient vectors of each stabilizer
+    algebra. witnesses: (B, m, n, n) component representatives of each,
+    identity first.
+
     Labels target the stabilizer types arising in the built-in catalog;
     subgroups outside that vocabulary land in Other, whose comparisons use
     conservative invariants only. In particular non-conjugate subtori of a
@@ -311,24 +331,51 @@ def classify_subgroup(
     the decomposition fingerprints, not here. A finite group of order m is
     Zn(m) only when some witness has order m; a non-cyclic one, such as the
     Klein four-group of half-turns in SO(3), is Other with hint finite(m).
+
+    The adjoint action of every witness is read in one stacked product: on
+    SO(3) each witness must normalize its stabilizer's algebra, and with
+    k = 1 and m = 2 the second witness makes O2 when it reverses the
+    circle. A class then reads only k, m, the rounded witness traces and
+    that reversal, so one SubgroupClass is built per distinct tuple of
+    them, from its first stabilizer, and shared.
     """
-    k = int(lie_kernel.shape[1]) if lie_kernel.ndim == 2 else 0
-    m = len(witnesses)
+    B, m = witnesses.shape[:2]
+    k = lie_kernels.shape[2]
     if m == 0:
         raise ClassificationError("witness list must at least contain the identity")
-    traces = tuple(sorted(round(float(np.trace(w)), 9) + 0.0 for w in witnesses))
+    traces = [
+        tuple(sorted(round(t, 9) + 0.0 for t in row))
+        for row in np.trace(witnesses, axis1=2, axis2=3).tolist()
+    ]
+    reverses = [False] * B
+    normal = k > 0 and g.kind == "so3"
+    if normal or (k == 1 and m == 2):
+        ad = adjoint_coeffs(g, witnesses)
+        # every witness must normalize the stabilizer algebra; Ad is the
+        # identity on an abelian group, so only SO(3) can fail this
+        if normal and not np.all(spans_equal(ad @ lie_kernels[:, None], lie_kernels[:, None])):
+            raise ClassificationError("witness does not normalize the stabilizer Lie span")
+        if k == 1 and m == 2:
+            # each circle's unit axis, as orthonormalize gives it
+            span = np.linalg.svd(lie_kernels, full_matrices=False)[0][:, :, 0]
+            turned = np.einsum("bij,bj->bi", ad[:, 1], span)
+            # np.allclose(turned, -span, atol=1e-6), written out per stabilizer
+            reverses = np.all(np.abs(turned + span) <= 1e-6 + 1e-5 * np.abs(span), axis=1).tolist()
 
-    # every witness must normalize the stabilizer algebra; Ad is the
-    # identity on an abelian group, so only SO(3) can fail this
-    if k > 0 and g.kind == "so3":
-        span = orthonormalize(lie_kernel)
-        for w in witnesses:
-            ad = adjoint_coeffs(g, w)
-            if not spans_equal(ad @ span, span):
-                raise ClassificationError(
-                    "witness does not normalize the stabilizer Lie span"
-                )
+    seen: dict = {}
+    out = []
+    for b, (tr, rev) in enumerate(zip(traces, reverses)):
+        cls = seen.get((tr, rev))
+        if cls is None:
+            cls = seen[tr, rev] = _subgroup_class(g, k, witnesses[b], tr, rev)
+        out.append(cls)
+    return out
 
+
+def _subgroup_class(g: GroupDescriptor, k: int, witnesses: np.ndarray, traces: tuple, reverses: bool) -> SubgroupClass:
+    """The class of a stabilizer of Lie dimension k, its witnesses with their
+    rounded traces, and whether its second witness reverses its circle."""
+    m = len(witnesses)
     if k == 0:
         if m == 1:
             return SubgroupClass("Trivial", 1, 0, "connected", traces)
@@ -339,11 +386,8 @@ def classify_subgroup(
     if k == 1:
         if m == 1:
             return SubgroupClass(g.circle_label, None, 1, "connected", traces)
-        if m == 2:
-            span = orthonormalize(lie_kernel)[:, 0]
-            ad = adjoint_coeffs(g, witnesses[1])
-            if np.allclose(ad @ span, -span, atol=1e-6):
-                return SubgroupClass("O2", None, 1, "two_components", traces)
+        if reverses:
+            return SubgroupClass("O2", None, 1, "two_components", traces)
         return SubgroupClass("Other", None, 1, f"components({m})", traces)
 
     if k == g.lie_dim and m == g.n_components:

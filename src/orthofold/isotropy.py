@@ -13,12 +13,12 @@ from .actions import (
     aligned,
     ambient_complex_structure,
     differentials,
-    infinitesimal_action,
+    infinitesimal_actions,
     normalize,
     tangent_frame,
 )
 from .errors import InputError, RepExtractionError, StabilizerError
-from .numerics import BLOCK_BYTES, MATCH_EPS, POINT_EPS, shared_identity, svd_split
+from .numerics import BLOCK_BYTES, MATCH_EPS, POINT_EPS, shared_identity, svd_splits
 
 # squared chordal distance below which a candidate counts as a fixer
 ACCEPT_D2 = 1e-12
@@ -90,6 +90,13 @@ def _byte_rows(a: np.ndarray) -> np.ndarray:
     return a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel()
 
 
+def _aligned_d2(a: ActionModel, Y: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Squared distance of each row of Y from its target, the representative
+    aligned: T is one target for every row, or a stack of one per row."""
+    res = aligned(a.manifold, Y, T) - T
+    return np.einsum("bi,bi->b", res, res)
+
+
 def _displacement(a: ActionModel, x: np.ndarray, amb: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Squared distance of each image amb_i x from y, the representative aligned.
 
@@ -97,9 +104,7 @@ def _displacement(a: ActionModel, x: np.ndarray, amb: np.ndarray, y: np.ndarray)
     flattened to (B * N, N).
     """
     n = x.shape[0]
-    Y = (amb.reshape(-1, n) @ x).reshape(-1, n)
-    res = aligned(a.manifold, Y, y) - y
-    return np.einsum("bi,bi->b", res, res)
+    return _aligned_d2(a, (amb.reshape(-1, n) @ x).reshape(-1, n), y)
 
 
 def fixer_masks(a: ActionModel, X: np.ndarray) -> np.ndarray:
@@ -122,9 +127,7 @@ def fixer_masks(a: ActionModel, X: np.ndarray) -> np.ndarray:
         x = X[lo : lo + step]
         # row (point, element) holds the image of the point under the element
         images = (x @ flat_t).reshape(-1, n)
-        targets = np.repeat(x, size, axis=0)
-        res = aligned(a.manifold, images, targets) - targets
-        d2 = np.einsum("bi,bi->b", res, res).reshape(-1, size)
+        d2 = _aligned_d2(a, images, np.repeat(x, size, axis=0)).reshape(-1, size)
         np.less_equal(d2, POINT_EPS * POINT_EPS, out=out[lo : lo + step])
     return out
 
@@ -147,49 +150,84 @@ def _witness_order(g: groups.GroupDescriptor) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1024)
-def _finite_stabilizer(g: groups.GroupDescriptor, keep: tuple):
-    """Witnesses and class of the finite stabilizer made of the elements keep.
+def _finite_stabilizer(g: groups.GroupDescriptor, amb, keep: tuple):
+    """Witnesses, their ambient matrices and class of the finite stabilizer
+    made of the elements keep, amb the action's ambient map.
 
     A finite group has no Lie algebra, so every stabilizer's Lie kernel is
-    empty and the class reads only g and the witnesses: it is keyed on
-    exactly those. The witnesses are shared read-only.
+    empty: the class reads only g and the witnesses, and their ambient
+    matrices only amb, so it is keyed on exactly those. All three are
+    shared read-only.
     """
     wits = g.elements[list(keep)]
-    wits.flags.writeable = False
-    return wits, groups.classify_subgroup(g, np.zeros((0, 0)), wits)
+    wambs = np.stack([amb(w) for w in wits])
+    wits.flags.writeable = wambs.flags.writeable = False
+    return wits, wambs, groups.classify_subgroup(g, np.zeros((0, 0)), wits)
+
+
+def _finite_rows(a: ActionModel, X: np.ndarray) -> list:
+    """(witnesses, witness_ambs, class) of each point of X under a finite
+    group: one fixer_masks call for the stack, then one _finite_stabilizer
+    lookup per distinct fixer set, its fixers taken in witness order."""
+    g = a.group
+    masks = fixer_masks(a, X)
+    order = _witness_order(g)
+    rows: dict = {}
+    out = []
+    for i, key in enumerate(_byte_rows(masks).tolist()):
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = _finite_stabilizer(g, a.amb, tuple(order[masks[i][order]].tolist()))
+        out.append(row)
+    return out
+
+
+def _active_pairs(a: ActionModel, X: np.ndarray) -> np.ndarray:
+    """bool[n, pairs]: the ambient pairs of each point of X that constrain
+    the torus solve. A pair whose magnitude is at most sqrt(ACCEPT_D2) / 2
+    constrains nothing: every rotation of it stays inside the fixer cut."""
+    if a.ambient_pairs is None:
+        raise InputError(f"action {a.name!r} lacks ambient pair data for the torus solve")
+    cut = 0.5 * np.sqrt(ACCEPT_D2)
+    # a rotating pair (i, j) reads as x_i + i x_j, a fixed coordinate as real
+    mags = [np.hypot(X[:, c[0]], X[:, c[-1]] if len(c) == 2 else 0.0) for c, _ in a.ambient_pairs]
+    return np.stack(mags, axis=1) > cut
+
+
+def _congruence_rows(a: ActionModel, active) -> np.ndarray:
+    """Integer rows W of the congruence W psi = b (mod 2 pi) of _torus_system,
+    for the ambient pairs marked active.
+
+    psi = (phi, alpha) holds the torus angles and, on projective models,
+    the phase alpha of the representative. Each pair contributes its weight
+    row, with a -1 column for alpha on projective models; on RP^2 the row
+    2 alpha = 0 keeps the phase a sign.
+    """
+    kind = a.manifold.kind
+    projective = kind in ("real_projective", "complex_projective")
+    rows = [[*w, -1] if projective else list(w) for (_, w), on in zip(a.ambient_pairs, active) if on]
+    if kind == "real_projective":
+        rows.append([0] * a.group.lie_dim + [2])
+    return np.array(rows, dtype=np.int64).reshape(len(rows), a.group.lie_dim + projective)
 
 
 def _torus_system(a: ActionModel, x: np.ndarray, y: np.ndarray):
     """Integer rows W and target angles b of the congruence W psi = b (mod 2 pi).
 
-    psi = (phi, alpha) holds the torus angles and, on projective models, the
-    phase alpha of the representative; its solutions are the elements
-    carrying x to y up to that phase. Each ambient pair contributes its
-    weight row and the angle atan2(y) - atan2(x); a fixed coordinate is a
-    weight-0 row whose target is 0 or pi by sign. Projective rows get a -1
-    column for alpha, and on RP^2 the row 2 alpha = 0 keeps the phase a
-    sign. A pair whose magnitudes at x and y are both at most
-    sqrt(ACCEPT_D2) / 2 is skipped: every rotation of it stays inside the
-    fixer cut, so it constrains nothing.
+    Its solutions are the elements carrying x to y up to the phase of the
+    representative. W is _congruence_rows of the pairs active at x or at y,
+    and each pair's target is the angle atan2(y) - atan2(x); a fixed
+    coordinate's is 0 or pi by sign, and the RP^2 phase row's is 0.
     """
-    if a.ambient_pairs is None:
-        raise InputError(f"action {a.name!r} lacks ambient pair data for the torus solve")
-    cut = 0.5 * np.sqrt(ACCEPT_D2)
-    kind = a.manifold.kind
-    projective = kind in ("real_projective", "complex_projective")
-    rows, b = [], []
-    for coords, w in a.ambient_pairs:
-        # a rotating pair (i, j) reads as x_i + i x_j, a fixed coordinate as real
-        zx, zy = complex(*x[list(coords)]), complex(*y[list(coords)])
-        if abs(zx) <= cut and abs(zy) <= cut:
-            continue
-        rows.append([*w, -1] if projective else list(w))
-        b.append(np.angle(zy) - np.angle(zx))
-    if kind == "real_projective":
-        rows.append([0] * a.group.lie_dim + [2])
+    active = _active_pairs(a, np.stack([x, y])).any(axis=0)
+    b = [
+        np.angle(complex(*y[list(coords)])) - np.angle(complex(*x[list(coords)]))
+        for (coords, _), on in zip(a.ambient_pairs, active)
+        if on
+    ]
+    if a.manifold.kind == "real_projective":
         b.append(0.0)
-    n = a.group.lie_dim + projective
-    return np.array(rows, dtype=np.int64).reshape(len(rows), n), np.array(b)
+    return _congruence_rows(a, active), np.array(b)
 
 
 def _torus_solutions(g: groups.GroupDescriptor, W: np.ndarray, b: np.ndarray):
@@ -220,13 +258,48 @@ def _torus_stabilizer(g: groups.GroupDescriptor, n: int, rows: bytes):
     return wits, free
 
 
+def _torus_rows(a: ActionModel, X: np.ndarray, ks: np.ndarray, kernels: list) -> list:
+    """(witnesses, witness_ambs, class) of each point of X under a torus.
+
+    A point's congruence at y = x depends only on which ambient pairs are
+    active there (_active_pairs), so the points are grouped by that pattern:
+    each group's rows W are solved once (_torus_stabilizer), their witnesses'
+    ambient matrices built once, and the group passes one displacement test
+    and is classified once. A torus's class reads the Lie dimension k and
+    the witnesses, and the solve fixes k.
+    """
+    g = a.group
+    n = X.shape[1]
+    active = _active_pairs(a, X)
+    patterns: dict = {}
+    for i, key in enumerate(_byte_rows(active).tolist()):
+        patterns.setdefault(key, []).append(i)
+    out = [None] * len(X)
+    for idx in patterns.values():
+        W = _congruence_rows(a, active[idx[0]])
+        wits, free = _torus_stabilizer(g, W.shape[1], W.tobytes())
+        if np.any(ks[idx] != free):
+            raise StabilizerError("Lie kernel and torus solve disagree on the stabilizer dimension")
+        wambs = a.amb_batch(wits)
+        wambs.flags.writeable = False
+        pts = X[idx]
+        images = (pts @ wambs.reshape(-1, n).T).reshape(-1, n)
+        if _aligned_d2(a, images, np.repeat(pts, len(wits), axis=0)).max() > ACCEPT_D2:
+            raise StabilizerError("closed-form witness misses the fixer set")
+        row = (wits, wambs, groups.classify_subgroup(g, kernels[idx[0]], wits))
+        for i in idx:
+            out[i] = row
+    return out
+
+
 def _half_turns(axes: np.ndarray) -> np.ndarray:
     """Rotations by pi about the unit rows of axes: 2 a a^T - I."""
     return 2.0 * np.einsum("mi,mj->mij", axes, axes) - np.eye(3)
 
 
-def _so3_candidates(a: ActionModel, x: np.ndarray, lie_kernel: np.ndarray) -> np.ndarray:
-    """The half-turns whose displacement test decides the SO(3) stabilizer.
+def _so3_candidates(a: ActionModel, X: np.ndarray, ks: np.ndarray, kernels: list):
+    """The half-turns whose displacement test decides the SO(3) stabilizers
+    of the points X, ks their Lie kernel dimensions.
 
     X = a.so3_frame(x) is the 3 x 2 frame that rotations act on from the
     left. On CP^2 it is fixed only up to the phase gauge X -> X rot(alpha),
@@ -249,20 +322,141 @@ def _so3_candidates(a: ActionModel, x: np.ndarray, lie_kernel: np.ndarray) -> np
       and the null quadric all have k = 1). There X has rank 2 and no gauge
       applies, so R X = X forces R = I, and the test rejects every
       candidate.
+
+    The frames of every k = 0 point take one stacked SVD, and the k = 1
+    axes one stacked cross product. Returns (owner, half-turns): candidate
+    j belongs to the point owner[j], ascending, and each point's candidates
+    keep the order above.
     """
-    k = lie_kernel.shape[1]
-    if k == 3:
-        return np.zeros((0, 3, 3))
-    if k == 1:
+    if np.any(ks == 2):
+        raise StabilizerError("so(3) has no two-dimensional subalgebra")
+    flat, circle = np.flatnonzero(ks == 0), np.flatnonzero(ks == 1)
+    axes = np.zeros((0, 3))
+    if flat.size:
+        axes = np.swapaxes(np.linalg.svd(a.so3_frame(X[flat]))[0], 1, 2).reshape(-1, 3)
+    if circle.size:
         # coefficients in the so(3) basis of SO3_GENERATORS are the axis
-        n = lie_kernel[:, 0]
-        e = np.zeros(3)
-        e[np.argmin(np.abs(n))] = 1.0
+        n = np.stack([kernels[i][:, 0] for i in circle])
+        e = np.zeros_like(n)
+        e[np.arange(len(n)), np.argmin(np.abs(n), axis=1)] = 1.0
         p = np.cross(n, e)
-        return _half_turns((p / np.linalg.norm(p))[None])
-    if k == 0:
-        return _half_turns(np.linalg.svd(a.so3_frame(x))[0].T)
-    raise StabilizerError("so(3) has no two-dimensional subalgebra")
+        # |p| by the dot product np.linalg.norm takes of one vector
+        axes = np.concatenate([axes, p / np.sqrt(np.matmul(p[:, None, :], p[:, :, None]))[:, 0]])
+    owner = np.concatenate([np.repeat(flat, 3), circle])
+    order = np.argsort(owner, kind="stable")
+    return owner[order], _half_turns(axes[order])
+
+
+def _so3_rows(a: ActionModel, X: np.ndarray, ks: np.ndarray, kernels: list) -> list:
+    """(witnesses, witness_ambs, class) of each point of X under SO(3).
+
+    Every candidate of _so3_candidates takes one displacement test; a
+    point's witnesses are the identity and its passing candidates, in
+    order. The points of one witness count are stacked, and each stack of
+    one Lie dimension is classified in one classify_subgroups call.
+    """
+    if a.so3_frame is None:
+        raise InputError(f"action {a.name!r} lacks the frame data of the SO(3) solve")
+    g = a.group
+    n = X.shape[1]
+    owner, cands = _so3_candidates(a, X, ks, kernels)
+    ambs = a.amb_batch(cands) if len(cands) else np.zeros((0, n, n))
+    targets = X[owner]
+    fix = _aligned_d2(a, np.matmul(ambs, targets[:, :, None])[:, :, 0], targets) <= ACCEPT_D2
+    passing, holder = np.flatnonzero(fix), owner[fix]
+    counts = 1 + np.bincount(holder, minlength=len(X))
+    out = [None] * len(X)
+    for m in sorted(set(counts.tolist())):
+        pts = np.flatnonzero(counts == m)
+        picks = passing[np.searchsorted(holder, pts)[:, None] + np.arange(m - 1)]
+        wits = np.empty((len(pts), m, 3, 3))
+        wits[:, 0] = np.eye(3)
+        wits[:, 1:] = cands[picks]
+        wambs = np.empty((len(pts), m, n, n))
+        wambs[:, 0] = a.amb(np.eye(3))
+        wambs[:, 1:] = ambs[picks]
+        for k in sorted(set(ks[pts].tolist())):
+            sel = np.flatnonzero(ks[pts] == k)
+            lie = np.stack([kernels[i] for i in pts[sel]])
+            classes = groups.classify_subgroups(g, lie, wits[sel])
+            for j, cls in zip(sel.tolist(), classes):
+                out[pts[j]] = (wits[j], wambs[j], cls)
+    return out
+
+
+def stabilizer_rows(a: ActionModel, X: np.ndarray, frames: np.ndarray) -> list[tuple]:
+    """The stabilizers of a stack of points, one row per point.
+
+    X holds validated representatives and frames their tangent frames, as
+    actions.tangent_frames builds them. A row holds what stabilizer
+    assembles a point's StabilizerData from: (lie_kernel, witnesses,
+    witness_ambs, subgroup, orbit_dim, slice_basis).
+
+    One stacked SVD of the infinitesimal actions gives every orbit
+    dimension (the rank), Lie algebra (the kernel) and normal slice (the
+    complement of the column span); a finite group's action has no
+    columns, so its slice is the whole tangent space. Every kind is then
+    decided in closed form for the whole stack: finite groups are
+    enumerated by the fixer test against the element stack, torus-kind
+    components are solved exactly from the integer congruence of the active
+    ambient pairs, and SO(3) components are the half-turns of
+    _so3_candidates that pass the fixer test. Each witness has squared
+    displacement at most ACCEPT_D2 (the finite kind tests at POINT_EPS).
+    What several points share is built once and shared read-only: a finite
+    group's ambient matrices, witness order, and the witnesses and class
+    of each fixer set; the torus solve of each congruence, with its
+    witnesses' ambient matrices and class; the class of each SO(3)
+    stabilizer shape.
+    """
+    g = a.group
+    odims, kernels, slices = svd_splits(infinitesimal_actions(a, X, frames))
+    ks = np.array([K.shape[1] for K in kernels], dtype=np.int64)
+    if np.any(odims + ks != g.lie_dim):
+        raise StabilizerError("orbit and kernel dimensions are inconsistent")
+    if g.kind == "finite":
+        solved = _finite_rows(a, X)
+    elif g.kind == "torus":
+        solved = _torus_rows(a, X, ks, kernels)
+    elif g.kind == "so3":
+        solved = _so3_rows(a, X, ks, kernels)
+    else:
+        raise InputError(f"no stabilizer scheme for group kind {g.kind!r}")
+    return [
+        (K, wits, wambs, cls, odim, C)
+        for K, (wits, wambs, cls), odim, C in zip(kernels, solved, odims.tolist(), slices)
+    ]
+
+
+def stabilizer(
+    a: ActionModel,
+    x: np.ndarray,
+    frame: np.ndarray | None = None,
+    row: tuple | None = None,
+) -> StabilizerData:
+    """The stabilizer of x: Lie kernel, component witnesses, class.
+
+    frame is the tangent frame of x as actions.tangent_frames built it, x
+    then being a validated representative; without it, x is normalized and
+    framed here, which also validates it. row is the row of x in
+    stabilizer_rows, given with its frame; without it, the row is
+    stabilizer_rows of x alone. Only the assembly is done per call.
+    """
+    if frame is None:
+        x = normalize(a.manifold, np.asarray(x, dtype=float))
+        frame = tangent_frame(a.manifold, x)
+    if row is None:
+        row = stabilizer_rows(a, x[None], frame[None])[0]
+    lie_kernel, wits, wambs, cls, odim, slice_basis = row
+    return StabilizerData(
+        point=x,
+        lie_kernel=lie_kernel,
+        witnesses=wits,
+        witness_ambs=wambs,
+        subgroup=cls,
+        orbit_dim=odim,
+        frame=frame,
+        slice_basis=slice_basis,
+    )
 
 
 def _kabsch(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -290,80 +484,6 @@ def _gauge_normal_form(X: np.ndarray) -> np.ndarray:
     if np.linalg.det(v) < 0.0:
         v[:, 1] = -v[:, 1]
     return X @ v
-
-
-def stabilizer(
-    a: ActionModel,
-    x: np.ndarray,
-    frame: np.ndarray | None = None,
-    fixers: np.ndarray | None = None,
-) -> StabilizerData:
-    """Compute the stabilizer of x: Lie kernel, component witnesses, class.
-
-    frame is the tangent frame of x as actions.tangent_frames built it, x
-    then being a validated representative; without it, x is normalized and
-    framed here, which also validates it. For a finite group, fixers is the
-    row of x in fixer_masks, given with its frame; without it the fixer test
-    runs here, as fixer_masks of x alone. One SVD of the infinitesimal
-    action in the frame gives the orbit dimension (its rank), the Lie
-    algebra (its kernel) and the normal slice (the complement of its column
-    span); a finite group's action has no columns, so its slice is the whole
-    tangent space. Every kind is decided in closed form: torus-kind
-    components are solved exactly from the integer congruence of the active
-    ambient pairs, finite groups are enumerated by the fixer test against
-    the element stack, and SO(3) components are the half-turns of
-    _so3_candidates that pass the fixer test. Each witness has squared
-    displacement at most ACCEPT_D2 (the finite kind tests at POINT_EPS).
-    Only what depends on x is done per call: a finite group's ambient
-    matrices, witness order and the witnesses and class of each fixer set,
-    and the torus solve of each congruence, are built once and shared.
-    """
-    m = a.manifold
-    if frame is None:
-        x = normalize(m, np.asarray(x, dtype=float))
-        frame = tangent_frame(m, x)
-    g = a.group
-    odim, lie_kernel, slice_basis = svd_split(infinitesimal_action(a, x, frame))
-    if odim + lie_kernel.shape[1] != g.lie_dim:
-        raise StabilizerError("orbit and kernel dimensions are inconsistent")
-
-    if g.kind == "finite":
-        if fixers is None:
-            fixers = fixer_masks(a, x[None])[0]
-        order = _witness_order(g)
-        keep = order[fixers[order]]
-        wits, cls = _finite_stabilizer(g, tuple(keep.tolist()))
-        wambs = a.element_ambs[keep]
-    elif g.kind == "torus":
-        W, _ = _torus_system(a, x, x)
-        wits, free = _torus_stabilizer(g, W.shape[1], W.tobytes())
-        if free != lie_kernel.shape[1]:
-            raise StabilizerError("Lie kernel and torus solve disagree on the stabilizer dimension")
-        wambs = a.amb_batch(wits)
-        if float(_displacement(a, x, wambs, x).max()) > ACCEPT_D2:
-            raise StabilizerError("closed-form witness misses the fixer set")
-        cls = groups.classify_subgroup(g, lie_kernel, wits)
-    elif g.kind == "so3":
-        if a.so3_frame is None:
-            raise InputError(f"action {a.name!r} lacks the frame data of the SO(3) solve")
-        cands = np.concatenate([np.eye(3)[None], _so3_candidates(a, x, lie_kernel)])
-        ambs = a.amb_batch(cands)
-        fix = np.concatenate([[True], _displacement(a, x, ambs[1:], x) <= ACCEPT_D2])
-        wits, wambs = cands[fix], ambs[fix]
-        cls = groups.classify_subgroup(g, lie_kernel, wits)
-    else:
-        raise InputError(f"no stabilizer scheme for group kind {g.kind!r}")
-
-    return StabilizerData(
-        point=x,
-        lie_kernel=lie_kernel,
-        witnesses=wits,
-        witness_ambs=wambs,
-        subgroup=cls,
-        orbit_dim=odim,
-        frame=frame,
-        slice_basis=slice_basis,
-    )
 
 
 def transport_element(a: ActionModel, x: np.ndarray, y: np.ndarray) -> np.ndarray | None:

@@ -56,24 +56,45 @@ def as_small_matrix(a) -> np.ndarray:
     return m
 
 
-def _relative_rank(s: np.ndarray) -> int:
-    """Number of singular values (descending) above RANK_EPS times the largest."""
-    return int(np.sum(s > RANK_EPS * s[0])) if s.size and s[0] > 0.0 else 0
-
-
 def svd_split(a) -> tuple[int, np.ndarray, np.ndarray]:
     """(r, K, C) of a (d, n) matrix from one full SVD u s vt: the relative
     rank r, the orthonormal null space basis K = vt[r:]^T and the orthonormal
     basis C = u[:, r:] of the complement of the column span. C is the
     identity for a zero matrix or one without columns; identity bases are
-    shared read-only."""
-    m = as_small_matrix(a)
-    d, n = m.shape
-    if m.size == 0:
-        return 0, shared_identity(n), shared_identity(d)
-    u, s, vt = np.linalg.svd(m)
-    r = _relative_rank(s)
-    return r, vt[r:].T.copy(), (u[:, r:].copy() if m.any() else shared_identity(d))
+    shared read-only. It is svd_splits of the matrix alone."""
+    r, K, C = svd_splits(as_small_matrix(a)[None])
+    return int(r[0]), K[0], C[0]
+
+
+def svd_splits(A) -> tuple[np.ndarray, list, list]:
+    """svd_split of each matrix of a (B, d, n) stack, from one stacked SVD.
+
+    Returns the ranks as an int array and the lists of the K and C of each
+    matrix. A stacked np.linalg.svd factors each matrix as a call on it
+    alone does, and the rank rule reads each row of singular values, so
+    every result is bit for bit that of the matrix alone. The K (and C) of
+    the matrices of one rank are views of one array.
+    """
+    A = np.asarray(A, dtype=np.float64)
+    B, d, n = A.shape
+    if max(d, n) > MAX_DIM:
+        raise InputError(f"matrix of shape {(d, n)} exceeds the {MAX_DIM} limit")
+    if A.size == 0:
+        return np.zeros(B, dtype=np.int64), [shared_identity(n)] * B, [shared_identity(d)] * B
+    if not np.all(np.isfinite(A)):
+        raise InputError("matrix contains non-finite entries")
+    u, s, vt = np.linalg.svd(A)
+    ranks = np.count_nonzero(_kept(s), axis=1)
+    nonzero = A.any(axis=(1, 2)).tolist()
+    K, C = [None] * B, [None] * B
+    for r in sorted(set(ranks.tolist())):
+        idx = np.flatnonzero(ranks == r)
+        kernels = np.ascontiguousarray(np.swapaxes(vt[idx, r:], 1, 2))
+        spans = np.ascontiguousarray(u[idx, :, r:])
+        for i, k, c in zip(idx.tolist(), kernels, spans):
+            K[i] = k
+            C[i] = c if nonzero[i] else shared_identity(d)
+    return ranks, K, C
 
 
 @functools.lru_cache(maxsize=None)
@@ -90,24 +111,39 @@ def orthonormalize(vectors) -> np.ndarray:
     if m.shape[1] == 0 or not m.any():
         return np.zeros((m.shape[0], 0))
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    return u[:, : _relative_rank(s)].copy()
+    return u[:, : int(np.count_nonzero(_kept(s)))].copy()
 
 
-def spans_equal(a, b) -> bool:
-    """Whether two column spans agree, compared through their projectors."""
-    pa = _projector(a)
-    pb = _projector(b)
-    if pa.shape != pb.shape:
+def _kept(s: np.ndarray) -> np.ndarray:
+    """The rank rule: which singular values (descending, along the last
+    axis) lie above RANK_EPS times the largest. A zero lead keeps none."""
+    return s > RANK_EPS * s[..., :1]
+
+
+def spans_equal(a, b):
+    """Whether two column spans agree, compared through their projectors.
+
+    a and b are matrices, or stacks of them (..., d, k) that broadcast; a
+    stack gives one answer per matrix.
+    """
+    pa, pb = _projectors(a), _projectors(b)
+    if pa.shape[-1] != pb.shape[-1]:
         return False
-    return bool(np.max(np.abs(pa - pb)) <= _SPAN_EPS)
+    same = np.max(np.abs(pa - pb), axis=(-2, -1)) <= _SPAN_EPS
+    return bool(same) if same.ndim == 0 else same
 
 
-def _projector(a) -> np.ndarray:
-    q = orthonormalize(a)
-    if q.shape[1] == 0:
-        d = as_small_matrix(a).shape[0]
-        return np.zeros((d, d))
-    return q @ q.T
+def _projectors(a) -> np.ndarray:
+    """The orthogonal projector onto the column span of a matrix, or of each
+    matrix of a (..., d, k) stack: Q Q^T, Q the left singular vectors that
+    orthonormalize keeps. A zero matrix, or one without columns, projects
+    to 0."""
+    m = np.asarray(a, dtype=np.float64) if np.ndim(a) > 2 else as_small_matrix(a)
+    if m.shape[-1] == 0:
+        return np.zeros(m.shape[:-1] + m.shape[-2:-1])
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    q = u * _kept(s)[..., None, :]
+    return q @ np.swapaxes(q, -1, -2)
 
 
 # bytes of one float64 block: the band scan's distances, the finite fixer

@@ -99,7 +99,13 @@ def _fixed_space(w: np.ndarray) -> np.ndarray:
 
 
 def _sample_label(rep: SliceRep, v, circle_label) -> str:
-    """Stabilizer label of one nonzero slice vector under the slice action.
+    """Stabilizer label of one nonzero slice vector: _sample_labels of it alone."""
+    return _sample_labels([rep], [[v]], circle_label)[0][0]
+
+
+def _sample_labels(reps: list, samples: list, circle_label) -> list:
+    """Stabilizer label of each nonzero slice vector under the slice action:
+    samples[r] holds vectors of the slice of reps[r], and labels[r] theirs.
 
     The stabilizer H_v is counted one component of H at a time. An element
     exp(psi . A) of the identity component turns plane p by weights[p] . psi,
@@ -111,28 +117,81 @@ def _sample_label(rep: SliceRep, v, circle_label) -> str:
     planes, a finite stabilizer's among them, has nothing to solve: each
     witness is its own single candidate and all k coordinates are free.
     The label reads the free dimension and the count.
+
+    Reps of one shape (slice dimension, sample count, witnesses, fixed
+    directions, planes and Lie dimension) are stacked, so each step is one
+    product over all their samples. The congruences of every sample, across
+    reps, that touches the same rows W share one congruence_solutions call,
+    their targets stacked; each sample's solutions are the rows of its own
+    targets, as if solved alone.
     """
-    v = np.asarray(v, dtype=float)
-    v = v / np.sqrt(v @ v)
-    wv = rep.witness_mats @ v
-    # no element of the identity component turns the fixed coordinates
-    d = (wv - v) @ rep.fixed
-    miss = np.einsum("mz,mz->m", d, d)[:, None]
-    k = rep.lie_mats.shape[0]
-    free = k
-    if rep.weights:
-        rows = np.array(rep.weights, dtype=np.int64)
+    labels = [[None] * len(V) for V in samples]
+    shapes: dict = {}
+    for r, (rep, V) in enumerate(zip(reps, samples)):
+        shape = (rep.slice_dim, len(V), *rep.witness_mats.shape[:1], *rep.fixed.shape[1:], *rep.planes.shape[:1])
+        shapes.setdefault(shape, []).append(r)
+    pending: dict = {}  # W -> [(rep indices, sample indices, solved state)]
+    for (s, S, m, z, p), group in shapes.items():
+        if S == 0:
+            continue
+        V = np.stack([np.asarray(samples[r], dtype=float).reshape(S, s) for r in group])
+        # each row scaled by the square root of its dot product, as v / sqrt(v @ v)
+        V = V / np.sqrt(np.matmul(V[..., None, :], V[..., :, None]))[..., 0]
+        wv = np.matmul(np.stack([reps[r].witness_mats for r in group])[:, None], V[:, :, None, :, None])[..., 0]
+        # no element of the identity component turns the fixed coordinates
+        d = (wv - V[:, :, None, :]) @ np.stack([reps[r].fixed for r in group])[:, None]
+        miss = np.einsum("...z,...z->...", d, d)
+        if p == 0:
+            counts = np.count_nonzero(miss <= _FIX_EPS**2, axis=2).tolist()
+            for r, row in zip(group, counts):
+                labels[r] = [_label(reps[r], reps[r].lie_mats.shape[0], c, circle_label) for c in row]
+            continue
+        rows = np.stack([np.array(reps[r].weights, dtype=np.int64) for r in group])
         # plane coordinates as complex numbers: exp(psi . A) multiplies
         # them by exp(i weights[p] . psi)
-        planes = rep.planes[:, :, 0] + 1j * rep.planes[:, :, 1]
-        zv, zw = planes @ v, wv @ planes.T
+        P = np.stack([reps[r].planes for r in group])
+        planes = P[..., 0] + 1j * P[..., 1]
+        zv = np.matmul(planes[:, None], V[..., None])[..., 0]
+        zw = wv @ np.swapaxes(planes, 1, 2)[:, None]
         # a plane under 1e-6 of v cannot move it past the fixer cut
         touched = np.abs(zv) > 1e-6
-        b = np.angle(zv[touched] * zw[:, touched].conj())
-        psi, free = groups.congruence_solutions(rows[touched], b)
-        turned = zw[:, None, :] * np.exp(1j * (psi @ rows.T))
-        miss = miss + (np.abs(turned - zv) ** 2).sum(axis=2)
-    count = int(np.count_nonzero(miss <= _FIX_EPS**2))
+        # the samples of equal weight rows touching the same planes share W
+        weights = [rows[j].tobytes() for j in range(len(group))]
+        by_rows: dict = {}
+        for j, pattern in enumerate(touched.tolist()):
+            for t, on in enumerate(pattern):
+                js, ts = by_rows.setdefault((weights[j], tuple(on)), ([], []))
+                js.append(j)
+                ts.append(t)
+        for (_, on), (js, ts) in by_rows.items():
+            on = np.array(on, dtype=bool)
+            W = rows[js[0]][on]
+            # the target of sample (j, t) and witness w, one angle per touched plane
+            b = np.angle(zv[js, ts][:, None, on] * zw[js, ts][:, :, on].conj())
+            solve = (rows[js], zv[js, ts], zw[js, ts], miss[js, ts])
+            pending.setdefault((W.shape, W.tobytes()), []).append(([group[j] for j in js], ts, b, solve))
+    for (shape, raw), parts in pending.items():
+        W = np.frombuffer(raw, dtype=np.int64).reshape(shape)
+        targets = np.concatenate([b.reshape(b.shape[0] * b.shape[1], shape[0]) for _, _, b, _ in parts])
+        psi, free = groups.congruence_solutions(W, targets)
+        lo = 0
+        for owners, ts, b, (rows, zv, zw, miss) in parts:
+            n, m = b.shape[:2]
+            # the solutions of each sample and witness, (n, m, components, k)
+            sol = psi[lo : lo + n * m].reshape(n, m, *psi.shape[1:])
+            lo += n * m
+            turned = zw[:, :, None, :] * np.exp(1j * (sol @ np.swapaxes(rows, 1, 2)[:, None]))
+            total = miss[:, :, None] + (np.abs(turned - zv[:, None, None, :]) ** 2).sum(axis=3)
+            counts = np.count_nonzero(total <= _FIX_EPS**2, axis=(1, 2)).tolist()
+            for r, t, c in zip(owners, ts, counts):
+                labels[r][t] = _label(reps[r], free, c, circle_label)
+    return labels
+
+
+def _label(rep: SliceRep, free: int, count: int, circle_label) -> str:
+    """Label of a slice vector whose stabilizer has free dimension free and
+    count solutions within _FIX_EPS, under rep."""
+    k = rep.lie_mats.shape[0]
     if free == 0:
         return _count_label(count)
     if free == k and count == rep.witness_mats.shape[0]:
@@ -180,9 +239,16 @@ def _generic_draws(name: str, seed: int, s: int) -> np.ndarray:
 
 
 def _slice_stab_profile(a: ActionModel, rep: SliceRep, seed: int):
-    """Sorted stabilizer labels at the profile samples, and whether all are trivial."""
-    samples = _profile_samples(a, rep, seed)
-    return _profile(_sample_label(rep, v, a.group.circle_label) for v in samples)
+    """Sorted stabilizer labels at the profile samples, and whether all are
+    trivial: _slice_stab_profiles of the one rep."""
+    return _slice_stab_profiles(a, [rep], seed)[0]
+
+
+def _slice_stab_profiles(a: ActionModel, reps: list, seed: int) -> list:
+    """_slice_stab_profile of each rep, every sample labelled in one
+    _sample_labels pass."""
+    samples = [_profile_samples(a, rep, seed) for rep in reps]
+    return [_profile(labels) for labels in _sample_labels(reps, samples, a.group.circle_label)]
 
 
 def _profile(labels) -> tuple:
@@ -301,8 +367,10 @@ def local_models(a: ActionModel, stabs, reps, seed: int = 0) -> list[LocalModelF
     objects (slice_representations shares one rep between equal trivial
     stabilizers), and handed to every point of the pair. Fingerprint
     components are decided at fixed absolute cuts. Reps without stabilizer
-    algebra are profiled together in one array pass; reps with torus
-    weights solve their slice congruences one rep at a time.
+    algebra are profiled together in one array pass (_finite_profiles);
+    the samples of every rep with stabilizer algebra are labelled in one
+    _slice_stab_profiles pass, one congruence solve per distinct set of
+    touched weight rows.
     """
     first: dict = {}
     pairs, slot = [], []
@@ -313,10 +381,12 @@ def local_models(a: ActionModel, stabs, reps, seed: int = 0) -> list[LocalModelF
             pairs.append((stab, rep))
         slot.append(first[key])
     finite = [i for i, (_, rep) in enumerate(pairs) if rep.lie_mats.shape[0] == 0]
+    torus = [i for i, (_, rep) in enumerate(pairs) if rep.lie_mats.shape[0]]
     profiles = dict(zip(finite, _finite_profiles(a, [pairs[i][1] for i in finite], seed)))
+    profiles.update(zip(torus, _slice_stab_profiles(a, [pairs[i][1] for i in torus], seed)))
     fps = []
     for i, (stab, rep) in enumerate(pairs):
-        profile, free = profiles[i] if i in profiles else _slice_stab_profile(a, rep, seed)
+        profile, free = profiles[i]
         fps.append(
             LocalModelFingerprint(
                 slice_dim=rep.slice_dim,

@@ -6,8 +6,17 @@ from zlib import crc32
 
 import numpy as np
 
+from .errors import InputError
+
 
 def rng_for(seed: int, *tags: str) -> np.random.Generator:
-    """Generator keyed by the master seed plus a stable purpose tag chain."""
-    entropy = [int(seed) & 0xFFFFFFFF] + [crc32(str(t).encode()) for t in tags]
+    """Generator keyed by the master seed plus a stable purpose tag chain.
+
+    The seed enters the entropy as it is, so distinct nonnegative seeds
+    give distinct streams; a negative seed is refused.
+    """
+    seed = int(seed)
+    if seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
+    entropy = [seed] + [crc32(str(t).encode()) for t in tags]
     return np.random.default_rng(np.random.SeedSequence(entropy))

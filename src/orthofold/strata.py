@@ -21,7 +21,7 @@ import numpy as np
 from . import groups
 from .actions import ActionModel, lift, normalize, sample_points, tangent_frames
 from .errors import ClassificationError, InputError
-from .isotropy import fixer_masks, slice_representations, stabilizer
+from .isotropy import slice_representations, stabilizer, stabilizer_rows
 from .kernels import pairwise_chebyshev
 from .numerics import MATCH_EPS, BandScan, widest_coordinate
 from .seeding import rng_for
@@ -108,11 +108,11 @@ def build_cloud(a: ActionModel, count: int, seed: int = 0) -> SampleCloud:
 
     The catalog's measure-zero loci are appended after the uniform samples.
     The cloud is normalized and validated once, every tangent frame is
-    built in one call, and a finite group's fixer test runs once over the
-    whole cloud; then each point's stabilizer is computed in closed form
-    from its frame (and fixer row), and the slice representations in one
-    batch over the cloud. The seed fixes the cloud and rebuilding with the
-    same seed reproduces it exactly.
+    built in one call, and every stabilizer is solved in one
+    isotropy.stabilizer_rows pass over the cloud; each point's stabilizer
+    is then assembled from its row, and the slice representations are read
+    in one batch over the cloud. The seed fixes the cloud and rebuilding
+    with the same seed reproduces it exactly.
     """
     if count < 1:
         raise InputError("cloud needs a sample count of at least 1")
@@ -125,8 +125,8 @@ def build_cloud(a: ActionModel, count: int, seed: int = 0) -> SampleCloud:
         pts = uniform
     pts = normalize(m, pts)
     frames = tangent_frames(m, pts)
-    fixers = fixer_masks(a, pts) if a.group.kind == "finite" else [None] * len(pts)
-    stabs = [stabilizer(a, x, frame, row) for x, frame, row in zip(pts, frames, fixers)]
+    rows = stabilizer_rows(a, pts, frames)
+    stabs = [stabilizer(a, x, frame, row) for x, frame, row in zip(pts, frames, rows)]
     reps = slice_representations(a, stabs)
     orbit_dims = np.array([st.orbit_dim for st in stabs], dtype=np.int64)
     quotient_dims = m.intrinsic_dim - orbit_dims

@@ -92,6 +92,24 @@ def test_unknown_action_message_is_unquoted(capsys, name, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "s2-zn(5)", "--samples", "20"],
+        ["verify", "s2-zn(5)", "--samples", "20"],
+        ["verify", "all", "--samples", "20"],
+        ["classify", "s2-zn(5)", "0,0,1"],
+    ],
+)
+def test_negative_seed_exit_code(capsys, argv):
+    # a negative seed is bad input, not a failing check: every command exits 2
+    code = cli.main([*argv, "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: seed must be nonnegative, got -1\n"
+    assert "[FAIL]" not in captured.out
+
+
 def test_malformed_point_exit_code(capsys):
     code, _ = _run(capsys, "classify", "s2-zn(5)", "one,two")
     assert code == 2

@@ -374,7 +374,10 @@ def test_torus_component_count_is_the_minor_gcd(pattern):
 
 def test_torus_solve_rejects_a_kernel_mismatch(monkeypatch):
     a = actions.get_action("cn-tn(2)")
-    monkeypatch.setattr(isotropy, "svd_split", lambda inf: (2, np.zeros((2, 0)), np.eye(2)))
+    # the batch solver reads every point's split from one svd_splits call
+    monkeypatch.setattr(
+        isotropy, "svd_splits", lambda inf: (np.array([2]), [np.zeros((2, 0))], [np.eye(2)])
+    )
     with pytest.raises(StabilizerError):
         isotropy.stabilizer(a, np.array([1.0, 0.0, 0.0, 0.0]))
 
@@ -535,3 +538,108 @@ def test_trivial_stabilizers_share_one_exact_rep(cloud_factory, name):
     # the generic stabilizer of cp2-so3 is Zn(2); every other action samples
     # trivial stabilizers
     assert bool(shared) == (name != "cp2-so3")
+
+
+def _assert_same_stabilizer(got, want):
+    # bit for bit: equal shapes, dtypes and bytes, so a -0.0 for a 0.0 fails
+    for field in ("point", "lie_kernel", "witnesses", "witness_ambs", "frame", "slice_basis"):
+        g, w = getattr(got, field), getattr(want, field)
+        assert (g.shape, g.dtype) == (w.shape, w.dtype), field
+        assert np.ascontiguousarray(g).tobytes() == np.ascontiguousarray(w).tobytes(), field
+    assert got.subgroup == want.subgroup
+    assert got.orbit_dim == want.orbit_dim and type(got.orbit_dim) is int
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("name", [*actions.catalog_ids(), "cn-tn(3)"])
+def test_cloud_stabilizers_are_their_batches_of_one(cloud_factory, name, seed):
+    # build_cloud solves every stabilizer in one stabilizer_rows pass; each
+    # point's row must be what stabilizer_rows of the point alone gives
+    cloud = cloud_factory(name, 40, seed)
+    for st in cloud.stabs:
+        _assert_same_stabilizer(st, isotropy.stabilizer(cloud.model, st.point, st.frame))
+
+
+def test_planted_so3_points_are_their_batches_of_one(cloud_factory):
+    # the points next to the SO(3) loci (Zn(2), the Klein four-group, and
+    # Zn(2) next to a circle) stacked with cloud points: every witness count
+    # and Lie dimension of the stack is classified in its own batch
+    planted = [
+        _cp2_point(_U + 1e-6j * _W),
+        _cp2_point(_U + 1e-7j * _W),
+        _cp2_point(_U + 1j * (1.0 - 1e-6) * _W),
+        _s2xs2_point(_U, _U + 1e-8 * _W),
+    ]
+    for name in ("cp2-so3", "s2xs2-so3"):
+        cloud = cloud_factory(name, 40, 0)
+        a = cloud.model
+        X = np.concatenate([[x for b, x in planted if b.name == name], cloud.points])
+        frames = actions.tangent_frames(a.manifold, X)
+        rows = isotropy.stabilizer_rows(a, X, frames)
+        assert len(rows) == len(X)
+        counts = {(len(row[1]), row[0].shape[1]) for row in rows}
+        assert len(counts) >= 3
+        for x, frame, row in zip(X, frames, rows):
+            _assert_same_stabilizer(isotropy.stabilizer(a, x, frame, row), isotropy.stabilizer(a, x, frame))
+
+
+@pytest.mark.parametrize("name", [*actions.catalog_ids(), "cn-tn(3)"])
+def test_stacked_svd_is_bit_equal_to_per_matrix_calls(cloud_factory, name):
+    # what the batch solver relies on, on the real frames: a stacked
+    # np.linalg.svd factors each matrix as a call on it alone does, both
+    # for the infinitesimal actions and for the frames of the SO(3) solve
+    cloud = cloud_factory(name, 100, 1)
+    a = cloud.model
+    mats = [actions.infinitesimal_action(a, st.point, st.frame) for st in cloud.stabs]
+    stacks = [np.stack(mats)] if mats[0].size else []
+    if a.so3_frame is not None:
+        stacks.append(np.stack([a.so3_frame(x) for x in cloud.points]))
+    for stack in stacks:
+        batched = np.linalg.svd(stack)
+        for i, m in enumerate(stack):
+            for got, want in zip(batched, np.linalg.svd(m)):
+                assert got[i].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", [*actions.catalog_ids(), "cn-tn(3)"])
+def test_svd_splits_and_infinitesimal_actions_are_their_rows(cloud_factory, name):
+    cloud = cloud_factory(name, 100, 1)
+    a = cloud.model
+    frames = np.stack([st.frame for st in cloud.stabs])
+    infs = actions.infinitesimal_actions(a, cloud.points, frames)
+    ranks, kernels, slices = numerics.svd_splits(infs)
+    k = a.group.lie_dim
+    for i, (x, frame) in enumerate(zip(cloud.points, frames)):
+        # the per-generator loop the stacked products replaced, bit for bit
+        one = np.empty((frame.shape[1], k))
+        for j in range(k):
+            one[:, j] = frame.T @ (a.amb_lie(a.group.lie[j]) @ x)
+        assert infs[i].tobytes() == np.ascontiguousarray(actions.infinitesimal_action(a, x, frame)).tobytes()
+        assert infs[i].tobytes() == one.tobytes()
+        r, K, C = numerics.svd_split(one)
+        assert r == ranks[i]
+        assert K.tobytes() == kernels[i].tobytes() and K.shape == kernels[i].shape
+        assert C.tobytes() == slices[i].tobytes() and C.shape == slices[i].shape
+        if one.any():
+            # one full SVD of the matrix alone, split at the relative rank
+            u, sv, vt = np.linalg.svd(one)
+            assert r == np.count_nonzero(sv > numerics.RANK_EPS * sv[0])
+            assert K.tobytes() == vt[r:].T.copy().tobytes()
+            assert C.tobytes() == u[:, r:].copy().tobytes()
+
+
+@pytest.mark.parametrize("name", ["s2-zn(5)", "s2-zn(64)", "rp2-so2", "cp2-u1", "cn-tn(3)"])
+def test_shared_witness_matrices_are_read_only(cloud_factory, name):
+    # finite fixer sets and torus congruences are solved once per cloud:
+    # the points of one solve share their witnesses, ambient matrices and
+    # class, read-only, and the matrices are the witnesses' own
+    cloud = cloud_factory(name, 100, 0)
+    a = cloud.model
+    shared: dict = {}
+    for st in cloud.stabs:
+        # the witnesses of one solve are one array
+        first = shared.setdefault(id(st.witnesses), st)
+        assert first.witness_ambs is st.witness_ambs and first.subgroup is st.subgroup
+        assert not st.witness_ambs.flags.writeable and not st.witnesses.flags.writeable
+        assert np.array_equal(st.witness_ambs, a.amb_batch(st.witnesses))
+    assert len(shared) < len(cloud)

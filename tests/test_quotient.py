@@ -379,6 +379,30 @@ def test_local_models_are_local_model_in_one_batch(cloud_factory, name, seed):
         assert (fp.slice_stab_profile, fp.free_away_from_origin) == profile
 
 
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", actions.catalog_ids())
+def test_cloud_profiles_are_slice_stab_profile_per_rep(monkeypatch, cloud_factory, name, seed):
+    # the reps with stabilizer algebra are profiled in one pass over the
+    # cloud, one congruence solve per distinct set of touched weight rows;
+    # each profile must be its rep's own, and each W solved once
+    cloud = cloud_factory(name, 100, seed)
+    a = cloud.model
+    reps = [rep for rep in cloud.reps if rep.lie_mats.shape[0]]
+    original = groups.congruence_solutions
+    solved = []
+
+    def counted(W, B):
+        solved.append((W.shape, np.asarray(W, dtype=np.int64).tobytes()))
+        return original(W, B)
+
+    monkeypatch.setattr(groups, "congruence_solutions", counted)
+    batch = quotient._slice_stab_profiles(a, reps, seed)
+    once = list(solved)
+    solved.clear()
+    assert batch == [quotient._slice_stab_profile(a, rep, seed) for rep in reps]
+    assert sorted(once) == sorted(set(solved))
+
+
 def test_local_models_count_the_witnesses_of_each_rep():
     # the reflections in the x = 0 and y = 0 planes fix the poles together
     # with their product, the half-turn about z. At a pole each reflection's

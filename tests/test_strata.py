@@ -3,12 +3,14 @@
 import sys
 import tracemalloc
 from dataclasses import replace
+from zlib import crc32
 
 import numpy as np
 import pytest
 
 from orthofold import actions, isotropy, numerics, strata
 from orthofold.errors import InputError
+from orthofold.seeding import rng_for
 
 from oracles import (
     check_partition,
@@ -109,6 +111,57 @@ def test_build_cloud_calls_the_stabilizer_once_per_point(monkeypatch, name):
             monkeypatch.setattr(mod, "stabilizer", counted)
     cloud = strata.build_cloud(actions.get_action(name), 20, seed=0)
     assert len(calls) == len(cloud)
+
+
+@pytest.mark.parametrize("name", ["s2-zn(5)", "s2xs2-so3", "rp2-so2", "cp2-so3", "cn-tn(2)"])
+def test_build_cloud_solves_every_stabilizer_in_one_batch(monkeypatch, name):
+    # one stabilizer_rows call holds a row for every point, and each
+    # stabilizer call assembles its point from its row: no point is solved
+    # alone (a batch of one would add calls and rows)
+    original = isotropy.stabilizer_rows
+    rows, unsolved = [], []
+
+    def counted(*args, **kwargs):
+        out = original(*args, **kwargs)
+        rows.append(len(out))
+        return out
+
+    single = isotropy.stabilizer
+
+    def assembled(a, x, frame=None, row=None):
+        unsolved.append(row is None)
+        return single(a, x, frame, row)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if not mod_name.startswith("orthofold"):
+            continue
+        if getattr(mod, "stabilizer_rows", None) is original:
+            monkeypatch.setattr(mod, "stabilizer_rows", counted)
+        if getattr(mod, "stabilizer", None) is single:
+            monkeypatch.setattr(mod, "stabilizer", assembled)
+    cloud = strata.build_cloud(actions.get_action(name), 20, seed=0)
+    assert rows == [len(cloud)]
+    assert unsolved == [False] * len(cloud)
+
+
+def test_seeds_do_not_alias():
+    # the seed enters the streams unmasked: 0 and 2^32 (and 2^33) are
+    # distinct clouds, and a negative seed is refused
+    a = actions.get_action("s2-zn(5)")
+    clouds = [strata.build_cloud(a, 20, seed=s).points for s in (0, 2**32, 2**33, 2**32 - 1)]
+    for i, p in enumerate(clouds):
+        for q in clouds[:i]:
+            assert not np.array_equal(p, q)
+    for s in (-1, -(2**32)):
+        with pytest.raises(InputError, match="seed must be nonnegative"):
+            strata.build_cloud(a, 20, seed=s)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**31, 2**32 - 1])
+def test_seeds_below_two_to_the_32_keep_their_streams(seed):
+    # the streams of the pinned payloads: the seed word, then the tag CRCs
+    want = np.random.default_rng(np.random.SeedSequence([seed, crc32(b"s2-zn(5)"), crc32(b"cloud")]))
+    assert np.array_equal(rng_for(seed, "s2-zn(5)", "cloud").normal(size=8), want.normal(size=8))
 
 
 @pytest.mark.parametrize(
