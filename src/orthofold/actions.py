@@ -198,8 +198,8 @@ def tangent_frames(m: ManifoldModel, X: np.ndarray) -> np.ndarray:
     vectors: orthogonal to x on spheres, to x and Jx on complex projective
     models (where consecutive columns are J-paired), and the standard basis
     in the euclidean case. Every operation is row by row, so a row does not
-    depend on the rest of the stack: it is bit for bit tangent_frame of its
-    point.
+    depend on the rest of the stack: it is bit for bit the frame of its
+    point framed alone.
     """
     X = np.asarray(X, dtype=np.float64)
     validate_points(m, X)
@@ -218,11 +218,6 @@ def tangent_frames(m: ManifoldModel, X: np.ndarray) -> np.ndarray:
     fz = np.swapaxes(_complex_householder_frames(to_complex(X)), 1, 2)
     pairs = from_complex(np.stack([fz, 1j * fz], axis=2)).reshape(B, -1, N)
     return np.ascontiguousarray(np.swapaxes(pairs, 1, 2))
-
-
-def tangent_frame(m: ManifoldModel, x: np.ndarray) -> np.ndarray:
-    """tangent_frames of one representative."""
-    return tangent_frames(m, np.asarray(x, dtype=np.float64)[None])[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -318,11 +313,6 @@ def infinitesimal_actions(a: ActionModel, X: np.ndarray, frames: np.ndarray) -> 
     return np.swapaxes(coords[..., 0], 1, 2)
 
 
-def infinitesimal_action(a: ActionModel, x: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    """infinitesimal_actions of one point."""
-    return infinitesimal_actions(a, x[None], frame[None])[0]
-
-
 def lift(a: ActionModel, amb: np.ndarray, x: np.ndarray) -> np.ndarray:
     """A stack of stabilizing ambient matrices, each turned to fix its point
     as a vector.
@@ -352,7 +342,7 @@ def differentials(
     """Differentials of a stack of stabilizing ambient matrices, in frame coordinates.
 
     amb holds B ambient matrices; x is one point, or one per matrix as a
-    (B, N) stack, and frame its tangent_frame, or a (B, N, dim) stack of
+    (B, N) stack, and frame its tangent frame, or a (B, N, dim) stack of
     them. Each matrix is lifted (see lift), then read in its point's frame.
     Raises StabilizerError when a matrix moves its point by more than
     POINT_EPS, or when a differential fails np.allclose's orthogonality
@@ -371,13 +361,35 @@ def differentials(
 # ---------------------------------------------------------------------------
 
 
-def _embed_so2_in_3(g2: np.ndarray, corner: float = 1.0) -> np.ndarray:
-    """g2 in the upper-left block of a 3x3 matrix whose (2, 2) entry is
-    corner: 1 for a group element, 0 for a Lie generator."""
-    out = np.zeros((3, 3))
-    out[:2, :2] = g2
-    out[2, 2] = corner
-    return out
+def _torus_maps(n: int, pairs: tuple) -> tuple[Callable, Callable]:
+    """amb and amb_lie of a torus-kind action on R^n, read from its
+    ambient_pairs. A torus element holds R(theta_j) in its j-th 2x2 block;
+    a rotating pair with weight row w turns by the product of the
+    R(theta_j)^{w_j}, and a Lie generator turns it at the sum of the
+    w_j xi_j, xi_j its j-th block, both over the nonzero weights only (so
+    no 0 * -1 = -0.0 enters). A fixed coordinate keeps 1.
+    """
+    slots = [(np.ix_(c, c), len(c), [(j, k) for j, k in enumerate(w) if k]) for c, w in pairs]
+
+    def block(m, j):
+        return m[2 * j : 2 * j + 2, 2 * j : 2 * j + 2]
+
+    def amb(q):
+        out = np.zeros((n, n))
+        for at, size, weights in slots:
+            steps = [np.linalg.matrix_power(block(q, j) if k > 0 else block(q, j).T, abs(k))
+                     for j, k in weights]
+            out[at] = functools.reduce(np.matmul, steps) if steps else np.eye(size)
+        return out
+
+    def amb_lie(xi):
+        out = np.zeros((n, n))
+        for at, _, weights in slots:
+            if weights:
+                out[at] = functools.reduce(np.add, [k * block(xi, j) for j, k in weights])
+        return out
+
+    return amb, amb_lie
 
 
 def _make_s2xs2() -> ActionModel:
@@ -434,14 +446,16 @@ def _make_rp2() -> ActionModel:
         pts = np.atleast_2d(pts)
         return pts[:, 2] ** 2
 
+    pairs = (((0, 1), (1,)), ((2,), (0,)))
+    amb, amb_lie = _torus_maps(3, pairs)
     return ActionModel(
         name="rp2-so2",
         group=g,
         manifold=m,
-        amb=_embed_so2_in_3,
-        amb_lie=functools.partial(_embed_so2_in_3, corner=0.0),
+        amb=amb,
+        amb_lie=amb_lie,
         special_points=specials,
-        ambient_pairs=(((0, 1), (1,)), ((2,), (0,))),
+        ambient_pairs=pairs,
         interval=IntervalModel((0.0, 1.0), proj),
     )
 
@@ -509,19 +523,6 @@ def _make_cp2_u1() -> ActionModel:
     m = complex_projective(2)
     g = groups.u1()
 
-    def amb(q):
-        out = np.zeros((6, 6))
-        out[:2, :2] = np.eye(2)
-        out[2:4, 2:4] = q
-        out[4:, 4:] = q @ q
-        return out
-
-    def amb_lie(xi):
-        out = np.zeros((6, 6))
-        out[2:4, 2:4] = xi
-        out[4:, 4:] = 2.0 * xi
-        return out
-
     def specials(rng):
         pts = [np.zeros(6) for _ in range(3)]
         pts[0][0] = 1.0
@@ -538,6 +539,8 @@ def _make_cp2_u1() -> ActionModel:
             pts.append(z)
         return np.array(pts)
 
+    pairs = (((0, 1), (0,)), ((2, 3), (1,)), ((4, 5), (2,)))
+    amb, amb_lie = _torus_maps(6, pairs)
     return ActionModel(
         name="cp2-u1",
         group=g,
@@ -545,7 +548,7 @@ def _make_cp2_u1() -> ActionModel:
         amb=amb,
         amb_lie=amb_lie,
         special_points=specials,
-        ambient_pairs=(((0, 1), (0,)), ((2, 3), (1,)), ((4, 5), (2,))),
+        ambient_pairs=pairs,
     )
 
 
@@ -609,12 +612,13 @@ def _make_cn_tn(n: int) -> ActionModel:
         ((2 * i, 2 * i + 1), tuple(1 if j == i else 0 for j in range(n)))
         for i in range(n)
     )
+    amb, amb_lie = _torus_maps(2 * n, pairs)
     return ActionModel(
         name=f"cn-tn({n})",
         group=g,
         manifold=m,
-        amb=lambda q: q,
-        amb_lie=lambda xi: xi,
+        amb=amb,
+        amb_lie=amb_lie,
         special_points=specials,
         ambient_pairs=pairs,
         params={"n": n},
@@ -702,9 +706,9 @@ def _parse_entry(token: str) -> complex:
 def parse_point(a: ActionModel, spec: str) -> np.ndarray:
     """Parse a comma-separated point specification into a representative.
 
-    Real entries are plain floats; complex entries use the a+bi form. The
-    parsed vector is normalized into a valid representative of the action's
-    manifold.
+    Real entries are plain floats; complex entries use the a+bi form, and
+    every entry must be finite. The parsed vector is normalized into a valid
+    representative of the action's manifold.
     """
     entries = [_parse_entry(t) for t in spec.split(",")]
     m = a.manifold
@@ -724,10 +728,18 @@ def parse_point(a: ActionModel, spec: str) -> np.ndarray:
         if len(entries) != m.ambient_dim:
             raise PointSpecError(f"expected {m.ambient_dim} coordinates")
         vec = np.array([e.real for e in entries])
-    if m.kind != "euclidean" and np.linalg.norm(vec) < 1e-12:
+    if not np.all(np.isfinite(vec)):
+        raise PointSpecError("point has non-finite entries")
+    if m.kind == "euclidean":
+        return vec
+    # an exact division by the power of two 2^e nearest the largest entry:
+    # no norm overflows, and the representative keeps its bits
+    e = int(np.frexp(np.abs(vec).max())[1])
+    vec, tiny = np.ldexp(vec, -e), np.ldexp(1e-12, -e)
+    if np.linalg.norm(vec) < tiny:
         raise PointSpecError("zero vector does not represent a point")
     if m.kind == "product_spheres":
         d1 = m.factors[0]
-        if np.linalg.norm(vec[:d1]) < 1e-12 or np.linalg.norm(vec[d1:]) < 1e-12:
+        if np.linalg.norm(vec[:d1]) < tiny or np.linalg.norm(vec[d1:]) < tiny:
             raise PointSpecError("each sphere factor needs a nonzero vector")
     return normalize(m, vec)

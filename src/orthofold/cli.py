@@ -501,8 +501,7 @@ def _pinned_checks(r, results, seed: int):
         kids = {}
         for label, (spec, want) in fixed.items():
             x = actions.parse_point(a, spec)
-            st = isotropy.stabilizer(a, x)
-            rep = isotropy.slice_representation(a, st)
+            [rep] = isotropy.slice_representations(a, [isotropy.stabilizer(a, x)])
             reps[label] = rep
             kids[label] = _klein_block_of_point(r, x)
             _check(results, f"slice-weights-{label}", rep.weights == want,
@@ -618,10 +617,10 @@ def cmd_classify(args) -> int:
     # the probe cloud elects the principal class the singularity label needs
     probe = strata.build_cloud(a, _CLASSIFY_PROBE, seed=args.seed)
     st = isotropy.stabilizer(a, x)
-    rep = isotropy.slice_representation(a, st)
+    [rep] = isotropy.slice_representations(a, [st])
     principal = strata.principal_dimension(probe, strata.orbit_type_partition(probe))
     label = strata.classify_singularity(st, principal.subgroup)
-    fp = quotient.local_model(a, st, rep, seed=args.seed)
+    [fp] = quotient.local_models(a, [st], [rep], seed=args.seed)
     payload = {
         "action": a.name,
         "point": [float(t) for t in x],

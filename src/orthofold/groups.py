@@ -87,21 +87,16 @@ def finite(elements, name: str = "finite") -> GroupDescriptor:
 # ---------------------------------------------------------------------------
 
 
-def exp_coeffs(g: GroupDescriptor, c: np.ndarray) -> np.ndarray:
-    """exp of the Lie-algebra element with coefficients c in the stored basis."""
-    c = np.asarray(c, dtype=np.float64).ravel()
-    if c.size != g.lie_dim:
-        raise InputError(f"expected {g.lie_dim} coefficients, got {c.size}")
-    return exp_coeffs_batch(g, c[None])[0]
-
-
 def exp_coeffs_batch(g: GroupDescriptor, C: np.ndarray) -> np.ndarray:
-    """exp_coeffs over the rows of C.
+    """exp of the Lie-algebra elements whose coefficients in the stored
+    basis are the rows of C; one coefficient vector is a batch of one.
 
     A torus element turns its j-th coordinate plane by C[:, j]; finite
     groups have no coordinates, so every row gives the identity.
     """
     C = np.atleast_2d(np.asarray(C, dtype=np.float64))
+    if C.shape[1] != g.lie_dim:
+        raise InputError(f"expected {g.lie_dim} coefficients, got {C.shape[1]}")
     if g.kind == "so3":
         return rodrigues_batch(C)
     out = np.zeros((C.shape[0], g.size, g.size))

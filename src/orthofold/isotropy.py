@@ -15,7 +15,7 @@ from .actions import (
     differentials,
     infinitesimal_actions,
     normalize,
-    tangent_frame,
+    tangent_frames,
 )
 from .errors import InputError, RepExtractionError, StabilizerError
 from .numerics import BLOCK_BYTES, MATCH_EPS, POINT_EPS, shared_identity, svd_splits
@@ -443,7 +443,7 @@ def stabilizer(
     """
     if frame is None:
         x = normalize(a.manifold, np.asarray(x, dtype=float))
-        frame = tangent_frame(a.manifold, x)
+        frame = tangent_frames(a.manifold, x[None])[0]
     if row is None:
         row = stabilizer_rows(a, x[None], frame[None])[0]
     lie_kernel, wits, wambs, cls, odim, slice_basis = row
@@ -740,11 +740,6 @@ def _slice_rep(a: ActionModel, st: StabilizerData, wmats: np.ndarray, traces: li
         witness_mats=wmats,
         lie_mats=lie_mats,
     )
-
-
-def slice_representation(a: ActionModel, stab: StabilizerData) -> SliceRep:
-    """slice_representations of one stabilizer."""
-    return slice_representations(a, [stab])[0]
 
 
 def canonical_weight_rows(weights: tuple) -> tuple:

@@ -1,11 +1,9 @@
-"""Hot numeric kernels: the Chebyshev distance block, graph component
-labeling, and the so(3) generators with their batched exponential.
+"""Hot numeric kernels: graph component labeling, and the so(3) generators
+with their batched exponential.
 
 Every kernel is vectorized numpy; the loops that remain run over
-coordinates or union-find rounds, never over single entries. The distance
-kernel computes one block of rows against a contiguous range of columns,
-each entry bit-equal to the whole matrix's, into a scratch array its caller
-may reuse; the scan that chooses the blocks lives in numerics.
+union-find rounds, never over single entries. The epsilon-join that feeds
+graph_components its edges lives in numerics.
 """
 
 from __future__ import annotations
@@ -29,62 +27,6 @@ SO3_GENERATORS = np.array(
         [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
     ]
 )
-
-# ---------------------------------------------------------------------------
-# pairwise distances, one block of rows and columns at a time
-# ---------------------------------------------------------------------------
-#
-# The kernel returns the (hi - lo, chi - clo) block of distances from the
-# rows lo..hi of pts to its rows clo..chi; the defaults give the whole
-# matrix. Coordinates are taken one at a time, in order, as in a scalar
-# loop, so an entry is the same whatever block it is computed in.
-#
-# out, when given, is a flat float64 scratch array of at least
-# SCRATCH_PLANES * (hi - lo) * (chi - clo) entries. The kernel builds its
-# block and its temporaries in it and returns the block as a view of it, so
-# a scan that passes the same scratch to every call allocates nothing per
-# block.
-
-SCRATCH_PLANES = 2
-
-
-def _operands(pts, lo: int, hi: int | None, clo: int, chi: int | None):
-    """Rows lo..hi of pts, and its rows clo..chi as contiguous columns."""
-    pts = np.ascontiguousarray(pts, dtype=np.float64)
-    n = pts.shape[0]
-    hi = n if hi is None else min(hi, n)
-    chi = n if chi is None else min(chi, n)
-    return pts[lo:hi], np.ascontiguousarray(pts[clo:chi].T)
-
-
-def _planes(out, count: int, shape: tuple) -> list:
-    """count zeroed arrays of the given shape, carved from out or new."""
-    if out is None:
-        return [np.zeros(shape) for _ in range(count)]
-    size = shape[0] * shape[1]
-    planes = [out[p * size : (p + 1) * size].reshape(shape) for p in range(count)]
-    for plane in planes:
-        plane.fill(0.0)
-    return planes
-
-
-def pairwise_chebyshev(
-    pts: np.ndarray,
-    lo: int = 0,
-    hi: int | None = None,
-    clo: int = 0,
-    chi: int | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Largest coordinate difference max_k |u_k - v_k|; exact in any order."""
-    rows, cols = _operands(pts, lo, hi, clo, chi)
-    acc, t = _planes(out, 2, (rows.shape[0], cols.shape[1]))
-    for k in range(rows.shape[1]):
-        np.subtract(rows[:, k, None], cols[k], out=t)
-        np.abs(t, out=t)
-        np.maximum(acc, t, out=acc)
-    return acc
-
 
 # ---------------------------------------------------------------------------
 # graph components

@@ -1,5 +1,5 @@
-"""Small dense linear algebra with fixed numeric cuts, and the banded
-epsilon-graph scan over feature rows.
+"""Small dense linear algebra with fixed numeric cuts, and the epsilon-join
+of feature rows.
 
 The matrices of the linear algebra are plain float64 arrays of at most 64
 rows/columns. Rank decisions keep the singular values above RANK_EPS times
@@ -9,10 +9,9 @@ traces, characters and coordinates, and POINT_EPS for the displacement of
 a point that still counts as fixed. Each cut is one constant, not a
 setting.
 
-The epsilon-graph scan is banded: BandScan sorts the sample once by a
-1-Lipschitz key of the metric, and computes each block of rows only against
-the columns whose keys lie within the scan's radius. It never holds an
-(n, n) matrix, and its components equal those of the full distance matrix.
+The epsilon-join (epsilon_components) joins rows within a Chebyshev
+distance eps, banded by one sort key, and its components equal those of
+the full distance matrix without ever holding it.
 """
 
 from __future__ import annotations
@@ -56,18 +55,12 @@ def as_small_matrix(a) -> np.ndarray:
     return m
 
 
-def svd_split(a) -> tuple[int, np.ndarray, np.ndarray]:
-    """(r, K, C) of a (d, n) matrix from one full SVD u s vt: the relative
-    rank r, the orthonormal null space basis K = vt[r:]^T and the orthonormal
-    basis C = u[:, r:] of the complement of the column span. C is the
-    identity for a zero matrix or one without columns; identity bases are
-    shared read-only. It is svd_splits of the matrix alone."""
-    r, K, C = svd_splits(as_small_matrix(a)[None])
-    return int(r[0]), K[0], C[0]
-
-
 def svd_splits(A) -> tuple[np.ndarray, list, list]:
-    """svd_split of each matrix of a (B, d, n) stack, from one stacked SVD.
+    """(r, K, C) of each (d, n) matrix of a (B, d, n) stack, from one stacked
+    SVD u s vt: the relative rank r, the orthonormal null space basis
+    K = vt[r:]^T and the orthonormal basis C = u[:, r:] of the complement of
+    the column span. C is the identity for a zero matrix or one without
+    columns; identity bases are shared read-only.
 
     Returns the ranks as an int array and the lists of the K and C of each
     matrix. A stacked np.linalg.svd factors each matrix as a call on it
@@ -146,103 +139,55 @@ def _projectors(a) -> np.ndarray:
     return q @ np.swapaxes(q, -1, -2)
 
 
-# bytes of one float64 block: the band scan's distances, the finite fixer
-# test's images
+# bytes of one float64 block: the epsilon-join's distances, the finite
+# fixer test's images
 BLOCK_BYTES = 1 << 20
 
-# Slack of a band's reach beyond its radius, relative: rounding may put a
-# computed distance below the key gap of its pair by a few ulps.
+# Slack of the epsilon-join's reach beyond eps, relative: the distances and
+# the window bounds key +- reach are rounded, so a pair at eps may have a
+# key gap a few ulps above it.
 _REACH_REL = 1e-9
 
-# Rows per band block at most. A block's window is about as many columns
-# wider than one row's as the block has rows, while each block costs a
-# fixed overhead of numpy calls; 64 rows balanced the two on clouds of 100
-# to 3000 points.
-_BLOCK_ROWS = 64
 
+def epsilon_components(rows, eps: float) -> np.ndarray:
+    """Component labels of the epsilon-join of the rows of an (n, d) array:
+    rows join when their Chebyshev distance (largest coordinate difference)
+    is <= eps, transitively. Per row, the smallest index of its component.
 
-def widest_coordinate(cols: np.ndarray) -> np.ndarray:
-    """The column of an (n, d) array whose values spread widest (max - min);
-    zeros when there is no column."""
-    cols = np.asarray(cols, dtype=np.float64)
-    if cols.shape[1] == 0:
-        return np.zeros(cols.shape[0])
-    return cols[:, int(np.argmax(np.ptp(cols, axis=0)))]
-
-
-class BandScan:
-    """The epsilon-graph scan over a point sample sorted by a 1-Lipschitz key.
-
-    keys must satisfy |key(x) - key(y)| <= d(x, y) for the distances d the
-    metric computes. metric(pts, lo, hi, clo, chi, out) returns the
-    (hi - lo, chi - clo) block of distances between the rows lo..hi and the
-    rows clo..chi of the sorted stacked points, built in the flat scratch
-    array out as the kernels do (kernels.SCRATCH_PLANES planes). Every entry
-    must be the one the whole matrix holds, whatever the block.
-
-    The points are sorted by key once. A scan with radius r computes each
-    block of consecutive rows only against the contiguous window of columns
-    whose keys lie within reach of the block's keys, where reach is r plus
-    a rounding slack; a pair outside the window is farther apart than r.
-    Blocks hold at most BLOCK_BYTES of distances (one row at least), and
-    the scan allocates its scratch once, so no (n, n) array is built. When
-    the keys are too close for the radius, the window is the whole sample
-    and the scan is the plain row-block scan. Results are reported in the
-    callers' point order.
+    The rows are sorted by their widest coordinate (max - min), whose gap
+    never exceeds a pair's distance. Blocks of at most 64 consecutive rows
+    and BLOCK_BYTES of distances (one row at least) are compared only with
+    the window of rows whose keys lie within eps plus a rounding slack, so
+    no (n, n) array is built. The distance takes one coordinate at a time,
+    so a pair's distance is the same in any block.
     """
+    pts = np.asarray(rows, dtype=np.float64)
+    if pts.ndim != 2 or 0 in pts.shape:
+        raise InputError("an epsilon-join expects a nonempty (n, d) array")
+    n, d = pts.shape
+    keys = pts[:, int(np.argmax(np.ptp(pts, axis=0)))]
+    order = np.argsort(keys, kind="stable")
+    keys, pts = keys[order], pts[order]
+    cols = np.ascontiguousarray(pts.T)
+    reach = eps + _REACH_REL * (eps + float(np.abs(keys[[0, -1]]).max()))
+    left = np.searchsorted(keys, keys - reach, "left")
+    right = np.searchsorted(keys, keys + reach, "right")
 
-    def __init__(self, points, keys, metric):
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[0] == 0:
-            raise InputError("a band scan expects a nonempty (n, d) array")
-        keys = np.asarray(keys, dtype=np.float64)
-        self.order = np.argsort(keys, kind="stable")
-        self.keys = keys[self.order]
-        self.points = np.ascontiguousarray(pts[self.order])
-        self.metric = metric
-
-    def __len__(self) -> int:
-        return int(self.keys.size)
-
-    def _scratch(self) -> np.ndarray:
-        """Scratch for the largest block of a scan: BLOCK_BYTES, or one row."""
-        n = len(self)
-        return np.empty(kernels.SCRATCH_PLANES * min(n * n, max(BLOCK_BYTES // 8, n)))
-
-    def _blocks(self, r: float):
-        """Row blocks lo..hi of the sorted sample, each with its column
-        window clo..chi, as (lo, hi, clo, chi).
-
-        A block has at most _BLOCK_ROWS rows and BLOCK_BYTES of distances,
-        and one row at least.
-        """
-        keys = self.keys
-        n = len(self)
-        reach = r + _REACH_REL * (r + float(np.abs(keys[[0, -1]]).max()))
-        left = np.searchsorted(keys, keys - reach, "left")
-        right = np.searchsorted(keys, keys + reach, "right")
-        cap = BLOCK_BYTES // 8
+    def edges():
         a = 0
         while a < n:
-            # rows a..b share the window left[a]..right[b - 1]
-            rows = min(n - a, _BLOCK_ROWS, max(1, cap // int(right[a] - left[a])))
-            sizes = np.arange(1, rows + 1) * (right[a : a + rows] - left[a])
-            b = a + max(1, int(np.searchsorted(sizes, cap, "right")))
-            yield a, b, int(left[a]), int(right[b - 1])
+            # rows a..b share the window lo..hi; 64 rows balanced the numpy
+            # calls of a block against the window's growth on 100-3000 rows
+            sizes = np.arange(1, min(n - a, 64) + 1) * (right[a : a + 64] - left[a])
+            b = a + max(1, int(np.searchsorted(sizes, BLOCK_BYTES // 8, "right")))
+            lo, hi = int(left[a]), int(right[b - 1])
+            dist = np.zeros((b - a, hi - lo))
+            t = np.empty_like(dist)
+            for k in range(d):
+                np.abs(np.subtract(pts[a:b, k, None], cols[k, lo:hi], out=t), out=t)
+                np.maximum(dist, t, out=dist)
+            i, j = np.nonzero(dist <= eps)
+            yield order[i + a], order[j + lo]
             a = b
 
-    def epsilon_components(self, eps: float) -> np.ndarray:
-        """Component labels of the epsilon-graph, whose edges join points at
-        distance <= eps: per point, the smallest index of its component."""
-        eps = float(eps)
-        scratch = self._scratch()
-        near = np.empty(scratch.size // kernels.SCRATCH_PLANES, dtype=bool)
-
-        def edges():
-            for lo, hi, clo, chi in self._blocks(eps):
-                block = self.metric(self.points, lo, hi, clo, chi, scratch)
-                mask = np.less_equal(block, eps, out=near[: block.size].reshape(block.shape))
-                i, j = np.nonzero(mask)
-                yield self.order[i + lo], self.order[j + clo]
-
-        return kernels.graph_components(edges(), len(self))
+    return kernels.graph_components(edges(), n)

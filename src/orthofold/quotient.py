@@ -98,11 +98,6 @@ def _fixed_space(w: np.ndarray) -> np.ndarray:
     return vt[sv <= _FIX_EPS].T
 
 
-def _sample_label(rep: SliceRep, v, circle_label) -> str:
-    """Stabilizer label of one nonzero slice vector: _sample_labels of it alone."""
-    return _sample_labels([rep], [[v]], circle_label)[0][0]
-
-
 def _sample_labels(reps: list, samples: list, circle_label) -> list:
     """Stabilizer label of each nonzero slice vector under the slice action:
     samples[r] holds vectors of the slice of reps[r], and labels[r] theirs.
@@ -238,14 +233,9 @@ def _generic_draws(name: str, seed: int, s: int) -> np.ndarray:
     return draws
 
 
-def _slice_stab_profile(a: ActionModel, rep: SliceRep, seed: int):
-    """Sorted stabilizer labels at the profile samples, and whether all are
-    trivial: _slice_stab_profiles of the one rep."""
-    return _slice_stab_profiles(a, [rep], seed)[0]
-
-
 def _slice_stab_profiles(a: ActionModel, reps: list, seed: int) -> list:
-    """_slice_stab_profile of each rep, every sample labelled in one
+    """The profile of each rep: the sorted stabilizer labels at its profile
+    samples, and whether all are trivial. Every sample is labelled in one
     _sample_labels pass."""
     samples = [_profile_samples(a, rep, seed) for rep in reps]
     return [_profile(labels) for labels in _sample_labels(reps, samples, a.group.circle_label)]
@@ -258,10 +248,10 @@ def _profile(labels) -> tuple:
 
 
 def _finite_profiles(a: ActionModel, reps: list, seed: int) -> list:
-    """_slice_stab_profile of reps without stabilizer algebra, in array passes.
+    """_slice_stab_profiles of reps without stabilizer algebra, in array passes.
 
     With nothing to solve, a sample's label is the number of witnesses that
-    move it by at most _FIX_EPS, as in _sample_label. Reps of one slice
+    move it by at most _FIX_EPS, as in _sample_labels. Reps of one slice
     dimension are stacked: the generic draws, which they share, are tested
     against every witness at once, and the sample from each non-identity
     witness's fixed space against every witness of its own rep.
@@ -403,11 +393,6 @@ def local_models(a: ActionModel, stabs, reps, seed: int = 0) -> list[LocalModelF
             )
         )
     return [fps[j] for j in slot]
-
-
-def local_model(a: ActionModel, stab, rep: SliceRep, seed: int = 0) -> LocalModelFingerprint:
-    """local_models of one stabilized point."""
-    return local_models(a, [stab], [rep], seed)[0]
 
 
 def _klein_key(f: LocalModelFingerprint) -> tuple:

@@ -22,9 +22,12 @@ from . import groups
 from .actions import ActionModel, lift, normalize, sample_points, tangent_frames
 from .errors import ClassificationError, InputError
 from .isotropy import slice_representations, stabilizer, stabilizer_rows
-from .kernels import pairwise_chebyshev
-from .numerics import MATCH_EPS, BandScan, widest_coordinate
+from .numerics import MATCH_EPS, epsilon_components
 from .seeding import rng_for
+
+# Largest sample count of a cloud: `analyze cp2-so3` peaks at about 6 KB a
+# point (629 MB at 100 000 samples), so a command stays near 1.3 GB.
+MAX_SAMPLES = 200_000
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +109,8 @@ class PrincipalData:
 def build_cloud(a: ActionModel, count: int, seed: int = 0) -> SampleCloud:
     """Sample the manifold and attach per-point isotropy data.
 
-    The catalog's measure-zero loci are appended after the uniform samples.
+    count is at least 1 and at most MAX_SAMPLES. The catalog's measure-zero
+    loci are appended after the uniform samples.
     The cloud is normalized and validated once, every tangent frame is
     built in one call, and every stabilizer is solved in one
     isotropy.stabilizer_rows pass over the cloud; each point's stabilizer
@@ -116,6 +120,8 @@ def build_cloud(a: ActionModel, count: int, seed: int = 0) -> SampleCloud:
     """
     if count < 1:
         raise InputError("cloud needs a sample count of at least 1")
+    if count > MAX_SAMPLES:
+        raise InputError(f"cloud sample count {count} exceeds the {MAX_SAMPLES} limit")
     m = a.manifold
     uniform = sample_points(m, count, rng_for(seed, a.name, "cloud"))
     special = np.asarray(a.special_points(rng_for(seed, a.name, "specials")), dtype=float)
@@ -219,8 +225,8 @@ def _exact_groups(cloud: SampleCloud) -> list[list[int]]:
     fixed-space projectors put each point in the other's fixed space, so
     each stabilizer contains the other. Rows join when their largest
     coordinate difference is <= MATCH_EPS, transitively. Equal rows (every
-    trivial stabilizer, say) are collapsed first; a band scan then runs
-    over the distinct rows, keyed by their widest coordinate.
+    trivial stabilizer, say) are collapsed first; the epsilon-join then
+    runs over the distinct rows (numerics.epsilon_components).
     """
     coarse: dict[tuple, list[int]] = {}
     for i, st in enumerate(cloud.stabs):
@@ -234,9 +240,8 @@ def _exact_groups(cloud: SampleCloud) -> list[list[int]]:
             out.append(idx)
             continue
         distinct, inverse = np.unique(_exact_features(cloud, idx), axis=0, return_inverse=True)
-        band = BandScan(distinct, widest_coordinate(distinct), pairwise_chebyshev)
         sub: dict[int, list[int]] = {}
-        for i, lab in zip(idx, band.epsilon_components(MATCH_EPS)[inverse.ravel()].tolist()):
+        for i, lab in zip(idx, epsilon_components(distinct, MATCH_EPS)[inverse.ravel()].tolist()):
             sub.setdefault(lab, []).append(i)
         out.extend(sub.values())
     return out

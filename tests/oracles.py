@@ -35,7 +35,7 @@ import numpy as np
 
 from orthofold import actions, groups, isotropy, kernels, numerics, quotient
 from orthofold.errors import InputError
-from orthofold.numerics import MATCH_EPS, svd_split
+from orthofold.numerics import MATCH_EPS
 from orthofold.seeding import rng_for
 
 
@@ -206,10 +206,18 @@ def planted_torus_action(rows, zero_dims: int, frame_seed: int) -> actions.Actio
     )
 
 
+def framed_split(a: actions.ActionModel, x: np.ndarray):
+    """(frame, rank, kernel, slice) at the point x: its tangent frame and the
+    svd_splits of its infinitesimal action, each a batch of one."""
+    frames = actions.tangent_frames(a.manifold, x[None])
+    ranks, lie_kernels, slices = numerics.svd_splits(actions.infinitesimal_actions(a, x[None], frames))
+    return frames[0], int(ranks[0]), lie_kernels[0], slices[0]
+
+
 def origin_stabilizer(a: actions.ActionModel) -> isotropy.StabilizerData:
     """Stabilizer of the origin of a linear action: the whole group."""
     x0 = np.zeros(a.manifold.ambient_dim)
-    frame = actions.tangent_frame(a.manifold, x0)
+    frame, _, _, slice_basis = framed_split(a, x0)
     k = a.group.lie_dim
     return isotropy.StabilizerData(
         point=x0,
@@ -219,7 +227,7 @@ def origin_stabilizer(a: actions.ActionModel) -> isotropy.StabilizerData:
         subgroup=groups.classify_subgroup(a.group, np.eye(k), np.eye(a.group.size)[None]),
         orbit_dim=0,
         frame=frame,
-        slice_basis=svd_split(actions.infinitesimal_action(a, x0, frame))[2],
+        slice_basis=slice_basis,
     )
 
 
@@ -235,7 +243,7 @@ def planted_point_rep(a: actions.ActionModel, x: np.ndarray, kernel, witness_ang
     angles = np.zeros((1 + len(witness_angles), a.group.lie_dim))
     angles[1:] = witness_angles
     wits = groups.exp_coeffs_batch(a.group, angles)
-    frame = actions.tangent_frame(a.manifold, x)
+    frame, _, _, slice_basis = framed_split(a, x)
     st = isotropy.StabilizerData(
         point=x,
         lie_kernel=kernel,
@@ -244,9 +252,9 @@ def planted_point_rep(a: actions.ActionModel, x: np.ndarray, kernel, witness_ang
         subgroup=groups.classify_subgroup(a.group, kernel, wits),
         orbit_dim=a.group.lie_dim - kernel.shape[1],
         frame=frame,
-        slice_basis=svd_split(actions.infinitesimal_action(a, x, frame))[2],
+        slice_basis=slice_basis,
     )
-    return isotropy.slice_representation(a, st), frame @ st.slice_basis
+    return isotropy.slice_representations(a, [st])[0], frame @ st.slice_basis
 
 
 def check_partition(blocks, n: int) -> None:
@@ -265,6 +273,22 @@ def distance(m, x: np.ndarray, y: np.ndarray) -> float:
     """
     x, y = (np.ascontiguousarray(v, dtype=np.float64) for v in (x, y))
     return float(np.linalg.norm(aligned_residual(m, y[None], x)))
+
+
+class CountingNumpy:
+    """numpy, but with the shape of every array handed to np.nonzero
+    recorded in shapes: monkeypatched over the numpy of numerics, it
+    records each block that the epsilon-join tests against eps."""
+
+    def __init__(self):
+        self.shapes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def nonzero(self, a):
+        self.shapes.append(a.shape)
+        return np.nonzero(a)
 
 
 def dense_components(dist: np.ndarray, threshold: float) -> list[list[int]]:
@@ -519,7 +543,7 @@ def slice_stab_profile_reference(a, rep, weights: tuple, seed: int = 0):
         weights=tuple(rows),
         fixed=zero_basis,
     )
-    return quotient._slice_stab_profile(a, old, seed)
+    return quotient._slice_stab_profiles(a, [old], seed)[0]
 
 
 def correspondence_reference(iso, klein):
@@ -895,8 +919,7 @@ def stabilizer_reference(a, x, pool: np.ndarray) -> isotropy.StabilizerData:
     m = a.manifold
     x = actions.normalize(m, np.asarray(x, dtype=float))
     g = a.group
-    frame = actions.tangent_frame(m, x)
-    odim, lie_kernel, slice_basis = svd_split(actions.infinitesimal_action(a, x, frame))
+    frame, odim, lie_kernel, slice_basis = framed_split(a, x)
     tx = tx_tensor(a, x)
     coarse = aligned_residual(m, batch_apply_tx(tx, pool), x)
     best = coarse_top(np.einsum("bi,bi->b", coarse, coarse), POOL_SIZE)

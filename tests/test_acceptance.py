@@ -175,7 +175,8 @@ def test_criterion_10_numeric_oracles():
         if rng.random() < 0.4 and m > 1:
             a[int(rng.integers(1, m))] = a[0] * int(rng.integers(-2, 3))
         r = exact_rank(a)
-        rank, kernel, _ = numerics.svd_split(a.astype(float))
+        ranks, kernels, _ = numerics.svd_splits(a.astype(float)[None])
+        rank, kernel = ranks[0], kernels[0]
         assert rank == r
         assert kernel.shape == (n, n - r)
     recovered = 0
@@ -192,7 +193,7 @@ def test_criterion_10_numeric_oracles():
             lead = row[np.nonzero(row)[0][0]]
             rows.append(tuple(int(v) for v in (-row if lead < 0 else row)))
         a = planted_torus_action(tuple(rows), zero_dims, frame_seed=2000 + case)
-        rep = isotropy.slice_representation(a, origin_stabilizer(a))
+        rep = isotropy.slice_representations(a, [origin_stabilizer(a)])[0]
         assert rep.zero_dims == zero_dims
         got = isotropy.canonical_weight_rows(rep.weights)
         assert got == isotropy.canonical_weight_rows(tuple(rows))

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -68,7 +69,7 @@ def test_projective_distance_resolves_tiny_gaps(kind):
     m = getattr(actions, kind)(2)
     rng = np.random.default_rng(13)
     x = actions.sample_points(m, 1, rng)[0]
-    step = actions.tangent_frame(m, x)[:, 0]
+    step = actions.tangent_frames(m, x[None])[0, :, 0]
     for gap in (1e-9, 1e-12):
         y = actions.normalize(m, x + gap * step)
         if kind == "real_projective":
@@ -82,7 +83,7 @@ def test_tangent_frame_is_orthonormal_horizontal():
     rng = np.random.default_rng(4)
     for m in (actions.sphere(2), actions.real_projective(2), actions.complex_projective(2)):
         x = actions.sample_points(m, 1, rng)[0]
-        f = actions.tangent_frame(m, x)
+        f = actions.tangent_frames(m, x[None])[0]
         assert f.shape == (m.ambient_dim, m.intrinsic_dim)
         assert np.allclose(f.T @ f, np.eye(m.intrinsic_dim), atol=1e-10)
         assert np.abs(f.T @ x).max() < 1e-10
@@ -131,14 +132,14 @@ def test_tangent_frames_match_the_per_point_frame_bit_for_bit(m):
     assert got.tobytes() == want.tobytes()
     # the batch of one is the same frame
     for x, frame in zip(X[::23], want[::23]):
-        assert actions.tangent_frame(m, x).tobytes() == frame.tobytes()
+        assert actions.tangent_frames(m, x[None])[0].tobytes() == frame.tobytes()
 
 
 def test_tangent_frames_reject_a_stack_of_the_wrong_width():
     with pytest.raises(InputError, match=r"^point of shape \(4,\), expected \(3,\)$"):
         actions.tangent_frames(actions.sphere(2), np.zeros((2, 4)))
     with pytest.raises(InputError, match=r"^point of shape \(2, 3\), expected \(3,\)$"):
-        actions.tangent_frame(actions.sphere(2), np.eye(3)[:2])
+        actions.tangent_frames(actions.sphere(2), np.eye(3)[:2][None])
 
 
 def test_act_matches_ambient_matrix():
@@ -151,6 +152,53 @@ def test_act_matches_ambient_matrix():
     assert np.allclose(y[3:], g @ x[3:], atol=1e-12)
 
 
+def _hand_written_maps(name):
+    """amb and amb_lie of the torus actions as written out by hand: SO(2)
+    in the upper-left block of RP^2's 3x3 matrices, diag(I, q, q^2) on
+    cp2-u1, and the canonical representation itself on cn-tn(n)."""
+    if name == "rp2-so2":
+
+        def embed(m, corner):
+            out = np.zeros((3, 3))
+            out[:2, :2] = m
+            out[2, 2] = corner
+            return out
+
+        return (lambda q: embed(q, 1.0)), (lambda xi: embed(xi, 0.0))
+    if name == "cp2-u1":
+
+        def amb(q):
+            out = np.zeros((6, 6))
+            out[:2, :2] = np.eye(2)
+            out[2:4, 2:4] = q
+            out[4:, 4:] = q @ q
+            return out
+
+        def amb_lie(xi):
+            out = np.zeros((6, 6))
+            out[2:4, 2:4] = xi
+            out[4:, 4:] = 2.0 * xi
+            return out
+
+        return amb, amb_lie
+    return (lambda q: q), (lambda xi: xi)
+
+
+@pytest.mark.parametrize("name", ["rp2-so2", "cp2-u1", *(f"cn-tn({n})" for n in range(1, 9))])
+def test_torus_maps_are_read_from_the_ambient_pairs(name):
+    # the maps derived from ambient_pairs are the hand-written ones bit for
+    # bit, on Haar elements, at angle 0 (where R(0) holds a -0.0) and on
+    # the Lie basis
+    a = actions.get_action(name)
+    amb, amb_lie = _hand_written_maps(name)
+    G = groups.sample_elements(a.group, 200, np.random.default_rng(3))
+    G = np.concatenate([G, groups.exp_coeffs_batch(a.group, np.zeros((1, a.group.lie_dim)))])
+    for g in G:
+        assert a.amb(g).tobytes() == np.ascontiguousarray(amb(g)).tobytes()
+    for xi in a.group.lie:
+        assert a.amb_lie(xi).tobytes() == np.ascontiguousarray(amb_lie(xi)).tobytes()
+
+
 @pytest.mark.parametrize("name", [*actions.catalog_ids(), "cn-tn(3)"])
 def test_amb_lie_is_the_derivative_of_amb(name):
     # amb_lie(xi) is antisymmetric and equals d/dt amb(exp(t xi)) at t = 0,
@@ -161,7 +209,7 @@ def test_amb_lie_is_the_derivative_of_amb(name):
         mat = a.amb_lie(xi)
         assert np.abs(mat + mat.T).max() < 1e-12
         c = t * np.eye(a.group.lie_dim)[i]
-        plus, minus = (a.amb(groups.exp_coeffs(a.group, s * c)) for s in (1.0, -1.0))
+        plus, minus = a.amb_batch(groups.exp_coeffs_batch(a.group, np.stack([c, -c])))
         assert np.abs((plus - minus) / (2 * t) - mat).max() < 1e-8
 
 
@@ -169,24 +217,23 @@ def test_infinitesimal_action_rank_is_orbit_dim():
     a = actions.get_action("rp2-so2")
     # generic point moves, the fixed point does not
     moving = actions.normalize(a.manifold, np.array([0.6, 0.2, 0.5]))
-    frame = actions.tangent_frame(a.manifold, moving)
-    assert np.linalg.matrix_rank(actions.infinitesimal_action(a, moving, frame)) == 1
-    fixed = np.array([0.0, 0.0, 1.0])
-    frame = actions.tangent_frame(a.manifold, fixed)
-    assert np.abs(actions.infinitesimal_action(a, fixed, frame)).max() < 1e-12
+    X = np.stack([moving, [0.0, 0.0, 1.0]])
+    inf = actions.infinitesimal_actions(a, X, actions.tangent_frames(a.manifold, X))
+    assert np.linalg.matrix_rank(inf[0]) == 1
+    assert np.abs(inf[1]).max() < 1e-12
 
 
 def test_differential_of_element_is_isometry():
     a = actions.get_action("cp2-u1")
     x = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])  # fixed by the whole circle
-    g = groups.exp_coeffs(a.group, np.array([0.9]))
-    d = actions.differentials(a, a.amb_batch(g[None]), x, actions.tangent_frame(a.manifold, x))
+    g = groups.exp_coeffs_batch(a.group, np.array([[0.9]]))[0]
+    d = actions.differentials(a, a.amb_batch(g[None]), x, actions.tangent_frames(a.manifold, x[None])[0])
     assert d.shape == (1, 4, 4)
     assert np.allclose(d[0].T @ d[0], np.eye(4), atol=1e-8)
     # a non-stabilizing element is rejected
     moving = actions.normalize(a.manifold, np.array([0.7, 0.0, 0.7, 0.0, 0.0, 0.1]))
     with pytest.raises(StabilizerError, match="does not stabilize"):
-        frame = actions.tangent_frame(a.manifold, moving)
+        frame = actions.tangent_frames(a.manifold, moving[None])[0]
         actions.differentials(a, a.amb_batch(g[None]), moving, frame)
 
 
@@ -249,6 +296,36 @@ def test_parse_point_real_and_complex():
         actions.parse_point(a, "0, 0, zero")
     with pytest.raises(PointSpecError):
         actions.parse_point(a, "0, 0, 0")
+
+
+@pytest.mark.parametrize("name", [*actions.catalog_ids(), "cn-tn(3)"])
+def test_parse_point_keeps_the_bits_of_a_plain_normalize(name):
+    # the power-of-two rescale before normalizing is exact: ordinary
+    # entries, tiny and large ones give the representative that
+    # normalize gives the raw vector
+    a = actions.get_action(name)
+    rng = np.random.default_rng(8)
+    for scale in (1.0, 1e-10, 3e-5, 7e4, 1e40):
+        vec = scale * rng.normal(size=a.manifold.ambient_dim)
+        x = actions.parse_point(a, ",".join(repr(float(t)) for t in vec))
+        assert x.tobytes() == actions.normalize(a.manifold, vec).tobytes()
+
+
+def test_parse_point_takes_large_entries_and_rejects_non_finite_ones():
+    a = actions.get_action("rp2-so2")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = actions.parse_point(a, "1e200,1e200,0")
+        assert big.tobytes() == actions.parse_point(a, "1,1,0").tobytes()
+        assert actions.parse_point(a, "1e308,-1e308,1e308").tobytes() == actions.parse_point(a, "1,-1,1").tobytes()
+        for name, spec in (("rp2-so2", "inf,0,1"), ("s2xs2-so3", "inf,0,0,0,0,1"), ("cn-tn(2)", "1,nan")):
+            with pytest.raises(PointSpecError, match="^point has non-finite entries$"):
+                actions.parse_point(actions.get_action(name), spec)
+        # the zero tests read the unscaled norms
+        with pytest.raises(PointSpecError, match="zero vector"):
+            actions.parse_point(a, "1e-13,0,0")
+        with pytest.raises(PointSpecError, match="each sphere factor"):
+            actions.parse_point(actions.get_action("s2xs2-so3"), "1e-13,0,0,1e200,0,0")
 
 
 def test_sample_points_live_on_the_manifold():

@@ -117,6 +117,40 @@ def test_malformed_point_exit_code(capsys):
     assert code == 2
 
 
+def test_large_point_entries_classify_like_their_scaled_point(capsys):
+    code, big = _run(capsys, "classify", "rp2-so2", "1e200,1e200,0")
+    assert code == 0
+    code, plain = _run(capsys, "classify", "rp2-so2", "1,1,0")
+    assert code == 0
+    assert _parse_report(big)[0]["payload"] == _parse_report(plain)[0]["payload"]
+    assert _parse_report(big)[1] == _parse_report(plain)[1]
+
+
+@pytest.mark.parametrize("name, point", [("rp2-so2", "inf,0,1"), ("s2xs2-so3", "inf,0,0,0,0,1")])
+def test_non_finite_point_is_one_error_line(name, point):
+    # in a fresh process, so that a numpy warning would reach stderr
+    done = subprocess.run(
+        [sys.executable, "-m", "orthofold.cli", "classify", name, point],
+        env=_child_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stderr == "error: point has non-finite entries\n"
+    assert done.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_sample_count_above_the_bound_exits_2_before_sampling(capsys, monkeypatch, command):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(strata, "sample_points", no_sampling)
+    code = cli.main([command, "s2-zn(5)", "--samples", str(strata.MAX_SAMPLES + 1)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: cloud sample count {strata.MAX_SAMPLES + 1} exceeds the 200000 limit\n"
+    assert "[FAIL]" not in captured.out
+
+
 def test_analyze_payload_shape(capsys):
     code, out = _run(capsys, "analyze", "s2-zn(5)", "--samples", "25", "--seed", "3")
     assert code == 0

@@ -39,7 +39,7 @@ def test_exp_coeffs_is_orthogonal():
     for g in (groups.so3(), groups.so2(), groups.torus(2)):
         for _ in range(5):
             c = rng.normal(size=g.lie_dim)
-            q = groups.exp_coeffs(g, c)
+            q = groups.exp_coeffs_batch(g, c)[0]
             assert np.allclose(q.T @ q, np.eye(g.size), atol=1e-12)
             assert abs(np.linalg.det(q) - 1.0) < 1e-10
 
@@ -50,11 +50,11 @@ def test_exp_coeffs_batch_matches_single():
         C = rng.normal(size=(7, g.lie_dim))
         Q = groups.exp_coeffs_batch(g, C)
         for c, q in zip(C, Q):
-            assert np.allclose(q, groups.exp_coeffs(g, c), atol=1e-12)
+            assert np.allclose(q, groups.exp_coeffs_batch(g, c)[0], atol=1e-12)
     g = groups.finite(np.stack([np.eye(2), -np.eye(2)]))
-    assert np.array_equal(groups.exp_coeffs(g, np.zeros(0)), np.eye(2))
+    assert np.array_equal(groups.exp_coeffs_batch(g, np.zeros(0))[0], np.eye(2))
     with pytest.raises(InputError):
-        groups.exp_coeffs(groups.torus(2), np.zeros(3))
+        groups.exp_coeffs_batch(groups.torus(2), np.zeros(3))
 
 
 @pytest.mark.parametrize(
@@ -90,7 +90,7 @@ def test_sampling_is_deterministic_and_valid():
 
 def test_adjoint_of_torus_is_trivial():
     g = groups.torus(2)
-    el = groups.exp_coeffs(g, np.array([0.3, 1.1]))
+    el = groups.exp_coeffs_batch(g, np.array([0.3, 1.1]))[0]
     assert np.allclose(groups.adjoint_coeffs(g, el), np.eye(2), atol=1e-12)
 
 
@@ -99,7 +99,7 @@ def test_classify_trivial_and_finite():
     wits = np.eye(2)[None]
     cls = groups.classify_subgroup(g, np.zeros((1, 0)), wits)
     assert cls.display() == "Trivial"
-    rot = groups.exp_coeffs(g, np.array([np.pi]))
+    rot = groups.exp_coeffs_batch(g, np.array([np.pi]))[0]
     two = groups.classify_subgroup(g, np.zeros((1, 0)), np.stack([np.eye(2), rot]))
     assert two.display() == "Zn(2)"
     assert two.order == 2
@@ -124,7 +124,7 @@ def test_witness_must_normalize_the_algebra():
     g = groups.so3()
     kz = np.array([[0.0], [0.0], [1.0]])
     # rotation about x maps the z axis elsewhere
-    bad = groups.exp_coeffs(g, np.array([0.7, 0.0, 0.0]))
+    bad = groups.exp_coeffs_batch(g, np.array([0.7, 0.0, 0.0]))[0]
     with pytest.raises(ClassificationError):
         groups.classify_subgroup(g, kz, np.stack([np.eye(3), bad]))
 
@@ -166,7 +166,7 @@ def test_classes_conjugate():
     c1 = groups.classify_subgroup(g, kz, np.eye(3)[None])
     c2 = groups.classify_subgroup(g, kx, np.eye(3)[None])
     assert groups.classes_conjugate(c1, c2)
-    rot = groups.exp_coeffs(groups.so2(), np.array([2.0 * np.pi / 3]))
+    rot = groups.exp_coeffs_batch(groups.so2(), np.array([2.0 * np.pi / 3]))[0]
     z3 = groups.classify_subgroup(
         groups.so2(), np.zeros((1, 0)), np.stack([np.eye(2), rot, rot @ rot])
     )
@@ -193,7 +193,7 @@ def test_subgroup_class_hash_follows_its_fields():
 def test_in_identity_component():
     g = groups.so3()
     kz = np.array([[0.0], [0.0], [1.0]])
-    inside = groups.exp_coeffs(g, np.array([0.0, 0.0, 1.3]))
+    inside = groups.exp_coeffs_batch(g, np.array([0.0, 0.0, 1.3]))[0]
     flip = np.diag([1.0, -1.0, -1.0])
     mask = identity_component_mask(g, np.stack([inside, flip, np.eye(3)]), kz)
     assert mask.tolist() == [True, False, True]
@@ -206,8 +206,8 @@ def test_mask_near_half_turn():
     zeta = np.array([0.48, -0.6, 0.64])
     perp = np.cross(zeta, [1.0, 0.0, 0.0])
     perp /= np.linalg.norm(perp)
-    almost = groups.exp_coeffs(g, (np.pi - 4.3e-6) * zeta)
-    half = groups.exp_coeffs(g, np.pi * perp)
+    almost = groups.exp_coeffs_batch(g, (np.pi - 4.3e-6) * zeta)[0]
+    half = groups.exp_coeffs_batch(g, np.pi * perp)[0]
     mask = identity_component_mask(g, np.stack([almost, half]), zeta[:, None])
     assert mask.tolist() == [True, False]
 
@@ -215,7 +215,7 @@ def test_mask_near_half_turn():
 def _mask_cases(g, kernel, rng):
     """Elements on the kernel circle, off it by a finite twist, and Haar."""
     on = groups.exp_coeffs_batch(g, rng.uniform(-7.0, 7.0, size=(12, kernel.shape[1])) @ kernel.T)
-    twist = groups.exp_coeffs(g, np.full(g.lie_dim, np.pi / 3) * (np.arange(g.lie_dim) + 1))
+    twist = groups.exp_coeffs_batch(g, np.full(g.lie_dim, np.pi / 3) * (np.arange(g.lie_dim) + 1))[0]
     return np.concatenate([on, on @ twist, groups.sample_elements(g, 12, rng), np.eye(g.size)[None]])
 
 

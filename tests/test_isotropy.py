@@ -104,7 +104,7 @@ def test_slice_frame_is_orthogonal_to_the_orbit():
 def test_cp2_u1_fixed_point_weights():
     a, st = _stab("cp2-u1", [1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     assert st.subgroup.display() == "U1"
-    rep = isotropy.slice_representation(a, st)
+    rep = isotropy.slice_representations(a, [st])[0]
     assert rep.zero_dims == 0
     assert sorted(w[0] for w in rep.weights) == [1, 2]
 
@@ -120,7 +120,7 @@ def test_reps_equivalent_on_isolated_fixed_points():
     reps = []
     for spec in ([1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 1, 0]):
         st = isotropy.stabilizer(a, np.array(spec, dtype=float))
-        reps.append(isotropy.slice_representation(a, st))
+        reps.append(isotropy.slice_representations(a, [st])[0])
     r0, r1, r2 = reps
     assert isotropy.reps_equivalent(r0, r2)
     assert not isotropy.reps_equivalent(r0, r1)
@@ -265,7 +265,7 @@ def test_so3_exact_path_matches_the_search_reference(monkeypatch, name, seed):
 def test_transport_circle_group():
     a = actions.get_action("rp2-so2")
     x = actions.normalize(a.manifold, np.array([0.5, 0.1, 0.6]))
-    g = groups.exp_coeffs(a.group, np.array([1.2]))
+    g = groups.exp_coeffs_batch(a.group, np.array([1.2]))[0]
     y = actions.act(a, g, x)
     el = isotropy.transport_element(a, x, y)
     assert el is not None
@@ -419,7 +419,7 @@ def _assert_matches_fit(a, st, rep, seed):
     assert rep.weights == weights
     assert rep.zero_dims == zero_dims == rep.fixed.shape[1]
     assert rep.planes.shape == (len(weights), rep.slice_dim, 2)
-    got = quotient._slice_stab_profile(a, rep, seed)
+    got = quotient._slice_stab_profiles(a, [rep], seed)[0]
     assert got == slice_stab_profile_reference(a, rep, weights, seed)
 
 
@@ -448,11 +448,11 @@ def test_cn_t3_axis_point_reads_exact_weights():
     # H, and a generic vector touches both planes and is free
     a, st = _stab("cn-tn(3)", [1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     assert st.subgroup.display() == "Other"
-    rep = isotropy.slice_representation(a, st)
+    rep = isotropy.slice_representations(a, [st])[0]
     assert rep.rep_kind == "torus_weights"
     assert rep.weights == ((0, 1), (1, 0))
     assert rep.zero_dims == 1 and rep.slice_dim == 5
-    profile, free = quotient._slice_stab_profile(a, rep, 0)
+    profile, free = quotient._slice_stab_profiles(a, [rep], 0)[0]
     assert profile == ("Other", "Trivial", "Trivial", "Trivial", "Trivial", "U1", "U1")
     assert not free
 
@@ -504,7 +504,7 @@ def test_slice_representations_are_slice_representation_in_one_batch(cloud_facto
     batch = isotropy.slice_representations(a, cloud.stabs)
     assert len(batch) == len(cloud)
     for got, st in zip(batch, cloud.stabs):
-        want = isotropy.slice_representation(a, st)
+        want = isotropy.slice_representations(a, [st])[0]
         for field in ("stab_label", "slice_dim", "rep_kind", "weights", "zero_dims", "characters"):
             assert getattr(got, field) == getattr(want, field)
         for field in ("planes", "fixed", "witness_mats", "lie_mats"):
@@ -590,7 +590,7 @@ def test_stacked_svd_is_bit_equal_to_per_matrix_calls(cloud_factory, name):
     # for the infinitesimal actions and for the frames of the SO(3) solve
     cloud = cloud_factory(name, 100, 1)
     a = cloud.model
-    mats = [actions.infinitesimal_action(a, st.point, st.frame) for st in cloud.stabs]
+    mats = [actions.infinitesimal_actions(a, st.point[None], st.frame[None])[0] for st in cloud.stabs]
     stacks = [np.stack(mats)] if mats[0].size else []
     if a.so3_frame is not None:
         stacks.append(np.stack([a.so3_frame(x) for x in cloud.points]))
@@ -614,9 +614,10 @@ def test_svd_splits_and_infinitesimal_actions_are_their_rows(cloud_factory, name
         one = np.empty((frame.shape[1], k))
         for j in range(k):
             one[:, j] = frame.T @ (a.amb_lie(a.group.lie[j]) @ x)
-        assert infs[i].tobytes() == np.ascontiguousarray(actions.infinitesimal_action(a, x, frame)).tobytes()
+        alone = actions.infinitesimal_actions(a, x[None], frame[None])[0]
+        assert infs[i].tobytes() == np.ascontiguousarray(alone).tobytes()
         assert infs[i].tobytes() == one.tobytes()
-        r, K, C = numerics.svd_split(one)
+        r, K, C = (part[0] for part in numerics.svd_splits(one[None]))
         assert r == ranks[i]
         assert K.tobytes() == kernels[i].tobytes() and K.shape == kernels[i].shape
         assert C.tobytes() == slices[i].tobytes() and C.shape == slices[i].shape

@@ -13,15 +13,6 @@ import oracles
 from orthofold import actions, groups, isotropy, kernels
 
 
-def _brute_pairwise(pts, dist):
-    n = pts.shape[0]
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = dist(pts[i], pts[j])
-    return out
-
-
 def _edges_below(d, threshold, batch):
     """Edges i, j with d[i, j] <= threshold, in batches of batch rows."""
     for lo in range(0, len(d), batch):
@@ -46,31 +37,6 @@ def test_graph_components():
     assert len(set(one.tolist())) == 1
     # no edges at all: every node is its own component
     assert kernels.graph_components(iter(()), 3).tolist() == [0, 1, 2]
-
-
-def test_pairwise_chebyshev():
-    pts = np.random.default_rng(11).normal(size=(23, 5))
-    got = kernels.pairwise_chebyshev(pts)
-    ref = _brute_pairwise(pts, lambda a, b: np.abs(a - b).max())
-    assert np.array_equal(got, ref)
-    assert np.array_equal(kernels.pairwise_chebyshev(pts, 4, 9), ref[4:9])
-    scratch = np.empty(kernels.SCRATCH_PLANES * 5 * 7)
-    assert np.array_equal(kernels.pairwise_chebyshev(pts, 4, 9, 13, 20, scratch), ref[4:9, 13:20])
-
-
-def test_pairwise_chebyshev_blocks_are_bit_equal_across_block_sizes():
-    pts = np.random.default_rng(10).normal(size=(301, 6))
-    whole = kernels.pairwise_chebyshev(pts)
-    assert np.all(np.diag(whole) == 0.0)
-    for step in (1, 7, 64, 300):
-        rows = [kernels.pairwise_chebyshev(pts, lo, lo + step) for lo in range(0, 301, step)]
-        assert np.array_equal(np.vstack(rows), whole)
-    # column windows, on and off the diagonal, built in a reused scratch
-    scratch = np.full(kernels.SCRATCH_PLANES * 40 * 90, np.nan)
-    for lo, clo in ((0, 0), (20, 0), (100, 130), (200, 10), (261, 211)):
-        block = kernels.pairwise_chebyshev(pts, lo, lo + 40, clo, clo + 90, scratch)
-        assert np.array_equal(block, whole[lo : lo + 40, clo : clo + 90])
-        assert np.shares_memory(block, scratch)
 
 
 def _partition(labels):
@@ -103,7 +69,7 @@ def test_rodrigues_batch_matches_exp():
     W = np.vstack([W, np.zeros(3)])  # zero vector maps to the identity
     Q = kernels.rodrigues_batch(W)
     for w, q in zip(W, Q):
-        assert np.allclose(q, groups.exp_coeffs(g, w), atol=1e-12)
+        assert np.allclose(q, groups.exp_coeffs_batch(g, w[None])[0], atol=1e-12)
 
 
 def test_so3_refine_reaches_the_target():

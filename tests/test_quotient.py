@@ -32,13 +32,13 @@ def test_local_model_fingerprint_fields(pipeline_factory):
     pipe = pipeline_factory("rp2-so2")
     cloud = pipe.cloud
     pole = int(np.argmin(np.linalg.norm(np.abs(cloud.points) - [0, 0, 1.0], axis=1)))
-    fp = quotient.local_model(cloud.model, cloud.stabs[pole], cloud.reps[pole])
+    fp = quotient.local_models(cloud.model, [cloud.stabs[pole]], [cloud.reps[pole]])[0]
     assert fp.slice_dim == 2
     assert fp.stab_class.display() == "SO2"
     generic = next(
         i for i, st in enumerate(cloud.stabs) if st.subgroup.display() == "Trivial"
     )
-    fg = quotient.local_model(cloud.model, cloud.stabs[generic], cloud.reps[generic])
+    fg = quotient.local_models(cloud.model, [cloud.stabs[generic]], [cloud.reps[generic]])[0]
     assert fg.slice_dim == 1
     assert fg.free_away_from_origin
     assert quotient._klein_key(fp) != quotient._klein_key(fg)
@@ -49,8 +49,8 @@ def test_klein_key_ignores_the_stabilizer_class(pipeline_factory):
     pipe = pipeline_factory("rp2-so2")
     cloud = pipe.cloud
     idx = [i for i, st in enumerate(cloud.stabs) if st.subgroup.display() == "Trivial"]
-    f1 = quotient.local_model(cloud.model, cloud.stabs[idx[0]], cloud.reps[idx[0]])
-    f2 = quotient.local_model(cloud.model, cloud.stabs[idx[1]], cloud.reps[idx[1]])
+    f1 = quotient.local_models(cloud.model, [cloud.stabs[idx[0]]], [cloud.reps[idx[0]]])[0]
+    f2 = quotient.local_models(cloud.model, [cloud.stabs[idx[1]]], [cloud.reps[idx[1]]])[0]
     assert quotient._klein_key(f1) == quotient._klein_key(f2)
 
 
@@ -150,7 +150,7 @@ def test_klein_labels_name_each_stratum(pipeline_factory):
     assert [lab["label"] for lab in klein.block_labels] == ["S0", "S1", "S2"]
     for block, lab in zip(klein.blocks, klein.block_labels):
         root = block[0]
-        fp = quotient.local_model(pipe.action, pipe.cloud.stabs[root], pipe.cloud.reps[root])
+        fp = quotient.local_models(pipe.action, [pipe.cloud.stabs[root]], [pipe.cloud.reps[root]])[0]
         assert quotient._klein_key(lab["fingerprint"]) == quotient._klein_key(fp)
     assert refines(pipe.iso.blocks, klein.blocks)
 
@@ -234,7 +234,7 @@ def test_planted_weights_recovered_through_the_slice():
     a = planted_torus_action(rows, zero_dims=1, frame_seed=42)
     st = origin_stabilizer(a)
     assert st.subgroup.display() == "FullGroup"
-    rep = isotropy.slice_representation(a, st)
+    rep = isotropy.slice_representations(a, [st])[0]
     assert rep.zero_dims == 1
     assert isotropy.canonical_weight_rows(rep.weights) == isotropy.canonical_weight_rows(rows)
 
@@ -255,7 +255,7 @@ def test_planted_weights_recovered_through_the_slice():
 def test_planted_rows_are_read_exactly(rows, zero_dims, profile):
     a = planted_torus_action(rows, zero_dims, frame_seed=7)
     st = origin_stabilizer(a)
-    rep = isotropy.slice_representation(a, st)
+    rep = isotropy.slice_representations(a, [st])[0]
     # euclidean slices carry no complex structure, so rows lead positive
     assert rep.weights == isotropy.canonical_weight_rows(rows)
     assert rep.zero_dims == zero_dims
@@ -270,13 +270,13 @@ def test_planted_rows_are_read_exactly(rows, zero_dims, profile):
     assert np.abs(rep.lie_mats @ rep.fixed).max(initial=0.0) < 1e-12
     basis = np.concatenate([*rep.planes, rep.fixed], axis=1)
     assert np.abs(basis.T @ basis - np.eye(rep.slice_dim)).max() < 1e-12
-    assert quotient._slice_stab_profile(a, rep, 0) == (profile, False)
+    assert quotient._slice_stab_profiles(a, [rep], 0)[0] == (profile, False)
 
 
 def _labels(a, rep, vectors):
     """Labels of the slice vectors, by the shipped count and by the reference."""
     circle = a.group.circle_label
-    got = [quotient._sample_label(rep, v, circle) for v in vectors]
+    got = [quotient._sample_labels([rep], [[v]], circle)[0][0] for v in vectors]
     return got, [sample_label_reference(rep, v, circle) for v in vectors]
 
 
@@ -309,7 +309,7 @@ def test_sample_labels_match_the_reference_on_higher_tori(cloud_factory, name):
 )
 def test_planted_origin_labels_match_the_reference(rows, zero_dims, label):
     a = planted_torus_action(rows, zero_dims, frame_seed=7)
-    rep = isotropy.slice_representation(a, origin_stabilizer(a))
+    rep = isotropy.slice_representations(a, [origin_stabilizer(a)])[0]
     # the origin's slice is the whole space; add every planted axis
     vectors = [*quotient._profile_samples(a, rep, 0), *hidden_frame(rep.slice_dim, 7).T]
     got, ref = _labels(a, rep, vectors)
@@ -372,10 +372,10 @@ def test_local_models_are_local_model_in_one_batch(cloud_factory, name, seed):
     a = cloud.model
     batch = quotient.local_models(a, cloud.stabs, cloud.reps, seed=seed)
     for fp, st, rep in zip(batch, cloud.stabs, cloud.reps):
-        assert fp == quotient.local_model(a, st, rep, seed=seed)
+        assert fp == quotient.local_models(a, [st], [rep], seed=seed)[0]
         # reps without stabilizer algebra are profiled in one array pass;
         # it must read what the per-sample labels read
-        profile = quotient._slice_stab_profile(a, rep, seed)
+        profile = quotient._slice_stab_profiles(a, [rep], seed)[0]
         assert (fp.slice_stab_profile, fp.free_away_from_origin) == profile
 
 
@@ -399,7 +399,7 @@ def test_cloud_profiles_are_slice_stab_profile_per_rep(monkeypatch, cloud_factor
     batch = quotient._slice_stab_profiles(a, reps, seed)
     once = list(solved)
     solved.clear()
-    assert batch == [quotient._slice_stab_profile(a, rep, seed) for rep in reps]
+    assert batch == [quotient._slice_stab_profiles(a, [rep], seed)[0] for rep in reps]
     assert sorted(once) == sorted(set(solved))
 
 
@@ -414,7 +414,7 @@ def test_local_models_count_the_witnesses_of_each_rep():
     fps = quotient.local_models(a, cloud.stabs, cloud.reps)
     assert fps[-1].slice_stab_profile == ("Trivial",) * 4 + ("Zn(2)",) * 2
     for fp, rep in zip(fps, cloud.reps):
-        profile = quotient._slice_stab_profile(a, rep, 0)
+        profile = quotient._slice_stab_profiles(a, [rep], 0)[0]
         assert (fp.slice_stab_profile, fp.free_away_from_origin) == profile
 
 

@@ -13,6 +13,7 @@ from orthofold.errors import InputError
 from orthofold.seeding import rng_for
 
 from oracles import (
+    CountingNumpy,
     check_partition,
     exact_features_reference,
     fixed_tangent_dim_reference,
@@ -38,31 +39,24 @@ def test_build_cloud_is_deterministic(cloud_factory):
 @pytest.mark.parametrize("name", ["s2-zn(5)", "s2xs2-so3", "rp2-so2", "cp2-so3", "cn-tn(2)"])
 def test_build_cloud_builds_one_frame_per_point(monkeypatch, name):
     # one action per manifold kind: sphere, product, RP^2, CP^2, euclidean.
-    # Every frame row comes from tangent_frames, one row per point, and no
-    # point is framed alone by tangent_frame (which would add rows too)
-    batch, single = actions.tangent_frames, actions.tangent_frame
-    rows, singles = [], []
+    # Every frame row comes from one tangent_frames call over the whole
+    # cloud: a point framed alone would be a call of its own
+    batch = actions.tangent_frames
+    rows = []
 
     def counted_batch(*args, **kwargs):
         out = batch(*args, **kwargs)
         rows.append(out.shape[0])
         return out
 
-    def counted_single(*args, **kwargs):
-        singles.append(1)
-        return single(*args, **kwargs)
-
-    # rebind every module-level name of the functions, as `from` imports copy them
+    # rebind every module-level name of the function, as `from` imports copy it
     for mod_name, mod in list(sys.modules.items()):
         if not mod_name.startswith("orthofold"):
             continue
         if getattr(mod, "tangent_frames", None) is batch:
             monkeypatch.setattr(mod, "tangent_frames", counted_batch)
-        if getattr(mod, "tangent_frame", None) is single:
-            monkeypatch.setattr(mod, "tangent_frame", counted_single)
     cloud = strata.build_cloud(actions.get_action(name), 20, seed=0)
-    assert sum(rows) == len(cloud)
-    assert not singles
+    assert rows == [len(cloud)]
 
 
 @pytest.mark.parametrize("name", ["s2-zn(2)", "s2-zn(5)", "s2-zn(64)"])
@@ -295,22 +289,15 @@ def test_decomposition_holds_no_square_matrix(cloud_factory):
 
 
 def test_decomposition_scans_a_band(cloud_factory, monkeypatch):
-    # every generic point of cp2-so3 has its own Zn(2), so the feature scan
+    # every generic point of cp2-so3 has its own Zn(2), so the feature join
     # has about n distinct rows; the band computes a fraction of their n^2
     # distances
     cloud = cloud_factory("cp2-so3", 2000)
     n = len(cloud)
-    entries = []
-    original = strata.pairwise_chebyshev
-
-    def counted(*args, **kwargs):
-        out = original(*args, **kwargs)
-        entries.append(out.size)
-        return out
-
-    monkeypatch.setattr(strata, "pairwise_chebyshev", counted)
+    counting = CountingNumpy()
+    monkeypatch.setattr(numerics, "np", counting)
     strata.isostabilizer_decomposition(cloud)
-    assert 0 < sum(entries) <= 0.4 * n * n
+    assert 0 < sum(rows * cols for rows, cols in counting.shapes) <= 0.4 * n * n
 
 
 _TRUTH_CLOUDS = [(300, seed) for seed in range(4)] + [(2000, 0)]
