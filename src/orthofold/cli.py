@@ -212,7 +212,7 @@ def _fingerprint_doc(fp) -> dict:
         "zero_dims": zero_dims,
         "characters": list(characters),
         "slice_stab_profile": list(fp.slice_stab_profile),
-        "free_away_from_origin": bool(fp.free_away_from_origin),
+        "free_away_from_origin": all(label == "Trivial" for label in fp.slice_stab_profile),
         "effective_signature": _signature_doc(fp.effective_signature),
     }
 

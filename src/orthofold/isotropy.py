@@ -531,24 +531,19 @@ def transport_element(a: ActionModel, x: np.ndarray, y: np.ndarray) -> np.ndarra
 def _slice_lie_generators(a, stab):
     """Exact slice matrices of the stabilizer Lie basis.
 
-    On complex projective models the representative curve drifts in phase;
-    the drift acts vertically, and subtracting its rate times the ambient
-    complex structure leaves the horizontal generator.
+    amb_lie is linear, so the ambient generators are one contraction of the
+    Lie kernel with the cached ambient matrices of the group's Lie basis. On
+    complex projective models the representative curve drifts in phase;
+    the drift acts vertically, and subtracting each generator's rate times
+    the ambient complex structure leaves the horizontal generator.
     """
     x, frame, coords = stab.point, stab.frame, stab.slice_basis
-    k = stab.lie_kernel.shape[1]
-    sdim = coords.shape[1]
-    cp = a.manifold.kind == "complex_projective"
-    jamb = ambient_complex_structure(a.manifold) if cp else None
-    mats = np.empty((k, sdim, sdim))
-    for j in range(k):
-        xi = np.einsum("i,ijk->jk", stab.lie_kernel[:, j], a.group.lie)
-        mat = a.amb_lie(xi)
-        if jamb is not None:
-            omega = float((mat @ x) @ (jamb @ x))
-            mat = mat - omega * jamb
-        mats[j] = coords.T @ (frame.T @ mat @ frame) @ coords
-    return mats
+    mats = np.einsum("ij,ikl->jkl", stab.lie_kernel, a.lie_ambs)
+    if a.manifold.kind == "complex_projective":
+        jamb = ambient_complex_structure(a.manifold)
+        omega = (mats @ x) @ (jamb @ x)
+        mats = mats - omega[:, None, None] * jamb
+    return coords.T @ (frame.T @ mats @ frame) @ coords
 
 
 def _slice_complex_structure(a, stab):

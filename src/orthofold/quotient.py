@@ -53,7 +53,6 @@ class LocalModelFingerprint:
     stab_class: groups.SubgroupClass
     rep_fingerprint: tuple
     slice_stab_profile: tuple
-    free_away_from_origin: bool
     effective_signature: tuple
 
 
@@ -92,12 +91,6 @@ class StratifiedInterval:
 _FIX_EPS = 1e-5
 
 
-def _fixed_space(w: np.ndarray) -> np.ndarray:
-    """Fixed vectors of one orthogonal matrix, cut at an absolute threshold."""
-    _, sv, vt = np.linalg.svd(w - np.eye(w.shape[0]))
-    return vt[sv <= _FIX_EPS].T
-
-
 def _sample_labels(reps: list, samples: list, circle_label) -> list:
     """Stabilizer label of each nonzero slice vector under the slice action:
     samples[r] holds vectors of the slice of reps[r], and labels[r] theirs.
@@ -109,9 +102,11 @@ def _sample_labels(reps: list, samples: list, circle_label) -> list:
     v, one target per witness w. groups.congruence_solutions gives one
     solution per component and the free dimension of H_v, and a solution
     counts when it turns w v to within _FIX_EPS of v. A slice without
-    planes, a finite stabilizer's among them, has nothing to solve: each
-    witness is its own single candidate and all k coordinates are free.
-    The label reads the free dimension and the count.
+    planes has nothing to solve: each witness is its own single candidate
+    and all k coordinates are free. The label reads the free dimension and
+    the count. This is the one labeller of every Klein profile: a finite
+    stabilizer has no planes and k = 0, so its label is the number of
+    witnesses that fix v.
 
     Reps of one shape (slice dimension, sample count, witnesses, fixed
     directions, planes and Lie dimension) are stacked, so each step is one
@@ -123,28 +118,28 @@ def _sample_labels(reps: list, samples: list, circle_label) -> list:
     labels = [[None] * len(V) for V in samples]
     shapes: dict = {}
     for r, (rep, V) in enumerate(zip(reps, samples)):
-        shape = (rep.slice_dim, len(V), *rep.witness_mats.shape[:1], *rep.fixed.shape[1:], *rep.planes.shape[:1])
+        shape = (len(V), rep.witness_mats.shape, rep.fixed.shape, rep.planes.shape[0], rep.lie_mats.shape[0])
         shapes.setdefault(shape, []).append(r)
     pending: dict = {}  # W -> [(rep indices, sample indices, solved state)]
-    for (s, S, m, z, p), group in shapes.items():
+    for (S, _, _, p, k), group in shapes.items():
         if S == 0:
             continue
-        V = np.stack([np.asarray(samples[r], dtype=float).reshape(S, s) for r in group])
+        V = np.array([samples[r] for r in group])
         # each row scaled by the square root of its dot product, as v / sqrt(v @ v)
         V = V / np.sqrt(np.matmul(V[..., None, :], V[..., :, None]))[..., 0]
-        wv = np.matmul(np.stack([reps[r].witness_mats for r in group])[:, None], V[:, :, None, :, None])[..., 0]
+        wv = np.matmul(np.array([reps[r].witness_mats for r in group])[:, None], V[:, :, None, :, None])[..., 0]
         # no element of the identity component turns the fixed coordinates
-        d = (wv - V[:, :, None, :]) @ np.stack([reps[r].fixed for r in group])[:, None]
+        d = (wv - V[:, :, None, :]) @ np.array([reps[r].fixed for r in group])[:, None]
         miss = np.einsum("...z,...z->...", d, d)
         if p == 0:
             counts = np.count_nonzero(miss <= _FIX_EPS**2, axis=2).tolist()
             for r, row in zip(group, counts):
-                labels[r] = [_label(reps[r], reps[r].lie_mats.shape[0], c, circle_label) for c in row]
+                labels[r] = [_label(reps[r], k, c, circle_label) for c in row]
             continue
-        rows = np.stack([np.array(reps[r].weights, dtype=np.int64) for r in group])
+        rows = np.array([reps[r].weights for r in group], dtype=np.int64)
         # plane coordinates as complex numbers: exp(psi . A) multiplies
         # them by exp(i weights[p] . psi)
-        P = np.stack([reps[r].planes for r in group])
+        P = np.array([reps[r].planes for r in group])
         planes = P[..., 0] + 1j * P[..., 1]
         zv = np.matmul(planes[:, None], V[..., None])[..., 0]
         zw = wv @ np.swapaxes(planes, 1, 2)[:, None]
@@ -186,9 +181,9 @@ def _sample_labels(reps: list, samples: list, circle_label) -> list:
 def _label(rep: SliceRep, free: int, count: int, circle_label) -> str:
     """Label of a slice vector whose stabilizer has free dimension free and
     count solutions within _FIX_EPS, under rep."""
-    k = rep.lie_mats.shape[0]
     if free == 0:
-        return _count_label(count)
+        return "Trivial" if count == 1 else f"Zn({count})"
+    k = rep.lie_mats.shape[0]
     if free == k and count == rep.witness_mats.shape[0]:
         return rep.stab_label
     if count > 1:
@@ -196,29 +191,43 @@ def _label(rep: SliceRep, free: int, count: int, circle_label) -> str:
     return circle_label if free == 1 else f"Torus({free})"
 
 
-def _profile_samples(a: ActionModel, rep: SliceRep, seed: int) -> list:
-    """Nonzero slice vectors whose stabilizers make up the profile.
+def _profile_samples(a: ActionModel, reps: list, seed: int) -> list:
+    """The nonzero slice vectors whose stabilizers make up each rep's
+    profile, one (S, s) array per rep.
 
-    One sample per rotating plane (or per fixed space of a finite element)
-    plus one per jointly fixed subspace, then four generic draws. The draws
-    come from a per-action stream, so points with the same slice structure
-    see the same generic coefficients.
+    A rep with stabilizer algebra gives the first axis of each rotating
+    plane and of its fixed directions. One without gives the first fixed
+    vector of each non-identity witness that fixes one, read from one
+    stacked SVD per slice dimension. Every rep then adds the four generic
+    draws of its slice dimension, which come from a per-action stream, so
+    points with the same slice structure see the same generic coefficients.
     """
-    s = rep.slice_dim
-    if s == 0:
-        return []
-    samples = []
-    if rep.lie_mats.shape[0] == 0:
-        for w in rep.witness_mats[1:]:
-            fix = _fixed_space(w)
-            if fix.shape[1]:
-                samples.append(fix[:, 0])
-    else:
-        samples.extend(rep.planes[:, :, 0])
-        if rep.fixed.shape[1]:
-            samples.append(rep.fixed[:, 0])
-    samples.extend(_generic_draws(a.name, seed, s))
-    return samples
+    out = [np.zeros((0, 0))] * len(reps)
+    finite: dict = {}
+    for r, rep in enumerate(reps):
+        s = rep.slice_dim
+        if s == 0:
+            continue
+        if rep.lie_mats.shape[0]:
+            out[r] = np.concatenate([rep.planes[:, :, 0], rep.fixed[:, :1].T, _generic_draws(a.name, seed, s)])
+        else:
+            finite.setdefault(s, []).append(r)
+    for s, idx in finite.items():
+        draws = _generic_draws(a.name, seed, s)
+        moving = np.concatenate([reps[r].witness_mats[1:] for r in idx])
+        _, sv, vt = np.linalg.svd(moving - np.eye(s))
+        fix = sv <= _FIX_EPS
+        has = fix.any(axis=1)
+        # the first fixed vector, as the singular values order them
+        first = vt[has, np.argmax(fix[has], axis=1)]
+        owner = np.repeat(np.arange(len(idx)), [reps[r].witness_mats.shape[0] - 1 for r in idx])[has]
+        # each rep's fixed vectors, then its draws, by a stable sort on the owner
+        tag = np.concatenate([2 * owner, np.repeat(2 * np.arange(len(idx)) + 1, len(draws))])
+        rows = np.concatenate([first, np.tile(draws, (len(idx), 1))])[np.argsort(tag, kind="stable")]
+        bounds = np.cumsum([0, *(np.bincount(owner, minlength=len(idx)) + len(draws)).tolist()]).tolist()
+        for r, lo, hi in zip(idx, bounds, bounds[1:]):
+            out[r] = rows[lo:hi]
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -235,78 +244,9 @@ def _generic_draws(name: str, seed: int, s: int) -> np.ndarray:
 
 def _slice_stab_profiles(a: ActionModel, reps: list, seed: int) -> list:
     """The profile of each rep: the sorted stabilizer labels at its profile
-    samples, and whether all are trivial. Every sample is labelled in one
-    _sample_labels pass."""
-    samples = [_profile_samples(a, rep, seed) for rep in reps]
-    return [_profile(labels) for labels in _sample_labels(reps, samples, a.group.circle_label)]
-
-
-def _profile(labels) -> tuple:
-    """The sorted labels, and whether all are trivial."""
-    labels = sorted(labels)
-    return tuple(labels), all(lab == "Trivial" for lab in labels)
-
-
-def _finite_profiles(a: ActionModel, reps: list, seed: int) -> list:
-    """_slice_stab_profiles of reps without stabilizer algebra, in array passes.
-
-    With nothing to solve, a sample's label is the number of witnesses that
-    move it by at most _FIX_EPS, as in _sample_labels. Reps of one slice
-    dimension are stacked: the generic draws, which they share, are tested
-    against every witness at once, and the sample from each non-identity
-    witness's fixed space against every witness of its own rep.
-    """
-    out = [None] * len(reps)
-    sdims = np.array([rep.slice_dim for rep in reps], dtype=np.int64)
-    # a 1-D np.unique would import numpy.ma, 11-18 ms of a CLI process
-    for s in sorted(set(sdims.tolist())):
-        idx = np.flatnonzero(sdims == s).tolist()
-        if s == 0:
-            for i in idx:
-                out[i] = _profile(())
-            continue
-        counts = np.array([reps[i].witness_mats.shape[0] for i in idx])
-        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        wmats = np.concatenate([reps[i].witness_mats for i in idx])
-        draws = _unit_rows(_generic_draws(a.name, seed, s))
-        moved = np.einsum("pab,tb->pta", wmats, draws) - draws
-        fixing = np.add.reduceat(_fixes(moved), starts, axis=0).tolist()
-        labels = [[_count_label(c) for c in row] for row in fixing]
-
-        moving = np.ones(len(wmats), dtype=bool)
-        moving[starts] = False
-        _, sv, vt = np.linalg.svd(wmats[moving] - np.eye(s))
-        fix = sv <= _FIX_EPS
-        has = fix.any(axis=1)
-        # the first fixed vector, as _fixed_space orders them
-        v = _unit_rows(vt[has, np.argmax(fix[has], axis=1)])
-        owner = np.repeat(np.arange(len(idx)), counts)[moving][has]
-        # each sample against every witness of its rep, sample-major
-        per = counts[owner]
-        first = np.concatenate([[0], np.cumsum(per)[:-1]])
-        sample = np.repeat(np.arange(len(v)), per)
-        wit = starts[owner][sample] + np.arange(len(sample)) - first[sample]
-        moved = np.einsum("pab,pb->pa", wmats[wit], v[sample]) - v[sample]
-        fixing = np.add.reduceat(_fixes(moved), first).tolist() if len(v) else []
-        for r, c in zip(owner.tolist(), fixing):
-            labels[r].append(_count_label(c))
-        for i, lab in zip(idx, labels):
-            out[i] = _profile(lab)
-    return out
-
-
-def _unit_rows(v: np.ndarray) -> np.ndarray:
-    return v / np.sqrt(np.einsum("ti,ti->t", v, v))[:, None]
-
-
-def _fixes(moved: np.ndarray) -> np.ndarray:
-    """1 where a displacement vector (last axis) is within _FIX_EPS, else 0."""
-    return (np.einsum("...a,...a->...", moved, moved) <= _FIX_EPS**2).astype(np.int64)
-
-
-def _count_label(count: int) -> str:
-    """Label of a slice vector fixed by count elements of a finite stabilizer."""
-    return "Trivial" if count == 1 else f"Zn({count})"
+    samples, every sample labelled in one _sample_labels pass."""
+    labels = _sample_labels(reps, _profile_samples(a, reps, seed), a.group.circle_label)
+    return [tuple(sorted(row)) for row in labels]
 
 
 def _distinct_matrices(mats: np.ndarray) -> list:
@@ -339,7 +279,7 @@ def _effective_signature(rep: SliceRep) -> tuple:
     mats = _distinct_matrices(rep.witness_mats)
     if len(mats) == 1:
         return ("euclidean",)
-    traces = tuple(sorted(round(float(np.trace(w)), 6) + 0.0 for w in mats))
+    traces = tuple(sorted(round(float(w.trace()), 6) + 0.0 for w in mats))
     return ("finite", len(mats), traces)
 
 
@@ -353,50 +293,63 @@ def local_models(a: ActionModel, stabs, reps, seed: int = 0) -> list[LocalModelF
 
     stabs and reps are aligned. By the slice theorem the local model depends
     only on the stabilizer and its slice representation, so one fingerprint
-    is computed per distinct (rep, stabilizer class), reps compared as
-    objects (slice_representations shares one rep between equal trivial
-    stabilizers), and handed to every point of the pair. Fingerprint
-    components are decided at fixed absolute cuts. Reps without stabilizer
-    algebra are profiled together in one array pass (_finite_profiles);
-    the samples of every rep with stabilizer algebra are labelled in one
-    _slice_stab_profiles pass, one congruence solve per distinct set of
-    touched weight rows.
+    is computed per distinct (stabilizer class, rep content) and handed to
+    every point of the pair. The points are first grouped by their rep and
+    class objects, and a rep's content, every field the fingerprint reads
+    (_rep_content), is taken once per group, so equal reps share a
+    fingerprint whether or not slice_representations shares their objects.
+    Fingerprint components are decided at fixed absolute cuts, and the
+    samples of every distinct rep are labelled in one _slice_stab_profiles
+    pass.
     """
-    first: dict = {}
+    seen: dict = {}
     pairs, slot = [], []
     for stab, rep in zip(stabs, reps):
-        key = (id(rep), stab.subgroup)
-        if key not in first:
-            first[key] = len(pairs)
+        # pairs keeps each keyed object alive, so no id is reused
+        key = (id(rep), id(stab.subgroup))
+        j = seen.get(key)
+        if j is None:
+            j = seen[key] = len(pairs)
             pairs.append((stab, rep))
-        slot.append(first[key])
-    finite = [i for i, (_, rep) in enumerate(pairs) if rep.lie_mats.shape[0] == 0]
-    torus = [i for i, (_, rep) in enumerate(pairs) if rep.lie_mats.shape[0]]
-    profiles = dict(zip(finite, _finite_profiles(a, [pairs[i][1] for i in finite], seed)))
-    profiles.update(zip(torus, _slice_stab_profiles(a, [pairs[i][1] for i in torus], seed)))
-    fps = []
-    for i, (stab, rep) in enumerate(pairs):
-        profile, free = profiles[i]
-        fps.append(
-            LocalModelFingerprint(
-                slice_dim=rep.slice_dim,
-                stab_class=stab.subgroup,
-                rep_fingerprint=(
-                    rep.rep_kind,
-                    canonical_weight_rows(rep.weights),
-                    rep.zero_dims,
-                    rep.characters,
-                ),
-                slice_stab_profile=profile,
-                free_away_from_origin=free,
-                effective_signature=_effective_signature(rep),
-            )
+        slot.append(j)
+    first: dict = {}
+    unique, owner = [], []
+    for stab, rep in pairs:
+        j = first.setdefault((_rep_content(rep), stab.subgroup), len(unique))
+        if j == len(unique):
+            unique.append((stab, rep))
+        owner.append(j)
+    profiles = _slice_stab_profiles(a, [rep for _, rep in unique], seed)
+    fps = [
+        LocalModelFingerprint(
+            slice_dim=rep.slice_dim,
+            stab_class=stab.subgroup,
+            rep_fingerprint=(
+                rep.rep_kind,
+                canonical_weight_rows(rep.weights),
+                rep.zero_dims,
+                rep.characters,
+            ),
+            slice_stab_profile=profile,
+            effective_signature=_effective_signature(rep),
         )
+        for (stab, rep), profile in zip(unique, profiles)
+    ]
+    fps = [fps[j] for j in owner]
     return [fps[j] for j in slot]
 
 
+def _rep_content(rep: SliceRep) -> tuple:
+    """Every field of rep that a fingerprint reads, arrays by shape and bytes."""
+    w, lie, planes, fixed = rep.witness_mats, rep.lie_mats, rep.planes, rep.fixed
+    return (
+        (rep.stab_label, rep.slice_dim, rep.rep_kind, rep.weights, rep.zero_dims, rep.characters),
+        (w.shape, lie.shape, planes.shape, fixed.shape),
+        (w.tobytes(), lie.tobytes(), planes.tobytes(), fixed.tobytes()),
+    )
+
+
 def _klein_key(f: LocalModelFingerprint) -> tuple:
-    # free_away_from_origin is read off the profile, so it is not keyed
     return (f.slice_dim, f.slice_stab_profile, f.effective_signature)
 
 

@@ -452,9 +452,10 @@ def test_cn_t3_axis_point_reads_exact_weights():
     assert rep.rep_kind == "torus_weights"
     assert rep.weights == ((0, 1), (1, 0))
     assert rep.zero_dims == 1 and rep.slice_dim == 5
-    profile, free = quotient._slice_stab_profiles(a, [rep], 0)[0]
+    profile = quotient._slice_stab_profiles(a, [rep], 0)[0]
     assert profile == ("Other", "Trivial", "Trivial", "Trivial", "Trivial", "U1", "U1")
-    assert not free
+    # not free away from the origin
+    assert set(profile) != {"Trivial"}
 
 
 @pytest.mark.parametrize("n", [2, 5, 64])

@@ -40,7 +40,8 @@ def test_local_model_fingerprint_fields(pipeline_factory):
     )
     fg = quotient.local_models(cloud.model, [cloud.stabs[generic]], [cloud.reps[generic]])[0]
     assert fg.slice_dim == 1
-    assert fg.free_away_from_origin
+    # free away from the origin: every sampled slice vector has a trivial stabilizer
+    assert set(fg.slice_stab_profile) == {"Trivial"}
     assert quotient._klein_key(fp) != quotient._klein_key(fg)
 
 
@@ -270,7 +271,7 @@ def test_planted_rows_are_read_exactly(rows, zero_dims, profile):
     assert np.abs(rep.lie_mats @ rep.fixed).max(initial=0.0) < 1e-12
     basis = np.concatenate([*rep.planes, rep.fixed], axis=1)
     assert np.abs(basis.T @ basis - np.eye(rep.slice_dim)).max() < 1e-12
-    assert quotient._slice_stab_profiles(a, [rep], 0)[0] == (profile, False)
+    assert quotient._slice_stab_profiles(a, [rep], 0)[0] == profile
 
 
 def _labels(a, rep, vectors):
@@ -284,8 +285,13 @@ def _labels(a, rep, vectors):
 def test_sample_labels_match_the_reference(cloud_factory, name):
     for seed in range(4):
         cloud = cloud_factory(name, 40, seed)
-        for rep in cloud.reps:
-            got, ref = _labels(cloud.model, rep, quotient._profile_samples(cloud.model, rep, seed))
+        batch = quotient._profile_samples(cloud.model, cloud.reps, seed)
+        for rep, samples in zip(cloud.reps, batch):
+            alone = quotient._profile_samples(cloud.model, [rep], seed)[0]
+            # the batch takes one SVD per slice dimension, yet each rep's
+            # samples are those of its own batch of one, bit for bit
+            assert samples.shape == alone.shape and samples.tobytes() == alone.tobytes()
+            got, ref = _labels(cloud.model, rep, alone)
             assert got == ref
 
 
@@ -293,7 +299,7 @@ def test_sample_labels_match_the_reference(cloud_factory, name):
 def test_sample_labels_match_the_reference_on_higher_tori(cloud_factory, name):
     cloud = cloud_factory(name, 20, 0)
     for rep in cloud.reps:
-        got, ref = _labels(cloud.model, rep, quotient._profile_samples(cloud.model, rep, 0))
+        got, ref = _labels(cloud.model, rep, quotient._profile_samples(cloud.model, [rep], 0)[0])
         assert got == ref
 
 
@@ -311,7 +317,7 @@ def test_planted_origin_labels_match_the_reference(rows, zero_dims, label):
     a = planted_torus_action(rows, zero_dims, frame_seed=7)
     rep = isotropy.slice_representations(a, [origin_stabilizer(a)])[0]
     # the origin's slice is the whole space; add every planted axis
-    vectors = [*quotient._profile_samples(a, rep, 0), *hidden_frame(rep.slice_dim, 7).T]
+    vectors = [*quotient._profile_samples(a, [rep], 0)[0], *hidden_frame(rep.slice_dim, 7).T]
     got, ref = _labels(a, rep, vectors)
     assert got == ref
     assert label in got
@@ -326,7 +332,7 @@ def test_planted_inert_circle_with_one_fixing_component():
     frame = hidden_frame(6, 5)
     rep, slice_frame = planted_point_rep(a, frame[:, 0], [[0.0], [1.0]], [[np.pi, 0.0]])
     axes = slice_frame.T @ frame[:, [0, 2, 3, 4, 5]]
-    got, ref = _labels(a, rep, [*quotient._profile_samples(a, rep, 0), *axes.T])
+    got, ref = _labels(a, rep, [*quotient._profile_samples(a, [rep], 0)[0], *axes.T])
     assert got == ref
     assert got[-5:] == [rep.stab_label, "U1", "U1", "Zn(2)", "Zn(2)"]
 
@@ -373,21 +379,20 @@ def test_local_models_are_local_model_in_one_batch(cloud_factory, name, seed):
     batch = quotient.local_models(a, cloud.stabs, cloud.reps, seed=seed)
     for fp, st, rep in zip(batch, cloud.stabs, cloud.reps):
         assert fp == quotient.local_models(a, [st], [rep], seed=seed)[0]
-        # reps without stabilizer algebra are profiled in one array pass;
-        # it must read what the per-sample labels read
-        profile = quotient._slice_stab_profiles(a, [rep], seed)[0]
-        assert (fp.slice_stab_profile, fp.free_away_from_origin) == profile
+        # every rep is profiled in one pass over the distinct reps; each
+        # profile must be its rep's own batch of one
+        assert fp.slice_stab_profile == quotient._slice_stab_profiles(a, [rep], seed)[0]
 
 
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("name", actions.catalog_ids())
 def test_cloud_profiles_are_slice_stab_profile_per_rep(monkeypatch, cloud_factory, name, seed):
-    # the reps with stabilizer algebra are profiled in one pass over the
-    # cloud, one congruence solve per distinct set of touched weight rows;
-    # each profile must be its rep's own, and each W solved once
+    # every rep is profiled in one pass over the cloud, one congruence
+    # solve per distinct set of touched weight rows; each profile must be
+    # its rep's own, and each W solved once
     cloud = cloud_factory(name, 100, seed)
     a = cloud.model
-    reps = [rep for rep in cloud.reps if rep.lie_mats.shape[0]]
+    reps = list(cloud.reps)
     original = groups.congruence_solutions
     solved = []
 
@@ -414,8 +419,7 @@ def test_local_models_count_the_witnesses_of_each_rep():
     fps = quotient.local_models(a, cloud.stabs, cloud.reps)
     assert fps[-1].slice_stab_profile == ("Trivial",) * 4 + ("Zn(2)",) * 2
     for fp, rep in zip(fps, cloud.reps):
-        profile = quotient._slice_stab_profiles(a, [rep], 0)[0]
-        assert (fp.slice_stab_profile, fp.free_away_from_origin) == profile
+        assert fp.slice_stab_profile == quotient._slice_stab_profiles(a, [rep], 0)[0]
 
 
 @pytest.mark.parametrize("name", [*actions.catalog_ids(), "cn-tn(3)"])
@@ -445,8 +449,11 @@ def test_identify_orbits_tries_the_reference_transports(monkeypatch, pipeline_fa
 
 
 def test_klein_partition_fingerprints_each_shared_rep_once(monkeypatch):
-    # 3000 of the 3002 points have the trivial stabilizer and share its rep,
-    # so the points need a handful of fingerprints, not one each
+    # s2-zn(5): 3000 of the 3002 points have the trivial stabilizer and share
+    # its rep object, so the points need a handful of fingerprints, not one
+    # each. cp2-so3: each of the 2000 generic Zn(2) points has a rep object
+    # of its own, but reps are compared by content, and the generic ones
+    # repeat, so at most a tenth of its 2032 points are fingerprinted
     original = quotient._effective_signature
     calls = []
 
@@ -455,9 +462,11 @@ def test_klein_partition_fingerprints_each_shared_rep_once(monkeypatch):
         return original(rep)
 
     monkeypatch.setattr(quotient, "_effective_signature", counted)
-    cloud = strata.build_cloud(actions.get_action("s2-zn(5)"), 3000, seed=0)
-    quotient.klein_partition(cloud)
-    assert len(calls) <= 10
+    for name, samples, most in [("s2-zn(5)", 3000, 10), ("cp2-so3", 2000, 203)]:
+        cloud = strata.build_cloud(actions.get_action(name), samples, seed=0)
+        calls.clear()
+        quotient.klein_partition(cloud)
+        assert len(calls) <= most
 
 
 @pytest.mark.parametrize("samples, seed", [(150, 0), (300, 1), (2000, 0)])
