@@ -32,7 +32,16 @@ process, with the same thread variables, timed from spawn to reap, as
 perfbench times its commands; `process_s` keeps the minimum and the median,
 and the report-sha256 of each must be the in-process one. The gap between
 a command's process_s and its in-process total is what one process costs
-on top of the work: interpreter start, imports and exit.
+on top of the work: interpreter start, imports and exit. Each process's
+peak resident memory is its ru_maxrss from os.wait4, as perfbench reads
+it: `process_rss_mb` keeps the minimum, the median and the maximum per
+command, and a workload's is the maximum over its commands' processes.
+A child spawned from this process would report at least this process's
+own peak, which the in-process runs raise above a command's: at exec
+the kernel keeps the high-water mark of the address space the child
+leaves, and a vfork child leaves its parent's. So each command process
+is spawned, timed and reaped by a small launcher (LAUNCHER), as
+perfbench's small driver process spawns its children.
 
 The environment (core count, BLAS library and threads, Python and numpy
 versions) is perfbench/probe.py's, which needs scipy (the test extra), plus
@@ -81,6 +90,18 @@ SEED = 0  # program seed
 # per command: a verify all at 2000 samples takes 1-3 s
 LIBRARY_WORKLOADS = {"verify-all-2000": [["verify", "all", "--samples", "2000", "--seed", "0"]]}
 LIBRARY_REPEATS = 5
+# argv -> the command's stdout, then one line: exit code, wall seconds from
+# spawn to reap, and ru_maxrss in kB
+LAUNCHER = """
+import os, subprocess, sys, time
+start = time.perf_counter()
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+out = proc.stdout.read()
+_, status, usage = os.wait4(proc.pid, 0)
+wall = time.perf_counter() - start
+sys.stdout.buffer.write(out)
+print(os.waitstatus_to_exitcode(status), repr(wall), usage.ru_maxrss)
+"""
 
 
 def _action_of(arg) -> str:
@@ -138,20 +159,33 @@ def run_once(argv: list[str]) -> tuple[dict, dict, int, str | None]:
     return times, per_action, code, sha
 
 
-def process_seconds(argv: list[str], sha: str, repeats: int) -> dict:
-    """Min and median wall seconds of fresh CLI processes, spawn to reap."""
+def process_runs(argv: list[str], sha: str, repeats: int) -> tuple[dict, dict]:
+    """Wall seconds (min and median) and peak resident MB (min, median and
+    max) of fresh CLI processes, each run by LAUNCHER: wall from spawn to
+    reap, memory the process's own ru_maxrss from os.wait4."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    walls = []
+    walls, peaks = [], []
     for _ in range(repeats):
-        start = time.perf_counter()
         done = subprocess.run(
-            [sys.executable, "-m", "orthofold.cli", *argv], cwd=ROOT, env=env, capture_output=True, text=True
+            [sys.executable, "-c", LAUNCHER, sys.executable, "-m", "orthofold.cli", *argv],
+            cwd=ROOT,
+            env=env,
+            capture_output=True,
+            text=True,
         )
-        walls.append(time.perf_counter() - start)
-        if done.returncode != 0 or not done.stdout.endswith(f"report-sha256: {sha}\n"):
-            raise SystemExit(f"{' '.join(argv)}: process exit {done.returncode}, or not report {sha}")
-    return {"min": round(min(walls), 6), "median": round(statistics.median(walls), 6)}
+        if done.returncode != 0:
+            raise SystemExit(f"{' '.join(argv)}: launcher exit {done.returncode}: {done.stderr.strip()}")
+        # the command's stdout, less its final newline, then the launcher's line
+        out, _, trailer = done.stdout[:-1].rpartition("\n")
+        code, wall, kb = trailer.split()
+        walls.append(float(wall))
+        peaks.append(int(kb) / 1024.0)
+        if code != "0" or not out.endswith(f"report-sha256: {sha}"):
+            raise SystemExit(f"{' '.join(argv)}: process exit {code}, or not report {sha}")
+    wall = {"min": round(min(walls), 6), "median": round(statistics.median(walls), 6)}
+    rss = {k: round(f(peaks), 3) for k, f in (("min", min), ("median", statistics.median), ("max", max))}
+    return wall, rss
 
 
 def bench_command(argv: list[str], repeats: int) -> dict:
@@ -161,12 +195,14 @@ def bench_command(argv: list[str], repeats: int) -> dict:
     if None in shas or len(shas) != 1 or codes != [0]:
         raise SystemExit(f"{' '.join(argv)}: exit codes {codes}, report hashes {shas}")
     sha = shas.pop()
+    wall, rss = process_runs(argv, sha, repeats)
     doc = {
         "argv": argv,
         "report_sha256": sha,
         "first_s": {k: round(v, 6) for k, v in runs[0][0].items()},
         "min_s": {k: round(min(t[k] for t, *_ in runs), 6) for k in runs[0][0]},
-        "process_s": process_seconds(argv, sha, repeats),
+        "process_s": wall,
+        "process_rss_mb": rss,
     }
     actions = runs[0][1]
     if len(actions) > 1:
@@ -181,7 +217,8 @@ def bench_workload(cmds: list[list[str]], repeats: int) -> dict:
     results = [bench_command(argv, repeats) for argv in cmds]
     summed = {k: round(sum(r["min_s"][k] for r in results), 6) for k in results[0]["min_s"]}
     process = {k: round(sum(r["process_s"][k] for r in results), 6) for k in ("min", "median")}
-    return {"commands": results, "min_s": summed, "process_s": process}
+    rss = {"max": max(r["process_rss_mb"]["max"] for r in results)}
+    return {"commands": results, "min_s": summed, "process_s": process, "process_rss_mb": rss}
 
 
 def main(argv=None) -> int:
@@ -198,6 +235,7 @@ def main(argv=None) -> int:
             name,
             " ".join(f"{k}={v * 1e3:.1f}ms" for k, v in workloads[name]["min_s"].items()),
             " ".join(f"process_{k}={v * 1e3:.1f}ms" for k, v in workloads[name]["process_s"].items()),
+            f"process_rss_max={workloads[name]['process_rss_mb']['max']:.2f}MB",
         )
     doc = {
         "harness": "benchmarks/bench_pipeline.py",

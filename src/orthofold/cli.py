@@ -236,9 +236,12 @@ def _interval_doc(model) -> dict:
 def _analysis_payload(r, samples: int, seed: int) -> dict:
     a = r.action
     cloud = r.cloud
+    # a singularity label is decided per class, so it is counted per pair
     sing = {}
-    for lab in r.labels:
-        sing[lab.display()] = sing.get(lab.display(), 0) + 1
+    first, slot = cloud.pairs
+    for i, count in zip(first, np.bincount(slot, minlength=len(first)).tolist()):
+        name = r.labels[i].display()
+        sing[name] = sing.get(name, 0) + count
     merge_doc = [
         {"iso_blocks": list(pair), "klein_block": kid}
         for pair, kid in r.corr.merge_witnesses
@@ -258,7 +261,7 @@ def _analysis_payload(r, samples: int, seed: int) -> dict:
         },
         "dimension": {
             "principal": r.principal.value,
-            "values": sorted({int(d) for d in cloud.quotient_dims}),
+            "values": sorted(set(cloud.quotient_dims.tolist())),
             "exceptional_points": int(r.principal.exceptional.sum()),
         },
         "partitions": {

@@ -30,7 +30,7 @@ from .isotropy import (
 )
 from .numerics import MATCH_EPS
 from .seeding import rng_for
-from .strata import PartitionOfM, PrincipalData, SampleCloud
+from .strata import PartitionOfM, PrincipalData, SampleCloud, distinct_pairs, index_groups
 
 
 # ---------------------------------------------------------------------------
@@ -294,28 +294,20 @@ def local_models(a: ActionModel, stabs, reps, seed: int = 0) -> list[LocalModelF
     stabs and reps are aligned. By the slice theorem the local model depends
     only on the stabilizer and its slice representation, so one fingerprint
     is computed per distinct (stabilizer class, rep content) and handed to
-    every point of the pair. The points are first grouped by their rep and
-    class objects, and a rep's content, every field the fingerprint reads
-    (_rep_content), is taken once per group, so equal reps share a
-    fingerprint whether or not slice_representations shares their objects.
-    Fingerprint components are decided at fixed absolute cuts, and the
-    samples of every distinct rep are labelled in one _slice_stab_profiles
-    pass.
+    every point of the pair, the same object. The points are first grouped
+    by their class and rep objects (strata.distinct_pairs), and a rep's
+    content, every field the fingerprint reads (_rep_content), is taken
+    once per group, so equal reps share a fingerprint whether or not
+    slice_representations shares their objects. Fingerprint components are
+    decided at fixed absolute cuts, and the samples of every distinct rep
+    are labelled in one _slice_stab_profiles pass.
     """
+    first, slot = distinct_pairs(stabs, reps)
     seen: dict = {}
-    pairs, slot = [], []
-    for stab, rep in zip(stabs, reps):
-        # pairs keeps each keyed object alive, so no id is reused
-        key = (id(rep), id(stab.subgroup))
-        j = seen.get(key)
-        if j is None:
-            j = seen[key] = len(pairs)
-            pairs.append((stab, rep))
-        slot.append(j)
-    first: dict = {}
     unique, owner = [], []
-    for stab, rep in pairs:
-        j = first.setdefault((_rep_content(rep), stab.subgroup), len(unique))
+    for i in first:
+        stab, rep = stabs[i], reps[i]
+        j = seen.setdefault((_rep_content(rep), stab.subgroup), len(unique))
         if j == len(unique):
             unique.append((stab, rep))
         owner.append(j)
@@ -335,8 +327,8 @@ def local_models(a: ActionModel, stabs, reps, seed: int = 0) -> list[LocalModelF
         )
         for (stab, rep), profile in zip(unique, profiles)
     ]
-    fps = [fps[j] for j in owner]
-    return [fps[j] for j in slot]
+    per_pair = [fps[j] for j in owner]
+    return [per_pair[e] for e in slot.tolist()]
 
 
 def _rep_content(rep: SliceRep) -> tuple:
@@ -385,37 +377,64 @@ def identify_orbits(cloud: SampleCloud) -> tuple:
     weights and rounded orbit invariants; a pair joins when
     transport_element finds a group element carrying one point to the
     other. Returns ascending index tuples ordered by smallest member.
+
+    All but the invariants is read once per distinct (class, rep) pair of
+    the cloud (SampleCloud.pairs), and the distinct keys are ranked in the
+    order they sort; each point takes its pair's rank by array takes. One
+    np.lexsort over (rank, rounded invariants) then lays out the candidate
+    groups in key order, each ascending. A group of one point tries no
+    transport and never reaches Python; inside a larger group the pairs are
+    tried in index order, which is quadratic in the group's size. The
+    orbits are read off one array of each point's smallest orbit mate.
     """
     a = cloud.model
-    n = len(cloud)
-    parent = list(range(n))
+    first, slot = cloud.pairs
+    inv_raw = _orbit_invariants(a, cloud.points)
+    inv = np.round(inv_raw, 6)
+    # the key of each pair, as a number of the distinct keys; the class
+    # labels and canonical weight rows are shared by the pairs of equal
+    # class object and weights
+    shown: dict = {}
+    rows: dict = {}
+    numbers: dict = {}
+    number = []
+    for i, odim in zip(first, cloud.orbit_dims[first].tolist()):
+        cls, rep = cloud.stabs[i].subgroup, cloud.reps[i]
+        label = shown.get(id(cls))
+        if label is None:
+            label = shown[id(cls)] = cls.display()
+        canonical = rows.get(rep.weights)
+        if canonical is None:
+            canonical = rows[rep.weights] = canonical_weight_rows(rep.weights)
+        key = (label, odim, canonical, rep.zero_dims, rep.characters)
+        number.append(numbers.setdefault(key, len(numbers)))
+    rank_of = {key: r for r, key in enumerate(sorted(numbers))}
+    rank = np.array([rank_of[key] for key in numbers])[np.array(number)[slot]]
+    # np.lexsort sorts by its last key first
+    order = np.lexsort((*inv.T[::-1], rank))
+    rank, inv = rank[order], inv[order]
+    starts = np.flatnonzero(
+        np.concatenate([[True], (rank[1:] != rank[:-1]) | (inv[1:] != inv[:-1]).any(axis=1)])
+    )
+    ends = np.concatenate([starts[1:], [len(order)]])
+    several = ends - starts > 1
+
+    # the parent of each merged point that is not its set's root; a root is
+    # the smallest member of its set
+    parent: dict = {}
 
     def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+        root = i
+        while root in parent:
+            root = parent[root]
+        while i != root:
+            parent[i], i = root, parent[i]
+        return root
 
-    inv_raw = _orbit_invariants(a, cloud.points)
-    inv = np.round(inv_raw, 6).tolist()
-    odims = cloud.orbit_dims.tolist()
-    candidates: dict = {}
-    for i, (st, rep) in enumerate(zip(cloud.stabs, cloud.reps)):
-        key = (
-            st.subgroup.display(),
-            odims[i],
-            canonical_weight_rows(rep.weights),
-            rep.zero_dims,
-            rep.characters,
-            tuple(inv[i]),
-        )
-        candidates.setdefault(key, []).append(i)
-    # a singleton group tries no transport
-    for key in sorted(k for k, idx in candidates.items() if len(idx) > 1):
-        idx = candidates[key]
-        for p in range(len(idx)):
-            for q in range(p + 1, len(idx)):
-                i, j = idx[p], idx[q]
+    for lo, hi in zip(starts[several].tolist(), ends[several].tolist()):
+        idx = order[lo:hi].tolist()
+        for p, i in enumerate(idx):
+            for j in idx[p + 1 :]:
                 if find(i) == find(j):
                     continue
                 # orbit mates agree on the raw invariants to machine noise,
@@ -424,34 +443,45 @@ def identify_orbits(cloud: SampleCloud) -> tuple:
                     continue
                 g = transport_element(a, cloud.points[i], cloud.points[j])
                 if g is not None:
-                    parent[find(j)] = find(i)
-    orbit_members: dict = {}
-    for i in range(n):
-        orbit_members.setdefault(find(i), []).append(i)
-    return tuple(sorted((tuple(o) for o in orbit_members.values()), key=lambda o: o[0]))
+                    ri, rj = find(i), find(j)
+                    parent[max(ri, rj)] = min(ri, rj)
+    lead = np.arange(len(cloud))
+    if parent:
+        merged = list(parent)
+        lead[merged] = [find(i) for i in merged]
+    return tuple(index_groups(lead))
 
 
 def klein_partition(cloud: SampleCloud) -> PartitionOfM:
     """The inverse Klein stratification: Klein strata pulled back to the cloud.
 
     Each point is keyed by the _klein_key of its own local-model
-    fingerprint, and points sharing a key form one block. The orbits are
-    not read, so that each orbit lies in one block is a checked property,
-    not a construction. Block j is labelled S<j> and carries the
-    fingerprint of its smallest index and its quotient dimension.
+    fingerprint, and points sharing a key form one block. The fingerprints
+    are taken once per distinct (class, rep) pair of the cloud
+    (SampleCloud.pairs), the key once per distinct fingerprint, and each
+    point reaches its block by array indexing. The orbits are not read, so
+    that each orbit lies in one block is a checked property, not a
+    construction. Block j is labelled S<j> and carries the fingerprint of
+    its smallest index and its quotient dimension.
     """
-    fps = local_models(cloud.model, cloud.stabs, cloud.reps, seed=cloud.seed)
-    block_map: dict = {}
-    for i, fp in enumerate(fps):
-        block_map.setdefault(_klein_key(fp), {"fp": fp, "members": []})["members"].append(i)
-    # indices ascend, so the first member of each block is its smallest
-    items = sorted(block_map.values(), key=lambda e: e["members"][0])
-    blocks = tuple(tuple(e["members"]) for e in items)
+    first, slot = cloud.pairs
+    fps = local_models(cloud.model, [cloud.stabs[i] for i in first], [cloud.reps[i] for i in first], cloud.seed)
+    # pairs of equal rep content share one fingerprint object
+    numbers: dict = {}
+    keyed: dict = {}
+    key = []
+    for fp in fps:
+        k = keyed.get(id(fp))
+        if k is None:
+            k = keyed[id(fp)] = numbers.setdefault(_klein_key(fp), len(numbers))
+        key.append(k)
+    # disjoint blocks sort by their smallest members
+    blocks = sorted(index_groups(np.array(key)[slot]))
     labels = tuple(
-        {"label": f"S{j}", "fingerprint": e["fp"], "dim": int(cloud.quotient_dims[b[0]])}
-        for j, (e, b) in enumerate(zip(items, blocks))
+        {"label": f"S{j}", "fingerprint": fps[slot[b[0]]], "dim": int(cloud.quotient_dims[b[0]])}
+        for j, b in enumerate(blocks)
     )
-    return PartitionOfM(blocks=blocks, block_labels=labels)
+    return PartitionOfM(blocks=tuple(blocks), block_labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -707,10 +737,12 @@ def orbifold_criterion(cloud: SampleCloud, labels: list) -> bool:
     non-principal point is an orbifold point with a finite effective slice
     action. The dimension map must be constant exactly in that case, so
     disagreement between the two readings raises instead of returning an
-    answer.
+    answer. A label is decided per class, so each of the cloud's (class,
+    rep) pairs is read at its first point.
     """
     structural = True
-    for st, rep, lab in zip(cloud.stabs, cloud.reps, labels):
+    for i in cloud.pairs[0]:
+        st, rep, lab = cloud.stabs[i], cloud.reps[i], labels[i]
         if lab.label == "OrthofoldPoint":
             structural = False
             break
@@ -719,8 +751,7 @@ def orbifold_criterion(cloud: SampleCloud, labels: list) -> bool:
             if not finite_eff:
                 structural = False
                 break
-    # a 1-D np.unique would import numpy.ma, 11-18 ms of a CLI process
-    constant = len(set(cloud.quotient_dims.tolist())) == 1
+    constant = bool(cloud.quotient_dims.min() == cloud.quotient_dims.max())
     if structural != constant:
         raise ClassificationError(
             "dimension map and local structure disagree on orbifoldness"

@@ -14,6 +14,8 @@ dim M_H = 0; see isostabilizer_decomposition.
 
 from __future__ import annotations
 
+import functools
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +57,12 @@ class SampleCloud:
 
     def __len__(self) -> int:
         return int(self.points.shape[0])
+
+    @functools.cached_property
+    def pairs(self) -> tuple:
+        """distinct_pairs(stabs, reps): (first, slot), built on first use,
+        once per cloud."""
+        return distinct_pairs(self.stabs, self.reps)
 
 
 @dataclass(frozen=True)
@@ -149,18 +157,62 @@ def build_cloud(a: ActionModel, count: int, seed: int = 0) -> SampleCloud:
     )
 
 
+def distinct_pairs(stabs, reps) -> tuple:
+    """The distinct (stabilizer class, slice rep) pairs of aligned stabs and
+    reps, told apart by object: (first, slot), first[e] the index of the
+    first point of pair e, ascending, and slot[i] the pair of point i, an
+    int64 array.
+
+    A pair fixes all that the stages after the cloud read of a point: its
+    class, its rep and, through the rep's slice dimension, its orbit
+    dimension. So a stage decides once per pair and reaches the points by
+    indexing with slot. Each point costs two dict lookups by object id and
+    builds no key.
+    """
+    by_class: dict = {}
+    first, slot = [], []
+    # stabs and reps keep each keyed object alive, so no id is reused; a
+    # cloud has few class objects, while most non-trivial reps are a
+    # point's own
+    for i, (st, rep) in enumerate(zip(stabs, reps)):
+        by_rep = by_class.get(id(st.subgroup))
+        if by_rep is None:
+            by_rep = by_class[id(st.subgroup)] = {}
+        e = by_rep.get(id(rep))
+        if e is None:
+            e = by_rep[id(rep)] = len(first)
+            first.append(i)
+        slot.append(e)
+    slot = np.array(slot, dtype=np.int64)
+    slot.flags.writeable = False
+    return first, slot
+
+
+def index_groups(keys: np.ndarray) -> list[tuple]:
+    """The indices of each distinct value of keys, ascending, the groups in
+    ascending order of their value, from one np.lexsort (which is stable)."""
+    order = np.lexsort((keys,))
+    ordered = keys[order]
+    cuts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+    flat = order.tolist()
+    bounds = [0, *cuts.tolist(), len(flat)]
+    return [tuple(flat[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
 # ---------------------------------------------------------------------------
 # partitions
 # ---------------------------------------------------------------------------
 
 
-def _once_per_class(stabs, decide) -> list:
-    """decide(st) for each stabilizer, called once per distinct class, in
-    the order the classes first occur, and shared by every stabilizer of
-    that class. decide never returns None."""
+def _once_per_class(cloud: SampleCloud, decide) -> list:
+    """decide(st) for the stabilizer of each of the cloud's pairs
+    (SampleCloud.pairs), called once per distinct class, in the order the
+    classes first occur, and shared by every pair of that class. decide
+    never returns None."""
     seen: dict = {}
     out = []
-    for st in stabs:
+    for i in cloud.pairs[0]:
+        st = cloud.stabs[i]
         d = seen.get(st.subgroup)
         if d is None:
             d = seen[st.subgroup] = decide(st)
@@ -173,7 +225,8 @@ def orbit_type_partition(cloud: SampleCloud) -> PartitionOfM:
 
     A point joins the first block whose class is conjugate to its own, else
     opens a new one. Blocks are only appended, so equal classes always join
-    the same block: it is found once per distinct class.
+    the same block: it is found once per distinct class, and the points
+    reach it through their pairs.
     """
     labels: list[dict] = []
 
@@ -184,18 +237,17 @@ def orbit_type_partition(cloud: SampleCloud) -> PartitionOfM:
         labels.append({"subgroup": st.subgroup, "label": st.subgroup.display()})
         return len(labels) - 1
 
-    owner = _once_per_class(cloud.stabs, block)
-    blocks: list[list[int]] = [[] for _ in labels]
-    for i, b in enumerate(owner):
-        blocks[b].append(i)
+    owner = np.array(_once_per_class(cloud, block))[cloud.pairs[1]]
+    # every block holds a point, so group j is block j
+    blocks = index_groups(owner)
     order = sorted(range(len(blocks)), key=lambda j: blocks[j][0])
     return PartitionOfM(
-        blocks=tuple(tuple(blocks[j]) for j in order),
+        blocks=tuple(blocks[j] for j in order),
         block_labels=tuple(labels[j] for j in order),
     )
 
 
-def _exact_features(cloud: SampleCloud, idx: list) -> np.ndarray:
+def _exact_features(cloud: SampleCloud, idx) -> np.ndarray:
     """Feature rows of the stabilizers at the points idx, which share one
     coarse key, so one Lie dimension k and one witness count m.
 
@@ -210,31 +262,37 @@ def _exact_features(cloud: SampleCloud, idx: list) -> np.ndarray:
         return np.stack([(st.lie_kernel @ st.lie_kernel.T).ravel() for st in stabs])
     m = stabs[0].witness_ambs.shape[0]
     ambs = np.concatenate([st.witness_ambs for st in stabs])
-    lifted = lift(cloud.model, ambs, np.repeat(cloud.points[idx], m, axis=0))
+    lifted = lift(cloud.model, ambs, np.repeat(cloud.points[list(idx)], m, axis=0))
     return lifted.reshape(len(idx), m, -1).mean(axis=1)
 
 
-def _exact_groups(cloud: SampleCloud) -> list[list[int]]:
+def _exact_groups(cloud: SampleCloud) -> list[tuple]:
     """Indices grouped by exact stabilizer subgroup, each group ascending.
 
     The coarse key is the class label, the witness count m and the Lie
-    dimension k, and m = 1, k = 0 is the trivial subgroup. Within any other
-    key, two points share H when their _exact_features agree. For k > 0, equal Lie spans and equal class give equal H on the
-    catalog, where every stabilizer of positive dimension is connected or
-    is O2, the normalizer of its circle in SO(3). For k = 0, equal
-    fixed-space projectors put each point in the other's fixed space, so
-    each stabilizer contains the other. Rows join when their largest
-    coordinate difference is <= MATCH_EPS, transitively. Equal rows (every
-    trivial stabilizer, say) are collapsed first; the epsilon-join then
-    runs over the distinct rows (numerics.epsilon_components).
+    dimension k, and m = 1, k = 0 is the trivial subgroup; it is read once
+    per pair of the cloud. Within any other key, two points share H when
+    their _exact_features agree. For k > 0, equal Lie spans and equal class
+    give equal H on the catalog, where every stabilizer of positive
+    dimension is connected or is O2, the normalizer of its circle in SO(3).
+    For k = 0, equal fixed-space projectors put each point in the other's
+    fixed space, so each stabilizer contains the other. Rows join when
+    their largest coordinate difference is <= MATCH_EPS, transitively.
+    Equal rows (every trivial stabilizer, say) are collapsed first; the
+    epsilon-join then runs over the distinct rows
+    (numerics.epsilon_components).
     """
-    coarse: dict[tuple, list[int]] = {}
-    for i, st in enumerate(cloud.stabs):
+    first, slot = cloud.pairs
+    coarse: dict = {}
+    owner = []
+    for i in first:
+        st = cloud.stabs[i]
         key = (st.subgroup.display(), len(st.subgroup.traces), st.lie_kernel.shape[1])
-        coarse.setdefault(key, []).append(i)
+        owner.append(coarse.setdefault(key, len(coarse)))
 
-    out: list[list[int]] = []
-    for (_, m, k), idx in coarse.items():
+    out: list[tuple] = []
+    # every coarse key holds a point, so group j has key j
+    for (_, m, k), idx in zip(coarse, index_groups(np.array(owner)[slot])):
         # one witness and no Lie kernel: every such point has H = {e}
         if len(idx) == 1 or (m == 1 and k == 0):
             out.append(idx)
@@ -243,7 +301,7 @@ def _exact_groups(cloud: SampleCloud) -> list[list[int]]:
         sub: dict[int, list[int]] = {}
         for i, lab in zip(idx, epsilon_components(distinct, MATCH_EPS)[inverse.ravel()].tolist()):
             sub.setdefault(lab, []).append(i)
-        out.extend(sub.values())
+        out.extend(tuple(g) for g in sub.values())
     return out
 
 
@@ -336,13 +394,14 @@ def principal_dimension(cloud: SampleCloud, orbit_type: PartitionOfM) -> Princip
     attaining = [b for b in orbit_type.blocks if int(cloud.quotient_dims[b[0]]) == d_pr]
 
     def votes(b):
-        return sum(1 for i in b if i < cloud.sample_count)
+        # b ascends, so its uniform samples are the ones before sample_count
+        return bisect_left(b, cloud.sample_count)
 
     elected = min(attaining, key=lambda b: (-votes(b), -len(b), b[0]))
     pcls = cloud.stabs[elected[0]].subgroup
     podim = int(cloud.orbit_dims[elected[0]])
-    off = _once_per_class(cloud.stabs, lambda st: not groups.classes_conjugate(st.subgroup, pcls))
-    exceptional = (cloud.orbit_dims == podim) & np.array(off, dtype=bool)
+    off = _once_per_class(cloud, lambda st: not groups.classes_conjugate(st.subgroup, pcls))
+    exceptional = (cloud.orbit_dims == podim) & np.array(off, dtype=bool)[cloud.pairs[1]]
     return PrincipalData(value=d_pr, subgroup=pcls, orbit_dim=podim, exceptional=exceptional)
 
 
@@ -373,9 +432,10 @@ def singularity_labels(cloud: SampleCloud, principal: PrincipalData) -> list[Sin
 
     A label reads the stabilizer's class and its witness count, which is the
     length of the class's trace multiset, so it is decided once per distinct
-    class.
+    class, and it is the same object at every point of one pair.
     """
-    return _once_per_class(cloud.stabs, lambda st: classify_singularity(st, principal.subgroup))
+    labels = _once_per_class(cloud, lambda st: classify_singularity(st, principal.subgroup))
+    return [labels[e] for e in cloud.pairs[1].tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -448,6 +448,69 @@ def test_identify_orbits_tries_the_reference_transports(monkeypatch, pipeline_fa
     assert bool(tried) == (name in ("s2xs2-so3", "rp2-so2", "cp2-so3"))
 
 
+def test_identify_orbits_joins_the_images_of_a_finite_group(monkeypatch):
+    # every orbit of a uniform s2-zn(5) cloud is a single point, so no merge
+    # is tried there. Plant the Z5 images of three sampled points first among
+    # the samples: each must come out as one orbit of five, by the reference
+    # loop's transports, tried in its order
+    a = actions.get_action("s2-zn(5)")
+    original = strata.sample_points
+
+    def with_images(m, count, rng):
+        pts = original(m, count, rng)
+        images = np.einsum("gij,bj->bgi", a.element_ambs, pts[:3]).reshape(-1, pts.shape[1])
+        return np.concatenate([images, pts[3 : count - len(images) + 3]])
+
+    monkeypatch.setattr(strata, "sample_points", with_images)
+    cloud = strata.build_cloud(a, 60, seed=0)
+    monkeypatch.undo()
+    index = {x.tobytes(): i for i, x in enumerate(cloud.points)}
+    assert len(index) == len(cloud) == 62
+    tried, want = [], []
+
+    def recording(a_, x, y):
+        tried.append((index[x.tobytes()], index[y.tobytes()]))
+        return isotropy.transport_element(a_, x, y)
+
+    def transport(i, j):
+        want.append((i, j))
+        return isotropy.transport_element(a, cloud.points[i], cloud.points[j])
+
+    monkeypatch.setattr(quotient, "transport_element", recording)
+    orbits = quotient.identify_orbits(cloud)
+    assert orbits == identify_orbits_reference(cloud, transport)
+    assert tried == want and tried
+    assert orbits[:3] == tuple(tuple(range(5 * p, 5 * p + 5)) for p in range(3))
+    assert all(len(o) == 1 for o in orbits[3:])
+
+
+def test_orbits_and_klein_blocks_are_keyed_once_per_pair(monkeypatch):
+    # the 3002 points of s2-zn(5) at 3000 samples share 3 (class, rep)
+    # pairs: the class labels and weight rows of the orbit candidates and
+    # the Klein keys are read once per pair at most, not once per point
+    cloud = strata.build_cloud(actions.get_action("s2-zn(5)"), 3000, seed=0)
+    calls = {"display": 0, "rows": 0, "klein": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return counted
+
+    monkeypatch.setattr(groups.SubgroupClass, "display", counting("display", groups.SubgroupClass.display))
+    monkeypatch.setattr(quotient, "canonical_weight_rows", counting("rows", quotient.canonical_weight_rows))
+    monkeypatch.setattr(quotient, "_klein_key", counting("klein", quotient._klein_key))
+    orbits = quotient.identify_orbits(cloud)
+    in_orbits = dict(calls)
+    calls.update(dict.fromkeys(calls, 0))
+    klein = quotient.klein_partition(cloud)
+    assert 1 <= in_orbits["display"] <= 3 and 1 <= in_orbits["rows"] <= 3
+    assert 1 <= calls["klein"] <= 3
+    assert len(cloud.pairs[0]) == 3
+    assert len(orbits) == 3002 and sorted(len(b) for b in klein.blocks) == [2, 3000]
+
+
 def test_klein_partition_fingerprints_each_shared_rep_once(monkeypatch):
     # s2-zn(5): 3000 of the 3002 points have the trivial stabilizer and share
     # its rep object, so the points need a handful of fingerprints, not one

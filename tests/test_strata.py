@@ -8,7 +8,7 @@ from zlib import crc32
 import numpy as np
 import pytest
 
-from orthofold import actions, isotropy, numerics, strata
+from orthofold import actions, groups, isotropy, numerics, strata
 from orthofold.errors import InputError
 from orthofold.seeding import rng_for
 
@@ -356,6 +356,54 @@ def test_singularity_labels_zn(cloud_factory):
     labels = _labels(cloud)
     displays = {lab.display() for lab in labels}
     assert displays == {"ManifoldPoint", "OrbifoldPoint(5)"}
+
+
+@pytest.mark.parametrize("name", [*actions.catalog_ids(), "cn-tn(3)"])
+def test_distinct_pairs_hold_each_points_class_and_rep(cloud_factory, name):
+    cloud = cloud_factory(name)
+    first, slot = cloud.pairs
+    assert first == sorted(first) and slot[first].tolist() == list(range(len(first)))
+    assert len({(id(cloud.stabs[i].subgroup), id(cloud.reps[i])) for i in first}) == len(first)
+    for i, e in enumerate(slot.tolist()):
+        j = first[e]
+        assert cloud.stabs[i].subgroup is cloud.stabs[j].subgroup and cloud.reps[i] is cloud.reps[j]
+        # a rep's slice dimension fixes the orbit dimension
+        assert cloud.orbit_dims[i] == cloud.orbit_dims[j]
+
+
+def test_index_groups_match_a_dict_grouping():
+    for keys in (np.random.default_rng(0).integers(0, 7, size=200), np.array([4]), np.array([3, 3, 1, 3])):
+        want: dict = {}
+        for i, k in enumerate(keys.tolist()):
+            want.setdefault(k, []).append(i)
+        assert strata.index_groups(keys) == [tuple(want[k]) for k in sorted(want)]
+
+
+@pytest.mark.parametrize("name", [*actions.catalog_ids(), "cn-tn(3)"])
+def test_per_pair_decisions_are_the_per_point_ones(cloud_factory, name):
+    # orbit type, the exceptional flags and the singularity labels are
+    # decided once per (class, rep) pair; each must be what deciding at
+    # every point gives
+    cloud = cloud_factory(name)
+    orbit_type = strata.orbit_type_partition(cloud)
+    classes, blocks = [], []
+    for i, st in enumerate(cloud.stabs):
+        for b, cls in enumerate(classes):
+            if groups.classes_conjugate(st.subgroup, cls):
+                blocks[b].append(i)
+                break
+        else:
+            classes.append(st.subgroup)
+            blocks.append([i])
+    assert orbit_type.blocks == tuple(sorted(tuple(b) for b in blocks))
+    pr = strata.principal_dimension(cloud, orbit_type)
+    want = [
+        odim == pr.orbit_dim and not groups.classes_conjugate(st.subgroup, pr.subgroup)
+        for st, odim in zip(cloud.stabs, cloud.orbit_dims.tolist())
+    ]
+    assert pr.exceptional.tolist() == want
+    labels = strata.singularity_labels(cloud, pr)
+    assert labels == [strata.classify_singularity(st, pr.subgroup) for st in cloud.stabs]
 
 
 def test_toric_depth_values():
