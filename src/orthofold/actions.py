@@ -8,7 +8,7 @@ J v = interleave(i z).
 
 Every catalog action is linear in ambient coordinates: an element g of the
 group's canonical representation acts through the ambient matrix amb(g), and
-act(g, x) renormalizes the image representative. An image is compared with
+g . x is the image amb(g) x, renormalized. An image is compared with
 a target once align has turned its representative, by sign or phase, to lie
 nearest it; the fixer and transport tests all go through it.
 """
@@ -291,10 +291,6 @@ class ActionModel:
         out = np.array([self.amb_lie(xi) for xi in self.group.lie], dtype=np.float64).reshape(-1, n, n)
         out.flags.writeable = False
         return out
-
-
-def act(a: ActionModel, g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return normalize(a.manifold, a.amb(g) @ x)
 
 
 def infinitesimal_actions(a: ActionModel, X: np.ndarray, frames: np.ndarray) -> np.ndarray:

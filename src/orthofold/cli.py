@@ -429,7 +429,8 @@ def _iso_pieces_expected(a, cloud) -> dict | None:
     if name.startswith("cn-tn"):
         out: Counter = Counter()
         for z in range(n + 1):
-            label = {0: "Trivial", 1: "U1", n: "FullGroup"}.get(z, "Other")
+            # the full circle of cn-tn(1) is labelled as a circle, U1
+            label = {0: "Trivial", n: "FullGroup", 1: "U1"}.get(z, "Other")
             out[label] += math.comb(n, z)
         return out
     return None

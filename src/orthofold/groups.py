@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ClassificationError, InputError
 from .kernels import SO3_GENERATORS, rodrigues_batch
-from .numerics import MATCH_EPS, spans_equal
+from .numerics import spans_equal
 
 _J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -44,9 +44,6 @@ class GroupDescriptor:
         if self.kind == "finite":
             return len(self.elements)
         return 1
-
-    def identity(self) -> np.ndarray:
-        return np.eye(self.size)
 
 
 def so3() -> GroupDescriptor:
@@ -250,20 +247,24 @@ def congruence_solutions(W, B) -> tuple[np.ndarray, int]:
 
 @dataclass(frozen=True)
 class SubgroupClass:
-    """Conjugacy-class level description of a stabilizer subgroup."""
+    """Conjugacy-class level description of a stabilizer subgroup.
+
+    key is the class's conjugacy key, and two classes are conjugate exactly
+    when their keys are equal: labeled classes by label, order and Lie
+    dimension, Other classes by their rounded trace multiset as well.
+    """
 
     label: str  # Trivial | Zn | SO2 | O2 | U1 | FullGroup | Other
     order: int | None  # component count for Zn, None when infinite/unknown
     lie_dim: int
-    component_hint: str
     traces: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
         # every per-class memo hashes a point's class, so hash the fields
         # once, to the value the generated __hash__ would give
-        object.__setattr__(
-            self, "_hash", hash((self.label, self.order, self.lie_dim, self.component_hint, self.traces))
-        )
+        object.__setattr__(self, "_hash", hash((self.label, self.order, self.lie_dim, self.traces)))
+        traces = self.traces if self.label == "Other" else ()
+        object.__setattr__(self, "key", (self.label, self.order, self.lie_dim, traces))
 
     def __hash__(self) -> int:
         return self._hash
@@ -271,7 +272,7 @@ class SubgroupClass:
     def __reduce__(self):
         # str hashes differ between processes: a copy or an unpickled class
         # is rebuilt through __init__, which hashes it afresh
-        return SubgroupClass, (self.label, self.order, self.lie_dim, self.component_hint, self.traces)
+        return SubgroupClass, (self.label, self.order, self.lie_dim, self.traces)
 
     def display(self) -> str:
         if self.label == "Zn":
@@ -292,22 +293,6 @@ def _has_element_of_order(witnesses: np.ndarray, m: int) -> bool:
     return bool(np.any(~np.any([identity_mask(p) for p in powers], axis=0)))
 
 
-def classify_subgroup(
-    g: GroupDescriptor,
-    lie_kernel: np.ndarray,
-    witnesses: np.ndarray,
-) -> SubgroupClass:
-    """Name the subgroup spanned by a stabilizer's Lie kernel and witnesses.
-
-    lie_kernel: (lie_dim, k) coefficient vectors of the stabilizer algebra.
-    witnesses: (m, n, n) component representatives, identity first.
-
-    It is classify_subgroups of the one pair.
-    """
-    kernels = lie_kernel[None] if lie_kernel.ndim == 2 else np.zeros((1, g.lie_dim, 0))
-    return classify_subgroups(g, kernels, np.asarray(witnesses)[None])[0]
-
-
 def classify_subgroups(
     g: GroupDescriptor,
     lie_kernels: np.ndarray,
@@ -320,12 +305,13 @@ def classify_subgroups(
     identity first.
 
     Labels target the stabilizer types arising in the built-in catalog;
-    subgroups outside that vocabulary land in Other, whose comparisons use
-    conservative invariants only. In particular non-conjugate subtori of a
-    higher-rank torus can share a label; the finer Lie-span data lives on
-    the decomposition fingerprints, not here. A finite group of order m is
+    subgroups outside that vocabulary land in Other, whose conjugacy key
+    (SubgroupClass.key) adds the rounded trace multiset, a conservative
+    invariant only. In particular non-conjugate subtori of a higher-rank
+    torus can share a key; the finer Lie-span data lives on the
+    decomposition fingerprints, not here. A finite group of order m is
     Zn(m) only when some witness has order m; a non-cyclic one, such as the
-    Klein four-group of half-turns in SO(3), is Other with hint finite(m).
+    Klein four-group of half-turns in SO(3), is Other.
 
     The adjoint action of every witness is read in one stacked product: on
     SO(3) each witness must normalize its stabilizer's algebra, and with
@@ -351,7 +337,7 @@ def classify_subgroups(
         if normal and not np.all(spans_equal(ad @ lie_kernels[:, None], lie_kernels[:, None])):
             raise ClassificationError("witness does not normalize the stabilizer Lie span")
         if k == 1 and m == 2:
-            # each circle's unit axis, as orthonormalize gives it
+            # each circle's unit axis, its leading left singular vector
             span = np.linalg.svd(lie_kernels, full_matrices=False)[0][:, :, 0]
             turned = np.einsum("bij,bj->bi", ad[:, 1], span)
             # np.allclose(turned, -span, atol=1e-6), written out per stabilizer
@@ -373,41 +359,19 @@ def _subgroup_class(g: GroupDescriptor, k: int, witnesses: np.ndarray, traces: t
     m = len(witnesses)
     if k == 0:
         if m == 1:
-            return SubgroupClass("Trivial", 1, 0, "connected", traces)
+            return SubgroupClass("Trivial", 1, 0, traces)
         if _has_element_of_order(witnesses, m):
-            return SubgroupClass("Zn", m, 0, f"finite({m})", traces)
-        return SubgroupClass("Other", None, 0, f"finite({m})", traces)
+            return SubgroupClass("Zn", m, 0, traces)
+        return SubgroupClass("Other", None, 0, traces)
 
     if k == 1:
         if m == 1:
-            return SubgroupClass(g.circle_label, None, 1, "connected", traces)
+            return SubgroupClass(g.circle_label, None, 1, traces)
         if reverses:
-            return SubgroupClass("O2", None, 1, "two_components", traces)
-        return SubgroupClass("Other", None, 1, f"components({m})", traces)
+            return SubgroupClass("O2", None, 1, traces)
+        return SubgroupClass("Other", None, 1, traces)
 
     if k == g.lie_dim and m == g.n_components:
-        return SubgroupClass("FullGroup", None, k, "full", traces)
-    return SubgroupClass("Other", None, k, f"components({m})", traces)
+        return SubgroupClass("FullGroup", None, k, traces)
+    return SubgroupClass("Other", None, k, traces)
 
-
-def classes_conjugate(a: SubgroupClass, b: SubgroupClass) -> bool:
-    """Conjugacy at the level of class descriptions.
-
-    Labeled classes compare by label (and order for Zn). Other-vs-Other is a
-    conservative invariant match on (lie_dim, component hint, trace multiset):
-    equality is only reported on a full match, so distinct but genuinely
-    conjugate exotic subgroups may compare unequal. The traces match under
-    np.allclose's bound, written out: partition builders ask this once per
-    point, and the per-call array set-up would cost more than the test.
-    """
-    if a.label != b.label:
-        return False
-    if a.label == "Zn":
-        return a.order == b.order
-    if a.label == "Other":
-        if a.lie_dim != b.lie_dim or a.component_hint != b.component_hint:
-            return False
-        if len(a.traces) != len(b.traces):
-            return False
-        return all(abs(x - y) <= MATCH_EPS + 1e-5 * abs(y) for x, y in zip(a.traces, b.traces))
-    return a.lie_dim == b.lie_dim

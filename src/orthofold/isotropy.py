@@ -162,7 +162,7 @@ def _finite_stabilizer(g: groups.GroupDescriptor, amb, keep: tuple):
     wits = g.elements[list(keep)]
     wambs = np.stack([amb(w) for w in wits])
     wits.flags.writeable = wambs.flags.writeable = False
-    return wits, wambs, groups.classify_subgroup(g, np.zeros((0, 0)), wits)
+    return wits, wambs, groups.classify_subgroups(g, np.zeros((1, 0, 0)), wits[None])[0]
 
 
 def _finite_rows(a: ActionModel, X: np.ndarray) -> list:
@@ -286,7 +286,7 @@ def _torus_rows(a: ActionModel, X: np.ndarray, ks: np.ndarray, kernels: list) ->
         images = (pts @ wambs.reshape(-1, n).T).reshape(-1, n)
         if _aligned_d2(a, images, np.repeat(pts, len(wits), axis=0)).max() > ACCEPT_D2:
             raise StabilizerError("closed-form witness misses the fixer set")
-        row = (wits, wambs, groups.classify_subgroup(g, kernels[idx[0]], wits))
+        row = (wits, wambs, groups.classify_subgroups(g, kernels[idx[0]][None], wits[None])[0])
         for i in idx:
             out[i] = row
     return out

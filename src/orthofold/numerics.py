@@ -98,15 +98,6 @@ def shared_identity(d: int) -> np.ndarray:
     return eye
 
 
-def orthonormalize(vectors) -> np.ndarray:
-    """Orthonormal basis of the column span (rank-revealing, via SVD)."""
-    m = as_small_matrix(vectors)
-    if m.shape[1] == 0 or not m.any():
-        return np.zeros((m.shape[0], 0))
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    return u[:, : int(np.count_nonzero(_kept(s)))].copy()
-
-
 def _kept(s: np.ndarray) -> np.ndarray:
     """The rank rule: which singular values (descending, along the last
     axis) lie above RANK_EPS times the largest. A zero lead keeps none."""
@@ -129,8 +120,8 @@ def spans_equal(a, b):
 def _projectors(a) -> np.ndarray:
     """The orthogonal projector onto the column span of a matrix, or of each
     matrix of a (..., d, k) stack: Q Q^T, Q the left singular vectors that
-    orthonormalize keeps. A zero matrix, or one without columns, projects
-    to 0."""
+    the rank rule (_kept) keeps. A zero matrix, or one without columns,
+    projects to 0."""
     m = np.asarray(a, dtype=np.float64) if np.ndim(a) > 2 else as_small_matrix(a)
     if m.shape[-1] == 0:
         return np.zeros(m.shape[:-1] + m.shape[-2:-1])

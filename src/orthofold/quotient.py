@@ -12,6 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import compress
 from math import gcd
 
 import numpy as np
@@ -348,8 +349,8 @@ def _klein_key(f: LocalModelFingerprint) -> tuple:
 def _orbit_invariants(a: ActionModel, pts: np.ndarray) -> np.ndarray:
     """Orbit-constant coordinates used to prefilter orbit identification.
 
-    Values are returned unrounded; callers round for hashing and keep the
-    raw values for gap tests.
+    Values are returned unrounded: identify_orbits cuts its candidate
+    groups and tests its gaps on the raw values.
     """
     if a.interval is not None:
         return a.interval.projection(pts)[:, None]
@@ -373,24 +374,28 @@ def _orbit_invariants(a: ActionModel, pts: np.ndarray) -> np.ndarray:
 def identify_orbits(cloud: SampleCloud) -> tuple:
     """Cloud indices grouped by orbit, each merge certified by a transport.
 
-    Candidate pairs share their stabilizer class, orbit dimension, slice
-    weights and rounded orbit invariants; a pair joins when
-    transport_element finds a group element carrying one point to the
-    other. Returns ascending index tuples ordered by smallest member.
+    Candidate pairs share their stabilizer class, orbit dimension and slice
+    weights, and their orbit invariants differ by at most 1e-7 in every
+    coordinate; a pair joins when transport_element finds a group element
+    carrying one point to the other. Returns ascending index tuples ordered
+    by smallest member.
 
     All but the invariants is read once per distinct (class, rep) pair of
     the cloud (SampleCloud.pairs), and the distinct keys are ranked in the
     order they sort; each point takes its pair's rank by array takes. One
-    np.lexsort over (rank, rounded invariants) then lays out the candidate
-    groups in key order, each ascending. A group of one point tries no
-    transport and never reaches Python; inside a larger group the pairs are
-    tried in index order, which is quadratic in the group's size. The
-    orbits are read off one array of each point's smallest orbit mate.
+    np.lexsort over (rank, widest invariant) then lays out the candidate
+    groups: runs of one rank in which the invariant of widest spread steps
+    by at most 1e-7. Two points within 1e-7 of each other in that
+    invariant are never cut apart, so no run splits a pair of orbit mates.
+    A group of one point tries no transport and never reaches Python.
+    Inside a larger group each point, in index order, tries the orbit
+    leaders found so far (the smallest member of each orbit) within 1e-7 of
+    it in every invariant, and joins the first one it is transported to;
+    else it leads an orbit of its own.
     """
     a = cloud.model
     first, slot = cloud.pairs
-    inv_raw = _orbit_invariants(a, cloud.points)
-    inv = np.round(inv_raw, 6)
+    inv = _orbit_invariants(a, cloud.points)
     # the key of each pair, as a number of the distinct keys; the class
     # labels and canonical weight rows are shared by the pairs of equal
     # class object and weights
@@ -410,45 +415,27 @@ def identify_orbits(cloud: SampleCloud) -> tuple:
         number.append(numbers.setdefault(key, len(numbers)))
     rank_of = {key: r for r, key in enumerate(sorted(numbers))}
     rank = np.array([rank_of[key] for key in numbers])[np.array(number)[slot]]
+    wide = inv[:, np.argmax(np.ptp(inv, axis=0))] if inv.shape[1] else np.zeros(len(cloud))
     # np.lexsort sorts by its last key first
-    order = np.lexsort((*inv.T[::-1], rank))
-    rank, inv = rank[order], inv[order]
-    starts = np.flatnonzero(
-        np.concatenate([[True], (rank[1:] != rank[:-1]) | (inv[1:] != inv[:-1]).any(axis=1)])
-    )
+    order = np.lexsort((wide, rank))
+    rank, wide = rank[order], wide[order]
+    starts = np.flatnonzero(np.concatenate([[True], (rank[1:] != rank[:-1]) | (np.diff(wide) > 1e-7)]))
     ends = np.concatenate([starts[1:], [len(order)]])
     several = ends - starts > 1
 
-    # the parent of each merged point that is not its set's root; a root is
-    # the smallest member of its set
-    parent: dict = {}
-
-    def find(i):
-        root = i
-        while root in parent:
-            root = parent[root]
-        while i != root:
-            parent[i], i = root, parent[i]
-        return root
-
-    for lo, hi in zip(starts[several].tolist(), ends[several].tolist()):
-        idx = order[lo:hi].tolist()
-        for p, i in enumerate(idx):
-            for j in idx[p + 1 :]:
-                if find(i) == find(j):
-                    continue
-                # orbit mates agree on the raw invariants to machine noise,
-                # so a visible gap rules the pair out without a transport solve
-                if inv_raw.shape[1] and np.abs(inv_raw[i] - inv_raw[j]).max() > 1e-7:
-                    continue
-                g = transport_element(a, cloud.points[i], cloud.points[j])
-                if g is not None:
-                    ri, rj = find(i), find(j)
-                    parent[max(ri, rj)] = min(ri, rj)
     lead = np.arange(len(cloud))
-    if parent:
-        merged = list(parent)
-        lead[merged] = [find(i) for i in merged]
+    for lo, hi in zip(starts[several].tolist(), ends[several].tolist()):
+        leaders: list = []
+        for j in sorted(order[lo:hi].tolist()):
+            # orbit mates agree on the raw invariants to machine noise, so
+            # a visible gap rules a leader out without a transport solve
+            near = np.abs(inv[leaders] - inv[j]).max(axis=1, initial=0.0) <= 1e-7
+            for i in compress(leaders, near.tolist()):
+                if transport_element(a, cloud.points[i], cloud.points[j]) is not None:
+                    lead[j] = i
+                    break
+            else:
+                leaders.append(j)
     return tuple(index_groups(lead))
 
 
@@ -532,27 +519,19 @@ def correspondence(iso: PartitionOfM, klein: PartitionOfM) -> CorrespondenceRepo
         for ci, a_ids in members.items():
             for cj, b_ids in members.items():
                 j = bisect_right(b_ids, a_ids[0])
-                if j == len(b_ids) or groups.classes_conjugate(ci, cj):
+                if j == len(b_ids) or ci.key == cj.key:
                     continue
                 pair = (a_ids[0], b_ids[j])
                 tag = (ci.display(), cj.display(), kid)
                 first[tag] = min(first.get(tag, pair), pair)
     merge = sorted(((pair, tag[2]) for tag, pair in first.items()), key=lambda e: (e[1], e[0]))
 
-    class_groups: list = []
+    # the Klein blocks of each conjugacy key, shown by its first class
+    spread: dict = {}
     for cls, ids in by_class.items():
-        kids = {mapping[bid] for bid in ids}
-        for grp in class_groups:
-            if groups.classes_conjugate(cls, grp["cls"]):
-                grp["kids"] |= kids
-                break
-        else:
-            class_groups.append({"cls": cls, "kids": kids})
-    split = [
-        (grp["cls"].display(), tuple(sorted(grp["kids"])))
-        for grp in class_groups
-        if len(grp["kids"]) > 1
-    ]
+        shown, kids = spread.setdefault(cls.key, (cls.display(), set()))
+        kids.update(mapping[bid] for bid in ids)
+    split = [(shown, tuple(sorted(kids))) for shown, kids in spread.values() if len(kids) > 1]
 
     return CorrespondenceReport(
         mapping=tuple(mapping),
@@ -692,10 +671,7 @@ def quotient_interval_model(
         v = np.sort(vals[list(block)])
         gaps = np.where(np.diff(v) > 1e-3)[0]
         clusters = np.split(v, gaps + 1)
-        has_principal = any(
-            groups.classes_conjugate(cloud.stabs[i].subgroup, principal.subgroup)
-            for i in block
-        )
+        has_principal = any(cloud.stabs[i].subgroup.key == principal.subgroup.key for i in block)
         if not has_principal and all(c[-1] - c[0] <= 1e-6 for c in clusters):
             # + 0.0 turns a negative zero from rounding into plain zero
             spots = tuple(float(np.round(np.mean(c), 6)) + 0.0 for c in clusters)

@@ -204,47 +204,26 @@ def index_groups(keys: np.ndarray) -> list[tuple]:
 # ---------------------------------------------------------------------------
 
 
-def _once_per_class(cloud: SampleCloud, decide) -> list:
-    """decide(st) for the stabilizer of each of the cloud's pairs
-    (SampleCloud.pairs), called once per distinct class, in the order the
-    classes first occur, and shared by every pair of that class. decide
-    never returns None."""
-    seen: dict = {}
-    out = []
-    for i in cloud.pairs[0]:
-        st = cloud.stabs[i]
-        d = seen.get(st.subgroup)
-        if d is None:
-            d = seen[st.subgroup] = decide(st)
-        out.append(d)
-    return out
-
-
 def orbit_type_partition(cloud: SampleCloud) -> PartitionOfM:
-    """Group cloud points whose stabilizer classes are conjugate.
+    """Group cloud points whose stabilizer classes are conjugate, that is,
+    share their conjugacy key (SubgroupClass.key).
 
-    A point joins the first block whose class is conjugate to its own, else
-    opens a new one. Blocks are only appended, so equal classes always join
-    the same block: it is found once per distinct class, and the points
-    reach it through their pairs.
+    The distinct keys are numbered in the order they first occur over the
+    cloud's pairs (SampleCloud.pairs), which is the order of their first
+    points, and the points reach their key's number through their pairs.
+    Block j holds key j, so the blocks come sorted by smallest member.
     """
-    labels: list[dict] = []
-
-    def block(st):
-        for b, lab in enumerate(labels):
-            if groups.classes_conjugate(st.subgroup, lab["subgroup"]):
-                return b
-        labels.append({"subgroup": st.subgroup, "label": st.subgroup.display()})
-        return len(labels) - 1
-
-    owner = np.array(_once_per_class(cloud, block))[cloud.pairs[1]]
-    # every block holds a point, so group j is block j
-    blocks = index_groups(owner)
-    order = sorted(range(len(blocks)), key=lambda j: blocks[j][0])
-    return PartitionOfM(
-        blocks=tuple(blocks[j] for j in order),
-        block_labels=tuple(labels[j] for j in order),
-    )
+    first, slot = cloud.pairs
+    numbers: dict = {}
+    labels = []
+    owner = []
+    for i in first:
+        cls = cloud.stabs[i].subgroup
+        j = numbers.setdefault(cls.key, len(numbers))
+        if j == len(labels):
+            labels.append({"subgroup": cls, "label": cls.display()})
+        owner.append(j)
+    return PartitionOfM(blocks=tuple(index_groups(np.array(owner)[slot])), block_labels=tuple(labels))
 
 
 def _exact_features(cloud: SampleCloud, idx) -> np.ndarray:
@@ -269,9 +248,10 @@ def _exact_features(cloud: SampleCloud, idx) -> np.ndarray:
 def _exact_groups(cloud: SampleCloud) -> list[tuple]:
     """Indices grouped by exact stabilizer subgroup, each group ascending.
 
-    The coarse key is the class label, the witness count m and the Lie
-    dimension k, and m = 1, k = 0 is the trivial subgroup; it is read once
-    per pair of the cloud. Within any other key, two points share H when
+    The coarse key is the conjugacy key of the class, the witness count m
+    and the Lie dimension k, and m = 1, k = 0 is the trivial subgroup; it
+    is read once per pair of the cloud. Within any other key, two points
+    share H when
     their _exact_features agree. For k > 0, equal Lie spans and equal class
     give equal H on the catalog, where every stabilizer of positive
     dimension is connected or is O2, the normalizer of its circle in SO(3).
@@ -287,7 +267,7 @@ def _exact_groups(cloud: SampleCloud) -> list[tuple]:
     owner = []
     for i in first:
         st = cloud.stabs[i]
-        key = (st.subgroup.display(), len(st.subgroup.traces), st.lie_kernel.shape[1])
+        key = (st.subgroup.key, len(st.subgroup.traces), st.lie_kernel.shape[1])
         owner.append(coarse.setdefault(key, len(coarse)))
 
     out: list[tuple] = []
@@ -400,8 +380,8 @@ def principal_dimension(cloud: SampleCloud, orbit_type: PartitionOfM) -> Princip
     elected = min(attaining, key=lambda b: (-votes(b), -len(b), b[0]))
     pcls = cloud.stabs[elected[0]].subgroup
     podim = int(cloud.orbit_dims[elected[0]])
-    off = _once_per_class(cloud, lambda st: not groups.classes_conjugate(st.subgroup, pcls))
-    exceptional = (cloud.orbit_dims == podim) & np.array(off, dtype=bool)[cloud.pairs[1]]
+    off = np.array([cloud.stabs[i].subgroup.key != pcls.key for i in cloud.pairs[0]], dtype=bool)
+    exceptional = (cloud.orbit_dims == podim) & off[cloud.pairs[1]]
     return PrincipalData(value=d_pr, subgroup=pcls, orbit_dim=podim, exceptional=exceptional)
 
 
@@ -413,7 +393,7 @@ def classify_singularity(stab, principal_class: groups.SubgroupClass) -> Singula
     components; a larger stabilizer dimension gives a general orthofold point.
     """
     cls = stab.subgroup
-    if groups.classes_conjugate(cls, principal_class):
+    if cls.key == principal_class.key:
         return SingularityLabel("ManifoldPoint")
     if cls.lie_dim < principal_class.lie_dim:
         raise ClassificationError("stabilizer smaller than the principal class")
@@ -434,7 +414,14 @@ def singularity_labels(cloud: SampleCloud, principal: PrincipalData) -> list[Sin
     length of the class's trace multiset, so it is decided once per distinct
     class, and it is the same object at every point of one pair.
     """
-    labels = _once_per_class(cloud, lambda st: classify_singularity(st, principal.subgroup))
+    seen: dict = {}
+    labels = []
+    for i in cloud.pairs[0]:
+        st = cloud.stabs[i]
+        lab = seen.get(st.subgroup)
+        if lab is None:
+            lab = seen[st.subgroup] = classify_singularity(st, principal.subgroup)
+        labels.append(lab)
     return [labels[e] for e in cloud.pairs[1].tolist()]
 
 

@@ -17,11 +17,12 @@ built one stabilizer at a time, the tangent frame built one point at a time, the
 finite slice representation read from one point's witness differentials,
 the finite fixer test run one point at a time, the orbit identification
 loop that built every candidate key per point, the Klein partition built
-from orbit roots, a partition check and the
+from orbit roots, the pairwise conjugacy predicate that preceded the
+conjugacy key, a partition check and the
 aligned distance of two points. None of it imports the numeric routines under
 test beyond the public model types, the slice frame helpers, the
-representative alignment the displacement test shares, and the
-orthonormalization of the Lie spans.
+representative alignment the displacement test shares, and the subgroup
+classifier, which classify_one calls on a stack of one.
 """
 
 from __future__ import annotations
@@ -86,6 +87,47 @@ def _row_echelon(rows):
         if r == len(rows):
             break
     return rows[:r], pivots
+
+
+def classify_one(g, lie_kernel, witnesses) -> groups.SubgroupClass:
+    """groups.classify_subgroups of one stabilizer: its (lie_dim, k) Lie
+    kernel and its (m, n, n) witnesses, each made a stack of one."""
+    return groups.classify_subgroups(g, np.asarray(lie_kernel)[None], np.asarray(witnesses)[None])[0]
+
+
+def classes_conjugate_reference(a: groups.SubgroupClass, b: groups.SubgroupClass) -> bool:
+    """The pairwise conjugacy predicate that preceded SubgroupClass.key.
+
+    Labeled classes compare by label (and order for Zn). Other-vs-Other
+    compares the Lie dimension and the trace multisets, whose lengths must
+    agree and whose entries must match under np.allclose's bound; the
+    component hint the predicate also read was a function of the label,
+    the Lie dimension and the trace count.
+    """
+    if a.label != b.label:
+        return False
+    if a.label == "Zn":
+        return a.order == b.order
+    if a.label == "Other":
+        if a.lie_dim != b.lie_dim or len(a.traces) != len(b.traces):
+            return False
+        return all(abs(x - y) <= MATCH_EPS + 1e-5 * abs(y) for x, y in zip(a.traces, b.traces))
+    return a.lie_dim == b.lie_dim
+
+
+def orthonormalize(vectors) -> np.ndarray:
+    """Orthonormal basis of the column span (rank-revealing, via SVD), at
+    the package's rank cut."""
+    m = numerics.as_small_matrix(vectors)
+    if m.shape[1] == 0 or not m.any():
+        return np.zeros((m.shape[0], 0))
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    return u[:, : int(np.count_nonzero(s > numerics.RANK_EPS * s[0]))].copy()
+
+
+def act(a: actions.ActionModel, g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The point g . x: the ambient image of x, renormalized."""
+    return actions.normalize(a.manifold, a.amb(g) @ x)
 
 
 def refines(p_blocks, q_blocks) -> bool:
@@ -224,7 +266,7 @@ def origin_stabilizer(a: actions.ActionModel) -> isotropy.StabilizerData:
         lie_kernel=np.eye(k),
         witnesses=np.eye(a.group.size)[None],
         witness_ambs=a.amb_batch(np.eye(a.group.size)[None]),
-        subgroup=groups.classify_subgroup(a.group, np.eye(k), np.eye(a.group.size)[None]),
+        subgroup=classify_one(a.group, np.eye(k), np.eye(a.group.size)[None]),
         orbit_dim=0,
         frame=frame,
         slice_basis=slice_basis,
@@ -249,7 +291,7 @@ def planted_point_rep(a: actions.ActionModel, x: np.ndarray, kernel, witness_ang
         lie_kernel=kernel,
         witnesses=wits,
         witness_ambs=a.amb_batch(wits),
-        subgroup=groups.classify_subgroup(a.group, kernel, wits),
+        subgroup=classify_one(a.group, kernel, wits),
         orbit_dim=a.group.lie_dim - kernel.shape[1],
         frame=frame,
         slice_basis=slice_basis,
@@ -333,7 +375,7 @@ def exact_features_reference(cloud, idx) -> np.ndarray:
     for i in idx:
         st = cloud.stabs[i]
         if st.lie_kernel.shape[1]:
-            q = numerics.orthonormalize(st.lie_kernel)
+            q = orthonormalize(st.lie_kernel)
             rows.append((q @ q.T).ravel())
         else:
             lifted = [lifted_reference(cloud.model.manifold, w, st.point) for w in st.witness_ambs]
@@ -574,7 +616,7 @@ def correspondence_reference(iso, klein):
             for q in range(p + 1, len(ids)):
                 ci = iso.block_labels[ids[p]]["subgroup"]
                 cj = iso.block_labels[ids[q]]["subgroup"]
-                if groups.classes_conjugate(ci, cj):
+                if classes_conjugate_reference(ci, cj):
                     continue
                 tag = (ci.display(), cj.display(), kid)
                 if tag in seen_pairs:
@@ -585,7 +627,7 @@ def correspondence_reference(iso, klein):
     for bid in range(len(iso.blocks)):
         cls = iso.block_labels[bid]["subgroup"]
         for grp in class_groups:
-            if groups.classes_conjugate(cls, grp["cls"]):
+            if classes_conjugate_reference(cls, grp["cls"]):
                 grp["ids"].append(bid)
                 break
         else:
@@ -862,7 +904,7 @@ def identity_component_mask(g, Q: np.ndarray, kernel_coeffs: np.ndarray) -> np.n
     Q = np.asarray(Q, dtype=np.float64)
     k = kernel_coeffs.shape[1] if kernel_coeffs.ndim == 2 else 0
     if k == 0:
-        return np.abs(Q - g.identity()).max(axis=(1, 2)) <= COMPONENT_EPS
+        return np.abs(Q - np.eye(g.size)).max(axis=(1, 2)) <= COMPONENT_EPS
     if g.kind != "so3":
         raise InputError(f"identity-component membership unsupported for kind {g.kind!r}")
     if k >= 3:
@@ -935,7 +977,7 @@ def stabilizer_reference(a, x, pool: np.ndarray) -> isotropy.StabilizerData:
         lie_kernel=lie_kernel,
         witnesses=wits,
         witness_ambs=a.amb_batch(wits),
-        subgroup=groups.classify_subgroup(g, lie_kernel, wits),
+        subgroup=classify_one(g, lie_kernel, wits),
         orbit_dim=odim,
         frame=frame,
         slice_basis=slice_basis,

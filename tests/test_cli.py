@@ -643,7 +643,7 @@ def test_verify_cn_t5_small_cloud(capsys):
 
 
 @pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("name", [*actions.catalog_ids(), "cn-tn(3)"])
+@pytest.mark.parametrize("name", [*actions.catalog_ids(), "cn-tn(3)", "cn-tn(1)"])
 def test_verify_passes_across_seeds(capsys, name, seed):
     # the invariant battery must hold for any seed, not only the pinned 0
     code, out = _run(capsys, "verify", name, "--samples", "40", "--seed", str(seed))

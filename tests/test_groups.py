@@ -6,10 +6,11 @@ import pickle
 import numpy as np
 import pytest
 
-from orthofold import groups, numerics
+from orthofold import groups
 from orthofold.errors import ClassificationError, InputError
 
 from oracles import (
+    classify_one,
     exact_rank,
     identity_component_mask,
     identity_component_reference,
@@ -97,10 +98,10 @@ def test_adjoint_of_torus_is_trivial():
 def test_classify_trivial_and_finite():
     g = groups.so2()
     wits = np.eye(2)[None]
-    cls = groups.classify_subgroup(g, np.zeros((1, 0)), wits)
+    cls = classify_one(g, np.zeros((1, 0)), wits)
     assert cls.display() == "Trivial"
     rot = groups.exp_coeffs_batch(g, np.array([np.pi]))[0]
-    two = groups.classify_subgroup(g, np.zeros((1, 0)), np.stack([np.eye(2), rot]))
+    two = classify_one(g, np.zeros((1, 0)), np.stack([np.eye(2), rot]))
     assert two.display() == "Zn(2)"
     assert two.order == 2
 
@@ -108,16 +109,16 @@ def test_classify_trivial_and_finite():
 def test_classify_circle_o2_and_full():
     g = groups.so3()
     kz = np.array([[0.0], [0.0], [1.0]])
-    circle = groups.classify_subgroup(g, kz, np.eye(3)[None])
+    circle = classify_one(g, kz, np.eye(3)[None])
     assert circle.display() == "SO2"
     # a flip inverting the axis makes the two-component orthogonal group
     flip = np.diag([1.0, -1.0, -1.0])
-    o2 = groups.classify_subgroup(g, kz, np.stack([np.eye(3), flip]))
+    o2 = classify_one(g, kz, np.stack([np.eye(3), flip]))
     assert o2.display() == "O2"
-    full = groups.classify_subgroup(g, np.eye(3), np.eye(3)[None])
+    full = classify_one(g, np.eye(3), np.eye(3)[None])
     assert full.display() == "FullGroup"
     with pytest.raises(ClassificationError):
-        groups.classify_subgroup(g, kz, np.zeros((0, 3, 3)))
+        classify_one(g, kz, np.zeros((0, 3, 3)))
 
 
 def test_witness_must_normalize_the_algebra():
@@ -126,62 +127,38 @@ def test_witness_must_normalize_the_algebra():
     # rotation about x maps the z axis elsewhere
     bad = groups.exp_coeffs_batch(g, np.array([0.7, 0.0, 0.0]))[0]
     with pytest.raises(ClassificationError):
-        groups.classify_subgroup(g, kz, np.stack([np.eye(3), bad]))
-
-
-def _other(traces):
-    return groups.SubgroupClass("Other", None, 1, f"components({len(traces)})", tuple(traces))
-
-
-def test_other_conjugacy_matches_allclose_at_the_bound():
-    # Other-vs-Other traces placed at and around the np.allclose boundary
-    # |a - b| <= MATCH_EPS + 1e-5 |b|; the written-out bound must decide
-    # every pair as np.allclose does
-    rng = np.random.default_rng(14)
-    pairs = []
-    for _ in range(300):
-        m = int(rng.integers(1, 5))
-        base = np.round(rng.uniform(-3.0, 3.0, size=m), 9)
-        edge = numerics.MATCH_EPS + 1e-5 * np.abs(base)
-        scale = rng.choice([0.98, 1.0, 1.02, rng.uniform(0.98, 1.02)], size=m)
-        other = base + edge * scale * rng.choice([-1.0, 1.0], size=m)
-        pairs.append((base.tolist(), other.tolist()))
-    # against a zero trace the bound is MATCH_EPS itself, met exactly
-    eps = numerics.MATCH_EPS
-    pairs += [([eps], [0.0]), ([-eps], [0.0]), ([np.nextafter(eps, 1.0)], [0.0])]
-    answers = set()
-    for p, q in pairs:
-        a, b = _other(p), _other(q)
-        for x, y in ((a, b), (b, a), (a, a)):
-            want = bool(np.allclose(np.array(x.traces), np.array(y.traces), atol=eps))
-            answers.add(want)
-            assert groups.classes_conjugate(x, y) is want
-    assert answers == {True, False}
+        classify_one(g, kz, np.stack([np.eye(3), bad]))
 
 
 def test_classes_conjugate():
     g = groups.so3()
     kz = np.array([[0.0], [0.0], [1.0]])
     kx = np.array([[1.0], [0.0], [0.0]])
-    c1 = groups.classify_subgroup(g, kz, np.eye(3)[None])
-    c2 = groups.classify_subgroup(g, kx, np.eye(3)[None])
-    assert groups.classes_conjugate(c1, c2)
+    c1 = classify_one(g, kz, np.eye(3)[None])
+    c2 = classify_one(g, kx, np.eye(3)[None])
+    assert c1.key == c2.key
     rot = groups.exp_coeffs_batch(groups.so2(), np.array([2.0 * np.pi / 3]))[0]
-    z3 = groups.classify_subgroup(
+    z3 = classify_one(
         groups.so2(), np.zeros((1, 0)), np.stack([np.eye(2), rot, rot @ rot])
     )
-    assert not groups.classes_conjugate(c1, z3)
+    assert c1.key != z3.key
+    # two Zn(2) classes are conjugate whatever their traces; two Other
+    # classes only when their rounded traces are equal
+    zn = [groups.SubgroupClass("Zn", 2, 0, t) for t in ((2.0, -2.0), (2.0, 0.0))]
+    assert zn[0] != zn[1] and zn[0].key == zn[1].key
+    other = [groups.SubgroupClass("Other", None, 1, t) for t in ((0.0, 1.0), (0.0, 1.0), (0.0, 1.5))]
+    assert other[0].key == other[1].key != other[2].key
 
 
 def test_subgroup_class_hash_follows_its_fields():
-    fields = ("Zn", 2, 0, "finite(2)", (2.0, -2.0))
+    fields = ("Zn", 2, 0, (2.0, -2.0))
     a, b = groups.SubgroupClass(*fields), groups.SubgroupClass(*fields)
     assert a == b and hash(a) == hash(b) == hash(fields)
     assert len({a, b}) == 1
     c = dataclasses.replace(a, order=3)
-    assert c != a and hash(c) == hash(("Zn", 3, 0, "finite(2)", (2.0, -2.0)))
+    assert c != a and hash(c) == hash(("Zn", 3, 0, (2.0, -2.0)))
     copied = pickle.loads(pickle.dumps(a))
-    assert copied == a and hash(copied) == hash(a)
+    assert copied == a and hash(copied) == hash(a) and copied.key == a.key
     with pytest.raises(dataclasses.FrozenInstanceError):
         a.order = 3
 

@@ -77,7 +77,7 @@ def test_so3_refine_reaches_the_target():
     rng = np.random.default_rng(4)
     x = actions.sample_points(a.manifold, 1, rng)[0]
     true = groups.sample_elements(a.group, 1, rng)[0]
-    y = actions.act(a, true, x)
+    y = oracles.act(a, true, x)
     # start nearby and polish onto the fixer of y
     bump = kernels.rodrigues_batch(rng.normal(scale=3e-2, size=(1, 3)))[0]
     start = (bump @ true)[None]

@@ -8,13 +8,14 @@ from zlib import crc32
 import numpy as np
 import pytest
 
-from orthofold import actions, groups, isotropy, numerics, strata
+from orthofold import actions, isotropy, numerics, strata
 from orthofold.errors import InputError
 from orthofold.seeding import rng_for
 
 from oracles import (
     CountingNumpy,
     check_partition,
+    classes_conjugate_reference,
     exact_features_reference,
     fixed_tangent_dim_reference,
     iso_piece_counts,
@@ -389,7 +390,7 @@ def test_per_pair_decisions_are_the_per_point_ones(cloud_factory, name):
     classes, blocks = [], []
     for i, st in enumerate(cloud.stabs):
         for b, cls in enumerate(classes):
-            if groups.classes_conjugate(st.subgroup, cls):
+            if classes_conjugate_reference(st.subgroup, cls):
                 blocks[b].append(i)
                 break
         else:
@@ -398,12 +399,29 @@ def test_per_pair_decisions_are_the_per_point_ones(cloud_factory, name):
     assert orbit_type.blocks == tuple(sorted(tuple(b) for b in blocks))
     pr = strata.principal_dimension(cloud, orbit_type)
     want = [
-        odim == pr.orbit_dim and not groups.classes_conjugate(st.subgroup, pr.subgroup)
+        odim == pr.orbit_dim and not classes_conjugate_reference(st.subgroup, pr.subgroup)
         for st, odim in zip(cloud.stabs, cloud.orbit_dims.tolist())
     ]
     assert pr.exceptional.tolist() == want
     labels = strata.singularity_labels(cloud, pr)
     assert labels == [strata.classify_singularity(st, pr.subgroup) for st in cloud.stabs]
+
+
+def test_conjugacy_keys_agree_with_the_pairwise_predicate(cloud_factory):
+    # every class the pipeline builds on these clouds: two are conjugate by
+    # key exactly when the predicate the key replaced says so
+    classes = set()
+    for name in (*actions.catalog_ids(), "cn-tn(3)", "s2-zn(2)", "s2-zn(64)"):
+        for count in (100, 300):
+            classes.update(st.subgroup for st in cloud_factory(name, count).stabs)
+    assert len({cls.label for cls in classes}) >= 6 and any(cls.label == "Other" for cls in classes)
+    answers = set()
+    for a in classes:
+        for b in classes:
+            want = classes_conjugate_reference(a, b)
+            answers.add(want)
+            assert (a.key == b.key) is want, (a, b)
+    assert answers == {True, False}
 
 
 def test_toric_depth_values():
