@@ -219,8 +219,8 @@ def _fingerprint_doc(fp) -> dict:
 
 def _partition_doc(part) -> dict:
     return {
-        "blocks": len(part.blocks),
-        "sizes": [len(b) for b in part.blocks],
+        "blocks": len(part.block_labels),
+        "sizes": np.bincount(part.owner).tolist(),
         "labels": [lab["label"] for lab in part.block_labels],
     }
 
@@ -256,7 +256,7 @@ def _analysis_payload(r, samples: int, seed: int) -> dict:
         "seed": seed,
         "cloud": {
             "points": len(cloud),
-            "orbits": len(r.orbits),
+            "orbits": int(r.orbits.owner.max()) + 1,
             "intrinsic_dim": a.manifold.intrinsic_dim,
         },
         "dimension": {
@@ -268,8 +268,8 @@ def _analysis_payload(r, samples: int, seed: int) -> dict:
             "orbit_type": _partition_doc(r.orbit_type),
             "isostabilizer": _partition_doc(r.iso),
             "klein": {
-                "blocks": len(r.klein.blocks),
-                "sizes": [len(b) for b in r.klein.blocks],
+                "blocks": len(r.klein.block_labels),
+                "sizes": np.bincount(r.klein.owner).tolist(),
                 "dims": [lab["dim"] for lab in r.klein.block_labels],
                 "fingerprints": [
                     _fingerprint_doc(lab["fingerprint"]) for lab in r.klein.block_labels
@@ -313,16 +313,14 @@ def _generic_checks(r, results, seed: int):
     bad = int(np.count_nonzero(lhs != a.manifold.intrinsic_dim))
     _check(results, "dimension-identity", bad == 0, f"{bad} violations")
 
-    const = all(
-        len({int(cloud.quotient_dims[i]) for i in b}) == 1 for b in r.klein.blocks
-    )
+    # each block's dimension is read at its smallest member
+    block_dims = np.array([lab["dim"] for lab in r.klein.block_labels])
+    const = np.array_equal(block_dims[r.klein.owner], cloud.quotient_dims)
     _check(results, "klein-dimension-constant", const, "a klein block mixes dimensions")
 
-    owner = r.klein.block_of()
-    kids = [sorted({owner[i] for i in o}) for o in r.orbits]
-    bad = next((j for j, k in enumerate(kids) if len(k) > 1), None)
-    _check(results, "orbit-in-one-klein-block", bad is None,
-           "" if bad is None else f"orbit {r.orbits[bad]} meets klein blocks {kids[bad]}")
+    bad = quotient.block_image(r.orbits, r.klein)[1]
+    _check(results, "orbit-in-one-klein-block", bad is None, "" if bad is None else
+           f"orbit {tuple(np.flatnonzero(r.orbits.owner == bad[0]).tolist())} meets klein blocks {list(bad[1])}")
 
     # a straddling block raises in run_pipeline and fails this check there
     _check(results, "correspondence-defined", True)
@@ -385,7 +383,7 @@ def _klein_block_of_point(r, point: np.ndarray):
     aligned = actions.aligned(r.action.manifold, r.cloud.points, point)
     d = np.linalg.norm(aligned - point, axis=1)
     i = int(d.argmin())
-    return r.klein.block_of()[i] if d[i] <= 1e-7 else None
+    return int(r.klein.owner[i]) if d[i] <= 1e-7 else None
 
 
 def _rp2_t0_locus(vals: np.ndarray) -> np.ndarray:
@@ -451,8 +449,8 @@ def _pinned_checks(r, results, seed: int):
                f"got {dict(sorted(got.items()))}, expected {dict(sorted(want.items()))}")
 
     if name == "s2xs2-so3":
-        _check(results, "klein-block-count-2", len(r.klein.blocks) == 2,
-               f"got {len(r.klein.blocks)}")
+        _check(results, "klein-block-count-2", len(r.klein.block_labels) == 2,
+               f"got {len(r.klein.block_labels)}")
         _check(results, "klein-dims-1-2", klein_dims == [1, 2], f"got {klein_dims}")
         if r.interval is None:
             _check(results, "interval-endpoints-singular", False, r.interval_note)
@@ -462,8 +460,8 @@ def _pinned_checks(r, results, seed: int):
                    f"point strata at {sorted(pts)}")
 
     elif name == "rp2-so2":
-        _check(results, "klein-block-count-3", len(r.klein.blocks) == 3,
-               f"got {len(r.klein.blocks)}")
+        _check(results, "klein-block-count-3", len(r.klein.block_labels) == 3,
+               f"got {len(r.klein.block_labels)}")
         _check(results, "klein-dims-1-1-2", klein_dims == [1, 1, 2],
                f"got {klein_dims}")
         vals = np.asarray(a.interval.projection(cloud.points))
@@ -481,8 +479,8 @@ def _pinned_checks(r, results, seed: int):
         ot_labels = sorted(lab["label"] for lab in r.orbit_type.block_labels)
         _check(results, "orbit-type-blocks-3", ot_labels == ["O2", "SO2", "Zn(2)"],
                f"got {ot_labels}")
-        _check(results, "klein-block-count-2", len(r.klein.blocks) == 2,
-               f"got {len(r.klein.blocks)}")
+        _check(results, "klein-block-count-2", len(r.klein.block_labels) == 2,
+               f"got {len(r.klein.block_labels)}")
         _check(results, "correspondence-non-injective", not r.corr.injective,
                "correspondence is injective")
         merged = set()
@@ -538,9 +536,9 @@ def _pinned_checks(r, results, seed: int):
                if strata.toric_depth(x[0::2] ** 2 + x[1::2] ** 2)[1] != q]
         _check(results, "toric-dimension-formula", not bad,
                f"formula fails at {np.round(bad[0], 4)}" if bad else "")
-        if n == 2:
-            _check(results, "klein-block-count-3", len(r.klein.blocks) == 3,
-                   f"got {len(r.klein.blocks)}")
+        # the orthant's depth strata, depth 0 to n
+        blocks = len(r.klein.block_labels)
+        _check(results, f"klein-block-count-{n + 1}", blocks == n + 1, f"got {blocks}")
 
 
 def verify_action(a, samples: int, seed: int) -> list:

@@ -31,7 +31,7 @@ from .isotropy import (
 )
 from .numerics import MATCH_EPS
 from .seeding import rng_for
-from .strata import PartitionOfM, PrincipalData, SampleCloud, distinct_pairs, index_groups
+from .strata import PartitionOfM, PrincipalData, SampleCloud
 
 
 # ---------------------------------------------------------------------------
@@ -295,19 +295,17 @@ def local_models(a: ActionModel, stabs, reps, seed: int = 0) -> list[LocalModelF
     stabs and reps are aligned. By the slice theorem the local model depends
     only on the stabilizer and its slice representation, so one fingerprint
     is computed per distinct (stabilizer class, rep content) and handed to
-    every point of the pair, the same object. The points are first grouped
-    by their class and rep objects (strata.distinct_pairs), and a rep's
-    content, every field the fingerprint reads (_rep_content), is taken
-    once per group, so equal reps share a fingerprint whether or not
-    slice_representations shares their objects. Fingerprint components are
-    decided at fixed absolute cuts, and the samples of every distinct rep
-    are labelled in one _slice_stab_profiles pass.
+    every point of the pair, the same object. A rep's content is every
+    field the fingerprint reads (_rep_content), so equal reps share a
+    fingerprint whether or not slice_representations shares their objects;
+    klein_partition passes one point per (class, rep) pair of its cloud.
+    Fingerprint components are decided at fixed absolute cuts, and the
+    samples of every distinct rep are labelled in one _slice_stab_profiles
+    pass.
     """
-    first, slot = distinct_pairs(stabs, reps)
     seen: dict = {}
     unique, owner = [], []
-    for i in first:
-        stab, rep = stabs[i], reps[i]
+    for stab, rep in zip(stabs, reps):
         j = seen.setdefault((_rep_content(rep), stab.subgroup), len(unique))
         if j == len(unique):
             unique.append((stab, rep))
@@ -328,8 +326,7 @@ def local_models(a: ActionModel, stabs, reps, seed: int = 0) -> list[LocalModelF
         )
         for (stab, rep), profile in zip(unique, profiles)
     ]
-    per_pair = [fps[j] for j in owner]
-    return [per_pair[e] for e in slot.tolist()]
+    return [fps[j] for j in owner]
 
 
 def _rep_content(rep: SliceRep) -> tuple:
@@ -371,14 +368,14 @@ def _orbit_invariants(a: ActionModel, pts: np.ndarray) -> np.ndarray:
     return np.zeros((pts.shape[0], 0))
 
 
-def identify_orbits(cloud: SampleCloud) -> tuple:
+def identify_orbits(cloud: SampleCloud) -> PartitionOfM:
     """Cloud indices grouped by orbit, each merge certified by a transport.
 
     Candidate pairs share their stabilizer class, orbit dimension and slice
     weights, and their orbit invariants differ by at most 1e-7 in every
     coordinate; a pair joins when transport_element finds a group element
-    carrying one point to the other. Returns ascending index tuples ordered
-    by smallest member.
+    carrying one point to the other. Returns the orbits as a PartitionOfM
+    without labels, numbered in order of smallest member.
 
     All but the invariants is read once per distinct (class, rep) pair of
     the cloud (SampleCloud.pairs), and the distinct keys are ranked in the
@@ -436,7 +433,8 @@ def identify_orbits(cloud: SampleCloud) -> tuple:
                     break
             else:
                 leaders.append(j)
-    return tuple(index_groups(lead))
+    # each point's leader is the smallest member of its orbit
+    return PartitionOfM(owner=np.unique(lead, return_inverse=True)[1], block_labels=())
 
 
 def klein_partition(cloud: SampleCloud) -> PartitionOfM:
@@ -445,30 +443,27 @@ def klein_partition(cloud: SampleCloud) -> PartitionOfM:
     Each point is keyed by the _klein_key of its own local-model
     fingerprint, and points sharing a key form one block. The fingerprints
     are taken once per distinct (class, rep) pair of the cloud
-    (SampleCloud.pairs), the key once per distinct fingerprint, and each
-    point reaches its block by array indexing. The orbits are not read, so
-    that each orbit lies in one block is a checked property, not a
-    construction. Block j is labelled S<j> and carries the fingerprint of
-    its smallest index and its quotient dimension.
+    (SampleCloud.pairs), the key once per distinct fingerprint, numbered
+    as it first occurs over the pairs, so by smallest member. The orbits
+    are not read, so that each orbit lies in one block is a checked
+    property, not a construction. Block j is labelled S<j> and carries the
+    fingerprint of its smallest index and its quotient dimension.
     """
     first, slot = cloud.pairs
     fps = local_models(cloud.model, [cloud.stabs[i] for i in first], [cloud.reps[i] for i in first], cloud.seed)
     # pairs of equal rep content share one fingerprint object
     numbers: dict = {}
     keyed: dict = {}
-    key = []
-    for fp in fps:
-        k = keyed.get(id(fp))
-        if k is None:
-            k = keyed[id(fp)] = numbers.setdefault(_klein_key(fp), len(numbers))
-        key.append(k)
-    # disjoint blocks sort by their smallest members
-    blocks = sorted(index_groups(np.array(key)[slot]))
-    labels = tuple(
-        {"label": f"S{j}", "fingerprint": fps[slot[b[0]]], "dim": int(cloud.quotient_dims[b[0]])}
-        for j, b in enumerate(blocks)
-    )
-    return PartitionOfM(blocks=tuple(blocks), block_labels=labels)
+    number = []
+    labels = []
+    for i, fp in zip(first, fps):
+        j = keyed.get(id(fp))
+        if j is None:
+            j = keyed[id(fp)] = numbers.setdefault(_klein_key(fp), len(numbers))
+        if j == len(labels):
+            labels.append({"label": f"S{j}", "fingerprint": fp, "dim": int(cloud.quotient_dims[i])})
+        number.append(j)
+    return PartitionOfM(owner=np.array(number)[slot], block_labels=tuple(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -476,11 +471,19 @@ def klein_partition(cloud: SampleCloud) -> PartitionOfM:
 # ---------------------------------------------------------------------------
 
 
-def _block_owner(p: PartitionOfM, q: PartitionOfM) -> dict:
-    """q.block_of(), once p and q are checked to cover one index set."""
-    if sorted(i for b in p.blocks for i in b) != sorted(i for b in q.blocks for i in b):
+def block_image(p: PartitionOfM, q: PartitionOfM) -> tuple[np.ndarray, tuple | None]:
+    """image[b], the q block of one point of p block b, and, unless p
+    refines q (image[p.owner] equals q.owner), the smallest p block meeting
+    several q blocks with those blocks. p and q must be of one length."""
+    if p.owner.shape != q.owner.shape:
         raise InputError("partitions cover different index sets")
-    return q.block_of()
+    image = np.zeros(int(p.owner.max()) + 1, dtype=np.int64)
+    image[p.owner] = q.owner
+    off = p.owner[image[p.owner] != q.owner]
+    if not off.size:
+        return image, None
+    bid = int(off.min())
+    return image, (bid, tuple(np.flatnonzero(np.bincount(q.owner[p.owner == bid])).tolist()))
 
 
 def correspondence(iso: PartitionOfM, klein: PartitionOfM) -> CorrespondenceReport:
@@ -490,30 +493,27 @@ def correspondence(iso: PartitionOfM, klein: PartitionOfM) -> CorrespondenceRepo
     well-definedness of the induced map, so it is a hard failure rather
     than a reported state.
     """
-    owner = _block_owner(iso, klein)
-    mapping = []
-    for bid, b in enumerate(iso.blocks):
-        kids = sorted({owner[i] for i in b})
-        if len(kids) != 1:
-            raise CorrespondenceError(bid, tuple(kids))
-        mapping.append(kids[0])
+    image, straddler = block_image(iso, klein)
+    if straddler is not None:
+        raise CorrespondenceError(*straddler)
+    mapping = image.tolist()
     hit = set(mapping)
-    surjective = hit == set(range(len(klein.blocks)))
+    surjective = len(hit) == int(klein.owner.max()) + 1
     injective = len(hit) == len(mapping)
 
     # conjugacy depends on the classes alone, so both witness lists are read
-    # off the blocks of each distinct class, kept in block order
-    by_class: dict = {}
+    # off the blocks of each distinct class in each Klein block, and the
+    # Klein blocks of each conjugacy key, shown by its first class
+    in_klein: dict = {}
+    spread: dict = {}
     for bid, lab in enumerate(iso.block_labels):
-        by_class.setdefault(lab["subgroup"], []).append(bid)
+        cls = lab["subgroup"]
+        in_klein.setdefault(mapping[bid], {}).setdefault(cls, []).append(bid)
+        spread.setdefault(cls.key, (cls.display(), set()))[1].add(mapping[bid])
 
     # per display tag, the first pair p < q of non-conjugate blocks inside
     # one Klein block: p the first block of its class there, q the first
     # block of the other class after p
-    in_klein: dict = {}
-    for cls, ids in by_class.items():
-        for bid in ids:
-            in_klein.setdefault(mapping[bid], {}).setdefault(cls, []).append(bid)
     first: dict = {}
     for kid, members in in_klein.items():
         for ci, a_ids in members.items():
@@ -526,11 +526,6 @@ def correspondence(iso: PartitionOfM, klein: PartitionOfM) -> CorrespondenceRepo
                 first[tag] = min(first.get(tag, pair), pair)
     merge = sorted(((pair, tag[2]) for tag, pair in first.items()), key=lambda e: (e[1], e[0]))
 
-    # the Klein blocks of each conjugacy key, shown by its first class
-    spread: dict = {}
-    for cls, ids in by_class.items():
-        shown, kids = spread.setdefault(cls.key, (cls.display(), set()))
-        kids.update(mapping[bid] for bid in ids)
     split = [(shown, tuple(sorted(kids))) for shown, kids in spread.values() if len(kids) > 1]
 
     return CorrespondenceReport(
@@ -544,19 +539,9 @@ def correspondence(iso: PartitionOfM, klein: PartitionOfM) -> CorrespondenceRepo
 
 def compare_partitions(p: PartitionOfM, q: PartitionOfM) -> str:
     """Refinement relation between two partitions of one index set."""
-
-    def refines(r, owner):
-        return all(len({owner[i] for i in b}) == 1 for b in r.blocks)
-
-    pq = refines(p, _block_owner(p, q))
-    qp = refines(q, p.block_of())
-    if pq and qp:
-        return "Equal"
-    if pq:
-        return "PRefinesQ"
-    if qp:
-        return "QRefinesP"
-    return "Incomparable"
+    pq = block_image(p, q)[1] is None
+    qp = block_image(q, p)[1] is None
+    return ("Incomparable", "QRefinesP", "PRefinesQ", "Equal")[2 * pq + qp]
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +625,7 @@ def frontier_check(model: StratifiedInterval) -> bool:
 
 
 def quotient_interval_model(
-    cloud: SampleCloud, orbits, klein: PartitionOfM, principal: PrincipalData
+    cloud: SampleCloud, orbits: PartitionOfM, klein: PartitionOfM, principal: PrincipalData
 ) -> StratifiedInterval:
     """Pushforward of the cloud through its action's interval projection.
 
@@ -656,17 +641,16 @@ def quotient_interval_model(
     if a.interval is None:
         raise InputError(f"action {a.name!r} has no interval quotient model")
     vals = np.asarray(a.interval.projection(cloud.points), dtype=float)
-    for orb in orbits:
-        if len(orb) > 1:
-            spread = float(np.ptp(vals[list(orb)]))
-            if spread > MATCH_EPS:
-                raise ClassificationError(
-                    "projection values differ along an identified orbit"
-                )
+    top = np.full(int(orbits.owner.max()) + 1, -np.inf)
+    bottom = -top
+    np.maximum.at(top, orbits.owner, vals)
+    np.minimum.at(bottom, orbits.owner, vals)
+    if float((top - bottom).max()) > MATCH_EPS:
+        raise ClassificationError(
+            "projection values differ along an identified orbit"
+        )
     lo, hi = a.interval.endpoints
-    point_strata = {}
-    continuum = []
-    breakpoints = {lo, hi}
+    spots = {}
     for bid, block in enumerate(klein.blocks):
         v = np.sort(vals[list(block)])
         gaps = np.where(np.diff(v) > 1e-3)[0]
@@ -674,30 +658,20 @@ def quotient_interval_model(
         has_principal = any(cloud.stabs[i].subgroup.key == principal.subgroup.key for i in block)
         if not has_principal and all(c[-1] - c[0] <= 1e-6 for c in clusters):
             # + 0.0 turns a negative zero from rounding into plain zero
-            spots = tuple(float(np.round(np.mean(c), 6)) + 0.0 for c in clusters)
-            point_strata[bid] = spots
-            breakpoints.update(spots)
-        else:
-            continuum.append(bid)
-    breaks = sorted(breakpoints)
+            spots[bid] = tuple(float(np.round(np.mean(c), 6)) + 0.0 for c in clusters)
+    breaks = sorted({lo, hi}.union(*spots.values()))
+    # every Klein block gives one stratum, in block order: its spots, or the
+    # open cells between breaks that its values meet
+    cells = list(zip(breaks, breaks[1:]))
     strata = []
-    labels = []
-    for bid in sorted(point_strata):
-        strata.append(tuple(("point", s) for s in point_strata[bid]))
-        labels.append(bid)
-    for bid in continuum:
-        pieces = []
-        v = vals[list(klein.blocks[bid])]
-        for u, w in zip(breaks, breaks[1:]):
-            if np.any((u < v) & (v < w)):
-                pieces.append(("open", u, w))
-        strata.append(tuple(pieces))
-        labels.append(bid)
-    order = sorted(range(len(strata)), key=lambda t: labels[t])
+    for bid, block in enumerate(klein.blocks):
+        v = vals[list(block)]
+        strata.append(tuple(("point", s) for s in spots[bid]) if bid in spots else
+                      tuple(("open", u, w) for u, w in cells if np.any((u < v) & (v < w))))
     return StratifiedInterval(
         endpoints=(float(lo), float(hi)),
-        strata=tuple(strata[t] for t in order),
-        labels=tuple(labels[t] for t in order),
+        strata=tuple(strata),
+        labels=tuple(range(len(strata))),
     )
 
 

@@ -7,15 +7,15 @@ and the depth bookkeeping of the toric family.
 The isostabilizer decomposition is the isotropy-type partition
 M_H = {x : G_x = H}, each M_H split into its connected components
 (Cushman and Sniatycki, Canad. J. Math. 2001). The cloud reads it
-pointwise: each point is keyed by its exact stabilizer H, and the points
-of one H form one piece when dim M_H > 0 and one piece each when
-dim M_H = 0; see isostabilizer_decomposition.
+pointwise: each point is keyed by its exact stabilizer H and dim M_H at
+it, and the points of one key form one piece when dim M_H > 0 and one
+piece each when dim M_H = 0; see isostabilizer_decomposition. Every
+partition is one owner array over the cloud (PartitionOfM).
 """
 
 from __future__ import annotations
 
 import functools
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +23,7 @@ import numpy as np
 from . import groups
 from .actions import ActionModel, lift, normalize, sample_points, tangent_frames
 from .errors import ClassificationError, InputError
-from .isotropy import slice_representations, stabilizer, stabilizer_rows
+from .isotropy import _byte_rows, slice_representations, stabilizer, stabilizer_rows
 from .numerics import MATCH_EPS, epsilon_components
 from .seeding import rng_for
 
@@ -60,24 +60,55 @@ class SampleCloud:
 
     @functools.cached_property
     def pairs(self) -> tuple:
-        """distinct_pairs(stabs, reps): (first, slot), built on first use,
-        once per cloud."""
-        return distinct_pairs(self.stabs, self.reps)
+        """The distinct (stabilizer class, slice rep) pairs of the cloud,
+        told apart by object and built on first use: (first, slot), first[e]
+        the index of the first point of pair e, ascending, and slot[i] the
+        pair of point i, an int64 array.
+
+        A pair fixes all that the stages after the cloud read of a point: its
+        class, its rep and, through the rep's slice dimension, its orbit
+        dimension. So a stage decides once per pair and reaches the points by
+        indexing with slot. Each point costs two dict lookups by object id and
+        builds no key.
+        """
+        by_class: dict = {}
+        first, slot = [], []
+        # stabs and reps keep each keyed object alive, so no id is reused; a
+        # cloud has few class objects, while most non-trivial reps are a
+        # point's own
+        for i, (st, rep) in enumerate(zip(self.stabs, self.reps)):
+            by_rep = by_class.get(id(st.subgroup))
+            if by_rep is None:
+                by_rep = by_class[id(st.subgroup)] = {}
+            e = by_rep.get(id(rep))
+            if e is None:
+                e = by_rep[id(rep)] = len(first)
+                first.append(i)
+            slot.append(e)
+        slot = np.array(slot, dtype=np.int64)
+        slot.flags.writeable = False
+        return first, slot
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartitionOfM:
-    """Disjoint cover of the cloud indices with per-block metadata."""
+    """A partition of the cloud indices: owner[i], a read-only int64 array,
+    is the block of point i, which takes every value 0..B-1, and
+    block_labels[j] the metadata of block j (none for the orbits). The
+    pipeline numbers blocks by smallest member."""
 
-    blocks: tuple
+    owner: np.ndarray
     block_labels: tuple
 
-    def block_of(self) -> dict:
-        owner = {}
-        for b, idx in enumerate(self.blocks):
-            for i in idx:
-                owner[i] = b
-        return owner
+    def __post_init__(self):
+        self.owner.flags.writeable = False
+
+    @functools.cached_property
+    def blocks(self) -> tuple:
+        """The indices of each block, ascending, in block order."""
+        order = np.argsort(self.owner, kind="stable").tolist()
+        ends = np.cumsum(np.bincount(self.owner)).tolist()
+        return tuple(tuple(order[lo:hi]) for lo, hi in zip([0, *ends], ends))
 
 
 @dataclass(frozen=True)
@@ -157,48 +188,6 @@ def build_cloud(a: ActionModel, count: int, seed: int = 0) -> SampleCloud:
     )
 
 
-def distinct_pairs(stabs, reps) -> tuple:
-    """The distinct (stabilizer class, slice rep) pairs of aligned stabs and
-    reps, told apart by object: (first, slot), first[e] the index of the
-    first point of pair e, ascending, and slot[i] the pair of point i, an
-    int64 array.
-
-    A pair fixes all that the stages after the cloud read of a point: its
-    class, its rep and, through the rep's slice dimension, its orbit
-    dimension. So a stage decides once per pair and reaches the points by
-    indexing with slot. Each point costs two dict lookups by object id and
-    builds no key.
-    """
-    by_class: dict = {}
-    first, slot = [], []
-    # stabs and reps keep each keyed object alive, so no id is reused; a
-    # cloud has few class objects, while most non-trivial reps are a
-    # point's own
-    for i, (st, rep) in enumerate(zip(stabs, reps)):
-        by_rep = by_class.get(id(st.subgroup))
-        if by_rep is None:
-            by_rep = by_class[id(st.subgroup)] = {}
-        e = by_rep.get(id(rep))
-        if e is None:
-            e = by_rep[id(rep)] = len(first)
-            first.append(i)
-        slot.append(e)
-    slot = np.array(slot, dtype=np.int64)
-    slot.flags.writeable = False
-    return first, slot
-
-
-def index_groups(keys: np.ndarray) -> list[tuple]:
-    """The indices of each distinct value of keys, ascending, the groups in
-    ascending order of their value, from one np.lexsort (which is stable)."""
-    order = np.lexsort((keys,))
-    ordered = keys[order]
-    cuts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
-    flat = order.tolist()
-    bounds = [0, *cuts.tolist(), len(flat)]
-    return [tuple(flat[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-
-
 # ---------------------------------------------------------------------------
 # partitions
 # ---------------------------------------------------------------------------
@@ -216,14 +205,14 @@ def orbit_type_partition(cloud: SampleCloud) -> PartitionOfM:
     first, slot = cloud.pairs
     numbers: dict = {}
     labels = []
-    owner = []
+    number = []
     for i in first:
         cls = cloud.stabs[i].subgroup
         j = numbers.setdefault(cls.key, len(numbers))
         if j == len(labels):
             labels.append({"subgroup": cls, "label": cls.display()})
-        owner.append(j)
-    return PartitionOfM(blocks=tuple(index_groups(np.array(owner)[slot])), block_labels=tuple(labels))
+        number.append(j)
+    return PartitionOfM(owner=np.array(number)[slot], block_labels=tuple(labels))
 
 
 def _exact_features(cloud: SampleCloud, idx) -> np.ndarray:
@@ -245,8 +234,9 @@ def _exact_features(cloud: SampleCloud, idx) -> np.ndarray:
     return lifted.reshape(len(idx), m, -1).mean(axis=1)
 
 
-def _exact_groups(cloud: SampleCloud) -> list[tuple]:
-    """Indices grouped by exact stabilizer subgroup, each group ascending.
+def _exact_groups(cloud: SampleCloud) -> np.ndarray:
+    """Per point, one exact-subgroup label: the index of one point whose
+    stabilizer is the same subgroup H, the same index across H.
 
     The coarse key is the conjugacy key of the class, the witness count m
     and the Lie dimension k, and m = 1, k = 0 is the trivial subgroup; it
@@ -264,25 +254,26 @@ def _exact_groups(cloud: SampleCloud) -> list[tuple]:
     """
     first, slot = cloud.pairs
     coarse: dict = {}
-    owner = []
+    number = []
     for i in first:
         st = cloud.stabs[i]
         key = (st.subgroup.key, len(st.subgroup.traces), st.lie_kernel.shape[1])
-        owner.append(coarse.setdefault(key, len(coarse)))
+        number.append(coarse.setdefault(key, len(coarse)))
 
-    out: list[tuple] = []
-    # every coarse key holds a point, so group j has key j
-    for (_, m, k), idx in zip(coarse, index_groups(np.array(owner)[slot])):
-        # one witness and no Lie kernel: every such point has H = {e}
-        if len(idx) == 1 or (m == 1 and k == 0):
-            out.append(idx)
-            continue
-        distinct, inverse = np.unique(_exact_features(cloud, idx), axis=0, return_inverse=True)
-        sub: dict[int, list[int]] = {}
-        for i, lab in zip(idx, epsilon_components(distinct, MATCH_EPS)[inverse.ravel()].tolist()):
-            sub.setdefault(lab, []).append(i)
-        out.extend(tuple(g) for g in sub.values())
-    return out
+    coarse_of = np.array(number)[slot]
+    exact = np.arange(len(cloud))
+    for j, (_, m, k) in enumerate(coarse):
+        idx = np.flatnonzero(coarse_of == j)
+        # one witness and no Lie kernel: every such point has H = {e}, one row
+        rows = np.zeros((len(idx), 1)) if m == 1 and k == 0 else _exact_features(cloud, idx)
+        # equal rows collapse bit for bit, several times faster than np.unique
+        # with axis=0; -0.0 and 0.0 then join in the epsilon-join, which one
+        # distinct row (the poles of s2-zn(n), say) does not need
+        _, at, inverse = np.unique(_byte_rows(rows), return_index=True, return_inverse=True)
+        components = epsilon_components(rows[at], MATCH_EPS)[inverse] if len(at) > 1 else inverse
+        # each point takes the first point of one row of its component
+        exact[idx] = idx[at[components]]
+    return exact
 
 
 def fixed_tangent_dim(cloud: SampleCloud, i: int) -> int:
@@ -321,36 +312,44 @@ def isostabilizer_decomposition(cloud: SampleCloud) -> PartitionOfM:
     read on the cloud.
 
     Points are grouped by their exact stabilizer H (_exact_groups), and
-    dim M_H is read once per group, at its first point (fixed_tangent_dim).
-    When it is 0, M_H is a discrete set and each point is its own piece;
-    otherwise the whole group is one piece.
+    dim M_H (fixed_tangent_dim) is read once per pair of the cloud that
+    holds a point whose H is shared. The pieces are keyed by (H, dim M_H): the
+    points of one H and one positive dimension form one piece, and every
+    other point is its own piece, whatever the order of the points.
 
-    That rule assumes that every M_H of positive dimension meets the cloud
-    in one component at most. It holds on the catalog, where every such
-    M_H is connected but one: for the generic Zn(2) of cp2-so3, M_H has two
-    components (z and its conjugate, on either side of the real locus), yet
-    each meets a cloud in one point at most, since M_H has measure zero and
-    no special lies on it. A new action must re-check this assumption.
+    That rule assumes that two components of one M_H of equal positive
+    dimension never both meet the cloud: they would merge. It holds on the
+    catalog, where every such M_H is connected but one: for the generic
+    Zn(2) of cp2-so3, M_H has two components (z and its conjugate, on
+    either side of the real locus), yet each meets a cloud in one point at
+    most, since M_H has measure zero and no special lies on it. A new
+    action must re-check this assumption.
 
-    Blocks are ordered by smallest member and labelled <class>[j], j
+    Blocks are numbered by smallest member and labelled <class>[j], j
     counting the blocks of each class in that order.
     """
-    blocks = []
-    for idx in _exact_groups(cloud):
-        # a group of one point is one piece whatever the dimension
-        if len(idx) > 1 and fixed_tangent_dim(cloud, idx[0]) == 0:
-            blocks.extend((i,) for i in idx)
-        else:
-            blocks.append(tuple(idx))
-    blocks.sort(key=lambda b: b[0])
+    exact = _exact_groups(cloud)
+    first, slot = cloud.pairs
+    # dim M_H, read once per pair that holds a point whose H another point
+    # shares; a point whose H is its own is a piece of its own
+    dims = np.zeros(len(first), dtype=np.int64)
+    for e in np.flatnonzero(np.bincount(slot[np.bincount(exact)[exact] > 1], minlength=len(first))).tolist():
+        dims[e] = fixed_tangent_dim(cloud, first[e])
+    dim = dims[slot]
+    # the key (H, dim M_H), 0 <= dim M_H <= dim M; a point where it is 0
+    # keys itself
+    key = np.where(dim > 0, exact, np.arange(len(cloud))) * (cloud.model.manifold.intrinsic_dim + 1) + dim
+    _, heads, back = np.unique(key, return_index=True, return_inverse=True)
+    # the pieces, numbered by smallest member
+    order = np.argsort(heads)
     counters: dict[str, int] = {}
     labels = []
-    for b in blocks:
-        cls = cloud.stabs[b[0]].subgroup
+    for i in heads[order].tolist():
+        cls = cloud.stabs[i].subgroup
         j = counters.get(cls.display(), 0)
         counters[cls.display()] = j + 1
         labels.append({"subgroup": cls, "label": f"{cls.display()}[{j}]"})
-    return PartitionOfM(blocks=tuple(blocks), block_labels=tuple(labels))
+    return PartitionOfM(owner=np.argsort(order)[back], block_labels=tuple(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -371,17 +370,16 @@ def principal_dimension(cloud: SampleCloud, orbit_type: PartitionOfM) -> Princip
     cannot see it.
     """
     d_pr = int(cloud.quotient_dims.min())
-    attaining = [b for b in orbit_type.blocks if int(cloud.quotient_dims[b[0]]) == d_pr]
-
-    def votes(b):
-        # b ascends, so its uniform samples are the ones before sample_count
-        return bisect_left(b, cloud.sample_count)
-
-    elected = min(attaining, key=lambda b: (-votes(b), -len(b), b[0]))
-    pcls = cloud.stabs[elected[0]].subgroup
-    podim = int(cloud.orbit_dims[elected[0]])
-    off = np.array([cloud.stabs[i].subgroup.key != pcls.key for i in cloud.pairs[0]], dtype=bool)
-    exceptional = (cloud.orbit_dims == podim) & off[cloud.pairs[1]]
+    owner = orbit_type.owner
+    firsts = np.unique(owner, return_index=True)[1]
+    votes = np.bincount(owner[: cloud.sample_count], minlength=len(firsts))
+    # blocks attaining d_pr first, then by votes, then by size; the sort is
+    # stable and blocks are numbered by smallest member
+    elected = np.lexsort((-np.bincount(owner), -votes, cloud.quotient_dims[firsts] != d_pr))[0]
+    pcls = cloud.stabs[firsts[elected]].subgroup
+    podim = int(cloud.orbit_dims[firsts[elected]])
+    # a block of orbit_type holds the points of one conjugacy key
+    exceptional = (cloud.orbit_dims == podim) & (owner != elected)
     return PrincipalData(value=d_pr, subgroup=pcls, orbit_dim=podim, exceptional=exceptional)
 
 

@@ -15,12 +15,14 @@ group, the SO(3) Haar-and-Levenberg-Marquardt search that preceded the
 closed-form stabilizers and transports, the exact-subgroup feature rows
 built one stabilizer at a time, the tangent frame built one point at a time, the
 finite slice representation read from one point's witness differentials,
-the finite fixer test run one point at a time, the orbit identification
+the finite fixer test run one point at a time, a U(1) action on CP^2 whose
+fixed set is a line and an isolated point, the orbit identification
 loop that built every candidate key per point, the Klein partition built
 from orbit roots, the pairwise conjugacy predicate that preceded the
-conjugacy key, a partition check and the
-aligned distance of two points. None of it imports the numeric routines under
-test beyond the public model types, the slice frame helpers, the
+conjugacy key, a partition check, the owner array of a list of blocks and
+the aligned distance of two points. None of it imports the numeric routines
+under test beyond the public model types, the torus action maps
+(actions._torus_maps), the slice frame helpers, the
 representative alignment the displacement test shares, and the subgroup
 classifier, which classify_one calls on a stack of one.
 """
@@ -128,6 +130,15 @@ def orthonormalize(vectors) -> np.ndarray:
 def act(a: actions.ActionModel, g: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The point g . x: the ambient image of x, renormalized."""
     return actions.normalize(a.manifold, a.amb(g) @ x)
+
+
+def owner_of(blocks) -> np.ndarray:
+    """The owner array of disjoint blocks covering 0..n-1: entry i is the
+    block holding i."""
+    owner = np.zeros(sum(len(b) for b in blocks), dtype=np.int64)
+    for b, idx in enumerate(blocks):
+        owner[list(idx)] = b
+    return owner
 
 
 def refines(p_blocks, q_blocks) -> bool:
@@ -407,9 +418,10 @@ def isostabilizer_reference(cloud) -> list[tuple[int, ...]]:
     """Blocks of the isostabilizer decomposition from whole matrices.
 
     Points are grouped by coarse key, then by the components of the whole
-    (k, k) max-abs matrix of their exact feature rows at MATCH_EPS. A group
-    whose first point has no fixed tangent direction, by the null-space
-    reading, is split into single points.
+    (k, k) max-abs matrix of their exact feature rows at MATCH_EPS. Each
+    point of a group reads its fixed tangent dimension, by the null-space
+    reading: a point with none is a piece of its own, and the others form
+    one piece per dimension.
     """
     coarse: dict = {}
     for i, st in enumerate(cloud.stabs):
@@ -420,12 +432,42 @@ def isostabilizer_reference(cloud) -> list[tuple[int, ...]]:
         feats = exact_features_reference(cloud, idx)
         fdist = np.abs(feats[:, None, :] - feats[None, :, :]).max(axis=2)
         for group in dense_components(fdist, MATCH_EPS):
-            members = [idx[p] for p in group]
-            if fixed_tangent_dim_reference(cloud.model, cloud.stabs[members[0]]) == 0:
-                blocks.extend((i,) for i in members)
-            else:
-                blocks.append(tuple(members))
+            by_dim: dict = {}
+            for i in (idx[p] for p in group):
+                d = fixed_tangent_dim_reference(cloud.model, cloud.stabs[i])
+                if d == 0:
+                    blocks.append((i,))
+                else:
+                    by_dim.setdefault(d, []).append(i)
+            blocks.extend(tuple(members) for members in by_dim.values())
     return sorted(blocks)
+
+
+def line_and_point_action(point_first: bool) -> actions.ActionModel:
+    """U(1) on CP^2 by [z0 : z1 : e^(it) z2]. The whole circle fixes the
+    line z2 = 0 and the point [0 : 0 : 1], so its M_H has a component of
+    dimension 2 and an isolated point. The specials are 8 points of the line
+    and that point, the point first or last; the name, and so every random
+    stream, is the same in both orders."""
+    pairs = (((0, 1), (0,)), ((2, 3), (0,)), ((4, 5), (1,)))
+    amb, amb_lie = actions._torus_maps(6, pairs)
+
+    def specials(rng):
+        line = np.zeros((8, 6))
+        line[:, :4] = rng.normal(size=(8, 4))
+        point = np.zeros((1, 6))
+        point[0, 4] = 1.0
+        return np.concatenate([point, line] if point_first else [line, point])
+
+    return actions.ActionModel(
+        name="cp2-line-point",
+        group=groups.u1(),
+        manifold=actions.complex_projective(2),
+        amb=amb,
+        amb_lie=amb_lie,
+        special_points=specials,
+        ambient_pairs=pairs,
+    )
 
 
 def iso_pieces(name: str, cloud) -> dict:
@@ -441,7 +483,9 @@ def iso_pieces(name: str, cloud) -> dict:
       which share H = U(1) and are isolated;
     - s2-zn(n): the trivial set and the two poles, which share H = Zn(n);
     - cn-tn(n): one piece per zero pattern; z zero coordinates give the
-      class Trivial (z = 0), U1 (z = 1), FullGroup (z = n) or Other.
+      class Trivial (z = 0), U1 (z = 1), FullGroup (z = n) or Other;
+    - cp2-line-point (line_and_point_action): the trivial set, the fixed
+      line and the isolated fixed point, which share H = U(1).
     """
     if name == "s2xs2-so3":
         return {"Trivial": 1, "SO2": 12}
@@ -452,6 +496,8 @@ def iso_pieces(name: str, cloud) -> dict:
         return {"Zn(2)": generic, "O2": 16, "SO2": 16}
     if name == "cp2-u1":
         return {"Trivial": 1, "Zn(2)": 1, "U1": 3}
+    if name == "cp2-line-point":
+        return {"Trivial": 1, "U1": 2}
     family, n = name[:-1].split("(")
     n = int(n)
     if family == "s2-zn":
@@ -598,7 +644,10 @@ def correspondence_reference(iso, klein):
     group the blocks one at a time by conjugacy with each group's first
     class.
     """
-    owner = klein.block_of()
+    owner = {}
+    for kid, b in enumerate(klein.blocks):
+        for i in b:
+            owner[i] = kid
     mapping = []
     for bid, b in enumerate(iso.blocks):
         kids = sorted({owner[i] for i in b})

@@ -59,7 +59,7 @@ def test_criterion_03_projective_plane_blocks(pipeline_factory):
     assert len(pipe.klein.blocks) == 3
     assert sorted(lab["dim"] for lab in pipe.klein.block_labels) == [1, 1, 2]
     labels = pipe.labels
-    owner = pipe.klein.block_of()
+    owner = pipe.klein.owner
     proj = pipe.action.interval.projection(pipe.cloud.points)
     at0 = next(i for i in range(len(pipe.cloud)) if abs(proj[i]) < 1e-9)
     at1 = next(i for i in range(len(pipe.cloud)) if abs(proj[i] - 1.0) < 1e-9)
@@ -101,7 +101,7 @@ def test_criterion_05_isolated_fixed_points(pipeline_factory):
     assert w(p2) == [-2, -1]
     assert isotropy.reps_equivalent(cloud.reps[p0], cloud.reps[p2])
     assert not isotropy.reps_equivalent(cloud.reps[p0], cloud.reps[p1])
-    owner = pipe.klein.block_of()
+    owner = pipe.klein.owner
     assert owner[p0] == owner[p2]
     assert owner[p1] != owner[p0]
     _report(5, "weights {1,2}/{-1,1}/{-2,-1}; P0~P2 equivalent and sharing a block, P1 apart")

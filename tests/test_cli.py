@@ -14,6 +14,8 @@ import pytest
 from orthofold import actions, cli, quotient, strata
 from orthofold.errors import ClassificationError, CorrespondenceError, InputError
 
+from oracles import owner_of
+
 
 def _run(capsys, *argv):
     code = cli.main(list(argv))
@@ -339,7 +341,7 @@ def test_split_iso_piece_fails_the_component_counts(capsys, monkeypatch):
         head, tail = iso.blocks[b][:1], iso.blocks[b][1:]
         lab = iso.block_labels[b]
         return strata.PartitionOfM(
-            blocks=(*iso.blocks[:b], head, tail, *iso.blocks[b + 1 :]),
+            owner=owner_of((*iso.blocks[:b], head, tail, *iso.blocks[b + 1 :])),
             block_labels=(*iso.block_labels[:b], lab, lab, *iso.block_labels[b + 1 :]),
         )
 
@@ -360,8 +362,8 @@ def test_orbit_across_klein_blocks_fails_its_check(capsys, monkeypatch):
 
     def joined(cloud):
         north = len(cloud) - 2
-        rest = [o for o in original(cloud) if 0 not in o and north not in o]
-        return tuple(sorted([(0, north), *rest]))
+        rest = [o for o in original(cloud).blocks if 0 not in o and north not in o]
+        return strata.PartitionOfM(owner=owner_of(sorted([(0, north), *rest])), block_labels=())
 
     monkeypatch.setattr(quotient, "identify_orbits", joined)
     code, out = _run(capsys, "verify", "s2-zn(5)", "--samples", "30", "--seed", "1")
@@ -411,6 +413,21 @@ def test_cli_runs_without_scipy():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_payloads_do_not_depend_on_the_blas_thread_count():
+    probe = (
+        "from orthofold import cli\n"
+        "cli.main(['analyze', 'cp2-so3', '--samples', '100', '--seed', '0'])\n"
+        "cli.main(['analyze', 's2-zn(5)', '--samples', '300', '--seed', '0'])\n"
+    )
+    shas = []
+    for threads in ("1", "2"):
+        env = {**_child_env(), **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads)}
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        shas.append([line for line in done.stdout.splitlines() if line.startswith("report-sha256:")])
+    assert len(shas[0]) == 2 and shas[0] == shas[1]
 
 
 def test_module_entry_runs_without_the_collector():
@@ -640,6 +657,14 @@ def test_verify_cn_t5_small_cloud(capsys):
     code, out = _run(capsys, "verify", "cn-tn(5)", "--samples", "20", "--seed", "0")
     assert "[FAIL]" not in out
     assert code == 0
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_verify_pins_the_klein_block_count_of_every_cn_tn(capsys, n):
+    # the orthant C^n / T^n has one depth stratum per depth 0..n
+    code, out = _run(capsys, "verify", f"cn-tn({n})", "--samples", "20", "--seed", "0")
+    assert code == 0
+    assert f"[PASS] cn-tn({n}) :: klein-block-count-{n + 1}" in out.splitlines()
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -3,12 +3,16 @@
 import sys
 import tracemalloc
 from dataclasses import replace
+from functools import lru_cache
+from unittest import mock
 from zlib import crc32
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orthofold import actions, isotropy, numerics, strata
+from orthofold import actions, cli, isotropy, numerics, quotient, strata
 from orthofold.errors import InputError
 from orthofold.seeding import rng_for
 
@@ -21,6 +25,7 @@ from oracles import (
     iso_piece_counts,
     iso_pieces,
     isostabilizer_reference,
+    line_and_point_action,
     refines,
 )
 
@@ -313,6 +318,69 @@ def test_iso_piece_counts_match_the_truth_table(cloud_factory, name, samples, se
     assert iso_piece_counts(iso) == iso_pieces(name, cloud)
 
 
+@pytest.mark.parametrize("samples, seed", [(100, 0), (300, 1)])
+@pytest.mark.parametrize("point_first", [True, False])
+def test_iso_pieces_do_not_depend_on_the_order_of_the_specials(point_first, samples, seed):
+    # one H, the whole circle, fixes a line and an isolated point: M_H has
+    # components of dimension 2 and 0. Read at the first point of the H
+    # group, dim M_H cut the line into one-point pieces when the point came
+    # first, and joined the point to the line, across two Klein blocks, when
+    # it came last
+    a = line_and_point_action(point_first)
+    cloud = strata.build_cloud(a, samples, seed=seed)
+    iso = strata.isostabilizer_decomposition(cloud)
+    assert iso_piece_counts(iso) == iso_pieces(a.name, cloud)
+    assert sorted(iso.blocks) == isostabilizer_reference(cloud)
+    assert [res["name"] for res in cli.verify_action(a, samples, seed) if not res["ok"]] == []
+
+
+_ORDER_SAMPLES = 200
+
+
+def _order_action(name):
+    return line_and_point_action(True) if name == "cp2-line-point" else actions.get_action(name)
+
+
+def _partitions(a):
+    cloud = strata.build_cloud(a, _ORDER_SAMPLES, seed=0)
+    parts = (
+        strata.orbit_type_partition(cloud),
+        strata.isostabilizer_decomposition(cloud),
+        quotient.klein_partition(cloud),
+        quotient.identify_orbits(cloud),
+    )
+    return len(cloud), parts
+
+
+@lru_cache(maxsize=None)
+def _unpermuted(name):
+    n, parts = _partitions(_order_action(name))
+    return n, [{frozenset(b) for b in part.blocks} for part in parts]
+
+
+@pytest.mark.parametrize("permuted", ["samples", "specials"])
+@pytest.mark.parametrize("name", [*actions.catalog_ids(), "cn-tn(3)", "cp2-line-point"])
+@settings(derandomize=True, max_examples=5, deadline=None)
+@given(perm_seed=st.integers(0, 2**32 - 1))
+def test_partitions_do_not_depend_on_the_order_of_the_points(name, permuted, perm_seed):
+    # permuting the uniform samples, or the specials, must leave orbit type,
+    # iso, Klein and the orbits equal as sets of point sets
+    a = _order_action(name)
+    n, want = _unpermuted(name)
+    perm = np.random.default_rng(perm_seed).permutation(_ORDER_SAMPLES if permuted == "samples" else n - _ORDER_SAMPLES)
+    if permuted == "samples":
+        # the permuted cloud's point k is the unpermuted cloud's point back[k]
+        back = np.concatenate([perm, np.arange(_ORDER_SAMPLES, n)])
+        original = strata.sample_points
+        with mock.patch.object(strata, "sample_points", lambda m, count, rng: original(m, count, rng)[perm]):
+            got_n, parts = _partitions(a)
+    else:
+        back = np.concatenate([np.arange(_ORDER_SAMPLES), _ORDER_SAMPLES + perm])
+        got_n, parts = _partitions(replace(a, special_points=lambda rng: a.special_points(rng)[perm]))
+    assert got_n == n
+    assert [{frozenset(back[list(b)].tolist()) for b in part.blocks} for part in parts] == want
+
+
 @pytest.mark.parametrize("name", [*actions.catalog_ids(), "cn-tn(3)"])
 def test_fixed_tangent_dim_matches_the_null_space(cloud_factory, name):
     # the character formula, traces averaged over the witnesses, against
@@ -372,12 +440,12 @@ def test_distinct_pairs_hold_each_points_class_and_rep(cloud_factory, name):
         assert cloud.orbit_dims[i] == cloud.orbit_dims[j]
 
 
-def test_index_groups_match_a_dict_grouping():
-    for keys in (np.random.default_rng(0).integers(0, 7, size=200), np.array([4]), np.array([3, 3, 1, 3])):
+def test_partition_blocks_match_a_dict_grouping():
+    for owner in (np.random.default_rng(0).integers(0, 7, size=200), np.array([0]), np.array([1, 1, 0, 1])):
         want: dict = {}
-        for i, k in enumerate(keys.tolist()):
+        for i, k in enumerate(owner.tolist()):
             want.setdefault(k, []).append(i)
-        assert strata.index_groups(keys) == [tuple(want[k]) for k in sorted(want)]
+        assert strata.PartitionOfM(owner=owner, block_labels=()).blocks == tuple(tuple(want[k]) for k in sorted(want))
 
 
 @pytest.mark.parametrize("name", [*actions.catalog_ids(), "cn-tn(3)"])
