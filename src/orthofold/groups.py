@@ -213,23 +213,24 @@ def smith_form(W) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-def congruence_solutions(W, B) -> tuple[np.ndarray, int]:
+def congruence_solutions(W, B) -> tuple[np.ndarray, np.ndarray]:
     """Solutions of W psi = b (mod 2 pi), one per component, for each row b of B.
 
     With U W V = diag(d) from smith_form, psi = V chi solves the congruence
     exactly when d_i chi_i = (U b)_i (mod 2 pi) for every nonzero d_i and
     the rows of U b past them vanish mod 2 pi; callers decide the latter by
-    testing the solutions. The other coordinates of chi are free and span
-    the identity component of the solution set. Each j in prod [0, d_i)
-    gives chi_i = ((U b)_i + 2 pi j_i) / d_i with the free coordinates 0;
-    j = 0, the particular solution, comes first. A W without rows
-    constrains nothing and is not factored. Returns psi of shape
-    (len(B), prod d, n) and the number of free coordinates.
+    testing the solutions. The other coordinates of chi are free: their
+    columns of V, an integer basis of the kernel of W, span the identity
+    component of the solution set. Each j in prod [0, d_i) gives
+    chi_i = ((U b)_i + 2 pi j_i) / d_i with the free coordinates 0; j = 0,
+    the particular solution, comes first. A W without rows constrains
+    nothing and is not factored. Returns psi of shape (len(B), prod d, n)
+    and the (n, free) int64 kernel basis.
     """
     W = np.asarray(W, dtype=np.int64)
     n = W.shape[1]
     if W.shape[0] == 0:
-        return np.zeros((len(B), 1, n)), n
+        return np.zeros((len(B), 1, n)), np.eye(n, dtype=np.int64)
     U, d, V = smith_form(W)
     k = int(np.count_nonzero(d))
     j = np.array(list(np.ndindex(*d[:k])), dtype=np.float64)
@@ -237,7 +238,7 @@ def congruence_solutions(W, B) -> tuple[np.ndarray, int]:
     # U b of every row at once, each a product of its own
     Ub = np.matmul(U, np.asarray(B, dtype=np.float64)[:, :, None])[:, :, 0]
     chi[:, :, :k] = (Ub[:, None, :k] + 2.0 * np.pi * j) / d[:k]
-    return chi @ V.T, n - k
+    return chi @ V.T, V[:, k:]
 
 
 # ---------------------------------------------------------------------------
@@ -313,12 +314,13 @@ def classify_subgroups(
     Zn(m) only when some witness has order m; a non-cyclic one, such as the
     Klein four-group of half-turns in SO(3), is Other.
 
-    The adjoint action of every witness is read in one stacked product: on
-    SO(3) each witness must normalize its stabilizer's algebra, and with
+    On SO(3) the adjoint action of every witness is read in one stacked
+    product: each witness must normalize its stabilizer's algebra, and with
     k = 1 and m = 2 the second witness makes O2 when it reverses the
-    circle. A class then reads only k, m, the rounded witness traces and
-    that reversal, so one SubgroupClass is built per distinct tuple of
-    them, from its first stabilizer, and shared.
+    circle. Ad is the identity on a torus, so nothing there normalizes
+    badly or reverses. A class then reads only k, m, the rounded witness
+    traces and that reversal, so one SubgroupClass is built per distinct
+    tuple of them, from its first stabilizer, and shared.
     """
     B, m = witnesses.shape[:2]
     k = lie_kernels.shape[2]
@@ -329,12 +331,9 @@ def classify_subgroups(
         for row in np.trace(witnesses, axis1=2, axis2=3).tolist()
     ]
     reverses = [False] * B
-    normal = k > 0 and g.kind == "so3"
-    if normal or (k == 1 and m == 2):
+    if k > 0 and g.kind == "so3":
         ad = adjoint_coeffs(g, witnesses)
-        # every witness must normalize the stabilizer algebra; Ad is the
-        # identity on an abelian group, so only SO(3) can fail this
-        if normal and not np.all(spans_equal(ad @ lie_kernels[:, None], lie_kernels[:, None])):
+        if not np.all(spans_equal(ad @ lie_kernels[:, None], lie_kernels[:, None])):
             raise ClassificationError("witness does not normalize the stabilizer Lie span")
         if k == 1 and m == 2:
             # each circle's unit axis, its leading left singular vector

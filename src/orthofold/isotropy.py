@@ -35,11 +35,11 @@ class StabilizerData:
     """Stabilizer of a point: Lie algebra plus one witness per component.
 
     lie_kernel holds coefficient vectors (columns) in the canonical Lie basis
-    of the acting group; witnesses holds one group element per detected
-    component, identity first, and witness_ambs their ambient matrices, as
-    the fixer test read them. frame is the horizontal tangent frame at the
-    point and slice_basis the frame coordinates of the normal slice; one SVD
-    of the infinitesimal action gives it, lie_kernel and orbit_dim.
+    of the acting group, an integer basis on a torus; witnesses holds one
+    group element per detected component, identity first, and witness_ambs
+    their ambient matrices, as the fixer test read them. frame is the
+    horizontal tangent frame at the point and slice_basis the frame
+    coordinates of the normal slice, split at the rank orbit_dim.
     """
 
     point: np.ndarray
@@ -151,24 +151,25 @@ def _witness_order(g: groups.GroupDescriptor) -> np.ndarray:
 
 @functools.lru_cache(maxsize=1024)
 def _finite_stabilizer(g: groups.GroupDescriptor, amb, keep: tuple):
-    """Witnesses, their ambient matrices and class of the finite stabilizer
-    made of the elements keep, amb the action's ambient map.
+    """Lie kernel, witnesses, their ambient matrices and class of the finite
+    stabilizer made of the elements keep, amb the action's ambient map.
 
     A finite group has no Lie algebra, so every stabilizer's Lie kernel is
     empty: the class reads only g and the witnesses, and their ambient
-    matrices only amb, so it is keyed on exactly those. All three are
+    matrices only amb, so it is keyed on exactly those. All four are
     shared read-only.
     """
     wits = g.elements[list(keep)]
     wambs = np.stack([amb(w) for w in wits])
     wits.flags.writeable = wambs.flags.writeable = False
-    return wits, wambs, groups.classify_subgroups(g, np.zeros((1, 0, 0)), wits[None])[0]
+    return shared_identity(0), wits, wambs, groups.classify_subgroups(g, np.zeros((1, 0, 0)), wits[None])[0]
 
 
 def _finite_rows(a: ActionModel, X: np.ndarray) -> list:
-    """(witnesses, witness_ambs, class) of each point of X under a finite
-    group: one fixer_masks call for the stack, then one _finite_stabilizer
-    lookup per distinct fixer set, its fixers taken in witness order."""
+    """(lie_kernel, witnesses, witness_ambs, class) of each point of X under
+    a finite group: one fixer_masks call for the stack, then one
+    _finite_stabilizer lookup per distinct fixer set, its fixers taken in
+    witness order."""
     g = a.group
     masks = fixer_masks(a, X)
     order = _witness_order(g)
@@ -185,7 +186,8 @@ def _finite_rows(a: ActionModel, X: np.ndarray) -> list:
 def _active_pairs(a: ActionModel, X: np.ndarray) -> np.ndarray:
     """bool[n, pairs]: the ambient pairs of each point of X that constrain
     the torus solve. A pair whose magnitude is at most sqrt(ACCEPT_D2) / 2
-    constrains nothing: every rotation of it stays inside the fixer cut."""
+    constrains nothing: every rotation of it stays inside the fixer cut. It
+    is the one rule of a torus point: for k, Lie kernel and witnesses alike."""
     if a.ambient_pairs is None:
         raise InputError(f"action {a.name!r} lacks ambient pair data for the torus solve")
     cut = 0.5 * np.sqrt(ACCEPT_D2)
@@ -236,11 +238,11 @@ def _torus_solutions(g: groups.GroupDescriptor, W: np.ndarray, b: np.ndarray):
     The congruence is solved in closed form by groups.congruence_solutions;
     the particular solution comes first, and whether the solutions really
     carry x to y is left to the caller's displacement test. Returns the
-    elements and the number of free coordinates, which span the identity
-    component of the stabilizer.
+    elements and the integer kernel basis cut to the torus coordinates, as
+    floats, which spans the stabilizer's Lie algebra.
     """
-    psi, free = groups.congruence_solutions(W, b[None])
-    return groups.exp_coeffs_batch(g, psi[0][:, : g.lie_dim]), free
+    psi, basis = groups.congruence_solutions(W, b[None])
+    return groups.exp_coeffs_batch(g, psi[0][:, : g.lie_dim]), basis[: g.lie_dim].astype(np.float64)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -250,23 +252,23 @@ def _torus_stabilizer(g: groups.GroupDescriptor, n: int, rows: bytes):
 
     At y = x every target angle atan2(y) - atan2(x) of _torus_system is
     exactly 0, so a stabilizer's solve depends on W alone and is shared by
-    every point with the same rows. The witnesses are read-only.
+    every point with the same rows. Returns the witnesses and the Lie
+    kernel, as floats, both read-only.
     """
     W = np.frombuffer(rows, dtype=np.int64).reshape(-1, n)
-    wits, free = _torus_solutions(g, W, np.zeros(W.shape[0]))
-    wits.flags.writeable = False
-    return wits, free
+    wits, kernel = _torus_solutions(g, W, np.zeros(W.shape[0]))
+    wits.flags.writeable = kernel.flags.writeable = False
+    return wits, kernel
 
 
-def _torus_rows(a: ActionModel, X: np.ndarray, ks: np.ndarray, kernels: list) -> list:
-    """(witnesses, witness_ambs, class) of each point of X under a torus.
+def _torus_rows(a: ActionModel, X: np.ndarray) -> list:
+    """(lie_kernel, witnesses, witness_ambs, class) of each point under a torus.
 
     A point's congruence at y = x depends only on which ambient pairs are
     active there (_active_pairs), so the points are grouped by that pattern:
     each group's rows W are solved once (_torus_stabilizer), their witnesses'
     ambient matrices built once, and the group passes one displacement test
-    and is classified once. A torus's class reads the Lie dimension k and
-    the witnesses, and the solve fixes k.
+    and is classified once; the solve gives its Lie kernel.
     """
     g = a.group
     n = X.shape[1]
@@ -277,16 +279,14 @@ def _torus_rows(a: ActionModel, X: np.ndarray, ks: np.ndarray, kernels: list) ->
     out = [None] * len(X)
     for idx in patterns.values():
         W = _congruence_rows(a, active[idx[0]])
-        wits, free = _torus_stabilizer(g, W.shape[1], W.tobytes())
-        if np.any(ks[idx] != free):
-            raise StabilizerError("Lie kernel and torus solve disagree on the stabilizer dimension")
+        wits, kernel = _torus_stabilizer(g, W.shape[1], W.tobytes())
         wambs = a.amb_batch(wits)
         wambs.flags.writeable = False
         pts = X[idx]
         images = (pts @ wambs.reshape(-1, n).T).reshape(-1, n)
         if _aligned_d2(a, images, np.repeat(pts, len(wits), axis=0)).max() > ACCEPT_D2:
             raise StabilizerError("closed-form witness misses the fixer set")
-        row = (wits, wambs, groups.classify_subgroups(g, kernels[idx[0]][None], wits[None])[0])
+        row = (kernel, wits, wambs, groups.classify_subgroups(g, kernel[None], wits[None])[0])
         for i in idx:
             out[i] = row
     return out
@@ -347,8 +347,8 @@ def _so3_candidates(a: ActionModel, X: np.ndarray, ks: np.ndarray, kernels: list
     return owner[order], _half_turns(axes[order])
 
 
-def _so3_rows(a: ActionModel, X: np.ndarray, ks: np.ndarray, kernels: list) -> list:
-    """(witnesses, witness_ambs, class) of each point of X under SO(3).
+def _so3_rows(a: ActionModel, X: np.ndarray, kernels: list) -> list:
+    """(lie_kernel, witnesses, witness_ambs, class) of each point under SO(3).
 
     Every candidate of _so3_candidates takes one displacement test; a
     point's witnesses are the identity and its passing candidates, in
@@ -359,6 +359,7 @@ def _so3_rows(a: ActionModel, X: np.ndarray, ks: np.ndarray, kernels: list) -> l
         raise InputError(f"action {a.name!r} lacks the frame data of the SO(3) solve")
     g = a.group
     n = X.shape[1]
+    ks = np.array([K.shape[1] for K in kernels], dtype=np.int64)
     owner, cands = _so3_candidates(a, X, ks, kernels)
     ambs = a.amb_batch(cands) if len(cands) else np.zeros((0, n, n))
     targets = X[owner]
@@ -380,7 +381,7 @@ def _so3_rows(a: ActionModel, X: np.ndarray, ks: np.ndarray, kernels: list) -> l
             lie = np.stack([kernels[i] for i in pts[sel]])
             classes = groups.classify_subgroups(g, lie, wits[sel])
             for j, cls in zip(sel.tolist(), classes):
-                out[pts[j]] = (wits[j], wambs[j], cls)
+                out[pts[j]] = (kernels[pts[j]], wits[j], wambs[j], cls)
     return out
 
 
@@ -392,15 +393,17 @@ def stabilizer_rows(a: ActionModel, X: np.ndarray, frames: np.ndarray) -> list[t
     assembles a point's StabilizerData from: (lie_kernel, witnesses,
     witness_ambs, subgroup, orbit_dim, slice_basis).
 
-    One stacked SVD of the infinitesimal actions gives every orbit
-    dimension (the rank), Lie algebra (the kernel) and normal slice (the
-    complement of the column span); a finite group's action has no
-    columns, so its slice is the whole tangent space. Every kind is then
-    decided in closed form for the whole stack: finite groups are
-    enumerated by the fixer test against the element stack, torus-kind
-    components are solved exactly from the integer congruence of the active
-    ambient pairs, and SO(3) components are the half-turns of
-    _so3_candidates that pass the fixer test. Each witness has squared
+    One stacked SVD of the infinitesimal actions gives every normal slice
+    (the complement of the column span). Every kind is decided in closed
+    form for the whole stack. Finite groups are enumerated by the fixer
+    test against the element stack; they have no Lie algebra, and their
+    action no columns, so the slice is the whole tangent space. A torus
+    solves the integer congruence of the active ambient pairs exactly: the
+    solve gives the Lie kernel (an integer basis) and the components, and
+    the SVD is split at the rank lie_dim - k it fixes. Only SO(3) reads the
+    SVD's relative rank, for its orbit dimension, and its null space, for
+    the Lie algebra; its components are the half-turns of _so3_candidates
+    that pass the fixer test. Each witness has squared
     displacement at most ACCEPT_D2 (the finite kind tests at POINT_EPS).
     What several points share is built once and shared read-only: a finite
     group's ambient matrices, witness order, and the witnesses and class
@@ -409,22 +412,16 @@ def stabilizer_rows(a: ActionModel, X: np.ndarray, frames: np.ndarray) -> list[t
     stabilizer shape.
     """
     g = a.group
-    odims, kernels, slices = svd_splits(infinitesimal_actions(a, X, frames))
-    ks = np.array([K.shape[1] for K in kernels], dtype=np.int64)
-    if np.any(odims + ks != g.lie_dim):
-        raise StabilizerError("orbit and kernel dimensions are inconsistent")
-    if g.kind == "finite":
-        solved = _finite_rows(a, X)
-    elif g.kind == "torus":
-        solved = _torus_rows(a, X, ks, kernels)
-    elif g.kind == "so3":
-        solved = _so3_rows(a, X, ks, kernels)
+    inf = infinitesimal_actions(a, X, frames)
+    if g.kind == "so3":
+        odims, kernels, slices = svd_splits(inf)
+        solved = _so3_rows(a, X, kernels)
+    elif g.kind in ("finite", "torus"):
+        solved = _finite_rows(a, X) if g.kind == "finite" else _torus_rows(a, X)
+        odims, _, slices = svd_splits(inf, [g.lie_dim - row[0].shape[1] for row in solved])
     else:
         raise InputError(f"no stabilizer scheme for group kind {g.kind!r}")
-    return [
-        (K, wits, wambs, cls, odim, C)
-        for K, (wits, wambs, cls), odim, C in zip(kernels, solved, odims.tolist(), slices)
-    ]
+    return [(*row, odim, C) for row, odim, C in zip(solved, odims.tolist(), slices)]
 
 
 def stabilizer(

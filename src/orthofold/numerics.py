@@ -2,8 +2,9 @@
 of feature rows.
 
 The matrices of the linear algebra are plain float64 arrays of at most 64
-rows/columns. Rank decisions keep the singular values above RANK_EPS times
-the largest; subspace bases are returned orthonormal, as columns. The cuts
+rows/columns. A rank not given keeps the singular values above RANK_EPS
+times the largest, the rule of SO(3) orbits (a torus's rank comes from its
+exact solve); subspace bases are returned orthonormal, as columns. The cuts
 several modules share are defined here: MATCH_EPS for matching points,
 traces, characters and coordinates, and POINT_EPS for the displacement of
 a point that still counts as fixed. Each cut is one constant, not a
@@ -55,12 +56,12 @@ def as_small_matrix(a) -> np.ndarray:
     return m
 
 
-def svd_splits(A) -> tuple[np.ndarray, list, list]:
+def svd_splits(A, ranks=None) -> tuple[np.ndarray, list, list]:
     """(r, K, C) of each (d, n) matrix of a (B, d, n) stack, from one stacked
-    SVD u s vt: the relative rank r, the orthonormal null space basis
-    K = vt[r:]^T and the orthonormal basis C = u[:, r:] of the complement of
-    the column span. C is the identity for a zero matrix or one without
-    columns; identity bases are shared read-only.
+    SVD u s vt: the rank r (given, or else the relative rank, _kept), the
+    orthonormal null space basis K = vt[r:]^T and the orthonormal basis
+    C = u[:, r:] of the complement of the column span. C is the identity for
+    a zero matrix or one without columns; identity bases are shared read-only.
 
     Returns the ranks as an int array and the lists of the K and C of each
     matrix. A stacked np.linalg.svd factors each matrix as a call on it
@@ -77,7 +78,7 @@ def svd_splits(A) -> tuple[np.ndarray, list, list]:
     if not np.all(np.isfinite(A)):
         raise InputError("matrix contains non-finite entries")
     u, s, vt = np.linalg.svd(A)
-    ranks = np.count_nonzero(_kept(s), axis=1)
+    ranks = np.count_nonzero(_kept(s), axis=1) if ranks is None else np.asarray(ranks, dtype=np.int64)
     nonzero = A.any(axis=(1, 2)).tolist()
     K, C = [None] * B, [None] * B
     for r in sorted(set(ranks.tolist())):
@@ -110,14 +111,14 @@ def spans_equal(a, b):
     a and b are matrices, or stacks of them (..., d, k) that broadcast; a
     stack gives one answer per matrix.
     """
-    pa, pb = _projectors(a), _projectors(b)
+    pa, pb = projectors(a), projectors(b)
     if pa.shape[-1] != pb.shape[-1]:
         return False
     same = np.max(np.abs(pa - pb), axis=(-2, -1)) <= _SPAN_EPS
     return bool(same) if same.ndim == 0 else same
 
 
-def _projectors(a) -> np.ndarray:
+def projectors(a) -> np.ndarray:
     """The orthogonal projector onto the column span of a matrix, or of each
     matrix of a (..., d, k) stack: Q Q^T, Q the left singular vectors that
     the rank rule (_kept) keeps. A zero matrix, or one without columns,

@@ -101,11 +101,11 @@ def _sample_labels(reps: list, samples: list, circle_label) -> list:
     so the elements carrying w v back to v solve W psi = b (mod 2 pi): W
     holds the rows of the planes v touches, and b their angles from w v to
     v, one target per witness w. groups.congruence_solutions gives one
-    solution per component and the free dimension of H_v, and a solution
-    counts when it turns w v to within _FIX_EPS of v. A slice without
-    planes has nothing to solve: each witness is its own single candidate
-    and all k coordinates are free. The label reads the free dimension and
-    the count. This is the one labeller of every Klein profile: a finite
+    solution per component and a kernel basis, whose columns are the free
+    dimension of H_v, and a solution counts when it turns w v to within
+    _FIX_EPS of v. A slice without planes has nothing to solve: each
+    witness is its own single candidate and all k coordinates are free.
+    The label reads the free dimension and the count. This is the one labeller of every Klein profile: a finite
     stabilizer has no planes and k = 0, so its label is the number of
     witnesses that fix v.
 
@@ -164,7 +164,7 @@ def _sample_labels(reps: list, samples: list, circle_label) -> list:
     for (shape, raw), parts in pending.items():
         W = np.frombuffer(raw, dtype=np.int64).reshape(shape)
         targets = np.concatenate([b.reshape(b.shape[0] * b.shape[1], shape[0]) for _, _, b, _ in parts])
-        psi, free = groups.congruence_solutions(W, targets)
+        psi, basis = groups.congruence_solutions(W, targets)
         lo = 0
         for owners, ts, b, (rows, zv, zw, miss) in parts:
             n, m = b.shape[:2]
@@ -175,7 +175,7 @@ def _sample_labels(reps: list, samples: list, circle_label) -> list:
             total = miss[:, :, None] + (np.abs(turned - zv[:, None, None, :]) ** 2).sum(axis=3)
             counts = np.count_nonzero(total <= _FIX_EPS**2, axis=(1, 2)).tolist()
             for r, t, c in zip(owners, ts, counts):
-                labels[r][t] = _label(reps[r], free, c, circle_label)
+                labels[r][t] = _label(reps[r], basis.shape[1], c, circle_label)
     return labels
 
 

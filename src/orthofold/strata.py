@@ -24,7 +24,7 @@ from . import groups
 from .actions import ActionModel, lift, normalize, sample_points, tangent_frames
 from .errors import ClassificationError, InputError
 from .isotropy import _byte_rows, slice_representations, stabilizer, stabilizer_rows
-from .numerics import MATCH_EPS, epsilon_components
+from .numerics import MATCH_EPS, epsilon_components, projectors
 from .seeding import rng_for
 
 # Largest sample count of a cloud: `analyze cp2-so3` peaks at about 6 KB a
@@ -220,14 +220,15 @@ def _exact_features(cloud: SampleCloud, idx) -> np.ndarray:
     coarse key, so one Lie dimension k and one witness count m.
 
     For k > 0 a row is the flattened projector onto the stabilizer's Lie
-    span (the Lie kernel's columns are orthonormal). For k = 0 it is the
+    span (numerics.projectors: a torus's integer kernel basis is not
+    orthonormal). For k = 0 it is the
     mean of the m witnesses' ambient matrices, each lifted to fix the point
     (actions.lift): the lifts form a finite group, so their mean is the
     projector onto the fixed space of that group.
     """
     stabs = [cloud.stabs[i] for i in idx]
     if stabs[0].lie_kernel.shape[1]:
-        return np.stack([(st.lie_kernel @ st.lie_kernel.T).ravel() for st in stabs])
+        return projectors(np.stack([st.lie_kernel for st in stabs])).reshape(len(stabs), -1)
     m = stabs[0].witness_ambs.shape[0]
     ambs = np.concatenate([st.witness_ambs for st in stabs])
     lifted = lift(cloud.model, ambs, np.repeat(cloud.points[list(idx)], m, axis=0))

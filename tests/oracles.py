@@ -443,14 +443,32 @@ def isostabilizer_reference(cloud) -> list[tuple[int, ...]]:
     return sorted(blocks)
 
 
+def torus_action(name: str, pairs, manifold, specials, params=None) -> actions.ActionModel:
+    """The torus-kind action of the given ambient pairs (actions._torus_maps):
+    U(1) when the weight rows have one entry, T^r for r entries. The name
+    keys every random stream, so actions of one name, manifold and specials
+    sample the same cloud."""
+    pairs = tuple((tuple(c), tuple(int(t) for t in w)) for c, w in pairs)
+    r = len(pairs[0][1])
+    amb, amb_lie = actions._torus_maps(manifold.ambient_dim, pairs)
+    return actions.ActionModel(
+        name=name,
+        group=groups.u1() if r == 1 else groups.torus(r),
+        manifold=manifold,
+        amb=amb,
+        amb_lie=amb_lie,
+        special_points=specials,
+        ambient_pairs=pairs,
+        params=dict(params or {}),
+    )
+
+
 def line_and_point_action(point_first: bool) -> actions.ActionModel:
     """U(1) on CP^2 by [z0 : z1 : e^(it) z2]. The whole circle fixes the
     line z2 = 0 and the point [0 : 0 : 1], so its M_H has a component of
     dimension 2 and an isolated point. The specials are 8 points of the line
     and that point, the point first or last; the name, and so every random
     stream, is the same in both orders."""
-    pairs = (((0, 1), (0,)), ((2, 3), (0,)), ((4, 5), (1,)))
-    amb, amb_lie = actions._torus_maps(6, pairs)
 
     def specials(rng):
         line = np.zeros((8, 6))
@@ -459,15 +477,26 @@ def line_and_point_action(point_first: bool) -> actions.ActionModel:
         point[0, 4] = 1.0
         return np.concatenate([point, line] if point_first else [line, point])
 
-    return actions.ActionModel(
-        name="cp2-line-point",
-        group=groups.u1(),
-        manifold=actions.complex_projective(2),
-        amb=amb,
-        amb_lie=amb_lie,
-        special_points=specials,
-        ambient_pairs=pairs,
-    )
+    pairs = (((0, 1), (0,)), ((2, 3), (0,)), ((4, 5), (1,)))
+    return torus_action("cp2-line-point", pairs, actions.complex_projective(2), specials)
+
+
+def delzant_action() -> actions.ActionModel:
+    """T^2 on CP^2 by [z0 : e^(is) z1 : e^(it) z2], the toric action whose
+    moment image is the Delzant triangle. T^2 fixes the 3 coordinate points,
+    the circle of weight (1, 1), (0, 1) or (1, 0) fixes the edge z0 = 0,
+    z1 = 0 or z2 = 0, and the rest is free: 7 isostabilizer pieces, and 5
+    orbit types, since the three circles are not conjugate in T^2. The
+    specials are the 3 fixed points and 8 points of each edge."""
+
+    def specials(rng):
+        edges = rng.normal(size=(3, 8, 6))
+        for e in range(3):
+            edges[e, :, 2 * e : 2 * e + 2] = 0.0
+        return np.concatenate([np.eye(6)[0::2], edges.reshape(24, 6)])
+
+    pairs = (((0, 1), (0, 0)), ((2, 3), (1, 0)), ((4, 5), (0, 1)))
+    return torus_action("cp2-t2-delzant", pairs, actions.complex_projective(2), specials)
 
 
 def iso_pieces(name: str, cloud) -> dict:

@@ -61,6 +61,18 @@ def test_classify_alias_names(capsys):
     assert payload["singularity"] == "OrbifoldPoint(5)"
 
 
+@pytest.mark.parametrize(
+    "name, point",
+    [("cn-tn(2)", "1e-9,0"), ("cp2-u1", "1,1e-8,0"), ("rp2-so2", "1e-8,0,1"), ("cn-tn(2)", "1,1e-8")],
+)
+def test_points_next_to_a_torus_locus_classify(capsys, name, point):
+    # a coordinate pair within the active-pair cut of zero is zero for the
+    # whole stabilizer: its Lie kernel, orbit dimension and witnesses
+    code, out = _run(capsys, "classify", name, point, "--seed", "0")
+    assert code == 0
+    assert len(_parse_report(out)[1]) == 64
+
+
 def test_unknown_action_exit_code(capsys):
     code, _ = _run(capsys, "classify", "s7-g2", "0,0,1")
     assert code == 2

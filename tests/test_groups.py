@@ -72,8 +72,12 @@ def test_congruence_solutions_cover_every_component(W, comps, free):
     # every W here has full row rank, so every target b is consistent
     W = np.asarray(W, dtype=np.int64)
     B = np.random.default_rng(3).uniform(-np.pi, np.pi, size=(4, W.shape[0]))
-    psi, got_free = groups.congruence_solutions(W, B)
-    assert psi.shape == (4, comps, W.shape[1]) and got_free == free
+    psi, basis = groups.congruence_solutions(W, B)
+    assert psi.shape == (4, comps, W.shape[1]) and basis.shape == (W.shape[1], free)
+    # an integer basis of the kernel of W, and of its whole lattice: the
+    # maximal minors are coprime
+    assert basis.dtype == np.int64 and not np.any(W @ basis)
+    assert free == 0 or minor_gcd(basis) == 1
     for b, sols in zip(B, psi):
         r = (sols @ W.T - b) / (2.0 * np.pi)
         assert np.abs(r - np.rint(r)).max(initial=0.0) < 1e-12

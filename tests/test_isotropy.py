@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from orthofold import actions, groups, isotropy, numerics, quotient, strata
-from orthofold.errors import StabilizerError
 
 from oracles import (
     act,
@@ -373,16 +372,6 @@ def test_torus_component_count_is_the_minor_gcd(pattern):
         assert min(gaps, default=1.0) > 0.1
 
 
-def test_torus_solve_rejects_a_kernel_mismatch(monkeypatch):
-    a = actions.get_action("cn-tn(2)")
-    # the batch solver reads every point's split from one svd_splits call
-    monkeypatch.setattr(
-        isotropy, "svd_splits", lambda inf: (np.array([2]), [np.zeros((2, 0))], [np.eye(2)])
-    )
-    with pytest.raises(StabilizerError):
-        isotropy.stabilizer(a, np.array([1.0, 0.0, 0.0, 0.0]))
-
-
 @pytest.mark.parametrize("name", ["cn-tn(3)", "cp2-u1"])
 def test_torus_transport_is_exact(name):
     a = actions.get_action(name)
@@ -629,6 +618,25 @@ def test_svd_splits_and_infinitesimal_actions_are_their_rows(cloud_factory, name
             assert r == np.count_nonzero(sv > numerics.RANK_EPS * sv[0])
             assert K.tobytes() == vt[r:].T.copy().tobytes()
             assert C.tobytes() == u[:, r:].copy().tobytes()
+
+
+@pytest.mark.parametrize("name", ["rp2-so2", "cp2-u1", "cn-tn(2)", "cn-tn(3)"])
+def test_torus_lie_kernels_are_integral_and_span_the_svd_null_space(cloud_factory, name):
+    # the exact solve alone decides a torus stabilizer; on the catalog its
+    # integer kernel spans what the relative-rank SVD null space spans, and
+    # the slice is that SVD split at the solve's rank
+    cloud = cloud_factory(name, 100, 0)
+    a = cloud.model
+    frames = np.stack([st.frame for st in cloud.stabs])
+    infs = actions.infinitesimal_actions(a, cloud.points, frames)
+    ranks, kernels, _ = numerics.svd_splits(infs)
+    given = numerics.svd_splits(infs, [st.orbit_dim for st in cloud.stabs])
+    for i, st in enumerate(cloud.stabs):
+        K = st.lie_kernel
+        assert np.array_equal(K, np.rint(K)) and not K.flags.writeable
+        assert K.shape == kernels[i].shape and st.orbit_dim == ranks[i] == given[0][i]
+        assert numerics.spans_equal(K, kernels[i])
+        assert st.slice_basis.tobytes() == given[2][i].tobytes()
 
 
 @pytest.mark.parametrize("name", ["s2-zn(5)", "s2-zn(64)", "rp2-so2", "cp2-u1", "cn-tn(3)"])

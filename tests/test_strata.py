@@ -9,7 +9,7 @@ from zlib import crc32
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orthofold import actions, cli, isotropy, numerics, quotient, strata
@@ -20,6 +20,7 @@ from oracles import (
     CountingNumpy,
     check_partition,
     classes_conjugate_reference,
+    delzant_action,
     exact_features_reference,
     fixed_tangent_dim_reference,
     iso_piece_counts,
@@ -27,6 +28,7 @@ from oracles import (
     isostabilizer_reference,
     line_and_point_action,
     refines,
+    torus_action,
 )
 
 
@@ -379,6 +381,103 @@ def test_partitions_do_not_depend_on_the_order_of_the_points(name, permuted, per
         got_n, parts = _partitions(replace(a, special_points=lambda rng: a.special_points(rng)[perm]))
     assert got_n == n
     assert [{frozenset(back[list(b)].tolist()) for b in part.blocks} for part in parts] == want
+
+
+_REPARAM_KEYS = ["cn-tn(2)", "cn-tn(3)", "cp2-u1", "rp2-so2", "cp2-line-point:first", "cp2-line-point:last"]
+
+
+def _reparam_base(key):
+    if key.startswith("cp2-line-point"):
+        return line_and_point_action(key.endswith(":first"))
+    return actions.get_action(key)
+
+
+@lru_cache(maxsize=None)
+def _base_partitions(key):
+    n, parts = _partitions(_reparam_base(key))
+    return n, [{frozenset(b) for b in part.blocks} for part in parts]
+
+
+def _reparametrized(a, A, c):
+    """a with every weight row w turned to w A + c (c added to each entry).
+    A unimodular makes theta -> A theta an automorphism of the torus, and on
+    CP^n one shift of every row multiplies every coordinate by one phase, so
+    the orbits and the point sets of every stabilizer stay as they are."""
+    pairs = [(coords, np.asarray(w, dtype=np.int64) @ A + c) for coords, w in a.ambient_pairs]
+    b = torus_action(a.name, pairs, a.manifold, a.special_points, a.params)
+    return replace(b, group=a.group, interval=a.interval)
+
+
+def _check_reparametrized(key, A, c):
+    a = _reparam_base(key)
+    n, want = _base_partitions(key)
+    A = np.asarray(A, dtype=np.int64)
+    got_n, parts = _partitions(_reparametrized(a, A, c))
+    assert got_n == n
+    got = [{frozenset(block) for block in part.blocks} for part in parts]
+    # orbit type, iso and the orbits, as sets of point sets
+    assert [got[j] for j in (0, 1, 3)] == [want[j] for j in (0, 1, 3)]
+    # Klein compares slice weights as integer rows, which a stabilizer of
+    # rank >= 2 (the origin of cn-tn(n), in every cloud) matches only up to
+    # GL(k, Z)
+    if len(A) < 2 or np.array_equal(A, np.eye(len(A))):
+        assert got[2] == want[2]
+
+
+@st.composite
+def _unimodular(draw, r):
+    """A product of elementary integer column operations of size r, its
+    entries within 3."""
+    A = np.eye(r, dtype=np.int64)
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(st.integers(0, r - 1)), draw(st.integers(0, r - 1))
+        if i == j:
+            A[:, i] *= -1
+        else:
+            A[:, i] += draw(st.sampled_from((-1, 1))) * A[:, j]
+    assume(np.abs(A).max() <= 3)
+    return A
+
+
+@pytest.mark.parametrize("key", _REPARAM_KEYS)
+@settings(derandomize=True, max_examples=4, deadline=None)
+@given(data=st.data())
+def test_partitions_do_not_depend_on_the_weight_parametrization(key, data):
+    # W -> W A, A unimodular, and on CP^2 every row shifted by one c, are
+    # the same action in other torus coordinates
+    a = _reparam_base(key)
+    A = data.draw(_unimodular(a.group.lie_dim))
+    c = data.draw(st.integers(-3, 3)) if a.manifold.kind == "complex_projective" else 0
+    _check_reparametrized(key, A, c)
+
+
+@pytest.mark.parametrize(
+    "key, A, c",
+    [
+        ("cn-tn(2)", ((1, 1), (0, 1)), 0),
+        ("cn-tn(3)", ((1, 1, 0), (0, 1, 0), (0, 0, 1)), 0),
+        ("cp2-line-point:first", ((1,),), 1),
+        ("cp2-line-point:last", ((1,),), -3),
+    ],
+)
+def test_reparametrized_torus_actions_keep_their_partitions(key, A, c):
+    # under A a stabilizer algebra such as the line through (1, -1) has no
+    # orthonormal integer basis, so its slice weights need the integer one;
+    # on the shifted fixed line the generator's field is zero only up to
+    # rounding, where a relative singular-value rank reads rank 1
+    _check_reparametrized(key, A, c)
+
+
+@pytest.mark.parametrize("samples, seed", [(200, 0), (200, 1), (300, 0), (300, 1)])
+def test_delzant_triangle_has_seven_iso_pieces(samples, seed):
+    # the three vertices (T^2), the three open edges (one circle each) and
+    # the free interior; orbit types and Klein blocks are not pinned here
+    a = delzant_action()
+    cloud = strata.build_cloud(a, samples, seed=seed)
+    iso = strata.isostabilizer_decomposition(cloud)
+    assert iso_piece_counts(iso) == {"Trivial": 1, "U1": 3, "FullGroup": 3}
+    assert sorted(iso.blocks) == isostabilizer_reference(cloud)
+    assert [res["name"] for res in cli.verify_action(a, samples, seed) if not res["ok"]] == []
 
 
 @pytest.mark.parametrize("name", [*actions.catalog_ids(), "cn-tn(3)"])
