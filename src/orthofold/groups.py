@@ -4,7 +4,7 @@ Each group is described by its canonical matrix size, an explicit basis of
 its Lie algebra (antisymmetric matrices), and, for groups with several
 components, representative or exhaustive element lists. Lie-algebra data is
 always handled through coefficient vectors relative to the stored basis, so
-stabilizer kernels, exponentials and adjoints all speak the same coordinates.
+stabilizer kernels and exponentials speak the same coordinates.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import ClassificationError, InputError
 from .kernels import SO3_GENERATORS, rodrigues_batch
-from .numerics import spans_equal
 
 _J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -141,18 +140,6 @@ def _quat_to_mat(q: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # structure queries
 # ---------------------------------------------------------------------------
-
-
-def adjoint_coeffs(g: GroupDescriptor, elem: np.ndarray) -> np.ndarray:
-    """Matrix of Ad_elem on Lie-algebra coefficient vectors, for one element
-    or each element of a (..., n, n) stack."""
-    k = g.lie_dim
-    if k == 0:
-        return np.zeros(elem.shape[:-2] + (0, 0))
-    conj = np.einsum("...ab,jbc,...dc->...jad", elem, g.lie, elem)
-    gram = np.einsum("iab,jab->ij", g.lie, g.lie)
-    mixed = np.einsum("iab,...jab->...ij", g.lie, conj)
-    return np.linalg.solve(gram, mixed)
 
 
 def smith_form(W) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -311,18 +298,17 @@ def classify_subgroups(
     invariant only. In particular non-conjugate subtori of a higher-rank
     torus can share a key; the finer Lie-span data lives on the
     decomposition fingerprints, not here. A finite group of order m is
-    Zn(m) only when some witness has order m; a non-cyclic one, such as the
-    Klein four-group of half-turns in SO(3), is Other.
+    Zn(m) only when some witness has order m; a non-cyclic one is Other.
 
-    On SO(3) the adjoint action of every witness is read in one stacked
-    product: each witness must normalize its stabilizer's algebra, and with
-    k = 1 and m = 2 the second witness makes O2 when it reverses the
-    circle. Ad is the identity on a torus, so nothing there normalizes
-    badly or reverses. A class then reads only k, m, the rounded witness
-    traces and that reversal, so one SubgroupClass is built per distinct
-    tuple of them, from its first stabilizer, and shared.
+    The witnesses come from the closed-form rule of their group kind, so
+    they normalize the stabilizer algebra by construction: on SO(3) with
+    k = 1 and m = 2 the second witness is a half-turn about an axis
+    perpendicular to the circle's, which reverses it, so the class is O2.
+    On a torus Ad is the identity and nothing reverses. A class then reads
+    only k, m and the rounded witness traces, so one SubgroupClass is built
+    per distinct trace tuple, from its first stabilizer, and shared.
     """
-    B, m = witnesses.shape[:2]
+    m = witnesses.shape[1]
     k = lie_kernels.shape[2]
     if m == 0:
         raise ClassificationError("witness list must at least contain the identity")
@@ -330,31 +316,19 @@ def classify_subgroups(
         tuple(sorted(round(t, 9) + 0.0 for t in row))
         for row in np.trace(witnesses, axis1=2, axis2=3).tolist()
     ]
-    reverses = [False] * B
-    if k > 0 and g.kind == "so3":
-        ad = adjoint_coeffs(g, witnesses)
-        if not np.all(spans_equal(ad @ lie_kernels[:, None], lie_kernels[:, None])):
-            raise ClassificationError("witness does not normalize the stabilizer Lie span")
-        if k == 1 and m == 2:
-            # each circle's unit axis, its leading left singular vector
-            span = np.linalg.svd(lie_kernels, full_matrices=False)[0][:, :, 0]
-            turned = np.einsum("bij,bj->bi", ad[:, 1], span)
-            # np.allclose(turned, -span, atol=1e-6), written out per stabilizer
-            reverses = np.all(np.abs(turned + span) <= 1e-6 + 1e-5 * np.abs(span), axis=1).tolist()
-
     seen: dict = {}
     out = []
-    for b, (tr, rev) in enumerate(zip(traces, reverses)):
-        cls = seen.get((tr, rev))
+    for b, tr in enumerate(traces):
+        cls = seen.get(tr)
         if cls is None:
-            cls = seen[tr, rev] = _subgroup_class(g, k, witnesses[b], tr, rev)
+            cls = seen[tr] = _subgroup_class(g, k, witnesses[b], tr)
         out.append(cls)
     return out
 
 
-def _subgroup_class(g: GroupDescriptor, k: int, witnesses: np.ndarray, traces: tuple, reverses: bool) -> SubgroupClass:
+def _subgroup_class(g: GroupDescriptor, k: int, witnesses: np.ndarray, traces: tuple) -> SubgroupClass:
     """The class of a stabilizer of Lie dimension k, its witnesses with their
-    rounded traces, and whether its second witness reverses its circle."""
+    rounded traces."""
     m = len(witnesses)
     if k == 0:
         if m == 1:
@@ -366,7 +340,7 @@ def _subgroup_class(g: GroupDescriptor, k: int, witnesses: np.ndarray, traces: t
     if k == 1:
         if m == 1:
             return SubgroupClass(g.circle_label, None, 1, traces)
-        if reverses:
+        if m == 2 and g.kind == "so3":
             return SubgroupClass("O2", None, 1, traces)
         return SubgroupClass("Other", None, 1, traces)
 

@@ -18,9 +18,11 @@ from .actions import (
     tangent_frames,
 )
 from .errors import InputError, RepExtractionError, StabilizerError
-from .numerics import BLOCK_BYTES, MATCH_EPS, POINT_EPS, shared_identity, svd_splits
+from .numerics import BLOCK_BYTES, MATCH_EPS, POINT_EPS, RANK_EPS, shared_identity, svd_splits
 
-# squared chordal distance below which a candidate counts as a fixer
+# squared displacement of a torus or SO(3) witness: half its root is the
+# active-pair cut of a torus point; on SO(3) a sanity bound, the class being
+# decided in closed form
 ACCEPT_D2 = 1e-12
 
 # squared-displacement bound of a transport, which identifies orbits across
@@ -36,8 +38,9 @@ class StabilizerData:
 
     lie_kernel holds coefficient vectors (columns) in the canonical Lie basis
     of the acting group, an integer basis on a torus; witnesses holds one
-    group element per detected component, identity first, and witness_ambs
-    their ambient matrices, as the fixer test read them. frame is the
+    group element per component, identity first, each from the closed-form
+    rule of its group kind, and witness_ambs their ambient matrices, as the
+    displacement test read them. frame is the
     horizontal tangent frame at the point and slice_basis the frame
     coordinates of the normal slice, split at the rank orbit_dim.
     """
@@ -292,96 +295,83 @@ def _torus_rows(a: ActionModel, X: np.ndarray) -> list:
     return out
 
 
-def _half_turns(axes: np.ndarray) -> np.ndarray:
-    """Rotations by pi about the unit rows of axes: 2 a a^T - I."""
-    return 2.0 * np.einsum("mi,mj->mij", axes, axes) - np.eye(3)
-
-
-def _so3_candidates(a: ActionModel, X: np.ndarray, ks: np.ndarray, kernels: list):
-    """The half-turns whose displacement test decides the SO(3) stabilizers
-    of the points X, ks their Lie kernel dimensions.
+def _so3_shapes(a: ActionModel, X: np.ndarray):
+    """(k, turn, e2) of the SO(3) stabilizers of the points X, in closed form.
 
     X = a.so3_frame(x) is the 3 x 2 frame that rotations act on from the
-    left. On CP^2 it is fixed only up to the phase gauge X -> X rot(alpha),
-    which leaves S = X X^T unchanged, so a stabilizing R satisfies
-    R S R^T = S: it commutes with S. By the Lie kernel dimension k:
+    left, s0 >= s1 its singular values and e0, e1, e2 its left singular
+    vectors; a point is X up to its gauge, so its stabilizer is
+    {R : R X = X h, h in the gauge}. With one relative cut, RANK_EPS:
 
-    - k = 3: the stabilizer is the connected group; nothing to test.
-    - k = 1, axis n: the identity component is the circle about n and the
-      stabilizer normalizes it, so it lies in O(2)_n. The other coset of
-      O(2)_n, the half-turns about axes perpendicular to n, is one orbit of
-      that circle, so it lies in the stabilizer wholly or not at all, and
-      one half-turn about a fixed axis perpendicular to n decides it.
-    - k = 0: when S has distinct eigenvalues its centralizer in SO(3) is the
-      Klein four-group of the identity and the half-turns about its
-      eigenvectors, which are the left singular vectors of X. They come
-      from an SVD of X, not from an eigendecomposition of S, which squares
-      the conditioning next to the real locus of CP^2, where X is nearly of
-      rank 1. The only catalog points with k = 0 and a repeated eigenvalue
-      are those of s2xs2 with u perpendicular to v (v = +-u, the real locus
-      and the null quadric all have k = 1). There X has rank 2 and no gauge
-      applies, so R X = X forces R = I, and the test rejects every
-      candidate.
+    - no gauge (two unit vectors): rank 2 forces R = I, Trivial; s1 at most
+      RANK_EPS s0 leaves the circle about the column, SO2.
+    - the phase gauge X -> X rot(alpha) of CP^2: s1 at most RANK_EPS s0 is
+      the real locus, the circle about the column and the half-turns about
+      the axes perpendicular to it, which carry X to -X, O2; s0 - s1 at
+      most RANK_EPS s0 is the null quadric, the circle about e2, SO2.
+      Elsewhere R acts on the column plane as X rot(alpha) X^-1, which is
+      orthogonal only for alpha in {0, pi}: the identity and the half-turn
+      about e2, which carries X to -X, Zn(2).
 
-    The frames of every k = 0 point take one stacked SVD, and the k = 1
-    axes one stacked cross product. Returns (owner, half-turns): candidate
-    j belongs to the point owner[j], ascending, and each point's candidates
-    keep the order above.
-    """
-    if np.any(ks == 2):
-        raise StabilizerError("so(3) has no two-dimensional subalgebra")
-    flat, circle = np.flatnonzero(ks == 0), np.flatnonzero(ks == 1)
-    axes = np.zeros((0, 3))
-    if flat.size:
-        axes = np.swapaxes(np.linalg.svd(a.so3_frame(X[flat]))[0], 1, 2).reshape(-1, 3)
-    if circle.size:
-        # coefficients in the so(3) basis of SO3_GENERATORS are the axis
-        n = np.stack([kernels[i][:, 0] for i in circle])
-        e = np.zeros_like(n)
-        e[np.arange(len(n)), np.argmin(np.abs(n), axis=1)] = 1.0
-        p = np.cross(n, e)
-        # |p| by the dot product np.linalg.norm takes of one vector
-        axes = np.concatenate([axes, p / np.sqrt(np.matmul(p[:, None, :], p[:, :, None]))[:, 0]])
-    owner = np.concatenate([np.repeat(flat, 3), circle])
-    order = np.argsort(owner, kind="stable")
-    return owner[order], _half_turns(axes[order])
-
-
-def _so3_rows(a: ActionModel, X: np.ndarray, kernels: list) -> list:
-    """(lie_kernel, witnesses, witness_ambs, class) of each point under SO(3).
-
-    Every candidate of _so3_candidates takes one displacement test; a
-    point's witnesses are the identity and its passing candidates, in
-    order. The points of one witness count are stacked, and each stack of
-    one Lie dimension is classified in one classify_subgroups call.
+    Returns k, the Lie dimension of each point; turn, whether its
+    stabilizer has a half-turn component; and e2, the rows of the frames'
+    third left singular vectors, from one stacked SVD.
     """
     if a.so3_frame is None:
         raise InputError(f"action {a.name!r} lacks the frame data of the SO(3) solve")
+    u, s, _ = np.linalg.svd(a.so3_frame(X))
+    line = s[:, 1] <= RANK_EPS * s[:, 0]
+    if a.manifold.kind != "complex_projective":
+        return line.astype(np.int64), np.zeros(len(X), dtype=bool), u[:, :, 2]
+    null = s[:, 0] - s[:, 1] <= RANK_EPS * s[:, 0]
+    return (line | null).astype(np.int64), ~null, u[:, :, 2]
+
+
+def _so3_rows(a: ActionModel, X: np.ndarray, kernels: list, turn: np.ndarray, e2: np.ndarray) -> list:
+    """(lie_kernel, witnesses, witness_ambs, class) of each point under SO(3).
+
+    kernels are the points' Lie kernels and turn, e2 as _so3_shapes gives
+    them. A point's witnesses are the identity and, where turn holds, its
+    half-turn: about e2 with k = 0, and with k = 1, axis n, about a fixed
+    axis perpendicular to n, which reverses the circle. Only the half-turns'
+    ambient matrices are built, and each takes the displacement test at
+    ACCEPT_D2 as a sanity bound: the frame rule has decided the class. The
+    points of one (witness count, Lie dimension) shape are classified in
+    one classify_subgroups call.
+    """
     g = a.group
     n = X.shape[1]
     ks = np.array([K.shape[1] for K in kernels], dtype=np.int64)
-    owner, cands = _so3_candidates(a, X, ks, kernels)
-    ambs = a.amb_batch(cands) if len(cands) else np.zeros((0, n, n))
-    targets = X[owner]
-    fix = _aligned_d2(a, np.matmul(ambs, targets[:, :, None])[:, :, 0], targets) <= ACCEPT_D2
-    passing, holder = np.flatnonzero(fix), owner[fix]
-    counts = 1 + np.bincount(holder, minlength=len(X))
+    axes = e2[turn]
+    circle = ks[turn] == 1
+    if circle.any():
+        # coefficients in the so(3) basis of SO3_GENERATORS are the axis
+        nk = np.stack([kernels[i][:, 0] for i in np.flatnonzero(turn)[circle]])
+        e = np.zeros_like(nk)
+        e[np.arange(len(nk)), np.argmin(np.abs(nk), axis=1)] = 1.0
+        p = np.cross(nk, e)
+        # |p| by the dot product np.linalg.norm takes of one vector
+        axes[circle] = p / np.sqrt(np.matmul(p[:, None, :], p[:, :, None]))[:, 0]
+    halves = 2.0 * np.einsum("mi,mj->mij", axes, axes) - np.eye(3)
+    wits = np.empty((len(X), 2, 3, 3))
+    wits[:] = np.eye(3)
+    wits[turn, 1] = halves
+    wambs = np.empty((len(X), 2, n, n))
+    wambs[:] = a.amb(np.eye(3))
+    if len(halves):
+        hambs = a.amb_batch(halves)
+        targets = X[turn]
+        if _aligned_d2(a, np.matmul(hambs, targets[:, :, None])[:, :, 0], targets).max() > ACCEPT_D2:
+            raise StabilizerError("closed-form witness misses the fixer set")
+        wambs[turn, 1] = hambs
+    counts = 1 + turn.astype(np.int64)
     out = [None] * len(X)
-    for m in sorted(set(counts.tolist())):
-        pts = np.flatnonzero(counts == m)
-        picks = passing[np.searchsorted(holder, pts)[:, None] + np.arange(m - 1)]
-        wits = np.empty((len(pts), m, 3, 3))
-        wits[:, 0] = np.eye(3)
-        wits[:, 1:] = cands[picks]
-        wambs = np.empty((len(pts), m, n, n))
-        wambs[:, 0] = a.amb(np.eye(3))
-        wambs[:, 1:] = ambs[picks]
-        for k in sorted(set(ks[pts].tolist())):
-            sel = np.flatnonzero(ks[pts] == k)
-            lie = np.stack([kernels[i] for i in pts[sel]])
-            classes = groups.classify_subgroups(g, lie, wits[sel])
-            for j, cls in zip(sel.tolist(), classes):
-                out[pts[j]] = (kernels[pts[j]], wits[j], wambs[j], cls)
+    for m, k in sorted(set(zip(counts.tolist(), ks.tolist()))):
+        pts = np.flatnonzero((counts == m) & (ks == k))
+        lie = np.stack([kernels[i] for i in pts])
+        classes = groups.classify_subgroups(g, lie, wits[pts, :m])
+        for i, cls in zip(pts.tolist(), classes):
+            out[i] = (kernels[i], wits[i, :m], wambs[i, :m], cls)
     return out
 
 
@@ -399,23 +389,23 @@ def stabilizer_rows(a: ActionModel, X: np.ndarray, frames: np.ndarray) -> list[t
     test against the element stack; they have no Lie algebra, and their
     action no columns, so the slice is the whole tangent space. A torus
     solves the integer congruence of the active ambient pairs exactly: the
-    solve gives the Lie kernel (an integer basis) and the components, and
-    the SVD is split at the rank lie_dim - k it fixes. Only SO(3) reads the
-    SVD's relative rank, for its orbit dimension, and its null space, for
-    the Lie algebra; its components are the half-turns of _so3_candidates
-    that pass the fixer test. Each witness has squared
-    displacement at most ACCEPT_D2 (the finite kind tests at POINT_EPS).
-    What several points share is built once and shared read-only: a finite
-    group's ambient matrices, witness order, and the witnesses and class
-    of each fixer set; the torus solve of each congruence, with its
-    witnesses' ambient matrices and class; the class of each SO(3)
-    stabilizer shape.
+    solve gives the Lie kernel (an integer basis) and the components. SO(3)
+    reads k and its components from the singular values and vectors of the
+    so3_frame (_so3_shapes). Every kind then splits the SVD at the given
+    rank lie_dim - k, which decides nothing; under SO(3) its null space is
+    the Lie kernel. Each witness has squared displacement at most ACCEPT_D2 (the
+    finite kind tests at POINT_EPS). What several points share is built
+    once and shared read-only: a finite group's ambient matrices, witness
+    order, and the witnesses and class of each fixer set; the torus solve
+    of each congruence, with its witnesses' ambient matrices and class; the
+    class of each SO(3) stabilizer shape.
     """
     g = a.group
     inf = infinitesimal_actions(a, X, frames)
     if g.kind == "so3":
-        odims, kernels, slices = svd_splits(inf)
-        solved = _so3_rows(a, X, kernels)
+        ks, turn, e2 = _so3_shapes(a, X)
+        odims, kernels, slices = svd_splits(inf, g.lie_dim - ks)
+        solved = _so3_rows(a, X, kernels, turn, e2)
     elif g.kind in ("finite", "torus"):
         solved = _finite_rows(a, X) if g.kind == "finite" else _torus_rows(a, X)
         odims, _, slices = svd_splits(inf, [g.lie_dim - row[0].shape[1] for row in solved])

@@ -2,9 +2,11 @@
 of feature rows.
 
 The matrices of the linear algebra are plain float64 arrays of at most 64
-rows/columns. A rank not given keeps the singular values above RANK_EPS
-times the largest, the rule of SO(3) orbits (a torus's rank comes from its
-exact solve); subspace bases are returned orthonormal, as columns. The cuts
+rows/columns. An SVD split takes its rank as given: every group kind
+decides its stabilizer's rank in closed form. RANK_EPS, the one relative
+cut, keeps the singular values above RANK_EPS times the largest in span
+projectors and decides the SO(3) frame rule (isotropy._so3_shapes);
+subspace bases are returned orthonormal, as columns. The cuts
 several modules share are defined here: MATCH_EPS for matching points,
 traces, characters and coordinates, and POINT_EPS for the displacement of
 a point that still counts as fixed. Each cut is one constant, not a
@@ -26,7 +28,7 @@ from . import kernels
 
 MAX_DIM = 64
 
-# relative singular-value cut of every rank decision
+# relative singular-value cut: span projectors and the SO(3) frame rule
 RANK_EPS = 1e-9
 
 # absolute cut for matching points, traces, characters and coordinates
@@ -35,10 +37,6 @@ MATCH_EPS = 1e-8
 # largest displacement of a point that still counts as fixed by a matrix:
 # the differentials' fixer test and the finite stabilizers and transports
 POINT_EPS = 1e-7
-
-# largest entry of the difference of two span projectors that still counts
-# as one span
-_SPAN_EPS = 1e-7
 
 
 def as_small_matrix(a) -> np.ndarray:
@@ -56,18 +54,18 @@ def as_small_matrix(a) -> np.ndarray:
     return m
 
 
-def svd_splits(A, ranks=None) -> tuple[np.ndarray, list, list]:
-    """(r, K, C) of each (d, n) matrix of a (B, d, n) stack, from one stacked
-    SVD u s vt: the rank r (given, or else the relative rank, _kept), the
-    orthonormal null space basis K = vt[r:]^T and the orthonormal basis
-    C = u[:, r:] of the complement of the column span. C is the identity for
-    a zero matrix or one without columns; identity bases are shared read-only.
+def svd_splits(A, ranks) -> tuple[np.ndarray, list, list]:
+    """(r, K, C) of each (d, n) matrix of a (B, d, n) stack, split at its
+    given rank r by one stacked SVD u s vt: the orthonormal null space basis
+    K = vt[r:]^T and the orthonormal basis C = u[:, r:] of the complement of
+    the column span. C is the identity for a zero matrix or one without
+    columns; identity bases are shared read-only. The split decides
+    nothing: the caller's exact rule has fixed each rank.
 
     Returns the ranks as an int array and the lists of the K and C of each
     matrix. A stacked np.linalg.svd factors each matrix as a call on it
-    alone does, and the rank rule reads each row of singular values, so
-    every result is bit for bit that of the matrix alone. The K (and C) of
-    the matrices of one rank are views of one array.
+    alone does, so every result is bit for bit that of the matrix alone.
+    The K (and C) of the matrices of one rank are views of one array.
     """
     A = np.asarray(A, dtype=np.float64)
     B, d, n = A.shape
@@ -77,8 +75,8 @@ def svd_splits(A, ranks=None) -> tuple[np.ndarray, list, list]:
         return np.zeros(B, dtype=np.int64), [shared_identity(n)] * B, [shared_identity(d)] * B
     if not np.all(np.isfinite(A)):
         raise InputError("matrix contains non-finite entries")
-    u, s, vt = np.linalg.svd(A)
-    ranks = np.count_nonzero(_kept(s), axis=1) if ranks is None else np.asarray(ranks, dtype=np.int64)
+    u, _, vt = np.linalg.svd(A)
+    ranks = np.asarray(ranks, dtype=np.int64)
     nonzero = A.any(axis=(1, 2)).tolist()
     K, C = [None] * B, [None] * B
     for r in sorted(set(ranks.tolist())):
@@ -103,19 +101,6 @@ def _kept(s: np.ndarray) -> np.ndarray:
     """The rank rule: which singular values (descending, along the last
     axis) lie above RANK_EPS times the largest. A zero lead keeps none."""
     return s > RANK_EPS * s[..., :1]
-
-
-def spans_equal(a, b):
-    """Whether two column spans agree, compared through their projectors.
-
-    a and b are matrices, or stacks of them (..., d, k) that broadcast; a
-    stack gives one answer per matrix.
-    """
-    pa, pb = projectors(a), projectors(b)
-    if pa.shape[-1] != pb.shape[-1]:
-        return False
-    same = np.max(np.abs(pa - pb), axis=(-2, -1)) <= _SPAN_EPS
-    return bool(same) if same.ndim == 0 else same
 
 
 def projectors(a) -> np.ndarray:

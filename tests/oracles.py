@@ -117,6 +117,13 @@ def classes_conjugate_reference(a: groups.SubgroupClass, b: groups.SubgroupClass
     return a.lie_dim == b.lie_dim
 
 
+def relative_rank(s) -> int:
+    """The number of singular values s (descending) above RANK_EPS times the
+    largest: the relative rank the package's projectors keep."""
+    s = np.asarray(s)
+    return int(np.count_nonzero(s > numerics.RANK_EPS * s[0])) if s.size else 0
+
+
 def orthonormalize(vectors) -> np.ndarray:
     """Orthonormal basis of the column span (rank-revealing, via SVD), at
     the package's rank cut."""
@@ -124,7 +131,7 @@ def orthonormalize(vectors) -> np.ndarray:
     if m.shape[1] == 0 or not m.any():
         return np.zeros((m.shape[0], 0))
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    return u[:, : int(np.count_nonzero(s > numerics.RANK_EPS * s[0]))].copy()
+    return u[:, : relative_rank(s)].copy()
 
 
 def act(a: actions.ActionModel, g: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -261,10 +268,13 @@ def planted_torus_action(rows, zero_dims: int, frame_seed: int) -> actions.Actio
 
 def framed_split(a: actions.ActionModel, x: np.ndarray):
     """(frame, rank, kernel, slice) at the point x: its tangent frame and the
-    svd_splits of its infinitesimal action, each a batch of one."""
+    svd_splits of its infinitesimal action, each a batch of one, split at
+    the action's relative rank."""
     frames = actions.tangent_frames(a.manifold, x[None])
-    ranks, lie_kernels, slices = numerics.svd_splits(actions.infinitesimal_actions(a, x[None], frames))
-    return frames[0], int(ranks[0]), lie_kernels[0], slices[0]
+    inf = actions.infinitesimal_actions(a, x[None], frames)
+    rank = relative_rank(np.linalg.svd(inf[0], compute_uv=False))
+    _, lie_kernels, slices = numerics.svd_splits(inf, [rank])
+    return frames[0], rank, lie_kernels[0], slices[0]
 
 
 def origin_stabilizer(a: actions.ActionModel) -> isotropy.StabilizerData:

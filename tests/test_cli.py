@@ -73,6 +73,26 @@ def test_points_next_to_a_torus_locus_classify(capsys, name, point):
     assert len(_parse_report(out)[1]) == 64
 
 
+@pytest.mark.parametrize(
+    "name, point, label",
+    [
+        ("cp2-so3", "1+2e-7i,2+1e-7i,2-2e-7i", "Zn(2)"),
+        ("cp2-so3", "1+2e-8i,2+1e-8i,2-2e-8i", "Zn(2)"),
+        ("s2xs2-so3", "1,2,2,1.0000006,2.0000003,1.9999994", "Trivial"),
+        ("s2xs2-so3", "1,2,2,1.00000006,2.00000003,1.99999994", "Trivial"),
+    ],
+)
+def test_points_next_to_an_so3_locus_classify(capsys, name, point, label):
+    # off the cp2-so3 real locus and the s2xs2-so3 diagonal by 1e-8 to 1e-7:
+    # above the frame rule's relative cut, so the stabilizer is the generic
+    # one nearby, although rotations moving the point by less than
+    # ACCEPT_D2 exist; its half-turn is an exact fixer, which the slice
+    # read-off lifts at POINT_EPS
+    code, out = _run(capsys, "classify", name, point, "--seed", "0")
+    assert code == 0
+    assert _parse_report(out)[0]["payload"]["stabilizer"] == label
+
+
 def test_unknown_action_exit_code(capsys):
     code, _ = _run(capsys, "classify", "s7-g2", "0,0,1")
     assert code == 2

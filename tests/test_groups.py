@@ -93,12 +93,6 @@ def test_sampling_is_deterministic_and_valid():
     assert np.abs(prod - np.eye(3)).max() < 1e-12
 
 
-def test_adjoint_of_torus_is_trivial():
-    g = groups.torus(2)
-    el = groups.exp_coeffs_batch(g, np.array([0.3, 1.1]))[0]
-    assert np.allclose(groups.adjoint_coeffs(g, el), np.eye(2), atol=1e-12)
-
-
 def test_classify_trivial_and_finite():
     g = groups.so2()
     wits = np.eye(2)[None]
@@ -123,15 +117,6 @@ def test_classify_circle_o2_and_full():
     assert full.display() == "FullGroup"
     with pytest.raises(ClassificationError):
         classify_one(g, kz, np.zeros((0, 3, 3)))
-
-
-def test_witness_must_normalize_the_algebra():
-    g = groups.so3()
-    kz = np.array([[0.0], [0.0], [1.0]])
-    # rotation about x maps the z axis elsewhere
-    bad = groups.exp_coeffs_batch(g, np.array([0.7, 0.0, 0.0]))[0]
-    with pytest.raises(ClassificationError):
-        classify_one(g, kz, np.stack([np.eye(3), bad]))
 
 
 def test_classes_conjugate():

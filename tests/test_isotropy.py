@@ -14,6 +14,7 @@ from oracles import (
     finite_slice_rep_reference,
     fixer_d2_reference,
     minor_gcd,
+    relative_rank,
     slice_stab_profile_reference,
     stabilizer_reference,
     transport_reference,
@@ -189,28 +190,53 @@ def _s2xs2_point(u, v):
     "point, label",
     [
         (lambda: _cp2_point(_U + 1e-6j * _W), "Zn(2)"),
-        # the Klein four-group: no element of order 4, so not Zn(4)
-        (lambda: _cp2_point(_U + 1e-7j * _W), "Other"),
+        (lambda: _cp2_point(_U + 1e-7j * _W), "Zn(2)"),
         (lambda: _cp2_point(_U + 1j * (1.0 - 1e-6) * _W), "Zn(2)"),
-        (lambda: _s2xs2_point(_U, _U + 1e-8 * _W), "Zn(2)"),
+        (lambda: _s2xs2_point(_U, _U + 1e-8 * _W), "Trivial"),
     ],
     ids=["cp2-real-1e-6", "cp2-real-1e-7", "cp2-null-1e-6", "s2xs2-diagonal-1e-8"],
 )
 def test_so3_stabilizer_next_to_a_locus_is_a_group(point, label):
-    # the rank cut already reads k = 0 here, but a whole arc of rotations
-    # about the nearby axis still moves x by less than ACCEPT_D2; only the
-    # half-turns of the eigenframe may become witnesses, and they must form
-    # a subgroup of the Klein four-group
+    # the frame rule reads k = 0 here, although a whole arc of rotations
+    # about the nearby axis, and the half-turns about the other singular
+    # vectors, still move x by less than ACCEPT_D2: the class is the
+    # point's, Zn(2) off CP^2's loci and Trivial off the s2xs2 diagonal,
+    # not the Klein four-group and Zn(2) the cut would let in
     a, x = point()
     st = isotropy.stabilizer(a, x)
     assert st.lie_kernel.shape[1] == 0
     assert st.subgroup.display() == label
     wits = st.witnesses
-    assert len(wits) <= 4
+    assert len(wits) <= 2
     assert isotropy._displacement(a, st.point, a.amb_batch(wits), st.point).max() <= isotropy.ACCEPT_D2
     for p in wits:
         for q in wits:
             assert np.abs(p @ q - wits).max(axis=(1, 2)).min() <= 1e-8
+
+
+@pytest.mark.parametrize("eps", [1e-12, 1e-10, 3e-9, 1e-8, 1e-7, 3e-7, 1e-6, 1e-4])
+@pytest.mark.parametrize(
+    "point, on, off",
+    [
+        (lambda e: _cp2_point(_U + 1j * e * _W), "O2", "Zn(2)"),
+        (lambda e: _cp2_point(_U + 1j * (1.0 - e) * _W), "SO2", "Zn(2)"),
+        (lambda e: _s2xs2_point(_U, _U + e * _W), "SO2", "Trivial"),
+    ],
+    ids=["cp2-real", "cp2-null", "s2xs2-diagonal"],
+)
+def test_so3_planted_sweep_off_each_locus(point, on, off, eps):
+    # eps off a locus: within the relative cut RANK_EPS of the frame's
+    # singular values the point is on the locus, above it the class is the
+    # generic one nearby; never the Klein four-group, never an error, and
+    # every witness passes the displacement test and the slice read-off
+    a, x = point(eps)
+    st = isotropy.stabilizer(a, x)
+    label = on if eps <= 1e-10 else off
+    assert st.subgroup.display() == label
+    assert st.lie_kernel.shape[1] == (1 if eps <= 1e-10 else 0)
+    assert len(st.witnesses) == (2 if label in ("O2", "Zn(2)") else 1)
+    assert isotropy._displacement(a, st.point, st.witness_ambs, st.point).max() <= isotropy.ACCEPT_D2
+    assert isotropy.slice_representations(a, [st])[0].stab_label == st.subgroup.label
 
 
 @pytest.mark.parametrize(
@@ -552,9 +578,11 @@ def test_cloud_stabilizers_are_their_batches_of_one(cloud_factory, name, seed):
 
 
 def test_planted_so3_points_are_their_batches_of_one(cloud_factory):
-    # the points next to the SO(3) loci (Zn(2), the Klein four-group, and
-    # Zn(2) next to a circle) stacked with cloud points: every witness count
-    # and Lie dimension of the stack is classified in its own batch
+    # the points next to the SO(3) loci (Zn(2) off CP^2's loci, Trivial off
+    # the s2xs2 diagonal) stacked with cloud points: every witness count and
+    # Lie dimension of the stack is classified in its own batch, and the
+    # stacks hold every shape of their action: Zn(2), O2 and SO2 on CP^2,
+    # Trivial and SO2 on s2xs2
     planted = [
         _cp2_point(_U + 1e-6j * _W),
         _cp2_point(_U + 1e-7j * _W),
@@ -569,7 +597,7 @@ def test_planted_so3_points_are_their_batches_of_one(cloud_factory):
         rows = isotropy.stabilizer_rows(a, X, frames)
         assert len(rows) == len(X)
         counts = {(len(row[1]), row[0].shape[1]) for row in rows}
-        assert len(counts) >= 3
+        assert counts == ({(2, 0), (2, 1), (1, 1)} if name == "cp2-so3" else {(1, 0), (1, 1)})
         for x, frame, row in zip(X, frames, rows):
             _assert_same_stabilizer(isotropy.stabilizer(a, x, frame, row), isotropy.stabilizer(a, x, frame))
 
@@ -598,7 +626,7 @@ def test_svd_splits_and_infinitesimal_actions_are_their_rows(cloud_factory, name
     a = cloud.model
     frames = np.stack([st.frame for st in cloud.stabs])
     infs = actions.infinitesimal_actions(a, cloud.points, frames)
-    ranks, kernels, slices = numerics.svd_splits(infs)
+    ranks, kernels, slices = numerics.svd_splits(infs, [st.orbit_dim for st in cloud.stabs])
     k = a.group.lie_dim
     for i, (x, frame) in enumerate(zip(cloud.points, frames)):
         # the per-generator loop the stacked products replaced, bit for bit
@@ -608,14 +636,14 @@ def test_svd_splits_and_infinitesimal_actions_are_their_rows(cloud_factory, name
         alone = actions.infinitesimal_actions(a, x[None], frame[None])[0]
         assert infs[i].tobytes() == np.ascontiguousarray(alone).tobytes()
         assert infs[i].tobytes() == one.tobytes()
-        r, K, C = (part[0] for part in numerics.svd_splits(one[None]))
-        assert r == ranks[i]
+        r, K, C = (part[0] for part in numerics.svd_splits(one[None], ranks[i : i + 1]))
         assert K.tobytes() == kernels[i].tobytes() and K.shape == kernels[i].shape
         assert C.tobytes() == slices[i].tobytes() and C.shape == slices[i].shape
         if one.any():
-            # one full SVD of the matrix alone, split at the relative rank
+            # one full SVD of the matrix alone, split at the given rank: on
+            # the catalog the exact rule's rank is the relative rank
             u, sv, vt = np.linalg.svd(one)
-            assert r == np.count_nonzero(sv > numerics.RANK_EPS * sv[0])
+            assert r == relative_rank(sv)
             assert K.tobytes() == vt[r:].T.copy().tobytes()
             assert C.tobytes() == u[:, r:].copy().tobytes()
 
@@ -623,20 +651,38 @@ def test_svd_splits_and_infinitesimal_actions_are_their_rows(cloud_factory, name
 @pytest.mark.parametrize("name", ["rp2-so2", "cp2-u1", "cn-tn(2)", "cn-tn(3)"])
 def test_torus_lie_kernels_are_integral_and_span_the_svd_null_space(cloud_factory, name):
     # the exact solve alone decides a torus stabilizer; on the catalog its
-    # integer kernel spans what the relative-rank SVD null space spans, and
-    # the slice is that SVD split at the solve's rank
+    # integer kernel spans what the SVD null space at the relative rank
+    # spans, and the slice is that SVD split at the solve's rank
     cloud = cloud_factory(name, 100, 0)
     a = cloud.model
     frames = np.stack([st.frame for st in cloud.stabs])
     infs = actions.infinitesimal_actions(a, cloud.points, frames)
-    ranks, kernels, _ = numerics.svd_splits(infs)
+    ranks = [relative_rank(sv) for sv in np.linalg.svd(infs, compute_uv=False)]
+    _, kernels, _ = numerics.svd_splits(infs, ranks)
     given = numerics.svd_splits(infs, [st.orbit_dim for st in cloud.stabs])
     for i, st in enumerate(cloud.stabs):
         K = st.lie_kernel
         assert np.array_equal(K, np.rint(K)) and not K.flags.writeable
         assert K.shape == kernels[i].shape and st.orbit_dim == ranks[i] == given[0][i]
-        assert numerics.spans_equal(K, kernels[i])
+        assert np.abs(numerics.projectors(K) - numerics.projectors(kernels[i])).max() <= 1e-7
         assert st.slice_basis.tobytes() == given[2][i].tobytes()
+
+
+@pytest.mark.parametrize("name", ["cp2-so3", "s2xs2-so3"])
+def test_so3_cloud_builds_ambient_matrices_for_witnesses_only(name):
+    # the identity's ambient matrix once, then one per half-turn witness:
+    # no matrix is built for a rotation that is not a witness
+    a = actions.get_action(name)
+    calls = []
+
+    def counting(q):
+        calls.append(1)
+        return a.amb(q)
+
+    cloud = strata.build_cloud(replace(a, amb=counting), 2000, seed=0)
+    turns = sum(len(st.witnesses) - 1 for st in cloud.stabs)
+    assert len(calls) == 1 + turns
+    assert (turns > 0) == (name == "cp2-so3")
 
 
 @pytest.mark.parametrize("name", ["s2-zn(5)", "s2-zn(64)", "rp2-so2", "cp2-u1", "cn-tn(3)"])
